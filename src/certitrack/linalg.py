@@ -4,17 +4,23 @@ kernel vectors, and random unitaries.
 The bordered matrix stacks the n x (n+1) Jacobian Dh(z) on top of the row z*,
 giving the square system used by the projective Newton operator and every
 condition-number style quantity.  Solves go through one pivoted LU
-factorization; a reciprocal-condition estimate below 1e-14 is treated as a
+factorization; a smallest pivot below 1e-14 times the largest is treated as a
 singular solve, the signal the tracker converts into a path failure.
+
+The factorization and the solve call LAPACK zgetrf and zgetrs directly.  The
+matrices are at most a few rows wide, so the checks, warning filters and
+batch dispatch of scipy.linalg.lu_factor/lu_solve cost several times the
+arithmetic; the LAPACK calls they end in are the same, so the results are
+bitwise equal.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import zgetrf as _zgetrf
+from scipy.linalg.lapack import zgetrs as _zgetrs
 
 
 RCOND_FLOOR = 1e-14
@@ -26,12 +32,16 @@ class SingularLinearSolveError(Exception):
 
 def lu_factor_checked(A: np.ndarray):
     """Pivoted LU with the singularity policy: the smallest pivot relative to
-    the largest must stay above 1e-14, else SingularLinearSolveError."""
-    with warnings.catch_warnings():
-        # Exact zero pivots are reported below through the exception.
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-    diag = np.abs(np.diag(lu))
+    the largest must stay above 1e-14, else SingularLinearSolveError.
+
+    Calls LAPACK zgetrf directly: at these sizes the scipy.linalg.lu_factor
+    wrapper costs several times the factorization.  An exact zero pivot
+    fails the pivot check, so it raises without a warning.  Returns
+    (lu, piv) with 0-based pivots, as scipy.linalg.lu_factor does."""
+    lu, piv, info = _zgetrf(A)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of zgetrf")
+    diag = np.abs(lu.diagonal())
     top = diag.max()
     if top == 0.0 or diag.min() < RCOND_FLOOR * top:
         ratio = diag.min() / top if top else 0.0
@@ -42,7 +52,17 @@ def lu_factor_checked(A: np.ndarray):
 
 
 def lu_solve(lu_piv, rhs: np.ndarray) -> np.ndarray:
-    return scipy.linalg.lu_solve(lu_piv, rhs, check_finite=False)
+    """Solve A x = rhs (vector or matrix of columns) from lu_factor_checked's
+    factors.  Calls LAPACK zgetrs directly, skipping the batch dispatch of
+    scipy.linalg.lu_solve, which costs several times the solve here; rhs is
+    left unchanged."""
+    lu, piv = lu_piv
+    if np.shape(rhs)[0] != lu.shape[0]:
+        raise ValueError(f"shapes of lu {lu.shape} and rhs {np.shape(rhs)} are incompatible")
+    x, info = _zgetrs(lu, piv, rhs)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of zgetrs")
+    return x
 
 
 @dataclass
@@ -73,8 +93,7 @@ def make_bordered(jac: np.ndarray, z) -> BorderedMatrix:
 
 def bordered_solve(B: BorderedMatrix, rhs: np.ndarray) -> np.ndarray:
     """Solve B x = rhs (vector or matrix of columns)."""
-    lu = B.factor()
-    return scipy.linalg.lu_solve(lu, np.asarray(rhs, dtype=np.complex128), check_finite=False)
+    return lu_solve(B.factor(), rhs)
 
 
 def solve_square(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:

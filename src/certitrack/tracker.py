@@ -20,9 +20,11 @@ final step is clipped so the arc parameter hits the total length exactly.
 There is no minimum step: on a regular path the certified steps are bounded
 below and their number is finite (at most 71 d^{3/2} times the condition
 length), however small some of them get.  A path ends MinStepReached only
-when the step can no longer move the arc parameter in floating point
-(s + t == s, which also catches t == 0 and a non-finite phi), or when the
-caller opts in to a give-up threshold with TrackerOptions.t_step_min.
+when the step is not a finite length that moves the arc parameter in
+floating point (s + t == s catches t == 0 and a NaN or infinite phi; phi == 0,
+a homotopy standing still, gives t = inf and no certified jump to the end),
+or when the caller opts in to a give-up threshold with
+TrackerOptions.t_step_min.
 
 Exact operator norms are used for chi_1 (the rule only requires a value
 within a factor 2), which maximizes the step length at negligible cost for
@@ -47,10 +49,9 @@ from .linalg import (
     make_bordered,
     spectral_norm,
 )
-from .newton import condition_mu, newton_projective, refine
+from .newton import U0, condition_mu, refine
 
 C_OVER_P_LINEAR = 0.04804448
-U0 = 0.17586
 
 
 class DegenerateHomotopyError(Exception):
@@ -65,9 +66,10 @@ class TrackStatus(enum.Enum):
     """Why a path stopped.
 
     MIN_STEP_REACHED: the certified step fell below an opt-in t_step_min, or
-    no longer advances the arc parameter s in floating point (s + t == s,
-    t == 0 or a non-finite step length).  The heuristic tracker reports it
-    when its step halving reaches its own t_step_min.
+    is no finite length that advances the arc parameter s in floating point
+    (s + t == s, t == 0, or a NaN or infinite step length, as phi == 0
+    gives).  The heuristic tracker reports it when its step halving reaches
+    its own t_step_min.
     """
 
     SUCCESS = "Success"
@@ -294,12 +296,39 @@ class _StepEngine:
             off += m
         self.total = off
         self.weights = np.concatenate([_bw_weights(self.n_vars, d) for d in self.degrees])
-        self.exps = {d: polysys.homogeneous_exponents(self.n_vars, d) for d in set(self.degrees)}
-        self.jtabs = {d: _jacobian_tables(self.n_vars, d) for d in set(self.degrees)}
         self.chi1_rhs = np.zeros((self.n + 1, self.n + 1), dtype=np.complex128)
         for i, d in enumerate(self.degrees):
             self.chi1_rhs[i, i] = math.sqrt(d)
         self.chi1_rhs[self.n, self.n] = 1.0
+
+        # One gather serves a whole step.  Each row of _gather holds, per
+        # variable j, the flat index j * (max_d + 1) + e of z_j ** e in the
+        # power table: first the monomials of every distinct degree, then,
+        # per degree and variable, the monomials of the partial derivatives.
+        # Those are scaled by their exponent multipliers and scattered to
+        # their flat positions in the per-degree derivative matrices.
+        var_offsets = np.arange(self.n_vars) * (self.max_d + 1)
+        mono_rows, deriv_rows, scatter, mult = [], [], [], []
+        self._mono_rows = {}
+        self._dmat_blocks = {}
+        n_mono = block = 0
+        for d in sorted(set(self.degrees)):
+            exps = polysys.homogeneous_exponents(self.n_vars, d)
+            n_d = exps.shape[0]
+            self._mono_rows[d] = slice(n_mono, n_mono + n_d)
+            mono_rows.append(exps + var_offsets)
+            n_mono += n_d
+            for j, (sel, dexp, m) in enumerate(_jacobian_tables(self.n_vars, d)):
+                deriv_rows.append(dexp + var_offsets)
+                scatter.append(block + sel * self.n_vars + j)
+                mult.append(m)
+            self._dmat_blocks[d] = (slice(block, block + n_d * self.n_vars), (n_d, self.n_vars))
+            block += n_d * self.n_vars
+        self._gather = np.concatenate(mono_rows + deriv_rows)
+        self._n_mono = n_mono
+        self._scatter = np.concatenate(scatter)
+        self._mult = np.concatenate(mult)
+        self._dmat_size = block
 
     def point_tables(self, z):
         """Monomial values and the per-degree derivative matrices at z.
@@ -308,32 +337,31 @@ class _StepEngine:
         Jacobian row is coefficient-vector @ dmat[d].
         """
         P = polysys._power_table(z, self.max_d)
-        cols = np.arange(self.n_vars)
-        mono = {d: P[cols, e].prod(axis=1) for d, e in self.exps.items()}
-        dmat = {}
-        for d, tabs in self.jtabs.items():
-            D = np.zeros((self.exps[d].shape[0], self.n_vars), dtype=np.complex128)
-            for j, (sel, dexp, mult) in enumerate(tabs):
-                if sel.size:
-                    D[sel, j] = mult * P[cols, dexp].prod(axis=1)
-            dmat[d] = D
+        vals = P.take(self._gather).prod(axis=1)
+        flat = np.zeros(self._dmat_size, dtype=np.complex128)
+        flat[self._scatter] = self._mult * vals[self._n_mono :]
+        mono = {d: vals[rows] for d, rows in self._mono_rows.items()}
+        dmat = {d: flat[block].reshape(shape) for d, (block, shape) in self._dmat_blocks.items()}
         return mono, dmat
 
+    # ndarray.dot runs the same BLAS kernels as the @ operator with less
+    # per-call overhead; the rows stay separate products (a stacked product
+    # would sum in another order).
     def evaluate(self, hvec, mono):
         if self.uniform:
-            return hvec.reshape(self.n, -1) @ mono[self.degrees[0]]
+            return hvec.reshape(self.n, -1).dot(mono[self.degrees[0]])
         out = np.empty(self.n, dtype=np.complex128)
         for i, d in enumerate(self.degrees):
-            out[i] = hvec[self.slices[i]] @ mono[d]
+            out[i] = hvec[self.slices[i]].dot(mono[d])
         return out
 
     def bordered(self, hvec, dmat, z):
         matrix = np.empty((self.n + 1, self.n_vars), dtype=np.complex128)
         if self.uniform:
-            matrix[: self.n] = hvec.reshape(self.n, -1) @ dmat[self.degrees[0]]
+            matrix[: self.n] = hvec.reshape(self.n, -1).dot(dmat[self.degrees[0]])
         else:
             for i, d in enumerate(self.degrees):
-                matrix[i] = hvec[self.slices[i]] @ dmat[d]
+                matrix[i] = hvec[self.slices[i]].dot(dmat[d])
         matrix[self.n] = np.conj(z)
         return matrix
 
@@ -363,11 +391,12 @@ def _run_certified_loop(
     rhs = np.empty((n + 1, n + 2), dtype=np.complex128)
     rhs[:, : n + 1] = eng.chi1_rhs
     rhs[n, n + 1] = 0.0
+    newton_rhs = np.zeros(n + 1, dtype=np.complex128)
 
+    hvec = coeffs_at(s)
     while s != T:
         if steps >= opts.max_steps:
             return TrackResult(z, TrackStatus.MAX_STEPS, steps, tuple(trace))
-        hvec = coeffs_at(s)
         hdotvec = dcoeffs_at(s)
         mono, dmono = eng.point_tables(z)
         try:
@@ -380,10 +409,11 @@ def _run_certified_loop(
         x1 = float(np.linalg.svd(sol[:, : n + 1], compute_uv=False)[0])
         x2 = math.sqrt(eng.speed(hdotvec) ** 2 + float(np.linalg.norm(sol[:, n + 1])) ** 2)
         phi = x1 * x2
-        t = opts.step_fraction * c_over_p / (d32 * phi)
-        # The step must move s in floating point; written so that t == 0 and
-        # a NaN t stop here too.
-        if t < opts.t_step_min or not s + t > s:
+        # phi == 0 (a zero-speed homotopy) gives t = inf: no certified step.
+        t = opts.step_fraction * c_over_p / (d32 * phi) if phi else math.inf
+        # The step must be finite and move s in floating point; written so
+        # that t == 0 and a NaN t stop here too.
+        if t < opts.t_step_min or not s < s + t < math.inf:
             return TrackResult(z, TrackStatus.MIN_STEP_REACHED, steps, tuple(trace))
         if t >= T - s:
             # Last step: assign the endpoint exactly so the loop terminates.
@@ -398,13 +428,14 @@ def _run_certified_loop(
             lu2 = lu_factor_checked(eng.bordered(hnext, dmono, z))
         except SingularLinearSolveError:
             return TrackResult(z, TrackStatus.SINGULAR, steps, tuple(trace))
-        rhs2 = np.concatenate([eng.evaluate(hnext, mono), [0.0]])
-        z = z - lu_solve(lu2, rhs2)
+        newton_rhs[:n] = eng.evaluate(hnext, mono)
+        z = z - lu_solve(lu2, newton_rhs)
         z = z / np.linalg.norm(z)
         steps += 1
         if opts.record_trace:
             trace.append(StepRecord(steps, s_next, t, phi, x1, x2, z))
         s = s_next
+        hvec = hnext
     return TrackResult(z, TrackStatus.SUCCESS, steps, tuple(trace))
 
 

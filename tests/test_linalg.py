@@ -1,10 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from certitrack.linalg import (
     SingularLinearSolveError,
     bordered_solve,
     kernel_vector,
+    lu_factor_checked,
+    lu_solve,
     make_bordered,
     random_unitary,
     solve_square,
@@ -63,6 +68,51 @@ class TestBorderedSolve:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             make_bordered(np.zeros((2, 2)), np.zeros(2))
+
+
+class TestLapackLU:
+    """The direct zgetrf/zgetrs calls against the SciPy wrappers they replace."""
+
+    @staticmethod
+    def _complex(rng, shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("rhs_shape", [(6,), (6, 7)])
+    def test_bitwise_equal_to_scipy(self, seed, rhs_shape):
+        rng = np.random.default_rng(seed)
+        A = self._complex(rng, (6, 6))
+        rhs = self._complex(rng, rhs_shape)
+        lu, piv = lu_factor_checked(A)
+        ref_lu, ref_piv = scipy.linalg.lu_factor(A)
+        assert lu.tobytes() == ref_lu.tobytes()
+        assert np.array_equal(piv, ref_piv)
+        x = lu_solve((lu, piv), rhs)
+        ref_x = scipy.linalg.lu_solve((ref_lu, ref_piv), rhs)
+        assert x.shape == ref_x.shape == rhs_shape
+        assert x.tobytes() == ref_x.tobytes()
+
+    def test_inputs_untouched(self):
+        rng = np.random.default_rng(9)
+        A = self._complex(rng, (4, 4))
+        rhs = self._complex(rng, (4,))
+        A0, rhs0 = A.copy(), rhs.copy()
+        lu_solve(lu_factor_checked(A), rhs)
+        assert np.array_equal(A, A0) and np.array_equal(rhs, rhs0)
+
+    def test_exact_zero_pivot_raises_without_warning(self):
+        A = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularLinearSolveError):
+                lu_factor_checked(A)
+
+    def test_rhs_length_mismatch(self):
+        lu_piv = lu_factor_checked(np.eye(3, dtype=complex))
+        with pytest.raises(ValueError):
+            lu_solve(lu_piv, np.ones(4, dtype=complex))
+        with pytest.raises(ValueError):
+            lu_solve(lu_piv, np.ones((2, 3), dtype=complex))
 
 
 class TestSolveSquare:

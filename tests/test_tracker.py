@@ -7,7 +7,7 @@ from certitrack.bw import bw_inner, bw_norm, normalize_to_sphere, riemann_distan
 from certitrack.experiments import katsura_system
 from certitrack.linalg import SingularLinearSolveError
 from certitrack.newton import condition_mu, refine
-from certitrack.polysys import PolySystem, homogenize, unit_point
+from certitrack.polysys import PolySystem, _power_table, homogeneous_exponents, homogenize, unit_point
 from certitrack.start_systems import (
     good_initial_pair,
     random_system_on_sphere,
@@ -21,6 +21,7 @@ from certitrack.tracker import (
     MinStepError,
     TrackStatus,
     TrackerOptions,
+    _StepEngine,
     certified_step,
     chi1,
     chi2,
@@ -412,6 +413,53 @@ class TestNonFiniteStep:
             result = track_general(curve, z0, TrackerOptions(max_steps=50))
         assert result.status is TrackStatus.MIN_STEP_REACHED
         assert result.num_steps == 0
+
+    def test_zero_derivative(self, quad_pair):
+        # phi = 0 gives t = inf, which must neither raise nor jump to T
+        curve, z0 = self._wrapped(quad_pair, lambda hom, s: 0.0 * hom.derivative_at(s))
+        result = track_general(curve, z0, TrackerOptions(max_steps=50))
+        assert result.status is TrackStatus.MIN_STEP_REACHED
+        assert result.num_steps == 0
+
+
+class TestStepEngineTables:
+    """The gathered step tables against a plain per-monomial loop."""
+
+    @staticmethod
+    def _reference(degree, P):
+        n_vars = P.shape[0]
+        exps = homogeneous_exponents(n_vars, degree)
+        mono = np.empty(exps.shape[0], dtype=np.complex128)
+        dmat = np.zeros((exps.shape[0], n_vars), dtype=np.complex128)
+
+        def product(e):
+            value = P[0, e[0]]
+            for j in range(1, n_vars):
+                value = value * P[j, e[j]]
+            return value
+
+        for k, e in enumerate(exps):
+            mono[k] = product(e)
+            for j in range(n_vars):
+                if e[j] > 0:
+                    de = e.copy()
+                    de[j] -= 1
+                    dmat[k, j] = np.float64(e[j]) * product(de)
+        return mono, dmat
+
+    @pytest.mark.parametrize("degrees", [(2, 2, 2), (1, 2, 2, 2, 2), (3, 3, 3, 3), (1, 3, 2)])
+    def test_bitwise_equal_to_loop(self, degrees):
+        eng = _StepEngine(degrees)
+        rng = np.random.default_rng(len(degrees))
+        for _ in range(3):
+            z = unit_point(rng.standard_normal(eng.n_vars) + 1j * rng.standard_normal(eng.n_vars))
+            mono, dmat = eng.point_tables(z)
+            P = _power_table(z, eng.max_d)
+            assert sorted(mono) == sorted(dmat) == sorted(set(degrees))
+            for d in set(degrees):
+                ref_mono, ref_dmat = self._reference(d, P)
+                assert mono[d].tobytes() == ref_mono.tobytes()
+                assert dmat[d].tobytes() == ref_dmat.tobytes()
 
 
 class TestTraceCsv:
