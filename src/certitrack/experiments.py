@@ -167,12 +167,12 @@ def _bench_trial(args) -> list[PathStat]:
     else:
         raise ValueError(f"unknown family {family!r}")
     start = total_degree_start(degrees, np.random.default_rng([seed, trial, 1]))
+    hom = make_linear_homotopy(start.g, target) if set(trackers) - {"certified"} else None
     for kind in trackers:
         for path_id, root in enumerate(start.roots):
             if kind == "certified":
                 result = track_path(start.g, target, root, opts)
             else:
-                hom = make_linear_homotopy(start.g, target)
                 result = track_heuristic(hom, root, heuristic_opts)
             rows.append(PathStat(trial, path_id, kind, result.status.value, result.num_steps))
     return rows

@@ -6,14 +6,27 @@ complex coefficient vector per equation, indexed by the monomial basis of the
 equation's degree.  The monomial order is ascending lexicographic on the
 exponent tuple (a0, ..., an); the bijection between positions and exponent
 tuples is deterministic and cached per (variable count, degree).
+
+A PolySystem owns its coefficients: construction copies them into one
+read-only vector, concatenated equation by equation, of which `coeffs` holds
+read-only views, so later changes to the caller's arrays change nothing.
+The degree tuple is validated once per tuple (cached), which keeps
+`from_coeff_vector` cheap for the systems a homotopy builds at each step.
+
+Homogeneous systems have one evaluator, `evaluator(degrees)`, built once per
+degree tuple: one gather from the table of coordinate powers gives every
+monomial value (for `evaluate`) or also every partial-derivative monomial
+(for `jacobian` and the certified tracking loop).  Affine systems keep their
+own per-variable evaluation.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -93,19 +106,14 @@ def _check_degrees(degrees) -> None:
 
 
 @lru_cache(maxsize=None)
-def _jacobian_tables(n_vars: int, degree: int):
-    # Per variable j: (rows with positive exponent, decremented exponents, multipliers).
-    exps = homogeneous_exponents(n_vars, degree)
-    tables = []
-    for j in range(n_vars):
-        sel = np.nonzero(exps[:, j] > 0)[0]
-        dexp = exps[sel].copy()
-        dexp[:, j] -= 1
-        mult = exps[sel, j].astype(np.float64)
-        for arr in (sel, dexp, mult):
-            arr.setflags(write=False)
-        tables.append((sel, dexp, mult))
-    return tuple(tables)
+def _layout(degrees: tuple) -> tuple[tuple[int, ...], tuple[slice, ...]]:
+    # The validated degree tuple and each equation's block of the
+    # concatenated homogeneous coefficient vector.
+    _check_degrees(degrees)
+    degrees = tuple(int(d) for d in degrees)
+    n_vars = len(degrees) + 1
+    ends = list(itertools.accumulate(num_homogeneous_monomials(n_vars, d) for d in degrees))
+    return degrees, tuple(map(slice, [0] + ends, ends))
 
 
 @lru_cache(maxsize=None)
@@ -140,7 +148,7 @@ def _monomial_values(P: np.ndarray, exps: np.ndarray) -> np.ndarray:
 def _as_coeff_tuple(coeffs, expected_lengths) -> tuple[np.ndarray, ...]:
     out = []
     for i, c in enumerate(coeffs):
-        arr = np.ascontiguousarray(c, dtype=np.complex128)
+        arr = np.array(c, dtype=np.complex128)  # a copy: the system owns its coefficients
         if arr.ndim != 1 or arr.shape[0] != expected_lengths[i]:
             raise ValueError(
                 f"equation {i}: expected {expected_lengths[i]} coefficients, got shape {arr.shape}"
@@ -158,14 +166,18 @@ class PolySystem:
     coeffs: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        degrees = tuple(int(d) for d in self.degrees)
-        _check_degrees(degrees)
-        object.__setattr__(self, "degrees", degrees)
+        degrees, slices = _layout(tuple(self.degrees))
         if len(self.coeffs) != len(degrees):
             raise ValueError("one coefficient vector per equation required")
-        n_vars = len(degrees) + 1
-        expected = [num_homogeneous_monomials(n_vars, d) for d in degrees]
-        object.__setattr__(self, "coeffs", _as_coeff_tuple(self.coeffs, expected))
+        sizes = [sl.stop - sl.start for sl in slices]
+        self._own(degrees, slices, np.concatenate(_as_coeff_tuple(self.coeffs, sizes)))
+
+    def _own(self, degrees, slices, vec: np.ndarray) -> None:
+        # vec, a fresh 1-d complex array, becomes the system's storage.
+        vec.setflags(write=False)
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "_vec", vec)
+        object.__setattr__(self, "coeffs", tuple(vec[sl] for sl in slices))
 
     @property
     def n(self) -> int:
@@ -179,25 +191,25 @@ class PolySystem:
     def max_degree(self) -> int:
         return max(self.degrees)
 
-    @cached_property
-    def _uniform_stack(self) -> np.ndarray | None:
-        # Equations of equal degree stacked into one matrix for fast evaluation.
-        if len(set(self.degrees)) == 1:
-            return np.vstack(self.coeffs)
-        return None
+    def __reduce__(self):
+        # Unpickled systems own a read-only vector too (default pickling
+        # would restore writable, separate per-equation copies).
+        return PolySystem.from_coeff_vector, (self.degrees, self._vec)
 
     def coeff_vector(self) -> np.ndarray:
-        """All coefficients concatenated equation by equation."""
-        return np.concatenate(self.coeffs)
+        """All coefficients concatenated equation by equation (a writable copy)."""
+        return self._vec.copy()
 
     @classmethod
     def from_coeff_vector(cls, degrees: tuple[int, ...], vec: np.ndarray) -> "PolySystem":
-        n_vars = len(degrees) + 1
-        sizes = [num_homogeneous_monomials(n_vars, d) for d in degrees]
-        if vec.shape != (sum(sizes),):
-            raise ValueError(f"expected coefficient vector of length {sum(sizes)}")
-        parts = np.split(np.asarray(vec, dtype=np.complex128), np.cumsum(sizes)[:-1])
-        return cls(tuple(degrees), tuple(parts))
+        """Inverse of coeff_vector; the system keeps its own copy of vec."""
+        degrees, slices = _layout(tuple(degrees))
+        vec = np.array(vec, dtype=np.complex128)
+        if vec.shape != (slices[-1].stop,):
+            raise ValueError(f"expected {slices[-1].stop} coefficients, got shape {vec.shape}")
+        h = cls.__new__(cls)
+        h._own(degrees, slices, vec)
+        return h
 
     @classmethod
     def from_terms(cls, degrees, terms) -> "PolySystem":
@@ -221,16 +233,16 @@ class PolySystem:
     def __add__(self, other: "PolySystem") -> "PolySystem":
         if not isinstance(other, PolySystem) or other.degrees != self.degrees:
             return NotImplemented
-        return PolySystem(self.degrees, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return PolySystem.from_coeff_vector(self.degrees, self._vec + other._vec)
 
     def __sub__(self, other: "PolySystem") -> "PolySystem":
         if not isinstance(other, PolySystem) or other.degrees != self.degrees:
             return NotImplemented
-        return PolySystem(self.degrees, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return PolySystem.from_coeff_vector(self.degrees, self._vec - other._vec)
 
     def __mul__(self, scalar) -> "PolySystem":
         scalar = complex(scalar)
-        return PolySystem(self.degrees, tuple(scalar * a for a in self.coeffs))
+        return PolySystem.from_coeff_vector(self.degrees, scalar * self._vec)
 
     __rmul__ = __mul__
 
@@ -311,47 +323,116 @@ def unit_point(coords) -> np.ndarray:
     return z
 
 
-def evaluate(h: PolySystem, z) -> np.ndarray:
-    """Value vector (h_1(z), ..., h_n(z)) at a representative z."""
+class Evaluator:
+    """Gather tables of one degree tuple: values and Jacobians of every
+    homogeneous system with these degrees, from its concatenated coefficient
+    vector.
+
+    Each row of the full gather holds, per variable j, the flat index
+    j * (max_d + 1) + e of z_j ** e in the power table: first the monomials
+    of every distinct degree (the monomial-only gather is this prefix), then,
+    per degree and variable, the monomials of the partial derivatives.  Those
+    are scaled by their exponent multipliers and scattered to their flat
+    positions in the per-degree derivative matrices.
+    """
+
+    def __init__(self, degrees):
+        self.degrees, self.slices = _layout(tuple(degrees))
+        self.n = len(self.degrees)
+        self.n_vars = self.n + 1
+        self.max_d = max(self.degrees)
+        self.uniform = len(set(self.degrees)) == 1
+
+        var_offsets = np.arange(self.n_vars) * (self.max_d + 1)
+        mono_rows, deriv_rows, scatter, mult = [], [], [], []
+        self._mono_rows = {}
+        self._dmat_blocks = {}
+        n_mono = block = 0
+        for d in sorted(set(self.degrees)):
+            exps = homogeneous_exponents(self.n_vars, d)
+            n_d = exps.shape[0]
+            self._mono_rows[d] = slice(n_mono, n_mono + n_d)
+            mono_rows.append(exps + var_offsets)
+            n_mono += n_d
+            for j in range(self.n_vars):
+                # Monomials with a positive exponent of z_j, that exponent lowered by one.
+                sel = np.nonzero(exps[:, j] > 0)[0]
+                deriv_rows.append(exps[sel] - (np.arange(self.n_vars) == j) + var_offsets)
+                scatter.append(block + sel * self.n_vars + j)
+                mult.append(exps[sel, j].astype(np.float64))
+            self._dmat_blocks[d] = (slice(block, block + n_d * self.n_vars), (n_d, self.n_vars))
+            block += n_d * self.n_vars
+        self._gather = np.concatenate(mono_rows + deriv_rows)
+        self._n_mono = n_mono
+        self._scatter = np.concatenate(scatter)
+        self._mult = np.concatenate(mult)
+        self._dmat_size = block
+
+    def monomials(self, z) -> dict[int, np.ndarray]:
+        """Values at z of the monomials of each distinct degree."""
+        vals = _power_table(z, self.max_d).take(self._gather[: self._n_mono]).prod(axis=1)
+        return {d: vals[rows] for d, rows in self._mono_rows.items()}
+
+    def point_tables(self, z):
+        """Monomial values and the per-degree derivative matrices at z.
+
+        dmat[d][k, j] is the j-th partial of the k-th degree-d monomial, so a
+        Jacobian row is coefficient-vector @ dmat[d].
+        """
+        vals = _power_table(z, self.max_d).take(self._gather).prod(axis=1)
+        flat = np.zeros(self._dmat_size, dtype=np.complex128)
+        flat[self._scatter] = self._mult * vals[self._n_mono :]
+        mono = {d: vals[rows] for d, rows in self._mono_rows.items()}
+        dmat = {d: flat[block].reshape(shape) for d, (block, shape) in self._dmat_blocks.items()}
+        return mono, dmat
+
+    # ndarray.dot runs the same BLAS kernels as the @ operator with less
+    # per-call overhead; with mixed degrees the rows stay separate products.
+    def values(self, vec, mono) -> np.ndarray:
+        """Value vector of the system with coefficient vector vec."""
+        if self.uniform:
+            return vec.reshape(self.n, -1).dot(mono[self.degrees[0]])
+        out = np.empty(self.n, dtype=np.complex128)
+        for i, d in enumerate(self.degrees):
+            out[i] = vec[self.slices[i]].dot(mono[d])
+        return out
+
+    def jacobian(self, vec, dmat, out=None) -> np.ndarray:
+        """Jacobian rows of the system with coefficient vector vec, written
+        into the first n rows of out when it is given."""
+        if out is None:
+            out = np.empty((self.n, self.n_vars), dtype=np.complex128)
+        if self.uniform:
+            out[: self.n] = vec.reshape(self.n, -1).dot(dmat[self.degrees[0]])
+        else:
+            for i, d in enumerate(self.degrees):
+                out[i] = vec[self.slices[i]].dot(dmat[d])
+        return out
+
+
+@lru_cache(maxsize=None)
+def evaluator(degrees: tuple[int, ...]) -> Evaluator:
+    """The Evaluator of a degree tuple, built on first use."""
+    return Evaluator(degrees)
+
+
+def _checked_point(h: PolySystem, z) -> np.ndarray:
     z = np.asarray(z, dtype=np.complex128)
     if z.shape != (h.n_vars,):
         raise ValueError(f"point must have {h.n_vars} coordinates, got {z.shape}")
-    P = _power_table(z, h.max_degree)
-    stacked = h._uniform_stack
-    if stacked is not None:
-        mono = _monomial_values(P, homogeneous_exponents(h.n_vars, h.degrees[0]))
-        return stacked @ mono
-    out = np.empty(h.n, dtype=np.complex128)
-    for i, d in enumerate(h.degrees):
-        mono = _monomial_values(P, homogeneous_exponents(h.n_vars, d))
-        out[i] = h.coeffs[i] @ mono
-    return out
+    return z
+
+
+def evaluate(h: PolySystem, z) -> np.ndarray:
+    """Value vector (h_1(z), ..., h_n(z)) at a representative z."""
+    ev = evaluator(h.degrees)
+    return ev.values(h._vec, ev.monomials(_checked_point(h, z)))
 
 
 def jacobian(h: PolySystem, z) -> np.ndarray:
     """The n x (n+1) Jacobian matrix Dh(z)."""
-    z = np.asarray(z, dtype=np.complex128)
-    if z.shape != (h.n_vars,):
-        raise ValueError(f"point must have {h.n_vars} coordinates, got {z.shape}")
-    P = _power_table(z, h.max_degree)
-    J = np.zeros((h.n, h.n_vars), dtype=np.complex128)
-    stacked = h._uniform_stack
-    if stacked is not None:
-        tables = _jacobian_tables(h.n_vars, h.degrees[0])
-        for j, (sel, dexp, mult) in enumerate(tables):
-            if sel.size == 0:
-                continue
-            mono = _monomial_values(P, dexp)
-            J[:, j] = stacked[:, sel] @ (mult * mono)
-        return J
-    for i, d in enumerate(h.degrees):
-        tables = _jacobian_tables(h.n_vars, d)
-        for j, (sel, dexp, mult) in enumerate(tables):
-            if sel.size == 0:
-                continue
-            mono = _monomial_values(P, dexp)
-            J[i, j] = h.coeffs[i][sel] @ (mult * mono)
-    return J
+    ev = evaluator(h.degrees)
+    return ev.jacobian(h._vec, ev.point_tables(_checked_point(h, z))[1])
 
 
 def evaluate_affine(f: AffineSystem, x) -> np.ndarray:

@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from . import polysys
-from .bw import bw_inner, bw_norm, ensure_on_sphere, riemann_distance
+from .bw import _bw_weights, bw_inner, bw_norm, ensure_on_sphere, riemann_distance
 from .linalg import (
     SingularLinearSolveError,
     bordered_solve,
@@ -270,105 +270,6 @@ def _systems_equal(g: polysys.PolySystem, f: polysys.PolySystem, tol: float = 1e
     )
 
 
-class _StepEngine:
-    """Per-degree-vector workspace for the tracking loop.
-
-    Works on concatenated coefficient vectors instead of system objects, and
-    shares the monomial (and derivative-monomial) values at the current point
-    between the step-size computation and the Newton correction, which cuts
-    the per-step cost by several times at desk scale.
-    """
-
-    def __init__(self, degrees):
-        from .bw import _bw_weights
-        from .polysys import _jacobian_tables
-
-        self.degrees = tuple(int(d) for d in degrees)
-        self.n = len(self.degrees)
-        self.n_vars = self.n + 1
-        self.max_d = max(self.degrees)
-        self.uniform = len(set(self.degrees)) == 1
-        sizes = [polysys.num_homogeneous_monomials(self.n_vars, d) for d in self.degrees]
-        self.slices = []
-        off = 0
-        for m in sizes:
-            self.slices.append(slice(off, off + m))
-            off += m
-        self.total = off
-        self.weights = np.concatenate([_bw_weights(self.n_vars, d) for d in self.degrees])
-        self.chi1_rhs = np.zeros((self.n + 1, self.n + 1), dtype=np.complex128)
-        for i, d in enumerate(self.degrees):
-            self.chi1_rhs[i, i] = math.sqrt(d)
-        self.chi1_rhs[self.n, self.n] = 1.0
-
-        # One gather serves a whole step.  Each row of _gather holds, per
-        # variable j, the flat index j * (max_d + 1) + e of z_j ** e in the
-        # power table: first the monomials of every distinct degree, then,
-        # per degree and variable, the monomials of the partial derivatives.
-        # Those are scaled by their exponent multipliers and scattered to
-        # their flat positions in the per-degree derivative matrices.
-        var_offsets = np.arange(self.n_vars) * (self.max_d + 1)
-        mono_rows, deriv_rows, scatter, mult = [], [], [], []
-        self._mono_rows = {}
-        self._dmat_blocks = {}
-        n_mono = block = 0
-        for d in sorted(set(self.degrees)):
-            exps = polysys.homogeneous_exponents(self.n_vars, d)
-            n_d = exps.shape[0]
-            self._mono_rows[d] = slice(n_mono, n_mono + n_d)
-            mono_rows.append(exps + var_offsets)
-            n_mono += n_d
-            for j, (sel, dexp, m) in enumerate(_jacobian_tables(self.n_vars, d)):
-                deriv_rows.append(dexp + var_offsets)
-                scatter.append(block + sel * self.n_vars + j)
-                mult.append(m)
-            self._dmat_blocks[d] = (slice(block, block + n_d * self.n_vars), (n_d, self.n_vars))
-            block += n_d * self.n_vars
-        self._gather = np.concatenate(mono_rows + deriv_rows)
-        self._n_mono = n_mono
-        self._scatter = np.concatenate(scatter)
-        self._mult = np.concatenate(mult)
-        self._dmat_size = block
-
-    def point_tables(self, z):
-        """Monomial values and the per-degree derivative matrices at z.
-
-        dmat[d][k, j] is the j-th partial of the k-th degree-d monomial, so a
-        Jacobian row is coefficient-vector @ dmat[d].
-        """
-        P = polysys._power_table(z, self.max_d)
-        vals = P.take(self._gather).prod(axis=1)
-        flat = np.zeros(self._dmat_size, dtype=np.complex128)
-        flat[self._scatter] = self._mult * vals[self._n_mono :]
-        mono = {d: vals[rows] for d, rows in self._mono_rows.items()}
-        dmat = {d: flat[block].reshape(shape) for d, (block, shape) in self._dmat_blocks.items()}
-        return mono, dmat
-
-    # ndarray.dot runs the same BLAS kernels as the @ operator with less
-    # per-call overhead; the rows stay separate products (a stacked product
-    # would sum in another order).
-    def evaluate(self, hvec, mono):
-        if self.uniform:
-            return hvec.reshape(self.n, -1).dot(mono[self.degrees[0]])
-        out = np.empty(self.n, dtype=np.complex128)
-        for i, d in enumerate(self.degrees):
-            out[i] = hvec[self.slices[i]].dot(mono[d])
-        return out
-
-    def bordered(self, hvec, dmat, z):
-        matrix = np.empty((self.n + 1, self.n_vars), dtype=np.complex128)
-        if self.uniform:
-            matrix[: self.n] = hvec.reshape(self.n, -1).dot(dmat[self.degrees[0]])
-        else:
-            for i, d in enumerate(self.degrees):
-                matrix[i] = hvec[self.slices[i]].dot(dmat[d])
-        matrix[self.n] = np.conj(z)
-        return matrix
-
-    def speed(self, hdotvec) -> float:
-        return math.sqrt(float(np.dot(self.weights, np.abs(hdotvec) ** 2)))
-
-
 def _run_certified_loop(
     coeffs_at,
     dcoeffs_at,
@@ -380,34 +281,45 @@ def _run_certified_loop(
 ) -> TrackResult:
     from .linalg import lu_factor_checked, lu_solve
 
-    eng = _StepEngine(degrees)
+    # The monomial (and derivative-monomial) values at the current point are
+    # shared between the step-size computation and the Newton correction.
+    ev = polysys.evaluator(degrees)
+    n, n_vars = ev.n, ev.n_vars
+    weights = np.concatenate([_bw_weights(n_vars, d) for d in ev.degrees])
     z = np.asarray(z0, dtype=np.complex128)
     z = z / np.linalg.norm(z)
-    d32 = eng.max_d**1.5
-    n = eng.n
+    d32 = ev.max_d**1.5
     s = 0.0
     steps = 0
     trace: list[StepRecord] = []
-    rhs = np.empty((n + 1, n + 2), dtype=np.complex128)
-    rhs[:, : n + 1] = eng.chi1_rhs
-    rhs[n, n + 1] = 0.0
+    # One multi-column solve covers chi1 (first n+1 columns) and chi2 (last).
+    rhs = np.zeros((n + 1, n + 2), dtype=np.complex128)
+    for i, d in enumerate(ev.degrees):
+        rhs[i, i] = math.sqrt(d)
+    rhs[n, n] = 1.0
     newton_rhs = np.zeros(n + 1, dtype=np.complex128)
+
+    def bordered(hvec, dmat, z):
+        matrix = np.empty((n + 1, n_vars), dtype=np.complex128)
+        ev.jacobian(hvec, dmat, matrix)
+        matrix[n] = np.conj(z)
+        return matrix
 
     hvec = coeffs_at(s)
     while s != T:
         if steps >= opts.max_steps:
             return TrackResult(z, TrackStatus.MAX_STEPS, steps, tuple(trace))
         hdotvec = dcoeffs_at(s)
-        mono, dmono = eng.point_tables(z)
+        mono, dmat = ev.point_tables(z)
         try:
-            lu = lu_factor_checked(eng.bordered(hvec, dmono, z))
+            lu = lu_factor_checked(bordered(hvec, dmat, z))
         except SingularLinearSolveError:
             return TrackResult(z, TrackStatus.SINGULAR, steps, tuple(trace))
-        # One multi-column solve covers chi1 (first n+1 columns) and chi2 (last).
-        rhs[:n, n + 1] = eng.evaluate(hdotvec, mono)
+        rhs[:n, n + 1] = ev.values(hdotvec, mono)
         sol = lu_solve(lu, rhs)
         x1 = float(np.linalg.svd(sol[:, : n + 1], compute_uv=False)[0])
-        x2 = math.sqrt(eng.speed(hdotvec) ** 2 + float(np.linalg.norm(sol[:, n + 1])) ** 2)
+        speed = math.sqrt(float(np.dot(weights, np.abs(hdotvec) ** 2)))
+        x2 = math.sqrt(speed**2 + float(np.linalg.norm(sol[:, n + 1])) ** 2)
         phi = x1 * x2
         # phi == 0 (a zero-speed homotopy) gives t = inf: no certified step.
         t = opts.step_fraction * c_over_p / (d32 * phi) if phi else math.inf
@@ -425,10 +337,10 @@ def _run_certified_loop(
         # reusing the monomial values.
         hnext = coeffs_at(s_next)
         try:
-            lu2 = lu_factor_checked(eng.bordered(hnext, dmono, z))
+            lu2 = lu_factor_checked(bordered(hnext, dmat, z))
         except SingularLinearSolveError:
             return TrackResult(z, TrackStatus.SINGULAR, steps, tuple(trace))
-        newton_rhs[:n] = eng.evaluate(hnext, mono)
+        newton_rhs[:n] = ev.values(hnext, mono)
         z = z - lu_solve(lu2, newton_rhs)
         z = z / np.linalg.norm(z)
         steps += 1

@@ -153,3 +153,19 @@ class TestTrackHeuristic:
         res = track_heuristic(hom, start.roots[0], opts)
         if res.status is TrackStatus.SUCCESS:
             assert any(not rec.accepted for rec in res.trace) or res.num_steps == len(res.trace)
+
+    def test_pinned_step_counts(self):
+        # (status, accepted steps) of the 8 total-degree paths of one seeded
+        # (2,2,2) target: a change to evaluation or step adaptation that
+        # moves them fails here, not only in the benchmark's step digest.
+        rng = np.random.default_rng(2024)
+        f = random_system_on_sphere((2, 2, 2), rng)
+        start = total_degree_start((2, 2, 2), rng)
+        hom = make_linear_homotopy(start.g, f)
+        opts = HeuristicOptions(record_trace=False)
+        results = [track_heuristic(hom, z, opts) for z in start.roots]
+        got = [(r.status.value, r.num_steps) for r in results]
+        assert got == [
+            ("Success", 13), ("Success", 14), ("Success", 10), ("Success", 10),
+            ("Success", 10), ("Success", 10), ("Success", 13), ("Success", 10),
+        ]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from certitrack.polysys import (
     dehomogenize,
     evaluate,
     evaluate_affine,
+    evaluator,
     homogeneous_exponents,
     homogeneous_index,
     homogenize,
@@ -158,7 +160,7 @@ class TestJacobian:
         J = jacobian(h, np.array([1.0, 0.0], dtype=complex))
         np.testing.assert_allclose(J[0], [0.0, 1.0], atol=1e-15)
 
-    @pytest.mark.parametrize("degrees,seed", [((2, 2), 3), ((3, 2, 2), 4)])
+    @pytest.mark.parametrize("degrees,seed", [((2, 2), 3), ((3, 2, 2), 4), ((1, 2, 2, 2, 2), 5)])
     def test_against_finite_differences(self, degrees, seed):
         h = random_system(degrees, seed)
         rng = np.random.default_rng(seed + 50)
@@ -176,6 +178,72 @@ class TestJacobian:
         lhs = jacobian(h, z) @ z
         rhs = np.array(h.degrees) * evaluate(h, z)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
+
+
+class TestSingleEvaluator:
+    """evaluate and jacobian are the certified loop's rows from the same tables."""
+
+    @pytest.mark.parametrize("degrees", [(2, 2, 2), (1, 2, 2, 2, 2), (3, 3, 3, 3), (1, 3, 2)])
+    def test_bitwise_equal_to_loop_rows(self, degrees):
+        ev = evaluator(degrees)
+        assert evaluator(degrees) is ev
+        h = random_system(degrees, len(degrees))
+        vec = h.coeff_vector()
+        rng = np.random.default_rng(sum(degrees))
+        for _ in range(3):
+            z = unit_point(rng.standard_normal(h.n_vars) + 1j * rng.standard_normal(h.n_vars))
+            mono, dmat = ev.point_tables(z)
+            # The step loop writes the Jacobian rows over a bordered matrix.
+            bordered = np.empty((h.n + 1, h.n_vars), dtype=np.complex128)
+            ev.jacobian(vec, dmat, bordered)
+            assert evaluate(h, z).tobytes() == ev.values(vec, mono).tobytes()
+            assert jacobian(h, z).tobytes() == bordered[: h.n].tobytes()
+
+
+class TestCoefficientOwnership:
+    def test_constructor_copies(self):
+        coeffs = [np.arange(6, dtype=complex), np.ones(6, dtype=complex)]
+        h = PolySystem((2, 2), tuple(coeffs))
+        coeffs[0][0] = 99.0
+        assert h.coeffs[0][0] == 0.0
+        assert coeffs[0].flags.writeable
+
+    def test_from_coeff_vector_copies(self):
+        v = np.arange(12, dtype=complex)
+        h = PolySystem.from_coeff_vector((2, 2), v)
+        z = unit_point([1.0, 2.0, 3.0])
+        before = evaluate(h, z)
+        v[0] = 99.0
+        assert h.coeffs[0][0] == 0.0
+        assert evaluate(h, z).tobytes() == before.tobytes()
+
+    def test_coefficients_read_only(self):
+        h = PolySystem.from_coeff_vector((2, 2), np.arange(12, dtype=complex))
+        for c in h.coeffs:
+            with pytest.raises(ValueError):
+                c[0] = 1.0
+
+    def test_wrong_length(self):
+        with pytest.raises(ValueError):
+            PolySystem.from_coeff_vector((2, 2), np.zeros(11, dtype=complex))
+        with pytest.raises(ValueError):
+            PolySystem((2, 2), (np.zeros(6), np.zeros(5)))
+
+    def test_coeff_vector_round_trip(self):
+        h = random_system((1, 3, 2), 7)
+        vec = h.coeff_vector()
+        assert np.concatenate(h.coeffs).tobytes() == vec.tobytes()
+        again = PolySystem.from_coeff_vector(h.degrees, vec)
+        assert again.coeff_vector().tobytes() == vec.tobytes()
+        vec[0] = 99.0
+        assert h.coeff_vector()[0] != 99.0
+
+    def test_pickle_round_trip(self):
+        h = random_system((1, 3, 2), 8)
+        again = pickle.loads(pickle.dumps(h))
+        assert again.degrees == h.degrees
+        assert again.coeff_vector().tobytes() == h.coeff_vector().tobytes()
+        assert not any(c.flags.writeable for c in again.coeffs)
 
 
 class TestHomogenization:

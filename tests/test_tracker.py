@@ -7,7 +7,14 @@ from certitrack.bw import bw_inner, bw_norm, normalize_to_sphere, riemann_distan
 from certitrack.experiments import katsura_system
 from certitrack.linalg import SingularLinearSolveError
 from certitrack.newton import condition_mu, refine
-from certitrack.polysys import PolySystem, _power_table, homogeneous_exponents, homogenize, unit_point
+from certitrack.polysys import (
+    Evaluator,
+    PolySystem,
+    _power_table,
+    homogeneous_exponents,
+    homogenize,
+    unit_point,
+)
 from certitrack.start_systems import (
     good_initial_pair,
     random_system_on_sphere,
@@ -21,7 +28,6 @@ from certitrack.tracker import (
     MinStepError,
     TrackStatus,
     TrackerOptions,
-    _StepEngine,
     certified_step,
     chi1,
     chi2,
@@ -449,7 +455,7 @@ class TestStepEngineTables:
 
     @pytest.mark.parametrize("degrees", [(2, 2, 2), (1, 2, 2, 2, 2), (3, 3, 3, 3), (1, 3, 2)])
     def test_bitwise_equal_to_loop(self, degrees):
-        eng = _StepEngine(degrees)
+        eng = Evaluator(degrees)
         rng = np.random.default_rng(len(degrees))
         for _ in range(3):
             z = unit_point(rng.standard_normal(eng.n_vars) + 1j * rng.standard_normal(eng.n_vars))
