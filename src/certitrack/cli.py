@@ -97,6 +97,9 @@ def cmd_track(args) -> int:
     opts = TrackerOptions(t_step_min=args.t_step_min, record_trace=True)
     seed = args.seed
     if args.start == "total":
+        count = polysys.bezout_number(f.degrees)
+        if not 0 <= args.path < count:
+            args.error(f"--path must lie in [0, {count}) for this system, got {args.path}")
         start = total_degree_start(f.degrees, np.random.default_rng([seed, 1]))
         g, z0 = start.g, start.roots[args.path]
     elif args.start == "good":
@@ -212,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path", type=int, default=0, help="start-root index for --start total")
     _add_t_step_min(p)
     _add_common(p)
-    p.set_defaults(func=cmd_track)
+    p.set_defaults(func=cmd_track, error=p.error)
 
     p = sub.add_parser("bench", help="steps-per-path benchmark")
     p.add_argument("--family", choices=["random", "katsura"], required=True)

@@ -64,17 +64,16 @@ def predict(hom, s: float, x, dt: float, predictor: str = "rk4") -> np.ndarray:
         return x
     h_s = hom.value_at(s)
     affine = isinstance(h_s, polysys.AffineSystem)
-
-    def field(at_s, at_x):
-        return _ode_tangent(hom.value_at(at_s), hom.derivative_at(at_s), at_x)
-
     if predictor == "euler":
         out = x + dt * _ode_tangent(h_s, hom.derivative_at(s), x)
     elif predictor == "rk4":
+        # Stages k2 and k3 share the midpoint systems.
+        s_mid = s + dt / 2.0
+        h_mid, hdot_mid = hom.value_at(s_mid), hom.derivative_at(s_mid)
         k1 = _ode_tangent(h_s, hom.derivative_at(s), x)
-        k2 = field(s + dt / 2.0, x + (dt / 2.0) * k1)
-        k3 = field(s + dt / 2.0, x + (dt / 2.0) * k2)
-        k4 = field(s + dt, x + dt * k3)
+        k2 = _ode_tangent(h_mid, hdot_mid, x + (dt / 2.0) * k1)
+        k3 = _ode_tangent(h_mid, hdot_mid, x + (dt / 2.0) * k2)
+        k4 = _ode_tangent(hom.value_at(s + dt), hom.derivative_at(s + dt), x + dt * k3)
         out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     else:
         raise ValueError(f"unknown predictor {predictor!r}")

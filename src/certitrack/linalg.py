@@ -41,10 +41,12 @@ def lu_factor_checked(A: np.ndarray):
     lu, piv, info = _zgetrf(A)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of zgetrf")
+    # Sorted, NaN last: top is NaN, as max() gives, and the check passes.
     diag = np.abs(lu.diagonal())
-    top = diag.max()
-    if top == 0.0 or diag.min() < RCOND_FLOOR * top:
-        ratio = diag.min() / top if top else 0.0
+    diag.sort()
+    lo, top = diag[0], diag[-1]
+    if top == 0.0 or lo < RCOND_FLOOR * top:
+        ratio = lo / top if top else 0.0
         raise SingularLinearSolveError(
             f"matrix is singular to working precision (pivot ratio {ratio:.3e})"
         )

@@ -14,10 +14,14 @@ The degree tuple is validated once per tuple (cached), which keeps
 `from_coeff_vector` cheap for the systems a homotopy builds at each step.
 
 Homogeneous systems have one evaluator, `evaluator(degrees)`, built once per
-degree tuple: one gather from the table of coordinate powers gives every
-monomial value (for `evaluate`) or also every partial-derivative monomial
-(for `jacobian` and the certified tracking loop).  Affine systems keep their
-own per-variable evaluation.
+degree tuple.  Its point matrix at z has one row [dm/dz_0 ... dm/dz_n | m(z)]
+per monomial m of each distinct degree: one gather from the table of
+coordinate powers, one product over the variables and one scaling by the
+exponents.  `Evaluator.rows` turns the stacked coefficient vectors of
+several systems into their [Jacobian | value] blocks with one matrix product
+against it.  `evaluate`, `jacobian` and the certified tracking loop all read that
+product, so a system's values and Jacobian are the loop's bits.  Affine
+systems keep their own per-variable evaluation.
 """
 
 from __future__ import annotations
@@ -135,7 +139,8 @@ def _power_table(z: np.ndarray, max_degree: int) -> np.ndarray:
     # P[j, k] = z_j ** k for k = 0..max_degree.
     P = np.empty((z.shape[0], max_degree + 1), dtype=np.complex128)
     P[:, 0] = 1.0
-    for k in range(1, max_degree + 1):
+    P[:, 1] = z
+    for k in range(2, max_degree + 1):
         P[:, k] = P[:, k - 1] * z
     return P
 
@@ -324,16 +329,11 @@ def unit_point(coords) -> np.ndarray:
 
 
 class Evaluator:
-    """Gather tables of one degree tuple: values and Jacobians of every
-    homogeneous system with these degrees, from its concatenated coefficient
-    vector.
+    """Values and Jacobians of every homogeneous system with one degree tuple.
 
-    Each row of the full gather holds, per variable j, the flat index
-    j * (max_d + 1) + e of z_j ** e in the power table: first the monomials
-    of every distinct degree (the monomial-only gather is this prefix), then,
-    per degree and variable, the monomials of the partial derivatives.  Those
-    are scaled by their exponent multipliers and scattered to their flat
-    positions in the per-degree derivative matrices.
+    The point matrix has one row [dm/dz_0 ... dm/dz_n | m(z)] per monomial m
+    of each distinct degree, degrees ascending and monomials in basis order;
+    equations of one degree share its rows.
     """
 
     def __init__(self, degrees):
@@ -343,71 +343,50 @@ class Evaluator:
         self.max_d = max(self.degrees)
         self.uniform = len(set(self.degrees)) == 1
 
-        var_offsets = np.arange(self.n_vars) * (self.max_d + 1)
-        mono_rows, deriv_rows, scatter, mult = [], [], [], []
-        self._mono_rows = {}
-        self._dmat_blocks = {}
-        n_mono = block = 0
+        # Flat index of z_j ** e in the power table: j * (max_d + 1) + e.
+        powers = np.arange(self.n_vars) * (self.max_d + 1)
+        gathers, mults, first_row = [], [], {}
+        n_rows = 0
         for d in sorted(set(self.degrees)):
             exps = homogeneous_exponents(self.n_vars, d)
-            n_d = exps.shape[0]
-            self._mono_rows[d] = slice(n_mono, n_mono + n_d)
-            mono_rows.append(exps + var_offsets)
-            n_mono += n_d
-            for j in range(self.n_vars):
-                # Monomials with a positive exponent of z_j, that exponent lowered by one.
-                sel = np.nonzero(exps[:, j] > 0)[0]
-                deriv_rows.append(exps[sel] - (np.arange(self.n_vars) == j) + var_offsets)
-                scatter.append(block + sel * self.n_vars + j)
-                mult.append(exps[sel, j].astype(np.float64))
-            self._dmat_blocks[d] = (slice(block, block + n_d * self.n_vars), (n_d, self.n_vars))
-            block += n_d * self.n_vars
-        self._gather = np.concatenate(mono_rows + deriv_rows)
-        self._n_mono = n_mono
-        self._scatter = np.concatenate(scatter)
-        self._mult = np.concatenate(mult)
-        self._dmat_size = block
+            first_row[d] = n_rows
+            n_rows += exps.shape[0]
+            # [k, c]: the exponents of dm_k/dz_c for c <= n, then of m_k, and
+            # the multiplier of that product.  A derivative by an absent
+            # variable is the product of z_j ** 0 = 1 times 0, an exact +0.
+            lowered = exps[:, None, :] - np.eye(self.n_vars, dtype=np.int64)
+            idx = np.concatenate([lowered, exps[:, None, :]], axis=1) + powers
+            mult = np.concatenate([exps, np.ones_like(exps[:, :1])], axis=1)
+            idx[mult == 0] = powers
+            gathers.append(idx.reshape(-1, self.n_vars))
+            mults.append(mult.ravel())
+        # Stored transposed, (variables, entries), so the product runs along
+        # axis 0: a left fold over the variables.
+        self._gather = np.ascontiguousarray(np.concatenate(gathers).T)
+        self._mult = np.concatenate(mults).astype(np.float64)
+        # Mixed degrees: flat positions of a system's coefficients in its
+        # (n, rows) block matrix, whose row i carries equation i's
+        # coefficients at the rows of its degree.
+        self._place = np.concatenate(
+            [i * n_rows + first_row[d] + np.arange(sl.stop - sl.start)
+             for i, (d, sl) in enumerate(zip(self.degrees, self.slices))]
+        )
+        self._block_size = self.n * n_rows
 
-    def monomials(self, z) -> dict[int, np.ndarray]:
-        """Values at z of the monomials of each distinct degree."""
-        vals = _power_table(z, self.max_d).take(self._gather[: self._n_mono]).prod(axis=1)
-        return {d: vals[rows] for d, rows in self._mono_rows.items()}
+    def point_matrix(self, z) -> np.ndarray:
+        """The (rows, n+2) point matrix at z: every monomial's gradient and value."""
+        vals = _power_table(z, self.max_d).take(self._gather).prod(axis=0)
+        return np.multiply(vals, self._mult, out=vals).reshape(-1, self.n + 2)
 
-    def point_tables(self, z):
-        """Monomial values and the per-degree derivative matrices at z.
-
-        dmat[d][k, j] is the j-th partial of the k-th degree-d monomial, so a
-        Jacobian row is coefficient-vector @ dmat[d].
-        """
-        vals = _power_table(z, self.max_d).take(self._gather).prod(axis=1)
-        flat = np.zeros(self._dmat_size, dtype=np.complex128)
-        flat[self._scatter] = self._mult * vals[self._n_mono :]
-        mono = {d: vals[rows] for d, rows in self._mono_rows.items()}
-        dmat = {d: flat[block].reshape(shape) for d, (block, shape) in self._dmat_blocks.items()}
-        return mono, dmat
-
-    # ndarray.dot runs the same BLAS kernels as the @ operator with less
-    # per-call overhead; with mixed degrees the rows stay separate products.
-    def values(self, vec, mono) -> np.ndarray:
-        """Value vector of the system with coefficient vector vec."""
-        if self.uniform:
-            return vec.reshape(self.n, -1).dot(mono[self.degrees[0]])
-        out = np.empty(self.n, dtype=np.complex128)
-        for i, d in enumerate(self.degrees):
-            out[i] = vec[self.slices[i]].dot(mono[d])
-        return out
-
-    def jacobian(self, vec, dmat, out=None) -> np.ndarray:
-        """Jacobian rows of the system with coefficient vector vec, written
-        into the first n rows of out when it is given."""
-        if out is None:
-            out = np.empty((self.n, self.n_vars), dtype=np.complex128)
-        if self.uniform:
-            out[: self.n] = vec.reshape(self.n, -1).dot(dmat[self.degrees[0]])
-        else:
-            for i, d in enumerate(self.degrees):
-                out[i] = vec[self.slices[i]].dot(dmat[d])
-        return out
+    def rows(self, R, M) -> np.ndarray:
+        """The (K, n, n+2) blocks [Dh_k(z) | h_k(z)] of the K systems whose
+        coefficient vectors are the rows of R, from the point matrix M at z."""
+        K = R.shape[0]
+        if not self.uniform:
+            placed = np.zeros((K, self._block_size), dtype=np.complex128)
+            placed[:, self._place] = R
+            R = placed
+        return R.reshape(K * self.n, -1).dot(M).reshape(K, self.n, -1)
 
 
 @lru_cache(maxsize=None)
@@ -426,13 +405,13 @@ def _checked_point(h: PolySystem, z) -> np.ndarray:
 def evaluate(h: PolySystem, z) -> np.ndarray:
     """Value vector (h_1(z), ..., h_n(z)) at a representative z."""
     ev = evaluator(h.degrees)
-    return ev.values(h._vec, ev.monomials(_checked_point(h, z)))
+    return ev.rows(h._vec[None], ev.point_matrix(_checked_point(h, z)))[0, :, -1]
 
 
 def jacobian(h: PolySystem, z) -> np.ndarray:
     """The n x (n+1) Jacobian matrix Dh(z)."""
     ev = evaluator(h.degrees)
-    return ev.jacobian(h._vec, ev.point_tables(_checked_point(h, z))[1])
+    return ev.rows(h._vec[None], ev.point_matrix(_checked_point(h, z)))[0, :, :-1]
 
 
 def evaluate_affine(f: AffineSystem, x) -> np.ndarray:

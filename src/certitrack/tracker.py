@@ -29,6 +29,12 @@ TrackerOptions.t_step_min.
 Exact operator norms are used for chi_1 (the rule only requires a value
 within a factor 2), which maximizes the step length at negligible cost for
 desk-scale systems.
+
+A step takes two products with one point matrix at z_i (polysys.Evaluator):
+the Jacobian and value rows of g_i and gdot_i, for one factorization and one
+(n+2)-column solve giving chi_1 and chi_2; then those of the advanced system
+at the same z_i, for the Newton step.  The advanced system and its tangent
+start the next step.  chi1, chi2 and certified_step run the loop's code.
 """
 
 from __future__ import annotations
@@ -41,14 +47,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import polysys
+from . import linalg, polysys
 from .bw import _bw_weights, bw_inner, bw_norm, ensure_on_sphere, riemann_distance
-from .linalg import (
-    SingularLinearSolveError,
-    bordered_solve,
-    make_bordered,
-    spectral_norm,
-)
+from .linalg import SingularLinearSolveError, bordered_solve, make_bordered
 from .newton import U0, condition_mu, refine
 
 C_OVER_P_LINEAR = 0.04804448
@@ -202,32 +203,13 @@ def homotopy_tangent(hom: LinearHomotopy, s: float) -> polysys.PolySystem:
 
 def chi1(g: polysys.PolySystem, z) -> float:
     """Operator norm of the bordered inverse times Diag(sqrt(d_i), 1)."""
-    z = np.asarray(z, dtype=np.complex128)
-    B = make_bordered(polysys.jacobian(g, z), z)
-    return _chi1_from_factor(B, g.degrees)
+    # chi1 does not depend on the tangent; g stands in for it.
+    return _chi_at(g, g, z)[0]
 
 
 def chi2(g: polysys.PolySystem, gdot: polysys.PolySystem, z) -> float:
     """Path-speed factor combining ||gdot|| with the bordered solve against gdot(z)."""
-    z = np.asarray(z, dtype=np.complex128)
-    B = make_bordered(polysys.jacobian(g, z), z)
-    return _chi2_from_factor(B, gdot, z)
-
-
-def _chi1_from_factor(B, degrees) -> float:
-    n = len(degrees)
-    rhs = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    for i, d in enumerate(degrees):
-        rhs[i, i] = math.sqrt(d)
-    rhs[n, n] = 1.0
-    return spectral_norm(bordered_solve(B, rhs))
-
-
-def _chi2_from_factor(B, gdot: polysys.PolySystem, z) -> float:
-    speed = bw_norm(gdot)
-    rhs = np.concatenate([polysys.evaluate(gdot, z), [0.0]])
-    w = bordered_solve(B, rhs)
-    return math.sqrt(speed * speed + float(np.linalg.norm(w)) ** 2)
+    return _chi_at(g, gdot, z)[1]
 
 
 def certified_step(
@@ -239,17 +221,63 @@ def certified_step(
     """Certified step length and the factor phi = chi1 * chi2 it came from.
 
     The returned t equals step_fraction * (c/P) / (d^{3/2} phi), which lies in
-    the certified interval for any step_fraction in [1/2, 1].  Raises
-    SingularLinearSolveError on a singular bordered system.  MinStepError is
-    raised only under an explicit t_step_min, for a step below it.
+    the certified interval for any step_fraction in [1/2, 1]; it is the step
+    the tracking loop takes from (g, z) when gdot is the tangent there.
+    Raises SingularLinearSolveError on a singular bordered system.
+    MinStepError is raised only under an explicit t_step_min, for a step
+    below it.
     """
-    z = np.asarray(z, dtype=np.complex128)
-    B = make_bordered(polysys.jacobian(g, z), z)
-    phi = _chi1_from_factor(B, g.degrees) * _chi2_from_factor(B, gdot, z)
+    x1, x2 = _chi_at(g, gdot, z)
+    phi = x1 * x2
     t = opts.step_fraction * opts.c_over_p / (g.max_degree**1.5 * phi)
     if t < opts.t_step_min:
         raise MinStepError(f"certified step {t:.3e} fell below t_step_min={opts.t_step_min:.0e}")
     return t, phi
+
+
+def _chi_at(g: polysys.PolySystem, gdot: polysys.PolySystem, z) -> tuple[float, float]:
+    if gdot.degrees != g.degrees:
+        raise ValueError(f"tangent degrees {gdot.degrees} differ from the system's {g.degrees}")
+    ev = polysys.evaluator(g.degrees)
+    z = polysys._checked_point(g, z)
+    R = np.stack([g.coeff_vector(), gdot.coeff_vector()])
+    weights, rhs, bordered = _step_arrays(ev)
+    bordered[ev.n] = z.conj()
+    return _chi(ev.rows(R, ev.point_matrix(z)), R[1], bordered, weights, rhs)
+
+
+def _step_arrays(ev: polysys.Evaluator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The Bombieri-Weyl weights of a coefficient vector; the right-hand side
+    # of the chi solve: Diag(sqrt(d_i), 1) for chi1, then one column that
+    # _chi fills with hdot(z) for chi2; and room for a bordered matrix
+    # (Dh(z); z*), which the factorization copies, so it is filled again.
+    weights = np.concatenate([_bw_weights(ev.n_vars, d) for d in ev.degrees])
+    rhs = np.zeros((ev.n + 1, ev.n + 2), dtype=np.complex128)
+    for i, d in enumerate(ev.degrees):
+        rhs[i, i] = math.sqrt(d)
+    rhs[ev.n, ev.n] = 1.0
+    return weights, rhs, np.empty((ev.n + 1, ev.n + 1), dtype=np.complex128)
+
+
+def _chi(blocks, hdot, bordered, weights, rhs) -> tuple[float, float]:
+    """chi1 and chi2 at (h, z) from the [Dh(z) | h(z)] and [Dhdot(z) | hdot(z)]
+    blocks of Evaluator.rows and the coefficient vector hdot: one factorization
+    of the bordered matrix, whose last row already holds z*, and one solve
+    against the n+2 columns of rhs."""
+    n = blocks.shape[1]
+    bordered[:n] = blocks[0, :, : n + 1]
+    lu = linalg.lu_factor_checked(bordered)
+    rhs[:n, n + 1] = blocks[1, :, n + 1]
+    sol = linalg.lu_solve(lu, rhs)
+    x1 = float(np.linalg.svd(sol[:, : n + 1], compute_uv=False)[0])
+    speed = math.sqrt(float(np.dot(weights, np.abs(hdot) ** 2)))
+    x2 = math.sqrt(speed**2 + _norm(sol[:, n + 1]) ** 2)
+    return x1, x2
+
+
+def _norm(x) -> float:
+    # np.linalg.norm's arithmetic for a complex vector, without its dispatch.
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def general_step_constants(curvature_bound: float, u0: float = U0) -> tuple[float, float]:
@@ -271,55 +299,34 @@ def _systems_equal(g: polysys.PolySystem, f: polysys.PolySystem, tol: float = 1e
 
 
 def _run_certified_loop(
-    coeffs_at,
-    dcoeffs_at,
+    rows_at,
     T: float,
     degrees,
     c_over_p: float,
     z0,
     opts: TrackerOptions,
 ) -> TrackResult:
-    from .linalg import lu_factor_checked, lu_solve
-
-    # The monomial (and derivative-monomial) values at the current point are
-    # shared between the step-size computation and the Newton correction.
+    # rows_at(s) stacks the coefficient vectors of h_s and hdot_s, (2, N).
     ev = polysys.evaluator(degrees)
-    n, n_vars = ev.n, ev.n_vars
-    weights = np.concatenate([_bw_weights(n_vars, d) for d in ev.degrees])
+    n = ev.n
+    weights, rhs, bordered = _step_arrays(ev)
+    newton_rhs = np.zeros(n + 1, dtype=np.complex128)
     z = np.asarray(z0, dtype=np.complex128)
-    z = z / np.linalg.norm(z)
+    z = z / _norm(z)
     d32 = ev.max_d**1.5
     s = 0.0
     steps = 0
     trace: list[StepRecord] = []
-    # One multi-column solve covers chi1 (first n+1 columns) and chi2 (last).
-    rhs = np.zeros((n + 1, n + 2), dtype=np.complex128)
-    for i, d in enumerate(ev.degrees):
-        rhs[i, i] = math.sqrt(d)
-    rhs[n, n] = 1.0
-    newton_rhs = np.zeros(n + 1, dtype=np.complex128)
-
-    def bordered(hvec, dmat, z):
-        matrix = np.empty((n + 1, n_vars), dtype=np.complex128)
-        ev.jacobian(hvec, dmat, matrix)
-        matrix[n] = np.conj(z)
-        return matrix
-
-    hvec = coeffs_at(s)
+    R = rows_at(s)
     while s != T:
         if steps >= opts.max_steps:
             return TrackResult(z, TrackStatus.MAX_STEPS, steps, tuple(trace))
-        hdotvec = dcoeffs_at(s)
-        mono, dmat = ev.point_tables(z)
+        M = ev.point_matrix(z)
+        bordered[n] = z.conj()
         try:
-            lu = lu_factor_checked(bordered(hvec, dmat, z))
+            x1, x2 = _chi(ev.rows(R, M), R[1], bordered, weights, rhs)
         except SingularLinearSolveError:
             return TrackResult(z, TrackStatus.SINGULAR, steps, tuple(trace))
-        rhs[:n, n + 1] = ev.values(hdotvec, mono)
-        sol = lu_solve(lu, rhs)
-        x1 = float(np.linalg.svd(sol[:, : n + 1], compute_uv=False)[0])
-        speed = math.sqrt(float(np.dot(weights, np.abs(hdotvec) ** 2)))
-        x2 = math.sqrt(speed**2 + float(np.linalg.norm(sol[:, n + 1])) ** 2)
         phi = x1 * x2
         # phi == 0 (a zero-speed homotopy) gives t = inf: no certified step.
         t = opts.step_fraction * c_over_p / (d32 * phi) if phi else math.inf
@@ -333,21 +340,20 @@ def _run_certified_loop(
             s_next = T
         else:
             s_next = s + t
-        # Projective Newton against the advanced system, at the same point z,
-        # reusing the monomial values.
-        hnext = coeffs_at(s_next)
+        R = rows_at(s_next)
+        block = ev.rows(R[:1], M)[0]
+        bordered[:n] = block[:, : n + 1]
         try:
-            lu2 = lu_factor_checked(bordered(hnext, dmat, z))
+            lu = linalg.lu_factor_checked(bordered)
         except SingularLinearSolveError:
             return TrackResult(z, TrackStatus.SINGULAR, steps, tuple(trace))
-        newton_rhs[:n] = ev.values(hnext, mono)
-        z = z - lu_solve(lu2, newton_rhs)
-        z = z / np.linalg.norm(z)
+        newton_rhs[:n] = block[:, n + 1]
+        z = z - linalg.lu_solve(lu, newton_rhs)
+        z = z / _norm(z)
         steps += 1
         if opts.record_trace:
             trace.append(StepRecord(steps, s_next, t, phi, x1, x2, z))
         s = s_next
-        hvec = hnext
     return TrackResult(z, TrackStatus.SUCCESS, steps, tuple(trace))
 
 
@@ -360,16 +366,15 @@ def track_linear(
     Success the endpoint is an approximate zero of f associated to the end of
     the lifted path through the start pair.
     """
-    gvec, pvec = hom._gvec, hom._pvec
-    return _run_certified_loop(
-        lambda s: math.cos(s) * gvec + math.sin(s) * pvec,
-        lambda s: -math.sin(s) * gvec + math.cos(s) * pvec,
-        hom.T,
-        hom.g.degrees,
-        C_OVER_P_LINEAR,
-        z0,
-        opts,
-    )
+    # h_s = cos(s) g + sin(s) p and hdot_s = -sin(s) g + cos(s) p: one real
+    # 2 x 2 product with the stacked (g, p), read as real and imaginary parts.
+    gp = np.stack([hom._gvec, hom._pvec]).view(np.float64)
+
+    def rows_at(s):
+        c, sn = math.cos(s), math.sin(s)
+        return np.array([[c, sn], [-sn, c]]).dot(gp).view(np.complex128)
+
+    return _run_certified_loop(rows_at, hom.T, hom.g.degrees, C_OVER_P_LINEAR, z0, opts)
 
 
 def track_path(
@@ -392,8 +397,7 @@ def track_general(
     c, P = general_step_constants(hom.curvature_bound, opts.u0)
     degrees = hom.value_at(0.0).degrees
     return _run_certified_loop(
-        lambda s: hom.value_at(s).coeff_vector(),
-        lambda s: hom.derivative_at(s).coeff_vector(),
+        lambda s: np.stack([hom.value_at(s).coeff_vector(), hom.derivative_at(s).coeff_vector()]),
         hom.T,
         degrees,
         c / P,

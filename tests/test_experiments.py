@@ -111,6 +111,15 @@ class TestKatsura:
         assert report.num_failed == 0
         assert len(report.endpoints) == count
 
+    def test_pinned_step_counts(self):
+        # (status, steps) of the Katsura-4 solve of test_solution_count[4-8]
+        opts = TrackerOptions(record_trace=False)
+        report = solve_all_total_degree(katsura_system(4), opts, rng=np.random.default_rng(1))
+        assert [(r.status.value, r.num_steps) for r in report.results] == [
+            ("Success", 2485), ("Success", 2360), ("Success", 3360), ("Success", 3374),
+            ("Success", 3428), ("Success", 4768), ("Success", 4460), ("Success", 2867),
+        ]
+
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             katsura_system(1)

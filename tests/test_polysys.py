@@ -181,23 +181,22 @@ class TestJacobian:
 
 
 class TestSingleEvaluator:
-    """evaluate and jacobian are the certified loop's rows from the same tables."""
+    """evaluate and jacobian are the certified loop's rows of the same point matrix."""
 
     @pytest.mark.parametrize("degrees", [(2, 2, 2), (1, 2, 2, 2, 2), (3, 3, 3, 3), (1, 3, 2)])
     def test_bitwise_equal_to_loop_rows(self, degrees):
         ev = evaluator(degrees)
         assert evaluator(degrees) is ev
         h = random_system(degrees, len(degrees))
-        vec = h.coeff_vector()
+        hdot = random_system(degrees, len(degrees) + 1)
+        # The loop's product: a system and its tangent stacked.
+        R = np.stack([h.coeff_vector(), hdot.coeff_vector()])
         rng = np.random.default_rng(sum(degrees))
         for _ in range(3):
             z = unit_point(rng.standard_normal(h.n_vars) + 1j * rng.standard_normal(h.n_vars))
-            mono, dmat = ev.point_tables(z)
-            # The step loop writes the Jacobian rows over a bordered matrix.
-            bordered = np.empty((h.n + 1, h.n_vars), dtype=np.complex128)
-            ev.jacobian(vec, dmat, bordered)
-            assert evaluate(h, z).tobytes() == ev.values(vec, mono).tobytes()
-            assert jacobian(h, z).tobytes() == bordered[: h.n].tobytes()
+            blocks = ev.rows(R, ev.point_matrix(z))
+            assert jacobian(h, z).tobytes() == blocks[0, :, :-1].tobytes()
+            assert evaluate(h, z).tobytes() == blocks[0, :, -1].tobytes()
 
 
 class TestCoefficientOwnership:

@@ -201,6 +201,41 @@ class TestCertifiedStep:
         with pytest.raises(MinStepError):
             certified_step(start.g, gdot, start.roots[0], TrackerOptions(t_step_min=1.0))
 
+    @pytest.mark.parametrize("degrees", [(2, 2), (1, 2, 2)])
+    def test_is_the_loops_first_step(self, degrees):
+        # One step rule: the public functions return bitwise what the
+        # tracking loop records for its first step.
+        rng = np.random.default_rng(21)
+        f = random_system_on_sphere(degrees, rng)
+        start = total_degree_start(degrees, rng)
+        hom = make_linear_homotopy(start.g, f)
+        first = track_linear(hom, start.roots[0]).trace[0]
+        z0 = start.roots[0] / np.linalg.norm(start.roots[0])
+        h0, hdot0 = hom.value_at(0.0), hom.derivative_at(0.0)
+        assert certified_step(h0, hdot0, z0) == (first.t, first.phi)
+        assert (chi1(h0, z0), chi2(h0, hdot0, z0)) == (first.chi1, first.chi2)
+
+    def test_point_of_wrong_length_rejected(self, quad_pair):
+        start, f = quad_pair
+        gdot = homotopy_tangent(make_linear_homotopy(start.g, f), 0.0)
+        z = start.roots[0]
+        for bad in (z[:1], np.append(z, 1.0)):
+            with pytest.raises(ValueError):
+                certified_step(start.g, gdot, bad)
+            with pytest.raises(ValueError):
+                chi1(start.g, bad)
+
+    def test_tangent_degrees_must_match(self):
+        # (1, 2) and (2, 1) in three variables both have 3 + 6 coefficients.
+        rng = np.random.default_rng(5)
+        g = random_system_on_sphere((1, 2), rng)
+        gdot = random_system_on_sphere((2, 1), rng)
+        z = unit_point([1.0, 0.5, 0.25])
+        with pytest.raises(ValueError):
+            chi2(g, gdot, z)
+        with pytest.raises(ValueError):
+            certified_step(g, gdot, z)
+
     def test_step_fraction_validation(self):
         with pytest.raises(ValueError):
             TrackerOptions(step_fraction=0.3)
@@ -289,6 +324,21 @@ class TestTrackLinear:
         assert result.status is TrackStatus.SUCCESS
         # the last step is clipped to the end of the arc, so it is left out
         assert min(rec.t for rec in result.trace[:-1]) < 1e-6
+
+    def test_pinned_step_counts(self):
+        # (status, steps) of the 8 total-degree paths of one seeded (2,2,2)
+        # target: a change to evaluation or to the step rule that moves them
+        # fails here, not only in the benchmark's step digest.
+        rng = np.random.default_rng(2024)
+        f = random_system_on_sphere((2, 2, 2), rng)
+        start = total_degree_start((2, 2, 2), rng)
+        hom = make_linear_homotopy(start.g, f)
+        opts = TrackerOptions(record_trace=False)
+        results = [track_linear(hom, z, opts) for z in start.roots]
+        assert [(r.status.value, r.num_steps) for r in results] == [
+            ("Success", 921), ("Success", 1608), ("Success", 608), ("Success", 553),
+            ("Success", 483), ("Success", 355), ("Success", 741), ("Success", 517),
+        ]
 
     def test_intermediate_certificates_sampled(self, quad_pair):
         # every traced point is an approximate zero of its system with the
@@ -429,29 +479,30 @@ class TestNonFiniteStep:
 
 
 class TestStepEngineTables:
-    """The gathered step tables against a plain per-monomial loop."""
+    """The point matrix against a plain per-variable product loop."""
 
     @staticmethod
     def _reference(degree, P):
+        # [gradient | value] of every degree-d monomial: a left fold over the
+        # variables that multiplies arrays, as the point matrix's product does
+        # (NumPy's array and scalar complex products may round differently).
         n_vars = P.shape[0]
         exps = homogeneous_exponents(n_vars, degree)
-        mono = np.empty(exps.shape[0], dtype=np.complex128)
-        dmat = np.zeros((exps.shape[0], n_vars), dtype=np.complex128)
+        out = np.zeros((exps.shape[0], n_vars + 1), dtype=np.complex128)
 
         def product(e):
-            value = P[0, e[0]]
+            value = P[0, e[:, 0]]
             for j in range(1, n_vars):
-                value = value * P[j, e[j]]
+                value = value * P[j, e[:, j]]
             return value
 
-        for k, e in enumerate(exps):
-            mono[k] = product(e)
-            for j in range(n_vars):
-                if e[j] > 0:
-                    de = e.copy()
-                    de[j] -= 1
-                    dmat[k, j] = np.float64(e[j]) * product(de)
-        return mono, dmat
+        out[:, n_vars] = product(exps)
+        for j in range(n_vars):
+            sel = exps[:, j] > 0
+            de = exps[sel].copy()
+            de[:, j] -= 1
+            out[sel, j] = exps[sel, j].astype(np.float64) * product(de)
+        return out
 
     @pytest.mark.parametrize("degrees", [(2, 2, 2), (1, 2, 2, 2, 2), (3, 3, 3, 3), (1, 3, 2)])
     def test_bitwise_equal_to_loop(self, degrees):
@@ -459,13 +510,10 @@ class TestStepEngineTables:
         rng = np.random.default_rng(len(degrees))
         for _ in range(3):
             z = unit_point(rng.standard_normal(eng.n_vars) + 1j * rng.standard_normal(eng.n_vars))
-            mono, dmat = eng.point_tables(z)
             P = _power_table(z, eng.max_d)
-            assert sorted(mono) == sorted(dmat) == sorted(set(degrees))
-            for d in set(degrees):
-                ref_mono, ref_dmat = self._reference(d, P)
-                assert mono[d].tobytes() == ref_mono.tobytes()
-                assert dmat[d].tobytes() == ref_dmat.tobytes()
+            # one row block per distinct degree, ascending
+            ref = np.concatenate([self._reference(d, P) for d in sorted(set(degrees))])
+            assert eng.point_matrix(z).tobytes() == ref.tobytes()
 
 
 class TestTraceCsv:
