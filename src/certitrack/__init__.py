@@ -1,92 +1,46 @@
-"""Certified homotopy continuation for square complex polynomial systems."""
+"""Certified homotopy continuation for square complex polynomial systems.
 
-from .polysys import (
-    AffineSystem,
-    PolySystem,
-    dehomogenize,
-    evaluate,
-    evaluate_affine,
-    homogenize,
-    jacobian,
-    jacobian_affine,
-    parse_system_json,
-    space_dimension,
-    system_to_json,
-    unit_point,
-)
-from .bw import (
-    bw_inner,
-    bw_norm,
-    normalize_to_sphere,
-    riemann_distance,
-    unitary_compose,
-)
-from .linalg import (
-    SingularLinearSolveError,
-    bordered_solve,
-    kernel_vector,
-    make_bordered,
-    random_unitary,
-    spectral_norm,
-    unitary_mapping_to_e0,
-)
-from .newton import (
-    AffineRootAtInfinityError,
-    CertifiedZero,
-    U0,
-    certified_radius,
-    certify_projective,
-    certify_start,
-    condition_mu,
-    newton_affine,
-    newton_projective,
-    projective_to_affine,
-    refine,
-)
-from .tracker import (
-    C_OVER_P_LINEAR,
-    CurveHomotopy,
-    DegenerateHomotopyError,
-    LinearHomotopy,
-    TrackResult,
-    TrackStatus,
-    TrackerOptions,
-    certified_step,
-    chi1,
-    chi2,
-    condition_length,
-    general_step_constants,
-    homotopy_tangent,
-    make_linear_homotopy,
-    theorem_step_bound,
-    track_general,
-    track_linear,
-    track_path,
-    write_trace_csv,
-)
-from .start_systems import (
-    InitialPair,
-    StartSet,
-    good_initial_pair,
-    good_system_raw,
-    random_initial_pair,
-    random_initial_pair_unitary,
-    random_system_on_sphere,
-    solve_all_total_degree,
-    solve_one,
-    total_degree_initial_pair,
-    total_degree_start,
-)
-from .heuristic import HeuristicOptions, correct, predict, track_heuristic
+The package re-exports what the command line and the benchmarks use; the
+rest of the API lives in its modules (polysys, bw, linalg, newton, tracker,
+start_systems, heuristic, experiments).
+"""
+
+from . import experiments, heuristic, newton, start_systems, tracker
+from .bw import normalize_to_sphere, riemann_distance
 from .experiments import (
-    katsura_system,
-    match_roots,
-    run_bench,
-    run_conjecture,
-    run_entropy,
-    run_solve,
-    shannon_entropy,
+    katsura_system, match_roots, run_bench, run_conjecture, run_entropy, run_solve,
 )
+from .heuristic import HeuristicOptions
+from .linalg import SingularLinearSolveError
+from .newton import certified_radius, refine
+from .polysys import homogenize, parse_system_json
+from .start_systems import random_system_on_sphere, total_degree_start
+from .tracker import TrackerOptions, track_path, write_trace_csv
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "HeuristicOptions",
+    "SingularLinearSolveError",
+    "TrackerOptions",
+    "certified_radius",
+    "experiments",
+    "heuristic",
+    "homogenize",
+    "katsura_system",
+    "match_roots",
+    "newton",
+    "normalize_to_sphere",
+    "parse_system_json",
+    "random_system_on_sphere",
+    "refine",
+    "riemann_distance",
+    "run_bench",
+    "run_conjecture",
+    "run_entropy",
+    "run_solve",
+    "start_systems",
+    "total_degree_start",
+    "track_path",
+    "tracker",
+    "write_trace_csv",
+]
 __version__ = "0.1.0"

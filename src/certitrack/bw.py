@@ -15,9 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .polysys import (
-    AffineSystem,
     PolySystem,
-    affine_exponents,
     homogeneous_exponents,
     homogeneous_index,
     linear_form,
@@ -55,21 +53,6 @@ def sqrt_multinomials(n_vars: int, degree: int) -> np.ndarray:
     return w
 
 
-@lru_cache(maxsize=None)
-def _bw_weights_affine(n_vars: int, degree: int) -> np.ndarray:
-    # Weight of an affine monomial = weight of its homogenization.
-    exps = affine_exponents(n_vars, degree)
-    fact = [math.factorial(k) for k in range(degree + 1)]
-    out = np.empty(exps.shape[0], dtype=np.float64)
-    for i, row in enumerate(exps):
-        denom = fact[degree - int(row.sum())]
-        for e in row:
-            denom *= fact[e]
-        out[i] = denom / fact[degree]
-    out.setflags(write=False)
-    return out
-
-
 def bw_inner(h: PolySystem, h2: PolySystem) -> complex:
     """Bombieri-Weyl product <h, h2>, summed over equations."""
     if h.degrees != h2.degrees:
@@ -81,17 +64,12 @@ def bw_inner(h: PolySystem, h2: PolySystem) -> complex:
     return complex(total)
 
 
-def bw_norm(h: PolySystem | AffineSystem) -> float:
-    """Bombieri-Weyl norm; for an affine system, the norm of its homogenization."""
+def bw_norm(h: PolySystem) -> float:
+    """Bombieri-Weyl norm."""
     total = 0.0
-    if isinstance(h, AffineSystem):
-        for d, a in zip(h.degrees, h.coeffs):
-            w = _bw_weights_affine(h.n, d)
-            total += float(np.sum(w * np.abs(a) ** 2))
-    else:
-        for d, a in zip(h.degrees, h.coeffs):
-            w = _bw_weights(h.n_vars, d)
-            total += float(np.sum(w * np.abs(a) ** 2))
+    for d, a in zip(h.degrees, h.coeffs):
+        w = _bw_weights(h.n_vars, d)
+        total += float(np.sum(w * np.abs(a) ** 2))
     return math.sqrt(total)
 
 
@@ -147,7 +125,8 @@ def unitary_compose(h: PolySystem, U: np.ndarray) -> PolySystem:
     for j in range(n_vars):
         row = linear_form(U[j])
         for e in range(1, max_d + 1):
-            linear_powers[j].append(_dense_mul(linear_powers[j][e - 1], e - 1, row, 1, n_vars))
+            power = dense_product(linear_powers[j][e - 1], e - 1, row, 1, n_vars)
+            linear_powers[j].append(power)
 
     coeffs = []
     for i, d in enumerate(h.degrees):
@@ -164,7 +143,7 @@ def unitary_compose(h: PolySystem, U: np.ndarray) -> PolySystem:
                 if term is None:
                     term, deg_so_far = factor, int(e)
                 else:
-                    term = _dense_mul(term, deg_so_far, factor, int(e), n_vars)
+                    term = dense_product(term, deg_so_far, factor, int(e), n_vars)
                     deg_so_far += int(e)
             vec += c * (term if term is not None else np.ones(1, dtype=np.complex128))
         coeffs.append(vec)
@@ -185,14 +164,10 @@ def _mul_index(n_vars: int, d1: int, d2: int) -> np.ndarray:
     return out
 
 
-def _dense_mul(c1: np.ndarray, d1: int, c2: np.ndarray, d2: int, n_vars: int) -> np.ndarray:
+def dense_product(c1: np.ndarray, d1: int, c2: np.ndarray, d2: int, n_vars: int) -> np.ndarray:
     """Product of dense homogeneous coefficient vectors of degrees d1 and d2."""
     idx = _mul_index(n_vars, d1, d2)
     out = np.zeros(homogeneous_exponents(n_vars, d1 + d2).shape[0], dtype=np.complex128)
-    np.add.at(out, idx.ravel(), np.outer(c1, c2).ravel())
+    product = np.outer(np.asarray(c1, np.complex128), np.asarray(c2, np.complex128))
+    np.add.at(out, idx.ravel(), product.ravel())
     return out
-
-
-def dense_product(c1: np.ndarray, d1: int, c2: np.ndarray, d2: int, n_vars: int) -> np.ndarray:
-    """Public wrapper around homogeneous coefficient-vector multiplication."""
-    return _dense_mul(np.asarray(c1, np.complex128), d1, np.asarray(c2, np.complex128), d2, n_vars)

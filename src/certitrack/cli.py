@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from .experiments import (
-    PAIR_KINDS,
     run_bench,
     run_conjecture,
     run_entropy,
@@ -48,8 +47,13 @@ def _fmt(x: float) -> str:
     return FLOAT_FMT % x
 
 
-def _load_system(path: str):
-    return parse_system_json(Path(path).read_text())
+def _load_system(args):
+    """The system file of args, or an argparse error (exit 2) when it cannot
+    be read or parsed."""
+    try:
+        return parse_system_json(Path(args.system).read_text())
+    except (OSError, ValueError) as exc:
+        args.error(f"cannot load system file {args.system!r}: {exc}")
 
 
 def _write_rows(out: str | None, header: list[str], rows) -> None:
@@ -77,10 +81,10 @@ def _solution_rows(solve_rows, n_coords: int):
 
 
 def cmd_solve(args) -> int:
-    system = _load_system(args.system)
+    system = _load_system(args)
     opts = TrackerOptions(t_step_min=args.t_step_min, record_trace=False)
     rows = run_solve(system, args.start, args.seed, opts)
-    n_coords = (system.n + 1) if isinstance(system, polysys.PolySystem) else system.n + 1
+    n_coords = system.n + 1
     header = ["path", "status", "steps"]
     header += [f"re{j}" for j in range(n_coords)] + [f"im{j}" for j in range(n_coords)]
     _write_rows(args.out, header, _solution_rows(rows, n_coords))
@@ -90,7 +94,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_track(args) -> int:
-    system = _load_system(args.system)
+    system = _load_system(args)
     if isinstance(system, polysys.AffineSystem):
         system = polysys.homogenize(system)
     f = normalize_to_sphere(system)
@@ -207,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", choices=["total", "good", "random"], default="total")
     _add_t_step_min(p)
     _add_common(p)
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=cmd_solve, error=p.error)
 
     p = sub.add_parser("track", help="track one path and dump its step trace")
     p.add_argument("system")

@@ -1,12 +1,13 @@
 """Uncertified predictor-corrector path tracking, the baseline the certified
 tracker is compared against.
 
-The loop alternates a numerical-integration predictor for the path ODE
-zdot = -(Dh_t)^{-1} hdot_t with a fixed number of Newton corrector steps, and
-adapts the step size from the corrector's error estimate.  It reuses the
-projective formulation (bordered solves, renormalization) so step counts are
-comparable with the certified tracker; the specific step-adaptation constants
-are free parameters of the heuristic.
+The loop alternates a classical fourth-order Runge-Kutta predictor for the
+path ODE zdot = -(Dh_t)^{-1} hdot_t with a fixed number of Newton corrector
+steps, and adapts the step size from the corrector's error estimate.  It
+works on the same homogeneous systems and projective formulation (bordered
+solves, renormalization) as the certified tracker, so step counts are
+comparable; the specific step-adaptation constants are free parameters of
+the heuristic.
 """
 
 from __future__ import annotations
@@ -17,14 +18,13 @@ import numpy as np
 
 from . import polysys
 from .bw import riemann_distance
-from .linalg import SingularLinearSolveError, bordered_solve, make_bordered, solve_square
+from .linalg import SingularLinearSolveError, bordered_solve, make_bordered
 from .newton import newton_projective
 from .tracker import StepRecord, TrackResult, TrackStatus
 
 
 @dataclass(frozen=True)
 class HeuristicOptions:
-    predictor: str = "rk4"  # "euler" or "rk4"
     corrector_iters: int = 3
     corrector_tol: float = 1e-6
     step_init: float = 0.05
@@ -38,47 +38,32 @@ class HeuristicOptions:
     def __post_init__(self):
         if not 0.0 < self.step_decrease < 1.0 < self.step_increase:
             raise ValueError("need 0 < step_decrease < 1 < step_increase")
-        if self.predictor not in ("euler", "rk4"):
-            raise ValueError(f"unknown predictor {self.predictor!r}")
 
 
 def _ode_tangent(h, hdot, z) -> np.ndarray:
-    """Path velocity at (h, z): projective (bordered) or affine by system type."""
-    if isinstance(h, polysys.AffineSystem):
-        return -solve_square(polysys.jacobian_affine(h, z), polysys.evaluate_affine(hdot, z))
+    """Path velocity at (h, z), from one bordered solve."""
     B = make_bordered(polysys.jacobian(h, z), z / np.linalg.norm(z))
     rhs = np.concatenate([-polysys.evaluate(hdot, z), [0.0]])
     return bordered_solve(B, rhs)
 
 
-def predict(hom, s: float, x, dt: float, predictor: str = "rk4") -> np.ndarray:
-    """Predictor step of length dt from the point x on the path at parameter s.
+def predict(hom, s: float, x, dt: float) -> np.ndarray:
+    """RK4 predictor step of length dt from the point x on the path at
+    parameter s, renormalized to the unit representative.
 
-    `hom` provides value_at / derivative_at.  Euler takes one tangent; RK4 the
-    classical four stages.  Projective systems are renormalized at the end,
-    affine ones returned as-is (so a path that is affine-linear in t is
-    integrated exactly by Euler).
+    `hom` provides value_at / derivative_at.
     """
     x = np.asarray(x, dtype=np.complex128)
     if dt == 0.0:
         return x
-    h_s = hom.value_at(s)
-    affine = isinstance(h_s, polysys.AffineSystem)
-    if predictor == "euler":
-        out = x + dt * _ode_tangent(h_s, hom.derivative_at(s), x)
-    elif predictor == "rk4":
-        # Stages k2 and k3 share the midpoint systems.
-        s_mid = s + dt / 2.0
-        h_mid, hdot_mid = hom.value_at(s_mid), hom.derivative_at(s_mid)
-        k1 = _ode_tangent(h_s, hom.derivative_at(s), x)
-        k2 = _ode_tangent(h_mid, hdot_mid, x + (dt / 2.0) * k1)
-        k3 = _ode_tangent(h_mid, hdot_mid, x + (dt / 2.0) * k2)
-        k4 = _ode_tangent(hom.value_at(s + dt), hom.derivative_at(s + dt), x + dt * k3)
-        out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    else:
-        raise ValueError(f"unknown predictor {predictor!r}")
-    if affine:
-        return out
+    # Stages k2 and k3 share the midpoint systems.
+    s_mid = s + dt / 2.0
+    h_mid, hdot_mid = hom.value_at(s_mid), hom.derivative_at(s_mid)
+    k1 = _ode_tangent(hom.value_at(s), hom.derivative_at(s), x)
+    k2 = _ode_tangent(h_mid, hdot_mid, x + (dt / 2.0) * k1)
+    k3 = _ode_tangent(h_mid, hdot_mid, x + (dt / 2.0) * k2)
+    k4 = _ode_tangent(hom.value_at(s + dt), hom.derivative_at(s + dt), x + dt * k3)
+    out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return out / np.linalg.norm(out)
 
 
@@ -123,7 +108,7 @@ def track_heuristic(hom, z0, opts: HeuristicOptions = HeuristicOptions()) -> Tra
         step = min(dt, T - s)
         s_next = T if step >= T - s else s + step
         try:
-            z_pred = predict(hom, s, z, s_next - s, opts.predictor)
+            z_pred = predict(hom, s, z, s_next - s)
             z_corr, err = correct(
                 hom.value_at(s_next), z_pred, opts.corrector_iters, opts.corrector_tol
             )

@@ -3,9 +3,11 @@ kernel vectors, and random unitaries.
 
 The bordered matrix stacks the n x (n+1) Jacobian Dh(z) on top of the row z*,
 giving the square system used by the projective Newton operator and every
-condition-number style quantity.  Solves go through one pivoted LU
-factorization; a smallest pivot below 1e-14 times the largest is treated as a
-singular solve, the signal the tracker converts into a path failure.
+condition-number style quantity.  It is a plain (n+1) x (n+1) array that
+each caller solves once, so a solve factors it afresh: one pivoted LU
+factorization, where a smallest pivot below 1e-14 times the largest is
+treated as a singular solve, the signal the tracker converts into a path
+failure.
 
 The factorization and the solve call LAPACK zgetrf and zgetrs directly.  The
 matrices are at most a few rows wide, so the checks, warning filters and
@@ -15,8 +17,6 @@ bitwise equal.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import zgetrf as _zgetrf
@@ -67,21 +67,9 @@ def lu_solve(lu_piv, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-@dataclass
-class BorderedMatrix:
-    """The (n+1) x (n+1) matrix (Dh(z); z*) with its factorization cached."""
-
-    matrix: np.ndarray
-    _lu: tuple | None = field(default=None, repr=False)
-
-    def factor(self):
-        if self._lu is None:
-            self._lu = lu_factor_checked(self.matrix)
-        return self._lu
-
-
-def make_bordered(jac: np.ndarray, z) -> BorderedMatrix:
-    """Stack the Jacobian over the adjoint row of the unit representative z."""
+def make_bordered(jac: np.ndarray, z) -> np.ndarray:
+    """The (n+1) x (n+1) matrix (Dh(z); z*): the Jacobian stacked over the
+    adjoint row of the unit representative z."""
     jac = np.asarray(jac, dtype=np.complex128)
     z = np.asarray(z, dtype=np.complex128)
     n, m = jac.shape
@@ -90,18 +78,12 @@ def make_bordered(jac: np.ndarray, z) -> BorderedMatrix:
     matrix = np.empty((m, m), dtype=np.complex128)
     matrix[:n] = jac
     matrix[n] = np.conj(z)
-    return BorderedMatrix(matrix)
+    return matrix
 
 
-def bordered_solve(B: BorderedMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve B x = rhs (vector or matrix of columns)."""
-    return lu_solve(B.factor(), rhs)
-
-
-def solve_square(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Square solve with the same singularity policy as the bordered solves."""
-    A = np.asarray(A, dtype=np.complex128)
-    return lu_solve(lu_factor_checked(A), np.asarray(rhs, dtype=np.complex128))
+def bordered_solve(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve B x = rhs (vector or matrix of columns) for a bordered matrix B."""
+    return lu_solve(lu_factor_checked(B), rhs)
 
 
 def spectral_norm(A: np.ndarray) -> float:

@@ -1,4 +1,4 @@
-"""Affine and projective Newton operators, the condition number, and the
+"""The projective Newton operator, the condition number, and the
 approximate-zero certificates built on it.
 
 A point z is accepted as an approximate zero with associated zero zeta when
@@ -18,14 +18,7 @@ import numpy as np
 
 from . import polysys
 from .bw import bw_norm, riemann_distance
-from .linalg import (
-    BorderedMatrix,
-    SingularLinearSolveError,
-    bordered_solve,
-    make_bordered,
-    solve_square,
-    spectral_norm,
-)
+from .linalg import SingularLinearSolveError, bordered_solve, make_bordered, spectral_norm
 
 U0 = 0.17586
 
@@ -48,19 +41,10 @@ class CertifiedZero:
     radius: float
 
 
-def newton_affine(f: polysys.AffineSystem, x) -> np.ndarray:
-    """One affine Newton step x - Df(x)^{-1} f(x)."""
-    x = np.asarray(x, dtype=np.complex128)
-    fx = polysys.evaluate_affine(f, x)
-    J = polysys.jacobian_affine(f, x)
-    return x - solve_square(J, fx)
-
-
-def newton_projective(h: polysys.PolySystem, z, B: BorderedMatrix | None = None) -> np.ndarray:
+def newton_projective(h: polysys.PolySystem, z) -> np.ndarray:
     """One projective Newton step, renormalized to the unit representative."""
     z = np.asarray(z, dtype=np.complex128)
-    if B is None:
-        B = make_bordered(polysys.jacobian(h, z), z)
+    B = make_bordered(polysys.jacobian(h, z), z)
     rhs = np.concatenate([polysys.evaluate(h, z), [0.0]])
     w = bordered_solve(B, rhs)
     out = z - w

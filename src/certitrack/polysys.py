@@ -1,5 +1,5 @@
 """Dense complex polynomial systems: representation, evaluation, differentiation,
-and (de)homogenization.
+and homogenization.
 
 A homogeneous system of n equations in n+1 variables is stored as one dense
 complex coefficient vector per equation, indexed by the monomial basis of the
@@ -21,7 +21,8 @@ exponents.  `Evaluator.rows` turns the stacked coefficient vectors of
 several systems into their [Jacobian | value] blocks with one matrix product
 against it.  `evaluate`, `jacobian` and the certified tracking loop all read that
 product, so a system's values and Jacobian are the loop's bits.  Affine
-systems keep their own per-variable evaluation.
+systems are input only: they are read, written and homogenized, never
+evaluated.
 """
 
 from __future__ import annotations
@@ -120,21 +121,6 @@ def _layout(degrees: tuple) -> tuple[tuple[int, ...], tuple[slice, ...]]:
     return degrees, tuple(map(slice, [0] + ends, ends))
 
 
-@lru_cache(maxsize=None)
-def _affine_jacobian_tables(n_vars: int, max_degree: int):
-    exps = affine_exponents(n_vars, max_degree)
-    tables = []
-    for j in range(n_vars):
-        sel = np.nonzero(exps[:, j] > 0)[0]
-        dexp = exps[sel].copy()
-        dexp[:, j] -= 1
-        mult = exps[sel, j].astype(np.float64)
-        for arr in (sel, dexp, mult):
-            arr.setflags(write=False)
-        tables.append((sel, dexp, mult))
-    return tuple(tables)
-
-
 def _power_table(z: np.ndarray, max_degree: int) -> np.ndarray:
     # P[j, k] = z_j ** k for k = 0..max_degree.
     P = np.empty((z.shape[0], max_degree + 1), dtype=np.complex128)
@@ -143,11 +129,6 @@ def _power_table(z: np.ndarray, max_degree: int) -> np.ndarray:
     for k in range(2, max_degree + 1):
         P[:, k] = P[:, k - 1] * z
     return P
-
-
-def _monomial_values(P: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    cols = np.arange(P.shape[0])
-    return P[cols, exps].prod(axis=1)
 
 
 def _as_coeff_tuple(coeffs, expected_lengths) -> tuple[np.ndarray, ...]:
@@ -414,35 +395,6 @@ def jacobian(h: PolySystem, z) -> np.ndarray:
     return ev.rows(h._vec[None], ev.point_matrix(_checked_point(h, z)))[0, :, :-1]
 
 
-def evaluate_affine(f: AffineSystem, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape != (f.n,):
-        raise ValueError(f"point must have {f.n} coordinates, got {x.shape}")
-    P = _power_table(x, f.max_degree)
-    out = np.empty(f.n, dtype=np.complex128)
-    for i, d in enumerate(f.degrees):
-        mono = _monomial_values(P, affine_exponents(f.n, d))
-        out[i] = f.coeffs[i] @ mono
-    return out
-
-
-def jacobian_affine(f: AffineSystem, x) -> np.ndarray:
-    """The n x n Jacobian matrix Df(x)."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape != (f.n,):
-        raise ValueError(f"point must have {f.n} coordinates, got {x.shape}")
-    P = _power_table(x, f.max_degree)
-    J = np.zeros((f.n, f.n), dtype=np.complex128)
-    for i, d in enumerate(f.degrees):
-        tables = _affine_jacobian_tables(f.n, d)
-        for j, (sel, dexp, mult) in enumerate(tables):
-            if sel.size == 0:
-                continue
-            mono = _monomial_values(P, dexp)
-            J[i, j] = f.coeffs[i][sel] @ (mult * mono)
-    return J
-
-
 def homogenize(f: AffineSystem) -> PolySystem:
     """Homogeneous counterpart: each monomial gains the power of X0 completing its degree."""
     n = f.n
@@ -461,24 +413,6 @@ def homogenize(f: AffineSystem) -> PolySystem:
     return PolySystem(f.degrees, tuple(coeffs))
 
 
-def dehomogenize(h: PolySystem) -> AffineSystem:
-    """Substitute X0 = 1."""
-    n = h.n
-    coeffs = []
-    for i, d in enumerate(h.degrees):
-        hom = homogeneous_exponents(n + 1, d)
-        index = affine_index(n, d)
-        vec = np.zeros(len(index), dtype=np.complex128)
-        for pos, row in enumerate(hom):
-            c = h.coeffs[i][pos]
-            if c == 0:
-                continue
-            key = tuple(int(e) for e in row[1:])
-            vec[index[key]] += c
-        coeffs.append(vec)
-    return AffineSystem(h.degrees, tuple(coeffs))
-
-
 def parse_system_json(text: str) -> PolySystem | AffineSystem:
     """Parse the text input format for systems.
 
@@ -490,26 +424,42 @@ def parse_system_json(text: str) -> PolySystem | AffineSystem:
     record = json.loads(text)
     try:
         degrees = [int(d) for d in record["degrees"]]
-        raw_terms = record["terms"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError("system record needs 'degrees' and 'terms'") from exc
+        raw_terms = list(record["terms"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(
+            "system record needs a 'degrees' list of integers and a 'terms' list"
+        ) from exc
     n = len(degrees)
     if len(raw_terms) != n:
         raise ValueError(f"expected {n} term lists, got {len(raw_terms)}")
-    lengths = {len(t["exponents"]) for eq in raw_terms for t in eq}
+    terms = [_parse_terms(i, eq) for i, eq in enumerate(raw_terms)]
+    lengths = {len(exponents) for eq in terms for exponents, _ in eq}
     if not lengths or lengths == {n + 1}:
         homogeneous = True
     elif lengths == {n}:
         homogeneous = False
     else:
         raise ValueError(f"inconsistent exponent lengths {sorted(lengths)} for n={n}")
-    terms = [
-        [(t["exponents"], complex(float(t.get("re", 0.0)), float(t.get("im", 0.0)))) for t in eq]
-        for eq in raw_terms
-    ]
     if homogeneous:
         return PolySystem.from_terms(degrees, terms)
     return AffineSystem.from_terms(degrees, terms)
+
+
+def _parse_terms(i: int, raw) -> list[tuple[list[int], complex]]:
+    # One equation's term list as (exponents, coefficient) pairs.
+    try:
+        return [
+            (
+                [int(e) for e in t["exponents"]],
+                complex(float(t.get("re", 0.0)), float(t.get("im", 0.0))),
+            )
+            for t in raw
+        ]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(
+            f"equation {i}: every term needs an 'exponents' list of integers "
+            f"and numeric 're'/'im' ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 def system_to_json(system: PolySystem | AffineSystem) -> str:

@@ -218,7 +218,8 @@ def solve_one(
     """One root of f via the random initial pair; every root equally probable
     when f is regular.  The certified endpoint is polished by Newton before
     it is returned."""
-    result = solve_one_result(f, rng, opts)
+    pair = random_initial_pair(f.degrees, rng)
+    result = track_path(pair.g, f, pair.zeta0, opts)
     if not result.success:
         raise RuntimeError(f"tracking failed with status {result.status.value}")
     try:
@@ -226,17 +227,6 @@ def solve_one(
     except (RefinementError, SingularLinearSolveError):
         # Near-singular targets: the certified endpoint is the best we have.
         return result.endpoint
-
-
-def solve_one_result(
-    f: PolySystem,
-    rng: np.random.Generator,
-    opts: TrackerOptions = TrackerOptions(),
-    pair: InitialPair | None = None,
-) -> TrackResult:
-    if pair is None:
-        pair = random_initial_pair(f.degrees, rng)
-    return track_path(pair.g, f, pair.zeta0, opts)
 
 
 @dataclass(frozen=True)

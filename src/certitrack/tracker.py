@@ -24,7 +24,7 @@ when the step is not a finite length that moves the arc parameter in
 floating point (s + t == s catches t == 0 and a NaN or infinite phi; phi == 0,
 a homotopy standing still, gives t = inf and no certified jump to the end),
 or when the caller opts in to a give-up threshold with
-TrackerOptions.t_step_min.
+TrackerOptions.t_step_min, which only the tracking loop applies.
 
 Exact operator norms are used for chi_1 (the rule only requires a value
 within a factor 2), which maximizes the step length at negligible cost for
@@ -48,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg, polysys
-from .bw import _bw_weights, bw_inner, bw_norm, ensure_on_sphere, riemann_distance
+from .bw import _bw_weights, bw_inner, bw_norm, ensure_on_sphere
 from .linalg import SingularLinearSolveError, bordered_solve, make_bordered
 from .newton import U0, condition_mu, refine
 
@@ -59,18 +59,14 @@ class DegenerateHomotopyError(Exception):
     """Start and target system coincide up to sign: no great-circle homotopy."""
 
 
-class MinStepError(Exception):
-    """The certified step dropped below an explicitly configured t_step_min."""
-
-
 class TrackStatus(enum.Enum):
     """Why a path stopped.
 
-    MIN_STEP_REACHED: the certified step fell below an opt-in t_step_min, or
-    is no finite length that advances the arc parameter s in floating point
-    (s + t == s, t == 0, or a NaN or infinite step length, as phi == 0
-    gives).  The heuristic tracker reports it when its step halving reaches
-    its own t_step_min.
+    MIN_STEP_REACHED: the certified step fell below the tracking loop's
+    opt-in TrackerOptions.t_step_min, or is no finite length that advances
+    the arc parameter s in floating point (s + t == s, t == 0, or a NaN or
+    infinite step length, as phi == 0 gives).  The heuristic tracker reports
+    it when its step halving reaches its own t_step_min.
     """
 
     SUCCESS = "Success"
@@ -83,15 +79,14 @@ class TrackStatus(enum.Enum):
 class TrackerOptions:
     """Knobs of the certified step rule.
 
-    c_over_p and u0 are the certified constants and should only be overridden
-    for experiments.  step_fraction places the step inside the permitted
-    interval: 1.0 is the upper end (fewest steps), 0.5 the lower end.
-    t_step_min is an opt-in give-up threshold on the certified step length,
-    off (0.0) by default: the step rule itself needs no floor.
+    The certified constants are fixed: C_OVER_P_LINEAR for the linear
+    homotopy, and general_step_constants (from U0) for a curved one.
+    step_fraction places the step inside the permitted interval: 1.0 is the
+    upper end (fewest steps), 0.5 the lower end.  t_step_min is an opt-in
+    give-up threshold of the tracking loop on the certified step length, off
+    (0.0) by default: the step rule itself needs no floor.
     """
 
-    c_over_p: float = C_OVER_P_LINEAR
-    u0: float = U0
     t_step_min: float = 0.0
     step_fraction: float = 1.0
     max_steps: int = 1_000_000
@@ -196,11 +191,6 @@ def make_linear_homotopy(g: polysys.PolySystem, f: polysys.PolySystem) -> Linear
     )
 
 
-def homotopy_tangent(hom: LinearHomotopy, s: float) -> polysys.PolySystem:
-    """Tangent system hdot_s = -g sin(s) + fperp cos(s); unit norm by arc length."""
-    return hom.derivative_at(s)
-
-
 def chi1(g: polysys.PolySystem, z) -> float:
     """Operator norm of the bordered inverse times Diag(sqrt(d_i), 1)."""
     # chi1 does not depend on the tangent; g stands in for it.
@@ -220,19 +210,16 @@ def certified_step(
 ) -> tuple[float, float]:
     """Certified step length and the factor phi = chi1 * chi2 it came from.
 
-    The returned t equals step_fraction * (c/P) / (d^{3/2} phi), which lies in
-    the certified interval for any step_fraction in [1/2, 1]; it is the step
-    the tracking loop takes from (g, z) when gdot is the tangent there.
-    Raises SingularLinearSolveError on a singular bordered system.
-    MinStepError is raised only under an explicit t_step_min, for a step
-    below it.
+    The returned t equals step_fraction * C_OVER_P_LINEAR / (d^{3/2} phi),
+    which lies in the certified interval for any step_fraction in [1/2, 1];
+    it is the step the linear-homotopy loop takes from (g, z) when gdot is
+    the tangent there (before that loop clips it to the end of the path or
+    applies t_step_min).  Raises SingularLinearSolveError on a singular
+    bordered system.
     """
     x1, x2 = _chi_at(g, gdot, z)
     phi = x1 * x2
-    t = opts.step_fraction * opts.c_over_p / (g.max_degree**1.5 * phi)
-    if t < opts.t_step_min:
-        raise MinStepError(f"certified step {t:.3e} fell below t_step_min={opts.t_step_min:.0e}")
-    return t, phi
+    return opts.step_fraction * C_OVER_P_LINEAR / (g.max_degree**1.5 * phi), phi
 
 
 def _chi_at(g: polysys.PolySystem, gdot: polysys.PolySystem, z) -> tuple[float, float]:
@@ -280,14 +267,14 @@ def _norm(x) -> float:
     return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
-def general_step_constants(curvature_bound: float, u0: float = U0) -> tuple[float, float]:
+def general_step_constants(curvature_bound: float) -> tuple[float, float]:
     """Constants (c, P) of the certified step rule for a curvature bound H."""
     if curvature_bound < 0:
         raise ValueError("the curvature bound must be nonnegative")
     P = math.sqrt(2.0) + math.sqrt(4.0 + 5.0 * curvature_bound**2)
-    a = math.sqrt(2.0) * u0 / 2.0
+    a = math.sqrt(2.0) * U0 / 2.0
     c = ((1.0 - a) ** math.sqrt(2.0) / (1.0 + a)) * (
-        1.0 - (1.0 - u0 / (math.sqrt(2.0) + 2.0 * u0)) ** (P / math.sqrt(2.0))
+        1.0 - (1.0 - U0 / (math.sqrt(2.0) + 2.0 * U0)) ** (P / math.sqrt(2.0))
     )
     return c, P
 
@@ -394,7 +381,7 @@ def track_general(
     hom: CurveHomotopy, z0, opts: TrackerOptions = TrackerOptions()
 ) -> TrackResult:
     """Certified tracking of a general C^{1+Lip} homotopy with curvature bound."""
-    c, P = general_step_constants(hom.curvature_bound, opts.u0)
+    c, P = general_step_constants(hom.curvature_bound)
     degrees = hom.value_at(0.0).degrees
     return _run_certified_loop(
         lambda s: np.stack([hom.value_at(s).coeff_vector(), hom.derivative_at(s).coeff_vector()]),

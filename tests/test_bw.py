@@ -81,13 +81,20 @@ class TestNorm:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_affine_norm_matches_homogenization(self, seed):
+        # An affine monomial x^a of degree <= d weighs as its homogenization
+        # X0^(d-|a|) x^a: 1 / multinomial(d; d-|a|, a).
         rng = np.random.default_rng(seed)
         coeffs = []
         for d in (2, 3):
             m = affine_exponents(2, d).shape[0]
             coeffs.append(rng.standard_normal(m) + 1j * rng.standard_normal(m))
         f = AffineSystem((2, 3), tuple(coeffs))
-        assert bw_norm(f) == pytest.approx(bw_norm(homogenize(f)), abs=1e-12)
+        total = 0.0
+        for d, a in zip(f.degrees, f.coeffs):
+            for row, c in zip(affine_exponents(2, d), a):
+                denom = math.factorial(d - int(row.sum())) * math.prod(map(math.factorial, row))
+                total += denom / math.factorial(d) * abs(c) ** 2
+        assert math.sqrt(total) == pytest.approx(bw_norm(homogenize(f)), abs=1e-12)
 
 
 class TestNormalize:

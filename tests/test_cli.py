@@ -28,3 +28,30 @@ class TestTrackPath:
         out = tmp_path / "trace.csv"
         assert main(["track", str(quad_system), "--path", "3", "--out", str(out)]) == 0
         assert out.read_text().startswith("step,s,t,phi,chi1,chi2,accepted")
+
+
+class TestUnreadableSystem:
+    @pytest.mark.parametrize("command", ["solve", "track"])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            None,  # no such file
+            "{not json",
+            '{"degrees": [1]}',
+            '{"degrees": [1], "terms": [[{"re": 1.0}]]}',
+            '{"degrees": [1], "terms": [[{"exponents": [1, 0], "re": "x"}]]}',
+        ],
+    )
+    def test_reported_as_usage_error(self, tmp_path, capsys, command, content):
+        system = tmp_path / "system.json"
+        if content is not None:
+            system.write_text(content)
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(system), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        message = err.strip().splitlines()[-1]
+        assert f"error: cannot load system file {str(system)!r}" in message
+        assert not out.exists()

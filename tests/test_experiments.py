@@ -21,7 +21,7 @@ from certitrack.experiments import (
 )
 from certitrack.polysys import (
     AffineSystem,
-    evaluate_affine,
+    evaluate,
     homogenize,
     space_dimension,
     system_to_json,
@@ -101,7 +101,7 @@ class TestKatsura:
         f = katsura_system(4)
         x = np.zeros(4, dtype=complex)
         x[0] = 1.0
-        assert np.linalg.norm(evaluate_affine(f, x)) <= 1e-14
+        assert np.linalg.norm(evaluate(homogenize(f), unit_point((1.0, *x)))) <= 1e-14
 
     @pytest.mark.parametrize("n,count", [(3, 4), (4, 8)])
     def test_solution_count(self, n, count):

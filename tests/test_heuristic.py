@@ -1,29 +1,12 @@
-import math
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 import pytest
 
 from certitrack.bw import riemann_distance
 from certitrack.heuristic import HeuristicOptions, correct, predict, track_heuristic
 from certitrack.newton import refine
-from certitrack.polysys import AffineSystem, PolySystem, unit_point
+from certitrack.polysys import unit_point
 from certitrack.start_systems import random_system_on_sphere, total_degree_start
 from certitrack.tracker import TrackStatus, make_linear_homotopy, track_linear
-
-
-@dataclass
-class AffineLineFamily:
-    """Toy path f_t(x) = x - t: the solution moves linearly with t."""
-
-    T: float = 1.0
-
-    def value_at(self, t):
-        return AffineSystem.from_terms((1,), [[((1,), 1.0), ((0,), -t)]])
-
-    def derivative_at(self, t):
-        return AffineSystem.from_terms((1,), [[((0,), -1.0)]])
 
 
 @pytest.fixture(scope="module")
@@ -38,14 +21,8 @@ class TestPredict:
     def test_zero_step_identity(self, quad_path):
         start, f, hom = quad_path
         z = start.roots[0]
-        out = predict(hom, 0.0, z, 0.0, "euler")
+        out = predict(hom, 0.0, z, 0.0)
         assert np.array_equal(out, np.asarray(z))
-
-    def test_euler_exact_on_affine_line(self):
-        fam = AffineLineFamily()
-        t = 0.3
-        out = predict(fam, t, np.array([t + 0j]), 0.25, "euler")
-        assert out[0] == pytest.approx(t + 0.25, abs=1e-14)
 
     def test_rk4_local_order(self, quad_path):
         # halving the step shrinks the one-step error by about 2^5
@@ -54,31 +31,13 @@ class TestPredict:
         s0 = 0.0
 
         def one_step_error(dt):
-            predicted = predict(hom, s0, z, dt, "rk4")
+            predicted = predict(hom, s0, z, dt)
             truth = refine(hom.value_at(s0 + dt), predicted)
             return riemann_distance(predicted, truth)
 
         e1 = one_step_error(0.2)
         e2 = one_step_error(0.1)
         assert e1 / e2 == pytest.approx(32.0, rel=0.7)
-
-    def test_euler_local_order(self, quad_path):
-        start, f, hom = quad_path
-        z = start.roots[1]
-
-        def one_step_error(dt):
-            predicted = predict(hom, 0.0, z, dt, "euler")
-            truth = refine(hom.value_at(dt), predicted)
-            return riemann_distance(predicted, truth)
-
-        e1 = one_step_error(0.1)
-        e2 = one_step_error(0.05)
-        assert e1 / e2 == pytest.approx(4.0, rel=0.5)
-
-    def test_unknown_predictor(self, quad_path):
-        start, f, hom = quad_path
-        with pytest.raises(ValueError):
-            predict(hom, 0.0, start.roots[0], 0.1, "leapfrog")
 
 
 class TestCorrect:
@@ -135,17 +94,9 @@ class TestTrackHeuristic:
         res = track_heuristic(hom, start.roots[0], opts)
         assert res.status is TrackStatus.MIN_STEP_REACHED
 
-    def test_euler_also_succeeds(self, quad_path):
-        start, f, hom = quad_path
-        opts = HeuristicOptions(predictor="euler", step_init=0.02)
-        res = track_heuristic(hom, start.roots[2], opts)
-        assert res.status is TrackStatus.SUCCESS
-
     def test_option_validation(self):
         with pytest.raises(ValueError):
             HeuristicOptions(step_decrease=1.5)
-        with pytest.raises(ValueError):
-            HeuristicOptions(predictor="unknown")
 
     def test_trace_flags_rejections(self, quad_path):
         start, f, hom = quad_path

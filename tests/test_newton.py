@@ -14,47 +14,17 @@ from certitrack.newton import (
     certify_start,
     condition_mu,
     default_affine_norm_bound,
-    newton_affine,
     newton_projective,
     projective_to_affine,
     refine,
 )
-from certitrack.polysys import (
-    AffineSystem,
-    PolySystem,
-    evaluate,
-    unit_point,
-)
+from certitrack.polysys import PolySystem, evaluate, unit_point
 from certitrack.start_systems import good_initial_pair, good_system_raw, total_degree_start
 
 
 def diff_of_squares():
     # X1^2 - X0^2, zeros (1, 1) and (1, -1) up to scale
     return PolySystem.from_terms((2,), [[((0, 2), 1.0), ((2, 0), -1.0)]])
-
-
-class TestNewtonAffine:
-    def test_square_root_step(self):
-        # x^2 - 1 from x=2: 2 - 3/4 = 5/4
-        f = AffineSystem.from_terms((2,), [[((2,), 1.0), ((0,), -1.0)]])
-        out = newton_affine(f, np.array([2.0 + 0j]))
-        assert out[0] == pytest.approx(1.25)
-
-    def test_fixed_point(self):
-        f = AffineSystem.from_terms((2,), [[((2,), 1.0), ((0,), -1.0)]])
-        out = newton_affine(f, np.array([1.0 + 0j]))
-        assert out[0] == pytest.approx(1.0, abs=1e-15)
-
-    def test_quadratic_convergence(self):
-        f = AffineSystem.from_terms((2,), [[((2,), 1.0), ((0,), -1.0)]])
-        for eps in (1e-3, 1e-4):
-            out = newton_affine(f, np.array([1.0 + eps], dtype=complex))
-            assert abs(out[0] - 1.0) <= 2.0 * eps**2
-
-    def test_singular_jacobian(self):
-        f = AffineSystem.from_terms((2,), [[((2,), 1.0)]])  # x^2, Df(0) = 0
-        with pytest.raises(SingularLinearSolveError):
-            newton_affine(f, np.array([0.0 + 0j]))
 
 
 class TestNewtonProjective:

@@ -9,15 +9,13 @@ from certitrack.polysys import (
     AffineSystem,
     PolySystem,
     affine_exponents,
-    dehomogenize,
+    affine_index,
     evaluate,
-    evaluate_affine,
     evaluator,
     homogeneous_exponents,
     homogeneous_index,
     homogenize,
     jacobian,
-    jacobian_affine,
     linear_form,
     parse_system_json,
     space_dimension,
@@ -252,7 +250,7 @@ class TestHomogenization:
         # X1^2 - X0^2: affine zero 1 lifts to (1, 1)
         assert abs(evaluate(h, unit_point([1.0, 1.0]))[0]) < 1e-15
         eta = np.array([1.0], dtype=complex)
-        assert np.linalg.norm(evaluate_affine(f, eta)) < 1e-15
+        assert np.linalg.norm(evaluate(h, unit_point((1.0, *eta)))) < 1e-15
 
     def test_linear_with_constant(self):
         f = AffineSystem.from_terms((1,), [[((1,), 1.0), ((0,), 2.0)]])
@@ -268,9 +266,14 @@ class TestHomogenization:
             m = affine_exponents(2, d).shape[0]
             coeffs.append(rng.standard_normal(m) + 1j * rng.standard_normal(m))
         f = AffineSystem((2, 3), tuple(coeffs))
-        back = dehomogenize(homogenize(f))
-        for a, b in zip(f.coeffs, back.coeffs):
-            np.testing.assert_allclose(a, b, rtol=1e-15)
+        h = homogenize(f)
+        # Read each coefficient back at the monomial that X0 completes.
+        for d, a, hom in zip(f.degrees, f.coeffs, h.coeffs):
+            index = affine_index(2, d)
+            back = np.zeros_like(a)
+            for row, c in zip(homogeneous_exponents(3, d), hom):
+                back[index[tuple(int(e) for e in row[1:])]] += c
+            np.testing.assert_allclose(a, back, rtol=1e-15)
 
     def test_zero_correspondence(self):
         # zero eta of f lifts to (1, eta) for h
@@ -283,20 +286,16 @@ class TestHomogenization:
             ],
         )
         eta = np.array([1.0, 1.0], dtype=complex)  # x=1, y=1
-        assert np.linalg.norm(evaluate_affine(f, eta)) < 1e-14
         h = homogenize(f)
+        assert np.linalg.norm(evaluate(h, unit_point((1.0, *eta)))) < 1e-14
         lifted = unit_point(np.concatenate([[1.0], eta]))
         assert np.linalg.norm(evaluate(h, lifted)) < 1e-14
-
-    def test_dehomogenize_pure_power(self):
-        h = PolySystem.from_terms((3,), [[((3, 0), 1.0)]])
-        f = dehomogenize(h)
-        val = evaluate_affine(f, np.array([123.0], dtype=complex))
-        assert val[0] == pytest.approx(1.0)
 
 
 class TestAffineJacobian:
     def test_against_finite_differences(self):
+        # Df(x) is the Jacobian of the homogenization at (1, x) without its
+        # X0 column; f(x) its value there.
         rng = np.random.default_rng(13)
         coeffs = []
         for d in (2, 2):
@@ -305,11 +304,14 @@ class TestAffineJacobian:
         f = AffineSystem((2, 2), tuple(coeffs))
         x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         eps = 1e-6
-        J = jacobian_affine(f, x)
+        h = homogenize(f)
+        J = jacobian(h, np.concatenate([[1.0], x]))[:, 1:]
         for j in range(2):
             dx = np.zeros(2, dtype=complex)
             dx[j] = eps
-            col = (evaluate_affine(f, x + dx) - evaluate_affine(f, x - dx)) / (2 * eps)
+            plus = evaluate(h, np.concatenate([[1.0], x + dx]))
+            minus = evaluate(h, np.concatenate([[1.0], x - dx]))
+            col = (plus - minus) / (2 * eps)
             np.testing.assert_allclose(J[:, j], col, rtol=1e-6, atol=1e-8)
 
 
@@ -343,7 +345,7 @@ class TestSystemIO:
         text = '{"degrees": [2], "terms": [[{"exponents": [2], "re": 1.0}, {"exponents": [0], "re": -1.0}]]}'
         f = parse_system_json(text)
         assert isinstance(f, AffineSystem)
-        assert np.linalg.norm(evaluate_affine(f, np.array([1.0 + 0j]))) < 1e-15
+        assert np.linalg.norm(evaluate(homogenize(f), unit_point((1.0, 1.0)))) < 1e-15
 
     def test_round_trip(self):
         h = random_system((2, 2), 21)
@@ -351,12 +353,38 @@ class TestSystemIO:
         for a, b in zip(h.coeffs, back.coeffs):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-16)
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"degrees": [1], "terms": 5}', '{"degrees": ["a"], "terms": [[]]}', "[1]", '{"terms": []}'],
+    )
+    def test_malformed_record(self, text):
+        with pytest.raises(ValueError, match="system record needs"):
+            parse_system_json(text)
+
     def test_rejects_mixed_lengths(self):
         text = (
             '{"degrees": [1, 1], "terms": [[{"exponents": [1, 0], "re": 1.0}],'
             ' [{"exponents": [0, 1, 0], "re": 1.0}]]}'
         )
         with pytest.raises(ValueError):
+            parse_system_json(text)
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            '{"re": 1.0}',
+            '{"exponents": 1}',
+            '{"exponents": [1, "a"]}',
+            '{"exponents": [1, 0], "re": []}',
+            '{"exponents": [1, 0], "re": 1' + "0" * 400 + "}",
+            "3",
+        ],
+        ids=["no-exponents", "exponents-not-a-list", "exponent-not-an-integer", "re-not-a-number",
+             "re-overflows", "term-not-an-object"],
+    )
+    def test_malformed_term_names_its_equation(self, term):
+        text = f'{{"degrees": [1, 1], "terms": [[{{"exponents": [0, 1, 0]}}], [{term}]]}}'
+        with pytest.raises(ValueError, match="equation 1"):
             parse_system_json(text)
 
     def test_rejects_wrong_degree(self):
