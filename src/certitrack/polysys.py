@@ -17,12 +17,13 @@ Homogeneous systems have one evaluator, `evaluator(degrees)`, built once per
 degree tuple.  Its point matrix at z has one row [dm/dz_0 ... dm/dz_n | m(z)]
 per monomial m of each distinct degree: one gather from the table of
 coordinate powers, one product over the variables and one scaling by the
-exponents.  `Evaluator.rows` turns the stacked coefficient vectors of
-several systems into their [Jacobian | value] blocks with one matrix product
-against it.  `evaluate`, `jacobian` and the certified tracking loop all read that
-product, so a system's values and Jacobian are the loop's bits.  Affine
-systems are input only: they are read, written and homogenized, never
-evaluated.
+exponents.  `Evaluator.place` lays the stacked coefficient vectors of
+several systems out as one matrix whose product with a point matrix gives
+their [Jacobian | value] blocks; `Evaluator.rows` is the two together.
+`evaluate`, `jacobian` and the certified tracking loop, which places a path's
+systems once, all read that product, so a system's values and Jacobian are
+the loop's bits.  Affine systems are input only: they are read, written and
+homogenized, never evaluated.
 """
 
 from __future__ import annotations
@@ -314,7 +315,9 @@ class Evaluator:
 
     The point matrix has one row [dm/dz_0 ... dm/dz_n | m(z)] per monomial m
     of each distinct degree, degrees ascending and monomials in basis order;
-    equations of one degree share its rows.
+    equations of one degree share its rows.  A placed system (place) has one
+    row per equation over those rows, so it depends on the system alone and
+    multiplies the point matrix of any point.
     """
 
     def __init__(self, degrees):
@@ -359,15 +362,21 @@ class Evaluator:
         vals = _power_table(z, self.max_d).take(self._gather).prod(axis=0)
         return np.multiply(vals, self._mult, out=vals).reshape(-1, self.n + 2)
 
+    def place(self, R) -> np.ndarray:
+        """The (K n, rows) matrix of the K systems whose coefficient vectors are
+        the rows of R: row k n + i holds equation i of system k at the point
+        matrix rows of its degree, so its product with M gives their blocks."""
+        K = R.shape[0]
+        if self.uniform:
+            return R.reshape(K * self.n, -1)
+        placed = np.zeros((K, self._block_size), dtype=np.complex128)
+        placed[:, self._place] = R
+        return placed.reshape(K * self.n, -1)
+
     def rows(self, R, M) -> np.ndarray:
         """The (K, n, n+2) blocks [Dh_k(z) | h_k(z)] of the K systems whose
         coefficient vectors are the rows of R, from the point matrix M at z."""
-        K = R.shape[0]
-        if not self.uniform:
-            placed = np.zeros((K, self._block_size), dtype=np.complex128)
-            placed[:, self._place] = R
-            R = placed
-        return R.reshape(K * self.n, -1).dot(M).reshape(K, self.n, -1)
+        return self.place(R).dot(M).reshape(R.shape[0], self.n, -1)
 
 
 @lru_cache(maxsize=None)
@@ -376,23 +385,23 @@ def evaluator(degrees: tuple[int, ...]) -> Evaluator:
     return Evaluator(degrees)
 
 
-def _checked_point(h: PolySystem, z) -> np.ndarray:
+def _checked_point(n_vars: int, z) -> np.ndarray:
     z = np.asarray(z, dtype=np.complex128)
-    if z.shape != (h.n_vars,):
-        raise ValueError(f"point must have {h.n_vars} coordinates, got {z.shape}")
+    if z.shape != (n_vars,):
+        raise ValueError(f"point must have {n_vars} coordinates, got {z.shape}")
     return z
 
 
 def evaluate(h: PolySystem, z) -> np.ndarray:
     """Value vector (h_1(z), ..., h_n(z)) at a representative z."""
     ev = evaluator(h.degrees)
-    return ev.rows(h._vec[None], ev.point_matrix(_checked_point(h, z)))[0, :, -1]
+    return ev.rows(h._vec[None], ev.point_matrix(_checked_point(h.n_vars, z)))[0, :, -1]
 
 
 def jacobian(h: PolySystem, z) -> np.ndarray:
     """The n x (n+1) Jacobian matrix Dh(z)."""
     ev = evaluator(h.degrees)
-    return ev.rows(h._vec[None], ev.point_matrix(_checked_point(h, z)))[0, :, :-1]
+    return ev.rows(h._vec[None], ev.point_matrix(_checked_point(h.n_vars, z)))[0, :, :-1]
 
 
 def homogenize(f: AffineSystem) -> PolySystem:

@@ -30,11 +30,13 @@ Exact operator norms are used for chi_1 (the rule only requires a value
 within a factor 2), which maximizes the step length at negligible cost for
 desk-scale systems.
 
-A step takes two products with one point matrix at z_i (polysys.Evaluator):
-the Jacobian and value rows of g_i and gdot_i, for one factorization and one
-(n+2)-column solve giving chi_1 and chi_2; then those of the advanced system
-at the same z_i, for the Newton step.  The advanced system and its tangent
-start the next step.  chi1, chi2 and certified_step run the loop's code.
+A step takes one product of a basis of systems with the point matrix at z_i
+(polysys.Evaluator): on the linear homotopy h_s = cos(s) g + sin(s) p the
+basis is (g, p), placed once per path, and the blocks of h_{s_i}, hdot_{s_i}
+and the advanced system are real combinations of theirs; a general homotopy
+gives the basis (h_s, hdot_s) afresh at each s.  One factorization and one
+(n+2)-column solve give chi_1 and chi_2, one more the Newton step.  chi1,
+chi2 and certified_step run the loop's code.
 """
 
 from __future__ import annotations
@@ -214,52 +216,80 @@ def certified_step(
     which lies in the certified interval for any step_fraction in [1/2, 1];
     it is the step the linear-homotopy loop takes from (g, z) when gdot is
     the tangent there (before that loop clips it to the end of the path or
-    applies t_step_min).  Raises SingularLinearSolveError on a singular
-    bordered system.
+    applies t_step_min).  A tangent with phi = 0 gives t = inf, as in the
+    loop, where it ends the path MinStepReached.  Raises
+    SingularLinearSolveError on a singular bordered system.
     """
     x1, x2 = _chi_at(g, gdot, z)
     phi = x1 * x2
-    return opts.step_fraction * C_OVER_P_LINEAR / (g.max_degree**1.5 * phi), phi
+    return _step_length(opts.step_fraction * C_OVER_P_LINEAR, g.max_degree**1.5, phi), phi
+
+
+def _step_length(c_over_p: float, d32: float, phi: float) -> float:
+    # phi == 0 (a zero-speed homotopy) gives t = inf: no certified step.
+    return c_over_p / (d32 * phi) if phi else math.inf
 
 
 def _chi_at(g: polysys.PolySystem, gdot: polysys.PolySystem, z) -> tuple[float, float]:
     if gdot.degrees != g.degrees:
         raise ValueError(f"tangent degrees {gdot.degrees} differ from the system's {g.degrees}")
     ev = polysys.evaluator(g.degrees)
-    z = polysys._checked_point(g, z)
+    z = polysys._checked_point(g.n_vars, z)
     R = np.stack([g.coeff_vector(), gdot.coeff_vector()])
-    weights, rhs, bordered = _step_arrays(ev)
+    rhs, bordered = _step_arrays(ev)
     bordered[ev.n] = z.conj()
-    return _chi(ev.rows(R, ev.point_matrix(z)), R[1], bordered, weights, rhs)
+    return _chi(ev.rows(R, ev.point_matrix(z)), _bw_re(g.degrees, R[1], R[1]), bordered, rhs)
 
 
-def _step_arrays(ev: polysys.Evaluator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # The Bombieri-Weyl weights of a coefficient vector; the right-hand side
-    # of the chi solve: Diag(sqrt(d_i), 1) for chi1, then one column that
-    # _chi fills with hdot(z) for chi2; and room for a bordered matrix
-    # (Dh(z); z*), which the factorization copies, so it is filled again.
-    weights = np.concatenate([_bw_weights(ev.n_vars, d) for d in ev.degrees])
+def _step_arrays(ev: polysys.Evaluator) -> tuple[np.ndarray, np.ndarray]:
+    # The right-hand side of the chi solve: Diag(sqrt(d_i), 1) for chi1, then
+    # one column that _chi fills with hdot(z) for chi2; and room for a
+    # bordered matrix (Dh(z); z*), which the factorization copies, so it is
+    # filled again.
     rhs = np.zeros((ev.n + 1, ev.n + 2), dtype=np.complex128)
     for i, d in enumerate(ev.degrees):
         rhs[i, i] = math.sqrt(d)
     rhs[ev.n, ev.n] = 1.0
-    return weights, rhs, np.empty((ev.n + 1, ev.n + 1), dtype=np.complex128)
+    return rhs, np.empty((ev.n + 1, ev.n + 1), dtype=np.complex128)
 
 
-def _chi(blocks, hdot, bordered, weights, rhs) -> tuple[float, float]:
+def _bw_re(degrees, a: np.ndarray, b: np.ndarray) -> float:
+    # Re<a, b>_BW of two coefficient vectors by one dot of their real views,
+    # so equal inputs give equal bits in the loop and in certified_step.
+    w = np.concatenate([_bw_weights(len(degrees) + 1, d) for d in degrees]).repeat(2)
+    return float(np.dot(w * a.view(np.float64), b.view(np.float64)))
+
+
+def _chi(blocks, hdot2: float, bordered, rhs) -> tuple[float, float]:
     """chi1 and chi2 at (h, z) from the [Dh(z) | h(z)] and [Dhdot(z) | hdot(z)]
-    blocks of Evaluator.rows and the coefficient vector hdot: one factorization
-    of the bordered matrix, whose last row already holds z*, and one solve
-    against the n+2 columns of rhs."""
+    blocks and ||hdot||^2: one factorization of the bordered matrix, whose
+    last row already holds z*, and one solve against the n+2 columns of
+    rhs."""
     n = blocks.shape[1]
     bordered[:n] = blocks[0, :, : n + 1]
     lu = linalg.lu_factor_checked(bordered)
     rhs[:n, n + 1] = blocks[1, :, n + 1]
     sol = linalg.lu_solve(lu, rhs)
     x1 = float(np.linalg.svd(sol[:, : n + 1], compute_uv=False)[0])
-    speed = math.sqrt(float(np.dot(weights, np.abs(hdot) ** 2)))
-    x2 = math.sqrt(speed**2 + _norm(sol[:, n + 1]) ** 2)
+    x2 = math.sqrt(hdot2 + _norm(sol[:, n + 1]) ** 2)
     return x1, x2
+
+
+def _combine(mix, B: np.ndarray, n: int) -> np.ndarray:
+    # The (2, n, n+2) blocks of h_s and hdot_s, mix times the basis blocks B
+    # (None: B holds them, and a NaN tangent stays out of h_s).
+    if mix is None:
+        return B.reshape(2, n, -1)
+    return mix.dot(B.view(np.float64).reshape(2, -1)).view(np.complex128).reshape(2, n, -1)
+
+
+def _start_point(n_vars: int, z0) -> np.ndarray:
+    # The unit representative of a start point of finite, nonzero norm.
+    z = polysys._checked_point(n_vars, z0)
+    norm = _norm(z)
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"start point needs a finite, nonzero norm, got {norm!r}")
+    return z / norm
 
 
 def _norm(x) -> float:
@@ -286,37 +316,38 @@ def _systems_equal(g: polysys.PolySystem, f: polysys.PolySystem, tol: float = 1e
 
 
 def _run_certified_loop(
-    rows_at,
+    frame,
     T: float,
     degrees,
     c_over_p: float,
     z0,
     opts: TrackerOptions,
 ) -> TrackResult:
-    # rows_at(s) stacks the coefficient vectors of h_s and hdot_s, (2, N).
+    # frame(s) gives (basis, mix, ||hdot_s||^2): Evaluator.place of two
+    # systems and the real 2 x 2 mix of their blocks into those of h_s and
+    # hdot_s (see _combine).  A basis is multiplied by each point matrix once.
     ev = polysys.evaluator(degrees)
     n = ev.n
-    weights, rhs, bordered = _step_arrays(ev)
+    rhs, bordered = _step_arrays(ev)
     newton_rhs = np.zeros(n + 1, dtype=np.complex128)
-    z = np.asarray(z0, dtype=np.complex128)
-    z = z / _norm(z)
+    z = _start_point(ev.n_vars, z0)
     d32 = ev.max_d**1.5
     s = 0.0
     steps = 0
     trace: list[StepRecord] = []
-    R = rows_at(s)
+    basis, mix, hdot2 = frame(s)
     while s != T:
         if steps >= opts.max_steps:
             return TrackResult(z, TrackStatus.MAX_STEPS, steps, tuple(trace))
         M = ev.point_matrix(z)
+        B = basis.dot(M)
         bordered[n] = z.conj()
         try:
-            x1, x2 = _chi(ev.rows(R, M), R[1], bordered, weights, rhs)
+            x1, x2 = _chi(_combine(mix, B, n), hdot2, bordered, rhs)
         except SingularLinearSolveError:
             return TrackResult(z, TrackStatus.SINGULAR, steps, tuple(trace))
         phi = x1 * x2
-        # phi == 0 (a zero-speed homotopy) gives t = inf: no certified step.
-        t = opts.step_fraction * c_over_p / (d32 * phi) if phi else math.inf
+        t = _step_length(opts.step_fraction * c_over_p, d32, phi)
         # The step must be finite and move s in floating point; written so
         # that t == 0 and a NaN t stop here too.
         if t < opts.t_step_min or not s < s + t < math.inf:
@@ -327,8 +358,11 @@ def _run_certified_loop(
             s_next = T
         else:
             s_next = s + t
-        R = rows_at(s_next)
-        block = ev.rows(R[:1], M)[0]
+        next_basis, mix, hdot2 = frame(s_next)
+        if next_basis is not basis:
+            basis = next_basis
+            B = basis.dot(M)
+        block = _combine(mix, B, n)[0]
         bordered[:n] = block[:, : n + 1]
         try:
             lu = linalg.lu_factor_checked(bordered)
@@ -353,15 +387,17 @@ def track_linear(
     Success the endpoint is an approximate zero of f associated to the end of
     the lifted path through the start pair.
     """
-    # h_s = cos(s) g + sin(s) p and hdot_s = -sin(s) g + cos(s) p: one real
-    # 2 x 2 product with the stacked (g, p), read as real and imaginary parts.
-    gp = np.stack([hom._gvec, hom._pvec]).view(np.float64)
+    # h_s = cos(s) g + sin(s) p and hdot_s = -sin(s) g + cos(s) p, so
+    # ||hdot_s||^2 = sin^2(s) <g,g> + cos^2(s) <p,p> - 2 sin(s) cos(s) Re<g,p>.
+    degrees, g, p = hom.g.degrees, hom._gvec, hom._pvec
+    basis = polysys.evaluator(degrees).place(np.stack([g, p]))
+    gg, pp, gp = _bw_re(degrees, g, g), _bw_re(degrees, p, p), _bw_re(degrees, g, p)
 
-    def rows_at(s):
+    def frame(s):
         c, sn = math.cos(s), math.sin(s)
-        return np.array([[c, sn], [-sn, c]]).dot(gp).view(np.complex128)
+        return basis, np.array([[c, sn], [-sn, c]]), sn * sn * gg + c * c * pp - 2.0 * sn * c * gp
 
-    return _run_certified_loop(rows_at, hom.T, hom.g.degrees, C_OVER_P_LINEAR, z0, opts)
+    return _run_certified_loop(frame, hom.T, degrees, C_OVER_P_LINEAR, z0, opts)
 
 
 def track_path(
@@ -372,8 +408,7 @@ def track_path(
 ) -> TrackResult:
     """Track from a zero of g to the target f; f == g returns immediately."""
     if _systems_equal(g, f):
-        z = np.asarray(z0, dtype=np.complex128)
-        return TrackResult(z / np.linalg.norm(z), TrackStatus.SUCCESS, 0, ())
+        return TrackResult(_start_point(g.n_vars, z0), TrackStatus.SUCCESS, 0, ())
     return track_linear(make_linear_homotopy(g, f), z0, opts)
 
 
@@ -383,14 +418,13 @@ def track_general(
     """Certified tracking of a general C^{1+Lip} homotopy with curvature bound."""
     c, P = general_step_constants(hom.curvature_bound)
     degrees = hom.value_at(0.0).degrees
-    return _run_certified_loop(
-        lambda s: np.stack([hom.value_at(s).coeff_vector(), hom.derivative_at(s).coeff_vector()]),
-        hom.T,
-        degrees,
-        c / P,
-        z0,
-        opts,
-    )
+    ev = polysys.evaluator(degrees)
+
+    def frame(s):
+        R = np.stack([hom.value_at(s).coeff_vector(), hom.derivative_at(s).coeff_vector()])
+        return ev.place(R), None, _bw_re(degrees, R[1], R[1])
+
+    return _run_certified_loop(frame, hom.T, degrees, c / P, z0, opts)
 
 
 def condition_length(hom: LinearHomotopy, z0, resolution: int = 2000) -> float:

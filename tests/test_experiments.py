@@ -1,10 +1,9 @@
-import json
 import math
 
 import numpy as np
 import pytest
 
-from certitrack.bw import normalize_to_sphere, riemann_distance
+from certitrack.bw import normalize_to_sphere
 from certitrack.experiments import (
     AmbiguousMatchError,
     PAIR_KINDS,
@@ -20,11 +19,9 @@ from certitrack.experiments import (
     shannon_entropy,
 )
 from certitrack.polysys import (
-    AffineSystem,
     evaluate,
     homogenize,
     space_dimension,
-    system_to_json,
     unit_point,
 )
 from certitrack.start_systems import solve_all_total_degree

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,6 +210,30 @@ class TestCertifiedStep:
         assert certified_step(h0, hdot0, z0) == (first.t, first.phi)
         assert (chi1(h0, z0), chi2(h0, hdot0, z0)) == (first.chi1, first.chi2)
 
+    @pytest.mark.parametrize("degrees", [(1, 2, 2), (2, 2, 2)])
+    def test_matches_the_loop_mid_path(self, degrees):
+        # Record k+1 holds the step taken from (h_{s_k}, z_k).  The loop
+        # combines the blocks of g and p where certified_step builds h_s and
+        # hdot_s first, so the two agree to rounding, not bitwise.
+        rng = np.random.default_rng(22)
+        f = random_system_on_sphere(degrees, rng)
+        start = total_degree_start(degrees, rng)
+        hom = make_linear_homotopy(start.g, f)
+        trace = track_linear(hom, start.roots[1]).trace
+        assert len(trace) > 50
+        # the last step is clipped to the end of the arc, so it is left out
+        for k in np.linspace(5, len(trace) - 3, 6).astype(int):
+            rec, nxt = trace[k], trace[k + 1]
+            h, hdot = hom.value_at(rec.s), hom.derivative_at(rec.s)
+            t, phi = certified_step(h, hdot, rec.z)
+            got = [chi1(h, rec.z), chi2(h, hdot, rec.z), t, phi]
+            np.testing.assert_allclose(got, [nxt.chi1, nxt.chi2, nxt.t, nxt.phi], rtol=1e-12)
+
+    def test_vanishing_tangent_gives_infinite_step(self, quad_pair):
+        # phi = 0: the loop's rule, t = inf, which ends a path MinStepReached
+        start, _ = quad_pair
+        assert certified_step(start.g, 0.0 * start.g, start.roots[0]) == (math.inf, 0.0)
+
     def test_point_of_wrong_length_rejected(self, quad_pair):
         start, f = quad_pair
         gdot = make_linear_homotopy(start.g, f).derivative_at(0.0)
@@ -330,6 +358,32 @@ class TestTrackLinear:
             ("Success", 921), ("Success", 1608), ("Success", 608), ("Success", 553),
             ("Success", 483), ("Success", 355), ("Success", 741), ("Success", 517),
         ]
+
+    def test_pinned_step_counts_with_one_blas_thread(self):
+        # The BLAS thread count may change result bits (a one-column zgetrs
+        # does under OpenBLAS), but it must not change a step count.
+        src = Path(__import__("certitrack").__file__).resolve().parents[1]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join([str(src), str(Path(__file__).parent)])
+        code = "from test_tracker import TestTrackLinear; TestTrackLinear().test_pinned_step_counts()"
+        child = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert child.returncode == 0, child.stderr
+
+    @pytest.mark.parametrize(
+        "bad", [[np.nan, 1.0, 0.0, 0.0], [np.inf, 1.0, 0.0, 0.0], [0.0] * 4, [1.0, 0.0, 0.0]]
+    )
+    def test_start_point_rejected(self, bad):
+        # not finite, zero or of the wrong length: no point to start from
+        rng = np.random.default_rng(3)
+        g = total_degree_start((2, 2, 2), rng).g
+        hom = make_linear_homotopy(g, random_system_on_sphere((2, 2, 2), rng))
+        curve = CurveHomotopy(hom.T, hom.value_at, hom.derivative_at, curvature_bound=1.0)
+        with pytest.raises(ValueError):
+            track_linear(hom, bad)
+        with pytest.raises(ValueError):
+            track_general(curve, bad)
 
     def test_intermediate_certificates_sampled(self, quad_pair):
         # every traced point is an approximate zero of its system with the
