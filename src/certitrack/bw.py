@@ -53,6 +53,22 @@ def sqrt_multinomials(n_vars: int, degree: int) -> np.ndarray:
     return w
 
 
+@lru_cache(maxsize=None)
+def _stacked_weights(degrees: tuple[int, ...]) -> np.ndarray:
+    # The weights of a system's stacked coefficient vector, each repeated
+    # for the real and the imaginary part of its coefficient.
+    w = np.concatenate([_bw_weights(len(degrees) + 1, d) for d in degrees]).repeat(2)
+    w.setflags(write=False)
+    return w
+
+
+def bw_inner_re(degrees: tuple[int, ...], a: np.ndarray, b: np.ndarray) -> float:
+    """Re<a, b> of two stacked coefficient vectors of one degree tuple, by
+    one dot of their real views: equal inputs give equal bits wherever it is
+    called."""
+    return float(np.dot(_stacked_weights(degrees) * a.view(np.float64), b.view(np.float64)))
+
+
 def bw_inner(h: PolySystem, h2: PolySystem) -> complex:
     """Bombieri-Weyl product <h, h2>, summed over equations."""
     if h.degrees != h2.degrees:

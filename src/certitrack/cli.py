@@ -3,7 +3,9 @@
 Subcommands:
   solve       track a target system from a chosen start (all paths for the
               total-degree start, one path otherwise); writes a solutions CSV
-  track       like solve, but also writes the per-step trace CSV of one path
+  track       one path of solve, with its per-step trace CSV: both prepare the
+              target and draw the start through experiments.start_paths, so
+              the last row of `track --path i` is row i of solve bit for bit
   bench       average steps per path on random or Katsura targets
   conjecture  compare good / total-degree / random start pairs on random
               degree-2 targets
@@ -22,29 +24,16 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .experiments import (
+    START_KINDS,
     run_bench,
     run_conjecture,
     run_entropy,
     run_solve,
+    start_paths,
 )
-from .heuristic import HeuristicOptions
 from .polysys import parse_system_json
-from .tracker import TrackerOptions, write_trace_csv
-from .start_systems import good_initial_pair, random_initial_pair, total_degree_start
-from .bw import normalize_to_sphere
-from . import polysys
-from .tracker import track_path
-
-FLOAT_FMT = "%.17g"
-
-
-def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return FLOAT_FMT % x
+from .tracker import FLOAT_FMT, TrackerOptions, track_path, write_trace_csv
 
 
 def _load_system(args):
@@ -74,8 +63,8 @@ def _solution_rows(solve_rows, n_coords: int):
         if r.endpoint is None:
             row += [""] * (2 * n_coords)
         else:
-            row += [_fmt(c.real) for c in r.endpoint]
-            row += [_fmt(c.imag) for c in r.endpoint]
+            row += [FLOAT_FMT % c.real for c in r.endpoint]
+            row += [FLOAT_FMT % c.imag for c in r.endpoint]
         rows.append(row)
     return rows
 
@@ -94,25 +83,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_track(args) -> int:
-    system = _load_system(args)
-    if isinstance(system, polysys.AffineSystem):
-        system = polysys.homogenize(system)
-    f = normalize_to_sphere(system)
+    f, start = start_paths(_load_system(args), args.start, args.seed)
+    count = len(start.roots)
+    if not 0 <= args.path < count:
+        args.error(f"--path must lie in [0, {count}) for this system, got {args.path}")
     opts = TrackerOptions(t_step_min=args.t_step_min, record_trace=True)
-    seed = args.seed
-    if args.start == "total":
-        count = polysys.bezout_number(f.degrees)
-        if not 0 <= args.path < count:
-            args.error(f"--path must lie in [0, {count}) for this system, got {args.path}")
-        start = total_degree_start(f.degrees, np.random.default_rng([seed, 1]))
-        g, z0 = start.g, start.roots[args.path]
-    elif args.start == "good":
-        pair = good_initial_pair(f.degrees)
-        g, z0 = pair.g, pair.zeta0
-    else:
-        pair = random_initial_pair(f.degrees, np.random.default_rng([seed, 2]))
-        g, z0 = pair.g, pair.zeta0
-    result = track_path(g, f, z0, opts)
+    result = track_path(start.g, f, start.roots[args.path], opts)
     write_trace_csv(result, args.out or "/dev/stdout")
     print(f"status={result.status.value} steps={result.num_steps}", file=sys.stderr)
     return 0 if result.success else 1
@@ -129,8 +105,6 @@ def cmd_bench(args) -> int:
         trackers=trackers,
         seed=args.seed,
         threads=args.threads,
-        opts=TrackerOptions(record_trace=False),
-        heuristic_opts=HeuristicOptions(record_trace=False),
     )
     rows = []
     for kind, report in reports.items():
@@ -156,7 +130,8 @@ def cmd_conjecture(args) -> int:
     )
     header = ["kind", "n", "trials", "mean_steps", "variance_steps", "failures", "bound"]
     rows = [
-        [r.kind, r.n, r.trials, _fmt(r.mean_steps), _fmt(r.variance_steps), r.failures, _fmt(r.bound)]
+        [r.kind, r.n, r.trials, FLOAT_FMT % r.mean_steps, FLOAT_FMT % r.variance_steps,
+         r.failures, FLOAT_FMT % r.bound]
         for r in reports
     ]
     _write_rows(args.out, header, rows)
@@ -208,15 +183,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="track a target system to its solutions")
     p.add_argument("system", help="system file (JSON: degrees + terms)")
-    p.add_argument("--start", choices=["total", "good", "random"], default="total")
+    p.add_argument("--start", choices=START_KINDS, default="total")
     _add_t_step_min(p)
     _add_common(p)
     p.set_defaults(func=cmd_solve, error=p.error)
 
     p = sub.add_parser("track", help="track one path and dump its step trace")
     p.add_argument("system")
-    p.add_argument("--start", choices=["total", "good", "random"], default="total")
-    p.add_argument("--path", type=int, default=0, help="start-root index for --start total")
+    p.add_argument("--start", choices=START_KINDS, default="total")
+    p.add_argument("--path", type=int, default=0, help="solve's path index: 0 to D-1 for "
+                   "--start total (D the product of the degrees), 0 for good and random")
     _add_t_step_min(p)
     _add_common(p)
     p.set_defaults(func=cmd_track, error=p.error)

@@ -17,13 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import polysys
 from .bw import normalize_to_sphere, riemann_distance
 from .newton import refine
 from .polysys import AffineSystem, PolySystem, space_dimension
 from .start_systems import (
+    StartSet,
     good_initial_pair,
     good_system_raw,
+    prepare_target,
     random_initial_pair,
     random_initial_pair_unitary,
     random_system_on_sphere,
@@ -147,12 +148,13 @@ class ExperimentReport:
     wall_time_s: float
 
 
-def _summarize(per_path, wall_time_s: float) -> ExperimentReport:
-    good = [p.steps for p in per_path if p.status == TrackStatus.SUCCESS.value]
-    failures = len(per_path) - len(good)
+def _step_stats(outcomes: list[tuple[str, int]]) -> tuple[float, float, int]:
+    """Mean and sample variance of the steps of the successful paths, and
+    the number of failed ones, from (status, steps) pairs."""
+    good = [steps for status, steps in outcomes if status == TrackStatus.SUCCESS.value]
     mean = float(np.mean(good)) if good else math.nan
     var = float(np.var(good, ddof=1)) if len(good) > 1 else 0.0
-    return ExperimentReport(tuple(per_path), mean, var, failures, wall_time_s)
+    return mean, var, len(outcomes) - len(good)
 
 
 def _bench_trial(args) -> list[PathStat]:
@@ -162,7 +164,7 @@ def _bench_trial(args) -> list[PathStat]:
         rng = np.random.default_rng([seed, trial, 0])
         target = random_system_on_sphere(degrees, rng)
     elif family == "katsura":
-        target = normalize_to_sphere(polysys.homogenize(katsura_system(n)))
+        target = prepare_target(katsura_system(n))
         degrees = target.degrees
     else:
         raise ValueError(f"unknown family {family!r}")
@@ -214,7 +216,8 @@ def run_bench(
     reports = {}
     for kind in trackers:
         rows = [p for rows in rows_nested for p in rows if p.tracker == kind]
-        reports[kind] = _summarize(rows, wall)
+        stats = _step_stats([(p.status, p.steps) for p in rows])
+        reports[kind] = ExperimentReport(tuple(rows), *stats, wall)
     return reports
 
 
@@ -284,11 +287,8 @@ def run_conjecture(
     reports = []
     for kind in PAIR_KINDS:
         stats = [row for rows in rows_nested for row in rows if row[0] == kind]
-        good = [steps for _, status, steps, _ in stats if status == TrackStatus.SUCCESS.value]
-        failures = len(stats) - len(good)
+        mean, var, failures = _step_stats([(status, steps) for _, status, steps, _ in stats])
         violations = sum(1 for *_, v in stats if v)
-        mean = float(np.mean(good)) if good else math.nan
-        var = float(np.var(good, ddof=1)) if len(good) > 1 else 0.0
         reports.append(
             ConjectureReport(kind, n, trials, mean, var, failures, bound, violations)
         )
@@ -387,32 +387,51 @@ class SolveRow:
     endpoint: np.ndarray | None
 
 
+START_KINDS = ("total", "good", "random")
+
+
+def start_paths(
+    system: PolySystem | AffineSystem, kind: str, seed: int
+) -> tuple[PolySystem, StartSet]:
+    """The target, through prepare_target once, and the start of one kind
+    with all its roots: the total-degree start (D roots, drawn from
+    default_rng([seed, 1])), the good pair, or the random pair (drawn from
+    default_rng([seed, 2])).  Path i of run_solve starts at root i."""
+    f = prepare_target(system)
+    if kind == "total":
+        return f, total_degree_start(f.degrees, _total_degree_rng(seed))
+    if kind == "good":
+        pair = good_initial_pair(f.degrees)
+    elif kind == "random":
+        pair = random_initial_pair(f.degrees, np.random.default_rng([seed, 2]))
+    else:
+        raise ValueError(f"unknown start kind {kind!r}")
+    return f, StartSet(pair.g, (pair.zeta0,))
+
+
+def _total_degree_rng(seed: int) -> np.random.Generator:
+    return np.random.default_rng([seed, 1])
+
+
 def run_solve(
     system: PolySystem | AffineSystem,
     start_kind: str = "total",
     seed: int = 0,
     opts: TrackerOptions | None = None,
 ) -> list[SolveRow]:
-    """Solve a target system: all total-degree paths, or one path from the
-    good or random start pair.  Affine inputs are homogenized; every target
-    is normalized to the sphere."""
+    """Track every path of start_paths(system, start_kind, seed): all D
+    total-degree paths (through solve_all_total_degree, which prepares the
+    target as start_paths does), or the one path of the good or random pair.
+    Row i is the path from root i; its endpoint is None unless it succeeded.
+    """
     if opts is None:
         opts = TrackerOptions()
-    if isinstance(system, AffineSystem):
-        system = polysys.homogenize(system)
-    f = normalize_to_sphere(system)
     if start_kind == "total":
-        report = solve_all_total_degree(f, opts, rng=np.random.default_rng([seed, 1]))
-        return [
-            SolveRow(i, r.status.value, r.num_steps, r.endpoint if r.success else None)
-            for i, r in enumerate(report.results)
-        ]
-    if start_kind == "good":
-        pair = good_initial_pair(f.degrees)
-    elif start_kind == "random":
-        pair = random_initial_pair(f.degrees, np.random.default_rng([seed, 2]))
+        results = solve_all_total_degree(system, opts, rng=_total_degree_rng(seed)).results
     else:
-        raise ValueError(f"unknown start kind {start_kind!r}")
-    result = track_path(pair.g, f, pair.zeta0, opts)
-    endpoint = result.endpoint if result.success else None
-    return [SolveRow(0, result.status.value, result.num_steps, endpoint)]
+        f, start = start_paths(system, start_kind, seed)
+        results = [track_path(start.g, f, z, opts) for z in start.roots]
+    return [
+        SolveRow(i, r.status.value, r.num_steps, r.endpoint if r.success else None)
+        for i, r in enumerate(results)
+    ]

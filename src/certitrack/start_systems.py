@@ -1,7 +1,7 @@
 """Start systems and initial pairs for linear homotopies: the roots-of-unity
 total-degree system, the conjectured good pair, and the randomized initial
-pair whose output root is equidistributed, plus the one-root and all-roots
-solvers built on them.
+pair whose output root is equidistributed, the preparation of a target, and
+the all-roots solver built on them.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from .bw import (
     sqrt_multinomials,
     unitary_compose,
 )
-from .linalg import SingularLinearSolveError, kernel_vector, random_unitary, unitary_mapping_to_e0
-from .newton import RefinementError, certified_radius, refine
+from .linalg import kernel_vector, random_unitary, unitary_mapping_to_e0
+from .newton import certified_radius, refine
 from .polysys import PolySystem, evaluate, space_dimension, unit_point
 from .tracker import TrackerOptions, TrackResult, track_path
 
@@ -212,23 +212,6 @@ def random_initial_pair_unitary(degrees, rng: np.random.Generator) -> InitialPai
     return InitialPair(g=g, zeta0=zeta0, kind="Random")
 
 
-def solve_one(
-    f: PolySystem, rng: np.random.Generator, opts: TrackerOptions = TrackerOptions()
-) -> np.ndarray:
-    """One root of f via the random initial pair; every root equally probable
-    when f is regular.  The certified endpoint is polished by Newton before
-    it is returned."""
-    pair = random_initial_pair(f.degrees, rng)
-    result = track_path(pair.g, f, pair.zeta0, opts)
-    if not result.success:
-        raise RuntimeError(f"tracking failed with status {result.status.value}")
-    try:
-        return refine(f, result.endpoint)
-    except (RefinementError, SingularLinearSolveError):
-        # Near-singular targets: the certified endpoint is the best we have.
-        return result.endpoint
-
-
 @dataclass(frozen=True)
 class SolveAllReport:
     """Outcome of tracking every total-degree path to a target."""
@@ -245,28 +228,34 @@ class SolveAllReport:
         return sum(0 if r.success else 1 for r in self.results)
 
 
+def prepare_target(system: PolySystem | polysys.AffineSystem) -> PolySystem:
+    """The system a path is tracked to: homogenized if affine, then scaled
+    onto the unit sphere.  Scaling changes the last bits of a system already
+    on the sphere, so each target goes through here exactly once."""
+    if isinstance(system, polysys.AffineSystem):
+        system = polysys.homogenize(system)
+    return normalize_to_sphere(system)
+
+
 def solve_all_total_degree(
     f: PolySystem | polysys.AffineSystem,
     opts: TrackerOptions = TrackerOptions(),
     rng: np.random.Generator | None = None,
-    check_distinct: bool = True,
 ) -> SolveAllReport:
-    """Track all D total-degree paths to the target.
+    """Track all D total-degree paths to the target f, given as it was read:
+    prepare_target homogenizes and normalizes it once.
 
-    Affine targets are homogenized; any target is normalized to the sphere.
-    With check_distinct, refined endpoints are verified pairwise farther apart
-    than twice the largest certified radius (a cluster would mean crossed
-    paths, which the certified tracker excludes).
+    When every path succeeds, the refined endpoints are verified pairwise
+    farther apart than twice the largest certified radius (a cluster would
+    mean crossed paths, which the certified tracker excludes).
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    if isinstance(f, polysys.AffineSystem):
-        f = polysys.homogenize(f)
-    f = normalize_to_sphere(f)
+    f = prepare_target(f)
     start = total_degree_start(f.degrees, rng)
     results = [track_path(start.g, f, root, opts) for root in start.roots]
     report = SolveAllReport(start=start, results=tuple(results))
-    if check_distinct and report.num_failed == 0:
+    if report.num_failed == 0:
         _check_pairwise_distinct(f, report.endpoints)
     return report
 

@@ -50,11 +50,13 @@ from typing import Callable
 import numpy as np
 
 from . import linalg, polysys
-from .bw import _bw_weights, bw_inner, bw_norm, ensure_on_sphere
+from .bw import bw_inner, bw_inner_re, bw_norm, ensure_on_sphere
 from .linalg import SingularLinearSolveError, bordered_solve, make_bordered
 from .newton import U0, condition_mu, refine
 
 C_OVER_P_LINEAR = 0.04804448
+# Floats in CSV output: 17 significant digits give back every double exactly.
+FLOAT_FMT = "%.17g"
 
 
 class DegenerateHomotopyError(Exception):
@@ -238,7 +240,7 @@ def _chi_at(g: polysys.PolySystem, gdot: polysys.PolySystem, z) -> tuple[float, 
     R = np.stack([g.coeff_vector(), gdot.coeff_vector()])
     rhs, bordered = _step_arrays(ev)
     bordered[ev.n] = z.conj()
-    return _chi(ev.rows(R, ev.point_matrix(z)), _bw_re(g.degrees, R[1], R[1]), bordered, rhs)
+    return _chi(ev.rows(R, ev.point_matrix(z)), bw_inner_re(g.degrees, R[1], R[1]), bordered, rhs)
 
 
 def _step_arrays(ev: polysys.Evaluator) -> tuple[np.ndarray, np.ndarray]:
@@ -251,13 +253,6 @@ def _step_arrays(ev: polysys.Evaluator) -> tuple[np.ndarray, np.ndarray]:
         rhs[i, i] = math.sqrt(d)
     rhs[ev.n, ev.n] = 1.0
     return rhs, np.empty((ev.n + 1, ev.n + 1), dtype=np.complex128)
-
-
-def _bw_re(degrees, a: np.ndarray, b: np.ndarray) -> float:
-    # Re<a, b>_BW of two coefficient vectors by one dot of their real views,
-    # so equal inputs give equal bits in the loop and in certified_step.
-    w = np.concatenate([_bw_weights(len(degrees) + 1, d) for d in degrees]).repeat(2)
-    return float(np.dot(w * a.view(np.float64), b.view(np.float64)))
 
 
 def _chi(blocks, hdot2: float, bordered, rhs) -> tuple[float, float]:
@@ -391,7 +386,7 @@ def track_linear(
     # ||hdot_s||^2 = sin^2(s) <g,g> + cos^2(s) <p,p> - 2 sin(s) cos(s) Re<g,p>.
     degrees, g, p = hom.g.degrees, hom._gvec, hom._pvec
     basis = polysys.evaluator(degrees).place(np.stack([g, p]))
-    gg, pp, gp = _bw_re(degrees, g, g), _bw_re(degrees, p, p), _bw_re(degrees, g, p)
+    gg, pp, gp = (bw_inner_re(degrees, a, b) for a, b in ((g, g), (p, p), (g, p)))
 
     def frame(s):
         c, sn = math.cos(s), math.sin(s)
@@ -422,7 +417,7 @@ def track_general(
 
     def frame(s):
         R = np.stack([hom.value_at(s).coeff_vector(), hom.derivative_at(s).coeff_vector()])
-        return ev.place(R), None, _bw_re(degrees, R[1], R[1])
+        return ev.place(R), None, bw_inner_re(degrees, R[1], R[1])
 
     return _run_certified_loop(frame, hom.T, degrees, c / P, z0, opts)
 
@@ -459,8 +454,9 @@ def theorem_step_bound(hom: LinearHomotopy, z0, resolution: int = 2000) -> int:
     return math.ceil(71.0 * hom.g.max_degree**1.5 * C0)
 
 
-def write_trace_csv(result: TrackResult, path, float_fmt: str = "%.17g") -> None:
-    """Per-step trace: step, s, t, phi, chi1, chi2, then point coordinates."""
+def write_trace_csv(result: TrackResult, path) -> None:
+    """Per-step trace: step, s, t, phi, chi1, chi2, then point coordinates,
+    floats in FLOAT_FMT."""
     n_coords = result.endpoint.shape[0]
     header = ["step", "s", "t", "phi", "chi1", "chi2", "accepted"]
     header += [f"re{j}" for j in range(n_coords)] + [f"im{j}" for j in range(n_coords)]
@@ -469,7 +465,7 @@ def write_trace_csv(result: TrackResult, path, float_fmt: str = "%.17g") -> None
         writer.writerow(header)
         for rec in result.trace:
             row = [rec.step]
-            row += [float_fmt % v for v in (rec.s, rec.t, rec.phi, rec.chi1, rec.chi2)]
+            row += [FLOAT_FMT % v for v in (rec.s, rec.t, rec.phi, rec.chi1, rec.chi2)]
             row.append(int(rec.accepted))
-            row += [float_fmt % c.real for c in rec.z] + [float_fmt % c.imag for c in rec.z]
+            row += [FLOAT_FMT % c.real for c in rec.z] + [FLOAT_FMT % c.imag for c in rec.z]
             writer.writerow(row)

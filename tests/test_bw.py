@@ -5,6 +5,7 @@ import pytest
 
 from certitrack.bw import (
     bw_inner,
+    bw_inner_re,
     bw_norm,
     dense_product,
     normalize_to_sphere,
@@ -57,6 +58,12 @@ class TestInnerProduct:
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
             bw_inner(random_system((2,), 1), random_system((3,), 1))
+
+    def test_real_part_of_stacked_vectors(self):
+        a = random_system((1, 3, 2), 3)
+        b = random_system((1, 3, 2), 4)
+        got = bw_inner_re(a.degrees, a.coeff_vector(), b.coeff_vector())
+        assert got == pytest.approx(bw_inner(a, b).real, rel=1e-14)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_cauchy_schwarz(self, seed):

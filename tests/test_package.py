@@ -1,12 +1,21 @@
 """The package surface: certitrack.__all__ lists what the command line and
-the benchmarks read from the top-level package."""
+the benchmarks read from the top-level package, and no module imports a
+name it never reads."""
 
 import ast
 from pathlib import Path
 
+import pytest
+
 import certitrack
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "benchmarks" / "workloads.py"
+# __init__ re-exports what it imports; __all__ lists those names.
+CHECKED = sorted(
+    p for p in [*(ROOT / "src" / "certitrack").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    if p.name != "__init__.py"
+)
 
 
 def _attributes_read(path: Path, name: str) -> set[str]:
@@ -39,3 +48,22 @@ def test_benchmark_workloads_read_only_listed_names():
     used = _attributes_read(WORKLOADS, "ct")
     assert used, "the workloads read nothing from the package"
     assert used <= set(certitrack.__all__), sorted(used - set(certitrack.__all__))
+
+
+def _unread_imports(path: Path) -> list[str]:
+    # Names bound by an import statement that no expression of the file reads
+    # (`import a.b` binds `a`).
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize("path", CHECKED, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_imported_name_is_read(path):
+    assert _unread_imports(path) == []

@@ -17,7 +17,6 @@ from certitrack.start_systems import (
     random_system_on_sphere,
     restricted_monomial_mask,
     solve_all_total_degree,
-    solve_one,
     total_degree_initial_pair,
     total_degree_start,
     uniform_ball_point,
@@ -228,11 +227,6 @@ class TestRandomInitialPairUnitary:
 
 
 class TestSolvers:
-    def test_solve_one_on_good_target(self):
-        f = good_initial_pair((2, 2)).g
-        z = solve_one(f, np.random.default_rng(16))
-        assert np.linalg.norm(evaluate(f, z)) <= 1e-10
-
     def test_solve_all_distinct_roots(self):
         f = random_system_on_sphere((2, 2), np.random.default_rng(17))
         report = solve_all_total_degree(f, rng=np.random.default_rng(18))
