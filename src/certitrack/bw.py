@@ -90,17 +90,20 @@ def bw_norm(h: PolySystem) -> float:
 
 
 def normalize_to_sphere(h: PolySystem) -> PolySystem:
-    """Scale to unit Bombieri-Weyl norm."""
-    norm = bw_norm(h)
-    if norm == 0.0:
-        raise ValueError("cannot normalize the zero system")
+    """Scale to unit Bombieri-Weyl norm; raises ValueError unless the norm is
+    finite and positive (zero, NaN, or too large to square in floating point)."""
+    with np.errstate(over="ignore"):
+        norm = bw_norm(h)
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"cannot normalize a system of norm {norm!r}")
     return h * (1.0 / norm)
 
 
 def ensure_on_sphere(h: PolySystem, tol: float = 1e-10, what: str = "system") -> PolySystem:
-    """Check unit-norm membership; raises ValueError when violated."""
+    """Check unit-norm membership; raises ValueError when violated (a NaN
+    norm included)."""
     norm = bw_norm(h)
-    if abs(norm - 1.0) > tol:
+    if not abs(norm - 1.0) <= tol:
         raise ValueError(f"{what} must lie on the unit sphere; norm is {norm!r}")
     return h
 

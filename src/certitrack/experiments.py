@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bw import normalize_to_sphere, riemann_distance
+from .bw import riemann_distance
 from .newton import refine
 from .polysys import AffineSystem, PolySystem, space_dimension
 from .start_systems import (
@@ -309,11 +309,14 @@ class EntropyReport:
 
 
 def entropy_target(degrees, epsilon: float, rng: np.random.Generator) -> PolySystem:
-    """Perturbed conjectured system: normalize(g + epsilon * h) with h uniform
-    on the sphere; one well-conditioned root, the rest poorly conditioned."""
-    g = good_system_raw(degrees)
-    h = random_system_on_sphere(degrees, rng)
-    return normalize_to_sphere(g + epsilon * h)
+    """The target of run_entropy: the perturbed conjectured system
+    g + epsilon * h with h uniform on the sphere, through prepare_target; one
+    well-conditioned root, the rest poorly conditioned."""
+    return prepare_target(_perturbed_good_system(degrees, epsilon, rng))
+
+
+def _perturbed_good_system(degrees, epsilon: float, rng: np.random.Generator) -> PolySystem:
+    return good_system_raw(degrees) + epsilon * random_system_on_sphere(degrees, rng)
 
 
 def _entropy_run(args):
@@ -349,10 +352,13 @@ def run_entropy(
     if opts is None:
         opts = TrackerOptions(record_trace=False)
     degrees = tuple(int(d) for d in degrees)
-    f = entropy_target(degrees, epsilon, np.random.default_rng([seed, 0]))
-    report = solve_all_total_degree(f, opts, rng=np.random.default_rng([seed, 1]))
+    # solve_all_total_degree prepares the target once; the histogram paths
+    # track that same system, entropy_target's bits.
+    system = _perturbed_good_system(degrees, epsilon, np.random.default_rng([seed, 0]))
+    report = solve_all_total_degree(system, opts, rng=np.random.default_rng([seed, 1]))
     if report.num_failed:
         raise RuntimeError("failed to compute the reference roots of the target")
+    f = report.target
     references = [refine(f, z) for z in report.endpoints]
     args = [(degrees, variant, run, seed, opts, f, references) for run in range(runs)]
     outcomes = _map_trials(_entropy_run, args, threads)

@@ -6,8 +6,8 @@ path ODE zdot = -(Dh_t)^{-1} hdot_t with a fixed number of Newton corrector
 steps, and adapts the step size from the corrector's error estimate.  It
 works on the same homogeneous systems and projective formulation (bordered
 solves, renormalization) as the certified tracker, so step counts are
-comparable; the specific step-adaptation constants are free parameters of
-the heuristic.
+comparable.  The step-adaptation constants below are free parameters of the
+heuristic, fixed at the values the comparisons in this package use.
 """
 
 from __future__ import annotations
@@ -23,21 +23,25 @@ from .newton import newton_projective
 from .tracker import StepRecord, TrackResult, TrackStatus
 
 
+# Newton steps per correction; the step shrinks by STEP_DECREASE on a
+# rejected attempt and grows by STEP_INCREASE after SUCCESSES_BEFORE_INCREASE
+# accepted ones in a row; a path gives up after MAX_ATTEMPTS attempts.
+CORRECTOR_ITERS = 3
+STEP_DECREASE = 0.5
+STEP_INCREASE = 2.0
+SUCCESSES_BEFORE_INCREASE = 3
+MAX_ATTEMPTS = 100_000
+
+
 @dataclass(frozen=True)
 class HeuristicOptions:
-    corrector_iters: int = 3
+    """corrector_tol accepts a step, step_init is the first step length,
+    t_step_min ends a path MinStepReached, record_trace keeps every attempt."""
+
     corrector_tol: float = 1e-6
     step_init: float = 0.05
-    step_decrease: float = 0.5
-    step_increase: float = 2.0
-    successes_before_increase: int = 3
     t_step_min: float = 1e-6
-    max_attempts: int = 100_000
     record_trace: bool = True
-
-    def __post_init__(self):
-        if not 0.0 < self.step_decrease < 1.0 < self.step_increase:
-            raise ValueError("need 0 < step_decrease < 1 < step_increase")
 
 
 def _ode_tangent(h, hdot, z) -> np.ndarray:
@@ -67,7 +71,7 @@ def predict(hom, s: float, x, dt: float) -> np.ndarray:
     return out / np.linalg.norm(out)
 
 
-def correct(h: polysys.PolySystem, x, iters: int = 3, tol: float = 1e-6):
+def correct(h: polysys.PolySystem, x, iters: int = CORRECTOR_ITERS, tol: float = 1e-6):
     """At most `iters` projective Newton steps; stops early once the step size
     drops under tol.  Returns (point, last step size) — the step size is the
     error estimate the tracker adapts on."""
@@ -102,16 +106,14 @@ def track_heuristic(hom, z0, opts: HeuristicOptions = HeuristicOptions()) -> Tra
     trace: list[StepRecord] = []
 
     while s < T:
-        if attempts >= opts.max_attempts:
+        if attempts >= MAX_ATTEMPTS:
             return TrackResult(z, TrackStatus.MAX_STEPS, accepted, tuple(trace))
         attempts += 1
         step = min(dt, T - s)
         s_next = T if step >= T - s else s + step
         try:
             z_pred = predict(hom, s, z, s_next - s)
-            z_corr, err = correct(
-                hom.value_at(s_next), z_pred, opts.corrector_iters, opts.corrector_tol
-            )
+            z_corr, err = correct(hom.value_at(s_next), z_pred, CORRECTOR_ITERS, opts.corrector_tol)
         except SingularLinearSolveError:
             return TrackResult(z, TrackStatus.SINGULAR, accepted, tuple(trace))
         ok = err <= opts.corrector_tol
@@ -126,11 +128,11 @@ def track_heuristic(hom, z0, opts: HeuristicOptions = HeuristicOptions()) -> Tra
             s = s_next
             accepted += 1
             streak += 1
-            if streak >= opts.successes_before_increase:
-                dt *= opts.step_increase
+            if streak >= SUCCESSES_BEFORE_INCREASE:
+                dt *= STEP_INCREASE
                 streak = 0
         else:
-            dt *= opts.step_decrease
+            dt *= STEP_DECREASE
             streak = 0
             if dt < opts.t_step_min:
                 return TrackResult(z, TrackStatus.MIN_STEP_REACHED, accepted, tuple(trace))

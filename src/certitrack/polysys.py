@@ -428,7 +428,9 @@ def parse_system_json(text: str) -> PolySystem | AffineSystem:
     The record carries "degrees": [d_1, ..., d_n] and "terms": one list per
     equation of {"exponents": [...], "re": float, "im": float}.  Exponent
     lists of length n+1 describe a homogeneous system, length n an affine one.
-    Absent monomials are zero.
+    Absent monomials are zero.  A coefficient that is not finite (NaN,
+    Infinity, or a literal such as 1e400 that overflows) is a ValueError
+    naming its equation.
     """
     record = json.loads(text)
     try:
@@ -449,9 +451,12 @@ def parse_system_json(text: str) -> PolySystem | AffineSystem:
         homogeneous = False
     else:
         raise ValueError(f"inconsistent exponent lengths {sorted(lengths)} for n={n}")
-    if homogeneous:
-        return PolySystem.from_terms(degrees, terms)
-    return AffineSystem.from_terms(degrees, terms)
+    cls = PolySystem if homogeneous else AffineSystem
+    system = cls.from_terms(degrees, terms)
+    for i, vec in enumerate(system.coeffs):
+        if not np.isfinite(vec).all():
+            raise ValueError(f"equation {i}: coefficients must be finite numbers")
+    return system
 
 
 def _parse_terms(i: int, raw) -> list[tuple[list[int], complex]]:

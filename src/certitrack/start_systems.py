@@ -214,8 +214,10 @@ def random_initial_pair_unitary(degrees, rng: np.random.Generator) -> InitialPai
 
 @dataclass(frozen=True)
 class SolveAllReport:
-    """Outcome of tracking every total-degree path to a target."""
+    """Outcome of tracking every total-degree path to a target: target is
+    the prepared system the paths went to."""
 
+    target: PolySystem
     start: StartSet
     results: tuple[TrackResult, ...]
 
@@ -254,7 +256,7 @@ def solve_all_total_degree(
     f = prepare_target(f)
     start = total_degree_start(f.degrees, rng)
     results = [track_path(start.g, f, root, opts) for root in start.roots]
-    report = SolveAllReport(start=start, results=tuple(results))
+    report = SolveAllReport(target=f, start=start, results=tuple(results))
     if report.num_failed == 0:
         _check_pairwise_distinct(f, report.endpoints)
     return report

@@ -7,15 +7,19 @@ bordered systems to form
     chi_1 = || (Dg_i(z_i); z_i*)^{-1} Diag(sqrt(d_1), ..., sqrt(d_n), 1) ||
     chi_2 = ( ||gdot_i||^2 + || (Dg_i(z_i); z_i*)^{-1} (gdot_i(z_i); 0) ||^2 )^{1/2}
 
-and advances by any step inside
+and advances by the upper end of the certified interval
 
     c/P / (2 d^{3/2} chi_1 chi_2)  <=  t_i  <=  c/P / (d^{3/2} chi_1 chi_2),
 
-with c/P = 0.04804448 for the arc-length linear homotopy.  One projective
-Newton step against the advanced system then restores the start certificate,
-so every intermediate point is an approximate zero of its system and the
-endpoint is an approximate zero of the target on the same lifted path.  The
-final step is clipped so the arc parameter hits the total length exactly.
+with c/P = 0.04804448 for the arc-length linear homotopy.  That is the
+constant of the curved-path step rule at curvature bound H = 2^{-3/2}: the
+great circle has ||hddot|| = ||hdot||^2 = 1, so it needs H >= d^{-3/2}, which
+holds for d >= 2.  Systems of degree 1 need H = 1 and take the smaller
+c/P = 0.04662682.  One projective Newton step against the advanced system
+then restores the start certificate, so every intermediate point is an
+approximate zero of its system and the endpoint is an approximate zero of
+the target on the same lifted path.  The final step is clipped so the arc
+parameter hits the total length exactly.
 
 There is no minimum step: on a regular path the certified steps are bounded
 below and their number is finite (at most 71 d^{3/2} times the condition
@@ -30,13 +34,11 @@ Exact operator norms are used for chi_1 (the rule only requires a value
 within a factor 2), which maximizes the step length at negligible cost for
 desk-scale systems.
 
-A step takes one product of a basis of systems with the point matrix at z_i
-(polysys.Evaluator): on the linear homotopy h_s = cos(s) g + sin(s) p the
-basis is (g, p), placed once per path, and the blocks of h_{s_i}, hdot_{s_i}
-and the advanced system are real combinations of theirs; a general homotopy
-gives the basis (h_s, hdot_s) afresh at each s.  One factorization and one
-(n+2)-column solve give chi_1 and chi_2, one more the Newton step.  chi1,
-chi2 and certified_step run the loop's code.
+A step takes one product of the homotopy's (g, p), placed once per path, with
+the point matrix at z_i (polysys.Evaluator): on h_s = cos(s) g + sin(s) p the
+blocks of h_{s_i}, hdot_{s_i} and the advanced system are real rotations of
+theirs.  One factorization and one (n+2)-column solve give chi_1 and chi_2,
+one more the Newton step.  chi1, chi2 and certified_step run the loop's code.
 """
 
 from __future__ import annotations
@@ -45,16 +47,19 @@ import csv
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from . import linalg, polysys
 from .bw import bw_inner, bw_inner_re, bw_norm, ensure_on_sphere
 from .linalg import SingularLinearSolveError, bordered_solve, make_bordered
-from .newton import U0, condition_mu, refine
+from .newton import condition_mu, refine
 
+# c/P of the step rule on the great circle, rounded down: curvature bound
+# H = 2^{-3/2} for largest degree d >= 2, H = 1 for d = 1 (see the module
+# docstring); tests/test_tracker.py checks both against the formula for (c, P).
 C_OVER_P_LINEAR = 0.04804448
+C_OVER_P_DEGREE_ONE = 0.04662682
 # Floats in CSV output: 17 significant digits give back every double exactly.
 FLOAT_FMT = "%.17g"
 
@@ -66,11 +71,11 @@ class DegenerateHomotopyError(Exception):
 class TrackStatus(enum.Enum):
     """Why a path stopped.
 
-    MIN_STEP_REACHED: the certified step fell below the tracking loop's
-    opt-in TrackerOptions.t_step_min, or is no finite length that advances
-    the arc parameter s in floating point (s + t == s, t == 0, or a NaN or
-    infinite step length, as phi == 0 gives).  The heuristic tracker reports
-    it when its step halving reaches its own t_step_min.
+    MIN_STEP_REACHED: the certified step fell below the opt-in
+    TrackerOptions.t_step_min, or is no finite length that advances the arc
+    parameter s in floating point (s + t == s, t == 0, or a NaN or infinite
+    step length, as phi == 0 gives).  The heuristic tracker reports it when
+    its step halving reaches its own t_step_min.
     """
 
     SUCCESS = "Success"
@@ -81,24 +86,18 @@ class TrackStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class TrackerOptions:
-    """Knobs of the certified step rule.
+    """Knobs of the certified tracking loop.
 
-    The certified constants are fixed: C_OVER_P_LINEAR for the linear
-    homotopy, and general_step_constants (from U0) for a curved one.
-    step_fraction places the step inside the permitted interval: 1.0 is the
-    upper end (fewest steps), 0.5 the lower end.  t_step_min is an opt-in
-    give-up threshold of the tracking loop on the certified step length, off
-    (0.0) by default: the step rule itself needs no floor.
+    The step rule has none: every step is the upper end of the certified
+    interval, with the constant of the path's largest degree.  t_step_min is
+    an opt-in give-up threshold on the certified step length, off (0.0) by
+    default: the step rule itself needs no floor.  max_steps bounds the loop,
+    and record_trace keeps a StepRecord per step.
     """
 
     t_step_min: float = 0.0
-    step_fraction: float = 1.0
     max_steps: int = 1_000_000
     record_trace: bool = True
-
-    def __post_init__(self):
-        if not 0.5 <= self.step_fraction <= 1.0:
-            raise ValueError("step_fraction must lie in [1/2, 1]")
 
 
 @dataclass(frozen=True)
@@ -152,20 +151,6 @@ class LinearHomotopy:
         )
 
 
-@dataclass(frozen=True)
-class CurveHomotopy:
-    """General C^1 homotopy on the sphere with an explicit curvature constant.
-
-    The caller asserts ||hddot_t|| <= d^{3/2} * curvature_bound * ||hdot_t||^2
-    almost everywhere; the certified step interval is derived from that bound.
-    """
-
-    T: float
-    value_at: Callable[[float], polysys.PolySystem]
-    derivative_at: Callable[[float], polysys.PolySystem]
-    curvature_bound: float
-
-
 def make_linear_homotopy(g: polysys.PolySystem, f: polysys.PolySystem) -> LinearHomotopy:
     """Great-circle homotopy between unit-norm systems g and f.
 
@@ -206,30 +191,26 @@ def chi2(g: polysys.PolySystem, gdot: polysys.PolySystem, z) -> float:
     return _chi_at(g, gdot, z)[1]
 
 
-def certified_step(
-    g: polysys.PolySystem,
-    gdot: polysys.PolySystem,
-    z,
-    opts: TrackerOptions = TrackerOptions(),
-) -> tuple[float, float]:
+def certified_step(g: polysys.PolySystem, gdot: polysys.PolySystem, z) -> tuple[float, float]:
     """Certified step length and the factor phi = chi1 * chi2 it came from.
 
-    The returned t equals step_fraction * C_OVER_P_LINEAR / (d^{3/2} phi),
-    which lies in the certified interval for any step_fraction in [1/2, 1];
-    it is the step the linear-homotopy loop takes from (g, z) when gdot is
-    the tangent there (before that loop clips it to the end of the path or
-    applies t_step_min).  A tangent with phi = 0 gives t = inf, as in the
-    loop, where it ends the path MinStepReached.  Raises
-    SingularLinearSolveError on a singular bordered system.
+    The returned t is c/P / (d^{3/2} phi), the upper end of the certified
+    interval, with the c/P of g's largest degree d: the step the tracking
+    loop takes from (g, z) when gdot is the tangent there (before the loop
+    clips it to the end of the path or applies t_step_min).  A tangent with
+    phi = 0 gives t = inf, as in the loop, where it ends the path
+    MinStepReached.  Raises SingularLinearSolveError on a singular bordered
+    system.
     """
     x1, x2 = _chi_at(g, gdot, z)
     phi = x1 * x2
-    return _step_length(opts.step_fraction * C_OVER_P_LINEAR, g.max_degree**1.5, phi), phi
+    return _step_length(g.max_degree, phi), phi
 
 
-def _step_length(c_over_p: float, d32: float, phi: float) -> float:
+def _step_length(max_degree: int, phi: float) -> float:
     # phi == 0 (a zero-speed homotopy) gives t = inf: no certified step.
-    return c_over_p / (d32 * phi) if phi else math.inf
+    c_over_p = C_OVER_P_LINEAR if max_degree >= 2 else C_OVER_P_DEGREE_ONE
+    return c_over_p / (max_degree**1.5 * phi) if phi else math.inf
 
 
 def _chi_at(g: polysys.PolySystem, gdot: polysys.PolySystem, z) -> tuple[float, float]:
@@ -270,11 +251,16 @@ def _chi(blocks, hdot2: float, bordered, rhs) -> tuple[float, float]:
     return x1, x2
 
 
-def _combine(mix, B: np.ndarray, n: int) -> np.ndarray:
-    # The (2, n, n+2) blocks of h_s and hdot_s, mix times the basis blocks B
-    # (None: B holds them, and a NaN tangent stays out of h_s).
-    if mix is None:
-        return B.reshape(2, n, -1)
+def _rotation(s: float, gg: float, pp: float, gp: float) -> tuple[np.ndarray, float]:
+    # h_s = cos(s) g + sin(s) p and hdot_s = -sin(s) g + cos(s) p: the real
+    # 2 x 2 rotation of the (g, p) blocks into those of (h_s, hdot_s), and
+    # ||hdot_s||^2 = sin^2(s) <g,g> + cos^2(s) <p,p> - 2 sin(s) cos(s) Re<g,p>.
+    c, sn = math.cos(s), math.sin(s)
+    return np.array([[c, sn], [-sn, c]]), sn * sn * gg + c * c * pp - 2.0 * sn * c * gp
+
+
+def _rotate(mix: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
+    # The (2, n, n+2) blocks of h_s and hdot_s from the stacked (g, p) blocks B.
     return mix.dot(B.view(np.float64).reshape(2, -1)).view(np.complex128).reshape(2, n, -1)
 
 
@@ -292,57 +278,46 @@ def _norm(x) -> float:
     return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
-def general_step_constants(curvature_bound: float) -> tuple[float, float]:
-    """Constants (c, P) of the certified step rule for a curvature bound H."""
-    if curvature_bound < 0:
-        raise ValueError("the curvature bound must be nonnegative")
-    P = math.sqrt(2.0) + math.sqrt(4.0 + 5.0 * curvature_bound**2)
-    a = math.sqrt(2.0) * U0 / 2.0
-    c = ((1.0 - a) ** math.sqrt(2.0) / (1.0 + a)) * (
-        1.0 - (1.0 - U0 / (math.sqrt(2.0) + 2.0 * U0)) ** (P / math.sqrt(2.0))
-    )
-    return c, P
-
-
 def _systems_equal(g: polysys.PolySystem, f: polysys.PolySystem, tol: float = 1e-13) -> bool:
     return g.degrees == f.degrees and all(
         np.max(np.abs(a - b)) <= tol if a.size else True for a, b in zip(g.coeffs, f.coeffs)
     )
 
 
-def _run_certified_loop(
-    frame,
-    T: float,
-    degrees,
-    c_over_p: float,
-    z0,
-    opts: TrackerOptions,
+def track_linear(
+    hom: LinearHomotopy, z0, opts: TrackerOptions = TrackerOptions()
 ) -> TrackResult:
-    # frame(s) gives (basis, mix, ||hdot_s||^2): Evaluator.place of two
-    # systems and the real 2 x 2 mix of their blocks into those of h_s and
-    # hdot_s (see _combine).  A basis is multiplied by each point matrix once.
+    """Follow the lifted path of a linear homotopy from an approximate zero z0 of g.
+
+    z0 must satisfy the start certificate (exact start zeros always do).  On
+    Success the endpoint is an approximate zero of f associated to the end of
+    the lifted path through the start pair.
+    """
+    # (g, p) is placed once per path and multiplied by each point matrix once;
+    # the rotation to s_next serves the Newton step and then the next step.
+    degrees, g, p, T = hom.g.degrees, hom._gvec, hom._pvec, hom.T
     ev = polysys.evaluator(degrees)
     n = ev.n
+    basis = ev.place(np.stack([g, p]))
+    gg, pp, gp = (bw_inner_re(degrees, a, b) for a, b in ((g, g), (p, p), (g, p)))
     rhs, bordered = _step_arrays(ev)
     newton_rhs = np.zeros(n + 1, dtype=np.complex128)
     z = _start_point(ev.n_vars, z0)
-    d32 = ev.max_d**1.5
     s = 0.0
     steps = 0
     trace: list[StepRecord] = []
-    basis, mix, hdot2 = frame(s)
+    mix, hdot2 = _rotation(s, gg, pp, gp)
     while s != T:
         if steps >= opts.max_steps:
             return TrackResult(z, TrackStatus.MAX_STEPS, steps, tuple(trace))
-        M = ev.point_matrix(z)
-        B = basis.dot(M)
+        B = basis.dot(ev.point_matrix(z))
         bordered[n] = z.conj()
         try:
-            x1, x2 = _chi(_combine(mix, B, n), hdot2, bordered, rhs)
+            x1, x2 = _chi(_rotate(mix, B, n), hdot2, bordered, rhs)
         except SingularLinearSolveError:
             return TrackResult(z, TrackStatus.SINGULAR, steps, tuple(trace))
         phi = x1 * x2
-        t = _step_length(opts.step_fraction * c_over_p, d32, phi)
+        t = _step_length(ev.max_d, phi)
         # The step must be finite and move s in floating point; written so
         # that t == 0 and a NaN t stop here too.
         if t < opts.t_step_min or not s < s + t < math.inf:
@@ -353,11 +328,8 @@ def _run_certified_loop(
             s_next = T
         else:
             s_next = s + t
-        next_basis, mix, hdot2 = frame(s_next)
-        if next_basis is not basis:
-            basis = next_basis
-            B = basis.dot(M)
-        block = _combine(mix, B, n)[0]
+        mix, hdot2 = _rotation(s_next, gg, pp, gp)
+        block = _rotate(mix, B, n)[0]
         bordered[:n] = block[:, : n + 1]
         try:
             lu = linalg.lu_factor_checked(bordered)
@@ -373,28 +345,6 @@ def _run_certified_loop(
     return TrackResult(z, TrackStatus.SUCCESS, steps, tuple(trace))
 
 
-def track_linear(
-    hom: LinearHomotopy, z0, opts: TrackerOptions = TrackerOptions()
-) -> TrackResult:
-    """Follow the lifted path of a linear homotopy from an approximate zero z0 of g.
-
-    z0 must satisfy the start certificate (exact start zeros always do).  On
-    Success the endpoint is an approximate zero of f associated to the end of
-    the lifted path through the start pair.
-    """
-    # h_s = cos(s) g + sin(s) p and hdot_s = -sin(s) g + cos(s) p, so
-    # ||hdot_s||^2 = sin^2(s) <g,g> + cos^2(s) <p,p> - 2 sin(s) cos(s) Re<g,p>.
-    degrees, g, p = hom.g.degrees, hom._gvec, hom._pvec
-    basis = polysys.evaluator(degrees).place(np.stack([g, p]))
-    gg, pp, gp = (bw_inner_re(degrees, a, b) for a, b in ((g, g), (p, p), (g, p)))
-
-    def frame(s):
-        c, sn = math.cos(s), math.sin(s)
-        return basis, np.array([[c, sn], [-sn, c]]), sn * sn * gg + c * c * pp - 2.0 * sn * c * gp
-
-    return _run_certified_loop(frame, hom.T, degrees, C_OVER_P_LINEAR, z0, opts)
-
-
 def track_path(
     g: polysys.PolySystem,
     f: polysys.PolySystem,
@@ -405,21 +355,6 @@ def track_path(
     if _systems_equal(g, f):
         return TrackResult(_start_point(g.n_vars, z0), TrackStatus.SUCCESS, 0, ())
     return track_linear(make_linear_homotopy(g, f), z0, opts)
-
-
-def track_general(
-    hom: CurveHomotopy, z0, opts: TrackerOptions = TrackerOptions()
-) -> TrackResult:
-    """Certified tracking of a general C^{1+Lip} homotopy with curvature bound."""
-    c, P = general_step_constants(hom.curvature_bound)
-    degrees = hom.value_at(0.0).degrees
-    ev = polysys.evaluator(degrees)
-
-    def frame(s):
-        R = np.stack([hom.value_at(s).coeff_vector(), hom.derivative_at(s).coeff_vector()])
-        return ev.place(R), None, bw_inner_re(degrees, R[1], R[1])
-
-    return _run_certified_loop(frame, hom.T, degrees, c / P, z0, opts)
 
 
 def condition_length(hom: LinearHomotopy, z0, resolution: int = 2000) -> float:

@@ -8,6 +8,7 @@ from certitrack.bw import (
     bw_inner_re,
     bw_norm,
     dense_product,
+    ensure_on_sphere,
     normalize_to_sphere,
     riemann_distance,
     unitary_compose,
@@ -126,6 +127,22 @@ class TestNormalize:
         h = PolySystem((2,), (np.zeros(3, dtype=complex),))
         with pytest.raises(ValueError):
             normalize_to_sphere(h)
+
+    @pytest.mark.parametrize("coeff", [1e200, math.nan], ids=["overflows", "nan"])
+    def test_non_finite_norm_rejected(self, coeff):
+        # |1e200|^2 overflows: the norm is inf, and scaling by 1/inf would
+        # give the zero system
+        h = PolySystem.from_terms((2,), [[((2, 0), 1.0), ((0, 2), coeff)]])
+        with pytest.raises(ValueError, match="cannot normalize"):
+            normalize_to_sphere(h)
+
+
+class TestEnsureOnSphere:
+    def test_nan_system_rejected(self):
+        # abs(nan - 1) > tol is False: the check must be written the other way
+        h = PolySystem.from_terms((2,), [[((2, 0), math.nan)]])
+        with pytest.raises(ValueError, match="unit sphere"):
+            ensure_on_sphere(h)
 
 
 class TestRiemannDistance:

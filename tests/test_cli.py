@@ -128,6 +128,9 @@ class TestUnreadableSystem:
             '{"degrees": [1]}',
             '{"degrees": [1], "terms": [[{"re": 1.0}]]}',
             '{"degrees": [1], "terms": [[{"exponents": [1, 0], "re": "x"}]]}',
+            '{"degrees": [1], "terms": [[{"exponents": [1, 0], "re": NaN}]]}',
+            '{"degrees": [1], "terms": [[{"exponents": [1, 0], "im": Infinity}]]}',
+            '{"degrees": [1], "terms": [[{"exponents": [1, 0], "re": 1e400}]]}',
         ],
     )
     def test_reported_as_usage_error(self, tmp_path, capsys, command, content):
@@ -143,3 +146,4 @@ class TestUnreadableSystem:
         message = err.strip().splitlines()[-1]
         assert f"error: cannot load system file {str(system)!r}" in message
         assert not out.exists()
+

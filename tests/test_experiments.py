@@ -183,6 +183,31 @@ class TestEntropyExperiment:
 
         assert bw_norm(f) == pytest.approx(1.0, abs=1e-12)
 
+    def test_reference_roots_are_of_the_tracked_target(self, monkeypatch):
+        # The total-degree reference paths and the histogram paths track one
+        # system, bit for bit: entropy_target's.  Seed 1 is one where scaling
+        # the target a second time changes its bits.
+        import certitrack.experiments as experiments
+        import certitrack.start_systems as start_systems
+
+        targets = []
+
+        def recording(module):
+            track = module.track_path
+
+            def wrapper(g, f, z0, opts):
+                targets.append(f.coeff_vector().tobytes())
+                return track(g, f, z0, opts)
+
+            monkeypatch.setattr(module, "track_path", wrapper)
+
+        recording(experiments)
+        recording(start_systems)
+        run_entropy((2, 2), epsilon=0.1, runs=2, seed=1)
+        assert len(targets) == 4 + 2
+        want = entropy_target((2, 2), 0.1, np.random.default_rng([1, 0]))
+        assert set(targets) == {want.coeff_vector().tobytes()}
+
     def test_small_entropy_run(self):
         rep = run_entropy((2, 2), epsilon=0.1, runs=12, variant="ball", seed=0)
         assert len(rep.root_hits) == 4

@@ -94,10 +94,6 @@ class TestTrackHeuristic:
         res = track_heuristic(hom, start.roots[0], opts)
         assert res.status is TrackStatus.MIN_STEP_REACHED
 
-    def test_option_validation(self):
-        with pytest.raises(ValueError):
-            HeuristicOptions(step_decrease=1.5)
-
     def test_trace_flags_rejections(self, quad_path):
         start, f, hom = quad_path
         opts = HeuristicOptions(corrector_tol=1e-9, step_init=0.4)

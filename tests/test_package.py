@@ -67,3 +67,35 @@ def _unread_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", CHECKED, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_imported_name_is_read(path):
     assert _unread_imports(path) == []
+
+
+def test_settable_surface_is_pinned():
+    # Every option field and CLI flag a caller can set.  A new knob needs an
+    # edit here, with its reason given in CHANGES.md.
+    import dataclasses
+
+    from certitrack.cli import build_parser
+
+    assert [f.name for f in dataclasses.fields(certitrack.TrackerOptions)] == [
+        "t_step_min", "max_steps", "record_trace",
+    ]
+    assert [f.name for f in dataclasses.fields(certitrack.HeuristicOptions)] == [
+        "corrector_tol", "step_init", "t_step_min", "record_trace",
+    ]
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if a.choices and a.dest == "command")
+    flags = {
+        name: sorted(opt for a in sub._actions for opt in (a.option_strings or [a.dest]))
+        for name, sub in subparsers.choices.items()
+    }
+    common = ["--out", "--seed", "--threads", "-h", "--help"]
+    assert flags == {
+        name: sorted(extra + common)
+        for name, extra in {
+            "solve": ["system", "--start", "--t-step-min"],
+            "track": ["system", "--start", "--path", "--t-step-min"],
+            "bench": ["--family", "--degrees", "--n", "--trials", "--tracker"],
+            "conjecture": ["--n", "--trials", "--verify-bound"],
+            "entropy": ["--degrees", "--epsilon", "--runs", "--variant"],
+        }.items()
+    }

@@ -377,9 +377,12 @@ class TestSystemIO:
             '{"exponents": [1, 0], "re": []}',
             '{"exponents": [1, 0], "re": 1' + "0" * 400 + "}",
             "3",
+            '{"exponents": [1, 0, 0], "re": NaN}',
+            '{"exponents": [1, 0, 0], "im": -Infinity}',
+            '{"exponents": [1, 0, 0], "re": 1e400}',
         ],
         ids=["no-exponents", "exponents-not-a-list", "exponent-not-an-integer", "re-not-a-number",
-             "re-overflows", "term-not-an-object"],
+             "re-overflows", "term-not-an-object", "re-nan", "im-infinite", "re-1e400-is-inf"],
     )
     def test_malformed_term_names_its_equation(self, term):
         text = f'{{"degrees": [1, 1], "terms": [[{{"exponents": [0, 1, 0]}}], [{term}]]}}'

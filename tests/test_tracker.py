@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from certitrack.bw import bw_inner, bw_norm, normalize_to_sphere, riemann_distance
 from certitrack.experiments import katsura_system
 from certitrack.linalg import SingularLinearSolveError
-from certitrack.newton import condition_mu, refine
+from certitrack.newton import U0, condition_mu, refine
 from certitrack.polysys import (
     Evaluator,
     PolySystem,
@@ -25,9 +26,8 @@ from certitrack.start_systems import (
     total_degree_start,
 )
 from certitrack.tracker import (
+    C_OVER_P_DEGREE_ONE,
     C_OVER_P_LINEAR,
-    U0,
-    CurveHomotopy,
     DegenerateHomotopyError,
     TrackStatus,
     TrackerOptions,
@@ -35,14 +35,29 @@ from certitrack.tracker import (
     chi1,
     chi2,
     condition_length,
-    general_step_constants,
     make_linear_homotopy,
     theorem_step_bound,
-    track_general,
     track_linear,
     track_path,
     write_trace_csv,
 )
+
+
+def step_constants(curvature_bound: float) -> tuple[float, float]:
+    """Constants (c, P) of the certified step rule on a homotopy whose
+    curvature obeys ||hddot|| <= d^{3/2} H ||hdot||^2, for H = curvature_bound:
+    the reference the tracker's fixed c/P values are checked against."""
+    P = math.sqrt(2.0) + math.sqrt(4.0 + 5.0 * curvature_bound**2)
+    a = math.sqrt(2.0) * U0 / 2.0
+    c = ((1.0 - a) ** math.sqrt(2.0) / (1.0 + a)) * (
+        1.0 - (1.0 - U0 / (math.sqrt(2.0) + 2.0 * U0)) ** (P / math.sqrt(2.0))
+    )
+    return c, P
+
+
+def c_over_p(curvature_bound: float) -> float:
+    c, P = step_constants(curvature_bound)
+    return c / P
 
 
 @pytest.fixture(scope="module")
@@ -174,27 +189,14 @@ class TestCertifiedStep:
         # phi = 1, d = 2 gives t = 0.04804448 / 2^{3/2}
         assert C_OVER_P_LINEAR / 2.0**1.5 == pytest.approx(0.016988, abs=1e-5)
 
-    def test_half_fraction_halves(self, quad_pair):
-        start, f = quad_pair
-        hom = make_linear_homotopy(start.g, f)
-        gdot = hom.derivative_at(0.0)
-        t1, _ = certified_step(start.g, gdot, start.roots[0])
-        t2, _ = certified_step(
-            start.g, gdot, start.roots[0], TrackerOptions(step_fraction=0.5)
-        )
-        assert t2 == pytest.approx(t1 / 2.0, rel=1e-12)
-
     def test_interval_containment(self, quad_pair):
         start, f = quad_pair
         hom = make_linear_homotopy(start.g, f)
         gdot = hom.derivative_at(0.0)
-        for frac in (0.5, 0.7, 1.0):
-            t, phi = certified_step(
-                start.g, gdot, start.roots[0], TrackerOptions(step_fraction=frac)
-            )
-            lo = C_OVER_P_LINEAR / (2.0 * 2.0**1.5 * phi)
-            hi = C_OVER_P_LINEAR / (2.0**1.5 * phi)
-            assert lo - 1e-15 <= t <= hi + 1e-15
+        t, phi = certified_step(start.g, gdot, start.roots[0])
+        lo = C_OVER_P_LINEAR / (2.0 * 2.0**1.5 * phi)
+        hi = C_OVER_P_LINEAR / (2.0**1.5 * phi)
+        assert lo - 1e-15 <= t <= hi + 1e-15
 
     @pytest.mark.parametrize("degrees", [(2, 2), (1, 2, 2)])
     def test_is_the_loops_first_step(self, degrees):
@@ -255,10 +257,6 @@ class TestCertifiedStep:
         with pytest.raises(ValueError):
             certified_step(g, gdot, z)
 
-    def test_step_fraction_validation(self):
-        with pytest.raises(ValueError):
-            TrackerOptions(step_fraction=0.3)
-
 
 class TestTrackLinear:
     def test_same_system_returns_immediately(self, quad_pair):
@@ -294,20 +292,11 @@ class TestTrackLinear:
         start, f = quad_pair
         hom = make_linear_homotopy(start.g, f)
         d32 = 2.0**1.5
-        for frac in (0.5, 1.0):
-            result = track_linear(hom, start.roots[2], TrackerOptions(step_fraction=frac))
-            for rec in result.trace[:-1]:
-                lo = C_OVER_P_LINEAR / (2.0 * d32 * rec.phi)
-                hi = C_OVER_P_LINEAR / (d32 * rec.phi)
-                assert lo * (1 - 1e-12) <= rec.t <= hi * (1 + 1e-12)
-
-    def test_lower_fraction_means_more_steps(self, quad_pair):
-        start, f = quad_pair
-        hom = make_linear_homotopy(start.g, f)
-        fast = track_linear(hom, start.roots[0], TrackerOptions(step_fraction=1.0))
-        slow = track_linear(hom, start.roots[0], TrackerOptions(step_fraction=0.5))
-        assert slow.num_steps > fast.num_steps
-        assert slow.num_steps <= 2 * fast.num_steps + 2
+        result = track_linear(hom, start.roots[2])
+        for rec in result.trace[:-1]:
+            lo = C_OVER_P_LINEAR / (2.0 * d32 * rec.phi)
+            hi = C_OVER_P_LINEAR / (d32 * rec.phi)
+            assert lo * (1 - 1e-12) <= rec.t <= hi * (1 + 1e-12)
 
     def test_determinism(self, quad_pair):
         start, f = quad_pair
@@ -379,11 +368,8 @@ class TestTrackLinear:
         rng = np.random.default_rng(3)
         g = total_degree_start((2, 2, 2), rng).g
         hom = make_linear_homotopy(g, random_system_on_sphere((2, 2, 2), rng))
-        curve = CurveHomotopy(hom.T, hom.value_at, hom.derivative_at, curvature_bound=1.0)
         with pytest.raises(ValueError):
             track_linear(hom, bad)
-        with pytest.raises(ValueError):
-            track_general(curve, bad)
 
     def test_intermediate_certificates_sampled(self, quad_pair):
         # every traced point is an approximate zero of its system with the
@@ -397,6 +383,27 @@ class TestTrackLinear:
             zeta = refine(h_s, rec.z)
             mu = condition_mu(h_s, zeta)
             assert riemann_distance(rec.z, zeta) <= U0 / (2.0 * 2.0**1.5 * mu)
+
+    def test_piecewise_split_step_bound(self, quad_pair):
+        # splitting the arc in two adds at most the number of segments to the
+        # step bound of the whole path
+        start, f = quad_pair
+        hom = make_linear_homotopy(start.g, f)
+        mid = normalize_to_sphere(hom.value_at(hom.T / 2.0))
+        first = make_linear_homotopy(start.g, mid)
+        res1 = track_linear(first, start.roots[0])
+        assert res1.status is TrackStatus.SUCCESS
+        second = make_linear_homotopy(mid, f)
+        res2 = track_linear(second, res1.endpoint)
+        assert res2.status is TrackStatus.SUCCESS
+        c0_total = condition_length(hom, start.roots[0], resolution=800)
+        bound = 2 + math.ceil(71.0 * 2.0**1.5 * c0_total)
+        assert res1.num_steps + res2.num_steps <= bound
+        # and both halves land on the same root as the unsplit path
+        direct = track_linear(hom, start.roots[0])
+        assert riemann_distance(
+            refine(f, res2.endpoint), refine(f, direct.endpoint)
+        ) <= 1e-8
 
 
 class TestConditionLength:
@@ -426,99 +433,71 @@ class TestConditionLength:
             assert result.num_steps <= theorem_step_bound(hom, root, resolution=800)
 
 
-class TestTrackGeneral:
+class TestStepConstant:
+    """The fixed c/P values against the step rule's constants (c, P) at the
+    great circle's curvature: ||hddot|| = ||hdot||^2 = 1 needs H >= d^{-3/2}."""
+
     def test_constants_zero_curvature(self):
-        c, P = general_step_constants(0.0)
+        c, P = step_constants(0.0)
         assert P == pytest.approx(math.sqrt(2.0) + 2.0)
-        a = math.sqrt(2.0) * U0 / 2.0
-        want_c = ((1 - a) ** math.sqrt(2.0) / (1 + a)) * (
-            1 - (1 - U0 / (math.sqrt(2.0) + 2 * U0)) ** (P / math.sqrt(2.0))
-        )
-        assert c == pytest.approx(want_c, rel=1e-12)
         assert 0.0 < c / P < 1.0
 
     def test_ratio_decreasing_in_curvature(self):
-        values = [general_step_constants(H) for H in np.linspace(0.0, 10.0, 21)]
-        ratios = [c / P for c, P in values]
+        # a larger curvature bound than a path needs is still certified
+        ratios = [c_over_p(H) for H in np.linspace(0.0, 10.0, 21)]
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
 
-    def test_matches_linear_tracker_endpoint(self, quad_pair):
-        start, f = quad_pair
-        hom = make_linear_homotopy(start.g, f)
-        # unit-speed great circle: ||hddot|| = ||hdot||^2 = 1, and d >= 1
-        wrapped = CurveHomotopy(
-            T=hom.T,
-            value_at=hom.value_at,
-            derivative_at=hom.derivative_at,
-            curvature_bound=1.0,
-        )
-        res_gen = track_general(wrapped, start.roots[0])
-        res_lin = track_linear(hom, start.roots[0])
-        assert res_gen.status is TrackStatus.SUCCESS
-        assert riemann_distance(res_gen.endpoint, res_lin.endpoint) <= 1e-6
-        # smaller certified constant means at least as many steps
-        assert res_gen.num_steps >= res_lin.num_steps
+    def test_linear_constant_is_the_degree_two_value(self):
+        # d >= 2 needs H = d^{-3/2} <= 2^{-3/2}; the constant rounds down
+        reference = c_over_p(2.0**-1.5)
+        assert C_OVER_P_LINEAR <= reference
+        assert reference - C_OVER_P_LINEAR <= 1e-8
 
-    def test_piecewise_split_step_bound(self, quad_pair):
-        # splitting the arc in two adds at most the number of segments to the
-        # step bound of the whole path
-        start, f = quad_pair
+    def test_degree_one_constant(self):
+        # d = 1 needs H = 1, a smaller c/P than the degree-two value
+        reference = c_over_p(1.0)
+        assert C_OVER_P_DEGREE_ONE <= reference < C_OVER_P_LINEAR
+        assert reference - C_OVER_P_DEGREE_ONE <= 1e-8
+
+    def test_linear_path_steps_within_degree_one_bound(self):
+        # every step of a (1, 1) path, certified_step's included, stays at or
+        # below c/P at H = 1
+        rng = np.random.default_rng(11)
+        f = random_system_on_sphere((1, 1), rng)
+        start = total_degree_start((1, 1), rng)
         hom = make_linear_homotopy(start.g, f)
-        mid = normalize_to_sphere(hom.value_at(hom.T / 2.0))
-        first = make_linear_homotopy(start.g, mid)
-        res1 = track_linear(first, start.roots[0])
-        assert res1.status is TrackStatus.SUCCESS
-        second = make_linear_homotopy(mid, f)
-        res2 = track_linear(second, res1.endpoint)
-        assert res2.status is TrackStatus.SUCCESS
-        c0_total = condition_length(hom, start.roots[0], resolution=800)
-        bound = 2 + math.ceil(71.0 * 2.0**1.5 * c0_total)
-        assert res1.num_steps + res2.num_steps <= bound
-        # and both halves land on the same root as the unsplit path
-        direct = track_linear(hom, start.roots[0])
-        assert riemann_distance(
-            refine(f, res2.endpoint), refine(f, direct.endpoint)
-        ) <= 1e-8
+        result = track_linear(hom, start.roots[0])
+        assert result.status is TrackStatus.SUCCESS
+        assert result.num_steps > 10
+        bound = c_over_p(1.0)
+        assert all(rec.t <= bound / rec.phi for rec in result.trace)
+        t, phi = certified_step(hom.value_at(0.0), hom.derivative_at(0.0), start.roots[0])
+        assert t <= bound / phi
 
 
 class TestNonFiniteStep:
     """A step length that cannot move s ends the path with a status."""
 
     @staticmethod
-    def _wrapped(quad_pair, derivative_at):
+    def _scaled(quad_pair, factor):
+        # The homotopy with its normal direction p scaled: 0 stands still
+        # (phi = 0), 1e300 overflows (phi = inf).
         start, f = quad_pair
         hom = make_linear_homotopy(start.g, f)
-        curve = CurveHomotopy(
-            T=hom.T,
-            value_at=hom.value_at,
-            derivative_at=lambda s: derivative_at(hom, s),
-            curvature_bound=1.0,
-        )
-        return curve, start.roots[0]
-
-    def test_nan_derivative(self, quad_pair):
-        def nan_derivative(hom, s):
-            vec = hom.derivative_at(s).coeff_vector()
-            vec[0] = np.nan
-            return PolySystem.from_coeff_vector(hom.g.degrees, vec)
-
-        curve, z0 = self._wrapped(quad_pair, nan_derivative)
-        result = track_general(curve, z0, TrackerOptions(max_steps=50))
-        assert result.status is TrackStatus.MIN_STEP_REACHED
-        assert result.num_steps == 0
+        return dataclasses.replace(hom, _pvec=factor * hom._pvec), start.roots[0]
 
     def test_overflowing_derivative(self, quad_pair):
         # phi = inf gives t = 0, which must not loop until max_steps
-        curve, z0 = self._wrapped(quad_pair, lambda hom, s: 1e300 * hom.derivative_at(s))
+        hom, z0 = self._scaled(quad_pair, 1e300)
         with np.errstate(over="ignore"):
-            result = track_general(curve, z0, TrackerOptions(max_steps=50))
+            result = track_linear(hom, z0, TrackerOptions(max_steps=50))
         assert result.status is TrackStatus.MIN_STEP_REACHED
         assert result.num_steps == 0
 
     def test_zero_derivative(self, quad_pair):
         # phi = 0 gives t = inf, which must neither raise nor jump to T
-        curve, z0 = self._wrapped(quad_pair, lambda hom, s: 0.0 * hom.derivative_at(s))
-        result = track_general(curve, z0, TrackerOptions(max_steps=50))
+        hom, z0 = self._scaled(quad_pair, 0.0)
+        result = track_linear(hom, z0, TrackerOptions(max_steps=50))
         assert result.status is TrackStatus.MIN_STEP_REACHED
         assert result.num_steps == 0
 
