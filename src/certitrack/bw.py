@@ -89,14 +89,20 @@ def bw_norm(h: PolySystem) -> float:
     return math.sqrt(total)
 
 
-def normalize_to_sphere(h: PolySystem) -> PolySystem:
-    """Scale to unit Bombieri-Weyl norm; raises ValueError unless the norm is
-    finite and positive (zero, NaN, or too large to square in floating point)."""
+def unit_scale(h: PolySystem) -> float:
+    """1 / ||h||, the factor normalize_to_sphere scales h by; raises
+    ValueError unless the norm is finite and positive (zero, NaN, or too
+    large to square in floating point)."""
     with np.errstate(over="ignore"):
         norm = bw_norm(h)
     if not 0.0 < norm < math.inf:
         raise ValueError(f"cannot normalize a system of norm {norm!r}")
-    return h * (1.0 / norm)
+    return 1.0 / norm
+
+
+def normalize_to_sphere(h: PolySystem) -> PolySystem:
+    """Scale to unit Bombieri-Weyl norm: h * unit_scale(h)."""
+    return h * unit_scale(h)
 
 
 def ensure_on_sphere(h: PolySystem, tol: float = 1e-10, what: str = "system") -> PolySystem:

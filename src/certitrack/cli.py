@@ -32,17 +32,21 @@ from .experiments import (
     run_solve,
     start_paths,
 )
-from .polysys import parse_system_json
+from .bw import unit_scale
+from .polysys import AffineSystem, homogenize, parse_system_json
 from .tracker import FLOAT_FMT, TrackerOptions, track_path, write_trace_csv
 
 
 def _load_system(args):
     """The system file of args, or an argparse error (exit 2) when it cannot
-    be read or parsed."""
+    be read or parsed, or when its Bombieri-Weyl norm is zero or overflows,
+    so that prepare_target could not scale it onto the sphere."""
     try:
-        return parse_system_json(Path(args.system).read_text())
+        system = parse_system_json(Path(args.system).read_text())
+        unit_scale(homogenize(system) if isinstance(system, AffineSystem) else system)
     except (OSError, ValueError) as exc:
         args.error(f"cannot load system file {args.system!r}: {exc}")
+    return system
 
 
 def _write_rows(out: str | None, header: list[str], rows) -> None:

@@ -8,17 +8,26 @@ works on the same homogeneous systems and projective formulation (bordered
 solves, renormalization) as the certified tracker, so step counts are
 comparable.  The step-adaptation constants below are free parameters of the
 heuristic, fixed at the values the comparisons in this package use.
+
+The predictor evaluates the homotopy as the certified loop does, from the
+LinearHomotopy's (g, p) coefficient vectors placed once per attempt: each
+RK4 stage is one point matrix, one product and one rotation to the stage's
+parameter.  The corrector still runs newton_projective on h_{s_next}: it is
+the load on polysys.evaluate/jacobian and linalg.make_bordered that the
+heuristic-222 benchmark workload expects, so it moves onto the placed
+(g, p) only together with that workload's expected spans.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import polysys
+from . import polysys, tracker
 from .bw import riemann_distance
-from .linalg import SingularLinearSolveError, bordered_solve, make_bordered
+from .linalg import SingularLinearSolveError, bordered_solve
 from .newton import newton_projective
 from .tracker import StepRecord, TrackResult, TrackStatus
 
@@ -44,29 +53,43 @@ class HeuristicOptions:
     record_trace: bool = True
 
 
-def _ode_tangent(h, hdot, z) -> np.ndarray:
-    """Path velocity at (h, z), from one bordered solve."""
-    B = make_bordered(polysys.jacobian(h, z), z / np.linalg.norm(z))
-    rhs = np.concatenate([-polysys.evaluate(hdot, z), [0.0]])
-    return bordered_solve(B, rhs)
+def _mix(s: float) -> np.ndarray:
+    # h_s = cos(s) g + sin(s) p and hdot_s = -sin(s) g + cos(s) p.
+    c, sn = math.cos(s), math.sin(s)
+    return np.array([[c, sn], [-sn, c]])
 
 
 def predict(hom, s: float, x, dt: float) -> np.ndarray:
     """RK4 predictor step of length dt from the point x on the path at
     parameter s, renormalized to the unit representative.
 
-    `hom` provides value_at / derivative_at.
+    `hom` is a LinearHomotopy; its (g, p) coefficient vectors stand in for
+    the systems h_s and hdot_s, none of which is built here.
     """
     x = np.asarray(x, dtype=np.complex128)
     if dt == 0.0:
         return x
-    # Stages k2 and k3 share the midpoint systems.
-    s_mid = s + dt / 2.0
-    h_mid, hdot_mid = hom.value_at(s_mid), hom.derivative_at(s_mid)
-    k1 = _ode_tangent(hom.value_at(s), hom.derivative_at(s), x)
-    k2 = _ode_tangent(h_mid, hdot_mid, x + (dt / 2.0) * k1)
-    k3 = _ode_tangent(h_mid, hdot_mid, x + (dt / 2.0) * k2)
-    k4 = _ode_tangent(hom.value_at(s + dt), hom.derivative_at(s + dt), x + dt * k3)
+    ev = polysys.evaluator(hom.g.degrees)
+    n = ev.n
+    basis = ev.place(np.stack([hom._gvec, hom._pvec]))
+    bordered = np.empty((n + 1, n + 1), dtype=np.complex128)
+    rhs = np.zeros(n + 1, dtype=np.complex128)
+
+    def tangent(mix, z):
+        # The path velocity at (h_s, z), from one bordered solve, where mix
+        # rotates the (g, p) blocks into those of (h_s, hdot_s).
+        blocks = tracker._rotate(mix, basis.dot(ev.point_matrix(z)), n)
+        bordered[:n] = blocks[0, :, : n + 1]
+        bordered[n] = z.conj() / tracker._norm(z)
+        rhs[:n] = -blocks[1, :, n + 1]
+        return bordered_solve(bordered, rhs)
+
+    # Stages k2 and k3 share the midpoint rotation.
+    mid = _mix(s + dt / 2.0)
+    k1 = tangent(_mix(s), x)
+    k2 = tangent(mid, x + (dt / 2.0) * k1)
+    k3 = tangent(mid, x + (dt / 2.0) * k2)
+    k4 = tangent(_mix(s + dt), x + dt * k3)
     out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return out / np.linalg.norm(out)
 

@@ -120,7 +120,10 @@ def random_system_on_sphere(degrees, rng: np.random.Generator) -> PolySystem:
 
 def uniform_ball_point(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform draw from the unit ball of C^dim: Gaussian direction times
-    a Beta-distributed radius U^(1/(2 dim))."""
+    a Beta-distributed radius U^(1/(2 dim)).  The ball of C^0 is a point:
+    dim = 0 gives the empty vector and draws nothing."""
+    if dim == 0:
+        return np.zeros(0, dtype=np.complex128)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     return v * rng.random() ** (1.0 / (2.0 * dim))

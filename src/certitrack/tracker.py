@@ -31,8 +31,9 @@ or when the caller opts in to a give-up threshold with
 TrackerOptions.t_step_min, which only the tracking loop applies.
 
 Exact operator norms are used for chi_1 (the rule only requires a value
-within a factor 2), which maximizes the step length at negligible cost for
-desk-scale systems.
+within a factor 2), which maximizes the step length.  The cost is not
+negligible: np.linalg.svd on the 6 x 6 of a Katsura-5 step took 18.4 us, a
+quarter of the ~74 us step (2-core Xeon VM).
 
 A step takes one product of the homotopy's (g, p), placed once per path, with
 the point matrix at z_i (polysys.Evaluator): on h_s = cos(s) g + sin(s) p the

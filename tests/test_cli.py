@@ -118,6 +118,20 @@ class TestSubcommands:
         assert len(rows) > 1
 
 
+class TestLinearSystem:
+    @pytest.mark.parametrize("start", ["total", "good", "random"])
+    def test_solve_from_every_start(self, tmp_path, start):
+        system = tmp_path / "lin.json"
+        system.write_text(
+            '{"degrees": [1, 1], "terms": ['
+            '[{"exponents": [1, 0, 0], "re": 1.0}, {"exponents": [0, 1, 0], "re": 2.0}], '
+            '[{"exponents": [0, 0, 1], "re": 1.0}, {"exponents": [0, 1, 0], "re": -1.0}]]}'
+        )
+        out = tmp_path / "out.csv"
+        assert main(["solve", str(system), "--start", start, "--out", str(out)]) == 0
+        assert [row[1] for row in _rows(out)[1:]] == ["Success"]
+
+
 class TestUnreadableSystem:
     @pytest.mark.parametrize("command", ["solve", "track"])
     @pytest.mark.parametrize(
@@ -131,6 +145,13 @@ class TestUnreadableSystem:
             '{"degrees": [1], "terms": [[{"exponents": [1, 0], "re": NaN}]]}',
             '{"degrees": [1], "terms": [[{"exponents": [1, 0], "im": Infinity}]]}',
             '{"degrees": [1], "terms": [[{"exponents": [1, 0], "re": 1e400}]]}',
+            # finite coefficients, but a norm that overflows or is zero: no
+            # scaling puts them on the sphere
+            '{"degrees": [2], "terms": [[{"exponents": [2, 0], "re": 1e200}, '
+            '{"exponents": [0, 2], "re": -1e200}]]}',
+            '{"degrees": [2], "terms": [[{"exponents": [2], "re": 1e200}, '
+            '{"exponents": [0], "re": -1e200}]]}',
+            '{"degrees": [2], "terms": [[]]}',
         ],
     )
     def test_reported_as_usage_error(self, tmp_path, capsys, command, content):

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from certitrack import polysys
 from certitrack.bw import riemann_distance
 from certitrack.heuristic import HeuristicOptions, correct, predict, track_heuristic
+from certitrack.linalg import bordered_solve, make_bordered
 from certitrack.newton import refine
 from certitrack.polysys import unit_point
 from certitrack.start_systems import random_system_on_sphere, total_degree_start
@@ -17,7 +24,37 @@ def quad_path():
     return start, f, make_linear_homotopy(start.g, f)
 
 
+def _reference_predict(hom, s, x, dt):
+    # RK4 on systems built at each stage's parameter, each stage evaluated
+    # on its own: the formula predict computes from the placed (g, p).
+    def tangent(t, z):
+        h, hdot = hom.value_at(t), hom.derivative_at(t)
+        B = make_bordered(polysys.jacobian(h, z), z / np.linalg.norm(z))
+        return bordered_solve(B, np.concatenate([-polysys.evaluate(hdot, z), [0.0]]))
+
+    x = np.asarray(x, dtype=np.complex128)
+    k1 = tangent(s, x)
+    k2 = tangent(s + dt / 2.0, x + (dt / 2.0) * k1)
+    k3 = tangent(s + dt / 2.0, x + (dt / 2.0) * k2)
+    k4 = tangent(s + dt, x + dt * k3)
+    out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return out / np.linalg.norm(out)
+
+
 class TestPredict:
+    @pytest.mark.parametrize("degrees", [(2, 2, 2), (1, 2, 3)])
+    def test_matches_the_stagewise_formula(self, degrees):
+        # mixed degrees exercise the scatter of the placed (g, p)
+        rng = np.random.default_rng(31)
+        f = random_system_on_sphere(degrees, rng)
+        start = total_degree_start(degrees, rng)
+        hom = make_linear_homotopy(start.g, f)
+        for z in start.roots:
+            for s, dt in [(0.0, 0.05), (0.3, 0.2), (hom.T - 0.1, 0.1)]:
+                got = predict(hom, s, z, dt)
+                want = _reference_predict(hom, s, z, dt)
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
     def test_zero_step_identity(self, quad_path):
         start, f, hom = quad_path
         z = start.roots[0]
@@ -116,3 +153,32 @@ class TestTrackHeuristic:
             ("Success", 13), ("Success", 14), ("Success", 10), ("Success", 10),
             ("Success", 10), ("Success", 10), ("Success", 13), ("Success", 10),
         ]
+
+    def test_pinned_step_counts_mixed_degrees(self):
+        # The 6 total-degree paths of one seeded (1,2,3) target, whose
+        # equations of three degrees place their coefficients apart.
+        rng = np.random.default_rng(2024)
+        f = random_system_on_sphere((1, 2, 3), rng)
+        start = total_degree_start((1, 2, 3), rng)
+        hom = make_linear_homotopy(start.g, f)
+        opts = HeuristicOptions(record_trace=False)
+        results = [track_heuristic(hom, z, opts) for z in start.roots]
+        got = [(r.status.value, r.num_steps) for r in results]
+        assert got == [
+            ("Success", 10), ("Success", 11), ("Success", 10),
+            ("Success", 10), ("Success", 10), ("Success", 10),
+        ]
+
+    def test_pinned_step_counts_with_one_blas_thread(self):
+        # The BLAS thread count may change result bits, not step counts.
+        src = Path(__import__("certitrack").__file__).resolve().parents[1]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join([str(src), str(Path(__file__).parent)])
+        code = (
+            "from test_heuristic import TestTrackHeuristic as T; "
+            "T().test_pinned_step_counts(); T().test_pinned_step_counts_mixed_degrees()"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert child.returncode == 0, child.stderr

@@ -135,6 +135,13 @@ class TestBallDraws:
         want = m / (m + 1.0)
         assert abs(vals.mean() - want) <= 4 * vals.std() / math.sqrt(len(vals))
 
+    def test_ball_of_c0_is_a_point(self):
+        # an all-degree-1 system has no restricted coefficients to draw
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        assert uniform_ball_point(0, rng).shape == (0,)
+        assert rng.bit_generator.state == before
+
     def test_matrix_frobenius_bounded(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
@@ -203,6 +210,11 @@ class TestRandomInitialPair:
 
     def test_mixed_degrees(self):
         pair = random_initial_pair((1, 2, 3), np.random.default_rng(12))
+        assert np.linalg.norm(evaluate(pair.g, pair.zeta0)) <= 1e-10
+
+    @pytest.mark.parametrize("degrees", [(1,), (1, 1), (1, 1, 1)])
+    def test_all_degree_one(self, degrees):
+        pair = random_initial_pair(degrees, np.random.default_rng(0))
         assert np.linalg.norm(evaluate(pair.g, pair.zeta0)) <= 1e-10
 
     def test_validation_rejects_non_zero(self):
