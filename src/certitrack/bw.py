@@ -90,14 +90,30 @@ def bw_norm(h: PolySystem) -> float:
 
 
 def unit_scale(h: PolySystem) -> float:
-    """1 / ||h||, the factor normalize_to_sphere scales h by; raises
-    ValueError unless the norm is finite and positive (zero, NaN, or too
-    large to square in floating point)."""
+    """1 / ||h||, the factor normalize_to_sphere scales h by.
+
+    A norm outside [2^-450, 2^450] may come from squares that overflowed or
+    went subnormal, so it is taken again of the moduli scaled exactly by the
+    power of two 2^-e, e the binary exponent of the largest one.  Raises ValueError unless the scale is finite and positive
+    (a zero or NaN system, or one too small for 1 / ||h|| to be a float).
+    """
     with np.errstate(over="ignore"):
         norm = bw_norm(h)
-    if not 0.0 < norm < math.inf:
+        if 2.0**-450 <= norm <= 2.0**450:
+            return 1.0 / norm
+        mods = [np.abs(a) for a in h.coeffs]
+    top = max((float(m.max()) for m in mods if m.size), default=0.0)
+    if not 0.0 < top < math.inf:
         raise ValueError(f"cannot normalize a system of norm {norm!r}")
-    return 1.0 / norm
+    e = math.frexp(top)[1]
+    total = sum(
+        float(np.sum(_bw_weights(h.n_vars, d) * np.ldexp(m, -e) ** 2))
+        for d, m in zip(h.degrees, mods)
+    )
+    try:
+        return math.ldexp(1.0 / math.sqrt(total), -e)
+    except OverflowError:
+        raise ValueError(f"cannot normalize a system of norm {norm!r}") from None
 
 
 def normalize_to_sphere(h: PolySystem) -> PolySystem:

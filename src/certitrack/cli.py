@@ -75,8 +75,7 @@ def _solution_rows(solve_rows, n_coords: int):
 
 def cmd_solve(args) -> int:
     system = _load_system(args)
-    opts = TrackerOptions(t_step_min=args.t_step_min, record_trace=False)
-    rows = run_solve(system, args.start, args.seed, opts)
+    rows = run_solve(system, args.start, args.seed, TrackerOptions(record_trace=False))
     n_coords = system.n + 1
     header = ["path", "status", "steps"]
     header += [f"re{j}" for j in range(n_coords)] + [f"im{j}" for j in range(n_coords)]
@@ -91,8 +90,7 @@ def cmd_track(args) -> int:
     count = len(start.roots)
     if not 0 <= args.path < count:
         args.error(f"--path must lie in [0, {count}) for this system, got {args.path}")
-    opts = TrackerOptions(t_step_min=args.t_step_min, record_trace=True)
-    result = track_path(start.g, f, start.roots[args.path], opts)
+    result = track_path(start.g, f, start.roots[args.path])
     write_trace_csv(result, args.out or "/dev/stdout")
     print(f"status={result.status.value} steps={result.num_steps}", file=sys.stderr)
     return 0 if result.success else 1
@@ -168,17 +166,6 @@ def cmd_entropy(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="master seed (unsigned 64-bit)")
     p.add_argument("--out", type=str, default=None, help="output CSV path (default: stdout)")
-    p.add_argument("--threads", type=int, default=1, help="worker processes for trials")
-
-
-def _add_t_step_min(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--t-step-min",
-        type=float,
-        default=TrackerOptions.t_step_min,
-        help="opt-in floor: give up on a path whose certified step falls below it "
-        "(default %(default)s: no floor)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="track a target system to its solutions")
     p.add_argument("system", help="system file (JSON: degrees + terms)")
     p.add_argument("--start", choices=START_KINDS, default="total")
-    _add_t_step_min(p)
     _add_common(p)
     p.set_defaults(func=cmd_solve, error=p.error)
 
@@ -197,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", choices=START_KINDS, default="total")
     p.add_argument("--path", type=int, default=0, help="solve's path index: 0 to D-1 for "
                    "--start total (D the product of the degrees), 0 for good and random")
-    _add_t_step_min(p)
     _add_common(p)
     p.set_defaults(func=cmd_track, error=p.error)
 
@@ -207,6 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="Katsura size")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--tracker", choices=["certified", "heuristic", "both"], default="certified")
+    p.add_argument("--threads", type=int, default=1, help="worker processes for trials")
     _add_common(p)
     p.set_defaults(func=cmd_bench)
 
@@ -214,6 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=30)
     p.add_argument("--verify-bound", action="store_true", help="check the step bound per path (slow)")
+    p.add_argument("--threads", type=int, default=1, help="worker processes for trials")
     _add_common(p)
     p.set_defaults(func=cmd_conjecture)
 
@@ -222,6 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--runs", type=int, default=800)
     p.add_argument("--variant", choices=["ball", "unitary"], default="ball")
+    p.add_argument("--threads", type=int, default=1, help="worker processes for trials")
     _add_common(p)
     p.set_defaults(func=cmd_entropy)
 

@@ -20,7 +20,6 @@ heuristic-222 benchmark workload expects, so it moves onto the placed
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +31,16 @@ from .newton import newton_projective
 from .tracker import StepRecord, TrackResult, TrackStatus
 
 
-# Newton steps per correction; the step shrinks by STEP_DECREASE on a
-# rejected attempt and grows by STEP_INCREASE after SUCCESSES_BEFORE_INCREASE
-# accepted ones in a row; a path gives up after MAX_ATTEMPTS attempts.
+# Newton steps per correction, and the Newton step size under which a
+# correction is accepted; the first step has length STEP_INIT, shrinks by
+# STEP_DECREASE on a rejected attempt and grows by STEP_INCREASE after
+# SUCCESSES_BEFORE_INCREASE accepted ones in a row; a path gives up
+# MinStepReached once the step falls below T_STEP_MIN, and MaxSteps after
+# MAX_ATTEMPTS attempts.
 CORRECTOR_ITERS = 3
+CORRECTOR_TOL = 1e-6
+STEP_INIT = 0.05
+T_STEP_MIN = 1e-6
 STEP_DECREASE = 0.5
 STEP_INCREASE = 2.0
 SUCCESSES_BEFORE_INCREASE = 3
@@ -44,19 +49,10 @@ MAX_ATTEMPTS = 100_000
 
 @dataclass(frozen=True)
 class HeuristicOptions:
-    """corrector_tol accepts a step, step_init is the first step length,
-    t_step_min ends a path MinStepReached, record_trace keeps every attempt."""
+    """record_trace keeps a StepRecord per attempt; the step adaptation is
+    fixed by the module constants."""
 
-    corrector_tol: float = 1e-6
-    step_init: float = 0.05
-    t_step_min: float = 1e-6
     record_trace: bool = True
-
-
-def _mix(s: float) -> np.ndarray:
-    # h_s = cos(s) g + sin(s) p and hdot_s = -sin(s) g + cos(s) p.
-    c, sn = math.cos(s), math.sin(s)
-    return np.array([[c, sn], [-sn, c]])
 
 
 def predict(hom, s: float, x, dt: float) -> np.ndarray:
@@ -85,16 +81,16 @@ def predict(hom, s: float, x, dt: float) -> np.ndarray:
         return bordered_solve(bordered, rhs)
 
     # Stages k2 and k3 share the midpoint rotation.
-    mid = _mix(s + dt / 2.0)
-    k1 = tangent(_mix(s), x)
+    mid = tracker._mix(s + dt / 2.0)
+    k1 = tangent(tracker._mix(s), x)
     k2 = tangent(mid, x + (dt / 2.0) * k1)
     k3 = tangent(mid, x + (dt / 2.0) * k2)
-    k4 = tangent(_mix(s + dt), x + dt * k3)
+    k4 = tangent(tracker._mix(s + dt), x + dt * k3)
     out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return out / np.linalg.norm(out)
 
 
-def correct(h: polysys.PolySystem, x, iters: int = CORRECTOR_ITERS, tol: float = 1e-6):
+def correct(h: polysys.PolySystem, x, iters: int = CORRECTOR_ITERS, tol: float = CORRECTOR_TOL):
     """At most `iters` projective Newton steps; stops early once the step size
     drops under tol.  Returns (point, last step size) — the step size is the
     error estimate the tracker adapts on."""
@@ -122,7 +118,7 @@ def track_heuristic(hom, z0, opts: HeuristicOptions = HeuristicOptions()) -> Tra
     z = z / np.linalg.norm(z)
     T = hom.T
     s = 0.0
-    dt = opts.step_init
+    dt = STEP_INIT
     accepted = 0
     attempts = 0
     streak = 0
@@ -136,10 +132,10 @@ def track_heuristic(hom, z0, opts: HeuristicOptions = HeuristicOptions()) -> Tra
         s_next = T if step >= T - s else s + step
         try:
             z_pred = predict(hom, s, z, s_next - s)
-            z_corr, err = correct(hom.value_at(s_next), z_pred, CORRECTOR_ITERS, opts.corrector_tol)
+            z_corr, err = correct(hom.value_at(s_next), z_pred, CORRECTOR_ITERS, CORRECTOR_TOL)
         except SingularLinearSolveError:
             return TrackResult(z, TrackStatus.SINGULAR, accepted, tuple(trace))
-        ok = err <= opts.corrector_tol
+        ok = err <= CORRECTOR_TOL
         if opts.record_trace:
             # Same record layout as the certified trace; phi carries the
             # corrector error estimate here and the chi columns stay NaN.
@@ -157,6 +153,6 @@ def track_heuristic(hom, z0, opts: HeuristicOptions = HeuristicOptions()) -> Tra
         else:
             dt *= STEP_DECREASE
             streak = 0
-            if dt < opts.t_step_min:
+            if dt < T_STEP_MIN:
                 return TrackResult(z, TrackStatus.MIN_STEP_REACHED, accepted, tuple(trace))
     return TrackResult(z, TrackStatus.SUCCESS, accepted, tuple(trace))

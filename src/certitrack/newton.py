@@ -1,18 +1,19 @@
-"""The projective Newton operator, the condition number, and the
-approximate-zero certificates built on it.
+"""The projective Newton operator, the condition number, Newton refinement,
+and the approximate-zero radius built on them.
 
-A point z is accepted as an approximate zero with associated zero zeta when
-its Riemann distance to zeta is below u0 / (d^(3/2) mu), with u0 = 0.17586;
-tracking start points must satisfy the radius halved.  The restriction of the
-Jacobian to the orthogonal complement of z is realized through the bordered
-matrix: solutions of (Dh(z); z*) w = (rhs; 0) lie in that complement
-automatically, so no explicit orthonormal basis is ever formed.
+Every point within Riemann distance u0 / (d^(3/2) mu(h, zeta)) of a zero
+zeta, with u0 = 0.17586, is an approximate zero with associated zero zeta
+(certified_radius).  The solve checks that its refined endpoints lie
+farther apart than twice that radius, a check that trusts the float zero
+refine returns.  The restriction of the Jacobian to the
+orthogonal complement of z is realized through the bordered matrix:
+solutions of (Dh(z); z*) w = (rhs; 0) lie in that complement automatically,
+so no explicit orthonormal basis is ever formed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,22 +24,8 @@ from .linalg import SingularLinearSolveError, bordered_solve, make_bordered, spe
 U0 = 0.17586
 
 
-class AffineRootAtInfinityError(Exception):
-    """The projective zero has vanishing first coordinate: no affine counterpart."""
-
-
 class RefinementError(Exception):
     """Newton refinement failed to converge within the iteration budget."""
-
-
-@dataclass(frozen=True)
-class CertifiedZero:
-    """Certificate data: a reference zero, its condition number, and the
-    approximate-zero radius u0 / (d^(3/2) mu) around it."""
-
-    point: np.ndarray
-    mu: float
-    radius: float
 
 
 def newton_projective(h: polysys.PolySystem, z) -> np.ndarray:
@@ -78,33 +65,12 @@ def certified_radius(h: polysys.PolySystem, zeta, mu: float | None = None) -> fl
     return U0 / (h.max_degree ** 1.5 * mu)
 
 
-def certify_projective(h: polysys.PolySystem, z, zeta) -> tuple[bool, CertifiedZero]:
-    """Is z an approximate zero of h with associated zero zeta?
-
-    zeta is expected to be a refined, high-accuracy zero of h; the check is
-    d_R(z, zeta) <= u0 / (d^(3/2) mu(h, zeta)).
-    """
-    mu = condition_mu(h, zeta)
-    radius = certified_radius(h, zeta, mu)
-    cert = CertifiedZero(point=np.asarray(zeta, dtype=np.complex128), mu=mu, radius=radius)
-    if not math.isfinite(mu):
-        return False, cert
-    return riemann_distance(z, zeta) <= radius, cert
-
-
-def certify_start(h: polysys.PolySystem, z, zeta) -> bool:
-    """The tracking start certificate: distance within half the certified radius."""
-    mu = condition_mu(h, zeta)
-    if not math.isfinite(mu):
-        return False
-    return riemann_distance(z, zeta) <= certified_radius(h, zeta, mu) / 2.0
-
-
 def refine(h: polysys.PolySystem, z, max_iters: int = 30, tol: float = 1e-14) -> np.ndarray:
     """Iterate projective Newton until successive iterates agree to `tol` in d_R.
 
-    Serves as the reference-zero oracle for certificates; raises
-    RefinementError if the iteration does not settle within `max_iters`.
+    Gives the reference zeros of the solve's endpoint check and of the
+    condition length; raises RefinementError if the iteration does not
+    settle within `max_iters`.
     """
     current = np.asarray(z, dtype=np.complex128)
     current = current / np.linalg.norm(current)
@@ -115,31 +81,3 @@ def refine(h: polysys.PolySystem, z, max_iters: int = 30, tol: float = 1e-14) ->
         current = nxt
     raise RefinementError(f"no convergence within {max_iters} Newton iterations")
 
-
-def default_affine_norm_bound(degrees, delta: float = 0.01) -> float:
-    """Probabilistic bound D*sqrt(pi*n)/delta on the norm of affine roots."""
-    n = len(degrees)
-    return polysys.bezout_number(tuple(degrees)) * math.sqrt(math.pi * n) / delta
-
-
-def projective_to_affine(
-    h: polysys.PolySystem, z, norm_bound: float | None = None
-) -> np.ndarray:
-    """Affine approximate zero from a certified projective one.
-
-    Applies ceil(log2(log2(4 (1 + norm_bound^2)))) projective Newton steps and
-    dehomogenizes.  norm_bound bounds the norm of the affine root; by default
-    the probabilistic bound for delta = 0.01 is used.
-    """
-    if norm_bound is None:
-        norm_bound = default_affine_norm_bound(h.degrees)
-    steps = max(0, math.ceil(math.log2(math.log2(4.0 * (1.0 + norm_bound**2)))))
-    current = np.asarray(z, dtype=np.complex128)
-    current = current / np.linalg.norm(current)
-    for _ in range(steps):
-        current = newton_projective(h, current)
-    if abs(current[0]) < 1e-12:
-        raise AffineRootAtInfinityError(
-            f"first coordinate {abs(current[0]):.3e} vanishes; the root lies at infinity"
-        )
-    return current[1:] / current[0]

@@ -99,11 +99,6 @@ def space_dimension(degrees: tuple[int, ...] | list[int]) -> int:
     return sum(math.comb(n + d, d) for d in degrees)
 
 
-def bezout_number(degrees: tuple[int, ...] | list[int]) -> int:
-    """Product of the degrees (the count of projective roots of a regular system)."""
-    return math.prod(degrees)
-
-
 def _check_degrees(degrees) -> None:
     if len(degrees) < 1:
         raise ValueError("a system needs at least one equation")

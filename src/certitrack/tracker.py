@@ -26,9 +26,8 @@ below and their number is finite (at most 71 d^{3/2} times the condition
 length), however small some of them get.  A path ends MinStepReached only
 when the step is not a finite length that moves the arc parameter in
 floating point (s + t == s catches t == 0 and a NaN or infinite phi; phi == 0,
-a homotopy standing still, gives t = inf and no certified jump to the end),
-or when the caller opts in to a give-up threshold with
-TrackerOptions.t_step_min, which only the tracking loop applies.
+a homotopy standing still, gives t = inf and no certified jump to the end).
+A path that has taken MAX_STEPS steps ends MaxSteps.
 
 Exact operator norms are used for chi_1 (the rule only requires a value
 within a factor 2), which maximizes the step length.  The cost is not
@@ -61,6 +60,8 @@ from .newton import condition_mu, refine
 # docstring); tests/test_tracker.py checks both against the formula for (c, P).
 C_OVER_P_LINEAR = 0.04804448
 C_OVER_P_DEGREE_ONE = 0.04662682
+# Steps after which a path gives up with status MaxSteps.
+MAX_STEPS = 1_000_000
 # Floats in CSV output: 17 significant digits give back every double exactly.
 FLOAT_FMT = "%.17g"
 
@@ -72,11 +73,12 @@ class DegenerateHomotopyError(Exception):
 class TrackStatus(enum.Enum):
     """Why a path stopped.
 
-    MIN_STEP_REACHED: the certified step fell below the opt-in
-    TrackerOptions.t_step_min, or is no finite length that advances the arc
-    parameter s in floating point (s + t == s, t == 0, or a NaN or infinite
-    step length, as phi == 0 gives).  The heuristic tracker reports it when
-    its step halving reaches its own t_step_min.
+    MIN_STEP_REACHED: the certified step is no finite length that advances
+    the arc parameter s in floating point (s + t == s, t == 0, or a NaN or
+    infinite step length, as phi == 0 gives).  The heuristic tracker reports
+    it when its step halving falls below heuristic.T_STEP_MIN.
+    MAX_STEPS: the path took MAX_STEPS steps (heuristic.MAX_ATTEMPTS
+    attempts) without reaching the end.
     """
 
     SUCCESS = "Success"
@@ -87,17 +89,12 @@ class TrackStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class TrackerOptions:
-    """Knobs of the certified tracking loop.
-
-    The step rule has none: every step is the upper end of the certified
-    interval, with the constant of the path's largest degree.  t_step_min is
-    an opt-in give-up threshold on the certified step length, off (0.0) by
-    default: the step rule itself needs no floor.  max_steps bounds the loop,
-    and record_trace keeps a StepRecord per step.
+    """What the certified tracking loop records: a StepRecord per step when
+    record_trace is set.  The step rule has no knob: every step is the upper
+    end of the certified interval, with the constant of the path's largest
+    degree, and no floor applies to it.
     """
 
-    t_step_min: float = 0.0
-    max_steps: int = 1_000_000
     record_trace: bool = True
 
 
@@ -129,15 +126,13 @@ class TrackResult:
 class LinearHomotopy:
     """Arc-length parametrization of the great circle from g to f on the sphere.
 
-    h_t = g cos(t) + fperp sin(t) with fperp the unit normal component of f
+    h_t = g cos(t) + p sin(t) with p (_pvec) the unit normal component of f
     against g; h_T = f with T = arccos(Re<f, g>).
     """
 
     g: polysys.PolySystem
     f: polysys.PolySystem
-    r: float
     T: float
-    fperp: polysys.PolySystem
     _gvec: np.ndarray = field(repr=False)
     _pvec: np.ndarray = field(repr=False)
 
@@ -167,18 +162,10 @@ def make_linear_homotopy(g: polysys.PolySystem, f: polysys.PolySystem) -> Linear
         raise DegenerateHomotopyError(f"|Re<f, g>| = {abs(r)!r}; start and target are aligned")
     # T = arccos(r) rather than arcsin(sqrt(1 - r^2)): the two agree for r >= 0
     # and only arccos lands h_T = f when r < 0.
-    T = math.acos(r)
-    denom = math.sqrt(1.0 - r * r)
-    fperp = (f - r * g) * (1.0 / denom)
-    return LinearHomotopy(
-        g=g,
-        f=f,
-        r=r,
-        T=T,
-        fperp=fperp,
-        _gvec=g.coeff_vector(),
-        _pvec=fperp.coeff_vector(),
-    )
+    # p = (f - r g) / sqrt(1 - r^2), with PolySystem's complex scalars.
+    gvec = g.coeff_vector()
+    pvec = complex(1.0 / math.sqrt(1.0 - r * r)) * (f.coeff_vector() - complex(r) * gvec)
+    return LinearHomotopy(g=g, f=f, T=math.acos(r), _gvec=gvec, _pvec=pvec)
 
 
 def chi1(g: polysys.PolySystem, z) -> float:
@@ -197,8 +184,8 @@ def certified_step(g: polysys.PolySystem, gdot: polysys.PolySystem, z) -> tuple[
 
     The returned t is c/P / (d^{3/2} phi), the upper end of the certified
     interval, with the c/P of g's largest degree d: the step the tracking
-    loop takes from (g, z) when gdot is the tangent there (before the loop
-    clips it to the end of the path or applies t_step_min).  A tangent with
+    loop takes from (g, z) when gdot is the tangent there, before the loop
+    clips it to the end of the path.  No floor applies.  A tangent with
     phi = 0 gives t = inf, as in the loop, where it ends the path
     MinStepReached.  Raises SingularLinearSolveError on a singular bordered
     system.
@@ -252,12 +239,18 @@ def _chi(blocks, hdot2: float, bordered, rhs) -> tuple[float, float]:
     return x1, x2
 
 
-def _rotation(s: float, gg: float, pp: float, gp: float) -> tuple[np.ndarray, float]:
+def _mix(s: float) -> np.ndarray:
     # h_s = cos(s) g + sin(s) p and hdot_s = -sin(s) g + cos(s) p: the real
-    # 2 x 2 rotation of the (g, p) blocks into those of (h_s, hdot_s), and
-    # ||hdot_s||^2 = sin^2(s) <g,g> + cos^2(s) <p,p> - 2 sin(s) cos(s) Re<g,p>.
+    # 2 x 2 rotation of the (g, p) blocks into those of (h_s, hdot_s).
     c, sn = math.cos(s), math.sin(s)
-    return np.array([[c, sn], [-sn, c]]), sn * sn * gg + c * c * pp - 2.0 * sn * c * gp
+    return np.array([[c, sn], [-sn, c]])
+
+
+def _rotation(s: float, gg: float, pp: float, gp: float) -> tuple[np.ndarray, float]:
+    # _mix(s), and ||hdot_s||^2 = sin^2(s) <g,g> + cos^2(s) <p,p>
+    # - 2 sin(s) cos(s) Re<g,p>.
+    c, sn = math.cos(s), math.sin(s)
+    return _mix(s), sn * sn * gg + c * c * pp - 2.0 * sn * c * gp
 
 
 def _rotate(mix: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
@@ -309,7 +302,7 @@ def track_linear(
     trace: list[StepRecord] = []
     mix, hdot2 = _rotation(s, gg, pp, gp)
     while s != T:
-        if steps >= opts.max_steps:
+        if steps >= MAX_STEPS:
             return TrackResult(z, TrackStatus.MAX_STEPS, steps, tuple(trace))
         B = basis.dot(ev.point_matrix(z))
         bordered[n] = z.conj()
@@ -321,7 +314,7 @@ def track_linear(
         t = _step_length(ev.max_d, phi)
         # The step must be finite and move s in floating point; written so
         # that t == 0 and a NaN t stop here too.
-        if t < opts.t_step_min or not s < s + t < math.inf:
+        if not s < s + t < math.inf:
             return TrackResult(z, TrackStatus.MIN_STEP_REACHED, steps, tuple(trace))
         if t >= T - s:
             # Last step: assign the endpoint exactly so the loop terminates.

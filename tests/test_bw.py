@@ -11,6 +11,7 @@ from certitrack.bw import (
     ensure_on_sphere,
     normalize_to_sphere,
     riemann_distance,
+    unit_scale,
     unitary_compose,
 )
 from certitrack.linalg import random_unitary
@@ -128,11 +129,31 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize_to_sphere(h)
 
-    @pytest.mark.parametrize("coeff", [1e200, math.nan], ids=["overflows", "nan"])
+    @pytest.mark.parametrize("coeff", [math.inf, math.nan], ids=["inf", "nan"])
     def test_non_finite_norm_rejected(self, coeff):
-        # |1e200|^2 overflows: the norm is inf, and scaling by 1/inf would
-        # give the zero system
         h = PolySystem.from_terms((2,), [[((2, 0), 1.0), ((0, 2), coeff)]])
+        with pytest.raises(ValueError, match="cannot normalize"):
+            normalize_to_sphere(h)
+
+    def test_plain_norm_in_range(self):
+        h = random_system((2, 3), 5)
+        assert unit_scale(h) == 1.0 / bw_norm(h)
+        assert unit_scale(1e-120 * h) == 1.0 / bw_norm(1e-120 * h)
+
+    @pytest.mark.parametrize("lam", [2.0**-600, 1e-158, 1e-170, 1e200, 2.0**1000],
+                             ids=["2^-600", "1e-158", "1e-170", "1e200", "2^1000"])
+    def test_extreme_coefficients(self, lam):
+        # Squares of these coefficients go subnormal or overflow; the norm is
+        # taken of the system scaled by a power of two instead.
+        h = random_system((2, 3), 5)
+        out = normalize_to_sphere(lam * h)
+        assert bw_norm(out) == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_allclose(out.coeff_vector(), normalize_to_sphere(h).coeff_vector(),
+                                   rtol=1e-14, atol=0)
+
+    def test_subnormal_system_rejected(self):
+        # 1 / ||h|| exceeds the largest float
+        h = 1e-320 * PolySystem.from_terms((2,), [[((2, 0), 1.0), ((0, 2), 1.0)]])
         with pytest.raises(ValueError, match="cannot normalize"):
             normalize_to_sphere(h)
 

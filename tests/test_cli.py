@@ -145,12 +145,8 @@ class TestUnreadableSystem:
             '{"degrees": [1], "terms": [[{"exponents": [1, 0], "re": NaN}]]}',
             '{"degrees": [1], "terms": [[{"exponents": [1, 0], "im": Infinity}]]}',
             '{"degrees": [1], "terms": [[{"exponents": [1, 0], "re": 1e400}]]}',
-            # finite coefficients, but a norm that overflows or is zero: no
-            # scaling puts them on the sphere
-            '{"degrees": [2], "terms": [[{"exponents": [2, 0], "re": 1e200}, '
-            '{"exponents": [0, 2], "re": -1e200}]]}',
-            '{"degrees": [2], "terms": [[{"exponents": [2], "re": 1e200}, '
-            '{"exponents": [0], "re": -1e200}]]}',
+            # finite coefficients, but a zero norm: no scaling puts them on
+            # the sphere
             '{"degrees": [2], "terms": [[]]}',
         ],
     )
@@ -168,3 +164,26 @@ class TestUnreadableSystem:
         assert f"error: cannot load system file {str(system)!r}" in message
         assert not out.exists()
 
+
+class TestExtremeCoefficients:
+    """Systems whose squared coefficients overflow or go subnormal still scale
+    onto the sphere."""
+
+    @pytest.mark.parametrize("scale", ["1e-158", "1e-170", "1e200"])
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            '[[{"exponents": [2, 0], "re": %s}, {"exponents": [0, 2], "re": -%s}]]',
+            '[[{"exponents": [2], "re": %s}, {"exponents": [0], "re": -%s}]]',
+        ],
+        ids=["homogeneous", "affine"],
+    )
+    def test_solved(self, tmp_path, capsys, scale, terms):
+        system = tmp_path / "system.json"
+        system.write_text('{"degrees": [2], "terms": %s}' % (terms % (scale, scale)))
+        out = tmp_path / "out.csv"
+        assert main(["solve", str(system), "--out", str(out)]) == 0
+        assert capsys.readouterr().err.strip().splitlines()[-1] == "2/2 paths succeeded"
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["status"] for row in rows] == ["Success", "Success"]

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from certitrack import polysys
+from certitrack import heuristic, polysys
 from certitrack.bw import riemann_distance
 from certitrack.heuristic import HeuristicOptions, correct, predict, track_heuristic
 from certitrack.linalg import bordered_solve, make_bordered
@@ -125,16 +125,19 @@ class TestTrackHeuristic:
         assert res.num_steps == accepted
         assert len(res.trace) >= accepted
 
-    def test_min_step_failure(self, quad_path):
+    def test_min_step_failure(self, quad_path, monkeypatch):
         start, f, hom = quad_path
-        opts = HeuristicOptions(corrector_tol=1e-16, t_step_min=1e-3, step_init=0.01)
-        res = track_heuristic(hom, start.roots[0], opts)
+        monkeypatch.setattr(heuristic, "CORRECTOR_TOL", 1e-16)
+        monkeypatch.setattr(heuristic, "T_STEP_MIN", 1e-3)
+        monkeypatch.setattr(heuristic, "STEP_INIT", 0.01)
+        res = track_heuristic(hom, start.roots[0])
         assert res.status is TrackStatus.MIN_STEP_REACHED
 
-    def test_trace_flags_rejections(self, quad_path):
+    def test_trace_flags_rejections(self, quad_path, monkeypatch):
         start, f, hom = quad_path
-        opts = HeuristicOptions(corrector_tol=1e-9, step_init=0.4)
-        res = track_heuristic(hom, start.roots[0], opts)
+        monkeypatch.setattr(heuristic, "CORRECTOR_TOL", 1e-9)
+        monkeypatch.setattr(heuristic, "STEP_INIT", 0.4)
+        res = track_heuristic(hom, start.roots[0])
         if res.status is TrackStatus.SUCCESS:
             assert any(not rec.accepted for rec in res.trace) or res.num_steps == len(res.trace)
 

@@ -74,28 +74,60 @@ def test_settable_surface_is_pinned():
     # edit here, with its reason given in CHANGES.md.
     import dataclasses
 
-    from certitrack.cli import build_parser
-
-    assert [f.name for f in dataclasses.fields(certitrack.TrackerOptions)] == [
-        "t_step_min", "max_steps", "record_trace",
-    ]
-    assert [f.name for f in dataclasses.fields(certitrack.HeuristicOptions)] == [
-        "corrector_tol", "step_init", "t_step_min", "record_trace",
-    ]
-    parser = build_parser()
-    subparsers = next(a for a in parser._actions if a.choices and a.dest == "command")
+    assert [f.name for f in dataclasses.fields(certitrack.TrackerOptions)] == ["record_trace"]
+    assert [f.name for f in dataclasses.fields(certitrack.HeuristicOptions)] == ["record_trace"]
     flags = {
         name: sorted(opt for a in sub._actions for opt in (a.option_strings or [a.dest]))
-        for name, sub in subparsers.choices.items()
+        for name, sub in _subparsers().items()
     }
-    common = ["--out", "--seed", "--threads", "-h", "--help"]
+    common = ["--out", "--seed", "-h", "--help"]
     assert flags == {
         name: sorted(extra + common)
         for name, extra in {
-            "solve": ["system", "--start", "--t-step-min"],
-            "track": ["system", "--start", "--path", "--t-step-min"],
-            "bench": ["--family", "--degrees", "--n", "--trials", "--tracker"],
-            "conjecture": ["--n", "--trials", "--verify-bound"],
-            "entropy": ["--degrees", "--epsilon", "--runs", "--variant"],
+            "solve": ["system", "--start"],
+            "track": ["system", "--start", "--path"],
+            "bench": ["--family", "--degrees", "--n", "--trials", "--tracker", "--threads"],
+            "conjecture": ["--n", "--trials", "--verify-bound", "--threads"],
+            "entropy": ["--degrees", "--epsilon", "--runs", "--variant", "--threads"],
         }.items()
     }
+
+
+def _subparsers() -> dict:
+    from certitrack.cli import build_parser
+
+    parser = build_parser()
+    return next(a for a in parser._actions if a.choices and a.dest == "command").choices
+
+
+def _args_read(functions: dict[str, ast.FunctionDef], name: str) -> set[str]:
+    # Every `args.<attr>` in the function `name`, and in the module functions
+    # it passes `args` to, transitively.
+    seen, todo, read = set(), [name], set()
+    while todo:
+        fn = todo.pop()
+        if fn in seen:
+            continue
+        seen.add(fn)
+        for node in ast.walk(functions[fn]):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "args"):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in functions
+                    and any(isinstance(a, ast.Name) and a.id == "args" for a in node.args)):
+                todo.append(node.func.id)
+    return read
+
+
+def test_every_cli_flag_is_read():
+    # A flag whose value no code reads is a dead knob: it parses and is ignored.
+    tree = ast.parse((ROOT / "src" / "certitrack" / "cli.py").read_text())
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    unread = {}
+    for name, sub in _subparsers().items():
+        dests = {a.dest for a in sub._actions if a.dest != "help"}
+        missing = dests - _args_read(functions, sub.get_default("func").__name__)
+        if missing:
+            unread[name] = sorted(missing)
+    assert unread == {}

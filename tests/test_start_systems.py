@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from certitrack import tracker
 from certitrack.bw import bw_inner, bw_norm, riemann_distance
-from certitrack.newton import certify_start, condition_mu, refine
+from certitrack.newton import U0, certified_radius, condition_mu, refine
 from certitrack.polysys import evaluate, homogeneous_exponents, space_dimension, unit_point
 from certitrack.start_systems import (
     InitialPair,
@@ -78,9 +79,10 @@ class TestGoodPair:
         pair = good_initial_pair((2, 2, 2, 2))
         assert condition_mu(pair.g, pair.zeta0) == pytest.approx(2.0, rel=1e-12)
 
-    def test_start_certificate(self):
+    def test_start_radius(self):
+        # u0 / (d^{3/2} mu) with mu = sqrt(2) for the (2, 2) pair
         pair = good_initial_pair((2, 2))
-        assert certify_start(pair.g, pair.zeta0, pair.zeta0)
+        assert certified_radius(pair.g, pair.zeta0) == pytest.approx(U0 / (2.0**1.5 * math.sqrt(2.0)))
 
 
 class TestRandomSystemOnSphere:
@@ -259,10 +261,11 @@ class TestSolvers:
         assert report.num_failed == 0
         assert len(report.endpoints) == 4
 
-    def test_solve_all_reports_failures(self):
+    def test_solve_all_reports_failures(self, monkeypatch):
         f = random_system_on_sphere((2, 2), np.random.default_rng(20))
+        monkeypatch.setattr(tracker, "MAX_STEPS", 1)
         report = solve_all_total_degree(
-            f, TrackerOptions(t_step_min=1.0, record_trace=False), rng=np.random.default_rng(21)
+            f, TrackerOptions(record_trace=False), rng=np.random.default_rng(21)
         )
         assert report.num_failed == 4
         assert report.endpoints == []

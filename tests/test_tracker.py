@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from certitrack import tracker
 from certitrack.bw import bw_inner, bw_norm, normalize_to_sphere, riemann_distance
 from certitrack.experiments import katsura_system
 from certitrack.linalg import SingularLinearSolveError
@@ -117,8 +118,11 @@ class TestTangent:
     def test_at_zero_is_normal_component(self, quad_pair):
         start, f = quad_pair
         hom = make_linear_homotopy(start.g, f)
+        r = bw_inner(f, start.g).real
+        normal = (f - r * start.g) * (1.0 / math.sqrt(1.0 - r * r))
+        np.testing.assert_allclose(hom._pvec, normal.coeff_vector(), atol=1e-12)
         tan = hom.derivative_at(0.0)
-        for a, b in zip(tan.coeffs, hom.fperp.coeffs):
+        for a, b in zip(tan.coeffs, normal.coeffs):
             np.testing.assert_allclose(a, b, atol=1e-12)
 
     @pytest.mark.parametrize("frac", [0.0, 0.3, 0.9])
@@ -309,18 +313,13 @@ class TestTrackLinear:
             assert (a.s, a.t, a.phi, a.chi1, a.chi2) == (b.s, b.t, b.phi, b.chi1, b.chi2)
             assert np.array_equal(a.z, b.z)
 
-    def test_max_steps(self, quad_pair):
+    def test_max_steps(self, quad_pair, monkeypatch):
         start, f = quad_pair
         hom = make_linear_homotopy(start.g, f)
-        result = track_linear(hom, start.roots[0], TrackerOptions(max_steps=5))
+        monkeypatch.setattr(tracker, "MAX_STEPS", 5)
+        result = track_linear(hom, start.roots[0])
         assert result.status is TrackStatus.MAX_STEPS
         assert result.num_steps == 5
-
-    def test_min_step_status(self, quad_pair):
-        start, f = quad_pair
-        hom = make_linear_homotopy(start.g, f)
-        result = track_linear(hom, start.roots[0], TrackerOptions(t_step_min=1.0))
-        assert result.status is TrackStatus.MIN_STEP_REACHED
 
     def test_no_floor_by_default(self):
         # Katsura-4 at default_rng(1): total-degree paths 4 and 6 pass close to
@@ -486,18 +485,20 @@ class TestNonFiniteStep:
         hom = make_linear_homotopy(start.g, f)
         return dataclasses.replace(hom, _pvec=factor * hom._pvec), start.roots[0]
 
-    def test_overflowing_derivative(self, quad_pair):
-        # phi = inf gives t = 0, which must not loop until max_steps
+    def test_overflowing_derivative(self, quad_pair, monkeypatch):
+        # phi = inf gives t = 0, which must not loop until MAX_STEPS
         hom, z0 = self._scaled(quad_pair, 1e300)
+        monkeypatch.setattr(tracker, "MAX_STEPS", 50)
         with np.errstate(over="ignore"):
-            result = track_linear(hom, z0, TrackerOptions(max_steps=50))
+            result = track_linear(hom, z0)
         assert result.status is TrackStatus.MIN_STEP_REACHED
         assert result.num_steps == 0
 
-    def test_zero_derivative(self, quad_pair):
+    def test_zero_derivative(self, quad_pair, monkeypatch):
         # phi = 0 gives t = inf, which must neither raise nor jump to T
         hom, z0 = self._scaled(quad_pair, 0.0)
-        result = track_linear(hom, z0, TrackerOptions(max_steps=50))
+        monkeypatch.setattr(tracker, "MAX_STEPS", 50)
+        result = track_linear(hom, z0)
         assert result.status is TrackStatus.MIN_STEP_REACHED
         assert result.num_steps == 0
 
