@@ -81,39 +81,39 @@ def bw_inner(h: PolySystem, h2: PolySystem) -> complex:
 
 
 def bw_norm(h: PolySystem) -> float:
-    """Bombieri-Weyl norm."""
+    """Bombieri-Weyl norm; inf past the largest float, NaN for a NaN coefficient.
+
+    The moduli are scaled by the exact power of two 2^-e, e the binary
+    exponent of the largest one, before they are squared, so no square
+    overflows or goes subnormal.  The scale commutes with every rounding: the
+    bits are those of the unscaled sum wherever that one does neither.
+    """
+    mods = [np.abs(a) for a in h.coeffs]
+    # e >= -1000 keeps 2^-e a float; the largest scaled modulus of a
+    # subnormal system is then still above 2^-75.
+    e = max(math.frexp(max(m.max(initial=0.0) for m in mods))[1], -1000)
+    scale = math.ldexp(1.0, -e)
     total = 0.0
-    for d, a in zip(h.degrees, h.coeffs):
-        w = _bw_weights(h.n_vars, d)
-        total += float(np.sum(w * np.abs(a) ** 2))
-    return math.sqrt(total)
+    for d, m in zip(h.degrees, mods):
+        m *= scale
+        np.square(m, out=m)
+        m *= _bw_weights(h.n_vars, d)
+        total += float(m.sum())
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(math.sqrt(total), e))
 
 
 def unit_scale(h: PolySystem) -> float:
     """1 / ||h||, the factor normalize_to_sphere scales h by.
 
-    A norm outside [2^-450, 2^450] may come from squares that overflowed or
-    went subnormal, so it is taken again of the moduli scaled exactly by the
-    power of two 2^-e, e the binary exponent of the largest one.  Raises ValueError unless the scale is finite and positive
-    (a zero or NaN system, or one too small for 1 / ||h|| to be a float).
+    Raises ValueError unless it is finite and positive: a zero, infinite or
+    NaN norm, or one too small for 1 / ||h|| to be a float.
     """
-    with np.errstate(over="ignore"):
-        norm = bw_norm(h)
-        if 2.0**-450 <= norm <= 2.0**450:
-            return 1.0 / norm
-        mods = [np.abs(a) for a in h.coeffs]
-    top = max((float(m.max()) for m in mods if m.size), default=0.0)
-    if not 0.0 < top < math.inf:
+    norm = bw_norm(h)
+    scale = 1.0 / norm if norm else math.inf
+    if not 0.0 < scale < math.inf:
         raise ValueError(f"cannot normalize a system of norm {norm!r}")
-    e = math.frexp(top)[1]
-    total = sum(
-        float(np.sum(_bw_weights(h.n_vars, d) * np.ldexp(m, -e) ** 2))
-        for d, m in zip(h.degrees, mods)
-    )
-    try:
-        return math.ldexp(1.0 / math.sqrt(total), -e)
-    except OverflowError:
-        raise ValueError(f"cannot normalize a system of norm {norm!r}") from None
+    return scale
 
 
 def normalize_to_sphere(h: PolySystem) -> PolySystem:

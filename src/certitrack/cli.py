@@ -39,8 +39,9 @@ from .tracker import FLOAT_FMT, TrackerOptions, track_path, write_trace_csv
 
 def _load_system(args):
     """The system file of args, or an argparse error (exit 2) when it cannot
-    be read or parsed, or when its Bombieri-Weyl norm is zero or overflows,
-    so that prepare_target could not scale it onto the sphere."""
+    be read or parsed, or when unit_scale cannot put it on the sphere (a
+    zero, infinite or NaN norm, or 1 / ||h|| no float), so prepare_target
+    could not."""
     try:
         system = parse_system_json(Path(args.system).read_text())
         unit_scale(homogenize(system) if isinstance(system, AffineSystem) else system)

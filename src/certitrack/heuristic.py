@@ -20,6 +20,7 @@ heuristic-222 benchmark workload expects, so it moves onto the placed
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,11 +82,11 @@ def predict(hom, s: float, x, dt: float) -> np.ndarray:
         return bordered_solve(bordered, rhs)
 
     # Stages k2 and k3 share the midpoint rotation.
-    mid = tracker._mix(s + dt / 2.0)
-    k1 = tangent(tracker._mix(s), x)
+    start, mid, end = (tracker._mix(math.cos(t), math.sin(t)) for t in (s, s + dt / 2.0, s + dt))
+    k1 = tangent(start, x)
     k2 = tangent(mid, x + (dt / 2.0) * k1)
     k3 = tangent(mid, x + (dt / 2.0) * k2)
-    k4 = tangent(tracker._mix(s + dt), x + dt * k3)
+    k4 = tangent(end, x + dt * k3)
     out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return out / np.linalg.norm(out)
 

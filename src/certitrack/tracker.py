@@ -239,18 +239,18 @@ def _chi(blocks, hdot2: float, bordered, rhs) -> tuple[float, float]:
     return x1, x2
 
 
-def _mix(s: float) -> np.ndarray:
+def _mix(c: float, sn: float) -> np.ndarray:
     # h_s = cos(s) g + sin(s) p and hdot_s = -sin(s) g + cos(s) p: the real
-    # 2 x 2 rotation of the (g, p) blocks into those of (h_s, hdot_s).
-    c, sn = math.cos(s), math.sin(s)
+    # 2 x 2 rotation of the (g, p) blocks into those of (h_s, hdot_s), from
+    # c = cos(s) and sn = sin(s).
     return np.array([[c, sn], [-sn, c]])
 
 
 def _rotation(s: float, gg: float, pp: float, gp: float) -> tuple[np.ndarray, float]:
-    # _mix(s), and ||hdot_s||^2 = sin^2(s) <g,g> + cos^2(s) <p,p>
+    # _mix at s, and ||hdot_s||^2 = sin^2(s) <g,g> + cos^2(s) <p,p>
     # - 2 sin(s) cos(s) Re<g,p>.
     c, sn = math.cos(s), math.sin(s)
-    return _mix(s), sn * sn * gg + c * c * pp - 2.0 * sn * c * gp
+    return _mix(c, sn), sn * sn * gg + c * c * pp - 2.0 * sn * c * gp
 
 
 def _rotate(mix: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
@@ -283,9 +283,10 @@ def track_linear(
 ) -> TrackResult:
     """Follow the lifted path of a linear homotopy from an approximate zero z0 of g.
 
-    z0 must satisfy the start certificate (exact start zeros always do).  On
-    Success the endpoint is an approximate zero of f associated to the end of
-    the lifted path through the start pair.
+    z0 must lie within Riemann distance newton.certified_radius(g, zeta) of
+    a zero zeta of g (exact start zeros do).  On Success the endpoint is an
+    approximate zero of f associated to the end of the lifted path through
+    the start pair.
     """
     # (g, p) is placed once per path and multiplied by each point matrix once;
     # the rotation to s_next serves the Newton step and then the next step.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from certitrack.bw import (
+    _bw_weights,
     bw_inner,
     bw_inner_re,
     bw_norm,
@@ -134,11 +135,23 @@ class TestNormalize:
         h = PolySystem.from_terms((2,), [[((2, 0), 1.0), ((0, 2), coeff)]])
         with pytest.raises(ValueError, match="cannot normalize"):
             normalize_to_sphere(h)
+        # in a later equation than a finite largest modulus
+        h = PolySystem.from_terms((1, 1), [[((1, 0, 0), 1.0)], [((1, 0, 0), coeff)]])
+        with pytest.raises(ValueError, match="cannot normalize"):
+            normalize_to_sphere(h)
 
-    def test_plain_norm_in_range(self):
-        h = random_system((2, 3), 5)
-        assert unit_scale(h) == 1.0 / bw_norm(h)
-        assert unit_scale(1e-120 * h) == 1.0 / bw_norm(1e-120 * h)
+    def test_scaled_norm_keeps_plain_bits(self):
+        # Scaling the moduli by a power of two before squaring changes no bit
+        # where the plain sum neither overflows nor goes subnormal.
+        for seed in range(20):
+            h = random_system((2, 3), seed)
+            for lam in (1.0, 1e-120, 1e120):
+                plain = math.sqrt(sum(
+                    float(np.sum(_bw_weights(h.n_vars, d) * np.abs(lam * a) ** 2))
+                    for d, a in zip(h.degrees, h.coeffs)
+                ))
+                assert bw_norm(lam * h) == plain
+                assert unit_scale(lam * h) == 1.0 / plain
 
     @pytest.mark.parametrize("lam", [2.0**-600, 1e-158, 1e-170, 1e200, 2.0**1000],
                              ids=["2^-600", "1e-158", "1e-170", "1e200", "2^1000"])
@@ -146,10 +159,17 @@ class TestNormalize:
         # Squares of these coefficients go subnormal or overflow; the norm is
         # taken of the system scaled by a power of two instead.
         h = random_system((2, 3), 5)
+        assert bw_norm(lam * h) == pytest.approx(lam * bw_norm(h), rel=1e-15)
         out = normalize_to_sphere(lam * h)
         assert bw_norm(out) == pytest.approx(1.0, abs=1e-15)
         np.testing.assert_allclose(out.coeff_vector(), normalize_to_sphere(h).coeff_vector(),
                                    rtol=1e-14, atol=0)
+
+    def test_norm_past_largest_float_rejected(self):
+        h = 1.5e308 * PolySystem.from_terms((2,), [[((2, 0), 1.0), ((0, 2), 1.0)]])
+        assert bw_norm(h) == math.inf
+        with pytest.raises(ValueError, match="cannot normalize"):
+            normalize_to_sphere(h)
 
     def test_subnormal_system_rejected(self):
         # 1 / ||h|| exceeds the largest float
