@@ -34,7 +34,7 @@ from .experiments import (
 )
 from .bw import unit_scale
 from .polysys import AffineSystem, homogenize, parse_system_json
-from .tracker import FLOAT_FMT, TrackerOptions, track_path, write_trace_csv
+from .tracker import FLOAT_FMT, track_path, write_trace_csv
 
 
 def _load_system(args):
@@ -76,7 +76,7 @@ def _solution_rows(solve_rows, n_coords: int):
 
 def cmd_solve(args) -> int:
     system = _load_system(args)
-    rows = run_solve(system, args.start, args.seed, TrackerOptions(record_trace=False))
+    rows = run_solve(system, args.start, args.seed)
     n_coords = system.n + 1
     header = ["path", "status", "steps"]
     header += [f"re{j}" for j in range(n_coords)] + [f"im{j}" for j in range(n_coords)]

@@ -42,6 +42,11 @@ from .tracker import (
 )
 from .heuristic import HeuristicOptions, track_heuristic
 
+# The experiments report statuses and step counts, so they track without a
+# per-step trace.
+_NO_TRACE = TrackerOptions(record_trace=False)
+_NO_HEURISTIC_TRACE = HeuristicOptions(record_trace=False)
+
 
 class AmbiguousMatchError(Exception):
     """An endpoint sits (numerically) equidistant from two reference roots."""
@@ -158,7 +163,7 @@ def _step_stats(outcomes: list[tuple[str, int]]) -> tuple[float, float, int]:
 
 
 def _bench_trial(args) -> list[PathStat]:
-    family, degrees, n, trial, seed, trackers, opts, heuristic_opts = args
+    family, degrees, n, trial, seed, trackers = args
     rows: list[PathStat] = []
     if family == "random":
         rng = np.random.default_rng([seed, trial, 0])
@@ -173,9 +178,9 @@ def _bench_trial(args) -> list[PathStat]:
     for kind in trackers:
         for path_id, root in enumerate(start.roots):
             if kind == "certified":
-                result = track_path(start.g, target, root, opts)
+                result = track_path(start.g, target, root, _NO_TRACE)
             else:
-                result = track_heuristic(hom, root, heuristic_opts)
+                result = track_heuristic(hom, root, _NO_HEURISTIC_TRACE)
             rows.append(PathStat(trial, path_id, kind, result.status.value, result.num_steps))
     return rows
 
@@ -188,14 +193,8 @@ def run_bench(
     trackers=("certified",),
     seed: int = 0,
     threads: int = 1,
-    opts: TrackerOptions | None = None,
-    heuristic_opts: HeuristicOptions | None = None,
 ) -> dict[str, ExperimentReport]:
     """Average steps per total-degree path for random or Katsura targets."""
-    if opts is None:
-        opts = TrackerOptions(record_trace=False)
-    if heuristic_opts is None:
-        heuristic_opts = HeuristicOptions(record_trace=False)
     if family == "random":
         if degrees is None:
             raise ValueError("the random family needs --degrees")
@@ -207,10 +206,7 @@ def run_bench(
     else:
         raise ValueError(f"unknown family {family!r}")
     t0 = time.perf_counter()
-    args = [
-        (family, degrees, n, trial, seed, tuple(trackers), opts, heuristic_opts)
-        for trial in range(trials)
-    ]
+    args = [(family, degrees, n, trial, seed, tuple(trackers)) for trial in range(trials)]
     rows_nested = _map_trials(_bench_trial, args, threads)
     wall = time.perf_counter() - t0
     reports = {}
@@ -248,7 +244,7 @@ def conjecture_bound(n: int, d: int = 2) -> float:
 
 
 def _conjecture_trial(args):
-    n, trial, seed, opts, verify_bound = args
+    n, trial, seed, verify_bound = args
     degrees = (2,) * n
     target = random_system_on_sphere(degrees, np.random.default_rng([seed, trial, 0]))
     out = []
@@ -261,7 +257,7 @@ def _conjecture_trial(args):
         else:
             pair = random_initial_pair(degrees, rng)
         hom = make_linear_homotopy(pair.g, target)
-        result = track_linear(hom, pair.zeta0, opts)
+        result = track_linear(hom, pair.zeta0, _NO_TRACE)
         violated = False
         if verify_bound and result.success:
             violated = result.num_steps > theorem_step_bound(hom, pair.zeta0)
@@ -274,14 +270,11 @@ def run_conjecture(
     trials: int = 30,
     seed: int = 0,
     threads: int = 1,
-    opts: TrackerOptions | None = None,
     verify_bound: bool = False,
 ) -> list[ConjectureReport]:
     """Mean certified steps from the good / total-degree / random start pairs
     to random targets with all degrees 2."""
-    if opts is None:
-        opts = TrackerOptions(record_trace=False)
-    args = [(n, trial, seed, opts, verify_bound) for trial in range(trials)]
+    args = [(n, trial, seed, verify_bound) for trial in range(trials)]
     rows_nested = _map_trials(_conjecture_trial, args, threads)
     bound = conjecture_bound(n)
     reports = []
@@ -320,7 +313,7 @@ def _perturbed_good_system(degrees, epsilon: float, rng: np.random.Generator) ->
 
 
 def _entropy_run(args):
-    degrees, variant, run, seed, opts, f, references = args
+    degrees, variant, run, seed, f, references = args
     rng = np.random.default_rng([seed, 2, run])
     if variant == "ball":
         pair = random_initial_pair(degrees, rng)
@@ -328,7 +321,7 @@ def _entropy_run(args):
         pair = random_initial_pair_unitary(degrees, rng)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    result = track_path(pair.g, f, pair.zeta0, opts)
+    result = track_path(pair.g, f, pair.zeta0, _NO_TRACE)
     if not result.success:
         return None
     root = refine(f, result.endpoint)
@@ -345,22 +338,19 @@ def run_entropy(
     variant: str = "ball",
     seed: int = 0,
     threads: int = 1,
-    opts: TrackerOptions | None = None,
 ) -> EntropyReport:
     """Histogram of which root the random start pair discovers, with its
     Shannon entropy; maximal entropy means equidistribution."""
-    if opts is None:
-        opts = TrackerOptions(record_trace=False)
     degrees = tuple(int(d) for d in degrees)
     # solve_all_total_degree prepares the target once; the histogram paths
     # track that same system, entropy_target's bits.
     system = _perturbed_good_system(degrees, epsilon, np.random.default_rng([seed, 0]))
-    report = solve_all_total_degree(system, opts, rng=np.random.default_rng([seed, 1]))
+    report = solve_all_total_degree(system, _NO_TRACE, rng=np.random.default_rng([seed, 1]))
     if report.num_failed:
         raise RuntimeError("failed to compute the reference roots of the target")
     f = report.target
     references = [refine(f, z) for z in report.endpoints]
-    args = [(degrees, variant, run, seed, opts, f, references) for run in range(runs)]
+    args = [(degrees, variant, run, seed, f, references) for run in range(runs)]
     outcomes = _map_trials(_entropy_run, args, threads)
     hits = [0] * len(references)
     failures = 0
@@ -423,20 +413,17 @@ def run_solve(
     system: PolySystem | AffineSystem,
     start_kind: str = "total",
     seed: int = 0,
-    opts: TrackerOptions | None = None,
 ) -> list[SolveRow]:
     """Track every path of start_paths(system, start_kind, seed): all D
     total-degree paths (through solve_all_total_degree, which prepares the
     target as start_paths does), or the one path of the good or random pair.
     Row i is the path from root i; its endpoint is None unless it succeeded.
     """
-    if opts is None:
-        opts = TrackerOptions()
     if start_kind == "total":
-        results = solve_all_total_degree(system, opts, rng=_total_degree_rng(seed)).results
+        results = solve_all_total_degree(system, _NO_TRACE, rng=_total_degree_rng(seed)).results
     else:
         f, start = start_paths(system, start_kind, seed)
-        results = [track_path(start.g, f, z, opts) for z in start.roots]
+        results = [track_path(start.g, f, z, _NO_TRACE) for z in start.roots]
     return [
         SolveRow(i, r.status.value, r.num_steps, r.endpoint if r.success else None)
         for i, r in enumerate(results)

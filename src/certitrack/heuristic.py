@@ -20,14 +20,13 @@ heuristic-222 benchmark workload expects, so it moves onto the placed
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import polysys, tracker
 from .bw import riemann_distance
-from .linalg import SingularLinearSolveError, bordered_solve
+from .linalg import SingularLinearSolveError, bordered_solve, one_blas_thread
 from .newton import newton_projective
 from .tracker import StepRecord, TrackResult, TrackStatus
 
@@ -56,37 +55,36 @@ class HeuristicOptions:
     record_trace: bool = True
 
 
-def predict(hom, s: float, x, dt: float) -> np.ndarray:
+def predict(hom, s: float, x, dt: float, buf: tracker._StepBuffers | None = None) -> np.ndarray:
     """RK4 predictor step of length dt from the point x on the path at
     parameter s, renormalized to the unit representative.
 
     `hom` is a LinearHomotopy; its (g, p) coefficient vectors stand in for
-    the systems h_s and hdot_s, none of which is built here.
+    the systems h_s and hdot_s, none of which is built here.  The stages
+    write into buf, the path's tracker._StepBuffers, which track_heuristic
+    allocates once per path; without one, predict allocates its own.
     """
     x = np.asarray(x, dtype=np.complex128)
     if dt == 0.0:
         return x
     ev = polysys.evaluator(hom.g.degrees)
-    n = ev.n
     basis = ev.place(np.stack([hom._gvec, hom._pvec]))
-    bordered = np.empty((n + 1, n + 1), dtype=np.complex128)
-    rhs = np.zeros(n + 1, dtype=np.complex128)
+    if buf is None:
+        buf = tracker._StepBuffers(ev)
 
-    def tangent(mix, z):
-        # The path velocity at (h_s, z), from one bordered solve, where mix
-        # rotates the (g, p) blocks into those of (h_s, hdot_s).
-        blocks = tracker._rotate(mix, basis.dot(ev.point_matrix(z)), n)
-        bordered[:n] = blocks[0, :, : n + 1]
-        bordered[n] = z.conj() / tracker._norm(z)
-        rhs[:n] = -blocks[1, :, n + 1]
-        return bordered_solve(bordered, rhs)
+    def tangent(t, z):
+        # The path velocity at (h_t, z), from one bordered solve.
+        np.dot(basis, ev.point_matrix(z), out=buf.B)
+        buf.rotate(t)
+        buf.jac[...] = buf.h_jac
+        buf.border[...] = z.conj() / tracker._norm(z)
+        np.negative(buf.hdot_val, out=buf.rhs1_top)
+        return bordered_solve(buf.bordered, buf.rhs1)
 
-    # Stages k2 and k3 share the midpoint rotation.
-    start, mid, end = (tracker._mix(math.cos(t), math.sin(t)) for t in (s, s + dt / 2.0, s + dt))
-    k1 = tangent(start, x)
-    k2 = tangent(mid, x + (dt / 2.0) * k1)
-    k3 = tangent(mid, x + (dt / 2.0) * k2)
-    k4 = tangent(end, x + dt * k3)
+    k1 = tangent(s, x)
+    k2 = tangent(s + dt / 2.0, x + (dt / 2.0) * k1)
+    k3 = tangent(s + dt / 2.0, x + (dt / 2.0) * k2)
+    k4 = tangent(s + dt, x + dt * k3)
     out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return out / np.linalg.norm(out)
 
@@ -107,6 +105,7 @@ def correct(h: polysys.PolySystem, x, iters: int = CORRECTOR_ITERS, tol: float =
     return z, float(achieved)
 
 
+@one_blas_thread
 def track_heuristic(hom, z0, opts: HeuristicOptions = HeuristicOptions()) -> TrackResult:
     """Adaptive predictor-corrector tracking of a linear homotopy.
 
@@ -124,6 +123,7 @@ def track_heuristic(hom, z0, opts: HeuristicOptions = HeuristicOptions()) -> Tra
     attempts = 0
     streak = 0
     trace: list[StepRecord] = []
+    buf = tracker._StepBuffers(polysys.evaluator(hom.g.degrees))
 
     while s < T:
         if attempts >= MAX_ATTEMPTS:
@@ -132,7 +132,7 @@ def track_heuristic(hom, z0, opts: HeuristicOptions = HeuristicOptions()) -> Tra
         step = min(dt, T - s)
         s_next = T if step >= T - s else s + step
         try:
-            z_pred = predict(hom, s, z, s_next - s)
+            z_pred = predict(hom, s, z, s_next - s, buf)
             z_corr, err = correct(hom.value_at(s_next), z_pred, CORRECTOR_ITERS, CORRECTOR_TOL)
         except SingularLinearSolveError:
             return TrackResult(z, TrackStatus.SINGULAR, accepted, tuple(trace))

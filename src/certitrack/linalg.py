@@ -14,9 +14,27 @@ matrices are at most a few rows wide, so the checks, warning filters and
 batch dispatch of scipy.linalg.lu_factor/lu_solve cost several times the
 arithmetic; the LAPACK calls they end in are the same, so the results are
 bitwise equal.
+
+Thread policy: certitrack's public functions that loop over LAPACK calls
+(the trackers, the all-roots solve, the condition length, Newton refinement
+and the condition number mu) run under one_blas_thread, which sets every loaded OpenBLAS to one thread and gives
+the caller back its own counts on the way out.  NumPy and SciPy each load
+their own OpenBLAS (NumPy's serves np.linalg.svd, SciPy's zgetrf/zgetrs),
+and each starts a thread per core.  On matrices of at most 6 x 6 a second
+thread does no useful work: it spins after each call, so a path burns about
+twice its wall time in CPU; a fresh process stalls ~8 ms in each of its
+first ~100 multi-column zgetrs calls; and a one-column zgetrs returns other
+bits under two threads than under one, so endpoints would depend on the
+caller's thread setting.  Pinned, every entry point computes the same bits
+whatever thread count the process was started or left with.
 """
 
 from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import threading
 
 import numpy as np
 from scipy.linalg.lapack import zgetrf as _zgetrf
@@ -24,6 +42,12 @@ from scipy.linalg.lapack import zgetrs as _zgetrs
 
 
 RCOND_FLOOR = 1e-14
+# Thread-count getter and setter of SciPy's (LP64) and NumPy's (ILP64, with
+# the 64_ suffix) OpenBLAS builds.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
 
 
 class SingularLinearSolveError(Exception):
@@ -65,6 +89,65 @@ def lu_solve(lu_piv, rhs: np.ndarray) -> np.ndarray:
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of zgetrs")
     return x
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple[tuple, ...]:
+    # (get, set) of each OpenBLAS library mapped into this process, found
+    # once by its path in /proc/self/maps; none where there is no such file
+    # or no OpenBLAS.
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({
+                line.split()[-1] for line in fh
+                if "openblas" in line.rsplit("/", 1)[-1] and ".so" in line
+            })
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+    return tuple(controls)
+
+
+class _OneBlasThread(contextlib.ContextDecorator):
+    """Context manager and decorator: every loaded OpenBLAS runs on one
+    thread inside; the outermost exit, also by an exception, restores the
+    counts the outermost entry found.  The counts are process-wide, so
+    entries are counted under a lock, and nested or concurrent blocks leave
+    the pin to the last one out.  Does nothing where no OpenBLAS is loaded."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved: list[int] = []
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                controls = _openblas_thread_controls()
+                self._saved = [get() for get, _ in controls]
+                for _, set_ in controls:
+                    set_(1)
+            self._depth += 1
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for (_, set_), count in zip(_openblas_thread_controls(), self._saved):
+                    set_(count)
+        return False
+
+
+one_blas_thread = _OneBlasThread()
 
 
 def make_bordered(jac: np.ndarray, z) -> np.ndarray:

@@ -19,7 +19,13 @@ import numpy as np
 
 from . import polysys
 from .bw import bw_norm, riemann_distance
-from .linalg import SingularLinearSolveError, bordered_solve, make_bordered, spectral_norm
+from .linalg import (
+    SingularLinearSolveError,
+    bordered_solve,
+    make_bordered,
+    one_blas_thread,
+    spectral_norm,
+)
 
 U0 = 0.17586
 
@@ -38,6 +44,7 @@ def newton_projective(h: polysys.PolySystem, z) -> np.ndarray:
     return out / np.linalg.norm(out)
 
 
+@one_blas_thread
 def condition_mu(h: polysys.PolySystem, z) -> float:
     """Condition number mu(h, z); +inf when the restricted Jacobian is singular."""
     z = np.asarray(z, dtype=np.complex128)
@@ -65,6 +72,7 @@ def certified_radius(h: polysys.PolySystem, zeta, mu: float | None = None) -> fl
     return U0 / (h.max_degree ** 1.5 * mu)
 
 
+@one_blas_thread
 def refine(h: polysys.PolySystem, z, max_iters: int = 30, tol: float = 1e-14) -> np.ndarray:
     """Iterate projective Newton until successive iterates agree to `tol` in d_R.
 

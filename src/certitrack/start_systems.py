@@ -20,7 +20,7 @@ from .bw import (
     sqrt_multinomials,
     unitary_compose,
 )
-from .linalg import kernel_vector, random_unitary, unitary_mapping_to_e0
+from .linalg import kernel_vector, one_blas_thread, random_unitary, unitary_mapping_to_e0
 from .newton import certified_radius, refine
 from .polysys import PolySystem, evaluate, space_dimension, unit_point
 from .tracker import TrackerOptions, TrackResult, track_path
@@ -242,6 +242,7 @@ def prepare_target(system: PolySystem | polysys.AffineSystem) -> PolySystem:
     return normalize_to_sphere(system)
 
 
+@one_blas_thread
 def solve_all_total_degree(
     f: PolySystem | polysys.AffineSystem,
     opts: TrackerOptions = TrackerOptions(),

@@ -39,6 +39,15 @@ the point matrix at z_i (polysys.Evaluator): on h_s = cos(s) g + sin(s) p the
 blocks of h_{s_i}, hdot_{s_i} and the advanced system are real rotations of
 theirs.  One factorization and one (n+2)-column solve give chi_1 and chi_2,
 one more the Newton step.  chi1, chi2 and certified_step run the loop's code.
+
+Both trackers allocate their buffers once per path (_StepBuffers): the
+(2n, n+2) product, the (2, n, n+2) rotated blocks, the 2 x 2 rotation, the
+bordered matrix and both right-hand sides, with fixed views of their parts.
+A step writes into them (np.dot and np.conjugate with out=, the rotation's
+four entries in place) with the same BLAS calls on the same operands as a
+step that allocates its arrays, so the bits are those of such a step.  What
+a step still allocates comes back from the point matrix, LAPACK, the SVD and
+the Newton update.  The trackers run on one BLAS thread (see linalg).
 """
 
 from __future__ import annotations
@@ -207,55 +216,68 @@ def _chi_at(g: polysys.PolySystem, gdot: polysys.PolySystem, z) -> tuple[float, 
     ev = polysys.evaluator(g.degrees)
     z = polysys._checked_point(g.n_vars, z)
     R = np.stack([g.coeff_vector(), gdot.coeff_vector()])
-    rhs, bordered = _step_arrays(ev)
-    bordered[ev.n] = z.conj()
-    return _chi(ev.rows(R, ev.point_matrix(z)), bw_inner_re(g.degrees, R[1], R[1]), bordered, rhs)
+    buf = _StepBuffers(ev)
+    buf.rot[...] = ev.rows(R, ev.point_matrix(z))
+    np.conjugate(z, out=buf.border)
+    return _chi(buf, bw_inner_re(g.degrees, R[1], R[1]))
 
 
-def _step_arrays(ev: polysys.Evaluator) -> tuple[np.ndarray, np.ndarray]:
-    # The right-hand side of the chi solve: Diag(sqrt(d_i), 1) for chi1, then
-    # one column that _chi fills with hdot(z) for chi2; and room for a
-    # bordered matrix (Dh(z); z*), which the factorization copies, so it is
-    # filled again.
-    rhs = np.zeros((ev.n + 1, ev.n + 2), dtype=np.complex128)
-    for i, d in enumerate(ev.degrees):
-        rhs[i, i] = math.sqrt(d)
-    rhs[ev.n, ev.n] = 1.0
-    return rhs, np.empty((ev.n + 1, ev.n + 1), dtype=np.complex128)
+class _StepBuffers:
+    """The arrays a step writes into, allocated once per path, and fixed
+    views of them, so that a step takes no slice either.
+
+    B: the (2n, n+2) product of the placed (g, p) with a point matrix.
+    rot: its rotation (rotate) into the (2, n, n+2) blocks [Dh(z) | h(z)]
+    and [Dhdot(z) | hdot(z)] of (h_s, hdot_s), by the real 2 x 2 mix
+    applied to the real (2, 2n(n+2)) views B_real and rot_real.
+    bordered: (Dh(z); z*), which the factorization copies, so it is filled
+    again for each one.
+    rhs: the n+2 columns of the chi solve, Diag(sqrt(d_i), 1) for chi1 and
+    hdot(z) for chi2.  rhs1: one column (v; 0), with v = h(z) for the Newton
+    step and v = -hdot(z) for the heuristic predictor's tangent.
+    """
+
+    def __init__(self, ev: polysys.Evaluator):
+        n = ev.n
+        self.B = np.empty((2 * n, n + 2), dtype=np.complex128)
+        self.rot = np.empty((2, n, n + 2), dtype=np.complex128)
+        self.B_real = self.B.view(np.float64).reshape(2, -1)
+        self.rot_real = self.rot.view(np.float64).reshape(2, -1)
+        self.mix = np.empty((2, 2))
+        self.bordered = np.empty((n + 1, n + 1), dtype=np.complex128)
+        self.rhs = np.zeros((n + 1, n + 2), dtype=np.complex128)
+        for i, d in enumerate(ev.degrees):
+            self.rhs[i, i] = math.sqrt(d)
+        self.rhs[n, n] = 1.0
+        self.rhs1 = np.zeros(n + 1, dtype=np.complex128)
+        self.jac, self.border = self.bordered[:n], self.bordered[n]
+        self.h_jac, self.h_val = self.rot[0, :, : n + 1], self.rot[0, :, n + 1]
+        self.hdot_val = self.rot[1, :, n + 1]
+        self.rhs_hdot, self.rhs1_top = self.rhs[:n, n + 1], self.rhs1[:n]
+
+    def rotate(self, s: float) -> tuple[float, float]:
+        """Rotate B into rot at s: h_s = cos(s) g + sin(s) p and
+        hdot_s = -sin(s) g + cos(s) p.  Returns (cos(s), sin(s))."""
+        c, sn = math.cos(s), math.sin(s)
+        mix = self.mix
+        mix[0, 0] = mix[1, 1] = c
+        mix[0, 1] = sn
+        mix[1, 0] = -sn
+        np.dot(mix, self.B_real, out=self.rot_real)
+        return c, sn
 
 
-def _chi(blocks, hdot2: float, bordered, rhs) -> tuple[float, float]:
-    """chi1 and chi2 at (h, z) from the [Dh(z) | h(z)] and [Dhdot(z) | hdot(z)]
-    blocks and ||hdot||^2: one factorization of the bordered matrix, whose
-    last row already holds z*, and one solve against the n+2 columns of
-    rhs."""
-    n = blocks.shape[1]
-    bordered[:n] = blocks[0, :, : n + 1]
-    lu = linalg.lu_factor_checked(bordered)
-    rhs[:n, n + 1] = blocks[1, :, n + 1]
-    sol = linalg.lu_solve(lu, rhs)
-    x1 = float(np.linalg.svd(sol[:, : n + 1], compute_uv=False)[0])
-    x2 = math.sqrt(hdot2 + _norm(sol[:, n + 1]) ** 2)
+def _chi(buf: _StepBuffers, hdot2: float) -> tuple[float, float]:
+    """chi1 and chi2 at (h, z) from the blocks in buf.rot and ||hdot||^2: one
+    factorization of the bordered matrix, whose last row already holds z*,
+    and one solve against the n+2 columns of buf.rhs."""
+    buf.jac[...] = buf.h_jac
+    lu = linalg.lu_factor_checked(buf.bordered)
+    buf.rhs_hdot[...] = buf.hdot_val
+    sol = linalg.lu_solve(lu, buf.rhs)
+    x1 = float(np.linalg.svd(sol[:, :-1], compute_uv=False)[0])
+    x2 = math.sqrt(hdot2 + _norm(sol[:, -1]) ** 2)
     return x1, x2
-
-
-def _mix(c: float, sn: float) -> np.ndarray:
-    # h_s = cos(s) g + sin(s) p and hdot_s = -sin(s) g + cos(s) p: the real
-    # 2 x 2 rotation of the (g, p) blocks into those of (h_s, hdot_s), from
-    # c = cos(s) and sn = sin(s).
-    return np.array([[c, sn], [-sn, c]])
-
-
-def _rotation(s: float, gg: float, pp: float, gp: float) -> tuple[np.ndarray, float]:
-    # _mix at s, and ||hdot_s||^2 = sin^2(s) <g,g> + cos^2(s) <p,p>
-    # - 2 sin(s) cos(s) Re<g,p>.
-    c, sn = math.cos(s), math.sin(s)
-    return _mix(c, sn), sn * sn * gg + c * c * pp - 2.0 * sn * c * gp
-
-
-def _rotate(mix: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
-    # The (2, n, n+2) blocks of h_s and hdot_s from the stacked (g, p) blocks B.
-    return mix.dot(B.view(np.float64).reshape(2, -1)).view(np.complex128).reshape(2, n, -1)
 
 
 def _start_point(n_vars: int, z0) -> np.ndarray:
@@ -278,6 +300,7 @@ def _systems_equal(g: polysys.PolySystem, f: polysys.PolySystem, tol: float = 1e
     )
 
 
+@linalg.one_blas_thread
 def track_linear(
     hom: LinearHomotopy, z0, opts: TrackerOptions = TrackerOptions()
 ) -> TrackResult:
@@ -289,26 +312,27 @@ def track_linear(
     the start pair.
     """
     # (g, p) is placed once per path and multiplied by each point matrix once;
-    # the rotation to s_next serves the Newton step and then the next step.
+    # that product is rotated to s for the step and to s_next for the Newton
+    # step.
     degrees, g, p, T = hom.g.degrees, hom._gvec, hom._pvec, hom.T
     ev = polysys.evaluator(degrees)
-    n = ev.n
     basis = ev.place(np.stack([g, p]))
     gg, pp, gp = (bw_inner_re(degrees, a, b) for a, b in ((g, g), (p, p), (g, p)))
-    rhs, bordered = _step_arrays(ev)
-    newton_rhs = np.zeros(n + 1, dtype=np.complex128)
+    buf = _StepBuffers(ev)
     z = _start_point(ev.n_vars, z0)
     s = 0.0
     steps = 0
     trace: list[StepRecord] = []
-    mix, hdot2 = _rotation(s, gg, pp, gp)
     while s != T:
         if steps >= MAX_STEPS:
             return TrackResult(z, TrackStatus.MAX_STEPS, steps, tuple(trace))
-        B = basis.dot(ev.point_matrix(z))
-        bordered[n] = z.conj()
+        np.dot(basis, ev.point_matrix(z), out=buf.B)
+        np.conjugate(z, out=buf.border)
+        c, sn = buf.rotate(s)
+        # ||hdot_s||^2 = sin^2(s) <g,g> + cos^2(s) <p,p> - 2 sin(s) cos(s) Re<g,p>
+        hdot2 = sn * sn * gg + c * c * pp - 2.0 * sn * c * gp
         try:
-            x1, x2 = _chi(_rotate(mix, B, n), hdot2, bordered, rhs)
+            x1, x2 = _chi(buf, hdot2)
         except SingularLinearSolveError:
             return TrackResult(z, TrackStatus.SINGULAR, steps, tuple(trace))
         phi = x1 * x2
@@ -323,16 +347,15 @@ def track_linear(
             s_next = T
         else:
             s_next = s + t
-        mix, hdot2 = _rotation(s_next, gg, pp, gp)
-        block = _rotate(mix, B, n)[0]
-        bordered[:n] = block[:, : n + 1]
+        buf.rotate(s_next)
+        buf.jac[...] = buf.h_jac
         try:
-            lu = linalg.lu_factor_checked(bordered)
+            lu = linalg.lu_factor_checked(buf.bordered)
         except SingularLinearSolveError:
             return TrackResult(z, TrackStatus.SINGULAR, steps, tuple(trace))
-        newton_rhs[:n] = block[:, n + 1]
-        z = z - linalg.lu_solve(lu, newton_rhs)
-        z = z / _norm(z)
+        buf.rhs1_top[...] = buf.h_val
+        z = z - linalg.lu_solve(lu, buf.rhs1)
+        z /= _norm(z)
         steps += 1
         if opts.record_trace:
             trace.append(StepRecord(steps, s_next, t, phi, x1, x2, z))
@@ -352,6 +375,7 @@ def track_path(
     return track_linear(make_linear_homotopy(g, f), z0, opts)
 
 
+@linalg.one_blas_thread
 def condition_length(hom: LinearHomotopy, z0, resolution: int = 2000) -> float:
     """Numerical condition length of the lifted path through z0.
 

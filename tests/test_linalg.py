@@ -1,9 +1,12 @@
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from certitrack import linalg
 from certitrack.linalg import (
     SingularLinearSolveError,
     bordered_solve,
@@ -11,11 +14,14 @@ from certitrack.linalg import (
     lu_factor_checked,
     lu_solve,
     make_bordered,
+    one_blas_thread,
     random_unitary,
     spectral_norm,
     unitary_mapping_to_e0,
 )
 from certitrack.polysys import PolySystem, jacobian, unit_point
+from certitrack.start_systems import random_system_on_sphere, total_degree_start
+from certitrack.tracker import make_linear_homotopy, track_linear
 
 
 def power_iteration_norm(A, iters=500, seed=0):
@@ -231,3 +237,117 @@ class TestUnitaryMappingToE0:
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
             unitary_mapping_to_e0(np.array([2.0, 0.0], dtype=complex), np.random.default_rng(0))
+
+
+class TestOneBlasThread:
+    @pytest.fixture
+    def controls(self):
+        # Every loaded OpenBLAS on 2 threads for the test, the caller's
+        # setting the pin must give back; the counts it found afterwards.
+        controls = linalg._openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS loaded")
+        saved = [get() for get, _ in controls]
+        for _, set_ in controls:
+            set_(2)
+        yield controls
+        for (_, set_), count in zip(controls, saved):
+            set_(count)
+
+    @staticmethod
+    def counts(controls):
+        return [get() for get, _ in controls]
+
+    def test_one_thread_inside_caller_setting_after(self, controls):
+        with one_blas_thread:
+            assert self.counts(controls) == [1] * len(controls)
+        assert self.counts(controls) == [2] * len(controls)
+
+    def test_restored_after_an_exception(self, controls):
+        with pytest.raises(RuntimeError):
+            with one_blas_thread:
+                assert self.counts(controls) == [1] * len(controls)
+                raise RuntimeError("inside")
+        assert self.counts(controls) == [2] * len(controls)
+
+    def test_nested_and_as_decorator(self, controls):
+        seen = []
+
+        @one_blas_thread
+        def outer():
+            with one_blas_thread:
+                seen.append(self.counts(controls))
+            seen.append(self.counts(controls))
+
+        outer()
+        assert seen == [[1] * len(controls)] * 2
+        assert self.counts(controls) == [2] * len(controls)
+
+    def test_tracker_solves_on_one_thread_and_leaves_setting(self, controls, monkeypatch):
+        seen = set()
+
+        def spy(lu_piv, rhs):
+            seen.add(tuple(self.counts(controls)))
+            return lu_solve(lu_piv, rhs)
+
+        monkeypatch.setattr(linalg, "lu_solve", spy)
+        rng = np.random.default_rng(5)
+        f = random_system_on_sphere((2, 2), rng)
+        start = total_degree_start((2, 2), rng)
+        assert track_linear(make_linear_homotopy(start.g, f), start.roots[0]).success
+        assert seen == {(1,) * len(controls)}
+        assert self.counts(controls) == [2] * len(controls)
+
+    def test_overlapping_blocks_in_two_threads(self, controls):
+        # A enters, B enters, A leaves while B is still inside: B keeps one
+        # thread, and B, the last one out, restores the caller's setting.
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = []
+
+        def a():
+            with one_blas_thread:
+                a_in.set()
+                b_in.wait(30)
+            a_out.set()
+
+        def b():
+            a_in.wait(30)
+            with one_blas_thread:
+                b_in.set()
+                a_out.wait(30)
+                seen.append(self.counts(controls))
+
+        threads = [threading.Thread(target=a), threading.Thread(target=b)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+        assert not any(th.is_alive() for th in threads)
+        assert seen == [[1] * len(controls)]
+        assert self.counts(controls) == [2] * len(controls)
+
+    def test_many_threads_keep_the_pin(self, controls):
+        # More threads than cores entering and leaving at once: none sees a
+        # restored count while another is inside, and the setting survives.
+        start = threading.Barrier(4)
+        seen = set()
+
+        def work():
+            start.wait(30)
+            for _ in range(300):
+                with one_blas_thread:
+                    seen.add(tuple(self.counts(controls)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert seen == {(1,) * len(controls)}
+        assert self.counts(controls) == [2] * len(controls)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 from certitrack import tracker
 from certitrack.bw import bw_inner, bw_norm, normalize_to_sphere, riemann_distance
 from certitrack.experiments import katsura_system
+from certitrack.heuristic import track_heuristic
 from certitrack.linalg import SingularLinearSolveError
 from certitrack.newton import U0, condition_mu, refine
 from certitrack.polysys import (
@@ -59,6 +61,60 @@ def step_constants(curvature_bound: float) -> tuple[float, float]:
 def c_over_p(curvature_bound: float) -> float:
     c, P = step_constants(curvature_bound)
     return c / P
+
+
+# sha256 of every trace record (s, t, phi, chi1, chi2, then z) of the 8
+# paths of the pinned (2,2,2) target, read under OPENBLAS_NUM_THREADS=1 from
+# the loop as it stood before its per-path buffers.
+PINNED_TRACE_SHA256 = "d5792991dd0b4f8d39ec2cc1a100b3f493fb158eeea2f3818bd242b1bc089690"
+
+
+def pinned_target():
+    # The (2,2,2) target of default_rng(2024) and its total-degree start.
+    rng = np.random.default_rng(2024)
+    f = random_system_on_sphere((2, 2, 2), rng)
+    return f, total_degree_start((2, 2, 2), rng)
+
+
+def pinned_trace_digest() -> str:
+    f, start = pinned_target()
+    hom = make_linear_homotopy(start.g, f)
+    h = hashlib.sha256()
+    for z0 in start.roots:
+        for rec in track_linear(hom, z0).trace:
+            h.update(np.array([rec.s, rec.t, rec.phi, rec.chi1, rec.chi2]).tobytes())
+            h.update(rec.z.tobytes())
+    return h.hexdigest()
+
+
+def thread_sensitive_bits() -> str:
+    # Step counts and endpoint bytes of paths 2 and 5 of the pinned target,
+    # tracked certified and heuristic; then the refined zeros and their mu
+    # from four Katsura-5 points near total-degree start roots.
+    f, start = pinned_target()
+    hom = make_linear_homotopy(start.g, f)
+    out = []
+    for i in (2, 5):
+        for r in (track_linear(hom, start.roots[i]), track_heuristic(hom, start.roots[i])):
+            out.append(f"{r.num_steps}:{r.endpoint.tobytes().hex()}")
+    k5 = normalize_to_sphere(homogenize(katsura_system(5)))
+    for z in total_degree_start(k5.degrees, np.random.default_rng(0)).roots[:4]:
+        zeta = refine(k5, z + 1e-3)
+        out.append(f"{zeta.tobytes().hex()}:{condition_mu(k5, zeta).hex()}")
+    return " ".join(out)
+
+
+def run_child(code: str, blas_threads: int) -> str:
+    # Standard output of `code`, run in a fresh process that starts with
+    # OPENBLAS_NUM_THREADS=blas_threads and can import this file.
+    src = Path(__import__("certitrack").__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    env["PYTHONPATH"] = os.pathsep.join([str(src), str(Path(__file__).parent)])
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert child.returncode == 0, child.stderr
+    return child.stdout
 
 
 @pytest.fixture(scope="module")
@@ -358,6 +414,19 @@ class TestTrackLinear:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
         )
         assert child.returncode == 0, child.stderr
+
+    def test_trace_bits_unchanged_with_one_blas_thread(self):
+        # Writing into per-path buffers runs the same BLAS calls on the same
+        # operands, so every record of the pinned target keeps its bits.
+        code = "from test_tracker import pinned_trace_digest; print(pinned_trace_digest())"
+        assert run_child(code, 1).strip() == PINNED_TRACE_SHA256
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # The trackers, refine and condition_mu run on one BLAS thread
+        # whatever the process started with, so their results are the same
+        # bits under both.
+        code = "from test_tracker import thread_sensitive_bits; print(thread_sensitive_bits())"
+        assert run_child(code, 1) == run_child(code, 2)
 
     @pytest.mark.parametrize(
         "bad", [[np.nan, 1.0, 0.0, 0.0], [np.inf, 1.0, 0.0, 0.0], [0.0] * 4, [1.0, 0.0, 0.0]]
