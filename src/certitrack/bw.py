@@ -14,6 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .linalg import vector_norm
 from .polysys import (
     PolySystem,
     homogeneous_exponents,
@@ -138,15 +139,15 @@ def riemann_distance(z, w) -> float:
     """
     z = np.asarray(z, dtype=np.complex128)
     w = np.asarray(w, dtype=np.complex128)
-    nz = np.linalg.norm(z)
-    nw = np.linalg.norm(w)
+    nz = vector_norm(z)
+    nw = vector_norm(w)
     if nz == 0.0 or nw == 0.0:
         raise ValueError("zero vector does not represent a projective point")
     z = z / nz
     w = w / nw
     ip = np.vdot(w, z)
     cos_part = min(abs(ip), 1.0)
-    sin_part = np.linalg.norm(z - ip * w)
+    sin_part = vector_norm(z - ip * w)
     return float(np.arctan2(sin_part, cos_part))
 
 

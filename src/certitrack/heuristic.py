@@ -10,12 +10,13 @@ comparable.  The step-adaptation constants below are free parameters of the
 heuristic, fixed at the values the comparisons in this package use.
 
 The predictor evaluates the homotopy as the certified loop does, from the
-LinearHomotopy's (g, p) coefficient vectors placed once per attempt: each
-RK4 stage is one point matrix, one product and one rotation to the stage's
-parameter.  The corrector still runs newton_projective on h_{s_next}: it is
-the load on polysys.evaluate/jacobian and linalg.make_bordered that the
-heuristic-222 benchmark workload expects, so it moves onto the placed
-(g, p) only together with that workload's expected spans.
+LinearHomotopy's (g, p) coefficient vectors, placed once per path in the
+path's tracker._StepBuffers: each RK4 stage is one point matrix, one product
+and one rotation to the stage's parameter.  The corrector still runs
+newton_projective on h_{s_next}: it is the load on polysys.evaluate/jacobian
+and linalg.make_bordered that the heuristic-222 benchmark workload expects,
+so it moves onto the placed (g, p) only together with that workload's
+expected spans.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import polysys, tracker
 from .bw import riemann_distance
-from .linalg import SingularLinearSolveError, bordered_solve, one_blas_thread
+from .linalg import SingularLinearSolveError, bordered_solve, one_blas_thread, vector_norm
 from .newton import newton_projective
 from .tracker import StepRecord, TrackResult, TrackStatus
 
@@ -61,23 +62,23 @@ def predict(hom, s: float, x, dt: float, buf: tracker._StepBuffers | None = None
 
     `hom` is a LinearHomotopy; its (g, p) coefficient vectors stand in for
     the systems h_s and hdot_s, none of which is built here.  The stages
-    write into buf, the path's tracker._StepBuffers, which track_heuristic
-    allocates once per path; without one, predict allocates its own.
+    read (g, p) placed in buf, the path's tracker._StepBuffers for hom,
+    which track_heuristic sets up once per path, and write into it; without
+    one, predict sets up its own.
     """
     x = np.asarray(x, dtype=np.complex128)
     if dt == 0.0:
         return x
-    ev = polysys.evaluator(hom.g.degrees)
-    basis = ev.place(np.stack([hom._gvec, hom._pvec]))
     if buf is None:
-        buf = tracker._StepBuffers(ev)
+        buf = tracker._StepBuffers(polysys.evaluator(hom.g.degrees), hom._gvec, hom._pvec)
 
     def tangent(t, z):
         # The path velocity at (h_t, z), from one bordered solve.
-        np.dot(basis, ev.point_matrix(z), out=buf.B)
+        buf.load(z)
         buf.rotate(t)
         buf.jac[...] = buf.h_jac
-        buf.border[...] = z.conj() / tracker._norm(z)
+        np.conjugate(z, out=buf.border)
+        buf.border /= vector_norm(z)
         np.negative(buf.hdot_val, out=buf.rhs1_top)
         return bordered_solve(buf.bordered, buf.rhs1)
 
@@ -86,7 +87,8 @@ def predict(hom, s: float, x, dt: float, buf: tracker._StepBuffers | None = None
     k3 = tangent(s + dt / 2.0, x + (dt / 2.0) * k2)
     k4 = tangent(s + dt, x + dt * k3)
     out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return out / np.linalg.norm(out)
+    out /= vector_norm(out)
+    return out
 
 
 def correct(h: polysys.PolySystem, x, iters: int = CORRECTOR_ITERS, tol: float = CORRECTOR_TOL):
@@ -94,7 +96,7 @@ def correct(h: polysys.PolySystem, x, iters: int = CORRECTOR_ITERS, tol: float =
     drops under tol.  Returns (point, last step size) — the step size is the
     error estimate the tracker adapts on."""
     z = np.asarray(x, dtype=np.complex128)
-    z = z / np.linalg.norm(z)
+    z = z / vector_norm(z)
     achieved = np.inf
     for _ in range(iters):
         nxt = newton_projective(h, z)
@@ -115,7 +117,7 @@ def track_heuristic(hom, z0, opts: HeuristicOptions = HeuristicOptions()) -> Tra
     SingularLinearSolve on a singular system along the way.
     """
     z = np.asarray(z0, dtype=np.complex128)
-    z = z / np.linalg.norm(z)
+    z = z / vector_norm(z)
     T = hom.T
     s = 0.0
     dt = STEP_INIT
@@ -123,7 +125,7 @@ def track_heuristic(hom, z0, opts: HeuristicOptions = HeuristicOptions()) -> Tra
     attempts = 0
     streak = 0
     trace: list[StepRecord] = []
-    buf = tracker._StepBuffers(polysys.evaluator(hom.g.degrees))
+    buf = tracker._StepBuffers(polysys.evaluator(hom.g.degrees), hom._gvec, hom._pvec)
 
     while s < T:
         if attempts >= MAX_ATTEMPTS:

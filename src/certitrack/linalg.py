@@ -1,5 +1,5 @@
-"""Small dense complex linear-algebra kernel: bordered solves, operator norms,
-kernel vectors, and random unitaries.
+"""Small dense complex linear-algebra kernel: bordered solves, vector and
+operator norms, kernel vectors, and random unitaries.
 
 The bordered matrix stacks the n x (n+1) Jacobian Dh(z) on top of the row z*,
 giving the square system used by the projective Newton operator and every
@@ -34,6 +34,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import math
 import threading
 
 import numpy as np
@@ -167,6 +168,12 @@ def make_bordered(jac: np.ndarray, z) -> np.ndarray:
 def bordered_solve(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve B x = rhs (vector or matrix of columns) for a bordered matrix B."""
     return lu_solve(lu_factor_checked(B), rhs)
+
+
+def vector_norm(x: np.ndarray) -> float:
+    """Euclidean norm of a complex vector: np.linalg.norm's arithmetic, so
+    the same bits, without its argument checks and dispatch."""
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def spectral_norm(A: np.ndarray) -> float:

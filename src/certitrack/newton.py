@@ -25,6 +25,7 @@ from .linalg import (
     make_bordered,
     one_blas_thread,
     spectral_norm,
+    vector_norm,
 )
 
 U0 = 0.17586
@@ -38,10 +39,12 @@ def newton_projective(h: polysys.PolySystem, z) -> np.ndarray:
     """One projective Newton step, renormalized to the unit representative."""
     z = np.asarray(z, dtype=np.complex128)
     B = make_bordered(polysys.jacobian(h, z), z)
-    rhs = np.concatenate([polysys.evaluate(h, z), [0.0]])
+    rhs = np.zeros(h.n + 1, dtype=np.complex128)
+    rhs[:-1] = polysys.evaluate(h, z)
     w = bordered_solve(B, rhs)
     out = z - w
-    return out / np.linalg.norm(out)
+    out /= vector_norm(out)
+    return out
 
 
 @one_blas_thread
@@ -49,7 +52,7 @@ def condition_mu(h: polysys.PolySystem, z) -> float:
     """Condition number mu(h, z); +inf when the restricted Jacobian is singular."""
     z = np.asarray(z, dtype=np.complex128)
     n = h.n
-    nz = np.linalg.norm(z)
+    nz = vector_norm(z)
     if nz == 0.0:
         raise ValueError("zero vector does not represent a projective point")
     B = make_bordered(polysys.jacobian(h, z), z / nz)
@@ -81,7 +84,7 @@ def refine(h: polysys.PolySystem, z, max_iters: int = 30, tol: float = 1e-14) ->
     settle within `max_iters`.
     """
     current = np.asarray(z, dtype=np.complex128)
-    current = current / np.linalg.norm(current)
+    current = current / vector_norm(current)
     for _ in range(max_iters):
         nxt = newton_projective(h, current)
         if riemann_distance(nxt, current) < tol:

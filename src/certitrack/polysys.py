@@ -15,14 +15,21 @@ The degree tuple is validated once per tuple (cached), which keeps
 
 Homogeneous systems have one evaluator, `evaluator(degrees)`, built once per
 degree tuple.  Its point matrix at z has one row [dm/dz_0 ... dm/dz_n | m(z)]
-per monomial m of each distinct degree: one gather from the table of
-coordinate powers, one product over the variables and one scaling by the
-exponents.  `Evaluator.place` lays the stacked coefficient vectors of
+per monomial m of each distinct degree.  Each entry is a product of at most
+K factors from one table [1, z, z^2, ..., z^D, 0, 1, ..., D]: the powers of
+the coordinates and the exponent multipliers, K <= min(D, n+1) non-unit
+powers padded with ones, then the entry's multiplier.  The plan of those
+indices is built with the evaluator, so a point matrix is one table, one
+gather and one product along the plan.  The non-unit powers are multiplied
+in variable order, as a left fold over all n+1 powers would, and a factor
+1 + 0j is the identity up to the sign of a zero: the values are those of
+that fold, and only a zero's sign may differ (an entry that is -0 there may
+be +0 here).  `Evaluator.place` lays the stacked coefficient vectors of
 several systems out as one matrix whose product with a point matrix gives
 their [Jacobian | value] blocks; `Evaluator.rows` is the two together.
-`evaluate`, `jacobian` and the certified tracking loop, which places a path's
-systems once, all read that product, so a system's values and Jacobian are
-the loop's bits.  Affine systems are input only: they are read, written and
+`evaluate`, `jacobian` and both trackers, which place a path's systems once,
+all read that product, so a system's values and Jacobian are the loop's
+bits.  Affine systems are input only: they are read, written and
 homogenized, never evaluated.
 """
 
@@ -117,14 +124,16 @@ def _layout(degrees: tuple) -> tuple[tuple[int, ...], tuple[slice, ...]]:
     return degrees, tuple(map(slice, [0] + ends, ends))
 
 
-def _power_table(z: np.ndarray, max_degree: int) -> np.ndarray:
-    # P[j, k] = z_j ** k for k = 0..max_degree.
-    P = np.empty((z.shape[0], max_degree + 1), dtype=np.complex128)
-    P[:, 0] = 1.0
-    P[:, 1] = z
+def _power_table(z: np.ndarray, max_degree: int, out: np.ndarray | None = None) -> np.ndarray:
+    # Row k of out, (max_degree + 1, len(z)), is z ** k; returned transposed,
+    # P[j, k] = z_j ** k.
+    if out is None:
+        out = np.empty((max_degree + 1, z.shape[0]), dtype=np.complex128)
+    out[0] = 1.0
+    out[1] = z
     for k in range(2, max_degree + 1):
-        P[:, k] = P[:, k - 1] * z
-    return P
+        np.multiply(out[k - 1], z, out=out[k])
+    return out.T
 
 
 def _as_coeff_tuple(coeffs, expected_lengths) -> tuple[np.ndarray, ...]:
@@ -322,9 +331,7 @@ class Evaluator:
         self.max_d = max(self.degrees)
         self.uniform = len(set(self.degrees)) == 1
 
-        # Flat index of z_j ** e in the power table: j * (max_d + 1) + e.
-        powers = np.arange(self.n_vars) * (self.max_d + 1)
-        gathers, mults, first_row = [], [], {}
+        exponents, mults, first_row = [], [], {}
         n_rows = 0
         for d in sorted(set(self.degrees)):
             exps = homogeneous_exponents(self.n_vars, d)
@@ -332,17 +339,28 @@ class Evaluator:
             n_rows += exps.shape[0]
             # [k, c]: the exponents of dm_k/dz_c for c <= n, then of m_k, and
             # the multiplier of that product.  A derivative by an absent
-            # variable is the product of z_j ** 0 = 1 times 0, an exact +0.
+            # variable is the empty product times 0, an exact +0.
             lowered = exps[:, None, :] - np.eye(self.n_vars, dtype=np.int64)
-            idx = np.concatenate([lowered, exps[:, None, :]], axis=1) + powers
+            idx = np.concatenate([lowered, exps[:, None, :]], axis=1)
             mult = np.concatenate([exps, np.ones_like(exps[:, :1])], axis=1)
-            idx[mult == 0] = powers
-            gathers.append(idx.reshape(-1, self.n_vars))
+            idx[mult == 0] = 0
+            exponents.append(idx.reshape(-1, self.n_vars))
             mults.append(mult.ravel())
-        # Stored transposed, (variables, entries), so the product runs along
-        # axis 0: a left fold over the variables.
-        self._gather = np.ascontiguousarray(np.concatenate(gathers).T)
-        self._mult = np.concatenate(mults).astype(np.float64)
+        # The table: rows z ** 0 ... z ** D of the power table (z_j ** e at
+        # e (n+1) + j), then the multipliers 0 ... D.  Per entry, the plan
+        # lists the table positions of its non-unit powers in variable
+        # order, padded with a 1 (a z_j ** 0), and last its multiplier.
+        # Stored (K + 1, entries), so the product runs along axis 0.
+        exps = np.concatenate(exponents)
+        nonunit = exps > 0
+        K = int(nonunit.sum(axis=1).max())
+        order = np.argsort(~nonunit, axis=1, kind="stable")[:, :K]
+        positions = exps * self.n_vars + np.arange(self.n_vars)
+        self._n_powers = (self.max_d + 1) * self.n_vars
+        self._multipliers = np.arange(self.max_d + 1, dtype=np.complex128)
+        self._plan = np.ascontiguousarray(np.column_stack(
+            [np.take_along_axis(positions, order, axis=1), self._n_powers + np.concatenate(mults)]
+        ).T)
         # Mixed degrees: flat positions of a system's coefficients in its
         # (n, rows) block matrix, whose row i carries equation i's
         # coefficients at the rows of its degree.
@@ -354,8 +372,11 @@ class Evaluator:
 
     def point_matrix(self, z) -> np.ndarray:
         """The (rows, n+2) point matrix at z: every monomial's gradient and value."""
-        vals = _power_table(z, self.max_d).take(self._gather).prod(axis=0)
-        return np.multiply(vals, self._mult, out=vals).reshape(-1, self.n + 2)
+        table = np.empty(self._n_powers + self.max_d + 1, dtype=np.complex128)
+        _power_table(z, self.max_d, table[: self._n_powers].reshape(self.max_d + 1, -1))
+        table[self._n_powers:] = self._multipliers
+        # np.multiply.reduce is np.prod without its Python wrapper.
+        return np.multiply.reduce(table.take(self._plan), axis=0).reshape(-1, self.n + 2)
 
     def place(self, R) -> np.ndarray:
         """The (K n, rows) matrix of the K systems whose coefficient vectors are

@@ -30,24 +30,25 @@ a homotopy standing still, gives t = inf and no certified jump to the end).
 A path that has taken MAX_STEPS steps ends MaxSteps.
 
 Exact operator norms are used for chi_1 (the rule only requires a value
-within a factor 2), which maximizes the step length.  The cost is not
-negligible: np.linalg.svd on the 6 x 6 of a Katsura-5 step took 18.4 us, a
-quarter of the ~74 us step (2-core Xeon VM).
+within a factor 2), which maximizes the step length at the cost of one
+small SVD per step.
 
-A step takes one product of the homotopy's (g, p), placed once per path, with
-the point matrix at z_i (polysys.Evaluator): on h_s = cos(s) g + sin(s) p the
-blocks of h_{s_i}, hdot_{s_i} and the advanced system are real rotations of
-theirs.  One factorization and one (n+2)-column solve give chi_1 and chi_2,
-one more the Newton step.  chi1, chi2 and certified_step run the loop's code.
+A step builds one point matrix at z_i (polysys.Evaluator) and takes one
+product of it with the homotopy's (g, p), placed once per path: on
+h_s = cos(s) g + sin(s) p the blocks of h_{s_i}, hdot_{s_i} and the advanced
+system are real rotations of theirs.  One factorization and one
+(n+2)-column solve give chi_1 and chi_2, one more the Newton step.  chi1,
+chi2 and certified_step run the loop's code.
 
-Both trackers allocate their buffers once per path (_StepBuffers): the
-(2n, n+2) product, the (2, n, n+2) rotated blocks, the 2 x 2 rotation, the
-bordered matrix and both right-hand sides, with fixed views of their parts.
-A step writes into them (np.dot and np.conjugate with out=, the rotation's
-four entries in place) with the same BLAS calls on the same operands as a
-step that allocates its arrays, so the bits are those of such a step.  What
-a step still allocates comes back from the point matrix, LAPACK, the SVD and
-the Newton update.  The trackers run on one BLAS thread (see linalg).
+Both trackers set up a path's step buffers once (_StepBuffers): the placed
+(g, p), the (2n, n+2) product, the (2, n, n+2) rotated blocks, the 2 x 2
+rotation, the bordered matrix and both right-hand sides, with fixed views of
+their parts.  A step writes into them (np.dot and np.conjugate with out=,
+the rotation's four entries in place) with the same BLAS calls on the same
+operands as a step that allocates its arrays, so the bits are those of such
+a step.  What a step still allocates comes back from the point matrix,
+LAPACK, the SVD and the Newton update.  The trackers run on one BLAS thread
+(see linalg).
 """
 
 from __future__ import annotations
@@ -213,20 +214,21 @@ def _step_length(max_degree: int, phi: float) -> float:
 def _chi_at(g: polysys.PolySystem, gdot: polysys.PolySystem, z) -> tuple[float, float]:
     if gdot.degrees != g.degrees:
         raise ValueError(f"tangent degrees {gdot.degrees} differ from the system's {g.degrees}")
-    ev = polysys.evaluator(g.degrees)
     z = polysys._checked_point(g.n_vars, z)
-    R = np.stack([g.coeff_vector(), gdot.coeff_vector()])
-    buf = _StepBuffers(ev)
-    buf.rot[...] = ev.rows(R, ev.point_matrix(z))
+    gdot_vec = gdot.coeff_vector()
+    buf = _StepBuffers(polysys.evaluator(g.degrees), g.coeff_vector(), gdot_vec)
+    buf.load(z)
+    buf.rot[...] = buf.B.reshape(buf.rot.shape)
     np.conjugate(z, out=buf.border)
-    return _chi(buf, bw_inner_re(g.degrees, R[1], R[1]))
+    return _chi(buf, bw_inner_re(g.degrees, gdot_vec, gdot_vec))
 
 
 class _StepBuffers:
-    """The arrays a step writes into, allocated once per path, and fixed
-    views of them, so that a step takes no slice either.
+    """A path's placed (g, p), the arrays a step writes into, allocated once
+    per path, and fixed views of them, so that a step takes no slice either.
 
-    B: the (2n, n+2) product of the placed (g, p) with a point matrix.
+    basis: the (2n, rows) placement of the coefficient vectors g and p.
+    B: the (2n, n+2) product of basis with a point matrix (load).
     rot: its rotation (rotate) into the (2, n, n+2) blocks [Dh(z) | h(z)]
     and [Dhdot(z) | hdot(z)] of (h_s, hdot_s), by the real 2 x 2 mix
     applied to the real (2, 2n(n+2)) views B_real and rot_real.
@@ -237,8 +239,10 @@ class _StepBuffers:
     step and v = -hdot(z) for the heuristic predictor's tangent.
     """
 
-    def __init__(self, ev: polysys.Evaluator):
+    def __init__(self, ev: polysys.Evaluator, g: np.ndarray, p: np.ndarray):
         n = ev.n
+        self.ev = ev
+        self.basis = ev.place(np.stack([g, p]))
         self.B = np.empty((2 * n, n + 2), dtype=np.complex128)
         self.rot = np.empty((2, n, n + 2), dtype=np.complex128)
         self.B_real = self.B.view(np.float64).reshape(2, -1)
@@ -254,6 +258,10 @@ class _StepBuffers:
         self.h_jac, self.h_val = self.rot[0, :, : n + 1], self.rot[0, :, n + 1]
         self.hdot_val = self.rot[1, :, n + 1]
         self.rhs_hdot, self.rhs1_top = self.rhs[:n, n + 1], self.rhs1[:n]
+
+    def load(self, z) -> None:
+        """B = basis times the point matrix at z."""
+        np.dot(self.basis, self.ev.point_matrix(z), out=self.B)
 
     def rotate(self, s: float) -> tuple[float, float]:
         """Rotate B into rot at s: h_s = cos(s) g + sin(s) p and
@@ -276,22 +284,17 @@ def _chi(buf: _StepBuffers, hdot2: float) -> tuple[float, float]:
     buf.rhs_hdot[...] = buf.hdot_val
     sol = linalg.lu_solve(lu, buf.rhs)
     x1 = float(np.linalg.svd(sol[:, :-1], compute_uv=False)[0])
-    x2 = math.sqrt(hdot2 + _norm(sol[:, -1]) ** 2)
+    x2 = math.sqrt(hdot2 + linalg.vector_norm(sol[:, -1]) ** 2)
     return x1, x2
 
 
 def _start_point(n_vars: int, z0) -> np.ndarray:
     # The unit representative of a start point of finite, nonzero norm.
     z = polysys._checked_point(n_vars, z0)
-    norm = _norm(z)
+    norm = linalg.vector_norm(z)
     if not 0.0 < norm < math.inf:
         raise ValueError(f"start point needs a finite, nonzero norm, got {norm!r}")
     return z / norm
-
-
-def _norm(x) -> float:
-    # np.linalg.norm's arithmetic for a complex vector, without its dispatch.
-    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def _systems_equal(g: polysys.PolySystem, f: polysys.PolySystem, tol: float = 1e-13) -> bool:
@@ -316,9 +319,8 @@ def track_linear(
     # step.
     degrees, g, p, T = hom.g.degrees, hom._gvec, hom._pvec, hom.T
     ev = polysys.evaluator(degrees)
-    basis = ev.place(np.stack([g, p]))
     gg, pp, gp = (bw_inner_re(degrees, a, b) for a, b in ((g, g), (p, p), (g, p)))
-    buf = _StepBuffers(ev)
+    buf = _StepBuffers(ev, g, p)
     z = _start_point(ev.n_vars, z0)
     s = 0.0
     steps = 0
@@ -326,7 +328,7 @@ def track_linear(
     while s != T:
         if steps >= MAX_STEPS:
             return TrackResult(z, TrackStatus.MAX_STEPS, steps, tuple(trace))
-        np.dot(basis, ev.point_matrix(z), out=buf.B)
+        buf.load(z)
         np.conjugate(z, out=buf.border)
         c, sn = buf.rotate(s)
         # ||hdot_s||^2 = sin^2(s) <g,g> + cos^2(s) <p,p> - 2 sin(s) cos(s) Re<g,p>
@@ -355,7 +357,7 @@ def track_linear(
             return TrackResult(z, TrackStatus.SINGULAR, steps, tuple(trace))
         buf.rhs1_top[...] = buf.h_val
         z = z - linalg.lu_solve(lu, buf.rhs1)
-        z /= _norm(z)
+        z /= linalg.vector_norm(z)
         steps += 1
         if opts.record_trace:
             trace.append(StepRecord(steps, s_next, t, phi, x1, x2, z))
@@ -396,7 +398,7 @@ def condition_length(hom: LinearHomotopy, z0, resolution: int = 2000) -> float:
         hdot = hom.derivative_at(float(t))
         B = make_bordered(polysys.jacobian(h_t, zeta), zeta)
         zetadot = bordered_solve(B, np.concatenate([-polysys.evaluate(hdot, zeta), [0.0]]))
-        speed = math.sqrt(bw_norm(hdot) ** 2 + float(np.linalg.norm(zetadot)) ** 2)
+        speed = math.sqrt(bw_norm(hdot) ** 2 + linalg.vector_norm(zetadot) ** 2)
         values[k] = condition_mu(h_t, zeta) * speed
     dx = hom.T / resolution
     return float(dx * (values[0] / 2.0 + values[1:-1].sum() + values[-1] / 2.0))

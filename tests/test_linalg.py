@@ -18,6 +18,7 @@ from certitrack.linalg import (
     random_unitary,
     spectral_norm,
     unitary_mapping_to_e0,
+    vector_norm,
 )
 from certitrack.polysys import PolySystem, jacobian, unit_point
 from certitrack.start_systems import random_system_on_sphere, total_degree_start
@@ -132,6 +133,45 @@ class TestSolveSquare:
     def test_singular(self):
         with pytest.raises(SingularLinearSolveError):
             lu_factor_checked(np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex))
+
+
+class TestVectorNorm:
+    """vector_norm gives np.linalg.norm's bits on the vectors certitrack
+    measures."""
+
+    @staticmethod
+    def _same(x):
+        assert vector_norm(x) == np.linalg.norm(x)
+        assert np.float64(vector_norm(x)).tobytes() == np.linalg.norm(x).tobytes()
+
+    @pytest.mark.parametrize("size", [1, 2, 4, 6, 7, 16])
+    def test_contiguous(self, size):
+        rng = np.random.default_rng(size)
+        for scale in (1e-200, 1e-3, 1.0, 7.5, 1e150):
+            self._same(scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size)))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_strided(self, n):
+        # The columns of zgetrs's F-ordered result, as the step reads them,
+        # and its rows and every other entry, which are strided.
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1))
+        rhs = rng.standard_normal((n + 1, n + 2)) + 1j * rng.standard_normal((n + 1, n + 2))
+        sol = lu_solve(lu_factor_checked(A), rhs)
+        assert sol.flags.f_contiguous and not sol.flags.c_contiguous
+        for k in range(n + 2):
+            self._same(sol[:, k])
+        for i in range(n + 1):
+            assert sol[i].strides[0] != sol.itemsize
+            self._same(sol[i])
+        self._same(sol.ravel(order="F")[::2])
+
+    def test_zero_imaginary_and_zero(self):
+        rng = np.random.default_rng(9)
+        for size in (1, 3, 5):
+            self._same(rng.standard_normal(size).astype(np.complex128))
+            self._same(unit_point(np.ones(size)))
+            self._same(np.zeros(size, dtype=np.complex128))
 
 
 class TestSpectralNorm:

@@ -1,10 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from certitrack.bw import normalize_to_sphere, riemann_distance
-from certitrack.linalg import SingularLinearSolveError
+from certitrack.linalg import SingularLinearSolveError, one_blas_thread
 from certitrack.newton import (
     U0,
     RefinementError,
@@ -14,7 +15,12 @@ from certitrack.newton import (
     refine,
 )
 from certitrack.polysys import PolySystem, evaluate, unit_point
-from certitrack.start_systems import good_initial_pair, good_system_raw, total_degree_start
+from certitrack.start_systems import (
+    good_initial_pair,
+    good_system_raw,
+    random_system_on_sphere,
+    total_degree_start,
+)
 
 
 def diff_of_squares():
@@ -164,3 +170,45 @@ class TestRefine:
             current = newton_projective(h, current)
         assert riemann_distance(current, zeta) <= d0 / 2.0 ** (2.0**l - 1.0) + 1e-15
 
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.asarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _points(rng, n_vars, count):
+    return [rng.standard_normal(n_vars) + 1j * rng.standard_normal(n_vars) for _ in range(count)]
+
+
+def test_pinned_bits_of_newton_refine_and_riemann_distance():
+    # sha256 of the outputs on seeded inputs as np.linalg.norm gave them:
+    # linalg.vector_norm's norms are the same bits.  One BLAS thread, as the
+    # trackers run, so the bits do not depend on the caller's setting.
+    rng = np.random.default_rng(1414)
+    got = {}
+    with one_blas_thread:
+        for degrees in [(2, 2, 2), (1, 2, 3)]:
+            f = random_system_on_sphere(degrees, rng)
+            got["newton", degrees] = _digest(
+                newton_projective(f, z) for z in _points(rng, len(degrees) + 1, 8)
+            )
+            start = total_degree_start(degrees, rng)
+            got["refine", degrees] = _digest(
+                refine(start.g, r + 1e-3 * (rng.standard_normal(r.shape) + 1j * rng.standard_normal(r.shape)))
+                for r in start.roots
+            )
+    zs, ws = _points(rng, 4, 8), _points(rng, 4, 8)
+    near = [z + 1e-9 * w for z, w in zip(zs, ws)]
+    got["riemann"] = _digest(
+        [riemann_distance(z, w) for z, w in zip(zs, ws)]
+        + [riemann_distance(z, y) for z, y in zip(zs, near)]
+    )
+    assert got == {
+        ("newton", (2, 2, 2)): "64b16aa9609d8b5e59a84d08e06c5bac69d23773f95ef3c81b32df6c28b4897a",
+        ("refine", (2, 2, 2)): "a6f7fc39e67101b343c6af2a37e38b7330f2cece99a01cb0ddf37bdff4059538",
+        ("newton", (1, 2, 3)): "c5ca96d950d3d1f4140ea4efdf01a149c373ce88b57d8cd532516fbfb6482bde",
+        ("refine", (1, 2, 3)): "c6daa96bf00bca44e7f94868d7e320cecaa2c3244e18366fee8a9d2500bcd5ba",
+        "riemann": "4b2e39551664350caa1b2760052d18cc32d93fbe1b4ffa9a9e3085b96c6c0754",
+    }

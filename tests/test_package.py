@@ -131,3 +131,30 @@ def test_every_cli_flag_is_read():
         if missing:
             unread[name] = sorted(missing)
     assert unread == {}
+
+
+def _linalg_norms(tree: ast.AST) -> list[int]:
+    # Lines that reach numpy's linalg.norm: an attribute `<x>.linalg.norm`,
+    # or `norm` imported from numpy.linalg.
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "norm"
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+                and any(a.name == "norm" for a in node.names)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_vectors_have_one_norm():
+    # The trackers, Newton and the Riemann distance measure vectors with
+    # linalg.vector_norm: np.linalg.norm's bits without its dispatch.
+    assert _linalg_norms(ast.parse("a = np.linalg.norm(x)\nfrom numpy.linalg import norm")) == [1, 2]
+    src = ROOT / "src" / "certitrack"
+    found = {name: _linalg_norms(ast.parse((src / name).read_text()))
+             for name in ("tracker.py", "heuristic.py", "newton.py")}
+    bw = ast.parse((src / "bw.py").read_text())
+    riemann = next(n for n in bw.body if isinstance(n, ast.FunctionDef) and n.name == "riemann_distance")
+    found["bw.riemann_distance"] = _linalg_norms(riemann)
+    assert found == {name: [] for name in found}

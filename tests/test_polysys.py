@@ -21,6 +21,7 @@ from certitrack.polysys import (
     system_to_json,
     unit_point,
 )
+from certitrack.start_systems import good_initial_pair, total_degree_start
 
 
 def brute_evaluate(h: PolySystem, z) -> np.ndarray:
@@ -194,6 +195,58 @@ class TestSingleEvaluator:
             blocks = ev.rows(R, ev.point_matrix(z))
             assert jacobian(h, z).tobytes() == blocks[0, :, :-1].tobytes()
             assert evaluate(h, z).tobytes() == blocks[0, :, -1].tobytes()
+
+
+def gather_and_fold(degrees, z) -> np.ndarray:
+    """The point matrix as a left fold over all n+1 coordinate powers, the
+    unit powers z_j ** 0 included, then a scaling by the entry's multiplier:
+    the evaluator's formula before its product plan."""
+    n_vars, max_d = len(degrees) + 1, max(degrees)
+    P = np.empty((n_vars, max_d + 1), dtype=np.complex128)
+    P[:, 0] = 1.0
+    P[:, 1] = z
+    for k in range(2, max_d + 1):
+        P[:, k] = P[:, k - 1] * z
+    blocks = []
+    for d in sorted(set(degrees)):
+        exps = homogeneous_exponents(n_vars, d)
+        # [k, c]: the exponents of dm_k/dz_c for c <= n, then of m_k, and
+        # the multiplier; a derivative by an absent variable is 1 * 0.
+        lowered = exps[:, None, :] - np.eye(n_vars, dtype=np.int64)
+        idx = np.concatenate([lowered, exps[:, None, :]], axis=1)
+        mult = np.concatenate([exps, np.ones_like(exps[:, :1])], axis=1)
+        idx[mult == 0] = 0
+        vals = P[0, idx[:, :, 0]]
+        for j in range(1, n_vars):
+            vals = vals * P[j, idx[:, :, j]]
+        blocks.append(vals * mult.astype(np.float64))
+    return np.concatenate(blocks)
+
+
+class TestPointMatrixPlan:
+    """The product plan gives the values of the full gather-and-fold."""
+
+    @staticmethod
+    def _points(degrees):
+        n_vars = len(degrees) + 1
+        rng = np.random.default_rng(sum(degrees) + n_vars)
+        points = [rng.standard_normal(n_vars) + 1j * rng.standard_normal(n_vars) for _ in range(20)]
+        # Exact real coordinates: start roots, e_j and the good pair's e0.
+        points += total_degree_start(degrees, rng).roots
+        points += list(np.eye(n_vars, dtype=np.complex128))
+        points.append(good_initial_pair(degrees).zeta0)
+        return points
+
+    @pytest.mark.parametrize("degrees", [(1,), (2, 2, 2), (1, 2, 2, 2, 2), (3, 3, 3, 3), (1, 2, 3)])
+    def test_equal_to_gather_and_fold(self, degrees):
+        ev = evaluator(degrees)
+        for z in self._points(degrees) + [np.full(len(degrees) + 1, -0.0 - 0.0j)]:
+            got, want = ev.point_matrix(z), gather_and_fold(degrees, z)
+            assert np.array_equal(got, want)
+            # Bits differ at most in the sign of a zero (the all -0 point).
+            got, want = got.view(np.float64), want.view(np.float64)
+            differ = got.view(np.uint64) != want.view(np.uint64)
+            assert not (got[differ] != 0.0).any()
 
 
 class TestCoefficientOwnership:

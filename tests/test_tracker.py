@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from certitrack import tracker
+from certitrack import heuristic, polysys, tracker
 from certitrack.bw import bw_inner, bw_norm, normalize_to_sphere, riemann_distance
 from certitrack.experiments import katsura_system
 from certitrack.heuristic import track_heuristic
@@ -570,6 +570,76 @@ class TestNonFiniteStep:
         result = track_linear(hom, z0)
         assert result.status is TrackStatus.MIN_STEP_REACHED
         assert result.num_steps == 0
+
+
+class TestEvaluationWork:
+    """What each step evaluates: one point matrix per certified step, four
+    per RK4 prediction, and the homotopy's (g, p) placed once per path."""
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        # Point matrices built, and the coefficient rows of every placement.
+        log = {"point_matrix": 0, "place": []}
+        point_matrix, place = polysys.Evaluator.point_matrix, polysys.Evaluator.place
+
+        def counted_point_matrix(ev, z):
+            log["point_matrix"] += 1
+            return point_matrix(ev, z)
+
+        def counted_place(ev, R):
+            log["place"].append(np.array(R))
+            return place(ev, R)
+
+        monkeypatch.setattr(polysys.Evaluator, "point_matrix", counted_point_matrix)
+        monkeypatch.setattr(polysys.Evaluator, "place", counted_place)
+        return log
+
+    @staticmethod
+    def _homotopy(degrees, seed):
+        rng = np.random.default_rng(seed)
+        f = random_system_on_sphere(degrees, rng)
+        start = total_degree_start(degrees, rng)
+        return make_linear_homotopy(start.g, f), start.roots[0]
+
+    @pytest.mark.parametrize("degrees", [(2, 2), (1, 2, 3)])
+    def test_certified_step_builds_one_point_matrix(self, work, degrees):
+        hom, z0 = self._homotopy(degrees, 40)
+        result = track_linear(hom, z0)
+        assert result.success and result.num_steps > 0
+        assert work["point_matrix"] == result.num_steps
+        assert len(work["place"]) == 1
+        assert np.array_equal(work["place"][0], np.stack([hom._gvec, hom._pvec]))
+        work["point_matrix"] = 0
+        certified_step(hom.g, hom.f, z0)
+        assert work["point_matrix"] == 1
+
+    @pytest.mark.parametrize("degrees", [(2, 2), (1, 2, 3)])
+    def test_rk4_path_places_once_and_predicts_from_four(self, work, monkeypatch, degrees):
+        hom, z0 = self._homotopy(degrees, 41)
+        built = []  # point matrices built by each predict call
+        newton_calls = [0]
+        predict, newton = heuristic.predict, heuristic.newton_projective
+
+        def counted_predict(*args):
+            before = work["point_matrix"]
+            out = predict(*args)
+            built.append(work["point_matrix"] - before)
+            return out
+
+        def counted_newton(h, z):
+            newton_calls[0] += 1
+            return newton(h, z)
+
+        monkeypatch.setattr(heuristic, "predict", counted_predict)
+        monkeypatch.setattr(heuristic, "newton_projective", counted_newton)
+        result = track_heuristic(hom, z0)
+        assert result.success
+        assert len(built) == len(result.trace) and set(built) == {4}
+        # (g, p) once; the corrector's evaluate and jacobian place h alone.
+        pairs = [R for R in work["place"] if R.shape[0] == 2]
+        assert len(pairs) == 1
+        assert np.array_equal(pairs[0], np.stack([hom._gvec, hom._pvec]))
+        assert len(work["place"]) == 1 + 2 * newton_calls[0]
 
 
 class TestStepEngineTables:
