@@ -84,11 +84,22 @@ def bw_inner(h: PolySystem, h2: PolySystem) -> complex:
 def bw_norm(h: PolySystem) -> float:
     """Bombieri-Weyl norm; inf past the largest float, NaN for a NaN coefficient.
 
-    The moduli are scaled by the exact power of two 2^-e, e the binary
-    exponent of the largest one, before they are squared, so no square
-    overflows or goes subnormal.  The scale commutes with every rounding: the
-    bits are those of the unscaled sum wherever that one does neither.
+    A PolySystem is immutable, so its norm is computed on the first call and
+    kept on the system; unit_scale, ensure_on_sphere and newton.condition_mu
+    read it from there.
     """
+    norm = h._bw_norm
+    if norm is None:
+        norm = _scaled_norm(h)
+        object.__setattr__(h, "_bw_norm", norm)
+    return norm
+
+
+def _scaled_norm(h: PolySystem) -> float:
+    # The moduli are scaled by the exact power of two 2^-e, e the binary
+    # exponent of the largest one, before they are squared, so no square
+    # overflows or goes subnormal.  The scale commutes with every rounding:
+    # the bits are those of the unscaled sum wherever that one does neither.
     mods = [np.abs(a) for a in h.coeffs]
     # e >= -1000 keeps 2^-e a float; the largest scaled modulus of a
     # subnormal system is then still above 2^-75.
@@ -148,6 +159,7 @@ def riemann_distance(z, w) -> float:
     ip = np.vdot(w, z)
     cos_part = min(abs(ip), 1.0)
     sin_part = vector_norm(z - ip * w)
+    # Not math.atan2: on some scalar pairs it differs in the last bit.
     return float(np.arctan2(sin_part, cos_part))
 
 

@@ -82,10 +82,10 @@ def lu_solve(lu_piv, rhs: np.ndarray) -> np.ndarray:
     """Solve A x = rhs (vector or matrix of columns) from lu_factor_checked's
     factors.  Calls LAPACK zgetrs directly, skipping the batch dispatch of
     scipy.linalg.lu_solve, which costs several times the solve here; rhs is
-    left unchanged."""
+    left unchanged; rhs must be an array."""
     lu, piv = lu_piv
-    if np.shape(rhs)[0] != lu.shape[0]:
-        raise ValueError(f"shapes of lu {lu.shape} and rhs {np.shape(rhs)} are incompatible")
+    if rhs.shape[0] != lu.shape[0]:
+        raise ValueError(f"shapes of lu {lu.shape} and rhs {rhs.shape} are incompatible")
     x, info = _zgetrs(lu, piv, rhs)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of zgetrs")
@@ -161,7 +161,7 @@ def make_bordered(jac: np.ndarray, z) -> np.ndarray:
         raise ValueError(f"need an n x (n+1) Jacobian and a matching point, got {jac.shape} and {z.shape}")
     matrix = np.empty((m, m), dtype=np.complex128)
     matrix[:n] = jac
-    matrix[n] = np.conj(z)
+    np.conjugate(z, out=matrix[n])
     return matrix
 
 
@@ -172,8 +172,13 @@ def bordered_solve(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def vector_norm(x: np.ndarray) -> float:
     """Euclidean norm of a complex vector: np.linalg.norm's arithmetic, so
-    the same bits, without its argument checks and dispatch."""
-    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    the same bits, without its argument checks and dispatch.
+
+    The dot of the real parts plus the dot of the imaginary parts, each a
+    strided view of x taken once; any stride and memory order is read in
+    place, without a copy."""
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def spectral_norm(A: np.ndarray) -> float:

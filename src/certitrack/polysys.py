@@ -19,7 +19,9 @@ per monomial m of each distinct degree.  Each entry is a product of at most
 K factors from one table [1, z, z^2, ..., z^D, 0, 1, ..., D]: the powers of
 the coordinates and the exponent multipliers, K <= min(D, n+1) non-unit
 powers padded with ones, then the entry's multiplier.  The plan of those
-indices is built with the evaluator, so a point matrix is one table, one
+indices is built with the evaluator, and so is a read-only template of the
+table, whose ones and multipliers are filled once: a point matrix is one
+copy of the template with z, z^2, ..., z^D written into it in place, one
 gather and one product along the plan.  The non-unit powers are multiplied
 in variable order, as a left fold over all n+1 powers would, and a factor
 1 + 0j is the identity up to the sign of a zero: the values are those of
@@ -125,11 +127,12 @@ def _layout(degrees: tuple) -> tuple[tuple[int, ...], tuple[slice, ...]]:
 
 
 def _power_table(z: np.ndarray, max_degree: int, out: np.ndarray | None = None) -> np.ndarray:
-    # Row k of out, (max_degree + 1, len(z)), is z ** k; returned transposed,
-    # P[j, k] = z_j ** k.
+    # Writes z ** k into row k of out, (rows, len(z)), for k = 1 ... max_degree;
+    # row 0 must hold the ones of z ** 0 already, and rows past max_degree are
+    # left as they are.  Without out, a fresh (max_degree + 1, len(z)) table.
+    # Returns out transposed: P[j, k] = z_j ** k for k <= max_degree.
     if out is None:
-        out = np.empty((max_degree + 1, z.shape[0]), dtype=np.complex128)
-    out[0] = 1.0
+        out = np.ones((max_degree + 1, z.shape[0]), dtype=np.complex128)
     out[1] = z
     for k in range(2, max_degree + 1):
         np.multiply(out[k - 1], z, out=out[k])
@@ -155,6 +158,8 @@ class PolySystem:
 
     degrees: tuple[int, ...]
     coeffs: tuple[np.ndarray, ...]
+    # The Bombieri-Weyl norm, kept by bw.bw_norm on its first call.
+    _bw_norm = None
 
     def __post_init__(self):
         degrees, slices = _layout(tuple(self.degrees))
@@ -346,20 +351,28 @@ class Evaluator:
             idx[mult == 0] = 0
             exponents.append(idx.reshape(-1, self.n_vars))
             mults.append(mult.ravel())
-        # The table: rows z ** 0 ... z ** D of the power table (z_j ** e at
-        # e (n+1) + j), then the multipliers 0 ... D.  Per entry, the plan
-        # lists the table positions of its non-unit powers in variable
-        # order, padded with a 1 (a z_j ** 0), and last its multiplier.
-        # Stored (K + 1, entries), so the product runs along axis 0.
+        # The table, read flat: rows z ** 0 ... z ** D of the power table
+        # (z_j ** e at e (n+1) + j), then the multipliers 0 ... D, in rows of
+        # n+1 padded with zeros.  Only the rows z ** 1 ... z ** D depend on
+        # z: the template holds the rest, filled once, and is read-only.
+        # Per entry, the plan lists the table positions of its non-unit
+        # powers in variable order, padded with a 1 (a z_j ** 0), and last
+        # its multiplier.  Stored (K + 1, entries), so the product runs
+        # along axis 0.
         exps = np.concatenate(exponents)
         nonunit = exps > 0
         K = int(nonunit.sum(axis=1).max())
         order = np.argsort(~nonunit, axis=1, kind="stable")[:, :K]
         positions = exps * self.n_vars + np.arange(self.n_vars)
-        self._n_powers = (self.max_d + 1) * self.n_vars
-        self._multipliers = np.arange(self.max_d + 1, dtype=np.complex128)
+        n_powers = (self.max_d + 1) * self.n_vars
+        table_rows = -(-(n_powers + self.max_d + 1) // self.n_vars)
+        template = np.zeros((table_rows, self.n_vars), dtype=np.complex128)
+        template[0] = 1.0
+        template.reshape(-1)[n_powers: n_powers + self.max_d + 1] = np.arange(self.max_d + 1)
+        template.setflags(write=False)
+        self._template = template
         self._plan = np.ascontiguousarray(np.column_stack(
-            [np.take_along_axis(positions, order, axis=1), self._n_powers + np.concatenate(mults)]
+            [np.take_along_axis(positions, order, axis=1), n_powers + np.concatenate(mults)]
         ).T)
         # Mixed degrees: flat positions of a system's coefficients in its
         # (n, rows) block matrix, whose row i carries equation i's
@@ -371,10 +384,15 @@ class Evaluator:
         self._block_size = self.n * n_rows
 
     def point_matrix(self, z) -> np.ndarray:
-        """The (rows, n+2) point matrix at z: every monomial's gradient and value."""
-        table = np.empty(self._n_powers + self.max_d + 1, dtype=np.complex128)
-        _power_table(z, self.max_d, table[: self._n_powers].reshape(self.max_d + 1, -1))
-        table[self._n_powers:] = self._multipliers
+        """The (rows, n+2) point matrix at z: every monomial's gradient and value.
+
+        One copy of the evaluator's template, whose ones and multipliers are
+        filled once, with the powers z, z ** 2, ..., z ** D written into it
+        in place; then one gather along the plan and one product.  Each call
+        has its own table, so the returned matrix is the caller's and calls
+        from several threads do not share state."""
+        table = self._template.copy()
+        _power_table(z, self.max_d, table)
         # np.multiply.reduce is np.prod without its Python wrapper.
         return np.multiply.reduce(table.take(self._plan), axis=0).reshape(-1, self.n + 2)
 
@@ -408,16 +426,21 @@ def _checked_point(n_vars: int, z) -> np.ndarray:
     return z
 
 
+def _block(h: PolySystem, z) -> np.ndarray:
+    # [Dh(z) | h(z)], (n, n+2): Evaluator.rows's product for h alone,
+    # without the system axis.
+    ev = evaluator(h.degrees)
+    return ev.place(h._vec[None]).dot(ev.point_matrix(_checked_point(ev.n_vars, z)))
+
+
 def evaluate(h: PolySystem, z) -> np.ndarray:
     """Value vector (h_1(z), ..., h_n(z)) at a representative z."""
-    ev = evaluator(h.degrees)
-    return ev.rows(h._vec[None], ev.point_matrix(_checked_point(h.n_vars, z)))[0, :, -1]
+    return _block(h, z)[:, -1]
 
 
 def jacobian(h: PolySystem, z) -> np.ndarray:
     """The n x (n+1) Jacobian matrix Dh(z)."""
-    ev = evaluator(h.degrees)
-    return ev.rows(h._vec[None], ev.point_matrix(_checked_point(h.n_vars, z)))[0, :, :-1]
+    return _block(h, z)[:, :-1]
 
 
 def homogenize(f: AffineSystem) -> PolySystem:

@@ -231,7 +231,8 @@ class _StepBuffers:
     B: the (2n, n+2) product of basis with a point matrix (load).
     rot: its rotation (rotate) into the (2, n, n+2) blocks [Dh(z) | h(z)]
     and [Dhdot(z) | hdot(z)] of (h_s, hdot_s), by the real 2 x 2 mix
-    applied to the real (2, 2n(n+2)) views B_real and rot_real.
+    (written through its flat view mix_flat) applied to the real
+    (2, 2n(n+2)) views B_real and rot_real.
     bordered: (Dh(z); z*), which the factorization copies, so it is filled
     again for each one.
     rhs: the n+2 columns of the chi solve, Diag(sqrt(d_i), 1) for chi1 and
@@ -248,6 +249,7 @@ class _StepBuffers:
         self.B_real = self.B.view(np.float64).reshape(2, -1)
         self.rot_real = self.rot.view(np.float64).reshape(2, -1)
         self.mix = np.empty((2, 2))
+        self.mix_flat = self.mix.reshape(-1)
         self.bordered = np.empty((n + 1, n + 1), dtype=np.complex128)
         self.rhs = np.zeros((n + 1, n + 2), dtype=np.complex128)
         for i, d in enumerate(ev.degrees):
@@ -267,11 +269,11 @@ class _StepBuffers:
         """Rotate B into rot at s: h_s = cos(s) g + sin(s) p and
         hdot_s = -sin(s) g + cos(s) p.  Returns (cos(s), sin(s))."""
         c, sn = math.cos(s), math.sin(s)
-        mix = self.mix
-        mix[0, 0] = mix[1, 1] = c
-        mix[0, 1] = sn
-        mix[1, 0] = -sn
-        np.dot(mix, self.B_real, out=self.rot_real)
+        mix = self.mix_flat
+        mix[0] = mix[3] = c
+        mix[1] = sn
+        mix[2] = -sn
+        np.dot(self.mix, self.B_real, out=self.rot_real)
         return c, sn
 
 

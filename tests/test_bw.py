@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from certitrack.bw import (
     unit_scale,
     unitary_compose,
 )
-from certitrack.linalg import random_unitary
+from certitrack.linalg import one_blas_thread, random_unitary, vector_norm
 from certitrack.polysys import (
     AffineSystem,
     PolySystem,
@@ -229,6 +230,45 @@ class TestRiemannDistance:
             w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             d = riemann_distance(z, w)
             assert 0.0 <= d <= math.pi / 2 + 1e-15
+
+
+def _sweep_inputs():
+    # Pairs at Riemann distance 1e-17 ... pi/2, as given, scaled and rotated
+    # in phase, strided, and read from F-ordered blocks (whose rows are
+    # strided and whose columns are contiguous).
+    rng = np.random.default_rng(915)
+    thetas = np.concatenate([np.logspace(-17, 0, 52), np.linspace(1.0, np.pi / 2, 8)])
+    for k, theta in enumerate(thetas):
+        n_vars = 2 + k % 5
+        z = rng.standard_normal(n_vars) + 1j * rng.standard_normal(n_vars)
+        u = rng.standard_normal(n_vars) + 1j * rng.standard_normal(n_vars)
+        z /= np.linalg.norm(z)
+        u -= np.vdot(z, u) * z
+        u /= np.linalg.norm(u)
+        w = np.cos(theta) * z + np.sin(theta) * u
+        phase = np.exp(2j * np.pi * rng.random())
+        scale = 10.0 ** rng.uniform(-8, 8)
+        yield z, w
+        yield 3.5 * z, scale * phase * w
+        strided = np.empty(2 * n_vars, dtype=np.complex128)
+        strided[::2] = z
+        yield strided[::2], phase * w
+        F = np.asfortranarray(np.stack([z, scale * w, u]))
+        yield F[0], F[1]
+        F = np.asfortranarray(np.column_stack([w, z]))
+        yield F[:, 1], F[:, 0]
+
+
+def test_pinned_bits_of_vector_norm_and_riemann_distance_sweep():
+    # sha256 of vector_norm of both points and of their distance, on the
+    # 300 pairs of _sweep_inputs, read before the norm and the distance
+    # were last trimmed: those trims are bitwise.
+    digest = hashlib.sha256()
+    with one_blas_thread:
+        for z, w in _sweep_inputs():
+            for value in (vector_norm(z), vector_norm(w), riemann_distance(z, w)):
+                digest.update(np.float64(value).tobytes())
+    assert digest.hexdigest() == "930ff4c8a87e91aa268f9fb3cd5f5650dce1b6149374d31bb29ede092d461f98"
 
 
 class TestUnitaryCompose:

@@ -1,5 +1,6 @@
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -247,6 +248,55 @@ class TestPointMatrixPlan:
             got, want = got.view(np.float64), want.view(np.float64)
             differ = got.view(np.uint64) != want.view(np.uint64)
             assert not (got[differ] != 0.0).any()
+
+
+class TestPointMatrixTemplate:
+    """Each point matrix comes from its own copy of the evaluator's template."""
+
+    DEGREES = [(1,), (2, 2, 2), (1, 2, 2, 2, 2), (3, 3, 3, 3), (1, 3, 2)]
+
+    @staticmethod
+    def _points(n_vars, count, seed):
+        rng = np.random.default_rng(seed)
+        return [rng.standard_normal(n_vars) + 1j * rng.standard_normal(n_vars) for _ in range(count)]
+
+    @pytest.mark.parametrize("degrees", DEGREES)
+    def test_writing_a_result_changes_nothing(self, degrees):
+        ev = evaluator(degrees)
+        template = ev._template.copy()
+        assert not ev._template.flags.writeable
+        z, y = self._points(ev.n_vars, 2, len(degrees))
+        want_z, want_y = ev.point_matrix(z).tobytes(), ev.point_matrix(y).tobytes()
+        got = ev.point_matrix(z)
+        got[...] = np.nan
+        assert ev._template.tobytes() == template.tobytes()
+        assert ev.point_matrix(y).tobytes() == want_y
+        assert ev.point_matrix(z).tobytes() == want_z
+
+    def test_two_threads_give_the_serial_bits(self):
+        # A short switch interval lets the threads interleave inside calls,
+        # where a table shared between calls would be overwritten.
+        from concurrent.futures import ThreadPoolExecutor
+
+        work = [
+            (degrees, z)
+            for degrees in self.DEGREES
+            for z in self._points(len(degrees) + 1, 200, sum(degrees))
+        ]
+
+        def build(item):
+            degrees, z = item
+            return evaluator(degrees).point_matrix(z).tobytes()
+
+        serial = [build(item) for item in work]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                for _ in range(3):
+                    assert list(pool.map(build, work, timeout=60)) == serial
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestCoefficientOwnership:
