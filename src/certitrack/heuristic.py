@@ -112,12 +112,11 @@ def track_heuristic(hom, z0, opts: HeuristicOptions = HeuristicOptions()) -> Tra
     """Adaptive predictor-corrector tracking of a linear homotopy.
 
     num_steps counts accepted steps only; rejected attempts appear in the
-    trace flagged accepted=False.  Failure statuses mirror the certified
-    tracker: MinStepReached when the step size is exhausted, and
-    SingularLinearSolve on a singular system along the way.
+    trace flagged accepted=False.  z0 is checked as in track_linear.  A path
+    ends SingularLinearSolve on an exact zero pivot and MinStepReached when
+    the step size is exhausted, as near a singular system (see linalg).
     """
-    z = np.asarray(z0, dtype=np.complex128)
-    z = z / vector_norm(z)
+    z = tracker._start_point(hom.g.n_vars, z0)
     T = hom.T
     s = 0.0
     dt = STEP_INIT

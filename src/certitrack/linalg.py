@@ -5,9 +5,14 @@ The bordered matrix stacks the n x (n+1) Jacobian Dh(z) on top of the row z*,
 giving the square system used by the projective Newton operator and every
 condition-number style quantity.  It is a plain (n+1) x (n+1) array that
 each caller solves once, so a solve factors it afresh: one pivoted LU
-factorization, where a smallest pivot below 1e-14 times the largest is
-treated as a singular solve, the signal the tracker converts into a path
-failure.
+factorization.  The one singular solve is an exact zero pivot, where no
+inverse exists: SingularLinearSolveError, which the trackers report as
+SingularLinearSolve.  No floor applies to a near-singular matrix: it gives
+a large finite chi_1 and a short certified step, and the path ends
+MinStepReached once s + t == s; condition_mu gives a large finite mu; the
+heuristic rejects attempts whose correction does not settle.  A NaN flows
+into phi and ends the path MinStepReached.  Rounding is left outside the
+certificate here, as it is in evaluation.
 
 The factorization and the solve call LAPACK zgetrf and zgetrs directly.  The
 matrices are at most a few rows wide, so the checks, warning filters and
@@ -42,7 +47,6 @@ from scipy.linalg.lapack import zgetrf as _zgetrf
 from scipy.linalg.lapack import zgetrs as _zgetrs
 
 
-RCOND_FLOOR = 1e-14
 # Thread-count getter and setter of SciPy's (LP64) and NumPy's (ILP64, with
 # the 64_ suffix) OpenBLAS builds.
 _OPENBLAS_THREAD_SYMBOLS = (
@@ -52,29 +56,22 @@ _OPENBLAS_THREAD_SYMBOLS = (
 
 
 class SingularLinearSolveError(Exception):
-    """The bordered (or square) system is numerically singular."""
+    """The bordered (or square) matrix has an exact zero pivot: no inverse."""
 
 
 def lu_factor_checked(A: np.ndarray):
-    """Pivoted LU with the singularity policy: the smallest pivot relative to
-    the largest must stay above 1e-14, else SingularLinearSolveError.
+    """Pivoted LU under the singularity policy (see the module docstring):
+    SingularLinearSolveError exactly when zgetrf meets an exact zero pivot.
 
     Calls LAPACK zgetrf directly: at these sizes the scipy.linalg.lu_factor
     wrapper costs several times the factorization.  An exact zero pivot
-    fails the pivot check, so it raises without a warning.  Returns
-    (lu, piv) with 0-based pivots, as scipy.linalg.lu_factor does."""
+    raises without a warning.  Returns (lu, piv) with 0-based pivots, as
+    scipy.linalg.lu_factor does."""
     lu, piv, info = _zgetrf(A)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of zgetrf")
-    # Sorted, NaN last: top is NaN, as max() gives, and the check passes.
-    diag = np.abs(lu.diagonal())
-    diag.sort()
-    lo, top = diag[0], diag[-1]
-    if top == 0.0 or lo < RCOND_FLOOR * top:
-        ratio = lo / top if top else 0.0
-        raise SingularLinearSolveError(
-            f"matrix is singular to working precision (pivot ratio {ratio:.3e})"
-        )
+    if info > 0:
+        raise SingularLinearSolveError(f"exact zero pivot U[{info - 1}, {info - 1}]")
     return lu, piv
 
 
@@ -195,6 +192,7 @@ def kernel_vector(M: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     if m != n + 1:
         raise ValueError(f"expected an n x (n+1) matrix, got {M.shape}")
     _, s, vh = np.linalg.svd(M)
+    # Not a solve: a kernel that is not a line has no unit vector to draw.
     if s[0] == 0.0 or s[-1] <= 1e-10 * s[0]:
         raise SingularLinearSolveError("matrix has rank deficiency beyond corank 1")
     v = np.conj(vh[-1])

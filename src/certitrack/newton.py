@@ -49,7 +49,7 @@ def newton_projective(h: polysys.PolySystem, z) -> np.ndarray:
 
 @one_blas_thread
 def condition_mu(h: polysys.PolySystem, z) -> float:
-    """Condition number mu(h, z); +inf when the restricted Jacobian is singular."""
+    """Condition number mu(h, z): +inf at an exact zero pivot, large near one."""
     z = np.asarray(z, dtype=np.complex128)
     n = h.n
     nz = vector_norm(z)

@@ -28,11 +28,10 @@ in variable order, as a left fold over all n+1 powers would, and a factor
 that fold, and only a zero's sign may differ (an entry that is -0 there may
 be +0 here).  `Evaluator.place` lays the stacked coefficient vectors of
 several systems out as one matrix whose product with a point matrix gives
-their [Jacobian | value] blocks; `Evaluator.rows` is the two together.
-`evaluate`, `jacobian` and both trackers, which place a path's systems once,
-all read that product, so a system's values and Jacobian are the loop's
-bits.  Affine systems are input only: they are read, written and
-homogenized, never evaluated.
+their [Jacobian | value] blocks.  `evaluate`, `jacobian` and both
+trackers, which place a path's systems once, all read that product, so a
+system's values and Jacobian are the loop's bits.  Affine systems are input
+only: they are read, written and homogenized, never evaluated.
 """
 
 from __future__ import annotations
@@ -407,11 +406,6 @@ class Evaluator:
         placed[:, self._place] = R
         return placed.reshape(K * self.n, -1)
 
-    def rows(self, R, M) -> np.ndarray:
-        """The (K, n, n+2) blocks [Dh_k(z) | h_k(z)] of the K systems whose
-        coefficient vectors are the rows of R, from the point matrix M at z."""
-        return self.place(R).dot(M).reshape(R.shape[0], self.n, -1)
-
 
 @lru_cache(maxsize=None)
 def evaluator(degrees: tuple[int, ...]) -> Evaluator:
@@ -427,8 +421,7 @@ def _checked_point(n_vars: int, z) -> np.ndarray:
 
 
 def _block(h: PolySystem, z) -> np.ndarray:
-    # [Dh(z) | h(z)], (n, n+2): Evaluator.rows's product for h alone,
-    # without the system axis.
+    # [Dh(z) | h(z)], (n, n+2): the placed h times the point matrix at z.
     ev = evaluator(h.degrees)
     return ev.place(h._vec[None]).dot(ev.point_matrix(_checked_point(ev.n_vars, z)))
 

@@ -87,6 +87,8 @@ class TrackStatus(enum.Enum):
     the arc parameter s in floating point (s + t == s, t == 0, or a NaN or
     infinite step length, as phi == 0 gives).  The heuristic tracker reports
     it when its step halving falls below heuristic.T_STEP_MIN.
+    SINGULAR: a bordered matrix of the step has an exact zero pivot (see
+    linalg); a near-singular one is no failure: it gives a short step.
     MAX_STEPS: the path took MAX_STEPS steps (heuristic.MAX_ATTEMPTS
     attempts) without reaching the end.
     """
@@ -197,8 +199,8 @@ def certified_step(g: polysys.PolySystem, gdot: polysys.PolySystem, z) -> tuple[
     loop takes from (g, z) when gdot is the tangent there, before the loop
     clips it to the end of the path.  No floor applies.  A tangent with
     phi = 0 gives t = inf, as in the loop, where it ends the path
-    MinStepReached.  Raises SingularLinearSolveError on a singular bordered
-    system.
+    MinStepReached.  Raises SingularLinearSolveError on an exact zero pivot
+    of the bordered matrix; a near-singular one gives a short t.
     """
     x1, x2 = _chi_at(g, gdot, z)
     phi = x1 * x2
@@ -337,23 +339,20 @@ def track_linear(
         hdot2 = sn * sn * gg + c * c * pp - 2.0 * sn * c * gp
         try:
             x1, x2 = _chi(buf, hdot2)
-        except SingularLinearSolveError:
-            return TrackResult(z, TrackStatus.SINGULAR, steps, tuple(trace))
-        phi = x1 * x2
-        t = _step_length(ev.max_d, phi)
-        # The step must be finite and move s in floating point; written so
-        # that t == 0 and a NaN t stop here too.
-        if not s < s + t < math.inf:
-            return TrackResult(z, TrackStatus.MIN_STEP_REACHED, steps, tuple(trace))
-        if t >= T - s:
-            # Last step: assign the endpoint exactly so the loop terminates.
-            t = T - s
-            s_next = T
-        else:
-            s_next = s + t
-        buf.rotate(s_next)
-        buf.jac[...] = buf.h_jac
-        try:
+            phi = x1 * x2
+            t = _step_length(ev.max_d, phi)
+            # The step must be finite and move s in floating point; written
+            # so that t == 0 and a NaN t stop here too.
+            if not s < s + t < math.inf:
+                return TrackResult(z, TrackStatus.MIN_STEP_REACHED, steps, tuple(trace))
+            if t >= T - s:
+                # Last step: assign the endpoint exactly so the loop terminates.
+                t = T - s
+                s_next = T
+            else:
+                s_next = s + t
+            buf.rotate(s_next)
+            buf.jac[...] = buf.h_jac
             lu = linalg.lu_factor_checked(buf.bordered)
         except SingularLinearSolveError:
             return TrackResult(z, TrackStatus.SINGULAR, steps, tuple(trace))

@@ -20,9 +20,10 @@ from certitrack.linalg import (
     unitary_mapping_to_e0,
     vector_norm,
 )
+from certitrack.bw import normalize_to_sphere
 from certitrack.polysys import PolySystem, jacobian, unit_point
 from certitrack.start_systems import random_system_on_sphere, total_degree_start
-from certitrack.tracker import make_linear_homotopy, track_linear
+from certitrack.tracker import certified_step, chi1, make_linear_homotopy, track_linear
 
 
 def power_iteration_norm(A, iters=500, seed=0):
@@ -112,6 +113,24 @@ class TestLapackLU:
             warnings.simplefilter("error")
             with pytest.raises(SingularLinearSolveError):
                 lu_factor_checked(A)
+
+    def test_near_singular_is_not_singular(self):
+        # X1^2 - X0^2 bordered 1e-16 away from (1, 0), where its bordered
+        # matrix is singular: pivot ratio 1e-16, but no zero pivot.
+        h = PolySystem.from_terms((2,), [[((0, 2), 1.0), ((2, 0), -1.0)]])
+        z = unit_point([1.0, 1e-16])
+        B = make_bordered(jacobian(h, z), z)
+        lu, piv = lu_factor_checked(B)
+        ref_lu, ref_piv = scipy.linalg.lu_factor(B)
+        assert lu.tobytes() == ref_lu.tobytes()
+        assert np.array_equal(piv, ref_piv)
+        pivots = np.abs(lu.diagonal())
+        assert pivots.min() / pivots.max() == pytest.approx(1e-16, rel=1e-12)
+        # The step rule answers it: a huge chi1 and a short, finite step.
+        assert chi1(h, z) == pytest.approx(6.12e15, rel=1e-3)
+        tangent = normalize_to_sphere(PolySystem.from_terms((2,), [[((1, 1), 1.0)]]))
+        t, _ = certified_step(h, tangent, z)
+        assert 0.0 < t < 1e-14
 
     def test_rhs_length_mismatch(self):
         lu_piv = lu_factor_checked(np.eye(3, dtype=complex))

@@ -158,3 +158,37 @@ def test_vectors_have_one_norm():
     riemann = next(n for n in bw.body if isinstance(n, ast.FunctionDef) and n.name == "riemann_distance")
     found["bw.riemann_distance"] = _linalg_norms(riemann)
     assert found == {name: [] for name in found}
+
+
+def _singular_raises(tree: ast.AST) -> list[str]:
+    # Names of the functions that raise SingularLinearSolveError (by name or
+    # as an attribute, called or not), in source order.
+    def is_singular(exc) -> bool:
+        if isinstance(exc, ast.Call):
+            exc = exc.func
+        return (isinstance(exc, ast.Name) and exc.id == "SingularLinearSolveError") or (
+            isinstance(exc, ast.Attribute) and exc.attr == "SingularLinearSolveError")
+
+    return [
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Raise) and is_singular(node.exc)
+    ]
+
+
+def test_one_singularity_policy():
+    # A solve is singular only at an exact zero pivot (lu_factor_checked);
+    # kernel_vector's rank check is not a solve.  A new raise site, such as
+    # a floor on the pivots, needs an edit here, with its reason given in
+    # CHANGES.md.
+    probe = ("def f():\n    raise SingularLinearSolveError('x')\n"
+             "def g():\n    raise linalg.SingularLinearSolveError")
+    assert _singular_raises(ast.parse(probe)) == ["f", "g"]
+    found = [
+        f"{path.stem}.{name}"
+        for path in sorted((ROOT / "src" / "certitrack").glob("*.py"))
+        for name in _singular_raises(ast.parse(path.read_text()))
+    ]
+    assert found == ["linalg.lu_factor_checked", "linalg.kernel_vector"]

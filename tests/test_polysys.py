@@ -193,9 +193,9 @@ class TestSingleEvaluator:
         rng = np.random.default_rng(sum(degrees))
         for _ in range(3):
             z = unit_point(rng.standard_normal(h.n_vars) + 1j * rng.standard_normal(h.n_vars))
-            blocks = ev.rows(R, ev.point_matrix(z))
-            assert jacobian(h, z).tobytes() == blocks[0, :, :-1].tobytes()
-            assert evaluate(h, z).tobytes() == blocks[0, :, -1].tobytes()
+            blocks = ev.place(R).dot(ev.point_matrix(z))
+            assert jacobian(h, z).tobytes() == blocks[: h.n, :-1].tobytes()
+            assert evaluate(h, z).tobytes() == blocks[: h.n, -1].tobytes()
 
 
 def gather_and_fold(degrees, z) -> np.ndarray:

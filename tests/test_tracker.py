@@ -429,15 +429,36 @@ class TestTrackLinear:
         assert run_child(code, 1) == run_child(code, 2)
 
     @pytest.mark.parametrize(
-        "bad", [[np.nan, 1.0, 0.0, 0.0], [np.inf, 1.0, 0.0, 0.0], [0.0] * 4, [1.0, 0.0, 0.0]]
+        "track,bad",
+        [
+            pytest.param(track, bad, id=f"{prefix}bad{i}")
+            for prefix, track in (("", track_linear), ("heuristic-", track_heuristic))
+            for i, bad in enumerate(
+                [[np.nan, 1.0, 0.0, 0.0], [np.inf, 1.0, 0.0, 0.0], [0.0] * 4, [1.0, 0.0, 0.0]]
+            )
+        ],
     )
-    def test_start_point_rejected(self, bad):
-        # not finite, zero or of the wrong length: no point to start from
+    def test_start_point_rejected(self, track, bad):
+        # not finite, zero or of the wrong length: no point to start from,
+        # for either tracker
         rng = np.random.default_rng(3)
         g = total_degree_start((2, 2, 2), rng).g
         hom = make_linear_homotopy(g, random_system_on_sphere((2, 2, 2), rng))
         with pytest.raises(ValueError):
-            track_linear(hom, bad)
+            track(hom, bad)
+
+    def test_path_into_double_root(self):
+        # (X1 - X0)^2 has the double root (1, 1), where the bordered matrix is
+        # singular.  Path 0 runs into it: chi1 grows until the certified step
+        # no longer moves s, and the path ends MinStepReached at the root.
+        f = normalize_to_sphere(
+            PolySystem.from_terms((2,), [[((0, 2), 1.0), ((1, 1), -2.0), ((2, 0), 1.0)]])
+        )
+        start = total_degree_start((2,), np.random.default_rng(0))
+        result = track_path(start.g, f, start.roots[0])
+        assert (result.status, result.num_steps) == (TrackStatus.MIN_STEP_REACHED, 1941)
+        assert max(rec.chi1 for rec in result.trace) == pytest.approx(1.49e14, rel=1e-2)
+        assert riemann_distance(result.endpoint, unit_point([1.0, 1.0])) < 1e-12
 
     def test_intermediate_certificates_sampled(self, quad_pair):
         # every traced point is an approximate zero of its system with the
