@@ -50,6 +50,27 @@ def _load_system(args):
     return system
 
 
+def _degree_list(text: str) -> tuple[int, ...]:
+    # --degrees: comma-separated positive integers, or an argparse error.
+    try:
+        degrees = tuple(int(d) for d in text.split(","))
+    except ValueError:
+        degrees = ()
+    if not degrees or min(degrees) < 1:
+        raise argparse.ArgumentTypeError(f"expected positive integers such as 2,2, got {text!r}")
+    return degrees
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _write_rows(out: str | None, header: list[str], rows) -> None:
     fh = open(out, "w", newline="") if out else sys.stdout
     try:
@@ -98,11 +119,14 @@ def cmd_track(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    degrees = [int(d) for d in args.degrees.split(",")] if args.degrees else None
+    if args.family == "random" and args.degrees is None:
+        args.error("--family random needs --degrees")
+    if args.family == "katsura" and (args.n is None or args.n < 2):
+        args.error("--family katsura needs --n of at least 2")
     trackers = ("certified", "heuristic") if args.tracker == "both" else (args.tracker,)
     reports = run_bench(
         family=args.family,
-        degrees=degrees,
+        degrees=args.degrees,
         n=args.n,
         trials=args.trials,
         trackers=trackers,
@@ -145,9 +169,8 @@ def cmd_conjecture(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    degrees = [int(d) for d in args.degrees.split(",")]
     report = run_entropy(
-        degrees,
+        args.degrees,
         epsilon=args.epsilon,
         runs=args.runs,
         variant=args.variant,
@@ -189,16 +212,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="steps-per-path benchmark")
     p.add_argument("--family", choices=["random", "katsura"], required=True)
-    p.add_argument("--degrees", type=str, default=None, help="comma-separated, e.g. 2,2")
+    p.add_argument("--degrees", type=_degree_list, default=None, help="comma-separated, e.g. 2,2")
     p.add_argument("--n", type=int, default=None, help="Katsura size")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--tracker", choices=["certified", "heuristic", "both"], default="certified")
     p.add_argument("--threads", type=int, default=1, help="worker processes for trials")
     _add_common(p)
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=cmd_bench, error=p.error)
 
     p = sub.add_parser("conjecture", help="compare start pairs on random targets")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--trials", type=int, default=30)
     p.add_argument("--verify-bound", action="store_true", help="check the step bound per path (slow)")
     p.add_argument("--threads", type=int, default=1, help="worker processes for trials")
@@ -206,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_conjecture)
 
     p = sub.add_parser("entropy", help="root equidistribution of the random pair")
-    p.add_argument("--degrees", type=str, default="2,2,2")
+    p.add_argument("--degrees", type=_degree_list, default="2,2,2")
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--runs", type=int, default=800)
     p.add_argument("--variant", choices=["ball", "unitary"], default="ball")

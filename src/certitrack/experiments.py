@@ -364,9 +364,12 @@ def run_entropy(
 
 
 def _map_trials(fn, args_list, threads: int):
-    if threads <= 1:
+    # A process pool starts all its workers up front, so it gets no more
+    # than there are trials; one trial runs in this process.
+    workers = min(threads, len(args_list))
+    if workers <= 1:
         return [fn(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, args_list))
 
 

@@ -12,11 +12,10 @@ heuristic, fixed at the values the comparisons in this package use.
 The predictor evaluates the homotopy as the certified loop does, from the
 LinearHomotopy's (g, p) coefficient vectors, placed once per path in the
 path's tracker._StepBuffers: each RK4 stage is one point matrix, one product
-and one rotation to the stage's parameter.  The corrector still runs
-newton_projective on h_{s_next}: it is the load on polysys.evaluate/jacobian
-and linalg.make_bordered that the heuristic-222 benchmark workload expects,
-so it moves onto the placed (g, p) only together with that workload's
-expected spans.
+and one rotation to the stage's parameter.  The corrector builds h_{s_next}
+once per attempt (LinearHomotopy.value_at) and runs newton_projective on it,
+one point matrix per Newton step, through polysys.evaluate/jacobian and
+linalg.make_bordered/bordered_solve.
 """
 
 from __future__ import annotations

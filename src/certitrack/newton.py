@@ -36,7 +36,10 @@ class RefinementError(Exception):
 
 
 def newton_projective(h: polysys.PolySystem, z) -> np.ndarray:
-    """One projective Newton step, renormalized to the unit representative."""
+    """One projective Newton step, renormalized to the unit representative.
+
+    jacobian and then evaluate at the same z read h's one kept block, so a
+    step builds one point matrix."""
     z = np.asarray(z, dtype=np.complex128)
     B = make_bordered(polysys.jacobian(h, z), z)
     rhs = np.zeros(h.n + 1, dtype=np.complex128)

@@ -30,8 +30,15 @@ be +0 here).  `Evaluator.place` lays the stacked coefficient vectors of
 several systems out as one matrix whose product with a point matrix gives
 their [Jacobian | value] blocks.  `evaluate`, `jacobian` and both
 trackers, which place a path's systems once, all read that product, so a
-system's values and Jacobian are the loop's bits.  Affine systems are input
-only: they are read, written and homogenized, never evaluated.
+system's values and Jacobian are the loop's bits.
+
+A system keeps the block of the last point `evaluate` or `jacobian` read,
+keyed by the bytes of that point as a complex vector, so the two calls at
+one point cost one point matrix and one product.  Their results are views
+of that shared block and therefore read-only.  The memo is one (key, block)
+tuple replaced whole, so threads that share a system each read a block
+that belongs to the key they compared.  Affine systems are input only: they
+are read, written and homogenized, never evaluated.
 """
 
 from __future__ import annotations
@@ -159,6 +166,9 @@ class PolySystem:
     coeffs: tuple[np.ndarray, ...]
     # The Bombieri-Weyl norm, kept by bw.bw_norm on its first call.
     _bw_norm = None
+    # (key, block): the [Dh(z) | h(z)] block of the last point _block read,
+    # keyed by that point's bytes.
+    _last_block = None
 
     def __post_init__(self):
         degrees, slices = _layout(tuple(self.degrees))
@@ -198,8 +208,13 @@ class PolySystem:
     @classmethod
     def from_coeff_vector(cls, degrees: tuple[int, ...], vec: np.ndarray) -> "PolySystem":
         """Inverse of coeff_vector; the system keeps its own copy of vec."""
+        return cls._adopt(degrees, np.array(vec, dtype=np.complex128))
+
+    @classmethod
+    def _adopt(cls, degrees, vec: np.ndarray) -> "PolySystem":
+        # The system over vec itself, a fresh complex vector no one else
+        # holds: it is made read-only, not copied.
         degrees, slices = _layout(tuple(degrees))
-        vec = np.array(vec, dtype=np.complex128)
         if vec.shape != (slices[-1].stop,):
             raise ValueError(f"expected {slices[-1].stop} coefficients, got shape {vec.shape}")
         h = cls.__new__(cls)
@@ -228,16 +243,16 @@ class PolySystem:
     def __add__(self, other: "PolySystem") -> "PolySystem":
         if not isinstance(other, PolySystem) or other.degrees != self.degrees:
             return NotImplemented
-        return PolySystem.from_coeff_vector(self.degrees, self._vec + other._vec)
+        return PolySystem._adopt(self.degrees, self._vec + other._vec)
 
     def __sub__(self, other: "PolySystem") -> "PolySystem":
         if not isinstance(other, PolySystem) or other.degrees != self.degrees:
             return NotImplemented
-        return PolySystem.from_coeff_vector(self.degrees, self._vec - other._vec)
+        return PolySystem._adopt(self.degrees, self._vec - other._vec)
 
     def __mul__(self, scalar) -> "PolySystem":
         scalar = complex(scalar)
-        return PolySystem.from_coeff_vector(self.degrees, scalar * self._vec)
+        return PolySystem._adopt(self.degrees, scalar * self._vec)
 
     __rmul__ = __mul__
 
@@ -422,17 +437,30 @@ def _checked_point(n_vars: int, z) -> np.ndarray:
 
 def _block(h: PolySystem, z) -> np.ndarray:
     # [Dh(z) | h(z)], (n, n+2): the placed h times the point matrix at z.
+    # h keeps the block of its last point, keyed by the checked point's
+    # bytes: an equal key is an identical point, so a hit returns the bits a
+    # miss computes.  Every reader shares the block, so it is read-only.
+    # The memo is one (key, block) tuple replaced whole: a thread reads the
+    # old tuple or the new one, and checks the key stored with its block.
+    z = _checked_point(h.n_vars, z)
+    key = z.tobytes()
+    memo = h._last_block
+    if memo is not None and memo[0] == key:
+        return memo[1]
     ev = evaluator(h.degrees)
-    return ev.place(h._vec[None]).dot(ev.point_matrix(_checked_point(ev.n_vars, z)))
+    block = ev.place(h._vec[None]).dot(ev.point_matrix(z))
+    block.setflags(write=False)
+    object.__setattr__(h, "_last_block", (key, block))
+    return block
 
 
 def evaluate(h: PolySystem, z) -> np.ndarray:
-    """Value vector (h_1(z), ..., h_n(z)) at a representative z."""
+    """Value vector (h_1(z), ..., h_n(z)) at a representative z (read-only)."""
     return _block(h, z)[:, -1]
 
 
 def jacobian(h: PolySystem, z) -> np.ndarray:
-    """The n x (n+1) Jacobian matrix Dh(z)."""
+    """The n x (n+1) Jacobian matrix Dh(z) (read-only)."""
     return _block(h, z)[:, :-1]
 
 

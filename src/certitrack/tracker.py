@@ -149,14 +149,17 @@ class LinearHomotopy:
     _pvec: np.ndarray = field(repr=False)
 
     def value_at(self, s: float) -> polysys.PolySystem:
-        return polysys.PolySystem.from_coeff_vector(
-            self.g.degrees, math.cos(s) * self._gvec + math.sin(s) * self._pvec
-        )
+        """The system h_s = cos(s) g + sin(s) p, over a vector built here and
+        handed to it without a second copy."""
+        vec = math.cos(s) * self._gvec
+        vec += math.sin(s) * self._pvec
+        return polysys.PolySystem._adopt(self.g.degrees, vec)
 
     def derivative_at(self, s: float) -> polysys.PolySystem:
-        return polysys.PolySystem.from_coeff_vector(
-            self.g.degrees, -math.sin(s) * self._gvec + math.cos(s) * self._pvec
-        )
+        """The tangent -sin(s) g + cos(s) p at h_s, built as value_at is."""
+        vec = -math.sin(s) * self._gvec
+        vec += math.cos(s) * self._pvec
+        return polysys.PolySystem._adopt(self.g.degrees, vec)
 
 
 def make_linear_homotopy(g: polysys.PolySystem, f: polysys.PolySystem) -> LinearHomotopy:

@@ -118,6 +118,31 @@ class TestSubcommands:
         assert len(rows) > 1
 
 
+class TestInputErrors:
+    """Bad flag values end in an argparse message and exit 2, no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bench", "--family", "random"], "--family random needs --degrees"),
+            (["bench", "--family", "katsura"], "--family katsura needs --n of at least 2"),
+            (["bench", "--family", "katsura", "--n", "1"], "--family katsura needs --n of at least 2"),
+            (["bench", "--family", "random", "--degrees", "2,x"], "argument --degrees: expected positive integers"),
+            (["bench", "--family", "random", "--degrees", "0"], "argument --degrees: expected positive integers"),
+            (["entropy", "--degrees", "2,x"], "argument --degrees: expected positive integers"),
+            (["entropy", "--degrees", ","], "argument --degrees: expected positive integers"),
+            (["conjecture", "--n", "0"], "argument --n: expected a positive integer"),
+        ],
+    )
+    def test_exit_2_with_a_message(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert message in err.strip().splitlines()[-1]
+
+
 class TestLinearSystem:
     @pytest.mark.parametrize("start", ["total", "good", "random"])
     def test_solve_from_every_start(self, tmp_path, start):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from certitrack import experiments
 from certitrack.bw import normalize_to_sphere
 from certitrack.experiments import (
     AmbiguousMatchError,
@@ -139,6 +140,30 @@ class TestRunBench:
         a = run_bench("random", degrees=(2, 2), trials=3, seed=2, threads=1)["certified"]
         b = run_bench("random", degrees=(2, 2), trials=3, seed=2, threads=2)["certified"]
         assert a.per_path == b.per_path
+
+    def test_worker_count_is_capped_at_the_trials(self, monkeypatch):
+        # A stand-in for the pool records its size and starts no process.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        assert experiments._map_trials(abs, [-1, -2, -3], 4) == [1, 2, 3]
+        assert sizes == [3]
+        rep = run_bench("katsura", n=2, seed=0, threads=2)["certified"]
+        assert rep.failures == 0
+        assert sizes == [3]  # the one Katsura trial ran without a pool
 
     def test_katsura_family(self):
         rep = run_bench("katsura", n=3, seed=0)["certified"]

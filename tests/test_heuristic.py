@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -22,6 +23,12 @@ def quad_path():
     f = random_system_on_sphere((2, 2), rng)
     start = total_degree_start((2, 2), rng)
     return start, f, make_linear_homotopy(start.g, f)
+
+
+def _endpoint_digest(results) -> str:
+    # SHA-256 over the endpoints' bytes, path by path: pins the heuristic's
+    # result bits, which its step counts alone do not.
+    return hashlib.sha256(b"".join(r.endpoint.tobytes() for r in results)).hexdigest()
 
 
 def _reference_predict(hom, s, x, dt):
@@ -156,6 +163,9 @@ class TestTrackHeuristic:
             ("Success", 13), ("Success", 14), ("Success", 10), ("Success", 10),
             ("Success", 10), ("Success", 10), ("Success", 13), ("Success", 10),
         ]
+        assert _endpoint_digest(results) == (
+            "4b7739336a5b0a60ef147f10a098713aa653109bc2551f06453c2dfae6f48ddd"
+        )
 
     def test_pinned_step_counts_mixed_degrees(self):
         # The 6 total-degree paths of one seeded (1,2,3) target, whose
@@ -171,9 +181,13 @@ class TestTrackHeuristic:
             ("Success", 10), ("Success", 11), ("Success", 10),
             ("Success", 10), ("Success", 10), ("Success", 10),
         ]
+        assert _endpoint_digest(results) == (
+            "0b6c3f953358ca237d3446425e56bd48c44b15f5935e3dbab1132f073fc68cbb"
+        )
 
     def test_pinned_step_counts_with_one_blas_thread(self):
-        # The BLAS thread count may change result bits, not step counts.
+        # track_heuristic runs on one BLAS thread whatever the environment
+        # says, so a process started with one has the same counts and bits.
         src = Path(__import__("certitrack").__file__).resolve().parents[1]
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         env["PYTHONPATH"] = os.pathsep.join([str(src), str(Path(__file__).parent)])

@@ -7,6 +7,7 @@ import pytest
 
 from certitrack.polysys import (
     AffineSystem,
+    Evaluator,
     PolySystem,
     affine_exponents,
     affine_index,
@@ -295,6 +296,91 @@ class TestPointMatrixTemplate:
             with ThreadPoolExecutor(max_workers=2) as pool:
                 for _ in range(3):
                     assert list(pool.map(build, work, timeout=60)) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestBlockMemo:
+    """A system keeps the [Dh | h] block of its last point: jacobian then
+    evaluate at one point build one point matrix, and every result has the
+    bits of a fresh system's."""
+
+    DEGREES = [(2, 2, 2), (1, 3, 2)]
+
+    @staticmethod
+    def _fresh(h, z):
+        # jacobian and evaluate, each on its own copy of h that has read no point.
+        def copy():
+            return PolySystem.from_coeff_vector(h.degrees, h.coeff_vector())
+
+        return jacobian(copy(), z).tobytes(), evaluate(copy(), z).tobytes()
+
+    @staticmethod
+    def _read(h, z):
+        return jacobian(h, z).tobytes(), evaluate(h, z).tobytes()
+
+    @pytest.mark.parametrize("degrees", DEGREES)
+    def test_jacobian_then_evaluate_builds_one_point_matrix(self, degrees, monkeypatch):
+        built = [0]
+        point_matrix = Evaluator.point_matrix
+
+        def counted_point_matrix(ev, z):
+            built[0] += 1
+            return point_matrix(ev, z)
+
+        monkeypatch.setattr(Evaluator, "point_matrix", counted_point_matrix)
+        h = random_system(degrees, 11)
+        z = unit_point(np.arange(1, len(degrees) + 2) + 0.5j)
+        want = self._fresh(h, z)
+        built[0] = 0
+        assert self._read(h, z) == want
+        assert built[0] == 1
+
+    @pytest.mark.parametrize("degrees", DEGREES)
+    def test_a_point_mutated_in_place_and_alternating_points(self, degrees):
+        h = random_system(degrees, 12)
+        rng = np.random.default_rng(12)
+        z = rng.standard_normal(h.n_vars) + 1j * rng.standard_normal(h.n_vars)
+        first = self._fresh(h, z)
+        assert self._read(h, z) == first
+        y = z.copy()
+        z[0] *= 1.5
+        second = self._fresh(h, z)
+        assert second != first
+        assert self._read(h, z) == second
+        assert self._read(h, y) == first
+        assert self._read(h, z) == second
+        assert self._read(h, y) == first
+        # A signed zero is a different key; both read their own point's bits.
+        z[1], y[1] = 0.0, -0.0
+        for point in (z, y, z):
+            assert self._read(h, point) == self._fresh(h, point)
+
+    def test_results_are_read_only(self):
+        h = random_system((2, 2), 13)
+        z = unit_point([1.0, 2.0j, 3.0])
+        for result in (jacobian(h, z), evaluate(h, z)):
+            assert result.flags.writeable is False
+            with pytest.raises(ValueError):
+                result[0] = 1.0
+        assert self._read(h, z) == self._fresh(h, z)
+
+    def test_two_threads_on_one_system_read_their_own_point(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        h = random_system((1, 2, 2, 2, 2), 14)
+        rng = np.random.default_rng(14)
+        points = [rng.standard_normal(h.n_vars) + 1j * rng.standard_normal(h.n_vars) for _ in range(2)]
+        want = [self._fresh(h, z) for z in points]
+
+        def hammer(k):
+            return all(self._read(h, points[k]) == want[k] for _ in range(2000))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                assert list(pool.map(hammer, [0, 1], timeout=60)) == [True, True]
         finally:
             sys.setswitchinterval(interval)
 

@@ -595,7 +595,8 @@ class TestNonFiniteStep:
 
 class TestEvaluationWork:
     """What each step evaluates: one point matrix per certified step, four
-    per RK4 prediction, and the homotopy's (g, p) placed once per path."""
+    per RK4 prediction, one per corrector Newton step, and the homotopy's
+    (g, p) placed once per path."""
 
     @pytest.fixture
     def work(self, monkeypatch):
@@ -656,11 +657,13 @@ class TestEvaluationWork:
         result = track_heuristic(hom, z0)
         assert result.success
         assert len(built) == len(result.trace) and set(built) == {4}
-        # (g, p) once; the corrector's evaluate and jacobian place h alone.
+        # (g, p) once; each Newton step's jacobian and evaluate share one
+        # placement of h alone and one point matrix.
         pairs = [R for R in work["place"] if R.shape[0] == 2]
         assert len(pairs) == 1
         assert np.array_equal(pairs[0], np.stack([hom._gvec, hom._pvec]))
-        assert len(work["place"]) == 1 + 2 * newton_calls[0]
+        assert len(work["place"]) == 1 + newton_calls[0]
+        assert work["point_matrix"] == sum(built) + newton_calls[0]
 
 
 class TestStepEngineTables:
