@@ -33,7 +33,7 @@ from .experiments import (
     start_paths,
 )
 from .bw import unit_scale
-from .polysys import AffineSystem, homogenize, parse_system_json
+from .polysys import parse_system_json
 from .tracker import FLOAT_FMT, track_path, write_trace_csv
 
 
@@ -44,7 +44,7 @@ def _load_system(args):
     could not."""
     try:
         system = parse_system_json(Path(args.system).read_text())
-        unit_scale(homogenize(system) if isinstance(system, AffineSystem) else system)
+        unit_scale(system)
     except (OSError, ValueError) as exc:
         args.error(f"cannot load system file {args.system!r}: {exc}")
     return system
@@ -68,6 +68,16 @@ def _positive_int(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
 
 
@@ -214,26 +224,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=["random", "katsura"], required=True)
     p.add_argument("--degrees", type=_degree_list, default=None, help="comma-separated, e.g. 2,2")
     p.add_argument("--n", type=int, default=None, help="Katsura size")
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=_positive_int, default=10)
     p.add_argument("--tracker", choices=["certified", "heuristic", "both"], default="certified")
-    p.add_argument("--threads", type=int, default=1, help="worker processes for trials")
+    p.add_argument("--threads", type=_positive_int, default=1, help="worker processes for trials")
     _add_common(p)
     p.set_defaults(func=cmd_bench, error=p.error)
 
     p = sub.add_parser("conjecture", help="compare start pairs on random targets")
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--trials", type=int, default=30)
+    p.add_argument("--trials", type=_positive_int, default=30)
     p.add_argument("--verify-bound", action="store_true", help="check the step bound per path (slow)")
-    p.add_argument("--threads", type=int, default=1, help="worker processes for trials")
+    p.add_argument("--threads", type=_positive_int, default=1, help="worker processes for trials")
     _add_common(p)
     p.set_defaults(func=cmd_conjecture)
 
     p = sub.add_parser("entropy", help="root equidistribution of the random pair")
     p.add_argument("--degrees", type=_degree_list, default="2,2,2")
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--runs", type=int, default=800)
+    p.add_argument("--epsilon", type=_finite_float, default=0.1)
+    p.add_argument("--runs", type=_positive_int, default=800)
     p.add_argument("--variant", choices=["ball", "unitary"], default="ball")
-    p.add_argument("--threads", type=int, default=1, help="worker processes for trials")
+    p.add_argument("--threads", type=_positive_int, default=1, help="worker processes for trials")
     _add_common(p)
     p.set_defaults(func=cmd_entropy)
 

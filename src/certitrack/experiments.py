@@ -62,7 +62,8 @@ def shannon_entropy(hits) -> float:
         raise ValueError("negative counts make no sense")
     p = counts / counts.sum()
     p = p[p > 0]
-    return float(-(p * np.log2(p)).sum())
+    # + 0.0 turns the -0.0 of a single bucket into 0.0.
+    return float(-(p * np.log2(p)).sum()) + 0.0
 
 
 def nearest_root(endpoint, references, tie_tol: float = 1e-12) -> tuple[int, float]:
@@ -95,7 +96,7 @@ def match_roots(endpoints, references, tie_tol: float = 1e-12) -> list[int]:
 
 def katsura_system(n: int) -> AffineSystem:
     """The Katsura benchmark with n variables: one linear and n-1 quadratic
-    equations.
+    equations, as affine terms (run_solve and prepare_target homogenize it).
 
     Variables u_0..u_{n-1}; the linear equation is u_0 + 2(u_1 + ... +
     u_{n-1}) = 1 and the quadratic ones are sum_{|i|<n} u_|i| u_|k-i| = u_k
@@ -127,7 +128,7 @@ def katsura_system(n: int) -> AffineSystem:
         terms[key] = terms.get(key, 0.0) - 1.0
         equations.append(sorted(terms.items()))
     degrees = [1] + [2] * (n - 1)
-    return AffineSystem.from_terms(degrees, equations)
+    return AffineSystem(degrees, equations)
 
 
 # ---------------------------------------------------------------------------
@@ -168,17 +169,15 @@ def _bench_trial(args) -> list[PathStat]:
     if family == "random":
         rng = np.random.default_rng([seed, trial, 0])
         target = random_system_on_sphere(degrees, rng)
-    elif family == "katsura":
+    else:
         target = prepare_target(katsura_system(n))
         degrees = target.degrees
-    else:
-        raise ValueError(f"unknown family {family!r}")
     start = total_degree_start(degrees, np.random.default_rng([seed, trial, 1]))
-    hom = make_linear_homotopy(start.g, target) if set(trackers) - {"certified"} else None
+    hom = make_linear_homotopy(start.g, target)
     for kind in trackers:
         for path_id, root in enumerate(start.roots):
             if kind == "certified":
-                result = track_path(start.g, target, root, _NO_TRACE)
+                result = track_linear(hom, root, _NO_TRACE)
             else:
                 result = track_heuristic(hom, root, _NO_HEURISTIC_TRACE)
             rows.append(PathStat(trial, path_id, kind, result.status.value, result.num_steps))

@@ -1,5 +1,5 @@
-"""Dense complex polynomial systems: representation, evaluation, differentiation,
-and homogenization.
+"""Complex polynomial systems: the dense homogeneous representation, its
+evaluation and differentiation, and the homogenization of affine input.
 
 A homogeneous system of n equations in n+1 variables is stored as one dense
 complex coefficient vector per equation, indexed by the monomial basis of the
@@ -37,8 +37,13 @@ keyed by the bytes of that point as a complex vector, so the two calls at
 one point cost one point matrix and one product.  Their results are views
 of that shared block and therefore read-only.  The memo is one (key, block)
 tuple replaced whole, so threads that share a system each read a block
-that belongs to the key they compared.  Affine systems are input only: they
-are read, written and homogenized, never evaluated.
+that belongs to the key they compared.
+
+Affine input has no basis of its own.  An AffineSystem is a validated term
+list, n equations of degrees <= d_i in n variables, and homogenize lifts each
+term x^a to X0^(d-|a|) x^a in the homogeneous basis above, X0 first.
+parse_system_json homogenizes an affine record as it reads it, so every
+system it returns, and every system that is evaluated, is a PolySystem.
 """
 
 from __future__ import annotations
@@ -63,17 +68,6 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _bounded_compositions(bound: int, parts: int) -> Iterator[tuple[int, ...]]:
-    # All exponent tuples with sum <= bound, ascending lexicographic.
-    if parts == 1:
-        for last in range(bound + 1):
-            yield (last,)
-        return
-    for first in range(bound + 1):
-        for rest in _bounded_compositions(bound - first, parts - 1):
-            yield (first,) + rest
-
-
 @lru_cache(maxsize=None)
 def homogeneous_exponents(n_vars: int, degree: int) -> np.ndarray:
     """Exponent matrix of the degree-`degree` monomials in `n_vars` variables."""
@@ -83,23 +77,9 @@ def homogeneous_exponents(n_vars: int, degree: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def affine_exponents(n_vars: int, max_degree: int) -> np.ndarray:
-    """Exponent matrix of the monomials of degree <= `max_degree` in `n_vars` variables."""
-    exps = np.array(list(_bounded_compositions(max_degree, n_vars)), dtype=np.int64)
-    exps.setflags(write=False)
-    return exps
-
-
-@lru_cache(maxsize=None)
 def homogeneous_index(n_vars: int, degree: int) -> dict[tuple[int, ...], int]:
     """Inverse of `homogeneous_exponents`: exponent tuple -> position."""
     exps = homogeneous_exponents(n_vars, degree)
-    return {tuple(int(e) for e in row): i for i, row in enumerate(exps)}
-
-
-@lru_cache(maxsize=None)
-def affine_index(n_vars: int, max_degree: int) -> dict[tuple[int, ...], int]:
-    exps = affine_exponents(n_vars, max_degree)
     return {tuple(int(e) for e in row): i for i, row in enumerate(exps)}
 
 
@@ -145,19 +125,6 @@ def _power_table(z: np.ndarray, max_degree: int, out: np.ndarray | None = None) 
     return out.T
 
 
-def _as_coeff_tuple(coeffs, expected_lengths) -> tuple[np.ndarray, ...]:
-    out = []
-    for i, c in enumerate(coeffs):
-        arr = np.array(c, dtype=np.complex128)  # a copy: the system owns its coefficients
-        if arr.ndim != 1 or arr.shape[0] != expected_lengths[i]:
-            raise ValueError(
-                f"equation {i}: expected {expected_lengths[i]} coefficients, got shape {arr.shape}"
-            )
-        arr.setflags(write=False)
-        out.append(arr)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class PolySystem:
     """Square homogeneous system: n equations of degrees d_i in n+1 variables."""
@@ -174,8 +141,14 @@ class PolySystem:
         degrees, slices = _layout(tuple(self.degrees))
         if len(self.coeffs) != len(degrees):
             raise ValueError("one coefficient vector per equation required")
-        sizes = [sl.stop - sl.start for sl in slices]
-        self._own(degrees, slices, np.concatenate(_as_coeff_tuple(self.coeffs, sizes)))
+        arrays = [np.asarray(c, dtype=np.complex128) for c in self.coeffs]
+        for i, (arr, sl) in enumerate(zip(arrays, slices)):
+            if arr.shape != (sl.stop - sl.start,):
+                raise ValueError(
+                    f"equation {i}: expected {sl.stop - sl.start} coefficients, got shape {arr.shape}"
+                )
+        # The concatenation is a copy: the system owns its coefficients.
+        self._own(degrees, slices, np.concatenate(arrays))
 
     def _own(self, degrees, slices, vec: np.ndarray) -> None:
         # vec, a fresh 1-d complex array, becomes the system's storage.
@@ -231,7 +204,7 @@ class PolySystem:
             vec = np.zeros(num_homogeneous_monomials(n_vars, d), dtype=np.complex128)
             index = homogeneous_index(n_vars, d)
             for exponents, c in eq_terms:
-                key = tuple(int(e) for e in exponents)
+                key = tuple(map(int, exponents))
                 if len(key) != n_vars or sum(key) != d or min(key) < 0:
                     raise ValueError(
                         f"equation {i}: exponents {key} invalid for degree {d} in {n_vars} variables"
@@ -262,46 +235,44 @@ class PolySystem:
 
 @dataclass(frozen=True)
 class AffineSystem:
-    """Square affine system: n equations of degrees <= d_i in n variables."""
+    """Square affine system: n equations of degrees <= d_i in n variables,
+    as sparse terms.
+
+    terms holds one list per equation of (exponent tuple, coefficient)
+    pairs; absent monomials are zero and repeated ones add up.  The
+    constructor checks the degrees and every exponent tuple (n non-negative
+    integers of sum <= d_i; a bad one is a ValueError naming its equation)
+    and keeps them as tuples of ints with complex coefficients.  An affine
+    system is input only: homogenize turns it into the PolySystem that is
+    evaluated and tracked.
+    """
 
     degrees: tuple[int, ...]
-    coeffs: tuple[np.ndarray, ...]
+    terms: tuple[tuple[tuple[tuple[int, ...], complex], ...], ...]
 
     def __post_init__(self):
+        _check_degrees(self.degrees)
         degrees = tuple(int(d) for d in self.degrees)
-        _check_degrees(degrees)
+        n = len(degrees)
+        if len(self.terms) != n:
+            raise ValueError("one term list per equation required")
+        terms = []
+        for i, (d, eq) in enumerate(zip(degrees, self.terms)):
+            checked = []
+            for exponents, c in eq:
+                key = tuple(map(int, exponents))
+                if len(key) != n or min(key) < 0 or sum(key) > d:
+                    raise ValueError(
+                        f"equation {i}: exponents {key} invalid for degree <= {d} in {n} variables"
+                    )
+                checked.append((key, complex(c)))
+            terms.append(tuple(checked))
         object.__setattr__(self, "degrees", degrees)
-        if len(self.coeffs) != len(degrees):
-            raise ValueError("one coefficient vector per equation required")
-        n_vars = len(degrees)
-        expected = [affine_exponents(n_vars, d).shape[0] for d in degrees]
-        object.__setattr__(self, "coeffs", _as_coeff_tuple(self.coeffs, expected))
+        object.__setattr__(self, "terms", tuple(terms))
 
     @property
     def n(self) -> int:
         return len(self.degrees)
-
-    @property
-    def max_degree(self) -> int:
-        return max(self.degrees)
-
-    @classmethod
-    def from_terms(cls, degrees, terms) -> "AffineSystem":
-        degrees = tuple(int(d) for d in degrees)
-        n_vars = len(degrees)
-        coeffs = []
-        for i, (d, eq_terms) in enumerate(zip(degrees, terms)):
-            index = affine_index(n_vars, d)
-            vec = np.zeros(len(index), dtype=np.complex128)
-            for exponents, c in eq_terms:
-                key = tuple(int(e) for e in exponents)
-                if len(key) != n_vars or sum(key) > d or min(key) < 0:
-                    raise ValueError(
-                        f"equation {i}: exponents {key} invalid for degree <= {d} in {n_vars} variables"
-                    )
-                vec[index[key]] += c
-            coeffs.append(vec)
-        return cls(degrees, tuple(coeffs))
 
 
 def linear_form(by_variable) -> np.ndarray:
@@ -465,32 +436,26 @@ def jacobian(h: PolySystem, z) -> np.ndarray:
 
 
 def homogenize(f: AffineSystem) -> PolySystem:
-    """Homogeneous counterpart: each monomial gains the power of X0 completing its degree."""
-    n = f.n
-    coeffs = []
-    for i, d in enumerate(f.degrees):
-        aff = affine_exponents(n, d)
-        index = homogeneous_index(n + 1, d)
-        vec = np.zeros(num_homogeneous_monomials(n + 1, d), dtype=np.complex128)
-        for pos, row in enumerate(aff):
-            c = f.coeffs[i][pos]
-            if c == 0:
-                continue
-            key = (d - int(row.sum()),) + tuple(int(e) for e in row)
-            vec[index[key]] += c
-        coeffs.append(vec)
-    return PolySystem(f.degrees, tuple(coeffs))
+    """The homogeneous system of f in the variables (X0, x): each term x^a of
+    an equation of degree d becomes X0^(d-|a|) x^a, and PolySystem.from_terms
+    adds up the terms that share a monomial."""
+    return PolySystem.from_terms(
+        f.degrees,
+        [[((d - sum(a),) + a, c) for a, c in eq] for d, eq in zip(f.degrees, f.terms)],
+    )
 
 
-def parse_system_json(text: str) -> PolySystem | AffineSystem:
-    """Parse the text input format for systems.
+def parse_system_json(text: str) -> PolySystem:
+    """Parse the text input format for systems into a PolySystem.
 
     The record carries "degrees": [d_1, ..., d_n] and "terms": one list per
     equation of {"exponents": [...], "re": float, "im": float}.  Exponent
-    lists of length n+1 describe a homogeneous system, length n an affine one.
-    Absent monomials are zero.  A coefficient that is not finite (NaN,
-    Infinity, or a literal such as 1e400 that overflows) is a ValueError
-    naming its equation.
+    lists of length n+1 describe a homogeneous system in (X0, ..., Xn).
+    Lists of length n describe an affine one in (x1, ..., xn), which is
+    homogenized as it is read, X0 the first coordinate.  Absent monomials are
+    zero and repeated ones add up.  A coefficient of the resulting system
+    that is not finite (NaN, Infinity, a literal such as 1e400 that
+    overflows, or a sum that does) is a ValueError naming its equation.
     """
     record = json.loads(text)
     try:
@@ -505,14 +470,14 @@ def parse_system_json(text: str) -> PolySystem | AffineSystem:
         raise ValueError(f"expected {n} term lists, got {len(raw_terms)}")
     terms = [_parse_terms(i, eq) for i, eq in enumerate(raw_terms)]
     lengths = {len(exponents) for eq in terms for exponents, _ in eq}
-    if not lengths or lengths == {n + 1}:
-        homogeneous = True
-    elif lengths == {n}:
-        homogeneous = False
-    else:
-        raise ValueError(f"inconsistent exponent lengths {sorted(lengths)} for n={n}")
-    cls = PolySystem if homogeneous else AffineSystem
-    system = cls.from_terms(degrees, terms)
+    # A sum that overflows is reported below as a ValueError, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not lengths or lengths == {n + 1}:
+            system = PolySystem.from_terms(degrees, terms)
+        elif lengths == {n}:
+            system = homogenize(AffineSystem(degrees, terms))
+        else:
+            raise ValueError(f"inconsistent exponent lengths {sorted(lengths)} for n={n}")
     for i, vec in enumerate(system.coeffs):
         if not np.isfinite(vec).all():
             raise ValueError(f"equation {i}: coefficients must be finite numbers")
@@ -536,14 +501,11 @@ def _parse_terms(i: int, raw) -> list[tuple[list[int], complex]]:
         ) from exc
 
 
-def system_to_json(system: PolySystem | AffineSystem) -> str:
+def system_to_json(system: PolySystem) -> str:
     """Serialize a system in the text input format (non-zero terms only)."""
-    if isinstance(system, PolySystem):
-        exp_table = [homogeneous_exponents(system.n_vars, d) for d in system.degrees]
-    else:
-        exp_table = [affine_exponents(system.n, d) for d in system.degrees]
     terms = []
-    for exps, vec in zip(exp_table, system.coeffs):
+    for d, vec in zip(system.degrees, system.coeffs):
+        exps = homogeneous_exponents(system.n_vars, d)
         eq = []
         for pos in np.nonzero(vec)[0]:
             c = vec[pos]

@@ -20,7 +20,6 @@ from certitrack.linalg import one_blas_thread, random_unitary, vector_norm
 from certitrack.polysys import (
     AffineSystem,
     PolySystem,
-    affine_exponents,
     evaluate,
     homogeneous_exponents,
     homogenize,
@@ -95,15 +94,17 @@ class TestNorm:
         # An affine monomial x^a of degree <= d weighs as its homogenization
         # X0^(d-|a|) x^a: 1 / multinomial(d; d-|a|, a).
         rng = np.random.default_rng(seed)
-        coeffs = []
+        terms = []
         for d in (2, 3):
-            m = affine_exponents(2, d).shape[0]
-            coeffs.append(rng.standard_normal(m) + 1j * rng.standard_normal(m))
-        f = AffineSystem((2, 3), tuple(coeffs))
+            # every monomial of degree <= d in 2 variables, once
+            exps = [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
+            c = rng.standard_normal(len(exps)) + 1j * rng.standard_normal(len(exps))
+            terms.append(list(zip(exps, c)))
+        f = AffineSystem((2, 3), terms)
         total = 0.0
-        for d, a in zip(f.degrees, f.coeffs):
-            for row, c in zip(affine_exponents(2, d), a):
-                denom = math.factorial(d - int(row.sum())) * math.prod(map(math.factorial, row))
+        for d, eq in zip(f.degrees, f.terms):
+            for a, c in eq:
+                denom = math.factorial(d - sum(a)) * math.prod(map(math.factorial, a))
                 total += denom / math.factorial(d) * abs(c) ** 2
         assert math.sqrt(total) == pytest.approx(bw_norm(homogenize(f)), abs=1e-12)
 

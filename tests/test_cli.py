@@ -1,12 +1,21 @@
 import csv
+import json
 
 import numpy as np
 import pytest
 
 from certitrack.cli import main
 from certitrack.experiments import katsura_system
-from certitrack.polysys import system_to_json
+from certitrack.polysys import homogenize, system_to_json
 from certitrack.start_systems import random_system_on_sphere
+
+
+def affine_json(f) -> str:
+    """The affine record of an AffineSystem: exponent lists of length n."""
+    terms = [
+        [{"exponents": list(a), "re": c.real, "im": c.imag} for a, c in eq] for eq in f.terms
+    ]
+    return json.dumps({"degrees": list(f.degrees), "terms": terms})
 
 
 @pytest.fixture
@@ -56,7 +65,7 @@ def katsura4_solutions(tmp_path_factory):
     # its bits (Katsura-3's do not change), so a second scaling would show.
     root = tmp_path_factory.mktemp("katsura4")
     system = root / "katsura4.json"
-    system.write_text(system_to_json(katsura_system(4)))
+    system.write_text(affine_json(katsura_system(4)))
     solved = {}
 
     def rows(start):
@@ -102,6 +111,23 @@ SUBCOMMANDS = {
 }
 
 
+class TestAffineFile:
+    @pytest.mark.parametrize("start", ["total", "random"])
+    def test_solve_equals_the_homogenized_file(self, tmp_path, start):
+        # An affine file is homogenized as it is read: solving it and its
+        # homogenization written out writes the same bytes.
+        f = katsura_system(3)
+        outputs = []
+        for name, text in [("affine", affine_json(f)), ("homogeneous", system_to_json(homogenize(f)))]:
+            system = tmp_path / f"{name}.json"
+            system.write_text(text)
+            out = tmp_path / f"{name}.csv"
+            assert main(["solve", str(system), "--start", start, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert len(_rows(tmp_path / "affine.csv")) == (5 if start == "total" else 2)
+
+
 class TestSubcommands:
     @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
     def test_reruns_write_identical_bytes(self, quad_system, tmp_path, command):
@@ -132,6 +158,19 @@ class TestInputErrors:
             (["entropy", "--degrees", "2,x"], "argument --degrees: expected positive integers"),
             (["entropy", "--degrees", ","], "argument --degrees: expected positive integers"),
             (["conjecture", "--n", "0"], "argument --n: expected a positive integer"),
+            (["bench", "--family", "random", "--degrees", "2,2", "--trials", "0"],
+             "argument --trials: expected a positive integer"),
+            (["bench", "--family", "random", "--degrees", "2,2", "--threads", "-3"],
+             "argument --threads: expected a positive integer"),
+            (["conjecture", "--n", "2", "--trials", "0"], "argument --trials: expected a positive integer"),
+            (["conjecture", "--n", "2", "--threads", "0"], "argument --threads: expected a positive integer"),
+            (["entropy", "--runs", "0"], "argument --runs: expected a positive integer"),
+            (["entropy", "--runs", "-1"], "argument --runs: expected a positive integer"),
+            (["entropy", "--threads", "0"], "argument --threads: expected a positive integer"),
+            (["entropy", "--runs", "2", "--epsilon", "nan"], "argument --epsilon: expected a finite number"),
+            (["entropy", "--runs", "2", "--epsilon", "inf"], "argument --epsilon: expected a finite number"),
+            (["entropy", "--runs", "2", "--epsilon=-Infinity"], "argument --epsilon: expected a finite number"),
+            (["entropy", "--runs", "2", "--epsilon", "x"], "argument --epsilon: expected a finite number"),
         ],
     )
     def test_exit_2_with_a_message(self, capsys, argv, message):
@@ -141,6 +180,13 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert message in err.strip().splitlines()[-1]
+
+
+class TestEntropyOutput:
+    def test_one_root_prints_positive_zero_entropy(self, tmp_path, capsys):
+        argv = ["entropy", "--degrees", "1,1", "--runs", "2", "--epsilon", "0"]
+        assert main(argv + ["--out", str(tmp_path / "hits.csv")]) == 0
+        assert "entropy_bits=0.000000 " in capsys.readouterr().err
 
 
 class TestLinearSystem:

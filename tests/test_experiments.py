@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from certitrack import experiments
+from certitrack import experiments, tracker
 from certitrack.bw import normalize_to_sphere
 from certitrack.experiments import (
     AmbiguousMatchError,
@@ -35,6 +35,11 @@ class TestShannonEntropy:
 
     def test_single_bucket(self):
         assert shannon_entropy([42]) == 0.0
+
+    def test_single_bucket_is_positive_zero(self):
+        # -0.0 == 0.0, so only the sign shows a -0.0 (printed "-0.000000").
+        assert math.copysign(1.0, shannon_entropy([42])) == 1.0
+        assert math.copysign(1.0, shannon_entropy([0, 7, 0])) == 1.0
 
     def test_three_quarters_split(self):
         assert shannon_entropy([75, 25]) == pytest.approx(0.811278, abs=1e-6)
@@ -169,6 +174,40 @@ class TestRunBench:
         rep = run_bench("katsura", n=3, seed=0)["certified"]
         assert len(rep.per_path) == 4
         assert rep.failures == 0
+
+    def test_pinned_step_counts(self):
+        # Read before the certified tracker shared the trial's homotopy;
+        # sharing it must not move a step.
+        reports = run_bench("random", (2, 2), trials=3, seed=2, trackers=("certified", "heuristic"))
+        steps = {
+            "certified": [320, 438, 577, 494, 194, 209, 257, 298, 907, 378, 1091, 536],
+            "heuristic": [10, 10, 10, 10, 10, 10, 10, 10, 15, 11, 11, 11],
+        }
+        for kind, report in reports.items():
+            assert [(p.trial, p.path) for p in report.per_path] == [
+                (t, i) for t in range(3) for i in range(4)
+            ]
+            assert {p.status for p in report.per_path} == {"Success"}
+            assert [p.steps for p in report.per_path] == steps[kind]
+        katsura = run_bench("katsura", n=3)["certified"].per_path
+        assert [(p.status, p.steps) for p in katsura] == [
+            ("Success", s) for s in (1087, 1162, 1354, 1484)
+        ]
+
+    def test_one_homotopy_per_trial(self, monkeypatch):
+        # Both trackers of a trial share one homotopy; track_path would
+        # build one per certified path.
+        built = []
+        make = experiments.make_linear_homotopy
+
+        def counting(g, f):
+            built.append(1)
+            return make(g, f)
+
+        monkeypatch.setattr(experiments, "make_linear_homotopy", counting)
+        monkeypatch.setattr(tracker, "make_linear_homotopy", counting)
+        run_bench("random", (2, 2), trials=2, seed=0, trackers=("certified", "heuristic"))
+        assert len(built) == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import pickle
 import sys
@@ -9,8 +10,6 @@ from certitrack.polysys import (
     AffineSystem,
     Evaluator,
     PolySystem,
-    affine_exponents,
-    affine_index,
     evaluate,
     evaluator,
     homogeneous_exponents,
@@ -23,6 +22,7 @@ from certitrack.polysys import (
     system_to_json,
     unit_point,
 )
+from certitrack.experiments import katsura_system
 from certitrack.start_systems import good_initial_pair, total_degree_start
 
 
@@ -63,6 +63,19 @@ def random_system(degrees, seed):
     return PolySystem(tuple(degrees), tuple(coeffs))
 
 
+def random_affine_system(degrees, seed):
+    """An affine system with a random coefficient on every monomial of degree
+    <= d_i: the affine parts x^a of the homogeneous basis X0^(d-|a|) x^a."""
+    rng = np.random.default_rng(seed)
+    n = len(degrees)
+    terms = []
+    for d in degrees:
+        exps = homogeneous_exponents(n + 1, d)[:, 1:]
+        c = rng.standard_normal(len(exps)) + 1j * rng.standard_normal(len(exps))
+        terms.append(list(zip(map(tuple, exps), c)))
+    return AffineSystem(tuple(degrees), terms)
+
+
 class TestMonomialBasis:
     @pytest.mark.parametrize("n_vars,degree", [(n, d) for n in range(2, 7) for d in range(1, 7)])
     def test_index_roundtrip(self, n_vars, degree):
@@ -78,11 +91,6 @@ class TestMonomialBasis:
         exps = homogeneous_exponents(3, 2)
         as_tuples = [tuple(int(e) for e in row) for row in exps]
         assert as_tuples == sorted(as_tuples)
-
-    def test_affine_enumeration(self):
-        exps = affine_exponents(2, 2)
-        as_tuples = [tuple(int(e) for e in row) for row in exps]
-        assert as_tuples == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
 
     def test_linear_form_positions(self):
         vec = linear_form([10.0, 20.0, 30.0])
@@ -433,7 +441,7 @@ class TestCoefficientOwnership:
 
 class TestHomogenization:
     def test_square_minus_one(self):
-        f = AffineSystem.from_terms((2,), [[((2,), 1.0), ((0,), -1.0)]])
+        f = AffineSystem((2,), [[((2,), 1.0), ((0,), -1.0)]])
         h = homogenize(f)
         # X1^2 - X0^2: affine zero 1 lifts to (1, 1)
         assert abs(evaluate(h, unit_point([1.0, 1.0]))[0]) < 1e-15
@@ -441,32 +449,25 @@ class TestHomogenization:
         assert np.linalg.norm(evaluate(h, unit_point((1.0, *eta)))) < 1e-15
 
     def test_linear_with_constant(self):
-        f = AffineSystem.from_terms((1,), [[((1,), 1.0), ((0,), 2.0)]])
+        f = AffineSystem((1,), [[((1,), 1.0), ((0,), 2.0)]])
         h = homogenize(f)
         # x + 2 -> X1 + 2 X0
         val = evaluate(h, np.array([1.0, -2.0], dtype=complex) / math.sqrt(5))
         assert abs(val[0]) < 1e-15
 
     def test_round_trip(self):
-        rng = np.random.default_rng(11)
-        coeffs = []
-        for d in (2, 3):
-            m = affine_exponents(2, d).shape[0]
-            coeffs.append(rng.standard_normal(m) + 1j * rng.standard_normal(m))
-        f = AffineSystem((2, 3), tuple(coeffs))
+        f = random_affine_system((2, 3), 11)
         h = homogenize(f)
         # Read each coefficient back at the monomial that X0 completes.
-        for d, a, hom in zip(f.degrees, f.coeffs, h.coeffs):
-            index = affine_index(2, d)
-            back = np.zeros_like(a)
-            for row, c in zip(homogeneous_exponents(3, d), hom):
-                back[index[tuple(int(e) for e in row[1:])]] += c
-            np.testing.assert_allclose(a, back, rtol=1e-15)
+        for d, terms, hom in zip(f.degrees, f.terms, h.coeffs):
+            index = homogeneous_index(3, d)
+            for a, c in terms:
+                assert hom[index[(d - sum(a),) + a]] == c
 
     def test_zero_correspondence(self):
         # zero eta of f lifts to (1, eta) for h
         rng = np.random.default_rng(12)
-        f = AffineSystem.from_terms(
+        f = AffineSystem(
             (2, 1),
             [
                 [((2, 0), 1.0), ((0, 1), -1.0)],  # x^2 - y
@@ -480,16 +481,89 @@ class TestHomogenization:
         assert np.linalg.norm(evaluate(h, lifted)) < 1e-14
 
 
+# SHA-256 of homogenize(katsura_system(n)).coeff_vector().tobytes(), read
+# when affine input still went through a dense affine basis.
+KATSURA_HOMOGENIZED_SHA256 = {
+    2: "7f3fef1ddb31f687118b65b3a25b58ef80672d8b80866813d8bc6274050491ea",
+    3: "ed58e59a1434aeb234545c1b372b2c30f8f62070077d08940abfb634ab4ba826",
+    4: "abc7b86a9072375f552c286815b4eb1d668ed4957c6361a85faf0d69a1c1abe2",
+    5: "1bb0e7e5c8f8ab934100a6648b2e8165e58e38f7a4c5a556d24e093f4e8af259",
+    6: "ce5d2e48d5ab9b1d3a8b4d81082eaad6fffee139aada2d4f25af9a8e11208818",
+}
+
+# Repeated monomials (two of them cancel to 0), -0.0 and 0 terms and a tiny
+# imaginary part, in two equations.
+AFFINE_RECORD = (
+    '{"degrees": [2, 1], "terms": ['
+    '[{"exponents": [1, 1], "re": 0.5, "im": -1.25}, {"exponents": [0, 0], "re": 3.0},'
+    ' {"exponents": [1, 1], "re": 0.25, "im": 2.0}, {"exponents": [2, 0], "re": -0.0, "im": -0.0},'
+    ' {"exponents": [0, 2], "re": 0.0}, {"exponents": [0, 0], "re": -3.0}],'
+    ' [{"exponents": [1, 0], "re": 1.0}, {"exponents": [0, 1], "re": -0.0, "im": 1.5},'
+    ' {"exponents": [0, 0], "re": 0, "im": -0.0}, {"exponents": [1, 0], "im": 1e-300}]]}'
+)
+# The coefficient bytes the same record gave through the dense affine basis.
+AFFINE_RECORD_BYTES = bytes.fromhex(
+    "00000000000000000000000000000000000000000000e83f000000000000e83f"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000f83f000000000000f03f59f3f8c21f6ea501"
+    "00000000000000000000000000000000"
+)
+
+
+class TestAffineInput:
+    @pytest.mark.parametrize("n", sorted(KATSURA_HOMOGENIZED_SHA256))
+    def test_katsura_homogenized_bits_pinned(self, n):
+        vec = homogenize(katsura_system(n)).coeff_vector()
+        assert hashlib.sha256(vec.tobytes()).hexdigest() == KATSURA_HOMOGENIZED_SHA256[n]
+
+    def test_parsed_record_bits_pinned(self):
+        h = parse_system_json(AFFINE_RECORD)
+        assert isinstance(h, PolySystem)
+        assert h.coeff_vector().tobytes() == AFFINE_RECORD_BYTES
+
+    @pytest.mark.parametrize("exponents", [[1, 0, 0], [1, 0]], ids=["homogeneous", "affine"])
+    def test_overflowing_sum_names_its_equation(self, exponents):
+        # Each term is finite; their sum on one monomial is not.
+        term = '{"exponents": %s, "re": 1e308}' % exponents
+        first = '{"exponents": %s, "re": 1.0}' % exponents
+        text = f'{{"degrees": [1, 1], "terms": [[{first}], [{term}, {term}]]}}'
+        with pytest.raises(ValueError, match="equation 1: coefficients must be finite"):
+            parse_system_json(text)
+
+    @pytest.mark.parametrize("exponents", [[2, 1], [-1, 1]], ids=["sum-above-degree", "negative"])
+    def test_bad_exponents_name_their_equation(self, exponents):
+        bad = '{"exponents": %s, "re": 1.0}' % exponents
+        text = f'{{"degrees": [1, 2], "terms": [[{{"exponents": [1, 0]}}], [{bad}]]}}'
+        with pytest.raises(ValueError, match="equation 1: exponents"):
+            parse_system_json(text)
+
+    @pytest.mark.parametrize(
+        "exponents", [(2, 1), (-1, 1), (1,), (1, 0, 0)],
+        ids=["sum-above-degree", "negative", "short", "long"],
+    )
+    def test_constructor_names_the_equation(self, exponents):
+        with pytest.raises(ValueError, match="equation 1: exponents"):
+            AffineSystem((1, 2), [[((1, 0), 1.0)], [((0, 0), 1.0), (exponents, 1.0)]])
+
+    def test_one_term_list_per_equation(self):
+        with pytest.raises(ValueError, match="one term list per equation"):
+            AffineSystem((1, 2), [[((1, 0), 1.0)]])
+
+    def test_terms_kept_as_ints_and_complex(self):
+        f = AffineSystem([2], [[(np.array([2]), np.float64(1.5)), ([0], -1)]])
+        assert f.degrees == (2,)
+        assert f.terms == ((((2,), 1.5 + 0j), ((0,), -1 + 0j)),)
+        assert all(type(e) is int for eq in f.terms for a, _ in eq for e in a)
+        assert all(type(c) is complex for eq in f.terms for _, c in eq)
+
+
 class TestAffineJacobian:
     def test_against_finite_differences(self):
         # Df(x) is the Jacobian of the homogenization at (1, x) without its
         # X0 column; f(x) its value there.
         rng = np.random.default_rng(13)
-        coeffs = []
-        for d in (2, 2):
-            m = affine_exponents(2, d).shape[0]
-            coeffs.append(rng.standard_normal(m) + 1j * rng.standard_normal(m))
-        f = AffineSystem((2, 2), tuple(coeffs))
+        f = random_affine_system((2, 2), 13)
         x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         eps = 1e-6
         h = homogenize(f)
@@ -531,9 +605,9 @@ class TestSystemIO:
 
     def test_parse_affine(self):
         text = '{"degrees": [2], "terms": [[{"exponents": [2], "re": 1.0}, {"exponents": [0], "re": -1.0}]]}'
-        f = parse_system_json(text)
-        assert isinstance(f, AffineSystem)
-        assert np.linalg.norm(evaluate(homogenize(f), unit_point((1.0, 1.0)))) < 1e-15
+        h = parse_system_json(text)
+        assert isinstance(h, PolySystem)
+        assert np.linalg.norm(evaluate(h, unit_point((1.0, 1.0)))) < 1e-15
 
     def test_round_trip(self):
         h = random_system((2, 2), 21)
