@@ -5,6 +5,14 @@ The Hermitian product weights each monomial coefficient pair by the inverse
 multinomial coefficient of its exponent tuple; it is invariant under unitary
 changes of variables, which is what makes the unit sphere of systems the
 natural arena for homotopy paths.
+
+The norm and the product do their elementwise work in one pass over a
+system's stacked coefficient vector, with the weights of all its equations
+stacked alike, and then take one sum per equation slice, added in equation
+order.  Each slice's sum is NumPy's pairwise sum of that equation, so the
+bits are those of an equation-by-equation loop.  np.add.reduceat, one call
+for all slices, groups each slice's terms otherwise and changes the last
+bits of most norms and products.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import numpy as np
 from .linalg import vector_norm
 from .polysys import (
     PolySystem,
+    _layout,
     homogeneous_exponents,
     homogeneous_index,
     linear_form,
@@ -55,10 +64,19 @@ def sqrt_multinomials(n_vars: int, degree: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _weights(degrees: tuple[int, ...]) -> np.ndarray:
+    # The weights of a system's stacked coefficient vector, equation by
+    # equation.
+    w = np.concatenate([_bw_weights(len(degrees) + 1, d) for d in degrees])
+    w.setflags(write=False)
+    return w
+
+
+@lru_cache(maxsize=None)
 def _stacked_weights(degrees: tuple[int, ...]) -> np.ndarray:
-    # The weights of a system's stacked coefficient vector, each repeated
-    # for the real and the imaginary part of its coefficient.
-    w = np.concatenate([_bw_weights(len(degrees) + 1, d) for d in degrees]).repeat(2)
+    # _weights with each weight repeated for the real and the imaginary
+    # part of its coefficient.
+    w = _weights(degrees).repeat(2)
     w.setflags(write=False)
     return w
 
@@ -71,13 +89,18 @@ def bw_inner_re(degrees: tuple[int, ...], a: np.ndarray, b: np.ndarray) -> float
 
 
 def bw_inner(h: PolySystem, h2: PolySystem) -> complex:
-    """Bombieri-Weyl product <h, h2>, summed over equations."""
+    """Bombieri-Weyl product <h, h2>, summed over equations.
+
+    The products w a conj(b) are formed in one pass over the two stacked
+    vectors, then summed one equation slice at a time and added in equation
+    order (see the module notes).
+    """
     if h.degrees != h2.degrees:
         raise ValueError(f"degree mismatch: {h.degrees} vs {h2.degrees}")
+    terms = _weights(h.degrees) * h._vec * np.conj(h2._vec)
     total = 0.0 + 0.0j
-    for d, a, b in zip(h.degrees, h.coeffs, h2.coeffs):
-        w = _bw_weights(h.n_vars, d)
-        total += np.sum(w * a * np.conj(b))
+    for sl in _layout(h.degrees)[1]:
+        total += terms[sl].sum()
     return complex(total)
 
 
@@ -86,7 +109,8 @@ def bw_norm(h: PolySystem) -> float:
 
     A PolySystem is immutable, so its norm is computed on the first call and
     kept on the system; unit_scale, ensure_on_sphere and newton.condition_mu
-    read it from there.
+    read it from there.  It is computed in one pass over the stacked
+    coefficient vector, with one sum per equation (see the module notes).
     """
     norm = h._bw_norm
     if norm is None:
@@ -100,19 +124,20 @@ def _scaled_norm(h: PolySystem) -> float:
     # exponent of the largest one, before they are squared, so no square
     # overflows or goes subnormal.  The scale commutes with every rounding:
     # the bits are those of the unscaled sum wherever that one does neither.
-    mods = [np.abs(a) for a in h.coeffs]
+    m = np.abs(h._vec)
     # e >= -1000 keeps 2^-e a float; the largest scaled modulus of a
     # subnormal system is then still above 2^-75.
-    e = max(math.frexp(max(m.max(initial=0.0) for m in mods))[1], -1000)
-    scale = math.ldexp(1.0, -e)
+    e = max(math.frexp(m.max())[1], -1000)
+    m *= math.ldexp(1.0, -e)
+    np.square(m, out=m)
+    m *= _weights(h.degrees)
     total = 0.0
-    for d, m in zip(h.degrees, mods):
-        m *= scale
-        np.square(m, out=m)
-        m *= _bw_weights(h.n_vars, d)
-        total += float(m.sum())
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(math.sqrt(total), e))
+    for sl in _layout(h.degrees)[1]:
+        total += float(m[sl].sum())
+    try:
+        return math.ldexp(math.sqrt(total), e)
+    except OverflowError:
+        return math.inf
 
 
 def unit_scale(h: PolySystem) -> float:

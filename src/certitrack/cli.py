@@ -71,6 +71,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"expected an integer in [0, 2**64), got {text!r}")
+    return value
+
+
 def _finite_float(text: str) -> float:
     try:
         value = float(text)
@@ -198,7 +208,7 @@ def cmd_entropy(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="master seed (unsigned 64-bit)")
+    p.add_argument("--seed", type=_seed, default=0, help="master seed (unsigned 64-bit)")
     p.add_argument("--out", type=str, default=None, help="output CSV path (default: stdout)")
 
 

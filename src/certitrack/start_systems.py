@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,10 +43,35 @@ class InitialPair:
 
 @dataclass(frozen=True)
 class StartSet:
-    """A start system with its full list of explicit zeros."""
+    """A start system with its full list of explicit zeros.
+
+    total_degree_start's roots are the rows of one read-only array built
+    once per degree tuple: every StartSet of that tuple shares them.
+    """
 
     g: PolySystem
     roots: tuple[np.ndarray, ...]
+
+
+@lru_cache(maxsize=None)
+def _total_degree_pattern(degrees: tuple[int, ...]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    # The read-only coefficient vector of (X_i^{d_i} - X_0^{d_i}), entries
+    # +1, -1 and 0, and its D zeros (1, w_1, ..., w_n), w_i a d_i-th root of
+    # unity, each normalized by unit_point: the rows of one read-only array.
+    n = len(degrees)
+    terms = []
+    for i, d in enumerate(degrees):
+        lead = [0] * (n + 1)
+        lead[i + 1] = d
+        terms.append([(tuple(lead), 1.0 + 0.0j), ((d,) + (0,) * n, -1.0 + 0.0j)])
+    vec = PolySystem.from_terms(degrees, terms)._vec
+    unity = [np.exp(2j * np.pi * np.arange(d) / d) for d in degrees]
+    roots = np.array([
+        unit_point(np.concatenate([[1.0], np.asarray(combo)]))
+        for combo in itertools.product(*unity)
+    ])
+    roots.setflags(write=False)
+    return vec, tuple(roots)
 
 
 def total_degree_start(degrees, rng: np.random.Generator) -> StartSet:
@@ -54,22 +80,16 @@ def total_degree_start(degrees, rng: np.random.Generator) -> StartSet:
     The raw system (X_i^{d_i} - X_0^{d_i}) is multiplied by a random unit
     phase before normalization; one global phase realizes the generic-gamma
     homotopy once the path is normalized to the sphere and reparametrized by
-    arc length.
+    arc length.  The raw coefficient vector and the roots depend on the
+    degrees alone and are built once per degree tuple: a call draws the
+    phase, scales the cached vector into a fresh system and normalizes it,
+    and its roots are the shared read-only rows of the cached root array.
     """
     degrees = tuple(int(d) for d in degrees)
-    n = len(degrees)
+    vec, roots = _total_degree_pattern(degrees)
     phase = np.exp(2j * np.pi * rng.random())
-    terms = []
-    for i, d in enumerate(degrees):
-        lead = [0] * (n + 1)
-        lead[i + 1] = d
-        terms.append([(tuple(lead), 1.0 + 0.0j), ((d,) + (0,) * n, -1.0 + 0.0j)])
-    g = normalize_to_sphere(phase * PolySystem.from_terms(degrees, terms))
-    roots = []
-    unity = [np.exp(2j * np.pi * np.arange(d) / d) for d in degrees]
-    for combo in itertools.product(*unity):
-        roots.append(unit_point(np.concatenate([[1.0], np.asarray(combo)])))
-    return StartSet(g=g, roots=tuple(roots))
+    g = normalize_to_sphere(PolySystem._adopt(degrees, complex(phase) * vec))
+    return StartSet(g=g, roots=roots)
 
 
 def total_degree_initial_pair(degrees, rng: np.random.Generator) -> InitialPair:
@@ -101,21 +121,38 @@ def good_initial_pair(degrees) -> InitialPair:
     return InitialPair(g=g, zeta0=unit_point(e0), kind="GoodPair")
 
 
+@lru_cache(maxsize=None)
+def _sphere_sampler(degrees: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    # (2, N) positions in one standard_normal(2N) draw of the real and the
+    # imaginary part of each stacked coefficient: equation i's block of
+    # 2 m_i draws holds its m_i real parts, then its m_i imaginary parts.
+    # And the stacked square-root multinomials.
+    _, slices = polysys._layout(degrees)
+    pos = np.concatenate([
+        np.stack([np.arange(sl.start, sl.stop) + sl.start, np.arange(sl.start, sl.stop) + sl.stop])
+        for sl in slices
+    ], axis=1)
+    scale = np.concatenate([sqrt_multinomials(len(degrees) + 1, d) for d in degrees])
+    pos.setflags(write=False)
+    scale.setflags(write=False)
+    return pos, scale
+
+
 def random_system_on_sphere(degrees, rng: np.random.Generator) -> PolySystem:
     """Uniform sample on the unit sphere of systems.
 
     Coefficients are standard complex Gaussians in the orthonormal basis of
     monomials scaled by the square-root multinomials; the Gaussian direction
-    is uniform on the sphere.
+    is uniform on the sphere.  One standard_normal(2N) call draws them all,
+    N the number of coefficients, read per equation as its real parts and
+    then its imaginary parts: the stream order of one pair of draws per
+    equation, so each seed gives the same system.
     """
     degrees = tuple(int(d) for d in degrees)
-    n_vars = len(degrees) + 1
-    coeffs = []
-    for d in degrees:
-        m = polysys.num_homogeneous_monomials(n_vars, d)
-        u = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2.0)
-        coeffs.append(u * sqrt_multinomials(n_vars, d))
-    return normalize_to_sphere(PolySystem(degrees, tuple(coeffs)))
+    pos, scale = _sphere_sampler(degrees)
+    re, im = rng.standard_normal(2 * scale.shape[0])[pos]
+    vec = (re + 1j * im) / np.sqrt(2.0) * scale
+    return normalize_to_sphere(PolySystem._adopt(degrees, vec))
 
 
 def uniform_ball_point(dim: int, rng: np.random.Generator) -> np.ndarray:

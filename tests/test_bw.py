@@ -25,7 +25,7 @@ from certitrack.polysys import (
     homogenize,
     unit_point,
 )
-from certitrack.start_systems import good_system_raw
+from certitrack.start_systems import good_system_raw, random_system_on_sphere
 
 
 def random_system(degrees, seed):
@@ -329,3 +329,85 @@ class TestDenseProduct:
             (2,), [[((2, 0), 3.0), ((1, 1), 7.0), ((0, 2), 2.0)]]
         ).coeffs[0]
         np.testing.assert_allclose(prod, want, atol=1e-15)
+
+
+# Per degree tuple, sha256 over the targets random_system_on_sphere(degrees,
+# default_rng(s)), s = 0, 1, 2, of bw_norm of each target scaled by
+# NORM_PIN_SCALES (squares that overflow or go subnormal, and subnormal
+# coefficients), and of bw_inner of each target with the next.  Read before
+# the norm and the product moved to one pass over the stacked vector.
+NORM_PIN_SCALES = (1.0, 1e-170, 1e200, 1e-310)
+BW_PINS = {
+    (1,): (
+        "5dc91b1f8636157fc5c1d837ae4449ec5c407f4560860d84062a5541c46e797e",
+        "71b468b7a4e98cd985b49866ea66dfbc72b690a4da9aa2af9ef62cf1e35a1181",
+    ),
+    (2, 2, 2): (
+        "426878fe8b4c3f585f63f26dc13f9d937dfde847fdb619bf10e8d417cc0612cf",
+        "db7f56247a8a4c58d20ac4e281fae3325b264023537bb403df0baa9faae520cd",
+    ),
+    (1, 2, 3): (
+        "ef48eff7f43a2659d1e6a3952bb6e6fc69ebe001599ba3adb8144d5c95c8ead7",
+        "17890d4f445f4f2cd3974360d2d9fc0977b13a5f28c1036f8880a76321127df7",
+    ),
+    (1, 2, 2, 2, 2): (
+        "36733988ad2505abb95ccea7f380cd9d147f2359c9e18879642bcff2781513c2",
+        "be15af638ee8d5ddc686034e09a95c83673617fb8504b1960d90dc1e9de2d26f",
+    ),
+    (3, 3, 3, 3): (
+        "76d2055eb12d68fee8ad453684da68c477929bda897f61ab13141182d287c387",
+        "c9420ba6a1066c746e265f675967c4d71a2317661e25e9d62201f72ad64e3c6d",
+    ),
+}
+
+
+def _bw_digests(degrees):
+    norms, inners = hashlib.sha256(), hashlib.sha256()
+    targets = [random_system_on_sphere(degrees, np.random.default_rng(s)) for s in range(3)]
+    for k, f in enumerate(targets):
+        for lam in NORM_PIN_SCALES:
+            norms.update(np.float64(bw_norm(lam * f)).tobytes())
+        inners.update(np.complex128(bw_inner(f, targets[(k + 1) % 3])).tobytes())
+    return norms.hexdigest(), inners.hexdigest()
+
+
+@pytest.mark.parametrize("degrees", list(BW_PINS), ids=str)
+def test_pinned_bits_of_norm_and_product(degrees):
+    assert _bw_digests(degrees) == BW_PINS[degrees]
+
+
+def _norm_by_equation(h):
+    # The scaled norm with its elementwise work done equation by equation:
+    # the reference for the one pass over the stacked vector.
+    mods = [np.abs(a) for a in h.coeffs]
+    e = max(math.frexp(max(m.max() for m in mods))[1], -1000)
+    total = 0.0
+    for d, m in zip(h.degrees, mods):
+        total += float(np.sum((m * math.ldexp(1.0, -e)) ** 2 * _bw_weights(h.n_vars, d)))
+    return math.ldexp(math.sqrt(total), e)
+
+
+def _inner_by_equation(h, h2):
+    total = 0.0 + 0.0j
+    for d, a, b in zip(h.degrees, h.coeffs, h2.coeffs):
+        total += np.sum(_bw_weights(h.n_vars, d) * a * np.conj(b))
+    return complex(total)
+
+
+@pytest.mark.parametrize(
+    "degrees",
+    [(1,), (2,), (2, 2), (2, 2, 2), (1, 2, 3), (3, 2, 4), (1, 2, 2, 2, 2), (3, 3, 3, 3)],
+    ids=str,
+)
+def test_one_pass_matches_equation_by_equation(degrees):
+    # Equal bits at scales whose squares overflow or go subnormal, one
+    # equation's coefficients far larger than the others', and random
+    # scales up to 1e+-300.
+    rng = np.random.default_rng(len(degrees))
+    for seed in range(10):
+        a, b = random_system(degrees, seed), random_system(degrees, seed + 100)
+        lopsided = PolySystem(degrees, (1e150 * a.coeffs[0],) + a.coeffs[1:])
+        scales = [1.0, 1e-170, 1e200, 1e-310] + list(10.0 ** rng.uniform(-300, 300, 8))
+        for h in [lam * a for lam in scales] + [lopsided]:
+            assert bw_norm(h) == _norm_by_equation(h)
+            assert bw_inner(h, b) == _inner_by_equation(h, b)

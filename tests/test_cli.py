@@ -171,6 +171,13 @@ class TestInputErrors:
             (["entropy", "--runs", "2", "--epsilon", "inf"], "argument --epsilon: expected a finite number"),
             (["entropy", "--runs", "2", "--epsilon=-Infinity"], "argument --epsilon: expected a finite number"),
             (["entropy", "--runs", "2", "--epsilon", "x"], "argument --epsilon: expected a finite number"),
+            (["conjecture", "--n", "1", "--trials", "1", "--seed", "-1"],
+             "argument --seed: expected an integer in [0, 2**64)"),
+            (["conjecture", "--n", "1", "--trials", "1", "--seed", "18446744073709551616"],
+             "argument --seed: expected an integer in [0, 2**64)"),
+            (["conjecture", "--n", "1", "--trials", "1", "--seed", "x"],
+             "argument --seed: expected an integer in [0, 2**64)"),
+            (["solve", "system.json", "--seed", "-1"], "argument --seed: expected an integer in [0, 2**64)"),
         ],
     )
     def test_exit_2_with_a_message(self, capsys, argv, message):
@@ -180,6 +187,10 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert message in err.strip().splitlines()[-1]
+
+    def test_largest_seed_accepted(self, tmp_path):
+        argv = ["conjecture", "--n", "1", "--trials", "1", "--seed", str(2**64 - 1)]
+        assert main(argv + ["--out", str(tmp_path / "conjecture.csv")]) == 0
 
 
 class TestEntropyOutput:

@@ -1,14 +1,23 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from certitrack import tracker
-from certitrack.bw import bw_inner, bw_norm, riemann_distance
+from certitrack.bw import bw_inner, bw_norm, normalize_to_sphere, riemann_distance, sqrt_multinomials
 from certitrack.newton import U0, certified_radius, condition_mu, refine
-from certitrack.polysys import evaluate, homogeneous_exponents, space_dimension, unit_point
+from certitrack.polysys import (
+    PolySystem,
+    evaluate,
+    homogeneous_exponents,
+    num_homogeneous_monomials,
+    space_dimension,
+    unit_point,
+)
 from certitrack.start_systems import (
     InitialPair,
+    _total_degree_pattern,
     draw_ball_matrix,
     draw_restricted_system,
     good_initial_pair,
@@ -66,6 +75,34 @@ class TestTotalDegreeStart:
         assert pair.kind == "TotalDegree"
 
 
+class TestTotalDegreeCache:
+    def test_cached_roots_are_read_only(self):
+        roots = total_degree_start((2, 3), np.random.default_rng(0)).roots
+        with pytest.raises(ValueError):
+            roots[1][0] = 0.0
+
+    def test_roots_shared_and_phase_drawn_per_call(self):
+        a = total_degree_start((2, 3), np.random.default_rng(0))
+        b = total_degree_start((2, 3), np.random.default_rng(1))
+        assert [r.tobytes() for r in a.roots] == [r.tobytes() for r in b.roots]
+        assert all(np.shares_memory(x, y) for x, y in zip(a.roots, b.roots))
+        assert a.g.coeff_vector().tobytes() != b.g.coeff_vector().tobytes()
+
+    @pytest.mark.parametrize("degrees", [[2, 2], (np.int64(2), 2)], ids=["list", "int64"])
+    def test_degree_spellings_agree(self, degrees):
+        want = total_degree_start((2, 2), np.random.default_rng(3))
+        got = total_degree_start(degrees, np.random.default_rng(3))
+        assert got.g.degrees == (2, 2)
+        assert got.g.coeff_vector().tobytes() == want.g.coeff_vector().tobytes()
+        assert [r.tobytes() for r in got.roots] == [r.tobytes() for r in want.roots]
+
+    def test_g_owns_its_coefficients(self):
+        raw, _ = _total_degree_pattern((2, 2))
+        g = total_degree_start((2, 2), np.random.default_rng(4)).g
+        assert not np.shares_memory(g._vec, raw)
+        assert set(raw.tolist()) == {0, 1, -1}
+
+
 class TestGoodPair:
     def test_raw_norm(self):
         assert bw_norm(good_system_raw((2, 2, 2))) == pytest.approx(math.sqrt(3.0))
@@ -120,6 +157,33 @@ class TestRandomSystemOnSphere:
             acc += np.abs(ortho) ** 2
         scaled = acc / n_draws * dim  # per-coordinate mean of |u|^2 * (N+1), expect 1
         assert np.all(scaled > 0.8) and np.all(scaled < 1.2)
+
+
+def _sphere_sample_by_equation(degrees, rng):
+    # random_system_on_sphere drawn as one real and one imaginary
+    # standard_normal(m) per equation: the reference for its single draw.
+    n_vars = len(degrees) + 1
+    coeffs = []
+    for d in degrees:
+        m = num_homogeneous_monomials(n_vars, d)
+        u = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2.0)
+        coeffs.append(u * sqrt_multinomials(n_vars, d))
+    return normalize_to_sphere(PolySystem(degrees, tuple(coeffs)))
+
+
+@pytest.mark.parametrize(
+    "degrees",
+    [(1,), (2,), (2, 2), (2, 2, 2), (1, 2, 3), (3, 2, 4), (1, 2, 2, 2, 2), (3, 3, 3, 3)],
+    ids=str,
+)
+def test_one_draw_matches_a_pair_per_equation(degrees):
+    for seed in range(10):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_system_on_sphere(degrees, rng)
+        want = _sphere_sample_by_equation(degrees, ref_rng)
+        assert got.coeff_vector().tobytes() == want.coeff_vector().tobytes()
+        # and both leave the stream at the same place
+        assert rng.random() == ref_rng.random()
 
 
 class TestBallDraws:
@@ -269,3 +333,57 @@ class TestSolvers:
         )
         assert report.num_failed == 4
         assert report.endpoints == []
+
+
+# Problem set-up pins: per degree tuple, sha256 over seeds 0, 1, 2 of the
+# bytes of random_system_on_sphere, of total_degree_start's g and roots, and
+# of make_linear_homotopy's _gvec, _pvec and T between the two.  Read before
+# problem construction moved to the stacked coefficient vector, which kept
+# every bit.
+SETUP_PINS = {
+    (1,): (
+        "28b43e8749daaff792aad66e9c42d831d8a360fc8f27dbd72c4d95fcb8f28a6c",
+        "66c7708164edf5c7aa9605a9b70aab0df3dd281852da5ba3d0e47484568fa387",
+        "d7124e9b07c739cfec169beaedd8b97eac42767085c202abfd62ec901af3ae77",
+    ),
+    (2, 2, 2): (
+        "5e7472a766f09ed15c5d789036c0053c7ef0779acb1fa38b4a1c35d60d60c027",
+        "c237abed7e4f03feb25e8f622af574edf503ee89930ba646e11223002e94a099",
+        "56e40dfc8ac17af1adcc837ccacd8b3d1350617bd9f3b8e9c33ad1a75a6b497a",
+    ),
+    (1, 2, 3): (
+        "8cd2e28797bce6e716cb8534a6ae53cf339508e803728865af74db782334b385",
+        "ccab4efb36633810f594b23e0016042d6c1fac8af44f4976dd55979cb3ce2a8e",
+        "da2444bd5c9cca0c30e7584f9f3ae3b7878080be3b7a4bc0b0a02945d4faa6bd",
+    ),
+    (1, 2, 2, 2, 2): (
+        "2872c1d213893244e3ff74b9be056ef0d91bf13877aaf24e3bdb41787b2eae83",
+        "bcae4f49ab099aec9cbd0a3ebcf3aceeb07995d458af5d94ede7c48682ef5e5c",
+        "0dfb713f33396bd894a6a6f805f9123140542c1da376c6287a6ce1bb37cc0389",
+    ),
+    (3, 3, 3, 3): (
+        "ea1dc77b3b4a38e65b1524dd6ac561038afa3ac324ce1e93298ca1639dd3b932",
+        "83dd0aafb010781239245e7d8ff1dd1e0c3e9fd65e18029405a870aeb8b17ce6",
+        "19c887292cae65e972a4dd48bdfa5db5b8de457550e9d23ecff930bd9225507b",
+    ),
+}
+
+
+def _setup_digests(degrees):
+    sphere, start, homotopy = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    for s in range(3):
+        f = random_system_on_sphere(degrees, np.random.default_rng(s))
+        sphere.update(f._vec.tobytes())
+        st = total_degree_start(degrees, np.random.default_rng(s))
+        start.update(st.g._vec.tobytes())
+        for root in st.roots:
+            start.update(root.tobytes())
+        hom = tracker.make_linear_homotopy(st.g, f)
+        for array in (hom._gvec, hom._pvec, np.float64(hom.T)):
+            homotopy.update(array.tobytes())
+    return sphere.hexdigest(), start.hexdigest(), homotopy.hexdigest()
+
+
+@pytest.mark.parametrize("degrees", list(SETUP_PINS), ids=str)
+def test_pinned_setup_bits(degrees):
+    assert _setup_digests(degrees) == SETUP_PINS[degrees]

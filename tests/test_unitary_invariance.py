@@ -1,21 +1,23 @@
 """Unitary invariance of the Bombieri-Weyl norm, the condition number and
-chi1 (property tests over random Haar unitaries, systems and points).
+chi1, and unitary equivariance of tracked endpoints (property tests over
+random Haar unitaries, systems and points).
 
 With hU(z) = h(Uz) for a unitary U: ||hU|| = ||h||, mu(hU, U* z) = mu(h, z)
-and chi1(hU, U* z) = chi1(h, z).
+and chi1(hU, U* z) = chi1(h, z); the path from (gU, U* r) to fU ends as the
+path from (g, r) to f does, at U* times its endpoint.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, note, settings
 from hypothesis import strategies as st
 
-from certitrack.bw import bw_norm, unitary_compose
+from certitrack.bw import bw_norm, riemann_distance, unitary_compose
 from certitrack.linalg import random_unitary
-from certitrack.newton import condition_mu
+from certitrack.newton import condition_mu, refine
 from certitrack.polysys import unit_point
-from certitrack.start_systems import random_system_on_sphere
-from certitrack.tracker import chi1
+from certitrack.start_systems import random_system_on_sphere, total_degree_start
+from certitrack.tracker import TrackerOptions, chi1, track_path
 
 # Deterministic examples and no example database, so runs repeat exactly.
 SETTINGS = settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -50,3 +52,23 @@ def test_condition_mu(degrees, seed):
 def test_chi1(degrees, seed):
     h, hU, w, z = _draw(degrees, seed)
     assert chi1(hU, w) == pytest.approx(chi1(h, z), rel=1e-10)
+
+
+@SETTINGS
+@given(DEGREES, SEEDS)
+def test_tracked_endpoint_equivariance(degrees, seed):
+    rng = np.random.default_rng(seed)
+    f = random_system_on_sphere(degrees, rng)
+    start = total_degree_start(degrees, rng)
+    r = start.roots[rng.integers(len(start.roots))]
+    U = random_unitary(f.n_vars, rng)
+    opts = TrackerOptions(record_trace=False)
+    plain = track_path(start.g, f, r, opts)
+    moved = track_path(unitary_compose(start.g, U), unitary_compose(f, U), U.conj().T @ r, opts)
+    # Rounding differs between the two paths, so their step counts may too.
+    note(f"steps: {plain.num_steps} untransformed, {moved.num_steps} transformed")
+    event("equal step counts" if plain.num_steps == moved.num_steps else "step counts differ")
+    assert moved.status == plain.status
+    if plain.success:
+        e, eU = refine(f, plain.endpoint), refine(unitary_compose(f, U), moved.endpoint)
+        assert riemann_distance(eU, U.conj().T @ e) <= 1e-10
