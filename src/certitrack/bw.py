@@ -73,6 +73,15 @@ def _weights(degrees: tuple[int, ...]) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def stacked_sqrt_multinomials(degrees: tuple[int, ...]) -> np.ndarray:
+    """sqrt_multinomials of each equation, stacked like a system's
+    coefficient vector."""
+    w = np.concatenate([sqrt_multinomials(len(degrees) + 1, d) for d in degrees])
+    w.setflags(write=False)
+    return w
+
+
+@lru_cache(maxsize=None)
 def _stacked_weights(degrees: tuple[int, ...]) -> np.ndarray:
     # _weights with each weight repeated for the real and the imaginary
     # part of its coefficient.

@@ -19,6 +19,7 @@ from .bw import (
     normalize_to_sphere,
     riemann_distance,
     sqrt_multinomials,
+    stacked_sqrt_multinomials,
     unitary_compose,
 )
 from .linalg import kernel_vector, one_blas_thread, random_unitary, unitary_mapping_to_e0
@@ -122,20 +123,17 @@ def good_initial_pair(degrees) -> InitialPair:
 
 
 @lru_cache(maxsize=None)
-def _sphere_sampler(degrees: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _draw_index(degrees: tuple[int, ...]) -> np.ndarray:
     # (2, N) positions in one standard_normal(2N) draw of the real and the
     # imaginary part of each stacked coefficient: equation i's block of
     # 2 m_i draws holds its m_i real parts, then its m_i imaginary parts.
-    # And the stacked square-root multinomials.
     _, slices = polysys._layout(degrees)
     pos = np.concatenate([
         np.stack([np.arange(sl.start, sl.stop) + sl.start, np.arange(sl.start, sl.stop) + sl.stop])
         for sl in slices
     ], axis=1)
-    scale = np.concatenate([sqrt_multinomials(len(degrees) + 1, d) for d in degrees])
     pos.setflags(write=False)
-    scale.setflags(write=False)
-    return pos, scale
+    return pos
 
 
 def random_system_on_sphere(degrees, rng: np.random.Generator) -> PolySystem:
@@ -149,7 +147,8 @@ def random_system_on_sphere(degrees, rng: np.random.Generator) -> PolySystem:
     equation, so each seed gives the same system.
     """
     degrees = tuple(int(d) for d in degrees)
-    pos, scale = _sphere_sampler(degrees)
+    pos = _draw_index(degrees)
+    scale = stacked_sqrt_multinomials(degrees)
     re, im = rng.standard_normal(2 * scale.shape[0])[pos]
     vec = (re + 1j * im) / np.sqrt(2.0) * scale
     return normalize_to_sphere(PolySystem._adopt(degrees, vec))
