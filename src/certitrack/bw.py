@@ -6,13 +6,16 @@ multinomial coefficient of its exponent tuple; it is invariant under unitary
 changes of variables, which is what makes the unit sphere of systems the
 natural arena for homotopy paths.
 
-The norm and the product do their elementwise work in one pass over a
-system's stacked coefficient vector, with the weights of all its equations
-stacked alike, and then take one sum per equation slice, added in equation
-order.  Each slice's sum is NumPy's pairwise sum of that equation, so the
-bits are those of an equation-by-equation loop.  np.add.reduceat, one call
-for all slices, groups each slice's terms otherwise and changes the last
-bits of most norms and products.
+The homotopy needs only the product's real part, and takes it one way:
+bw_inner_re, one weighted dot of the real views of two stacked coefficient
+vectors.
+
+The norm does its elementwise work in one pass over a system's stacked
+coefficient vector and then takes one sum per equation slice, added in
+equation order.  Each slice's sum is NumPy's pairwise sum of that equation,
+so the bits are those of an equation-by-equation loop.  np.add.reduceat,
+one call for all slices, groups each slice's terms otherwise and changes the
+last bits of most norms.
 """
 
 from __future__ import annotations
@@ -95,22 +98,6 @@ def bw_inner_re(degrees: tuple[int, ...], a: np.ndarray, b: np.ndarray) -> float
     one dot of their real views: equal inputs give equal bits wherever it is
     called."""
     return float(np.dot(_stacked_weights(degrees) * a.view(np.float64), b.view(np.float64)))
-
-
-def bw_inner(h: PolySystem, h2: PolySystem) -> complex:
-    """Bombieri-Weyl product <h, h2>, summed over equations.
-
-    The products w a conj(b) are formed in one pass over the two stacked
-    vectors, then summed one equation slice at a time and added in equation
-    order (see the module notes).
-    """
-    if h.degrees != h2.degrees:
-        raise ValueError(f"degree mismatch: {h.degrees} vs {h2.degrees}")
-    terms = _weights(h.degrees) * h._vec * np.conj(h2._vec)
-    total = 0.0 + 0.0j
-    for sl in _layout(h.degrees)[1]:
-        total += terms[sl].sum()
-    return complex(total)
 
 
 def bw_norm(h: PolySystem) -> float:

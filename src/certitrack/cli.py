@@ -34,7 +34,7 @@ from .experiments import (
 )
 from .bw import unit_scale
 from .polysys import parse_system_json
-from .tracker import FLOAT_FMT, track_path, write_trace_csv
+from .tracker import FLOAT_FMT, DegenerateHomotopyError, track_path, write_trace_csv
 
 
 def _load_system(args):
@@ -117,7 +117,10 @@ def _solution_rows(solve_rows, n_coords: int):
 
 def cmd_solve(args) -> int:
     system = _load_system(args)
-    rows = run_solve(system, args.start, args.seed)
+    try:
+        rows = run_solve(system, args.start, args.seed)
+    except DegenerateHomotopyError as exc:  # the target is -g on the sphere
+        args.error(f"no homotopy to {args.system!r} from the {args.start} start: {exc}")
     n_coords = system.n + 1
     header = ["path", "status", "steps"]
     header += [f"re{j}" for j in range(n_coords)] + [f"im{j}" for j in range(n_coords)]
@@ -132,7 +135,10 @@ def cmd_track(args) -> int:
     count = len(start.roots)
     if not 0 <= args.path < count:
         args.error(f"--path must lie in [0, {count}) for this system, got {args.path}")
-    result = track_path(start.g, f, start.roots[args.path])
+    try:
+        result = track_path(start.g, f, start.roots[args.path])
+    except DegenerateHomotopyError as exc:  # the target is -g on the sphere
+        args.error(f"no homotopy to {args.system!r} from the {args.start} start: {exc}")
     write_trace_csv(result, args.out or "/dev/stdout")
     print(f"status={result.status.value} steps={result.num_steps}", file=sys.stderr)
     return 0 if result.success else 1

@@ -31,7 +31,10 @@ twice its wall time in CPU; a fresh process stalls ~8 ms in each of its
 first ~100 multi-column zgetrs calls; and a one-column zgetrs returns other
 bits under two threads than under one, so endpoints would depend on the
 caller's thread setting.  Pinned, every entry point computes the same bits
-whatever thread count the process was started or left with.
+on one OpenBLAS kernel whatever thread count the process was started or
+left with.  Other kernels (OPENBLAS_CORETYPE) may give ddot, zgemm and
+zgetrs other last bits, but the same step counts: that half is measured
+(the benchmark's step digests under four kernels), not proved.
 """
 
 from __future__ import annotations

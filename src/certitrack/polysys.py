@@ -30,7 +30,10 @@ be +0 here).  `Evaluator.place` lays the stacked coefficient vectors of
 several systems out as one matrix whose product with a point matrix gives
 their [Jacobian | value] blocks.  `evaluate`, `jacobian` and both
 trackers, which place a path's systems once, all read that product, so a
-system's values and Jacobian are the loop's bits.
+system's values and Jacobian are the loop's bits where zgemm gives the
+(n, rows) product of one system and the (2n, rows) product of a path's
+(g, p) the same bits: OpenBLAS's SkylakeX kernels do, but not its Haswell
+ones (OPENBLAS_CORETYPE=Haswell), which differ in the last place.
 
 A system keeps the block of the last point `evaluate` or `jacobian` read,
 keyed by the bytes of that point as a complex vector, so the two calls at
@@ -499,22 +502,3 @@ def _parse_terms(i: int, raw) -> list[tuple[list[int], complex]]:
             f"equation {i}: every term needs an 'exponents' list of integers "
             f"and numeric 're'/'im' ({type(exc).__name__}: {exc})"
         ) from exc
-
-
-def system_to_json(system: PolySystem) -> str:
-    """Serialize a system in the text input format (non-zero terms only)."""
-    terms = []
-    for d, vec in zip(system.degrees, system.coeffs):
-        exps = homogeneous_exponents(system.n_vars, d)
-        eq = []
-        for pos in np.nonzero(vec)[0]:
-            c = vec[pos]
-            eq.append(
-                {
-                    "exponents": [int(e) for e in exps[pos]],
-                    "re": float(c.real),
-                    "im": float(c.imag),
-                }
-            )
-        terms.append(eq)
-    return json.dumps({"degrees": list(system.degrees), "terms": terms})

@@ -40,6 +40,10 @@ system are real rotations of theirs.  One factorization and one
 (n+2)-column solve give chi_1 and chi_2, one more the Newton step.  chi1,
 chi2 and certified_step run the loop's code.
 
+A LinearHomotopy holds the path's geometry: g, p, T = arccos Re<f, g> and
+the speed ||hdot_s||^2 that the loop and condition_length read, all from
+bw_inner_re, the one Bombieri-Weyl product.
+
 Both trackers set up a path's step buffers once (_StepBuffers): the placed
 (g, p), the (2n, n+2) product, the (2, n, n+2) rotated blocks, the 2 x 2
 rotation, the bordered matrix and both right-hand sides, with fixed views of
@@ -57,11 +61,12 @@ import csv
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg, polysys
-from .bw import bw_inner, bw_inner_re, bw_norm, ensure_on_sphere
+from .bw import bw_inner_re, ensure_on_sphere
 from .linalg import SingularLinearSolveError, bordered_solve, make_bordered
 from .newton import condition_mu, refine
 
@@ -136,14 +141,16 @@ class TrackResult:
 
 @dataclass(frozen=True)
 class LinearHomotopy:
-    """Arc-length parametrization of the great circle from g to f on the sphere.
+    """Arc-length parametrization of the great circle from g to a target f
+    on the sphere, and the geometry both trackers read from it.
 
-    h_t = g cos(t) + p sin(t) with p (_pvec) the unit normal component of f
-    against g; h_T = f with T = arccos(Re<f, g>).
+    h_s = cos(s) g + sin(s) p with p (_pvec) the unit normal component of f
+    against g; h_T = f with T = arccos(Re<f, g>).  The products <g, g>,
+    <p, p> and Re<g, p> behind the speed ||hdot_s|| are taken with
+    bw_inner_re once per homotopy, on the first read.
     """
 
     g: polysys.PolySystem
-    f: polysys.PolySystem
     T: float
     _gvec: np.ndarray = field(repr=False)
     _pvec: np.ndarray = field(repr=False)
@@ -161,6 +168,18 @@ class LinearHomotopy:
         vec += math.cos(s) * self._pvec
         return polysys.PolySystem._adopt(self.g.degrees, vec)
 
+    @cached_property
+    def _products(self) -> tuple[float, float, float]:
+        # <g, g>, <p, p> and Re<g, p>: 1, 1 and 0 up to rounding.
+        degrees, g, p = self.g.degrees, self._gvec, self._pvec
+        return tuple(bw_inner_re(degrees, a, b) for a, b in ((g, g), (p, p), (g, p)))
+
+    def speed_squared(self, c: float, sn: float) -> float:
+        """||hdot_s||^2 at c = cos(s), sn = sin(s):
+        sin^2(s) <g,g> + cos^2(s) <p,p> - 2 sin(s) cos(s) Re<g,p>."""
+        gg, pp, gp = self._products
+        return sn * sn * gg + c * c * pp - 2.0 * sn * c * gp
+
 
 def make_linear_homotopy(g: polysys.PolySystem, f: polysys.PolySystem) -> LinearHomotopy:
     """Great-circle homotopy between unit-norm systems g and f.
@@ -172,7 +191,7 @@ def make_linear_homotopy(g: polysys.PolySystem, f: polysys.PolySystem) -> Linear
     ensure_on_sphere(f, what="target system")
     if g.degrees != f.degrees:
         raise ValueError(f"degree mismatch: {g.degrees} vs {f.degrees}")
-    r = float(bw_inner(f, g).real)
+    r = bw_inner_re(g.degrees, f._vec, g._vec)
     if abs(r) >= 1.0 - 1e-12:
         raise DegenerateHomotopyError(f"|Re<f, g>| = {abs(r)!r}; start and target are aligned")
     # T = arccos(r) rather than arcsin(sqrt(1 - r^2)): the two agree for r >= 0
@@ -180,7 +199,7 @@ def make_linear_homotopy(g: polysys.PolySystem, f: polysys.PolySystem) -> Linear
     # p = (f - r g) / sqrt(1 - r^2), with PolySystem's complex scalars.
     gvec = g.coeff_vector()
     pvec = complex(1.0 / math.sqrt(1.0 - r * r)) * (f.coeff_vector() - complex(r) * gvec)
-    return LinearHomotopy(g=g, f=f, T=math.acos(r), _gvec=gvec, _pvec=pvec)
+    return LinearHomotopy(g=g, T=math.acos(r), _gvec=gvec, _pvec=pvec)
 
 
 def chi1(g: polysys.PolySystem, z) -> float:
@@ -305,9 +324,8 @@ def _start_point(n_vars: int, z0) -> np.ndarray:
 
 
 def _systems_equal(g: polysys.PolySystem, f: polysys.PolySystem, tol: float = 1e-13) -> bool:
-    return g.degrees == f.degrees and all(
-        np.max(np.abs(a - b)) <= tol if a.size else True for a, b in zip(g.coeffs, f.coeffs)
-    )
+    # Written so that a NaN coefficient compares unequal.
+    return g.degrees == f.degrees and np.max(np.abs(g._vec - f._vec)) <= tol
 
 
 @linalg.one_blas_thread
@@ -324,10 +342,9 @@ def track_linear(
     # (g, p) is placed once per path and multiplied by each point matrix once;
     # that product is rotated to s for the step and to s_next for the Newton
     # step.
-    degrees, g, p, T = hom.g.degrees, hom._gvec, hom._pvec, hom.T
-    ev = polysys.evaluator(degrees)
-    gg, pp, gp = (bw_inner_re(degrees, a, b) for a, b in ((g, g), (p, p), (g, p)))
-    buf = _StepBuffers(ev, g, p)
+    ev = polysys.evaluator(hom.g.degrees)
+    buf = _StepBuffers(ev, hom._gvec, hom._pvec)
+    T = hom.T
     z = _start_point(ev.n_vars, z0)
     s = 0.0
     steps = 0
@@ -338,10 +355,8 @@ def track_linear(
         buf.load(z)
         np.conjugate(z, out=buf.border)
         c, sn = buf.rotate(s)
-        # ||hdot_s||^2 = sin^2(s) <g,g> + cos^2(s) <p,p> - 2 sin(s) cos(s) Re<g,p>
-        hdot2 = sn * sn * gg + c * c * pp - 2.0 * sn * c * gp
         try:
-            x1, x2 = _chi(buf, hdot2)
+            x1, x2 = _chi(buf, hom.speed_squared(c, sn))
             phi = x1 * x2
             t = _step_length(ev.max_d, phi)
             # The step must be finite and move s in floating point; written
@@ -395,14 +410,15 @@ def condition_length(hom: LinearHomotopy, z0, resolution: int = 2000) -> float:
     ts = np.linspace(0.0, hom.T, resolution + 1)
     zeta = refine(hom.value_at(0.0), z0)
     values = np.empty(resolution + 1)
-    for k, t in enumerate(ts):
-        h_t = hom.value_at(float(t))
+    for k, t in enumerate(ts.tolist()):
+        h_t = hom.value_at(t)
         if k > 0:
             zeta = refine(h_t, zeta)
-        hdot = hom.derivative_at(float(t))
+        hdot = hom.derivative_at(t)
         B = make_bordered(polysys.jacobian(h_t, zeta), zeta)
         zetadot = bordered_solve(B, np.concatenate([-polysys.evaluate(hdot, zeta), [0.0]]))
-        speed = math.sqrt(bw_norm(hdot) ** 2 + linalg.vector_norm(zetadot) ** 2)
+        hdot2 = hom.speed_squared(math.cos(t), math.sin(t))
+        speed = math.sqrt(hdot2 + linalg.vector_norm(zetadot) ** 2)
         values[k] = condition_mu(h_t, zeta) * speed
     dx = hom.T / resolution
     return float(dx * (values[0] / 2.0 + values[1:-1].sum() + values[-1] / 2.0))

@@ -6,8 +6,9 @@ import pytest
 
 from certitrack.cli import main
 from certitrack.experiments import katsura_system
-from certitrack.polysys import homogenize, system_to_json
-from certitrack.start_systems import random_system_on_sphere
+from certitrack.polysys import homogenize
+from certitrack.start_systems import good_system_raw, random_system_on_sphere
+from system_io import system_to_json
 
 
 def affine_json(f) -> str:
@@ -52,6 +53,31 @@ class TestTrackPath:
         out = tmp_path / "trace.csv"
         assert main(["track", str(quad_system), "--path", "3", "--out", str(out)]) == 0
         assert out.read_text().startswith("step,s,t,phi,chi1,chi2,accepted")
+
+
+class TestMultipleOfTheGoodSystem:
+    # A target on the real line through the good start g: its positive
+    # multiples are g on the sphere, its negative ones -g, where no great
+    # circle is determined.
+    @staticmethod
+    def _argv(tmp_path, command, factor):
+        system = tmp_path / "system.json"
+        system.write_text(system_to_json(factor * good_system_raw((2, 2))))
+        return [command, str(system), "--start", "good", "--out", str(tmp_path / "out.csv")]
+
+    @pytest.mark.parametrize("command", ["track", "solve"])
+    def test_negative_multiple_is_an_input_error(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main(self._argv(tmp_path, command, -1.0))
+        assert exc.value.code == 2
+        assert "start and target are aligned" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_positive_multiple_takes_no_step(self, tmp_path, capsys):
+        assert main(self._argv(tmp_path, "track", 3.0)) == 0
+        assert "status=Success steps=0" in capsys.readouterr().err
+        assert main(self._argv(tmp_path, "solve", 3.0)) == 0
+        assert _rows(tmp_path / "out.csv")[1][1:3] == ["Success", "0"]
 
 
 def _rows(path):

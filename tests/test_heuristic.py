@@ -182,7 +182,7 @@ class TestTrackHeuristic:
             ("Success", 10), ("Success", 10), ("Success", 10),
         ]
         assert _endpoint_digest(results) == (
-            "0b6c3f953358ca237d3446425e56bd48c44b15f5935e3dbab1132f073fc68cbb"
+            "f50882a325744182e2e0112b56d877d0c1b39ae03efb2c0c861b01d4c13bb2bf"
         )
 
     def test_pinned_step_counts_with_one_blas_thread(self):

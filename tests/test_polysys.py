@@ -19,11 +19,11 @@ from certitrack.polysys import (
     linear_form,
     parse_system_json,
     space_dimension,
-    system_to_json,
     unit_point,
 )
 from certitrack.experiments import katsura_system
 from certitrack.start_systems import good_initial_pair, total_degree_start
+from system_io import system_to_json
 
 
 def brute_evaluate(h: PolySystem, z) -> np.ndarray:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from certitrack import heuristic, polysys, tracker
-from certitrack.bw import bw_inner, bw_norm, normalize_to_sphere, riemann_distance
+from certitrack.bw import bw_inner_re, bw_norm, normalize_to_sphere, riemann_distance
 from certitrack.experiments import katsura_system
 from certitrack.heuristic import track_heuristic
 from certitrack.linalg import SingularLinearSolveError
@@ -139,6 +139,12 @@ class TestLinearHomotopy:
         with pytest.raises(DegenerateHomotopyError):
             make_linear_homotopy(a, -1.0 * a)
 
+    def test_degree_mismatch_rejected(self):
+        a = normalize_to_sphere(PolySystem.from_terms((2,), [[((2, 0), 1.0)]]))
+        b = normalize_to_sphere(PolySystem.from_terms((3,), [[((3, 0), 1.0)]]))
+        with pytest.raises(ValueError, match="degree mismatch"):
+            make_linear_homotopy(a, b)
+
     def test_midpoint_on_sphere(self, quad_pair):
         start, f = quad_pair
         hom = make_linear_homotopy(start.g, f)
@@ -156,7 +162,7 @@ class TestLinearHomotopy:
         rng = np.random.default_rng(21)
         g = random_system_on_sphere((2,), rng)
         f = normalize_to_sphere(-1.0 * g + 0.8 * random_system_on_sphere((2,), rng))
-        r = bw_inner(f, g).real
+        r = bw_inner_re(g.degrees, f._vec, g._vec)
         assert r < 0
         hom = make_linear_homotopy(g, f)
         assert hom.T > math.pi / 2
@@ -169,12 +175,23 @@ class TestLinearHomotopy:
         with pytest.raises(ValueError):
             make_linear_homotopy(2.0 * start.g, f)
 
+    @pytest.mark.parametrize("degrees", [(2, 2, 2), (1, 2, 3), (3, 3, 3, 3)], ids=str)
+    def test_arc_length_from_the_one_product(self, degrees):
+        # T is arccos of bw_inner_re(f, g), bit for bit: the product the
+        # homotopy's speed comes from too.
+        for seed in range(100):
+            rng = np.random.default_rng([seed, len(degrees)])
+            g = random_system_on_sphere(degrees, rng)
+            f = random_system_on_sphere(degrees, rng)
+            hom = make_linear_homotopy(g, f)
+            assert hom.T == math.acos(bw_inner_re(g.degrees, f._vec, g._vec))
+
 
 class TestTangent:
     def test_at_zero_is_normal_component(self, quad_pair):
         start, f = quad_pair
         hom = make_linear_homotopy(start.g, f)
-        r = bw_inner(f, start.g).real
+        r = bw_inner_re(f.degrees, f._vec, start.g._vec)
         normal = (f - r * start.g) * (1.0 / math.sqrt(1.0 - r * r))
         np.testing.assert_allclose(hom._pvec, normal.coeff_vector(), atol=1e-12)
         tan = hom.derivative_at(0.0)
@@ -192,8 +209,8 @@ class TestTangent:
         start, f = quad_pair
         hom = make_linear_homotopy(start.g, f)
         s = frac * hom.T
-        ip = bw_inner(hom.value_at(s), hom.derivative_at(s))
-        assert abs(ip.real) <= 1e-10
+        ip = bw_inner_re(f.degrees, hom.value_at(s)._vec, hom.derivative_at(s)._vec)
+        assert abs(ip) <= 1e-10
 
 
 class TestChiFactors:
@@ -325,6 +342,37 @@ class TestTrackLinear:
         assert result.status is TrackStatus.SUCCESS
         assert result.num_steps == 0
         assert riemann_distance(result.endpoint, start.roots[0]) <= 1e-12
+
+    def test_equal_target_off_the_sphere_returns_immediately(self, quad_pair):
+        # f == g takes no homotopy, so neither needs unit norm; a NaN
+        # coefficient compares unequal and meets the sphere check.
+        start, _ = quad_pair
+        g = 2.0 * start.g
+        assert track_path(g, g, start.roots[0]).num_steps == 0
+        nan = PolySystem._adopt(g.degrees, np.full_like(g._vec, np.nan))
+        with pytest.raises(ValueError, match="unit sphere"):
+            track_path(nan, nan, start.roots[0])
+
+    def test_first_record_reads_the_homotopys_speed(self, quad_pair, monkeypatch):
+        # chi2 of step 1 is sqrt(||hdot_0||^2 + ||solve||^2), ||hdot_0||^2 read
+        # from the homotopy at (cos 0, sin 0): adding 1 to what it reports
+        # adds 1 to chi2^2.
+        start, f = quad_pair
+        hom = make_linear_homotopy(start.g, f)
+        assert hom.speed_squared(1.0, 0.0) == bw_inner_re(f.degrees, hom._pvec, hom._pvec)
+        first = track_linear(hom, start.roots[0]).trace[0]
+        speed_squared = tracker.LinearHomotopy.speed_squared
+        calls = []
+
+        def shifted(self, c, sn):
+            calls.append((c, sn))
+            return speed_squared(self, c, sn) + 1.0
+
+        monkeypatch.setattr(tracker.LinearHomotopy, "speed_squared", shifted)
+        monkeypatch.setattr(tracker, "MAX_STEPS", 1)
+        (record,) = track_linear(hom, start.roots[0]).trace
+        assert calls == [(1.0, 0.0)]
+        assert record.chi2**2 == pytest.approx(first.chi2**2 + 1.0, rel=1e-12)
 
     def test_success_and_endpoint_is_zero(self, quad_pair):
         start, f = quad_pair
@@ -632,7 +680,7 @@ class TestEvaluationWork:
         assert len(work["place"]) == 1
         assert np.array_equal(work["place"][0], np.stack([hom._gvec, hom._pvec]))
         work["point_matrix"] = 0
-        certified_step(hom.g, hom.f, z0)
+        certified_step(hom.g, hom.derivative_at(0.0), z0)
         assert work["point_matrix"] == 1
 
     @pytest.mark.parametrize("degrees", [(2, 2), (1, 2, 3)])
