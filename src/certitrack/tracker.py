@@ -40,9 +40,7 @@ system are real rotations of theirs.  One factorization and one
 (n+2)-column solve give chi_1 and chi_2, one more the Newton step.  chi1,
 chi2 and certified_step run the loop's code.
 
-A LinearHomotopy holds the path's geometry: g, p, T = arccos Re<f, g> and
-the speed ||hdot_s||^2 that the loop and condition_length read, all from
-bw_inner_re, the one Bombieri-Weyl product.
+The path's geometry, speed included, is LinearHomotopy's.
 
 Both trackers set up a path's step buffers once (_StepBuffers): the placed
 (g, p), the (2n, n+2) product, the (2, n, n+2) rotated blocks, the 2 x 2
@@ -141,13 +139,11 @@ class TrackResult:
 
 @dataclass(frozen=True)
 class LinearHomotopy:
-    """Arc-length parametrization of the great circle from g to a target f
-    on the sphere, and the geometry both trackers read from it.
+    """Arc-length parametrization of the great circle from g to f on the sphere.
 
     h_s = cos(s) g + sin(s) p with p (_pvec) the unit normal component of f
-    against g; h_T = f with T = arccos(Re<f, g>).  The products <g, g>,
-    <p, p> and Re<g, p> behind the speed ||hdot_s|| are taken with
-    bw_inner_re once per homotopy, on the first read.
+    against g; h_T = f with T = arccos(Re<f, g>).  Both trackers read the
+    speed ||hdot_s|| from it (speed_squared).
     """
 
     g: polysys.PolySystem
@@ -170,7 +166,7 @@ class LinearHomotopy:
 
     @cached_property
     def _products(self) -> tuple[float, float, float]:
-        # <g, g>, <p, p> and Re<g, p>: 1, 1 and 0 up to rounding.
+        # <g, g>, <p, p> and Re<g, p> (1, 1 and 0 up to rounding), on first read.
         degrees, g, p = self.g.degrees, self._gvec, self._pvec
         return tuple(bw_inner_re(degrees, a, b) for a, b in ((g, g), (p, p), (g, p)))
 
