@@ -9,12 +9,12 @@ solves, renormalization) as the certified tracker, so step counts are
 comparable.  The step-adaptation constants below are free parameters of the
 heuristic, fixed at the values the comparisons in this package use.
 
-The predictor evaluates the homotopy as the certified loop does, from the
-LinearHomotopy's (g, p) coefficient vectors, placed once per path in the
-path's tracker._StepBuffers: each RK4 stage is one point matrix, one product
-and one rotation to the stage's parameter.  The corrector builds h_{s_next}
-once per attempt (LinearHomotopy.value_at) and runs newton_projective on it,
-one point matrix per Newton step, through polysys.evaluate/jacobian and
+The predictor evaluates the homotopy as the certified loop does, on the
+path's tracker._StepBuffers, set up once from the LinearHomotopy: each RK4
+stage is one point matrix, one product, one rotation to the stage's
+parameter and one bordered solve.  The corrector builds h_{s_next} once per
+attempt (LinearHomotopy.value_at) and runs newton_projective on it, one
+point matrix per Newton step, through polysys.evaluate/jacobian and
 linalg.make_bordered/bordered_solve.
 """
 
@@ -55,21 +55,17 @@ class HeuristicOptions:
     record_trace: bool = True
 
 
-def predict(hom, s: float, x, dt: float, buf: tracker._StepBuffers | None = None) -> np.ndarray:
+def predict(buf: tracker._StepBuffers, s: float, x, dt: float) -> np.ndarray:
     """RK4 predictor step of length dt from the point x on the path at
     parameter s, renormalized to the unit representative.
 
-    `hom` is a LinearHomotopy; its (g, p) coefficient vectors stand in for
-    the systems h_s and hdot_s, none of which is built here.  The stages
-    read (g, p) placed in buf, the path's tracker._StepBuffers for hom,
-    which track_heuristic sets up once per path, and write into it; without
-    one, predict sets up its own.
+    buf is the path's tracker._StepBuffers, which track_heuristic sets up
+    once per path: the stages read its placed (g, p), which stand in for the
+    systems h_s and hdot_s, none of which is built here, and write into it.
     """
     x = np.asarray(x, dtype=np.complex128)
     if dt == 0.0:
         return x
-    if buf is None:
-        buf = tracker._StepBuffers(polysys.evaluator(hom.g.degrees), hom._gvec, hom._pvec)
 
     def tangent(t, z):
         # The path velocity at (h_t, z), from one bordered solve.
@@ -123,7 +119,7 @@ def track_heuristic(hom, z0, opts: HeuristicOptions = HeuristicOptions()) -> Tra
     attempts = 0
     streak = 0
     trace: list[StepRecord] = []
-    buf = tracker._StepBuffers(polysys.evaluator(hom.g.degrees), hom._gvec, hom._pvec)
+    buf = tracker._StepBuffers(hom)
 
     while s < T:
         if attempts >= MAX_ATTEMPTS:
@@ -132,7 +128,7 @@ def track_heuristic(hom, z0, opts: HeuristicOptions = HeuristicOptions()) -> Tra
         step = min(dt, T - s)
         s_next = T if step >= T - s else s + step
         try:
-            z_pred = predict(hom, s, z, s_next - s, buf)
+            z_pred = predict(buf, s, z, s_next - s)
             z_corr, err = correct(hom.value_at(s_next), z_pred, CORRECTOR_ITERS, CORRECTOR_TOL)
         except SingularLinearSolveError:
             return TrackResult(z, TrackStatus.SINGULAR, accepted, tuple(trace))

@@ -37,20 +37,21 @@ A step builds one point matrix at z_i (polysys.Evaluator) and takes one
 product of it with the homotopy's (g, p), placed once per path: on
 h_s = cos(s) g + sin(s) p the blocks of h_{s_i}, hdot_{s_i} and the advanced
 system are real rotations of theirs.  One factorization and one
-(n+2)-column solve give chi_1 and chi_2, one more the Newton step.  chi1,
-chi2 and certified_step run the loop's code.
+(n+2)-column solve give chi_1 and chi_2, one more the Newton step.
 
 The path's geometry, speed included, is LinearHomotopy's.
 
-Both trackers set up a path's step buffers once (_StepBuffers): the placed
-(g, p), the (2n, n+2) product, the (2, n, n+2) rotated blocks, the 2 x 2
-rotation, the bordered matrix and both right-hand sides, with fixed views of
-their parts.  A step writes into them (np.dot and np.conjugate with out=,
-the rotation's four entries in place) with the same BLAS calls on the same
-operands as a step that allocates its arrays, so the bits are those of such
-a step.  What a step still allocates comes back from the point matrix,
-LAPACK, the SVD and the Newton update.  The trackers run on one BLAS thread
-(see linalg).
+Every bordered solve here and in the heuristic's predictor runs on a path's
+step buffers (_StepBuffers), set up once from its LinearHomotopy: chi1,
+chi2 and certified_step run the loop's chi, and condition_length integrates
+it.  The buffers hold the placed (g, p), the (2n, n+2) product, the
+(2, n, n+2) rotated blocks, the 2 x 2 rotation, the bordered matrix and both
+right-hand sides, with fixed views of their parts.  A step writes into them
+(np.dot and np.conjugate with out=, the rotation's four entries in place)
+with the same BLAS calls on the same operands as a step that allocates its
+arrays, so the bits are those of such a step.  What a step still allocates
+comes back from the point matrix, LAPACK, the SVD and the Newton update.
+The trackers run on one BLAS thread (see linalg).
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ import numpy as np
 
 from . import linalg, polysys
 from .bw import bw_inner_re, ensure_on_sphere
-from .linalg import SingularLinearSolveError, bordered_solve, make_bordered
-from .newton import condition_mu, refine
+from .linalg import SingularLinearSolveError
+from .newton import refine
 
 # c/P of the step rule on the great circle, rounded down: curvature bound
 # H = 2^{-3/2} for largest degree d >= 2, H = 1 for d = 1 (see the module
@@ -142,8 +143,8 @@ class LinearHomotopy:
     """Arc-length parametrization of the great circle from g to f on the sphere.
 
     h_s = cos(s) g + sin(s) p with p (_pvec) the unit normal component of f
-    against g; h_T = f with T = arccos(Re<f, g>).  Both trackers read the
-    speed ||hdot_s|| from it (speed_squared).
+    against g; h_T = f with T = arccos(Re<f, g>).  track_linear and
+    condition_length read the speed ||hdot_s|| from it (speed_squared).
     """
 
     g: polysys.PolySystem
@@ -235,17 +236,15 @@ def _chi_at(g: polysys.PolySystem, gdot: polysys.PolySystem, z) -> tuple[float, 
     if gdot.degrees != g.degrees:
         raise ValueError(f"tangent degrees {gdot.degrees} differ from the system's {g.degrees}")
     z = polysys._checked_point(g.n_vars, z)
-    gdot_vec = gdot.coeff_vector()
-    buf = _StepBuffers(polysys.evaluator(g.degrees), g.coeff_vector(), gdot_vec)
-    buf.load(z)
-    buf.rot[...] = buf.B.reshape(buf.rot.shape)
-    np.conjugate(z, out=buf.border)
-    return _chi(buf, bw_inner_re(g.degrees, gdot_vec, gdot_vec))
+    # At s = 0, cos(s) g + sin(s) gdot is g with tangent gdot (T is unused).
+    hom = LinearHomotopy(g, 0.0, g.coeff_vector(), gdot.coeff_vector())
+    return _StepBuffers(hom).chi(0.0, z)
 
 
 class _StepBuffers:
     """A path's placed (g, p), the arrays a step writes into, allocated once
-    per path, and fixed views of them, so that a step takes no slice either.
+    per path from its LinearHomotopy hom, and fixed views of them, so that a
+    step takes no slice either.
 
     basis: the (2n, rows) placement of the coefficient vectors g and p.
     B: the (2n, n+2) product of basis with a point matrix (load).
@@ -260,10 +259,12 @@ class _StepBuffers:
     step and v = -hdot(z) for the heuristic predictor's tangent.
     """
 
-    def __init__(self, ev: polysys.Evaluator, g: np.ndarray, p: np.ndarray):
+    def __init__(self, hom: LinearHomotopy):
+        ev = polysys.evaluator(hom.g.degrees)
         n = ev.n
+        self.hom = hom
         self.ev = ev
-        self.basis = ev.place(np.stack([g, p]))
+        self.basis = ev.place(np.stack([hom._gvec, hom._pvec]))
         self.B = np.empty((2 * n, n + 2), dtype=np.complex128)
         self.rot = np.empty((2, n, n + 2), dtype=np.complex128)
         self.B_real = self.B.view(np.float64).reshape(2, -1)
@@ -296,18 +297,21 @@ class _StepBuffers:
         np.dot(self.mix, self.B_real, out=self.rot_real)
         return c, sn
 
-
-def _chi(buf: _StepBuffers, hdot2: float) -> tuple[float, float]:
-    """chi1 and chi2 at (h, z) from the blocks in buf.rot and ||hdot||^2: one
-    factorization of the bordered matrix, whose last row already holds z*,
-    and one solve against the n+2 columns of buf.rhs."""
-    buf.jac[...] = buf.h_jac
-    lu = linalg.lu_factor_checked(buf.bordered)
-    buf.rhs_hdot[...] = buf.hdot_val
-    sol = linalg.lu_solve(lu, buf.rhs)
-    x1 = float(np.linalg.svd(sol[:, :-1], compute_uv=False)[0])
-    x2 = math.sqrt(hdot2 + linalg.vector_norm(sol[:, -1]) ** 2)
-    return x1, x2
+    def chi(self, s: float, z: np.ndarray) -> tuple[float, float]:
+        """chi1 and chi2 at (h_s, z), z of unit norm: one factorization of
+        (Dh_s(z); z*) and one solve against the n+2 columns of rhs, with the
+        homotopy's speed_squared.  z* stays in bordered and z's blocks in B
+        for the Newton step."""
+        self.load(z)
+        np.conjugate(z, out=self.border)
+        c, sn = self.rotate(s)
+        self.jac[...] = self.h_jac
+        lu = linalg.lu_factor_checked(self.bordered)
+        self.rhs_hdot[...] = self.hdot_val
+        sol = linalg.lu_solve(lu, self.rhs)
+        x1 = float(np.linalg.svd(sol[:, :-1], compute_uv=False)[0])
+        x2 = math.sqrt(self.hom.speed_squared(c, sn) + linalg.vector_norm(sol[:, -1]) ** 2)
+        return x1, x2
 
 
 def _start_point(n_vars: int, z0) -> np.ndarray:
@@ -338,23 +342,19 @@ def track_linear(
     # (g, p) is placed once per path and multiplied by each point matrix once;
     # that product is rotated to s for the step and to s_next for the Newton
     # step.
-    ev = polysys.evaluator(hom.g.degrees)
-    buf = _StepBuffers(ev, hom._gvec, hom._pvec)
+    buf = _StepBuffers(hom)
     T = hom.T
-    z = _start_point(ev.n_vars, z0)
+    z = _start_point(buf.ev.n_vars, z0)
     s = 0.0
     steps = 0
     trace: list[StepRecord] = []
     while s != T:
         if steps >= MAX_STEPS:
             return TrackResult(z, TrackStatus.MAX_STEPS, steps, tuple(trace))
-        buf.load(z)
-        np.conjugate(z, out=buf.border)
-        c, sn = buf.rotate(s)
         try:
-            x1, x2 = _chi(buf, hom.speed_squared(c, sn))
+            x1, x2 = buf.chi(s, z)
             phi = x1 * x2
-            t = _step_length(ev.max_d, phi)
+            t = _step_length(buf.ev.max_d, phi)
             # The step must be finite and move s in floating point; written
             # so that t == 0 and a NaN t stop here too.
             if not s < s + t < math.inf:
@@ -394,28 +394,30 @@ def track_path(
 
 @linalg.one_blas_thread
 def condition_length(hom: LinearHomotopy, z0, resolution: int = 2000) -> float:
-    """Numerical condition length of the lifted path through z0.
+    """Numerical condition length of the lifted path through z0, the oracle
+    for the certified step-count bound: the trapezoid rule over [0, T] on the
+    loop's phi = chi1 * chi2 at the zero, continued node to node by Newton
+    refinement.
 
-    Subdivides [0, T], continues the exact zero node to node by Newton
-    refinement, computes the lifted velocity through a bordered solve, and
-    integrates mu * ||(hdot, zetadot)|| with the trapezoid rule.  This is the
-    oracle for the certified step-count bound.
+    At a zero zeta of h, phi is the integrand mu(h, zeta) ||(hdot, zetadot)||:
+    chi2 is ||(hdot, zetadot)||, zetadot = -(Dh(zeta); zeta*)^{-1} (hdot(zeta); 0),
+    and chi1 = max(mu, 1) = mu, because (Dh(zeta); zeta*) maps zeta to the
+    last unit vector (Euler), so chi1's matrix is mu's (||h|| = 1) with the
+    orthogonal unit column zeta appended.  The estimate has no error bound;
+    an underestimate lowers theorem_step_bound, so it errs toward a false
+    violation.
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
+    buf = _StepBuffers(hom)
     ts = np.linspace(0.0, hom.T, resolution + 1)
     zeta = refine(hom.value_at(0.0), z0)
     values = np.empty(resolution + 1)
     for k, t in enumerate(ts.tolist()):
-        h_t = hom.value_at(t)
         if k > 0:
-            zeta = refine(h_t, zeta)
-        hdot = hom.derivative_at(t)
-        B = make_bordered(polysys.jacobian(h_t, zeta), zeta)
-        zetadot = bordered_solve(B, np.concatenate([-polysys.evaluate(hdot, zeta), [0.0]]))
-        hdot2 = hom.speed_squared(math.cos(t), math.sin(t))
-        speed = math.sqrt(hdot2 + linalg.vector_norm(zetadot) ** 2)
-        values[k] = condition_mu(h_t, zeta) * speed
+            zeta = refine(hom.value_at(t), zeta)
+        x1, x2 = buf.chi(t, zeta)
+        values[k] = x1 * x2
     dx = hom.T / resolution
     return float(dx * (values[0] / 2.0 + values[1:-1].sum() + values[-1] / 2.0))
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from certitrack import heuristic, polysys
+from certitrack import heuristic, polysys, tracker
 from certitrack.bw import riemann_distance
 from certitrack.heuristic import HeuristicOptions, correct, predict, track_heuristic
 from certitrack.linalg import bordered_solve, make_bordered
@@ -56,16 +56,17 @@ class TestPredict:
         f = random_system_on_sphere(degrees, rng)
         start = total_degree_start(degrees, rng)
         hom = make_linear_homotopy(start.g, f)
+        buf = tracker._StepBuffers(hom)
         for z in start.roots:
             for s, dt in [(0.0, 0.05), (0.3, 0.2), (hom.T - 0.1, 0.1)]:
-                got = predict(hom, s, z, dt)
+                got = predict(buf, s, z, dt)
                 want = _reference_predict(hom, s, z, dt)
                 assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_zero_step_identity(self, quad_path):
         start, f, hom = quad_path
         z = start.roots[0]
-        out = predict(hom, 0.0, z, 0.0)
+        out = predict(tracker._StepBuffers(hom), 0.0, z, 0.0)
         assert np.array_equal(out, np.asarray(z))
 
     def test_rk4_local_order(self, quad_path):
@@ -73,9 +74,10 @@ class TestPredict:
         start, f, hom = quad_path
         z = start.roots[0]
         s0 = 0.0
+        buf = tracker._StepBuffers(hom)
 
         def one_step_error(dt):
-            predicted = predict(hom, s0, z, dt)
+            predicted = predict(buf, s0, z, dt)
             truth = refine(hom.value_at(s0 + dt), predicted)
             return riemann_distance(predicted, truth)
 

@@ -13,7 +13,7 @@ from certitrack import heuristic, polysys, tracker
 from certitrack.bw import bw_inner_re, bw_norm, normalize_to_sphere, riemann_distance
 from certitrack.experiments import katsura_system
 from certitrack.heuristic import track_heuristic
-from certitrack.linalg import SingularLinearSolveError
+from certitrack.linalg import SingularLinearSolveError, bordered_solve, make_bordered
 from certitrack.newton import U0, condition_mu, refine
 from certitrack.polysys import (
     Evaluator,
@@ -544,6 +544,37 @@ class TestTrackLinear:
 
 
 class TestConditionLength:
+    def test_pinned_value(self, quad_pair):
+        # Read from the integrand built by evaluate, jacobian, bordered_solve
+        # and condition_mu, before it moved onto the loop's chi.
+        start, f = quad_pair
+        hom = make_linear_homotopy(start.g, f)
+        c = condition_length(hom, start.roots[0], resolution=400)
+        assert c == pytest.approx(11.911406124337917, rel=1e-12)
+
+    @pytest.mark.parametrize("degrees", [(2, 2, 2), (1, 2, 3), (1, 2, 2, 2, 2)], ids=str)
+    def test_integrand_is_mu_times_lifted_speed(self, degrees):
+        # At refined zeros along a tracked path the loop's chi1 is mu and its
+        # chi2 is ||(hdot, zetadot)||, with zetadot from a bordered solve on
+        # the tangent system: the integrand condition_length sums.
+        rng = np.random.default_rng(23)
+        f = random_system_on_sphere(degrees, rng)
+        start = total_degree_start(degrees, rng)
+        hom = make_linear_homotopy(start.g, f)
+        result = track_linear(hom, start.roots[0])
+        assert result.success
+        buf = tracker._StepBuffers(hom)
+        for k in np.linspace(0, len(result.trace) - 1, 8).astype(int):
+            rec = result.trace[k]
+            h, hdot = hom.value_at(rec.s), hom.derivative_at(rec.s)
+            zeta = refine(h, rec.z)
+            B = make_bordered(polysys.jacobian(h, zeta), zeta)
+            zetadot = bordered_solve(B, np.concatenate([-polysys.evaluate(hdot, zeta), [0.0]]))
+            speed = math.sqrt(bw_norm(hdot) ** 2 + np.linalg.norm(zetadot) ** 2)
+            x1, x2 = buf.chi(rec.s, zeta)
+            assert x1 == pytest.approx(condition_mu(h, zeta), rel=1e-12)
+            assert x2 == pytest.approx(speed, rel=1e-12)
+
     def test_short_arc_small_length(self, quad_pair):
         start, f = quad_pair
         hom = make_linear_homotopy(start.g, f)
