@@ -34,6 +34,8 @@ from .polysys import (
     linear_form,
 )
 
+SPHERE_TOL = 1e-10
+
 
 @lru_cache(maxsize=None)
 def _multinomials(n_vars: int, degree: int) -> np.ndarray:
@@ -154,11 +156,11 @@ def normalize_to_sphere(h: PolySystem) -> PolySystem:
     return h * unit_scale(h)
 
 
-def ensure_on_sphere(h: PolySystem, tol: float = 1e-10, what: str = "system") -> PolySystem:
-    """Check unit-norm membership; raises ValueError when violated (a NaN
-    norm included)."""
+def ensure_on_sphere(h: PolySystem, what: str = "system") -> PolySystem:
+    """Check unit-norm membership, | ||h|| - 1 | <= SPHERE_TOL; raises
+    ValueError naming `what` when violated (a NaN norm included)."""
     norm = bw_norm(h)
-    if not abs(norm - 1.0) <= tol:
+    if not abs(norm - 1.0) <= SPHERE_TOL:
         raise ValueError(f"{what} must lie on the unit sphere; norm is {norm!r}")
     return h
 

@@ -26,6 +26,7 @@ from pathlib import Path
 
 from .experiments import (
     START_KINDS,
+    ReferenceRootsError,
     run_bench,
     run_conjecture,
     run_entropy,
@@ -195,14 +196,12 @@ def cmd_conjecture(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    report = run_entropy(
-        args.degrees,
-        epsilon=args.epsilon,
-        runs=args.runs,
-        variant=args.variant,
-        seed=args.seed,
-        threads=args.threads,
-    )
+    try:
+        report = run_entropy(
+            args.degrees, args.epsilon, args.runs, args.variant, args.seed, args.threads
+        )
+    except ReferenceRootsError as exc:  # the target has a singular zero
+        args.error(f"no reference roots for --epsilon {args.epsilon!r}: {exc}")
     rows = [[i, hits] for i, hits in enumerate(report.root_hits)]
     _write_rows(args.out, ["root", "hits"], rows)
     print(
@@ -261,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=["ball", "unitary"], default="ball")
     p.add_argument("--threads", type=_positive_int, default=1, help="worker processes for trials")
     _add_common(p)
-    p.set_defaults(func=cmd_entropy)
+    p.set_defaults(func=cmd_entropy, error=p.error)
 
     return parser
 

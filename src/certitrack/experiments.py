@@ -21,6 +21,7 @@ from .bw import riemann_distance
 from .newton import refine
 from .polysys import AffineSystem, PolySystem, space_dimension
 from .start_systems import (
+    _NO_TRACE,
     StartSet,
     good_initial_pair,
     good_system_raw,
@@ -33,7 +34,6 @@ from .start_systems import (
     total_degree_start,
 )
 from .tracker import (
-    TrackerOptions,
     TrackStatus,
     make_linear_homotopy,
     theorem_step_bound,
@@ -42,14 +42,16 @@ from .tracker import (
 )
 from .heuristic import HeuristicOptions, track_heuristic
 
-# The experiments report statuses and step counts, so they track without a
-# per-step trace.
-_NO_TRACE = TrackerOptions(record_trace=False)
 _NO_HEURISTIC_TRACE = HeuristicOptions(record_trace=False)
+TIE_TOL = 1e-12
 
 
 class AmbiguousMatchError(Exception):
     """An endpoint sits (numerically) equidistant from two reference roots."""
+
+
+class ReferenceRootsError(Exception):
+    """A total-degree path to run_entropy's target failed: no reference roots."""
 
 
 def shannon_entropy(hits) -> float:
@@ -66,12 +68,12 @@ def shannon_entropy(hits) -> float:
     return float(-(p * np.log2(p)).sum()) + 0.0
 
 
-def nearest_root(endpoint, references, tie_tol: float = 1e-12) -> tuple[int, float]:
-    """Index and distance of the nearest reference root under d_R."""
+def nearest_root(endpoint, references) -> tuple[int, float]:
+    """Index and distance of the nearest reference root under d_R; a tie within TIE_TOL raises."""
     dists = [riemann_distance(endpoint, ref) for ref in references]
     order = np.argsort(dists)
     best = int(order[0])
-    if len(dists) > 1 and dists[int(order[1])] - dists[best] <= tie_tol:
+    if len(dists) > 1 and dists[int(order[1])] - dists[best] <= TIE_TOL:
         raise AmbiguousMatchError(
             f"endpoint equidistant from roots {best} and {int(order[1])} "
             f"(distances {dists[best]:.6e}, {dists[int(order[1])]:.6e})"
@@ -79,19 +81,19 @@ def nearest_root(endpoint, references, tie_tol: float = 1e-12) -> tuple[int, flo
     return best, dists[best]
 
 
-def match_roots(endpoints, references, tie_tol: float = 1e-12) -> list[int]:
+def match_roots(endpoints, references) -> list[int]:
     """Nearest-neighbor assignment of endpoints to reference roots.
 
     References must be pairwise separated (> 1e-4 in d_R).  Certified
     endpoints of distinct paths land on distinct roots, so the assignment is
-    injective for them; ties raise AmbiguousMatchError.
+    injective for them; ties within TIE_TOL raise AmbiguousMatchError.
     """
     refs = list(references)
     for i in range(len(refs)):
         for j in range(i + 1, len(refs)):
             if riemann_distance(refs[i], refs[j]) <= 1e-4:
                 raise ValueError(f"reference roots {i} and {j} are not separated")
-    return [nearest_root(z, refs, tie_tol)[0] for z in endpoints]
+    return [nearest_root(z, refs)[0] for z in endpoints]
 
 
 def katsura_system(n: int) -> AffineSystem:
@@ -236,10 +238,10 @@ class ConjectureReport:
     bound_violations: int
 
 
-def conjecture_bound(n: int, d: int = 2) -> float:
-    """The average-steps bound 71 pi d^{3/2} n N / sqrt(2) for degrees (d,...,d)."""
-    N = space_dimension((d,) * n) - 1
-    return 71.0 * math.pi * d**1.5 * n * N / math.sqrt(2.0)
+def conjecture_bound(n: int) -> float:
+    """The average-steps bound 71 pi d^{3/2} n N / sqrt(2) for degrees (2,...,2)."""
+    N = space_dimension((2,) * n) - 1
+    return 71.0 * math.pi * 2**1.5 * n * N / math.sqrt(2.0)
 
 
 def _conjecture_trial(args):
@@ -339,14 +341,15 @@ def run_entropy(
     threads: int = 1,
 ) -> EntropyReport:
     """Histogram of which root the random start pair discovers, with its
-    Shannon entropy; maximal entropy means equidistribution."""
+    Shannon entropy; maximal entropy means equidistribution.  Raises
+    ReferenceRootsError when a total-degree path to the target fails."""
     degrees = tuple(int(d) for d in degrees)
     # solve_all_total_degree prepares the target once; the histogram paths
     # track that same system, entropy_target's bits.
     system = _perturbed_good_system(degrees, epsilon, np.random.default_rng([seed, 0]))
-    report = solve_all_total_degree(system, _NO_TRACE, rng=np.random.default_rng([seed, 1]))
+    report = solve_all_total_degree(system, np.random.default_rng([seed, 1]))
     if report.num_failed:
-        raise RuntimeError("failed to compute the reference roots of the target")
+        raise ReferenceRootsError(f"{report.num_failed} total-degree paths to the target failed")
     f = report.target
     references = [refine(f, z) for z in report.endpoints]
     args = [(degrees, variant, run, seed, f, references) for run in range(runs)]
@@ -422,7 +425,7 @@ def run_solve(
     Row i is the path from root i; its endpoint is None unless it succeeded.
     """
     if start_kind == "total":
-        results = solve_all_total_degree(system, _NO_TRACE, rng=_total_degree_rng(seed)).results
+        results = solve_all_total_degree(system, _total_degree_rng(seed)).results
     else:
         f, start = start_paths(system, start_kind, seed)
         results = [track_path(start.g, f, z, _NO_TRACE) for z in start.roots]

@@ -86,18 +86,18 @@ def predict(buf: tracker._StepBuffers, s: float, x, dt: float) -> np.ndarray:
     return out
 
 
-def correct(h: polysys.PolySystem, x, iters: int = CORRECTOR_ITERS, tol: float = CORRECTOR_TOL):
-    """At most `iters` projective Newton steps; stops early once the step size
-    drops under tol.  Returns (point, last step size) — the step size is the
-    error estimate the tracker adapts on."""
+def correct(h: polysys.PolySystem, x):
+    """At most CORRECTOR_ITERS projective Newton steps; stops early once the
+    step size drops under CORRECTOR_TOL.  Returns (point, last step size) —
+    the step size is the error estimate the tracker adapts on."""
     z = np.asarray(x, dtype=np.complex128)
     z = z / vector_norm(z)
     achieved = np.inf
-    for _ in range(iters):
+    for _ in range(CORRECTOR_ITERS):
         nxt = newton_projective(h, z)
         achieved = riemann_distance(nxt, z)
         z = nxt
-        if achieved < tol:
+        if achieved < CORRECTOR_TOL:
             break
     return z, float(achieved)
 
@@ -129,7 +129,7 @@ def track_heuristic(hom, z0, opts: HeuristicOptions = HeuristicOptions()) -> Tra
         s_next = T if step >= T - s else s + step
         try:
             z_pred = predict(buf, s, z, s_next - s)
-            z_corr, err = correct(hom.value_at(s_next), z_pred, CORRECTOR_ITERS, CORRECTOR_TOL)
+            z_corr, err = correct(hom.value_at(s_next), z_pred)
         except SingularLinearSolveError:
             return TrackResult(z, TrackStatus.SINGULAR, accepted, tuple(trace))
         ok = err <= CORRECTOR_TOL

@@ -29,6 +29,8 @@ from .linalg import (
 )
 
 U0 = 0.17586
+REFINE_MAX_ITERS = 30
+REFINE_TOL = 1e-14
 
 
 class RefinementError(Exception):
@@ -69,29 +71,28 @@ def condition_mu(h: polysys.PolySystem, z) -> float:
     return bw_norm(h) * spectral_norm(W)
 
 
-def certified_radius(h: polysys.PolySystem, zeta, mu: float | None = None) -> float:
-    """Approximate-zero radius u0 / (d^(3/2) mu(h, zeta)); 0.0 when mu is infinite."""
-    if mu is None:
-        mu = condition_mu(h, zeta)
+def certified_radius(h: polysys.PolySystem, zeta) -> float:
+    """Approximate-zero radius U0 / (d^(3/2) condition_mu(h, zeta)); 0.0 at infinite mu."""
+    mu = condition_mu(h, zeta)
     if not math.isfinite(mu):
         return 0.0
     return U0 / (h.max_degree ** 1.5 * mu)
 
 
 @one_blas_thread
-def refine(h: polysys.PolySystem, z, max_iters: int = 30, tol: float = 1e-14) -> np.ndarray:
-    """Iterate projective Newton until successive iterates agree to `tol` in d_R.
+def refine(h: polysys.PolySystem, z) -> np.ndarray:
+    """Iterate projective Newton until two iterates are within REFINE_TOL in d_R.
 
     Gives the reference zeros of the solve's endpoint check and of the
     condition length; raises RefinementError if the iteration does not
-    settle within `max_iters`.
+    settle within REFINE_MAX_ITERS steps.
     """
     current = np.asarray(z, dtype=np.complex128)
     current = current / vector_norm(current)
-    for _ in range(max_iters):
+    for _ in range(REFINE_MAX_ITERS):
         nxt = newton_projective(h, current)
-        if riemann_distance(nxt, current) < tol:
+        if riemann_distance(nxt, current) < REFINE_TOL:
             return nxt
         current = nxt
-    raise RefinementError(f"no convergence within {max_iters} Newton iterations")
+    raise RefinementError(f"no convergence within {REFINE_MAX_ITERS} Newton iterations")
 

@@ -115,13 +115,11 @@ def _layout(degrees: tuple) -> tuple[tuple[int, ...], tuple[slice, ...]]:
     return degrees, tuple(map(slice, [0] + ends, ends))
 
 
-def _power_table(z: np.ndarray, max_degree: int, out: np.ndarray | None = None) -> np.ndarray:
+def _power_table(z: np.ndarray, max_degree: int, out: np.ndarray) -> np.ndarray:
     # Writes z ** k into row k of out, (rows, len(z)), for k = 1 ... max_degree;
     # row 0 must hold the ones of z ** 0 already, and rows past max_degree are
-    # left as they are.  Without out, a fresh (max_degree + 1, len(z)) table.
-    # Returns out transposed: P[j, k] = z_j ** k for k <= max_degree.
-    if out is None:
-        out = np.ones((max_degree + 1, z.shape[0]), dtype=np.complex128)
+    # left as they are.  Returns out transposed: P[j, k] = z_j ** k for
+    # k <= max_degree.
     out[1] = z
     for k in range(2, max_degree + 1):
         np.multiply(out[k - 1], z, out=out[k])

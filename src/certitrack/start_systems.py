@@ -27,6 +27,9 @@ from .newton import certified_radius, refine
 from .polysys import PolySystem, evaluate, space_dimension, unit_point
 from .tracker import TrackerOptions, TrackResult, track_path
 
+# The solve and the experiments read statuses, steps and endpoints, no trace.
+_NO_TRACE = TrackerOptions(record_trace=False)
+
 
 @dataclass(frozen=True)
 class InitialPair:
@@ -34,7 +37,6 @@ class InitialPair:
 
     g: PolySystem
     zeta0: np.ndarray
-    kind: str
 
     def __post_init__(self):
         residual = float(np.linalg.norm(evaluate(self.g, self.zeta0)))
@@ -97,7 +99,7 @@ def total_degree_initial_pair(degrees, rng: np.random.Generator) -> InitialPair:
     """The total-degree pair with the all-ones root."""
     start = total_degree_start(degrees, rng)
     root = unit_point(np.ones(len(degrees) + 1))
-    return InitialPair(g=start.g, zeta0=root, kind="TotalDegree")
+    return InitialPair(g=start.g, zeta0=root)
 
 
 def good_system_raw(degrees) -> PolySystem:
@@ -119,7 +121,7 @@ def good_initial_pair(degrees) -> InitialPair:
     g = normalize_to_sphere(good_system_raw(degrees))
     e0 = np.zeros(len(degrees) + 1, dtype=np.complex128)
     e0[0] = 1.0
-    return InitialPair(g=g, zeta0=unit_point(e0), kind="GoodPair")
+    return InitialPair(g=g, zeta0=unit_point(e0))
 
 
 @lru_cache(maxsize=None)
@@ -239,7 +241,7 @@ def random_initial_pair(degrees, rng: np.random.Generator) -> InitialPair:
         coeffs.append(math.sqrt(d) * term + math.sqrt(max(0.0, 1.0 - frob2)) * h.coeffs[i])
     g_hat = PolySystem(degrees, tuple(coeffs))
     g = normalize_to_sphere(g_hat)
-    return InitialPair(g=g, zeta0=zeta0, kind="Random")
+    return InitialPair(g=g, zeta0=zeta0)
 
 
 def random_initial_pair_unitary(degrees, rng: np.random.Generator) -> InitialPair:
@@ -248,7 +250,7 @@ def random_initial_pair_unitary(degrees, rng: np.random.Generator) -> InitialPai
     U = random_unitary(len(degrees) + 1, rng)
     g = unitary_compose(pair.g, U.conj().T)
     zeta0 = unit_point(U @ pair.zeta0)
-    return InitialPair(g=g, zeta0=zeta0, kind="Random")
+    return InitialPair(g=g, zeta0=zeta0)
 
 
 @dataclass(frozen=True)
@@ -257,7 +259,6 @@ class SolveAllReport:
     the prepared system the paths went to."""
 
     target: PolySystem
-    start: StartSet
     results: tuple[TrackResult, ...]
 
     @property
@@ -282,23 +283,19 @@ def prepare_target(system: PolySystem | polysys.AffineSystem) -> PolySystem:
 
 @one_blas_thread
 def solve_all_total_degree(
-    f: PolySystem | polysys.AffineSystem,
-    opts: TrackerOptions = TrackerOptions(),
-    rng: np.random.Generator | None = None,
+    f: PolySystem | polysys.AffineSystem, rng: np.random.Generator
 ) -> SolveAllReport:
-    """Track all D total-degree paths to the target f, given as it was read:
-    prepare_target homogenizes and normalizes it once.
+    """Track all D total-degree paths, without a per-step trace, to the target
+    f, given as it was read: prepare_target homogenizes and normalizes it once.
 
     When every path succeeds, the refined endpoints are verified pairwise
     farther apart than twice the largest certified radius (a cluster would
     mean crossed paths, which the certified tracker excludes).
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     f = prepare_target(f)
     start = total_degree_start(f.degrees, rng)
-    results = [track_path(start.g, f, root, opts) for root in start.roots]
-    report = SolveAllReport(target=f, start=start, results=tuple(results))
+    results = [track_path(start.g, f, root, _NO_TRACE) for root in start.roots]
+    report = SolveAllReport(target=f, results=tuple(results))
     if report.num_failed == 0:
         _check_pairwise_distinct(f, report.endpoints)
     return report

@@ -76,6 +76,8 @@ C_OVER_P_LINEAR = 0.04804448
 C_OVER_P_DEGREE_ONE = 0.04662682
 # Steps after which a path gives up with status MaxSteps.
 MAX_STEPS = 1_000_000
+# Trapezoid intervals of condition_length over [0, T].
+CONDITION_NODES = 2000
 # Floats in CSV output: 17 significant digits give back every double exactly.
 FLOAT_FMT = "%.17g"
 
@@ -323,9 +325,9 @@ def _start_point(n_vars: int, z0) -> np.ndarray:
     return z / norm
 
 
-def _systems_equal(g: polysys.PolySystem, f: polysys.PolySystem, tol: float = 1e-13) -> bool:
+def _systems_equal(g: polysys.PolySystem, f: polysys.PolySystem) -> bool:
     # Written so that a NaN coefficient compares unequal.
-    return g.degrees == f.degrees and np.max(np.abs(g._vec - f._vec)) <= tol
+    return g.degrees == f.degrees and np.max(np.abs(g._vec - f._vec)) <= 1e-13
 
 
 @linalg.one_blas_thread
@@ -393,11 +395,11 @@ def track_path(
 
 
 @linalg.one_blas_thread
-def condition_length(hom: LinearHomotopy, z0, resolution: int = 2000) -> float:
+def condition_length(hom: LinearHomotopy, z0) -> float:
     """Numerical condition length of the lifted path through z0, the oracle
-    for the certified step-count bound: the trapezoid rule over [0, T] on the
-    loop's phi = chi1 * chi2 at the zero, continued node to node by Newton
-    refinement.
+    for the certified step-count bound: the trapezoid rule with
+    CONDITION_NODES intervals over [0, T] on the loop's phi = chi1 * chi2 at
+    the zero, continued node to node by Newton refinement.
 
     At a zero zeta of h, phi is the integrand mu(h, zeta) ||(hdot, zetadot)||:
     chi2 is ||(hdot, zetadot)||, zetadot = -(Dh(zeta); zeta*)^{-1} (hdot(zeta); 0),
@@ -407,25 +409,22 @@ def condition_length(hom: LinearHomotopy, z0, resolution: int = 2000) -> float:
     an underestimate lowers theorem_step_bound, so it errs toward a false
     violation.
     """
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
     buf = _StepBuffers(hom)
-    ts = np.linspace(0.0, hom.T, resolution + 1)
+    ts = np.linspace(0.0, hom.T, CONDITION_NODES + 1)
     zeta = refine(hom.value_at(0.0), z0)
-    values = np.empty(resolution + 1)
+    values = np.empty(CONDITION_NODES + 1)
     for k, t in enumerate(ts.tolist()):
         if k > 0:
             zeta = refine(hom.value_at(t), zeta)
         x1, x2 = buf.chi(t, zeta)
         values[k] = x1 * x2
-    dx = hom.T / resolution
+    dx = hom.T / CONDITION_NODES
     return float(dx * (values[0] / 2.0 + values[1:-1].sum() + values[-1] / 2.0))
 
 
-def theorem_step_bound(hom: LinearHomotopy, z0, resolution: int = 2000) -> int:
+def theorem_step_bound(hom: LinearHomotopy, z0) -> int:
     """ceil(71 * d^{3/2} * condition length): the certified step-count bound."""
-    C0 = condition_length(hom, z0, resolution)
-    return math.ceil(71.0 * hom.g.max_degree**1.5 * C0)
+    return math.ceil(71.0 * hom.g.max_degree**1.5 * condition_length(hom, z0))
 
 
 def write_trace_csv(result: TrackResult, path) -> None:

@@ -204,6 +204,10 @@ class TestInputErrors:
             (["conjecture", "--n", "1", "--trials", "1", "--seed", "x"],
              "argument --seed: expected an integer in [0, 2**64)"),
             (["solve", "system.json", "--seed", "-1"], "argument --seed: expected an integer in [0, 2**64)"),
+            # epsilon = 0 leaves the good system, whose zeros are singular:
+            # its total-degree paths fail, so there are no reference roots.
+            (["entropy", "--degrees", "2,2", "--epsilon", "0", "--runs", "1"],
+             "no reference roots for --epsilon 0.0: 3 total-degree paths to the target failed"),
         ],
     )
     def test_exit_2_with_a_message(self, capsys, argv, message):

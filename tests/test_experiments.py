@@ -26,7 +26,6 @@ from certitrack.polysys import (
     unit_point,
 )
 from certitrack.start_systems import solve_all_total_degree
-from certitrack.tracker import TrackerOptions
 
 
 class TestShannonEntropy:
@@ -108,16 +107,13 @@ class TestKatsura:
 
     @pytest.mark.parametrize("n,count", [(3, 4), (4, 8)])
     def test_solution_count(self, n, count):
-        report = solve_all_total_degree(
-            katsura_system(n), rng=np.random.default_rng(1)
-        )
+        report = solve_all_total_degree(katsura_system(n), np.random.default_rng(1))
         assert report.num_failed == 0
         assert len(report.endpoints) == count
 
     def test_pinned_step_counts(self):
         # (status, steps) of the Katsura-4 solve of test_solution_count[4-8]
-        opts = TrackerOptions(record_trace=False)
-        report = solve_all_total_degree(katsura_system(4), opts, rng=np.random.default_rng(1))
+        report = solve_all_total_degree(katsura_system(4), np.random.default_rng(1))
         assert [(r.status.value, r.num_steps) for r in report.results] == [
             ("Success", 2485), ("Success", 2360), ("Success", 3360), ("Success", 3374),
             ("Success", 3428), ("Success", 4768), ("Success", 4460), ("Success", 2867),
@@ -235,6 +231,11 @@ class TestRunConjecture:
             assert r.mean_steps > 0
             assert r.mean_steps < r.bound
 
+    def test_thread_determinism(self):
+        a = run_conjecture(2, trials=3, seed=4, threads=1)
+        b = run_conjecture(2, trials=3, seed=4, threads=2)
+        assert a == b
+
     def test_verify_bound_flags_nothing(self):
         reports = run_conjecture(2, trials=1, seed=3, verify_bound=True)
         assert all(r.bound_violations == 0 for r in reports)
@@ -281,6 +282,11 @@ class TestEntropyExperiment:
     def test_unitary_variant(self):
         rep = run_entropy((2, 2), epsilon=0.1, runs=12, variant="unitary", seed=1)
         assert sum(rep.root_hits) + rep.failures == 12
+
+    def test_thread_determinism(self):
+        a = run_entropy((2, 2), runs=6, seed=1, threads=1)
+        b = run_entropy((2, 2), runs=6, seed=1, threads=2)
+        assert a == b
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):

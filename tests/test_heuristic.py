@@ -92,17 +92,20 @@ class TestCorrect:
         z, err = correct(start.g, start.roots[0])
         assert err <= 1e-10
 
-    def test_certified_start_converges(self, quad_path):
+    def test_certified_start_converges(self, quad_path, monkeypatch):
         start, f, hom = quad_path
         z0 = start.roots[0]
         near = unit_point(np.asarray(z0) + 1e-3 * np.ones(3))
-        z, err = correct(start.g, near, iters=3, tol=1e-10)
+        monkeypatch.setattr(heuristic, "CORRECTOR_TOL", 1e-10)
+        z, err = correct(start.g, near)
         assert err < 1e-10
 
-    def test_far_point_reports_large_error(self, quad_path):
+    def test_far_point_reports_large_error(self, quad_path, monkeypatch):
         start, _, _ = quad_path
         far = unit_point([1.0, 0.3, -2.0])
-        _, err = correct(start.g, far, iters=1, tol=1e-12)
+        monkeypatch.setattr(heuristic, "CORRECTOR_ITERS", 1)
+        monkeypatch.setattr(heuristic, "CORRECTOR_TOL", 1e-12)
+        _, err = correct(start.g, far)
         assert err > 1e-6
 
 

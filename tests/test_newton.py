@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from certitrack import newton
 from certitrack.bw import normalize_to_sphere, riemann_distance
 from certitrack.linalg import SingularLinearSolveError, one_blas_thread
 from certitrack.newton import (
@@ -136,15 +137,16 @@ class TestCertificates:
         for root in start.roots:
             mu = condition_mu(start.g, root)
             assert math.isfinite(mu)
-            assert certified_radius(start.g, root, mu) > 0.0
+            assert certified_radius(start.g, root) > 0.0
 
 
 class TestRefine:
-    def test_within_radius_converges_fast(self):
+    def test_within_radius_converges_fast(self, monkeypatch):
         h = normalize_to_sphere(diff_of_squares())
         root = unit_point([1.0, 1.0])
         z = unit_point([1.0, 1.01])
-        out = refine(h, z, max_iters=8)
+        monkeypatch.setattr(newton, "REFINE_MAX_ITERS", 8)
+        out = refine(h, z)
         assert riemann_distance(out, root) <= 1e-12
 
     def test_exact_zero_unchanged(self):
@@ -159,11 +161,12 @@ class TestRefine:
             refined = refine(start.g, root)
             assert np.linalg.norm(evaluate(start.g, refined)) <= 1e-12
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
         h = diff_of_squares()
         z = unit_point([1.0, 0.0])  # singular point of the zero set structure
+        monkeypatch.setattr(newton, "REFINE_MAX_ITERS", 3)
         with pytest.raises((RefinementError, SingularLinearSolveError)):
-            refine(h, z, max_iters=3)
+            refine(h, z)
 
     @pytest.mark.parametrize("eps_exp", [-5, -4, -3])
     def test_quadratic_contraction(self, eps_exp):
@@ -186,7 +189,7 @@ class TestRefine:
         h = random_system_on_sphere((2, 2), rng)
         from certitrack.start_systems import solve_all_total_degree
 
-        report = solve_all_total_degree(h, rng=rng)
+        report = solve_all_total_degree(h, rng)
         z = report.results[0].endpoint
         zeta = refine(h, z)
         d0 = riemann_distance(z, zeta)

@@ -1,8 +1,10 @@
 """The package surface: certitrack.__all__ lists what the command line and
-the benchmarks read from the top-level package, and no module imports a
-name it never reads."""
+the benchmarks read from the top-level package, what a caller can set is
+pinned, and no module imports a name it never reads."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -69,11 +71,39 @@ def test_every_imported_name_is_read(path):
     assert _unread_imports(path) == []
 
 
+def _optional_parameters() -> dict[str, list[str]]:
+    # The parameters with a default of every public function of certitrack's
+    # modules, by "module.function"; functions without one are left out.
+    found = {}
+    for path in sorted((ROOT / "src" / "certitrack").glob("*.py")):
+        module = importlib.import_module(f"certitrack.{path.stem}")
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if name.startswith("_") or fn.__module__ != module.__name__:
+                continue
+            params = inspect.signature(fn).parameters.values()
+            optional = [p.name for p in params if p.default is not p.empty]
+            if optional:
+                found[f"{path.stem}.{name}"] = optional
+    return found
+
+
 def test_settable_surface_is_pinned():
-    # Every option field and CLI flag a caller can set.  A new knob needs an
-    # edit here, with its reason given in CHANGES.md.
+    # Every optional parameter, option field and CLI flag a caller can set.
+    # A new knob needs an edit here, with its reason given in CHANGES.md; a
+    # value no caller changes is a module constant.
     import dataclasses
 
+    assert _optional_parameters() == {
+        "bw.ensure_on_sphere": ["what"],
+        "cli.main": ["argv"],
+        "experiments.run_bench": ["degrees", "n", "trials", "trackers", "seed", "threads"],
+        "experiments.run_conjecture": ["trials", "seed", "threads", "verify_bound"],
+        "experiments.run_entropy": ["epsilon", "runs", "variant", "seed", "threads"],
+        "experiments.run_solve": ["start_kind", "seed"],
+        "heuristic.track_heuristic": ["opts"],
+        "tracker.track_linear": ["opts"],
+        "tracker.track_path": ["opts"],
+    }
     assert [f.name for f in dataclasses.fields(certitrack.TrackerOptions)] == ["record_trace"]
     assert [f.name for f in dataclasses.fields(certitrack.HeuristicOptions)] == ["record_trace"]
     flags = {

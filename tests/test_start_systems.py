@@ -31,7 +31,6 @@ from certitrack.start_systems import (
     total_degree_start,
     uniform_ball_point,
 )
-from certitrack.tracker import TrackerOptions
 
 
 class TestTotalDegreeStart:
@@ -72,7 +71,6 @@ class TestTotalDegreeStart:
     def test_all_ones_pair(self):
         pair = total_degree_initial_pair((2, 2), np.random.default_rng(7))
         np.testing.assert_allclose(pair.zeta0, np.ones(3) / math.sqrt(3))
-        assert pair.kind == "TotalDegree"
 
 
 class TestTotalDegreeCache:
@@ -286,7 +284,7 @@ class TestRandomInitialPair:
     def test_validation_rejects_non_zero(self):
         pair = good_initial_pair((2,))
         with pytest.raises(ValueError):
-            InitialPair(g=pair.g, zeta0=unit_point([1.0, 1.0]), kind="bad")
+            InitialPair(g=pair.g, zeta0=unit_point([1.0, 1.0]))
 
 
 class TestRandomInitialPairUnitary:
@@ -307,7 +305,7 @@ class TestRandomInitialPairUnitary:
 class TestSolvers:
     def test_solve_all_distinct_roots(self):
         f = random_system_on_sphere((2, 2), np.random.default_rng(17))
-        report = solve_all_total_degree(f, rng=np.random.default_rng(18))
+        report = solve_all_total_degree(f, np.random.default_rng(18))
         assert report.num_failed == 0
         endpoints = report.endpoints
         assert len(endpoints) == 4
@@ -319,18 +317,14 @@ class TestSolvers:
     def test_solve_all_affine_input(self):
         from certitrack.experiments import katsura_system
 
-        report = solve_all_total_degree(
-            katsura_system(3), rng=np.random.default_rng(19)
-        )
+        report = solve_all_total_degree(katsura_system(3), np.random.default_rng(19))
         assert report.num_failed == 0
         assert len(report.endpoints) == 4
 
     def test_solve_all_reports_failures(self, monkeypatch):
         f = random_system_on_sphere((2, 2), np.random.default_rng(20))
         monkeypatch.setattr(tracker, "MAX_STEPS", 1)
-        report = solve_all_total_degree(
-            f, TrackerOptions(record_trace=False), rng=np.random.default_rng(21)
-        )
+        report = solve_all_total_degree(f, np.random.default_rng(21))
         assert report.num_failed == 4
         assert report.endpoints == []
 

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -104,11 +105,20 @@ def thread_sensitive_bits() -> str:
     return " ".join(out)
 
 
-def run_child(code: str, blas_threads: int) -> str:
-    # Standard output of `code`, run in a fresh process that starts with
-    # OPENBLAS_NUM_THREADS=blas_threads and can import this file.
+def pinned_step_counts() -> str:
+    # Status and steps of the 8 paths of the pinned target, certified then
+    # heuristic.
+    f, start = pinned_target()
+    hom = make_linear_homotopy(start.g, f)
+    results = [track(hom, z) for track in (track_linear, track_heuristic) for z in start.roots]
+    return " ".join(f"{r.status.value}:{r.num_steps}" for r in results)
+
+
+def run_child(code: str, **env: str) -> str:
+    # Standard output of `code`, run in a fresh process that can import this
+    # file and starts with the environment variables `env` set.
     src = Path(__import__("certitrack").__file__).resolve().parents[1]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    env = dict(os.environ, **env)
     env["PYTHONPATH"] = os.pathsep.join([str(src), str(Path(__file__).parent)])
     child = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
@@ -467,14 +477,28 @@ class TestTrackLinear:
         # Writing into per-path buffers runs the same BLAS calls on the same
         # operands, so every record of the pinned target keeps its bits.
         code = "from test_tracker import pinned_trace_digest; print(pinned_trace_digest())"
-        assert run_child(code, 1).strip() == PINNED_TRACE_SHA256
+        assert run_child(code, OPENBLAS_NUM_THREADS="1").strip() == PINNED_TRACE_SHA256
 
     def test_bits_do_not_depend_on_blas_threads(self):
         # The trackers, refine and condition_mu run on one BLAS thread
         # whatever the process started with, so their results are the same
         # bits under both.
         code = "from test_tracker import thread_sensitive_bits; print(thread_sensitive_bits())"
-        assert run_child(code, 1) == run_child(code, 2)
+        assert run_child(code, OPENBLAS_NUM_THREADS="1") == run_child(code, OPENBLAS_NUM_THREADS="2")
+
+    @pytest.mark.skipif(
+        platform.machine().lower() not in ("x86_64", "amd64"),
+        reason="OPENBLAS_CORETYPE names x86-64 kernels",
+    )
+    @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+    def test_step_counts_do_not_depend_on_the_blas_kernel(self, coretype):
+        # Other kernels give other last bits (so no digest is compared here),
+        # but every path of the pinned target keeps its status and steps.
+        code = "from test_tracker import pinned_step_counts; print(pinned_step_counts())"
+        certified_steps = [921, 1608, 608, 553, 483, 355, 741, 517]
+        heuristic_steps = [13, 14, 10, 10, 10, 10, 13, 10]
+        want = " ".join(f"Success:{n}" for n in certified_steps + heuristic_steps)
+        assert run_child(code, OPENBLAS_CORETYPE=coretype).strip() == want
 
     @pytest.mark.parametrize(
         "track,bad",
@@ -521,7 +545,7 @@ class TestTrackLinear:
             mu = condition_mu(h_s, zeta)
             assert riemann_distance(rec.z, zeta) <= U0 / (2.0 * 2.0**1.5 * mu)
 
-    def test_piecewise_split_step_bound(self, quad_pair):
+    def test_piecewise_split_step_bound(self, quad_pair, monkeypatch):
         # splitting the arc in two adds at most the number of segments to the
         # step bound of the whole path
         start, f = quad_pair
@@ -533,7 +557,8 @@ class TestTrackLinear:
         second = make_linear_homotopy(mid, f)
         res2 = track_linear(second, res1.endpoint)
         assert res2.status is TrackStatus.SUCCESS
-        c0_total = condition_length(hom, start.roots[0], resolution=800)
+        monkeypatch.setattr(tracker, "CONDITION_NODES", 800)
+        c0_total = condition_length(hom, start.roots[0])
         bound = 2 + math.ceil(71.0 * 2.0**1.5 * c0_total)
         assert res1.num_steps + res2.num_steps <= bound
         # and both halves land on the same root as the unsplit path
@@ -544,12 +569,13 @@ class TestTrackLinear:
 
 
 class TestConditionLength:
-    def test_pinned_value(self, quad_pair):
+    def test_pinned_value(self, quad_pair, monkeypatch):
         # Read from the integrand built by evaluate, jacobian, bordered_solve
         # and condition_mu, before it moved onto the loop's chi.
         start, f = quad_pair
         hom = make_linear_homotopy(start.g, f)
-        c = condition_length(hom, start.roots[0], resolution=400)
+        monkeypatch.setattr(tracker, "CONDITION_NODES", 400)
+        c = condition_length(hom, start.roots[0])
         assert c == pytest.approx(11.911406124337917, rel=1e-12)
 
     @pytest.mark.parametrize("degrees", [(2, 2, 2), (1, 2, 3), (1, 2, 2, 2, 2)], ids=str)
@@ -575,30 +601,35 @@ class TestConditionLength:
             assert x1 == pytest.approx(condition_mu(h, zeta), rel=1e-12)
             assert x2 == pytest.approx(speed, rel=1e-12)
 
-    def test_short_arc_small_length(self, quad_pair):
+    def test_short_arc_small_length(self, quad_pair, monkeypatch):
         start, f = quad_pair
         hom = make_linear_homotopy(start.g, f)
         # truncated reparametrized arc: from g to a nearby point on the circle
         near = normalize_to_sphere(hom.value_at(0.01))
         short = make_linear_homotopy(start.g, near)
-        c_short = condition_length(short, start.roots[0], resolution=50)
-        full = condition_length(hom, start.roots[0], resolution=400)
+        monkeypatch.setattr(tracker, "CONDITION_NODES", 50)
+        c_short = condition_length(short, start.roots[0])
+        monkeypatch.setattr(tracker, "CONDITION_NODES", 400)
+        full = condition_length(hom, start.roots[0])
         assert c_short < 0.05 * full
 
-    def test_resolution_convergence(self, quad_pair):
+    def test_resolution_convergence(self, quad_pair, monkeypatch):
         start, f = quad_pair
         hom = make_linear_homotopy(start.g, f)
-        c1 = condition_length(hom, start.roots[0], resolution=400)
-        c2 = condition_length(hom, start.roots[0], resolution=800)
+        monkeypatch.setattr(tracker, "CONDITION_NODES", 400)
+        c1 = condition_length(hom, start.roots[0])
+        monkeypatch.setattr(tracker, "CONDITION_NODES", 800)
+        c2 = condition_length(hom, start.roots[0])
         assert abs(c2 - c1) <= 0.01 * abs(c2)
 
-    def test_step_bound_holds(self, quad_pair):
+    def test_step_bound_holds(self, quad_pair, monkeypatch):
         start, f = quad_pair
         hom = make_linear_homotopy(start.g, f)
+        monkeypatch.setattr(tracker, "CONDITION_NODES", 800)
         for root in start.roots[:2]:
             result = track_linear(hom, root)
             assert result.status is TrackStatus.SUCCESS
-            assert result.num_steps <= theorem_step_bound(hom, root, resolution=800)
+            assert result.num_steps <= theorem_step_bound(hom, root)
 
 
 class TestStepConstant:
@@ -777,7 +808,7 @@ class TestStepEngineTables:
         rng = np.random.default_rng(len(degrees))
         for _ in range(3):
             z = unit_point(rng.standard_normal(eng.n_vars) + 1j * rng.standard_normal(eng.n_vars))
-            P = _power_table(z, eng.max_d)
+            P = _power_table(z, eng.max_d, np.ones((eng.max_d + 1, eng.n_vars), dtype=np.complex128))
             # one row block per distinct degree, ascending
             ref = np.concatenate([self._reference(d, P) for d in sorted(set(degrees))])
             assert eng.point_matrix(z).tobytes() == ref.tobytes()
