@@ -26,13 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import vector_norm
-from .polysys import (
-    PolySystem,
-    _layout,
-    homogeneous_exponents,
-    homogeneous_index,
-    linear_form,
-)
+from .polysys import PolySystem, _layout, as_tensor, collect, homogeneous_exponents
 
 SPHERE_TOL = 1e-10
 
@@ -187,64 +181,27 @@ def riemann_distance(z, w) -> float:
 
 
 def unitary_compose(h: PolySystem, U: np.ndarray) -> PolySystem:
-    """The system z -> h(Uz), expanded in the dense monomial basis."""
+    """The system z -> h(Uz), expanded in the dense monomial basis.
+
+    Each equation of degree d is laid out as its (n+1) ** d coefficient
+    tensor, each of its d axes is contracted with U, and the result is
+    collected onto the basis: O(d (n+1) ** (d+1)) work and (n+1) ** d
+    entries per equation.
+    """
     U = np.asarray(U, dtype=np.complex128)
     n_vars = h.n_vars
     if U.shape != (n_vars, n_vars):
         raise ValueError(f"U must be {n_vars}x{n_vars}, got {U.shape}")
     defect = np.linalg.norm(U.conj().T @ U - np.eye(n_vars))
-    if defect > 1e-10:
+    if not defect <= 1e-10:
         raise ValueError(f"U is not unitary (defect {defect:.3e})")
-
-    # Power cache: linear_powers[j][e] = coefficient vector of ((Uz)_j)**e.
-    linear_powers: list[list[np.ndarray]] = [[np.ones(1, dtype=np.complex128)] for _ in range(n_vars)]
-    max_d = h.max_degree
-    for j in range(n_vars):
-        row = linear_form(U[j])
-        for e in range(1, max_d + 1):
-            power = dense_product(linear_powers[j][e - 1], e - 1, row, 1, n_vars)
-            linear_powers[j].append(power)
-
     coeffs = []
-    for i, d in enumerate(h.degrees):
-        exps = homogeneous_exponents(n_vars, d)
-        vec = np.zeros(exps.shape[0], dtype=np.complex128)
-        for pos in np.nonzero(h.coeffs[i])[0]:
-            c = h.coeffs[i][pos]
-            term = None
-            deg_so_far = 0
-            for j, e in enumerate(exps[pos]):
-                if e == 0:
-                    continue
-                factor = linear_powers[j][e]
-                if term is None:
-                    term, deg_so_far = factor, int(e)
-                else:
-                    term = dense_product(term, deg_so_far, factor, int(e), n_vars)
-                    deg_so_far += int(e)
-            vec += c * (term if term is not None else np.ones(1, dtype=np.complex128))
-        coeffs.append(vec)
-    return PolySystem(h.degrees, tuple(coeffs))
-
-
-@lru_cache(maxsize=None)
-def _mul_index(n_vars: int, d1: int, d2: int) -> np.ndarray:
-    # Position of the product monomial for every pair of factor monomials.
-    e1 = homogeneous_exponents(n_vars, d1)
-    e2 = homogeneous_exponents(n_vars, d2)
-    index = homogeneous_index(n_vars, d1 + d2)
-    out = np.empty((e1.shape[0], e2.shape[0]), dtype=np.int64)
-    for a, row_a in enumerate(e1):
-        for b, row_b in enumerate(e2):
-            out[a, b] = index[tuple(int(x) for x in (row_a + row_b))]
-    out.setflags(write=False)
-    return out
-
-
-def dense_product(c1: np.ndarray, d1: int, c2: np.ndarray, d2: int, n_vars: int) -> np.ndarray:
-    """Product of dense homogeneous coefficient vectors of degrees d1 and d2."""
-    idx = _mul_index(n_vars, d1, d2)
-    out = np.zeros(homogeneous_exponents(n_vars, d1 + d2).shape[0], dtype=np.complex128)
-    product = np.outer(np.asarray(c1, np.complex128), np.asarray(c2, np.complex128))
-    np.add.at(out, idx.ravel(), product.ravel())
-    return out
+    for d, c in zip(h.degrees, h.coeffs):
+        tensor = as_tensor(c, n_vars, d)
+        # h(Uz) = sum T[j1, ..., jd] (Uz)_j1 ... (Uz)_jd.  Each contraction
+        # sums the leading axis j against U[j, k] and appends k last (as
+        # np.tensordot(T, U, axes=(0, 0)) does, with less overhead).
+        for _ in range(d):
+            tensor = tensor.reshape(n_vars, -1).T @ U
+        coeffs.append(collect(tensor.reshape((n_vars,) * d)))
+    return PolySystem._adopt(h.degrees, np.concatenate(coeffs))

@@ -225,7 +225,7 @@ def unitary_mapping_to_e0(zeta, rng: np.random.Generator) -> np.ndarray:
     """
     zeta = np.asarray(zeta, dtype=np.complex128)
     m = zeta.shape[0]
-    if abs(np.linalg.norm(zeta) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(zeta) - 1.0) <= 1e-10:
         raise ValueError("zeta must be a unit vector")
     A = np.empty((m, m), dtype=np.complex128)
     A[:, 0] = zeta

@@ -7,6 +7,14 @@ equation's degree.  The monomial order is ascending lexicographic on the
 exponent tuple (a0, ..., an); the bijection between positions and exponent
 tuples is deterministic and cached per (variable count, degree).
 
+The basis has one map to and from coefficient tensors, also cached per
+(variable count, degree): a form of degree d is the sum of
+T[j1, ..., jd] x_j1 ... x_jd over an (n+1) ** d tensor T.  as_tensor puts
+each coefficient at the entry of its monomial with sorted indices and zeros
+elsewhere, and collect sums any tensor's entries monomial by monomial.
+Products and changes of variables are contractions of such tensors
+(bw.unitary_compose, the random pair's first-order part), collected once.
+
 A PolySystem owns its coefficients: construction copies them into one
 read-only vector, concatenated equation by equation, of which `coeffs` holds
 read-only views, so later changes to the caller's arrays change nothing.
@@ -84,6 +92,54 @@ def homogeneous_index(n_vars: int, degree: int) -> dict[tuple[int, ...], int]:
     """Inverse of `homogeneous_exponents`: exponent tuple -> position."""
     exps = homogeneous_exponents(n_vars, degree)
     return {tuple(int(e) for e in row): i for i, row in enumerate(exps)}
+
+
+@lru_cache(maxsize=None)
+def monomial_tensor(n_vars: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The map between n_vars ** degree tensors and the degree's monomial basis.
+
+    Returns (position, entry): per entry (j1, ..., jd) of the tensor, read
+    flat, the basis position of its monomial x_j1 ... x_jd; and per monomial,
+    the flat entry whose index tuple is sorted.  Every entry has the monomial
+    of its sorted index tuple.
+    """
+    exps = homogeneous_exponents(n_vars, degree)
+    shape = (n_vars,) * degree
+    # Index k of a monomial's sorted tuple is the number of leading
+    # variables whose exponents sum to at most k.
+    tuples = (np.cumsum(exps, axis=1)[:, None, :] <= np.arange(degree)[:, None]).sum(axis=2)
+    entry = np.ravel_multi_index(tuples.T, shape)
+    by_entry = np.empty(n_vars ** degree, dtype=np.int64)
+    by_entry[entry] = np.arange(exps.shape[0])
+    indices = np.indices(shape).reshape(degree, -1)
+    position = by_entry[np.ravel_multi_index(np.sort(indices, axis=0), shape)]
+    position.setflags(write=False)
+    entry.setflags(write=False)
+    return position, entry
+
+
+def as_tensor(vec: np.ndarray, n_vars: int, degree: int) -> np.ndarray:
+    """The (n_vars,) * degree tensor T of a coefficient vector, so that the
+    form is the sum of T[j1, ..., jd] x_j1 ... x_jd: each coefficient at its
+    monomial's sorted entry and zeros elsewhere, so no coefficient is
+    divided by a multinomial."""
+    tensor = np.zeros(n_vars ** degree, dtype=np.complex128)
+    tensor[monomial_tensor(n_vars, degree)[1]] = vec
+    return tensor.reshape((n_vars,) * degree)
+
+
+def collect(tensor: np.ndarray) -> np.ndarray:
+    """The coefficient vector of the form sum T[j1, ..., jd] x_j1 ... x_jd of
+    an (n_vars,) * d tensor: its entries summed monomial by monomial, one
+    np.bincount on the real parts and one on the imaginary parts."""
+    n_vars, degree = tensor.shape[0], tensor.ndim
+    position = monomial_tensor(n_vars, degree)[0]
+    flat = tensor.reshape(-1)
+    m = num_homogeneous_monomials(n_vars, degree)
+    vec = np.empty(m, dtype=np.complex128)
+    vec.real = np.bincount(position, weights=flat.real, minlength=m)
+    vec.imag = np.bincount(position, weights=flat.imag, minlength=m)
+    return vec
 
 
 def num_homogeneous_monomials(n_vars: int, degree: int) -> int:
@@ -274,22 +330,6 @@ class AffineSystem:
     @property
     def n(self) -> int:
         return len(self.degrees)
-
-
-def linear_form(by_variable) -> np.ndarray:
-    """Dense degree-1 coefficient vector of the form sum_j c_j X_j.
-
-    The dense basis orders monomials by ascending-lex exponent tuples, which
-    reverses the variable order at degree 1; this helper hides that mapping.
-    """
-    c = np.asarray(by_variable, dtype=np.complex128)
-    n_vars = c.shape[0]
-    index = homogeneous_index(n_vars, 1)
-    vec = np.zeros(n_vars, dtype=np.complex128)
-    for j in range(n_vars):
-        key = tuple(1 if k == j else 0 for k in range(n_vars))
-        vec[index[key]] = c[j]
-    return vec
 
 
 def unit_point(coords) -> np.ndarray:

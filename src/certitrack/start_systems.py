@@ -6,6 +6,7 @@ the all-roots solver built on them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -15,7 +16,6 @@ import numpy as np
 
 from . import polysys
 from .bw import (
-    dense_product,
     normalize_to_sphere,
     riemann_distance,
     sqrt_multinomials,
@@ -40,7 +40,7 @@ class InitialPair:
 
     def __post_init__(self):
         residual = float(np.linalg.norm(evaluate(self.g, self.zeta0)))
-        if residual > 1e-12:
+        if not residual <= 1e-12:
             raise ValueError(f"zeta0 is not a zero of g (residual {residual:.3e})")
 
 
@@ -220,25 +220,20 @@ def random_initial_pair(degrees, rng: np.random.Generator) -> InitialPair:
     (4) normalize.
     """
     degrees = tuple(int(d) for d in degrees)
-    n = len(degrees)
-    n_vars = n + 1
     M = draw_ball_matrix(degrees, rng)
     zeta0 = kernel_vector(M, rng)
     V = unitary_mapping_to_e0(zeta0, rng)
     h_tilde = draw_restricted_system(degrees, rng)
     h = unitary_compose(h_tilde, V.conj().T)
 
-    # First-order part: sqrt(d_i) <z, zeta0>^{d_i - 1} (M z)_i, expanded densely.
-    pairing = polysys.linear_form(np.conj(zeta0))  # <z, zeta0> as a form in z
+    # First-order part: sqrt(d_i) <z, zeta0>^{d_i - 1} (M z)_i, collected
+    # from the outer product of d_i - 1 copies of conj(zeta0) with M_i.
     frob2 = float(np.sum(np.abs(M) ** 2))
+    rest = math.sqrt(max(0.0, 1.0 - frob2))
     coeffs = []
     for i, d in enumerate(degrees):
-        term = polysys.linear_form(M[i])
-        deg = 1
-        for _ in range(d - 1):
-            term = dense_product(term, deg, pairing, 1, n_vars)
-            deg += 1
-        coeffs.append(math.sqrt(d) * term + math.sqrt(max(0.0, 1.0 - frob2)) * h.coeffs[i])
+        term = functools.reduce(np.multiply.outer, [np.conj(zeta0)] * (d - 1) + [M[i]])
+        coeffs.append(math.sqrt(d) * polysys.collect(term) + rest * h.coeffs[i])
     g_hat = PolySystem(degrees, tuple(coeffs))
     g = normalize_to_sphere(g_hat)
     return InitialPair(g=g, zeta0=zeta0)

@@ -8,7 +8,6 @@ from certitrack.bw import (
     _bw_weights,
     bw_inner_re,
     bw_norm,
-    dense_product,
     ensure_on_sphere,
     normalize_to_sphere,
     riemann_distance,
@@ -268,10 +267,12 @@ def test_pinned_bits_of_vector_norm_and_riemann_distance_sweep():
 
 class TestUnitaryCompose:
     def test_identity(self):
+        # Each coefficient sits at one tensor entry, so the identity returns
+        # it unchanged.
         h = random_system((2, 3), 7)
         out = unitary_compose(h, np.eye(3))
         for a, b in zip(h.coeffs, out.coeffs):
-            np.testing.assert_allclose(a, b, atol=1e-15)
+            assert np.array_equal(a, b)
 
     def test_coordinate_swap(self):
         h = PolySystem.from_terms((2,), [[((2, 0), 1.0)]])  # X0^2
@@ -283,13 +284,15 @@ class TestUnitaryCompose:
     @pytest.mark.parametrize("seed", range(3))
     def test_evaluation_consistency(self, seed):
         # dual route: expansion vs direct evaluation at mapped points
-        h = random_system((2, 3), seed)
-        U = random_unitary(3, np.random.default_rng(seed + 70))
-        hU = unitary_compose(h, U)
-        rng = np.random.default_rng(seed + 80)
-        for _ in range(3):
-            z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            np.testing.assert_allclose(evaluate(hU, z), evaluate(h, U @ z), rtol=1e-10)
+        for degrees in [(2, 3), (1, 2, 3), (4, 4), (1, 2, 2, 2, 2), (1, 1)]:
+            n_vars = len(degrees) + 1
+            h = random_system(degrees, seed)
+            U = random_unitary(n_vars, np.random.default_rng(seed + 70))
+            hU = unitary_compose(h, U)
+            rng = np.random.default_rng(seed + 80)
+            for _ in range(3):
+                z = rng.standard_normal(n_vars) + 1j * rng.standard_normal(n_vars)
+                np.testing.assert_allclose(evaluate(hU, z), evaluate(h, U @ z), rtol=1e-10)
 
     def test_norm_preserved(self):
         h = random_system((3, 2), 8)
@@ -309,20 +312,8 @@ class TestUnitaryCompose:
         h = random_system((2,), 10)
         with pytest.raises(ValueError):
             unitary_compose(h, np.array([[1.0, 0.0], [0.0, 2.0]]))
-
-
-class TestDenseProduct:
-    def test_linear_times_linear(self):
-        # (X0 + 2 X1)(3 X0 + X1) = 3 X0^2 + 7 X0 X1 + 2 X1^2
-        from certitrack.polysys import linear_form
-
-        a = linear_form([1.0, 2.0])
-        b = linear_form([3.0, 1.0])
-        prod = dense_product(a, 1, b, 1, 2)
-        want = PolySystem.from_terms(
-            (2,), [[((2, 0), 3.0), ((1, 1), 7.0), ((0, 2), 2.0)]]
-        ).coeffs[0]
-        np.testing.assert_allclose(prod, want, atol=1e-15)
+        with pytest.raises(ValueError):
+            unitary_compose(h, np.array([[1.0, 0.0], [0.0, np.nan]]))
 
 
 # Per degree tuple, sha256 over the targets random_system_on_sphere(degrees,

@@ -296,6 +296,8 @@ class TestUnitaryMappingToE0:
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
             unitary_mapping_to_e0(np.array([2.0, 0.0], dtype=complex), np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            unitary_mapping_to_e0(np.array([np.nan, 0.0], dtype=complex), np.random.default_rng(0))
 
 
 class TestOneBlasThread:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import pickle
 import sys
@@ -10,13 +11,15 @@ from certitrack.polysys import (
     AffineSystem,
     Evaluator,
     PolySystem,
+    as_tensor,
+    collect,
     evaluate,
     evaluator,
     homogeneous_exponents,
     homogeneous_index,
     homogenize,
     jacobian,
-    linear_form,
+    monomial_tensor,
     parse_system_json,
     space_dimension,
     unit_point,
@@ -88,16 +91,41 @@ class TestMonomialBasis:
             assert index[key] == pos
 
     def test_ascending_lex_order(self):
-        exps = homogeneous_exponents(3, 2)
-        as_tuples = [tuple(int(e) for e in row) for row in exps]
-        assert as_tuples == sorted(as_tuples)
+        for degree in (1, 2):
+            exps = homogeneous_exponents(3, degree)
+            as_tuples = [tuple(int(e) for e in row) for row in exps]
+            assert as_tuples == sorted(as_tuples)
 
-    def test_linear_form_positions(self):
-        vec = linear_form([10.0, 20.0, 30.0])
-        exps = homogeneous_exponents(3, 1)
+
+class TestMonomialTensor:
+    @pytest.mark.parametrize("n_vars,degree", [(2, 1), (3, 2), (4, 3), (3, 4), (6, 2)])
+    def test_entries_map_to_their_monomials(self, n_vars, degree):
+        position, entry = monomial_tensor(n_vars, degree)
+        exps = homogeneous_exponents(n_vars, degree)
+        for flat, js in enumerate(itertools.product(range(n_vars), repeat=degree)):
+            counts = tuple(js.count(j) for j in range(n_vars))
+            assert position[flat] == homogeneous_index(n_vars, degree)[counts]
+        # Each monomial's entry is the one with sorted indices.
         for pos, row in enumerate(exps):
-            j = int(np.argmax(row))
-            assert vec[pos] == pytest.approx([10.0, 20.0, 30.0][j])
+            js = np.unravel_index(entry[pos], (n_vars,) * degree)
+            assert list(js) == sorted(js)
+            assert position[entry[pos]] == pos
+
+    def test_layout_round_trip_is_exact(self):
+        rng = np.random.default_rng(3)
+        vec = rng.standard_normal(15) + 1j * rng.standard_normal(15)
+        tensor = as_tensor(vec, 3, 4)
+        assert tensor.shape == (3, 3, 3, 3)
+        assert np.count_nonzero(tensor) == 15
+        assert np.array_equal(collect(tensor), vec)
+
+    def test_linear_times_linear(self):
+        # (X0 + 2 X1)(3 X0 + X1) = 3 X0^2 + 7 X0 X1 + 2 X1^2
+        prod = collect(np.multiply.outer([1.0, 2.0], [3.0, 1.0]))
+        want = PolySystem.from_terms(
+            (2,), [[((2, 0), 3.0), ((1, 1), 7.0), ((0, 2), 2.0)]]
+        ).coeffs[0]
+        assert np.array_equal(prod, want)
 
 
 class TestSpaceDimension:

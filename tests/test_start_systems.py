@@ -11,6 +11,7 @@ from certitrack.polysys import (
     PolySystem,
     evaluate,
     homogeneous_exponents,
+    jacobian,
     num_homogeneous_monomials,
     space_dimension,
     unit_point,
@@ -285,6 +286,23 @@ class TestRandomInitialPair:
         pair = good_initial_pair((2,))
         with pytest.raises(ValueError):
             InitialPair(g=pair.g, zeta0=unit_point([1.0, 1.0]))
+        three = good_initial_pair((2, 2))
+        with pytest.raises(ValueError):
+            InitialPair(g=three.g, zeta0=np.array([np.nan, 0.0, 0.0], dtype=complex))
+
+    @pytest.mark.parametrize("degrees,seed", [((2, 2), 0), ((1, 2, 3), 1), ((3, 3), 2)])
+    def test_first_order_part(self, degrees, seed):
+        # At zeta0, <zeta0, zeta0> = 1, M zeta0 = 0 and the restricted part
+        # vanishes to second order, so Dg(zeta0) is diag(sqrt(d_i)) M over
+        # the norm of the pair's unnormalized system.  M is the pair's first
+        # draw.
+        pair = random_initial_pair(degrees, np.random.default_rng(seed))
+        M = draw_ball_matrix(degrees, np.random.default_rng(seed))
+        A = np.sqrt(np.array(degrees, dtype=float))[:, None] * M
+        J = jacobian(pair.g, pair.zeta0)
+        scale = np.vdot(A, J) / np.vdot(A, A)
+        assert abs(scale.imag) <= 1e-12 * abs(scale) and scale.real > 0.0
+        assert np.linalg.norm(J - scale.real * A) <= 1e-12 * np.linalg.norm(J)
 
 
 class TestRandomInitialPairUnitary:
