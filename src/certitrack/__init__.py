@@ -15,7 +15,7 @@ from .linalg import SingularLinearSolveError
 from .newton import certified_radius, refine
 from .polysys import homogenize, parse_system_json
 from .start_systems import random_system_on_sphere, total_degree_start
-from .tracker import TrackerOptions, track_path, write_trace_csv
+from .tracker import TrackerOptions, track_path
 
 __all__ = [
     "HeuristicOptions",
@@ -41,6 +41,5 @@ __all__ = [
     "total_degree_start",
     "track_path",
     "tracker",
-    "write_trace_csv",
 ]
 __version__ = "0.1.0"

@@ -13,7 +13,8 @@ Subcommands:
 
 CSV columns are fixed per subcommand (see the writers below); floats are
 printed with 17 significant digits so reruns with the same seed produce
-byte-identical files.  Wall-clock times go to stderr, never into the CSV.
+byte-identical files.  Every CSV goes to --out, or to standard output
+without it.  Wall-clock times go to stderr, never into the CSV.
 """
 
 from __future__ import annotations
@@ -35,7 +36,10 @@ from .experiments import (
 )
 from .bw import unit_scale
 from .polysys import parse_system_json
-from .tracker import FLOAT_FMT, DegenerateHomotopyError, track_path, write_trace_csv
+from .tracker import DegenerateHomotopyError, track_path
+
+# Floats in CSV output: 17 significant digits give back every double exactly.
+FLOAT_FMT = "%.17g"
 
 
 def _load_system(args):
@@ -51,45 +55,29 @@ def _load_system(args):
     return system
 
 
-def _degree_list(text: str) -> tuple[int, ...]:
-    # --degrees: comma-separated positive integers, or an argparse error.
-    try:
-        degrees = tuple(int(d) for d in text.split(","))
-    except ValueError:
-        degrees = ()
-    if not degrees or min(degrees) < 1:
-        raise argparse.ArgumentTypeError(f"expected positive integers such as 2,2, got {text!r}")
-    return degrees
+def _checked(convert, accept, expected: str):
+    # An argparse type: convert(text) when it parses and accept holds for
+    # it, or an error naming what was expected.
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"expected an integer in [0, 2**64), got {text!r}")
-    return value
-
-
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+_degree_list = _checked(
+    lambda text: tuple(int(d) for d in text.split(",")),
+    lambda degrees: min(degrees) >= 1,
+    "positive integers such as 2,2",
+)
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_seed = _checked(int, lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)")
+_finite_float = _checked(float, math.isfinite, "a finite number")
 
 
 def _write_rows(out: str | None, header: list[str], rows) -> None:
@@ -103,17 +91,37 @@ def _write_rows(out: str | None, header: list[str], rows) -> None:
             fh.close()
 
 
+def _point_header(n_coords: int) -> list[str]:
+    return [f"re{j}" for j in range(n_coords)] + [f"im{j}" for j in range(n_coords)]
+
+
+def _point_cells(z) -> list[str]:
+    return [FLOAT_FMT % c.real for c in z] + [FLOAT_FMT % c.imag for c in z]
+
+
 def _solution_rows(solve_rows, n_coords: int):
-    rows = []
-    for r in solve_rows:
-        row = [r.path, r.status, r.steps]
-        if r.endpoint is None:
-            row += [""] * (2 * n_coords)
-        else:
-            row += [FLOAT_FMT % c.real for c in r.endpoint]
-            row += [FLOAT_FMT % c.imag for c in r.endpoint]
-        rows.append(row)
-    return rows
+    failed = [""] * (2 * n_coords)
+    return [
+        [r.path, r.status, r.steps, *(failed if r.endpoint is None else _point_cells(r.endpoint))]
+        for r in solve_rows
+    ]
+
+
+def _trace_rows(trace):
+    # step is the row number; the certified tracker accepts every step.
+    return [
+        [k, *(FLOAT_FMT % v for v in (s, t, phi, chi1, chi2)), 1, *_point_cells(z)]
+        for k, (s, t, phi, chi1, chi2, z) in enumerate(trace.tolist(), start=1)
+    ]
+
+
+def write_trace_csv(result, out: str | None) -> None:
+    """The certified trace of result as CSV, to the file out or, for None,
+    standard output: step, s, t, phi, chi1, chi2, accepted (always 1), then
+    re0.. and im0.. of the point, floats in FLOAT_FMT."""
+    header = ["step", "s", "t", "phi", "chi1", "chi2", "accepted"]
+    header += _point_header(result.endpoint.shape[0])
+    _write_rows(out, header, _trace_rows(result.trace))
 
 
 def cmd_solve(args) -> int:
@@ -123,8 +131,7 @@ def cmd_solve(args) -> int:
     except DegenerateHomotopyError as exc:  # the target is -g on the sphere
         args.error(f"no homotopy to {args.system!r} from the {args.start} start: {exc}")
     n_coords = system.n + 1
-    header = ["path", "status", "steps"]
-    header += [f"re{j}" for j in range(n_coords)] + [f"im{j}" for j in range(n_coords)]
+    header = ["path", "status", "steps"] + _point_header(n_coords)
     _write_rows(args.out, header, _solution_rows(rows, n_coords))
     failed = sum(1 for r in rows if r.status != "Success")
     print(f"{len(rows) - failed}/{len(rows)} paths succeeded", file=sys.stderr)
@@ -140,7 +147,7 @@ def cmd_track(args) -> int:
         result = track_path(start.g, f, start.roots[args.path])
     except DegenerateHomotopyError as exc:  # the target is -g on the sphere
         args.error(f"no homotopy to {args.system!r} from the {args.start} start: {exc}")
-    write_trace_csv(result, args.out or "/dev/stdout")
+    write_trace_csv(result, args.out)
     print(f"status={result.status.value} steps={result.num_steps}", file=sys.stderr)
     return 0 if result.success else 1
 

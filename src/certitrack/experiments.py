@@ -40,9 +40,8 @@ from .tracker import (
     track_linear,
     track_path,
 )
-from .heuristic import HeuristicOptions, track_heuristic
+from .heuristic import track_heuristic
 
-_NO_HEURISTIC_TRACE = HeuristicOptions(record_trace=False)
 TIE_TOL = 1e-12
 
 
@@ -181,7 +180,7 @@ def _bench_trial(args) -> list[PathStat]:
             if kind == "certified":
                 result = track_linear(hom, root, _NO_TRACE)
             else:
-                result = track_heuristic(hom, root, _NO_HEURISTIC_TRACE)
+                result = track_heuristic(hom, root, _NO_TRACE)
             rows.append(PathStat(trial, path_id, kind, result.status.value, result.num_steps))
     return rows
 
@@ -351,7 +350,7 @@ def run_entropy(
     if report.num_failed:
         raise ReferenceRootsError(f"{report.num_failed} total-degree paths to the target failed")
     f = report.target
-    references = [refine(f, z) for z in report.endpoints]
+    references = report.roots
     args = [(degrees, variant, run, seed, f, references) for run in range(runs)]
     outcomes = _map_trials(_entropy_run, args, threads)
     hits = [0] * len(references)

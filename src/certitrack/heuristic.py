@@ -20,15 +20,13 @@ linalg.make_bordered/bordered_solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import polysys, tracker
 from .bw import riemann_distance
 from .linalg import SingularLinearSolveError, bordered_solve, one_blas_thread, vector_norm
 from .newton import newton_projective
-from .tracker import StepRecord, TrackResult, TrackStatus
+from .tracker import TrackerOptions, TrackResult, TrackStatus
 
 
 # Newton steps per correction, and the Newton step size under which a
@@ -47,12 +45,12 @@ SUCCESSES_BEFORE_INCREASE = 3
 MAX_ATTEMPTS = 100_000
 
 
-@dataclass(frozen=True)
-class HeuristicOptions:
-    """record_trace keeps a StepRecord per attempt; the step adaptation is
-    fixed by the module constants."""
+# The trace columns of an attempt, before its corrected point z.
+_COLUMNS = [("s", np.float64), ("t", np.float64), ("error", np.float64), ("accepted", np.bool_)]
 
-    record_trace: bool = True
+# tracker.TrackerOptions configures this tracker too; the second name stays
+# for callers that construct it under this one.
+HeuristicOptions = TrackerOptions
 
 
 def predict(buf: tracker._StepBuffers, s: float, x, dt: float) -> np.ndarray:
@@ -103,13 +101,13 @@ def correct(h: polysys.PolySystem, x):
 
 
 @one_blas_thread
-def track_heuristic(hom, z0, opts: HeuristicOptions = HeuristicOptions()) -> TrackResult:
+def track_heuristic(hom, z0, opts: TrackerOptions = TrackerOptions()) -> TrackResult:
     """Adaptive predictor-corrector tracking of a linear homotopy.
 
-    num_steps counts accepted steps only; rejected attempts appear in the
-    trace flagged accepted=False.  z0 is checked as in track_linear.  A path
-    ends SingularLinearSolve on an exact zero pivot and MinStepReached when
-    the step size is exhausted, as near a singular system (see linalg).
+    num_steps counts accepted steps only; the trace has a row per attempt,
+    rejected ones with accepted False.  z0 is checked as in track_linear.  A
+    path ends SingularLinearSolve on an exact zero pivot and MinStepReached
+    when the step size is exhausted, as near a singular system (see linalg).
     """
     z = tracker._start_point(hom.g.n_vars, z0)
     T = hom.T
@@ -118,12 +116,14 @@ def track_heuristic(hom, z0, opts: HeuristicOptions = HeuristicOptions()) -> Tra
     accepted = 0
     attempts = 0
     streak = 0
-    trace: list[StepRecord] = []
+    status = TrackStatus.SUCCESS
+    rows = []
     buf = tracker._StepBuffers(hom)
 
     while s < T:
         if attempts >= MAX_ATTEMPTS:
-            return TrackResult(z, TrackStatus.MAX_STEPS, accepted, tuple(trace))
+            status = TrackStatus.MAX_STEPS
+            break
         attempts += 1
         step = min(dt, T - s)
         s_next = T if step >= T - s else s + step
@@ -131,14 +131,11 @@ def track_heuristic(hom, z0, opts: HeuristicOptions = HeuristicOptions()) -> Tra
             z_pred = predict(buf, s, z, s_next - s)
             z_corr, err = correct(hom.value_at(s_next), z_pred)
         except SingularLinearSolveError:
-            return TrackResult(z, TrackStatus.SINGULAR, accepted, tuple(trace))
+            status = TrackStatus.SINGULAR
+            break
         ok = err <= CORRECTOR_TOL
         if opts.record_trace:
-            # Same record layout as the certified trace; phi carries the
-            # corrector error estimate here and the chi columns stay NaN.
-            trace.append(
-                StepRecord(attempts, s_next, s_next - s, err, np.nan, np.nan, z_corr, ok)
-            )
+            rows.append((s_next, s_next - s, err, ok, z_corr))
         if ok:
             z = z_corr
             s = s_next
@@ -151,5 +148,6 @@ def track_heuristic(hom, z0, opts: HeuristicOptions = HeuristicOptions()) -> Tra
             dt *= STEP_DECREASE
             streak = 0
             if dt < T_STEP_MIN:
-                return TrackResult(z, TrackStatus.MIN_STEP_REACHED, accepted, tuple(trace))
-    return TrackResult(z, TrackStatus.SUCCESS, accepted, tuple(trace))
+                status = TrackStatus.MIN_STEP_REACHED
+                break
+    return TrackResult(z, status, accepted, tracker._trace_array(rows, _COLUMNS, buf.ev.n_vars))

@@ -251,10 +251,13 @@ def random_initial_pair_unitary(degrees, rng: np.random.Generator) -> InitialPai
 @dataclass(frozen=True)
 class SolveAllReport:
     """Outcome of tracking every total-degree path to a target: target is
-    the prepared system the paths went to."""
+    the prepared system the paths went to; roots are the endpoints refined
+    by Newton's method, in path order, when every path succeeded, else
+    empty."""
 
     target: PolySystem
     results: tuple[TrackResult, ...]
+    roots: tuple[np.ndarray, ...]
 
     @property
     def endpoints(self) -> list[np.ndarray]:
@@ -285,19 +288,19 @@ def solve_all_total_degree(
 
     When every path succeeds, the refined endpoints are verified pairwise
     farther apart than twice the largest certified radius (a cluster would
-    mean crossed paths, which the certified tracker excludes).
+    mean crossed paths, which the certified tracker excludes) and kept as
+    the report's roots.
     """
     f = prepare_target(f)
     start = total_degree_start(f.degrees, rng)
-    results = [track_path(start.g, f, root, _NO_TRACE) for root in start.roots]
-    report = SolveAllReport(target=f, results=tuple(results))
-    if report.num_failed == 0:
-        _check_pairwise_distinct(f, report.endpoints)
-    return report
+    results = tuple(track_path(start.g, f, root, _NO_TRACE) for root in start.roots)
+    success = all(r.success for r in results)
+    roots = _distinct_roots(f, [r.endpoint for r in results]) if success else ()
+    return SolveAllReport(f, results, roots)
 
 
-def _check_pairwise_distinct(f: PolySystem, endpoints) -> None:
-    refined = [refine(f, z) for z in endpoints]
+def _distinct_roots(f: PolySystem, endpoints) -> tuple[np.ndarray, ...]:
+    refined = tuple(refine(f, z) for z in endpoints)
     radii = [certified_radius(f, zeta) for zeta in refined]
     worst = 2.0 * max(radii)
     for i in range(len(refined)):
@@ -308,3 +311,4 @@ def _check_pairwise_distinct(f: PolySystem, endpoints) -> None:
                     f"endpoints {i} and {j} cluster within {dist:.3e} <= {worst:.3e}: "
                     "suspected path crossing"
                 )
+    return refined

@@ -35,28 +35,18 @@ small SVD per step.
 
 A step builds one point matrix at z_i (polysys.Evaluator) and takes one
 product of it with the homotopy's (g, p), placed once per path: on
-h_s = cos(s) g + sin(s) p the blocks of h_{s_i}, hdot_{s_i} and the advanced
-system are real rotations of theirs.  One factorization and one
-(n+2)-column solve give chi_1 and chi_2, one more the Newton step.
-
-The path's geometry, speed included, is LinearHomotopy's.
-
-Every bordered solve here and in the heuristic's predictor runs on a path's
-step buffers (_StepBuffers), set up once from its LinearHomotopy: chi1,
-chi2 and certified_step run the loop's chi, and condition_length integrates
-it.  The buffers hold the placed (g, p), the (2n, n+2) product, the
-(2, n, n+2) rotated blocks, the 2 x 2 rotation, the bordered matrix and both
-right-hand sides, with fixed views of their parts.  A step writes into them
-(np.dot and np.conjugate with out=, the rotation's four entries in place)
-with the same BLAS calls on the same operands as a step that allocates its
-arrays, so the bits are those of such a step.  What a step still allocates
-comes back from the point matrix, LAPACK, the SVD and the Newton update.
-The trackers run on one BLAS thread (see linalg).
+h_s = cos(s) g + sin(s) p (LinearHomotopy, the path's geometry and speed)
+the blocks of h_{s_i}, hdot_{s_i} and the advanced system are real rotations
+of theirs.  One factorization and one (n+2)-column solve give chi_1 and
+chi_2, one more the Newton step.  They run on the path's step buffers
+(_StepBuffers), as do chi1, chi2, certified_step, condition_length and the
+heuristic's predictor, with the same BLAS calls on the same operands as a
+step that allocates its arrays, so the bits are those of such a step.  The
+trackers run on one BLAS thread (see linalg).
 """
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass, field
@@ -78,8 +68,6 @@ C_OVER_P_DEGREE_ONE = 0.04662682
 MAX_STEPS = 1_000_000
 # Trapezoid intervals of condition_length over [0, T].
 CONDITION_NODES = 2000
-# Floats in CSV output: 17 significant digits give back every double exactly.
-FLOAT_FMT = "%.17g"
 
 
 class DegenerateHomotopyError(Exception):
@@ -107,37 +95,45 @@ class TrackStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class TrackerOptions:
-    """What the certified tracking loop records: a StepRecord per step when
-    record_trace is set.  The step rule has no knob: every step is the upper
-    end of the certified interval, with the constant of the path's largest
-    degree, and no floor applies to it.
+    """What a tracking loop records, for track_linear and
+    heuristic.track_heuristic alike: a trace row per step (per attempt for
+    the heuristic) when record_trace is set.  No step rule has a knob.
     """
 
     record_trace: bool = True
 
 
 @dataclass(frozen=True)
-class StepRecord:
-    step: int
-    s: float  # arc parameter after the step
-    t: float  # step length taken
-    phi: float
-    chi1: float
-    chi2: float
-    z: np.ndarray  # point after the step
-    accepted: bool = True
-
-
-@dataclass(frozen=True)
 class TrackResult:
+    """Where and why a path stopped, after num_steps steps (accepted ones
+    for the heuristic).  trace is a read-only NumPy record array, row k for
+    step k + 1 (the heuristic: attempt k + 1), read as trace[k].s or by
+    column, trace.s; it has 0 rows unless the loop recorded it.  Certified
+    columns: s (arc parameter after the step), t (step length), phi = chi1 *
+    chi2, chi1, chi2, and z, the (n+1,) point after the step.  Heuristic
+    columns: s, t, error (the corrector's last Newton step size), accepted
+    (error <= heuristic.CORRECTOR_TOL) and z, the corrected point.
+    """
+
     endpoint: np.ndarray
     status: TrackStatus
     num_steps: int
-    trace: tuple[StepRecord, ...]
+    trace: np.recarray
 
     @property
     def success(self) -> bool:
         return self.status is TrackStatus.SUCCESS
+
+
+def _trace_array(rows: list, columns: list, n_vars: int) -> np.recarray:
+    # A loop's rows, tuples of the (name, type) columns and then the point z,
+    # as a read-only record array.
+    trace = np.array(rows, dtype=columns + [("z", np.complex128, (n_vars,))]).view(np.recarray)
+    trace.flags.writeable = False
+    return trace
+
+
+_COLUMNS = [(name, np.float64) for name in ("s", "t", "phi", "chi1", "chi2")]
 
 
 @dataclass(frozen=True)
@@ -325,11 +321,6 @@ def _start_point(n_vars: int, z0) -> np.ndarray:
     return z / norm
 
 
-def _systems_equal(g: polysys.PolySystem, f: polysys.PolySystem) -> bool:
-    # Written so that a NaN coefficient compares unequal.
-    return g.degrees == f.degrees and np.max(np.abs(g._vec - f._vec)) <= 1e-13
-
-
 @linalg.one_blas_thread
 def track_linear(
     hom: LinearHomotopy, z0, opts: TrackerOptions = TrackerOptions()
@@ -349,10 +340,12 @@ def track_linear(
     z = _start_point(buf.ev.n_vars, z0)
     s = 0.0
     steps = 0
-    trace: list[StepRecord] = []
+    status = TrackStatus.SUCCESS
+    rows = []
     while s != T:
         if steps >= MAX_STEPS:
-            return TrackResult(z, TrackStatus.MAX_STEPS, steps, tuple(trace))
+            status = TrackStatus.MAX_STEPS
+            break
         try:
             x1, x2 = buf.chi(s, z)
             phi = x1 * x2
@@ -360,7 +353,8 @@ def track_linear(
             # The step must be finite and move s in floating point; written
             # so that t == 0 and a NaN t stop here too.
             if not s < s + t < math.inf:
-                return TrackResult(z, TrackStatus.MIN_STEP_REACHED, steps, tuple(trace))
+                status = TrackStatus.MIN_STEP_REACHED
+                break
             if t >= T - s:
                 # Last step: assign the endpoint exactly so the loop terminates.
                 t = T - s
@@ -371,15 +365,16 @@ def track_linear(
             buf.jac[...] = buf.h_jac
             lu = linalg.lu_factor_checked(buf.bordered)
         except SingularLinearSolveError:
-            return TrackResult(z, TrackStatus.SINGULAR, steps, tuple(trace))
+            status = TrackStatus.SINGULAR
+            break
         buf.rhs1_top[...] = buf.h_val
         z = z - linalg.lu_solve(lu, buf.rhs1)
         z /= linalg.vector_norm(z)
         steps += 1
         if opts.record_trace:
-            trace.append(StepRecord(steps, s_next, t, phi, x1, x2, z))
+            rows.append((s_next, t, phi, x1, x2, z))
         s = s_next
-    return TrackResult(z, TrackStatus.SUCCESS, steps, tuple(trace))
+    return TrackResult(z, status, steps, _trace_array(rows, _COLUMNS, buf.ev.n_vars))
 
 
 def track_path(
@@ -388,10 +383,12 @@ def track_path(
     z0,
     opts: TrackerOptions = TrackerOptions(),
 ) -> TrackResult:
-    """Track from a zero of g to the target f; f == g returns immediately."""
-    if _systems_equal(g, f):
-        return TrackResult(_start_point(g.n_vars, z0), TrackStatus.SUCCESS, 0, ())
-    return track_linear(make_linear_homotopy(g, f), z0, opts)
+    """Track from a zero of g to the target f.  For f == g the homotopy has
+    length 0, and the loop ends Success at the start point without a step."""
+    # Written so that a NaN coefficient compares unequal.
+    same = g.degrees == f.degrees and np.max(np.abs(g._vec - f._vec)) <= 1e-13
+    hom = LinearHomotopy(g, 0.0, g._vec, g._vec) if same else make_linear_homotopy(g, f)
+    return track_linear(hom, z0, opts)
 
 
 @linalg.one_blas_thread
@@ -426,19 +423,3 @@ def theorem_step_bound(hom: LinearHomotopy, z0) -> int:
     """ceil(71 * d^{3/2} * condition length): the certified step-count bound."""
     return math.ceil(71.0 * hom.g.max_degree**1.5 * condition_length(hom, z0))
 
-
-def write_trace_csv(result: TrackResult, path) -> None:
-    """Per-step trace: step, s, t, phi, chi1, chi2, then point coordinates,
-    floats in FLOAT_FMT."""
-    n_coords = result.endpoint.shape[0]
-    header = ["step", "s", "t", "phi", "chi1", "chi2", "accepted"]
-    header += [f"re{j}" for j in range(n_coords)] + [f"im{j}" for j in range(n_coords)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for rec in result.trace:
-            row = [rec.step]
-            row += [FLOAT_FMT % v for v in (rec.s, rec.t, rec.phi, rec.chi1, rec.chi2)]
-            row.append(int(rec.accepted))
-            row += [FLOAT_FMT % c.real for c in rec.z] + [FLOAT_FMT % c.imag for c in rec.z]
-            writer.writerow(row)

@@ -1,13 +1,20 @@
 import csv
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from certitrack.bw import riemann_distance
 from certitrack.cli import main
 from certitrack.experiments import katsura_system
-from certitrack.polysys import homogenize
-from certitrack.start_systems import good_system_raw, random_system_on_sphere
+from certitrack.newton import certified_radius, refine
+from certitrack.polysys import homogenize, parse_system_json
+from certitrack.start_systems import good_system_raw, prepare_target, random_system_on_sphere
 from system_io import system_to_json
 
 
@@ -53,6 +60,22 @@ class TestTrackPath:
         out = tmp_path / "trace.csv"
         assert main(["track", str(quad_system), "--path", "3", "--out", str(out)]) == 0
         assert out.read_text().startswith("step,s,t,phi,chi1,chi2,accepted")
+
+    def test_appends_to_standard_output(self, quad_system, tmp_path):
+        # `track SYSTEM >> out.csv` keeps what out.csv held.
+        src = Path(__import__("certitrack").__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = tmp_path / "out.csv"
+        out.write_text("earlier line\n")
+        with open(out, "a") as fh:
+            child = subprocess.run(
+                [sys.executable, "-m", "certitrack.cli", "track", str(quad_system)],
+                stdout=fh, stderr=subprocess.PIPE, env=env, text=True, timeout=300,
+            )
+        assert child.returncode == 0, child.stderr
+        lines = out.read_text().splitlines()
+        assert lines[:2] == ["earlier line", "step,s,t,phi,chi1,chi2,accepted,re0,re1,re2,im0,im1,im2"]
+        assert f"steps={len(lines) - 2}" in child.stderr
 
 
 class TestMultipleOfTheGoodSystem:
@@ -228,6 +251,32 @@ class TestEntropyOutput:
         argv = ["entropy", "--degrees", "1,1", "--runs", "2", "--epsilon", "0"]
         assert main(argv + ["--out", str(tmp_path / "hits.csv")]) == 0
         assert "entropy_bits=0.000000 " in capsys.readouterr().err
+
+
+class TestReadmeExample:
+    def test_solve_reports_approximate_zeros(self, tmp_path):
+        # The system of README.md, x^2 - y = 0, x + y - 2 = 0: solve reports
+        # an approximate zero per path, within the certified radius of the
+        # zero that Newton refinement converges to.
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = re.search(r"```json\n(.*?)```", readme.read_text(), re.S).group(1)
+        system = tmp_path / "example.json"
+        system.write_text(text)
+        out = tmp_path / "solutions.csv"
+        assert main(["solve", str(system), "--out", str(out)]) == 0
+        rows = _rows(out)[1:]
+        assert [row[1] for row in rows] == ["Success", "Success"]
+        f = prepare_target(parse_system_json(text))
+        roots = []
+        for row in rows:
+            coords = [float(c) for c in row[3:]]
+            z = np.array(coords[:3]) + 1j * np.array(coords[3:])
+            zeta = refine(f, z)
+            assert riemann_distance(z, zeta) <= certified_radius(f, zeta)
+            roots.append(zeta / zeta[0])
+        expected = [np.array([1.0, 1.0, 1.0]), np.array([1.0, -2.0, 4.0])]
+        for zeta, want in zip(roots, expected):
+            assert np.max(np.abs(zeta - want)) <= 1e-12
 
 
 class TestLinearSystem:

@@ -153,6 +153,23 @@ class TestTrackHeuristic:
         if res.status is TrackStatus.SUCCESS:
             assert any(not rec.accepted for rec in res.trace) or res.num_steps == len(res.trace)
 
+    def test_trace_columns(self, quad_path, monkeypatch):
+        # A tighter tolerance and a long first step make path 1 reject
+        # attempts.
+        start, f, hom = quad_path
+        monkeypatch.setattr(heuristic, "CORRECTOR_TOL", 1e-9)
+        monkeypatch.setattr(heuristic, "STEP_INIT", 0.4)
+        res = track_heuristic(hom, start.roots[1])
+        trace = res.trace
+        assert trace.dtype.names == ("s", "t", "error", "accepted", "z")
+        assert not trace.flags.writeable
+        assert not trace.accepted.all()
+        assert trace.accepted.sum() == res.num_steps
+        assert np.array_equal(trace.accepted, trace.error <= heuristic.CORRECTOR_TOL)
+        assert res.status is TrackStatus.SUCCESS
+        assert trace.s[trace.accepted][-1] == hom.T
+        assert trace.z[trace.accepted][-1].tobytes() == res.endpoint.tobytes()
+
     def test_pinned_step_counts(self):
         # (status, accepted steps) of the 8 total-degree paths of one seeded
         # (2,2,2) target: a change to evaluation or step adaptation that

@@ -123,6 +123,10 @@ def test_settable_surface_is_pinned():
     }
 
 
+def test_one_options_class_for_both_trackers():
+    assert certitrack.HeuristicOptions is certitrack.TrackerOptions
+
+
 def _subparsers() -> dict:
     from certitrack.cli import build_parser
 

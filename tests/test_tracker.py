@@ -12,6 +12,7 @@ import pytest
 
 from certitrack import heuristic, polysys, tracker
 from certitrack.bw import bw_inner_re, bw_norm, normalize_to_sphere, riemann_distance
+from certitrack.cli import write_trace_csv
 from certitrack.experiments import katsura_system
 from certitrack.heuristic import track_heuristic
 from certitrack.linalg import SingularLinearSolveError, bordered_solve, make_bordered
@@ -43,7 +44,6 @@ from certitrack.tracker import (
     theorem_step_bound,
     track_linear,
     track_path,
-    write_trace_csv,
 )
 
 
@@ -566,6 +566,48 @@ class TestTrackLinear:
         assert riemann_distance(
             refine(f, res2.endpoint), refine(f, direct.endpoint)
         ) <= 1e-8
+
+
+class TestTraceArray:
+    """A path's trace is one read-only record array, row k for step k + 1."""
+
+    @pytest.mark.parametrize("track", [track_linear, track_heuristic], ids=["certified", "heuristic"])
+    def test_recording_leaves_the_path_unchanged(self, track):
+        f, start = pinned_target()
+        hom = make_linear_homotopy(start.g, f)
+        for z0 in start.roots:
+            traced = track(hom, z0, TrackerOptions(record_trace=True))
+            bare = track(hom, z0, TrackerOptions(record_trace=False))
+            assert (traced.status, traced.num_steps) == (bare.status, bare.num_steps)
+            assert traced.endpoint.tobytes() == bare.endpoint.tobytes()
+            assert len(traced.trace) > 0
+            assert len(bare.trace) == 0 and bare.trace.dtype == traced.trace.dtype
+
+    def test_certified_columns(self, quad_pair):
+        start, f = quad_pair
+        result = track_linear(make_linear_homotopy(start.g, f), start.roots[0])
+        trace = result.trace
+        assert trace.dtype.names == ("s", "t", "phi", "chi1", "chi2", "z")
+        assert len(trace) == result.num_steps
+        assert trace.z.shape == (result.num_steps, 3)
+        assert np.array_equal(trace.phi, trace.chi1 * trace.chi2)
+        assert trace[-1].z.tobytes() == result.endpoint.tobytes()
+
+    def test_read_only(self, quad_pair):
+        start, f = quad_pair
+        trace = track_linear(make_linear_homotopy(start.g, f), start.roots[0]).trace
+        assert not trace.flags.writeable
+        with pytest.raises(ValueError):
+            trace.s[0] = 0.0
+        with pytest.raises(ValueError):
+            trace[0].z[0] = 0.0
+
+    def test_zero_length_homotopy_has_no_rows(self, quad_pair):
+        start, f = quad_pair
+        result = track_path(f, f, start.roots[0])
+        assert (result.status, result.num_steps) == (TrackStatus.SUCCESS, 0)
+        assert len(result.trace) == 0
+        assert result.trace.dtype == track_linear(make_linear_homotopy(start.g, f), start.roots[0]).trace.dtype
 
 
 class TestConditionLength:
