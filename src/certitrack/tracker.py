@@ -66,8 +66,6 @@ C_OVER_P_LINEAR = 0.04804448
 C_OVER_P_DEGREE_ONE = 0.04662682
 # Steps after which a path gives up with status MaxSteps.
 MAX_STEPS = 1_000_000
-# Trapezoid intervals of condition_length over [0, T].
-CONDITION_NODES = 2000
 
 
 class DegenerateHomotopyError(Exception):
@@ -394,32 +392,32 @@ def track_path(
 @linalg.one_blas_thread
 def condition_length(hom: LinearHomotopy, z0) -> float:
     """Numerical condition length of the lifted path through z0, the oracle
-    for the certified step-count bound: the trapezoid rule with
-    CONDITION_NODES intervals over [0, T] on the loop's phi = chi1 * chi2 at
-    the zero, continued node to node by Newton refinement.
+    for the certified step-count bound: the trapezoid rule on the loop's
+    phi = chi1 * chi2 over the nodes 0, s_1, ..., s_N of the path's certified
+    trace (track_linear), at the zeros refined from z0 and the trace's points.
 
     At a zero zeta of h, phi is the integrand mu(h, zeta) ||(hdot, zetadot)||:
     chi2 is ||(hdot, zetadot)||, zetadot = -(Dh(zeta); zeta*)^{-1} (hdot(zeta); 0),
     and chi1 = max(mu, 1) = mu, because (Dh(zeta); zeta*) maps zeta to the
     last unit vector (Euler), so chi1's matrix is mu's (||h|| = 1) with the
-    orthogonal unit column zeta appended.  The estimate has no error bound;
-    an underestimate lowers theorem_step_bound, so it errs toward a false
-    violation.
+    orthogonal unit column zeta appended.  The steps keep t_i phi_i constant,
+    so the nodes are dense where phi peaks.  There is no error bound: finer
+    meshes read within 1.1e-5 relative on the paths measured (n = 2, 3 and
+    Katsura-4), and an underestimate errs toward a false violation of
+    theorem_step_bound.  Raises ValueError if the path does not end Success.
     """
+    result = track_linear(hom, z0)
+    if not result.success:
+        raise ValueError(f"no condition length: the path ended {result.status.value}")
     buf = _StepBuffers(hom)
-    ts = np.linspace(0.0, hom.T, CONDITION_NODES + 1)
-    zeta = refine(hom.value_at(0.0), z0)
-    values = np.empty(CONDITION_NODES + 1)
-    for k, t in enumerate(ts.tolist()):
-        if k > 0:
-            zeta = refine(hom.value_at(t), zeta)
-        x1, x2 = buf.chi(t, zeta)
-        values[k] = x1 * x2
-    dx = hom.T / CONDITION_NODES
-    return float(dx * (values[0] / 2.0 + values[1:-1].sum() + values[-1] / 2.0))
+    nodes = np.concatenate([[0.0], result.trace.s])
+    points = zip(nodes.tolist(), [z0, *result.trace.z])
+    phi = np.array([math.prod(buf.chi(s, refine(hom.value_at(s), z))) for s, z in points])
+    return float(np.dot(np.diff(nodes), phi[1:] + phi[:-1]) / 2.0)
 
 
 def theorem_step_bound(hom: LinearHomotopy, z0) -> int:
-    """ceil(71 * d^{3/2} * condition length): the certified step-count bound."""
+    """ceil(71 * d^{3/2} * C): the certified step-count bound, with C the
+    condition_length of the path through z0, on its certified trace's nodes.
+    Raises condition_length's ValueError if the path does not end Success."""
     return math.ceil(71.0 * hom.g.max_degree**1.5 * condition_length(hom, z0))
-

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from certitrack import heuristic, polysys, tracker
+from certitrack import heuristic, linalg, polysys, tracker
 from certitrack.bw import bw_inner_re, bw_norm, normalize_to_sphere, riemann_distance
 from certitrack.cli import write_trace_csv
 from certitrack.experiments import katsura_system
@@ -27,6 +27,7 @@ from certitrack.polysys import (
 )
 from certitrack.start_systems import (
     good_initial_pair,
+    prepare_target,
     random_system_on_sphere,
     total_degree_start,
 )
@@ -545,7 +546,7 @@ class TestTrackLinear:
             mu = condition_mu(h_s, zeta)
             assert riemann_distance(rec.z, zeta) <= U0 / (2.0 * 2.0**1.5 * mu)
 
-    def test_piecewise_split_step_bound(self, quad_pair, monkeypatch):
+    def test_piecewise_split_step_bound(self, quad_pair):
         # splitting the arc in two adds at most the number of segments to the
         # step bound of the whole path
         start, f = quad_pair
@@ -557,7 +558,6 @@ class TestTrackLinear:
         second = make_linear_homotopy(mid, f)
         res2 = track_linear(second, res1.endpoint)
         assert res2.status is TrackStatus.SUCCESS
-        monkeypatch.setattr(tracker, "CONDITION_NODES", 800)
         c0_total = condition_length(hom, start.roots[0])
         bound = 2 + math.ceil(71.0 * 2.0**1.5 * c0_total)
         assert res1.num_steps + res2.num_steps <= bound
@@ -610,15 +610,61 @@ class TestTraceArray:
         assert result.trace.dtype == track_linear(make_linear_homotopy(start.g, f), start.roots[0]).trace.dtype
 
 
+def named_path(name: str):
+    # The homotopy and start root of "pinned-i", path i of the pinned target,
+    # or "katsura4-i", path i from the total-degree start of default_rng(1)
+    # to Katsura-4 (paths 4 and 6 take 3,000-4,500 certified steps).
+    target, i = name.split("-")
+    if target == "pinned":
+        f, start = pinned_target()
+    else:
+        f = prepare_target(katsura_system(4))
+        start = total_degree_start(f.degrees, np.random.default_rng(1))
+    return make_linear_homotopy(start.g, f), start.roots[int(i)]
+
+
+@linalg.one_blas_thread
+def midpoint_rule(hom, z0) -> float:
+    # The midpoint rule M on phi over the certified steps of the path through
+    # z0, each midpoint's zero refined from the step's starting point, under
+    # one BLAS thread as condition_length runs.  With the trapezoid C on the
+    # steps' ends, (C + M) / 2 is the trapezoid with every midpoint a node.
+    result = track_linear(hom, z0)
+    assert result.success
+    buf = tracker._StepBuffers(hom)
+    ends = [0.0, *result.trace.s.tolist()]
+    total = 0.0
+    for a, b, z in zip(ends, ends[1:], [z0, *result.trace.z]):
+        mid = (a + b) / 2.0
+        total += (b - a) * math.prod(buf.chi(mid, refine(hom.value_at(mid), z)))
+    return total
+
+
 class TestConditionLength:
-    def test_pinned_value(self, quad_pair, monkeypatch):
-        # Read from the integrand built by evaluate, jacobian, bordered_solve
-        # and condition_mu, before it moved onto the loop's chi.
+    def test_pinned_value(self, quad_pair):
+        # Read on the certified trace's nodes; a 16,000-node uniform grid
+        # reads 11.911410721200921, 9.6e-6 lower.
         start, f = quad_pair
         hom = make_linear_homotopy(start.g, f)
-        monkeypatch.setattr(tracker, "CONDITION_NODES", 400)
         c = condition_length(hom, start.roots[0])
-        assert c == pytest.approx(11.911406124337917, rel=1e-12)
+        assert c == pytest.approx(11.911525504322785, rel=1e-12)
+
+    @pytest.mark.parametrize("path", ["pinned-0", "katsura4-4"])
+    def test_close_to_the_midpoint_refined_reference(self, path):
+        # Adding every step's midpoint as a node moves C by at most 2e-5
+        # relative; a uniform grid of 2,000 nodes reads Katsura-4 path 4
+        # 5.7% low, as it misses the narrow peaks of phi.
+        hom, z0 = named_path(path)
+        c = condition_length(hom, z0)
+        assert c == pytest.approx((c + midpoint_rule(hom, z0)) / 2.0, rel=2e-5)
+
+    def test_failed_path_has_no_condition_length(self, quad_pair, monkeypatch):
+        start, f = quad_pair
+        hom = make_linear_homotopy(start.g, f)
+        monkeypatch.setattr(tracker, "MAX_STEPS", 5)
+        for oracle in (condition_length, theorem_step_bound):
+            with pytest.raises(ValueError, match="MaxSteps"):
+                oracle(hom, start.roots[0])
 
     @pytest.mark.parametrize("degrees", [(2, 2, 2), (1, 2, 3), (1, 2, 2, 2, 2)], ids=str)
     def test_integrand_is_mu_times_lifted_speed(self, degrees):
@@ -643,35 +689,35 @@ class TestConditionLength:
             assert x1 == pytest.approx(condition_mu(h, zeta), rel=1e-12)
             assert x2 == pytest.approx(speed, rel=1e-12)
 
-    def test_short_arc_small_length(self, quad_pair, monkeypatch):
+    def test_short_arc_small_length(self, quad_pair):
         start, f = quad_pair
         hom = make_linear_homotopy(start.g, f)
         # truncated reparametrized arc: from g to a nearby point on the circle
         near = normalize_to_sphere(hom.value_at(0.01))
         short = make_linear_homotopy(start.g, near)
-        monkeypatch.setattr(tracker, "CONDITION_NODES", 50)
         c_short = condition_length(short, start.roots[0])
-        monkeypatch.setattr(tracker, "CONDITION_NODES", 400)
         full = condition_length(hom, start.roots[0])
         assert c_short < 0.05 * full
 
-    def test_resolution_convergence(self, quad_pair, monkeypatch):
+    def test_step_bound_holds(self, quad_pair):
         start, f = quad_pair
         hom = make_linear_homotopy(start.g, f)
-        monkeypatch.setattr(tracker, "CONDITION_NODES", 400)
-        c1 = condition_length(hom, start.roots[0])
-        monkeypatch.setattr(tracker, "CONDITION_NODES", 800)
-        c2 = condition_length(hom, start.roots[0])
-        assert abs(c2 - c1) <= 0.01 * abs(c2)
-
-    def test_step_bound_holds(self, quad_pair, monkeypatch):
-        start, f = quad_pair
-        hom = make_linear_homotopy(start.g, f)
-        monkeypatch.setattr(tracker, "CONDITION_NODES", 800)
         for root in start.roots[:2]:
             result = track_linear(hom, root)
             assert result.status is TrackStatus.SUCCESS
             assert result.num_steps <= theorem_step_bound(hom, root)
+
+    @pytest.mark.parametrize("path", ["pinned-0", "pinned-1", "katsura4-4", "katsura4-6"])
+    def test_steps_over_bound_is_a_constant(self, path):
+        """num_steps / theorem_step_bound sits within 1% of
+        1 / (71 C_OVER_P_LINEAR) = 0.29316: the loop takes exact norms and the
+        upper end of the certified interval, so t_i phi_i = c/P / d^{3/2} on
+        every step but the clipped last one, and the steps are a Riemann sum
+        of C.  A chi1 estimated within the rule's factor 2 (ROADMAP item 5,
+        stage b) would move the ratio off this constant."""
+        hom, z0 = named_path(path)
+        ratio = track_linear(hom, z0).num_steps / theorem_step_bound(hom, z0)
+        assert ratio == pytest.approx(1.0 / (71.0 * C_OVER_P_LINEAR), rel=0.01)
 
 
 class TestStepConstant:
