@@ -157,6 +157,13 @@ def cmd_bench(args) -> int:
         args.error("--family random needs --degrees")
     if args.family == "katsura" and (args.n is None or args.n < 2):
         args.error("--family katsura needs --n of at least 2")
+    # A flag the family does not read is an error, as run_bench's checks are.
+    if args.family == "random" and args.n is not None:
+        args.error("--family random takes no --n: its size is the length of --degrees")
+    if args.family == "katsura" and args.degrees is not None:
+        args.error("--family katsura takes no --degrees: --n sets them")
+    if args.family == "katsura" and args.trials not in (None, 1):
+        args.error("--family katsura takes no --trials: it has one system, tracked once")
     trackers = ("certified", "heuristic") if args.tracker == "both" else (args.tracker,)
     reports = run_bench(
         family=args.family,
@@ -246,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=["random", "katsura"], required=True)
     p.add_argument("--degrees", type=_degree_list, default=None, help="comma-separated, e.g. 2,2")
     p.add_argument("--n", type=int, default=None, help="Katsura size")
-    p.add_argument("--trials", type=_positive_int, default=10)
+    p.add_argument("--trials", type=_positive_int, default=None,
+                   help="random targets (default 10); katsura has one system")
     p.add_argument("--tracker", choices=["certified", "heuristic", "both"], default="certified")
     p.add_argument("--threads", type=_positive_int, default=1, help="worker processes for trials")
     _add_common(p)

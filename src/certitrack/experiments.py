@@ -189,20 +189,31 @@ def run_bench(
     family: str,
     degrees=None,
     n: int | None = None,
-    trials: int = 10,
+    trials: int | None = None,
     trackers=("certified",),
     seed: int = 0,
     threads: int = 1,
 ) -> dict[str, ExperimentReport]:
-    """Average steps per total-degree path for random or Katsura targets."""
+    """Average steps per total-degree path for random or Katsura targets.
+
+    The random family takes degrees and trials (None: 10 random targets),
+    the katsura family n alone, for its one deterministic system (trials
+    None or 1).  A parameter the family does not read is a ValueError."""
     if family == "random":
         if degrees is None:
             raise ValueError("the random family needs --degrees")
+        if n is not None:
+            raise ValueError("the random family takes no n: its size is the length of degrees")
         degrees = tuple(int(d) for d in degrees)
+        trials = 10 if trials is None else trials
     elif family == "katsura":
         if n is None:
             raise ValueError("the katsura family needs --n")
-        trials = 1  # deterministic benchmark system
+        if degrees is not None:
+            raise ValueError("the katsura family takes no degrees: n sets them")
+        if trials not in (None, 1):
+            raise ValueError(f"the katsura family takes no trials={trials}: it has one system")
+        trials = 1
     else:
         raise ValueError(f"unknown family {family!r}")
     t0 = time.perf_counter()

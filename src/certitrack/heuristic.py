@@ -13,19 +13,18 @@ The predictor evaluates the homotopy as the certified loop does, on the
 path's tracker._StepBuffers, set up once from the LinearHomotopy: each RK4
 stage is one point matrix, one product, one rotation to the stage's
 parameter and one bordered solve.  The corrector builds h_{s_next} once per
-attempt (LinearHomotopy.value_at) and runs newton_projective on it, one
-point matrix per Newton step, through polysys.evaluate/jacobian and
-linalg.make_bordered/bordered_solve.
+attempt (LinearHomotopy.value_at) and runs newton.refine's Newton loop on
+it, with its own step budget and tolerance: one point matrix per Newton
+step, through polysys.evaluate/jacobian and linalg.make_bordered/
+bordered_solve.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import polysys, tracker
-from .bw import riemann_distance
+from . import newton, polysys, tracker
 from .linalg import SingularLinearSolveError, bordered_solve, one_blas_thread, vector_norm
-from .newton import newton_projective
 from .tracker import TrackerOptions, TrackResult, TrackStatus
 
 
@@ -67,10 +66,7 @@ def predict(buf: tracker._StepBuffers, s: float, x, dt: float) -> np.ndarray:
 
     def tangent(t, z):
         # The path velocity at (h_t, z), from one bordered solve.
-        buf.load(z)
-        buf.rotate(t)
-        buf.jac[...] = buf.h_jac
-        np.conjugate(z, out=buf.border)
+        buf.at(t, z)
         buf.border /= vector_norm(z)
         np.negative(buf.hdot_val, out=buf.rhs1_top)
         return bordered_solve(buf.bordered, buf.rhs1)
@@ -88,16 +84,7 @@ def correct(h: polysys.PolySystem, x):
     """At most CORRECTOR_ITERS projective Newton steps; stops early once the
     step size drops under CORRECTOR_TOL.  Returns (point, last step size) —
     the step size is the error estimate the tracker adapts on."""
-    z = np.asarray(x, dtype=np.complex128)
-    z = z / vector_norm(z)
-    achieved = np.inf
-    for _ in range(CORRECTOR_ITERS):
-        nxt = newton_projective(h, z)
-        achieved = riemann_distance(nxt, z)
-        z = nxt
-        if achieved < CORRECTOR_TOL:
-            break
-    return z, float(achieved)
+    return newton._newton_steps(h, x, CORRECTOR_ITERS, CORRECTOR_TOL)
 
 
 @one_blas_thread
@@ -109,7 +96,7 @@ def track_heuristic(hom, z0, opts: TrackerOptions = TrackerOptions()) -> TrackRe
     path ends SingularLinearSolve on an exact zero pivot and MinStepReached
     when the step size is exhausted, as near a singular system (see linalg).
     """
-    z = tracker._start_point(hom.g.n_vars, z0)
+    z = polysys.unit_point(polysys._checked_point(hom.g.n_vars, z0))
     T = hom.T
     s = 0.0
     dt = STEP_INIT

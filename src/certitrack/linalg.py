@@ -34,7 +34,11 @@ caller's thread setting.  Pinned, every entry point computes the same bits
 on one OpenBLAS kernel whatever thread count the process was started or
 left with.  Other kernels (OPENBLAS_CORETYPE) may give ddot, zgemm and
 zgetrs other last bits, but the same step counts: that half is measured
-(the benchmark's step digests under four kernels), not proved.
+(the benchmark's step digests under four kernels), not proved.  Within a
+kernel, the two routes to a system's values and Jacobian (the trackers'
+placed path and polysys.evaluate/jacobian) give the same bits, as both
+take one product shape (see polysys); so the tests pin such bits once per
+kernel.
 """
 
 from __future__ import annotations

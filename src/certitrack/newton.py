@@ -79,6 +79,22 @@ def certified_radius(h: polysys.PolySystem, zeta) -> float:
     return U0 / (h.max_degree ** 1.5 * mu)
 
 
+def _newton_steps(h: polysys.PolySystem, z, max_steps: int, tol: float) -> tuple[np.ndarray, float]:
+    # At most max_steps projective Newton steps from the unit representative
+    # of z, stopping after the first step shorter than tol in d_R.  Returns
+    # the last iterate and that last step's length (inf for no step).
+    z = np.asarray(z, dtype=np.complex128)
+    z = z / vector_norm(z)
+    step = math.inf
+    for _ in range(max_steps):
+        nxt = newton_projective(h, z)
+        step = riemann_distance(nxt, z)
+        z = nxt
+        if step < tol:
+            break
+    return z, step
+
+
 @one_blas_thread
 def refine(h: polysys.PolySystem, z) -> np.ndarray:
     """Iterate projective Newton until two iterates are within REFINE_TOL in d_R.
@@ -87,12 +103,7 @@ def refine(h: polysys.PolySystem, z) -> np.ndarray:
     condition length; raises RefinementError if the iteration does not
     settle within REFINE_MAX_ITERS steps.
     """
-    current = np.asarray(z, dtype=np.complex128)
-    current = current / vector_norm(current)
-    for _ in range(REFINE_MAX_ITERS):
-        nxt = newton_projective(h, current)
-        if riemann_distance(nxt, current) < REFINE_TOL:
-            return nxt
-        current = nxt
-    raise RefinementError(f"no convergence within {REFINE_MAX_ITERS} Newton iterations")
-
+    zeta, step = _newton_steps(h, z, REFINE_MAX_ITERS, REFINE_TOL)
+    if not step < REFINE_TOL:
+        raise RefinementError(f"no convergence within {REFINE_MAX_ITERS} Newton iterations")
+    return zeta

@@ -36,12 +36,13 @@ in variable order, as a left fold over all n+1 powers would, and a factor
 that fold, and only a zero's sign may differ (an entry that is -0 there may
 be +0 here).  `Evaluator.place` lays the stacked coefficient vectors of
 several systems out as one matrix whose product with a point matrix gives
-their [Jacobian | value] blocks.  `evaluate`, `jacobian` and both
-trackers, which place a path's systems once, all read that product, so a
-system's values and Jacobian are the loop's bits where zgemm gives the
-(n, rows) product of one system and the (2n, rows) product of a path's
-(g, p) the same bits: OpenBLAS's SkylakeX kernels do, but not its Haswell
-ones (OPENBLAS_CORETYPE=Haswell), which differ in the last place.
+their [Jacobian | value] blocks.  Every product is of a pair: both trackers
+place a path's (g, p) once, and `evaluate` and `jacobian` place one system
+h as (h, 0).  In the (2n, rows) shape zgemm gave a row the same bits
+whatever the other rows held, on each OpenBLAS kernel measured (SkylakeX,
+Haswell, Sandybridge, Prescott), so a system's values and Jacobian are the
+loop's bits there; an (n, rows) product of h alone is blocked otherwise,
+and differs in the last place on all but SkylakeX.
 
 A system keeps the block of the last point `evaluate` or `jacobian` read,
 keyed by the bytes of that point as a complex vector, so the two calls at
@@ -338,8 +339,8 @@ def unit_point(coords) -> np.ndarray:
     if z.ndim != 1:
         raise ValueError("a point is a 1-d coordinate vector")
     norm = np.linalg.norm(z)
-    if norm == 0.0:
-        raise ValueError("zero vector does not represent a projective point")
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"a projective point needs a finite, nonzero norm, got {norm!r}")
     z = z / norm
     z.setflags(write=False)
     return z
@@ -448,7 +449,9 @@ def _checked_point(n_vars: int, z) -> np.ndarray:
 
 
 def _block(h: PolySystem, z) -> np.ndarray:
-    # [Dh(z) | h(z)], (n, n+2): the placed h times the point matrix at z.
+    # [Dh(z) | h(z)], (n, n+2): rows :n of the placed pair [h; 0] times the
+    # point matrix at z, in the product shape of a path's [g; p], so that
+    # both round alike (see the module docstring).
     # h keeps the block of its last point, keyed by the checked point's
     # bytes: an equal key is an identical point, so a hit returns the bits a
     # miss computes.  Every reader shares the block, so it is read-only.
@@ -460,7 +463,9 @@ def _block(h: PolySystem, z) -> np.ndarray:
     if memo is not None and memo[0] == key:
         return memo[1]
     ev = evaluator(h.degrees)
-    block = ev.place(h._vec[None]).dot(ev.point_matrix(z))
+    pair = np.zeros((2, h._vec.shape[0]), dtype=np.complex128)
+    pair[0] = h._vec
+    block = ev.place(pair).dot(ev.point_matrix(z))[: h.n]
     block.setflags(write=False)
     object.__setattr__(h, "_last_block", (key, block))
     return block

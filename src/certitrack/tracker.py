@@ -243,13 +243,13 @@ class _StepBuffers:
     step takes no slice either.
 
     basis: the (2n, rows) placement of the coefficient vectors g and p.
-    B: the (2n, n+2) product of basis with a point matrix (load).
+    B: the (2n, n+2) product of basis with a point matrix (at).
     rot: its rotation (rotate) into the (2, n, n+2) blocks [Dh(z) | h(z)]
     and [Dhdot(z) | hdot(z)] of (h_s, hdot_s), by the real 2 x 2 mix
     (written through its flat view mix_flat) applied to the real
     (2, 2n(n+2)) views B_real and rot_real.
-    bordered: (Dh(z); z*), which the factorization copies, so it is filled
-    again for each one.
+    bordered: (Dh(z); z*), which the factorization copies: at writes its
+    row z*, and rotate its Jacobian rows again before each factorization.
     rhs: the n+2 columns of the chi solve, Diag(sqrt(d_i), 1) for chi1 and
     hdot(z) for chi2.  rhs1: one column (v; 0), with v = h(z) for the Newton
     step and v = -hdot(z) for the heuristic predictor's tangent.
@@ -278,19 +278,24 @@ class _StepBuffers:
         self.hdot_val = self.rot[1, :, n + 1]
         self.rhs_hdot, self.rhs1_top = self.rhs[:n, n + 1], self.rhs1[:n]
 
-    def load(self, z) -> None:
-        """B = basis times the point matrix at z."""
+    def at(self, s: float, z: np.ndarray) -> tuple[float, float]:
+        """Place the path at (s, z): B from the point matrix at z, z* in the
+        bordered row, and the rotation to s.  Returns (cos(s), sin(s))."""
         np.dot(self.basis, self.ev.point_matrix(z), out=self.B)
+        np.conjugate(z, out=self.border)
+        return self.rotate(s)
 
     def rotate(self, s: float) -> tuple[float, float]:
-        """Rotate B into rot at s: h_s = cos(s) g + sin(s) p and
-        hdot_s = -sin(s) g + cos(s) p.  Returns (cos(s), sin(s))."""
+        """Rotate B into rot at s, h_s = cos(s) g + sin(s) p and
+        hdot_s = -sin(s) g + cos(s) p, and copy Dh_s(z) into the bordered
+        matrix.  Returns (cos(s), sin(s))."""
         c, sn = math.cos(s), math.sin(s)
         mix = self.mix_flat
         mix[0] = mix[3] = c
         mix[1] = sn
         mix[2] = -sn
         np.dot(self.mix, self.B_real, out=self.rot_real)
+        self.jac[...] = self.h_jac
         return c, sn
 
     def chi(self, s: float, z: np.ndarray) -> tuple[float, float]:
@@ -298,25 +303,13 @@ class _StepBuffers:
         (Dh_s(z); z*) and one solve against the n+2 columns of rhs, with the
         homotopy's speed_squared.  z* stays in bordered and z's blocks in B
         for the Newton step."""
-        self.load(z)
-        np.conjugate(z, out=self.border)
-        c, sn = self.rotate(s)
-        self.jac[...] = self.h_jac
+        c, sn = self.at(s, z)
         lu = linalg.lu_factor_checked(self.bordered)
         self.rhs_hdot[...] = self.hdot_val
         sol = linalg.lu_solve(lu, self.rhs)
-        x1 = float(np.linalg.svd(sol[:, :-1], compute_uv=False)[0])
+        x1 = linalg.spectral_norm(sol[:, :-1])
         x2 = math.sqrt(self.hom.speed_squared(c, sn) + linalg.vector_norm(sol[:, -1]) ** 2)
         return x1, x2
-
-
-def _start_point(n_vars: int, z0) -> np.ndarray:
-    # The unit representative of a start point of finite, nonzero norm.
-    z = polysys._checked_point(n_vars, z0)
-    norm = linalg.vector_norm(z)
-    if not 0.0 < norm < math.inf:
-        raise ValueError(f"start point needs a finite, nonzero norm, got {norm!r}")
-    return z / norm
 
 
 @linalg.one_blas_thread
@@ -335,7 +328,7 @@ def track_linear(
     # step.
     buf = _StepBuffers(hom)
     T = hom.T
-    z = _start_point(buf.ev.n_vars, z0)
+    z = polysys.unit_point(polysys._checked_point(buf.ev.n_vars, z0))
     s = 0.0
     steps = 0
     status = TrackStatus.SUCCESS
@@ -360,7 +353,6 @@ def track_linear(
             else:
                 s_next = s + t
             buf.rotate(s_next)
-            buf.jac[...] = buf.h_jac
             lu = linalg.lu_factor_checked(buf.bordered)
         except SingularLinearSolveError:
             status = TrackStatus.SINGULAR

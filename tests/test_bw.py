@@ -24,6 +24,7 @@ from certitrack.polysys import (
     unit_point,
 )
 from certitrack.start_systems import good_system_raw, random_system_on_sphere
+from openblas_core import pinned
 
 
 def random_system(degrees, seed):
@@ -253,16 +254,28 @@ def _sweep_inputs():
         yield F[:, 1], F[:, 0]
 
 
-def test_pinned_bits_of_vector_norm_and_riemann_distance_sweep():
-    # sha256 of vector_norm of both points and of their distance, on the
-    # 300 pairs of _sweep_inputs, read before the norm and the distance
-    # were last trimmed: those trims are bitwise.
+# Per OpenBLAS core, sha256 of vector_norm of both points and of their
+# distance, on the 300 pairs of _sweep_inputs.  The SkylakeX digest was read
+# before the norm and the distance were last trimmed: those trims are bitwise.
+SWEEP_PINS = {
+    "SkylakeX": "930ff4c8a87e91aa268f9fb3cd5f5650dce1b6149374d31bb29ede092d461f98",
+    "Haswell": "32f675fb4e4a5cb1768b42063773190f3d0a2a7b0907453e7c26ff0a458ea6bf",
+    "Sandybridge": "32f675fb4e4a5cb1768b42063773190f3d0a2a7b0907453e7c26ff0a458ea6bf",
+    "Katmai": "69bd741058e2ea063d78d45d0850c506fce8e276798d1a86919593a659c6ee55",
+}
+
+
+def _sweep_digest() -> str:
     digest = hashlib.sha256()
     with one_blas_thread:
         for z, w in _sweep_inputs():
             for value in (vector_norm(z), vector_norm(w), riemann_distance(z, w)):
                 digest.update(np.float64(value).tobytes())
-    assert digest.hexdigest() == "930ff4c8a87e91aa268f9fb3cd5f5650dce1b6149374d31bb29ede092d461f98"
+    return digest.hexdigest()
+
+
+def test_pinned_bits_of_vector_norm_and_riemann_distance_sweep():
+    assert _sweep_digest() == pinned(SWEEP_PINS)
 
 
 class TestUnitaryCompose:
@@ -321,29 +334,55 @@ class TestUnitaryCompose:
 # NORM_PIN_SCALES (squares that overflow or go subnormal, and subnormal
 # coefficients), and of bw_inner_re of each target with the next.  The norm
 # digests were read before the norm moved to one pass over the stacked
-# vector; the product digests replace those of the complex product, which
-# is gone, and were read before it went.
+# vector, and hold on every OpenBLAS core.  The product digests, one per
+# core (a ddot's last bits depend on it), replace those of the complex
+# product, which is gone; the SkylakeX ones were read before it went.
 NORM_PIN_SCALES = (1.0, 1e-170, 1e200, 1e-310)
 BW_PINS = {
     (1,): (
         "5dc91b1f8636157fc5c1d837ae4449ec5c407f4560860d84062a5541c46e797e",
-        "1248ce6e8ce1d29e26da565bc412cc8b5b6787d1d4adec71ba91233176ef2939",
+        {
+            "SkylakeX": "1248ce6e8ce1d29e26da565bc412cc8b5b6787d1d4adec71ba91233176ef2939",
+            "Haswell": "c07376256206213f29d2d145e6b83114abf04ea4fa816e01e3f90f79522d9d5b",
+            "Sandybridge": "c07376256206213f29d2d145e6b83114abf04ea4fa816e01e3f90f79522d9d5b",
+            "Katmai": "112ac16fe1ab745428fec95c943e6674d8aac80a290e4e7d3fc463b086d88bb0",
+        },
     ),
     (2, 2, 2): (
         "426878fe8b4c3f585f63f26dc13f9d937dfde847fdb619bf10e8d417cc0612cf",
-        "e4fef36803e125d5b2a392cb8b4629017ba767b210e16e591321a32454ce44f0",
+        {
+            "SkylakeX": "e4fef36803e125d5b2a392cb8b4629017ba767b210e16e591321a32454ce44f0",
+            "Haswell": "9252c2913f50e420c8a96471e14a71b2b0b7b31df6dda087e12fa25e56245c30",
+            "Sandybridge": "9acdbca24d39428d27572ec463f826ca4e953f49474d0748d21d478ca0e4883e",
+            "Katmai": "6d6694f842483edc272120dd8aedf7ae14f80c903666e435e44b974cff34abb4",
+        },
     ),
     (1, 2, 3): (
         "ef48eff7f43a2659d1e6a3952bb6e6fc69ebe001599ba3adb8144d5c95c8ead7",
-        "7d04569d03d3f490428cd6b787478b6ebca5bf1d1994f1075d071a14036c3f9b",
+        {
+            "SkylakeX": "7d04569d03d3f490428cd6b787478b6ebca5bf1d1994f1075d071a14036c3f9b",
+            "Haswell": "022945afc55cdedc66d7aaeaad734c06e74409d7d1c7399854f6a34a70e30d0a",
+            "Sandybridge": "0dbc1efd070158c858a070dbe55257db72e2feea366e2d7ab3660744dafebcf9",
+            "Katmai": "ae6dba9af97480a54ce6b8162162b04b092816cf2e974b23c3a54290b7e650ed",
+        },
     ),
     (1, 2, 2, 2, 2): (
         "36733988ad2505abb95ccea7f380cd9d147f2359c9e18879642bcff2781513c2",
-        "005f1fac2d04b1ef1c19d13899dd0619b7424036dc6b642e3220df97b4103492",
+        {
+            "SkylakeX": "005f1fac2d04b1ef1c19d13899dd0619b7424036dc6b642e3220df97b4103492",
+            "Haswell": "bb611f55f264b1c5d7a3c3e21ba14d23cde8202b95b28690be861671b09d8190",
+            "Sandybridge": "bb611f55f264b1c5d7a3c3e21ba14d23cde8202b95b28690be861671b09d8190",
+            "Katmai": "b1e4e5ab437bf96546fa9c9265e5f7a975ef3ca42db27a2d05438f0abb2530f6",
+        },
     ),
     (3, 3, 3, 3): (
         "76d2055eb12d68fee8ad453684da68c477929bda897f61ab13141182d287c387",
-        "3296b39a418ecb25d0b59fa46e1f78acafca4438dcfcbc248d330490e4178444",
+        {
+            "SkylakeX": "3296b39a418ecb25d0b59fa46e1f78acafca4438dcfcbc248d330490e4178444",
+            "Haswell": "8128f8291aa0547893b2511e8737f68cbf78f10cab4d334820efa7fd8fa0b73b",
+            "Sandybridge": "021da511efca21d20d65fc2e4807aff94a7df7908bc53177ba2d805248ab123b",
+            "Katmai": "290cb59b13f934e1638f11a4b1b0550bf29bf8e81b79cfcb44a0a6161a6e4c66",
+        },
     ),
 }
 
@@ -360,7 +399,8 @@ def _bw_digests(degrees):
 
 @pytest.mark.parametrize("degrees", list(BW_PINS), ids=str)
 def test_pinned_bits_of_norm_and_product(degrees):
-    assert _bw_digests(degrees) == BW_PINS[degrees]
+    norms, products = BW_PINS[degrees]
+    assert _bw_digests(degrees) == (norms, pinned(products))
 
 
 def _norm_by_equation(h):

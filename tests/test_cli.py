@@ -231,6 +231,11 @@ class TestInputErrors:
             # its total-degree paths fail, so there are no reference roots.
             (["entropy", "--degrees", "2,2", "--epsilon", "0", "--runs", "1"],
              "no reference roots for --epsilon 0.0: 3 total-degree paths to the target failed"),
+            # A flag the family does not read.
+            (["bench", "--family", "katsura", "--n", "3", "--trials", "5"], "--family katsura takes no --trials"),
+            (["bench", "--family", "katsura", "--n", "3", "--degrees", "2,2"],
+             "--family katsura takes no --degrees"),
+            (["bench", "--family", "random", "--degrees", "2,2", "--n", "3"], "--family random takes no --n"),
         ],
     )
     def test_exit_2_with_a_message(self, capsys, argv, message):

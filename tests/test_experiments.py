@@ -211,6 +211,25 @@ class TestRunBench:
         with pytest.raises(ValueError):
             run_bench("nope", degrees=(2,))
 
+    @pytest.mark.parametrize(
+        "family, kwargs, name",
+        [
+            ("katsura", {"n": 3, "trials": 5}, "trials"),
+            ("katsura", {"n": 3, "degrees": (2, 2)}, "degrees"),
+            ("random", {"degrees": (2, 2), "n": 3}, "n"),
+        ],
+    )
+    def test_parameter_the_family_does_not_read_is_rejected(self, family, kwargs, name):
+        with pytest.raises(ValueError, match=f"takes no {name}"):
+            run_bench(family, **kwargs)
+
+    def test_default_trials(self):
+        # None is 10 random targets, or the one Katsura system, which an
+        # explicit trials=1 also asks for.
+        random_targets = run_bench("random", degrees=(1,), trials=None)["certified"].per_path
+        assert {p.trial for p in random_targets} == set(range(10))
+        assert len(run_bench("katsura", n=2, trials=1)["certified"].per_path) == 2
+
 
 class TestRunConjecture:
     def test_bound_formula(self):

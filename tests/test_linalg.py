@@ -24,6 +24,7 @@ from certitrack.bw import normalize_to_sphere
 from certitrack.polysys import PolySystem, jacobian, unit_point
 from certitrack.start_systems import random_system_on_sphere, total_degree_start
 from certitrack.tracker import certified_step, chi1, make_linear_homotopy, track_linear
+from openblas_core import core_name, pinned
 
 
 def power_iteration_norm(A, iters=500, seed=0):
@@ -412,3 +413,12 @@ class TestOneBlasThread:
         assert not any(th.is_alive() for th in threads)
         assert seen == {(1,) * len(controls)}
         assert self.counts(controls) == [2] * len(controls)
+
+
+def test_kernel_pins_fail_on_an_unrecorded_core():
+    # A pin of kernel-dependent bits is read for this process's OpenBLAS
+    # core; one without a recorded digest fails with the core's name, not a
+    # skip.
+    assert pinned({core_name(): "digest"}) == "digest"
+    with pytest.raises(pytest.fail.Exception, match=f"no digest recorded for OpenBLAS core '{core_name()}'"):
+        pinned({})

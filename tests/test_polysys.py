@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import pickle
+import platform
 import sys
 
 import numpy as np
@@ -27,6 +28,7 @@ from certitrack.polysys import (
 from certitrack.experiments import katsura_system
 from certitrack.start_systems import good_initial_pair, total_degree_start
 from system_io import system_to_json
+from test_tracker import run_child
 
 
 def brute_evaluate(h: PolySystem, z) -> np.ndarray:
@@ -216,23 +218,47 @@ class TestJacobian:
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
 
 
+LOOP_ROW_DEGREES = [(2, 2, 2), (1, 2, 2, 2, 2), (3, 3, 3, 3), (1, 3, 2)]
+
+
+def loop_row_mismatches(degrees) -> int:
+    """Points, of 3 seeded ones, at which jacobian or evaluate differ in any
+    bit from the loop's rows: the product of a system stacked over its
+    tangent, as a path places (g, p), with the point matrix."""
+    ev = evaluator(degrees)
+    h = random_system(degrees, len(degrees))
+    hdot = random_system(degrees, len(degrees) + 1)
+    R = np.stack([h.coeff_vector(), hdot.coeff_vector()])
+    rng = np.random.default_rng(sum(degrees))
+    mismatches = 0
+    for _ in range(3):
+        z = unit_point(rng.standard_normal(h.n_vars) + 1j * rng.standard_normal(h.n_vars))
+        blocks = ev.place(R).dot(ev.point_matrix(z))
+        mismatches += (jacobian(h, z).tobytes() != blocks[: h.n, :-1].tobytes()
+                       or evaluate(h, z).tobytes() != blocks[: h.n, -1].tobytes())
+    return mismatches
+
+
 class TestSingleEvaluator:
     """evaluate and jacobian are the certified loop's rows of the same point matrix."""
 
-    @pytest.mark.parametrize("degrees", [(2, 2, 2), (1, 2, 2, 2, 2), (3, 3, 3, 3), (1, 3, 2)])
+    @pytest.mark.parametrize("degrees", LOOP_ROW_DEGREES)
     def test_bitwise_equal_to_loop_rows(self, degrees):
-        ev = evaluator(degrees)
-        assert evaluator(degrees) is ev
-        h = random_system(degrees, len(degrees))
-        hdot = random_system(degrees, len(degrees) + 1)
-        # The loop's product: a system and its tangent stacked.
-        R = np.stack([h.coeff_vector(), hdot.coeff_vector()])
-        rng = np.random.default_rng(sum(degrees))
-        for _ in range(3):
-            z = unit_point(rng.standard_normal(h.n_vars) + 1j * rng.standard_normal(h.n_vars))
-            blocks = ev.place(R).dot(ev.point_matrix(z))
-            assert jacobian(h, z).tobytes() == blocks[: h.n, :-1].tobytes()
-            assert evaluate(h, z).tobytes() == blocks[: h.n, -1].tobytes()
+        assert evaluator(degrees) is evaluator(degrees)
+        assert loop_row_mismatches(degrees) == 0
+
+    @pytest.mark.skipif(
+        platform.machine().lower() not in ("x86_64", "amd64"),
+        reason="OPENBLAS_CORETYPE names x86-64 kernels",
+    )
+    @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+    def test_bitwise_equal_to_loop_rows_on_other_kernels(self, coretype):
+        # evaluate and jacobian multiply the pair [h; 0] in the loop's
+        # (2n, rows) shape; an (n, rows) product of h alone differed from
+        # the loop's rows in the last place on these two kernels.
+        code = ("from test_polysys import LOOP_ROW_DEGREES, loop_row_mismatches; "
+                "print([loop_row_mismatches(d) for d in LOOP_ROW_DEGREES])")
+        assert run_child(code, OPENBLAS_CORETYPE=coretype).strip() == "[0, 0, 0, 0]"
 
 
 def gather_and_fold(degrees, z) -> np.ndarray:

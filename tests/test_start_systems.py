@@ -32,6 +32,7 @@ from certitrack.start_systems import (
     total_degree_start,
     uniform_ball_point,
 )
+from openblas_core import pinned
 
 
 class TestTotalDegreeStart:
@@ -353,32 +354,58 @@ class TestSolvers:
 # problem construction moved to the stacked coefficient vector, which kept
 # every bit.  The homotopy digests were read again when Re<f, g> moved to
 # bw_inner_re, whose one dot sums in another order than the per-equation
-# sums before it.
+# sums before it.  The sphere and start digests hold on every OpenBLAS core;
+# the homotopy digests, one per core, follow that dot's last bits.
 SETUP_PINS = {
     (1,): (
         "28b43e8749daaff792aad66e9c42d831d8a360fc8f27dbd72c4d95fcb8f28a6c",
         "66c7708164edf5c7aa9605a9b70aab0df3dd281852da5ba3d0e47484568fa387",
-        "d7124e9b07c739cfec169beaedd8b97eac42767085c202abfd62ec901af3ae77",
+        {
+            "SkylakeX": "d7124e9b07c739cfec169beaedd8b97eac42767085c202abfd62ec901af3ae77",
+            "Haswell": "d7124e9b07c739cfec169beaedd8b97eac42767085c202abfd62ec901af3ae77",
+            "Sandybridge": "d7124e9b07c739cfec169beaedd8b97eac42767085c202abfd62ec901af3ae77",
+            "Katmai": "d7124e9b07c739cfec169beaedd8b97eac42767085c202abfd62ec901af3ae77",
+        },
     ),
     (2, 2, 2): (
         "5e7472a766f09ed15c5d789036c0053c7ef0779acb1fa38b4a1c35d60d60c027",
         "c237abed7e4f03feb25e8f622af574edf503ee89930ba646e11223002e94a099",
-        "df8d8423ced66755e0bcb89eef6fa3b9ec0eacdc7eefb03a94622ac1bfee4066",
+        {
+            "SkylakeX": "df8d8423ced66755e0bcb89eef6fa3b9ec0eacdc7eefb03a94622ac1bfee4066",
+            "Haswell": "686218bde26b8b7e70aac040ef2d5711a6715b9fca4fbb492ecce4c05b429c69",
+            "Sandybridge": "9597445b4c9623e083675dd577583444c47cf80b1edb930b923ac040aadb14b5",
+            "Katmai": "56e40dfc8ac17af1adcc837ccacd8b3d1350617bd9f3b8e9c33ad1a75a6b497a",
+        },
     ),
     (1, 2, 3): (
         "8cd2e28797bce6e716cb8534a6ae53cf339508e803728865af74db782334b385",
         "ccab4efb36633810f594b23e0016042d6c1fac8af44f4976dd55979cb3ce2a8e",
-        "f4861f07e9dad75f18acb0a2dd4e64362436ee0f3caaf32f5f57732bc3bea33a",
+        {
+            "SkylakeX": "f4861f07e9dad75f18acb0a2dd4e64362436ee0f3caaf32f5f57732bc3bea33a",
+            "Haswell": "da2444bd5c9cca0c30e7584f9f3ae3b7878080be3b7a4bc0b0a02945d4faa6bd",
+            "Sandybridge": "96222793d1652d47e9bec247ac7673bdb77cb02af6f33daeea1db6cb6655e66e",
+            "Katmai": "f3a765dcd686e4a9c19db1e761854aeef35a25600e8bb41ee75b10b1d5660fc2",
+        },
     ),
     (1, 2, 2, 2, 2): (
         "2872c1d213893244e3ff74b9be056ef0d91bf13877aaf24e3bdb41787b2eae83",
         "bcae4f49ab099aec9cbd0a3ebcf3aceeb07995d458af5d94ede7c48682ef5e5c",
-        "17ba4c3d150f9c9f9f5dfdc96951fcca4928fc227f79f2600907773bd4b1e035",
+        {
+            "SkylakeX": "17ba4c3d150f9c9f9f5dfdc96951fcca4928fc227f79f2600907773bd4b1e035",
+            "Haswell": "ba25bbe44c0d244c707dad576c2fd4134b20981c941409fee81cb8e3a8dff91d",
+            "Sandybridge": "6d28a3246e40b7c7e4323d2237f455a0ab327c92fee9af042413f2f776c1e8db",
+            "Katmai": "0dfb713f33396bd894a6a6f805f9123140542c1da376c6287a6ce1bb37cc0389",
+        },
     ),
     (3, 3, 3, 3): (
         "ea1dc77b3b4a38e65b1524dd6ac561038afa3ac324ce1e93298ca1639dd3b932",
         "83dd0aafb010781239245e7d8ff1dd1e0c3e9fd65e18029405a870aeb8b17ce6",
-        "35b3098288ebaa7440e0e3538918f2e6d26643eebc279983430187627eb254fb",
+        {
+            "SkylakeX": "35b3098288ebaa7440e0e3538918f2e6d26643eebc279983430187627eb254fb",
+            "Haswell": "4ed495dbf074eaf26613c9a6531e08286f9e93df02f42a8edb8f3b9a0c552f64",
+            "Sandybridge": "4ed495dbf074eaf26613c9a6531e08286f9e93df02f42a8edb8f3b9a0c552f64",
+            "Katmai": "78f4192649cbb1922dc3492d39d0ccb1b65a7ec1de2f3dcba0a7f0caef72e0eb",
+        },
     ),
 }
 
@@ -400,4 +427,5 @@ def _setup_digests(degrees):
 
 @pytest.mark.parametrize("degrees", list(SETUP_PINS), ids=str)
 def test_pinned_setup_bits(degrees):
-    assert _setup_digests(degrees) == SETUP_PINS[degrees]
+    sphere, start, homotopy = SETUP_PINS[degrees]
+    assert _setup_digests(degrees) == (sphere, start, pinned(homotopy))

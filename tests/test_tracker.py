@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from certitrack import heuristic, linalg, polysys, tracker
+from certitrack import heuristic, linalg, newton, polysys, tracker
 from certitrack.bw import bw_inner_re, bw_norm, normalize_to_sphere, riemann_distance
 from certitrack.cli import write_trace_csv
 from certitrack.experiments import katsura_system
@@ -46,6 +46,7 @@ from certitrack.tracker import (
     track_linear,
     track_path,
 )
+from openblas_core import pinned
 
 
 def step_constants(curvature_bound: float) -> tuple[float, float]:
@@ -65,10 +66,16 @@ def c_over_p(curvature_bound: float) -> float:
     return c / P
 
 
-# sha256 of every trace record (s, t, phi, chi1, chi2, then z) of the 8
-# paths of the pinned (2,2,2) target, read under OPENBLAS_NUM_THREADS=1 from
-# the loop as it stood before its per-path buffers.
-PINNED_TRACE_SHA256 = "d5792991dd0b4f8d39ec2cc1a100b3f493fb158eeea2f3818bd242b1bc089690"
+# Per OpenBLAS core, sha256 of every trace record (s, t, phi, chi1, chi2,
+# then z) of the 8 paths of the pinned (2,2,2) target, read under
+# OPENBLAS_NUM_THREADS=1; the SkylakeX digest from the loop as it stood
+# before its per-path buffers.
+PINNED_TRACE_SHA256 = {
+    "SkylakeX": "d5792991dd0b4f8d39ec2cc1a100b3f493fb158eeea2f3818bd242b1bc089690",
+    "Haswell": "9bc37824527110f2235481eed3a52e7b091ea061b7dc0385de719d4f2a5f75f2",
+    "Sandybridge": "8ed55f277684aabf1612e157aca9dfbe7b3a707e7d9841f66c9e69ac6049becd",
+    "Katmai": "2477707e283c0fb416fe69d56e1142a372077189a5fe3eda5831278e9ed070a8",
+}
 
 
 def pinned_target():
@@ -478,7 +485,7 @@ class TestTrackLinear:
         # Writing into per-path buffers runs the same BLAS calls on the same
         # operands, so every record of the pinned target keeps its bits.
         code = "from test_tracker import pinned_trace_digest; print(pinned_trace_digest())"
-        assert run_child(code, OPENBLAS_NUM_THREADS="1").strip() == PINNED_TRACE_SHA256
+        assert run_child(code, OPENBLAS_NUM_THREADS="1").strip() == pinned(PINNED_TRACE_SHA256)
 
     def test_bits_do_not_depend_on_blas_threads(self):
         # The trackers, refine and condition_mu run on one BLAS thread
@@ -838,7 +845,7 @@ class TestEvaluationWork:
         hom, z0 = self._homotopy(degrees, 41)
         built = []  # point matrices built by each predict call
         newton_calls = [0]
-        predict, newton = heuristic.predict, heuristic.newton_projective
+        predict, newton_projective = heuristic.predict, newton.newton_projective
 
         def counted_predict(*args):
             before = work["point_matrix"]
@@ -848,19 +855,18 @@ class TestEvaluationWork:
 
         def counted_newton(h, z):
             newton_calls[0] += 1
-            return newton(h, z)
+            return newton_projective(h, z)
 
         monkeypatch.setattr(heuristic, "predict", counted_predict)
-        monkeypatch.setattr(heuristic, "newton_projective", counted_newton)
+        monkeypatch.setattr(newton, "newton_projective", counted_newton)
         result = track_heuristic(hom, z0)
         assert result.success
         assert len(built) == len(result.trace) and set(built) == {4}
-        # (g, p) once; each Newton step's jacobian and evaluate share one
-        # placement of h alone and one point matrix.
-        pairs = [R for R in work["place"] if R.shape[0] == 2]
-        assert len(pairs) == 1
-        assert np.array_equal(pairs[0], np.stack([hom._gvec, hom._pvec]))
-        assert len(work["place"]) == 1 + newton_calls[0]
+        # Every placement is a pair: (g, p) once, then (h, 0) once per Newton
+        # step, whose jacobian and evaluate share it and one point matrix.
+        assert [R.shape[0] for R in work["place"]] == [2] * (1 + newton_calls[0])
+        assert np.array_equal(work["place"][0], np.stack([hom._gvec, hom._pvec]))
+        assert all(not R[1].any() for R in work["place"][1:])
         assert work["point_matrix"] == sum(built) + newton_calls[0]
 
 
