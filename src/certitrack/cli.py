@@ -2,10 +2,13 @@
 
 Subcommands:
   solve       track a target system from a chosen start (all paths for the
-              total-degree start, one path otherwise); writes a solutions CSV
+              total-degree start, one path otherwise); writes a solutions CSV.
+              The total-degree solve checks its endpoints; a rejected check
+              exits 2 with a message
   track       one path of solve, with its per-step trace CSV: both prepare the
-              target and draw the start through experiments.start_paths, so
-              the last row of `track --path i` is row i of solve bit for bit
+              target and draw the start through experiments.start_paths, the
+              one routine that does either, so the last row of
+              `track --path i` is row i of solve bit for bit
   bench       average steps per path on random or Katsura targets
   conjecture  compare good / total-degree / random start pairs on random
               degree-2 targets
@@ -36,6 +39,7 @@ from .experiments import (
 )
 from .bw import unit_scale
 from .polysys import parse_system_json
+from .start_systems import ENDPOINT_CHECK_ERRORS
 from .tracker import DegenerateHomotopyError, track_path
 
 # Floats in CSV output: 17 significant digits give back every double exactly.
@@ -130,6 +134,8 @@ def cmd_solve(args) -> int:
         rows = run_solve(system, args.start, args.seed)
     except DegenerateHomotopyError as exc:  # the target is -g on the sphere
         args.error(f"no homotopy to {args.system!r} from the {args.start} start: {exc}")
+    except ENDPOINT_CHECK_ERRORS as exc:
+        args.error(f"endpoint check of the solve of {args.system!r} failed: {exc}")
     n_coords = system.n + 1
     header = ["path", "status", "steps"] + _point_header(n_coords)
     _write_rows(args.out, header, _solution_rows(rows, n_coords))

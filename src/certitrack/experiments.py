@@ -22,6 +22,7 @@ from .newton import refine
 from .polysys import AffineSystem, PolySystem, space_dimension
 from .start_systems import (
     _NO_TRACE,
+    ENDPOINT_CHECK_ERRORS,
     StartSet,
     good_initial_pair,
     good_system_raw,
@@ -50,7 +51,8 @@ class AmbiguousMatchError(Exception):
 
 
 class ReferenceRootsError(Exception):
-    """A total-degree path to run_entropy's target failed: no reference roots."""
+    """A total-degree path to run_entropy's target failed, or its endpoint
+    check rejected the endpoints: no reference roots."""
 
 
 def shannon_entropy(hits) -> float:
@@ -352,15 +354,19 @@ def run_entropy(
 ) -> EntropyReport:
     """Histogram of which root the random start pair discovers, with its
     Shannon entropy; maximal entropy means equidistribution.  Raises
-    ReferenceRootsError when a total-degree path to the target fails."""
+    ReferenceRootsError when a total-degree path to the target fails or the
+    solve's endpoint check rejects the endpoints."""
     degrees = tuple(int(d) for d in degrees)
-    # solve_all_total_degree prepares the target once; the histogram paths
-    # track that same system, entropy_target's bits.
+    # start_paths prepares the target once; the reference solve and the
+    # histogram paths track that same system, entropy_target's bits.
     system = _perturbed_good_system(degrees, epsilon, np.random.default_rng([seed, 0]))
-    report = solve_all_total_degree(system, np.random.default_rng([seed, 1]))
+    f, start = start_paths(system, "total", seed)
+    try:
+        report = solve_all_total_degree(f, start)
+    except ENDPOINT_CHECK_ERRORS as exc:
+        raise ReferenceRootsError(f"endpoint check of the total-degree solve failed: {exc}") from exc
     if report.num_failed:
         raise ReferenceRootsError(f"{report.num_failed} total-degree paths to the target failed")
-    f = report.target
     references = report.roots
     args = [(degrees, variant, run, seed, f, references) for run in range(runs)]
     outcomes = _map_trials(_entropy_run, args, threads)
@@ -407,10 +413,11 @@ def start_paths(
     """The target, through prepare_target once, and the start of one kind
     with all its roots: the total-degree start (D roots, drawn from
     default_rng([seed, 1])), the good pair, or the random pair (drawn from
-    default_rng([seed, 2])).  Path i of run_solve starts at root i."""
+    default_rng([seed, 2])).  Every solve, track and reference solve starts
+    here; path i of run_solve starts at root i."""
     f = prepare_target(system)
     if kind == "total":
-        return f, total_degree_start(f.degrees, _total_degree_rng(seed))
+        return f, total_degree_start(f.degrees, np.random.default_rng([seed, 1]))
     if kind == "good":
         pair = good_initial_pair(f.degrees)
     elif kind == "random":
@@ -420,24 +427,20 @@ def start_paths(
     return f, StartSet(pair.g, (pair.zeta0,))
 
 
-def _total_degree_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng([seed, 1])
-
-
 def run_solve(
     system: PolySystem | AffineSystem,
     start_kind: str = "total",
     seed: int = 0,
 ) -> list[SolveRow]:
     """Track every path of start_paths(system, start_kind, seed): all D
-    total-degree paths (through solve_all_total_degree, which prepares the
-    target as start_paths does), or the one path of the good or random pair.
-    Row i is the path from root i; its endpoint is None unless it succeeded.
+    total-degree paths through solve_all_total_degree, with its endpoint
+    check, or the one path of the good or random pair.  Row i is the path
+    from root i; its endpoint is None unless it succeeded.
     """
+    f, start = start_paths(system, start_kind, seed)
     if start_kind == "total":
-        results = solve_all_total_degree(system, _total_degree_rng(seed)).results
+        results = solve_all_total_degree(f, start).results
     else:
-        f, start = start_paths(system, start_kind, seed)
         results = [track_path(start.g, f, z, _NO_TRACE) for z in start.roots]
     return [
         SolveRow(i, r.status.value, r.num_steps, r.endpoint if r.success else None)

@@ -32,7 +32,9 @@ first ~100 multi-column zgetrs calls; and a one-column zgetrs returns other
 bits under two threads than under one, so endpoints would depend on the
 caller's thread setting.  Pinned, every entry point computes the same bits
 on one OpenBLAS kernel whatever thread count the process was started or
-left with.  Other kernels (OPENBLAS_CORETYPE) may give ddot, zgemm and
+left with.  One scan of /proc/self/maps finds the loaded OpenBLAS libraries
+for the pin and for openblas_cores, which names the kernel each picked.
+Other kernels (OPENBLAS_CORETYPE) may give ddot, zgemm and
 zgetrs other last bits, but the same step counts: that half is measured
 (the benchmark's step digests under four kernels), not proved.  Within a
 kernel, the two routes to a system's values and Jacobian (the trackers'
@@ -54,12 +56,13 @@ from scipy.linalg.lapack import zgetrf as _zgetrf
 from scipy.linalg.lapack import zgetrs as _zgetrs
 
 
-# Thread-count getter and setter of SciPy's (LP64) and NumPy's (ILP64, with
-# the 64_ suffix) OpenBLAS builds.
+# Thread-count getter and setter, and core-name getter, of SciPy's (LP64)
+# and NumPy's (ILP64, with the 64_ suffix) OpenBLAS builds.
 _OPENBLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
 )
+_OPENBLAS_CORENAME_SYMBOLS = ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename")
 
 
 class SingularLinearSolveError(Exception):
@@ -97,10 +100,11 @@ def lu_solve(lu_piv, rhs: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _openblas_thread_controls() -> tuple[tuple, ...]:
-    # (get, set) of each OpenBLAS library mapped into this process, found
-    # once by its path in /proc/self/maps; none where there is no such file
-    # or no OpenBLAS.
+def _openblas_libraries() -> tuple[tuple[str, ctypes.CDLL], ...]:
+    # (path, library) of each OpenBLAS library mapped into this process,
+    # found once by its path in /proc/self/maps; none where there is no such
+    # file or no OpenBLAS.  This module imports NumPy and SciPy's LAPACK
+    # first, so both their builds are mapped by the first call.
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({
@@ -109,9 +113,30 @@ def _openblas_thread_controls() -> tuple[tuple, ...]:
             })
     except OSError:
         return ()
+    return tuple((path, ctypes.CDLL(path)) for path in paths)
+
+
+def openblas_cores() -> tuple[tuple[str, str, str], ...]:
+    """(symbol, core, path) of each core-name getter in the loaded OpenBLAS
+    libraries: the kernel set each picked, which OPENBLAS_CORETYPE
+    overrides.  NumPy's build answers to scipy_openblas_get_corename64_,
+    SciPy's to scipy_openblas_get_corename; empty where /proc/self/maps is
+    missing."""
+    cores = []
+    for path, lib in _openblas_libraries():
+        for name in _OPENBLAS_CORENAME_SYMBOLS:
+            if hasattr(lib, name):
+                get = getattr(lib, name)
+                get.argtypes, get.restype = [], ctypes.c_char_p
+                cores.append((name, get().decode(), path))
+    return tuple(cores)
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple[tuple, ...]:
+    # (get, set) of each loaded OpenBLAS library.
     controls = []
-    for path in paths:
-        lib = ctypes.CDLL(path)
+    for _, lib in _openblas_libraries():
         for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
             if hasattr(lib, get_name) and hasattr(lib, set_name):
                 get, set_ = getattr(lib, get_name), getattr(lib, set_name)

@@ -100,10 +100,16 @@ def refine(h: polysys.PolySystem, z) -> np.ndarray:
     """Iterate projective Newton until two iterates are within REFINE_TOL in d_R.
 
     Gives the reference zeros of the solve's endpoint check and of the
-    condition length; raises RefinementError if the iteration does not
-    settle within REFINE_MAX_ITERS steps.
+    condition length.  Rounding moves an iterate by about u mu (u the unit
+    roundoff), so past mu ~ 1e2 the steps can stall above REFINE_TOL; an
+    iterate whose last step is at most certified_radius(h, zeta) =
+    u0 / (d^(3/2) mu) is accepted then: with that step for beta and
+    gamma <= d^(3/2) mu / 2 (Shub-Smale), alpha <= u0 / 2 < alpha0.
+    Otherwise raises RefinementError.
     """
     zeta, step = _newton_steps(h, z, REFINE_MAX_ITERS, REFINE_TOL)
-    if not step < REFINE_TOL:
-        raise RefinementError(f"no convergence within {REFINE_MAX_ITERS} Newton iterations")
+    if not step < REFINE_TOL and not (math.isfinite(step) and step <= certified_radius(h, zeta)):
+        raise RefinementError(
+            f"no convergence within {REFINE_MAX_ITERS} Newton iterations (last step {step:.3e})"
+        )
     return zeta

@@ -22,8 +22,14 @@ from .bw import (
     stacked_sqrt_multinomials,
     unitary_compose,
 )
-from .linalg import kernel_vector, one_blas_thread, random_unitary, unitary_mapping_to_e0
-from .newton import certified_radius, refine
+from .linalg import (
+    SingularLinearSolveError,
+    kernel_vector,
+    one_blas_thread,
+    random_unitary,
+    unitary_mapping_to_e0,
+)
+from .newton import RefinementError, certified_radius, refine
 from .polysys import PolySystem, evaluate, space_dimension, unit_point
 from .tracker import TrackerOptions, TrackResult, track_path
 
@@ -250,12 +256,10 @@ def random_initial_pair_unitary(degrees, rng: np.random.Generator) -> InitialPai
 
 @dataclass(frozen=True)
 class SolveAllReport:
-    """Outcome of tracking every total-degree path to a target: target is
-    the prepared system the paths went to; roots are the endpoints refined
-    by Newton's method, in path order, when every path succeeded, else
-    empty."""
+    """Outcome of tracking every root of a start to a target: results in
+    root order; roots are the endpoints refined by Newton's method, in path
+    order, when every path succeeded, else empty."""
 
-    target: PolySystem
     results: tuple[TrackResult, ...]
     roots: tuple[np.ndarray, ...]
 
@@ -266,6 +270,16 @@ class SolveAllReport:
     @property
     def num_failed(self) -> int:
         return sum(0 if r.success else 1 for r in self.results)
+
+
+class PathCrossingError(RuntimeError):
+    """Two refined endpoints of an all-roots solve lie within twice the
+    largest certified radius of each other: two paths went to one root."""
+
+
+# What solve_all_total_degree's endpoint check raises when it rejects the
+# endpoints of a solve whose paths all succeeded.
+ENDPOINT_CHECK_ERRORS = (RefinementError, SingularLinearSolveError, PathCrossingError)
 
 
 def prepare_target(system: PolySystem | polysys.AffineSystem) -> PolySystem:
@@ -280,23 +294,22 @@ def prepare_target(system: PolySystem | polysys.AffineSystem) -> PolySystem:
 
 
 @one_blas_thread
-def solve_all_total_degree(
-    f: PolySystem | polysys.AffineSystem, rng: np.random.Generator
-) -> SolveAllReport:
-    """Track all D total-degree paths, without a per-step trace, to the target
-    f, given as it was read: prepare_target homogenizes and normalizes it once.
+def solve_all_total_degree(f: PolySystem, start: StartSet) -> SolveAllReport:
+    """Track every root of start, without a per-step trace, to the prepared
+    target f (experiments.start_paths gives both; a target off the unit
+    sphere fails the tracker's ensure_on_sphere).
 
     When every path succeeds, the refined endpoints are verified pairwise
     farther apart than twice the largest certified radius (a cluster would
     mean crossed paths, which the certified tracker excludes) and kept as
-    the report's roots.
+    the report's roots.  A rejected check raises one of
+    ENDPOINT_CHECK_ERRORS: refine's RefinementError or
+    SingularLinearSolveError, or PathCrossingError.
     """
-    f = prepare_target(f)
-    start = total_degree_start(f.degrees, rng)
     results = tuple(track_path(start.g, f, root, _NO_TRACE) for root in start.roots)
     success = all(r.success for r in results)
     roots = _distinct_roots(f, [r.endpoint for r in results]) if success else ()
-    return SolveAllReport(f, results, roots)
+    return SolveAllReport(results, roots)
 
 
 def _distinct_roots(f: PolySystem, endpoints) -> tuple[np.ndarray, ...]:
@@ -307,7 +320,7 @@ def _distinct_roots(f: PolySystem, endpoints) -> tuple[np.ndarray, ...]:
         for j in range(i + 1, len(refined)):
             dist = riemann_distance(refined[i], refined[j])
             if dist <= worst:
-                raise RuntimeError(
+                raise PathCrossingError(
                     f"endpoints {i} and {j} cluster within {dist:.3e} <= {worst:.3e}: "
                     "suspected path crossing"
                 )

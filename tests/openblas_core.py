@@ -4,36 +4,29 @@ ddot, zgemm and zgetrs return other last bits on other OpenBLAS kernels, so a
 digest of such bits is recorded once per core: natively (SkylakeX on the host
 that recorded them) and under OPENBLAS_CORETYPE=Haswell, Sandybridge and
 Prescott, which reports its generic core, Katmai.  A core without a recorded
-digest fails, naming the core.  The callers import NumPy first, which maps
-its OpenBLAS into the process.
+digest fails, naming the core.  The core is read by certitrack.linalg's
+one scan of the loaded OpenBLAS libraries, which also finds the thread
+controls.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
 
 import pytest
 
+from certitrack.linalg import openblas_cores
+
 
 @functools.cache
 def core_name() -> str:
-    """openblas_get_corename of NumPy's OpenBLAS (ILP64, symbols with the
-    64_ suffix), found through /proc/self/maps; "unknown" where there is no
-    such file or library."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh
-                            if "openblas" in line.rsplit("/", 1)[-1] and ".so" in line})
-    except OSError:
-        return "unknown"
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        if hasattr(lib, "scipy_openblas_get_corename64_"):
-            get = lib.scipy_openblas_get_corename64_
-            get.restype = ctypes.c_char_p
-            return get().decode()
-    return "unknown"
+    """The core of NumPy's OpenBLAS (ILP64, symbols with the 64_ suffix) in
+    linalg.openblas_cores; "unknown" where there is no /proc/self/maps or no
+    such library."""
+    return next(
+        (core for name, core, _ in openblas_cores() if name == "scipy_openblas_get_corename64_"),
+        "unknown",
+    )
 
 
 def pinned(by_core: dict[str, str]) -> str:

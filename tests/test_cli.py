@@ -9,10 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from certitrack import start_systems
 from certitrack.bw import riemann_distance
 from certitrack.cli import main
 from certitrack.experiments import katsura_system
-from certitrack.newton import certified_radius, refine
+from certitrack.linalg import SingularLinearSolveError
+from certitrack.newton import RefinementError, certified_radius, refine
 from certitrack.polysys import homogenize, parse_system_json
 from certitrack.start_systems import good_system_raw, prepare_target, random_system_on_sphere
 from system_io import system_to_json
@@ -329,6 +331,77 @@ class TestUnreadableSystem:
         message = err.strip().splitlines()[-1]
         assert f"error: cannot load system file {str(system)!r}" in message
         assert not out.exists()
+
+
+def _raising(error):
+    def stand_in(*args):
+        raise error
+
+    return stand_in
+
+
+class TestNearDoubleRoot:
+    """(X1 - X0)(X1 - (1+eps) X0): two roots eps apart, of condition ~1/eps."""
+
+    @staticmethod
+    def _system(tmp_path, eps):
+        system = tmp_path / "system.json"
+        terms = [[{"exponents": [2, 0], "re": 1.0 + eps}, {"exponents": [1, 1], "re": -(2.0 + eps)},
+                  {"exponents": [0, 2], "re": 1.0}]]
+        system.write_text(json.dumps({"degrees": [2], "terms": terms}))
+        return system
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-6])
+    def test_solved(self, tmp_path, capsys, eps):
+        # refine's steps stall above REFINE_TOL, within the certified radius.
+        out = tmp_path / "out.csv"
+        assert main(["solve", str(self._system(tmp_path, eps)), "--out", str(out)]) == 0
+        assert capsys.readouterr().err.strip().splitlines()[-1] == "2/2 paths succeeded"
+
+    @pytest.mark.parametrize(
+        "name, stand_in, message",
+        [
+            ("refine", _raising(RefinementError("no convergence")), "no convergence"),
+            ("refine", _raising(SingularLinearSolveError("exact zero pivot")), "exact zero pivot"),
+            # A radius past every distance puts the two roots in one cluster.
+            ("certified_radius", lambda f, zeta: 1.0, "suspected path crossing"),
+        ],
+        ids=["refinement", "singular", "crossing"],
+    )
+    def test_rejected_endpoint_check_is_an_input_error(
+        self, tmp_path, capsys, monkeypatch, name, stand_in, message
+    ):
+        monkeypatch.setattr(start_systems, name, stand_in)
+        system = self._system(tmp_path, 1e-2)
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(system), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        last = err.strip().splitlines()[-1]
+        assert f"error: endpoint check of the solve of {str(system)!r} failed" in last
+        assert message in last
+        assert not out.exists()
+
+    def test_closer_roots_end_without_a_traceback(self, tmp_path, capsys):
+        # At eps = 1e-8 the last Newton step of a refined endpoint stays
+        # above its certified radius on some OpenBLAS kernels (SkylakeX,
+        # Haswell): the check rejects the solve, exit 2.  Where the steps
+        # fall under REFINE_TOL (the Sandybridge and generic kernels) the
+        # solve succeeds.  Either way, no traceback.
+        system = self._system(tmp_path, 1e-8)
+        out = tmp_path / "out.csv"
+        try:
+            code = main(["solve", str(system), "--out", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        if code == 2:
+            assert f"error: endpoint check of the solve of {str(system)!r} failed" in last
+            assert not out.exists()
+        else:
+            assert (code, last) == (0, "2/2 paths succeeded")
 
 
 class TestExtremeCoefficients:

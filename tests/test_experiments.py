@@ -25,7 +25,13 @@ from certitrack.polysys import (
     space_dimension,
     unit_point,
 )
-from certitrack.start_systems import solve_all_total_degree
+from certitrack.start_systems import prepare_target, solve_all_total_degree, total_degree_start
+
+
+def solve_katsura(n: int):
+    # All total-degree paths to Katsura-n from the start of default_rng(1).
+    f = prepare_target(katsura_system(n))
+    return solve_all_total_degree(f, total_degree_start(f.degrees, np.random.default_rng(1)))
 
 
 class TestShannonEntropy:
@@ -107,13 +113,13 @@ class TestKatsura:
 
     @pytest.mark.parametrize("n,count", [(3, 4), (4, 8)])
     def test_solution_count(self, n, count):
-        report = solve_all_total_degree(katsura_system(n), np.random.default_rng(1))
+        report = solve_katsura(n)
         assert report.num_failed == 0
         assert len(report.endpoints) == count
 
     def test_pinned_step_counts(self):
         # (status, steps) of the Katsura-4 solve of test_solution_count[4-8]
-        report = solve_all_total_degree(katsura_system(4), np.random.default_rng(1))
+        report = solve_katsura(4)
         assert [(r.status.value, r.num_steps) for r in report.results] == [
             ("Success", 2485), ("Success", 2360), ("Success", 3360), ("Success", 3374),
             ("Success", 3428), ("Success", 4768), ("Success", 4460), ("Success", 2867),
@@ -261,6 +267,17 @@ class TestRunConjecture:
 
 
 class TestEntropyExperiment:
+    def test_rejected_endpoint_check_means_no_reference_roots(self, monkeypatch):
+        import certitrack.start_systems as start_systems
+        from certitrack.newton import RefinementError
+
+        def failing(f, z):
+            raise RefinementError("no convergence")
+
+        monkeypatch.setattr(start_systems, "refine", failing)
+        with pytest.raises(experiments.ReferenceRootsError, match="endpoint check .* no convergence"):
+            run_entropy((2, 2), epsilon=0.1, runs=1)
+
     def test_target_construction(self):
         f = entropy_target((2, 2, 2), 0.1, np.random.default_rng(0))
         from certitrack.bw import bw_norm

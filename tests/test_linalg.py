@@ -422,3 +422,21 @@ def test_kernel_pins_fail_on_an_unrecorded_core():
     assert pinned({core_name(): "digest"}) == "digest"
     with pytest.raises(pytest.fail.Exception, match=f"no digest recorded for OpenBLAS core '{core_name()}'"):
         pinned({})
+
+
+def test_openblas_scan_without_proc_maps(monkeypatch):
+    # Where /proc/self/maps cannot be read, the one scan finds no library:
+    # no thread controls, no cores, and the test process's core "unknown".
+    import builtins
+
+    def no_maps(*args, **kwargs):
+        raise OSError("no /proc/self/maps")
+
+    with monkeypatch.context() as m:
+        m.setattr(builtins, "open", no_maps)
+        libraries = linalg._openblas_libraries.__wrapped__()
+    assert libraries == ()
+    monkeypatch.setattr(linalg, "_openblas_libraries", lambda: libraries)
+    assert linalg._openblas_thread_controls.__wrapped__() == ()
+    assert linalg.openblas_cores() == ()
+    assert core_name.__wrapped__() == "unknown"

@@ -162,6 +162,27 @@ class TestRefine:
             refined = refine(start.g, root)
             assert np.linalg.norm(evaluate(start.g, refined)) <= 1e-12
 
+    def test_near_double_root_within_its_certified_radius(self):
+        # (X1 - X0)(X1 - (1+eps) X0) at eps = 1e-4: mu ~ 3e4, so rounding
+        # stalls the Newton steps above REFINE_TOL.  Each refined endpoint
+        # is accepted within its certified radius of its exact zero.
+        from certitrack.experiments import start_paths
+        from certitrack.tracker import track_path
+
+        eps = 1e-4
+        system = PolySystem.from_terms((2,), [[((2, 0), 1.0 + eps), ((1, 1), -(2.0 + eps)), ((0, 2), 1.0)]])
+        f, start = start_paths(system, "total", 0)
+        exact = [unit_point([1.0, 1.0]), unit_point([1.0, 1.0 + eps])]
+        found = []
+        for root in start.roots:
+            result = track_path(start.g, f, root)
+            assert result.success
+            zeta = refine(f, result.endpoint)
+            dists = [riemann_distance(zeta, w) for w in exact]
+            found.append(int(np.argmin(dists)))
+            assert min(dists) <= certified_radius(f, zeta)
+        assert sorted(found) == [0, 1]
+
     def test_nonconvergence_raises(self, monkeypatch):
         h = diff_of_squares()
         z = unit_point([1.0, 0.0])  # singular point of the zero set structure
@@ -190,7 +211,7 @@ class TestRefine:
         h = random_system_on_sphere((2, 2), rng)
         from certitrack.start_systems import solve_all_total_degree
 
-        report = solve_all_total_degree(h, rng)
+        report = solve_all_total_degree(h, total_degree_start(h.degrees, rng))
         z = report.results[0].endpoint
         zeta = refine(h, z)
         d0 = riemann_distance(z, zeta)

@@ -18,6 +18,8 @@ from certitrack.polysys import (
 )
 from certitrack.start_systems import (
     InitialPair,
+    PathCrossingError,
+    StartSet,
     _total_degree_pattern,
     draw_ball_matrix,
     draw_restricted_system,
@@ -324,7 +326,7 @@ class TestRandomInitialPairUnitary:
 class TestSolvers:
     def test_solve_all_distinct_roots(self):
         f = random_system_on_sphere((2, 2), np.random.default_rng(17))
-        report = solve_all_total_degree(f, np.random.default_rng(18))
+        report = solve_all_total_degree(f, total_degree_start(f.degrees, np.random.default_rng(18)))
         assert report.num_failed == 0
         endpoints = report.endpoints
         assert len(endpoints) == 4
@@ -334,18 +336,36 @@ class TestSolvers:
                 assert riemann_distance(refined[i], refined[j]) > 1e-3
 
     def test_solve_all_affine_input(self):
-        from certitrack.experiments import katsura_system
+        from certitrack.experiments import katsura_system, start_paths
 
-        report = solve_all_total_degree(katsura_system(3), np.random.default_rng(19))
+        report = solve_all_total_degree(*start_paths(katsura_system(3), "total", 19))
         assert report.num_failed == 0
         assert len(report.endpoints) == 4
 
     def test_solve_all_reports_failures(self, monkeypatch):
         f = random_system_on_sphere((2, 2), np.random.default_rng(20))
         monkeypatch.setattr(tracker, "MAX_STEPS", 1)
-        report = solve_all_total_degree(f, np.random.default_rng(21))
+        report = solve_all_total_degree(f, total_degree_start(f.degrees, np.random.default_rng(21)))
         assert report.num_failed == 4
         assert report.endpoints == []
+
+    def test_solve_all_rejects_an_unprepared_target(self):
+        # The target is tracked as given: one off the sphere is an error,
+        # not scaled onto it.
+        f = 2.0 * random_system_on_sphere((2, 2), np.random.default_rng(22))
+        start = total_degree_start(f.degrees, np.random.default_rng(23))
+        with pytest.raises(ValueError, match="target system must lie on the unit sphere"):
+            solve_all_total_degree(f, start)
+
+    def test_solve_all_rejects_two_paths_to_one_root(self):
+        # Two paths from the same start root end at the same root: the
+        # endpoint check's crossing error, a RuntimeError.
+        f = random_system_on_sphere((2, 2), np.random.default_rng(24))
+        start = total_degree_start(f.degrees, np.random.default_rng(25))
+        twice = StartSet(start.g, (start.roots[0], start.roots[0]))
+        with pytest.raises(PathCrossingError, match="suspected path crossing"):
+            solve_all_total_degree(f, twice)
+        assert issubclass(PathCrossingError, RuntimeError)
 
 
 # Problem set-up pins: per degree tuple, sha256 over seeds 0, 1, 2 of the
