@@ -35,6 +35,7 @@ from .start_systems import (
     total_degree_start,
 )
 from .tracker import (
+    TrackerOptions,
     TrackStatus,
     make_linear_homotopy,
     theorem_step_bound,
@@ -170,12 +171,11 @@ def _bench_trial(args) -> list[PathStat]:
     family, degrees, n, trial, seed, trackers = args
     rows: list[PathStat] = []
     if family == "random":
-        rng = np.random.default_rng([seed, trial, 0])
-        target = random_system_on_sphere(degrees, rng)
+        target = random_system_on_sphere(degrees, np.random.default_rng([seed, trial, 0]))
+        start = total_degree_start(degrees, np.random.default_rng([seed, trial, 1]))
     else:
-        target = prepare_target(katsura_system(n))
-        degrees = target.degrees
-    start = total_degree_start(degrees, np.random.default_rng([seed, trial, 1]))
+        # The one Katsura trial starts where run_solve does, path by path.
+        target, start = start_paths(katsura_system(n), "total", seed)
     hom = make_linear_homotopy(start.g, target)
     for kind in trackers:
         for path_id, root in enumerate(start.roots):
@@ -200,7 +200,9 @@ def run_bench(
 
     The random family takes degrees and trials (None: 10 random targets),
     the katsura family n alone, for its one deterministic system (trials
-    None or 1).  A parameter the family does not read is a ValueError."""
+    None or 1), whose paths are start_paths(katsura_system(n), "total",
+    seed)'s, as in run_solve.  A parameter the family does not read is a
+    ValueError."""
     if family == "random":
         if degrees is None:
             raise ValueError("the random family needs --degrees")
@@ -270,10 +272,11 @@ def _conjecture_trial(args):
         else:
             pair = random_initial_pair(degrees, rng)
         hom = make_linear_homotopy(pair.g, target)
-        result = track_linear(hom, pair.zeta0, _NO_TRACE)
+        # Tracked once: the bound integrates this result's trace.
+        result = track_linear(hom, pair.zeta0, TrackerOptions(record_trace=verify_bound))
         violated = False
         if verify_bound and result.success:
-            violated = result.num_steps > theorem_step_bound(hom, pair.zeta0)
+            violated = result.num_steps > theorem_step_bound(hom, pair.zeta0, result)
         out.append((kind, result.status.value, result.num_steps, violated))
     return out
 
@@ -286,7 +289,9 @@ def run_conjecture(
     verify_bound: bool = False,
 ) -> list[ConjectureReport]:
     """Mean certified steps from the good / total-degree / random start pairs
-    to random targets with all degrees 2."""
+    to random targets with all degrees 2.  With verify_bound, each path is
+    tracked once with its trace, and a successful one whose steps exceed
+    theorem_step_bound of that trace counts as a bound violation."""
     args = [(n, trial, seed, verify_bound) for trial in range(trials)]
     rows_nested = _map_trials(_conjecture_trial, args, threads)
     bound = conjecture_bound(n)

@@ -382,11 +382,12 @@ def track_path(
 
 
 @linalg.one_blas_thread
-def condition_length(hom: LinearHomotopy, z0) -> float:
+def condition_length(hom: LinearHomotopy, z0, result: TrackResult) -> float:
     """Numerical condition length of the lifted path through z0, the oracle
     for the certified step-count bound: the trapezoid rule on the loop's
-    phi = chi1 * chi2 over the nodes 0, s_1, ..., s_N of the path's certified
-    trace (track_linear), at the zeros refined from z0 and the trace's points.
+    phi = chi1 * chi2 over the nodes 0, s_1, ..., s_N of result, the path's
+    certified trace (result = track_linear(hom, z0), traced), at the zeros
+    refined from z0 and the trace's points.  The path is not tracked again.
 
     At a zero zeta of h, phi is the integrand mu(h, zeta) ||(hdot, zetadot)||:
     chi2 is ||(hdot, zetadot)||, zetadot = -(Dh(zeta); zeta*)^{-1} (hdot(zeta); 0),
@@ -396,11 +397,14 @@ def condition_length(hom: LinearHomotopy, z0) -> float:
     so the nodes are dense where phi peaks.  There is no error bound: finer
     meshes read within 1.1e-5 relative on the paths measured (n = 2, 3 and
     Katsura-4), and an underestimate errs toward a false violation of
-    theorem_step_bound.  Raises ValueError if the path does not end Success.
+    theorem_step_bound.  Raises ValueError if the path did not end Success,
+    or if result holds no trace row per step (tracked with record_trace off):
+    its one node s = 0 would read C = 0.
     """
-    result = track_linear(hom, z0)
     if not result.success:
         raise ValueError(f"no condition length: the path ended {result.status.value}")
+    if len(result.trace) != result.num_steps:
+        raise ValueError("no condition length: the path was tracked without its trace")
     buf = _StepBuffers(hom)
     nodes = np.concatenate([[0.0], result.trace.s])
     points = zip(nodes.tolist(), [z0, *result.trace.z])
@@ -408,8 +412,8 @@ def condition_length(hom: LinearHomotopy, z0) -> float:
     return float(np.dot(np.diff(nodes), phi[1:] + phi[:-1]) / 2.0)
 
 
-def theorem_step_bound(hom: LinearHomotopy, z0) -> int:
+def theorem_step_bound(hom: LinearHomotopy, z0, result: TrackResult) -> int:
     """ceil(71 * d^{3/2} * C): the certified step-count bound, with C the
-    condition_length of the path through z0, on its certified trace's nodes.
-    Raises condition_length's ValueError if the path does not end Success."""
-    return math.ceil(71.0 * hom.g.max_degree**1.5 * condition_length(hom, z0))
+    condition_length of result, the traced path through z0, on its nodes.
+    Raises condition_length's ValueError on a failed or untraced result."""
+    return math.ceil(71.0 * hom.g.max_degree**1.5 * condition_length(hom, z0, result))

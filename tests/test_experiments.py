@@ -191,9 +191,20 @@ class TestRunBench:
             ]
             assert {p.status for p in report.per_path} == {"Success"}
             assert [p.steps for p in report.per_path] == steps[kind]
+        # The Katsura paths are run_solve(katsura_system(3), "total", 0)'s.
         katsura = run_bench("katsura", n=3)["certified"].per_path
         assert [(p.status, p.steps) for p in katsura] == [
-            ("Success", s) for s in (1087, 1162, 1354, 1484)
+            ("Success", s) for s in (1270, 841, 1056, 980)
+        ]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_katsura_paths_are_the_solve_paths(self, n, seed):
+        # Both start from start_paths(katsura_system(n), "total", seed).
+        bench = run_bench("katsura", n=n, seed=seed)["certified"].per_path
+        solve = run_solve(katsura_system(n), "total", seed)
+        assert [(p.path, p.status, p.steps) for p in bench] == [
+            (r.path, r.status, r.steps) for r in solve
         ]
 
     def test_one_homotopy_per_trial(self, monkeypatch):
@@ -257,9 +268,26 @@ class TestRunConjecture:
             assert r.mean_steps < r.bound
 
     def test_thread_determinism(self):
-        a = run_conjecture(2, trials=3, seed=4, threads=1)
-        b = run_conjecture(2, trials=3, seed=4, threads=2)
-        assert a == b
+        for verify_bound in (False, True):
+            a = run_conjecture(2, trials=3, seed=4, threads=1, verify_bound=verify_bound)
+            b = run_conjecture(2, trials=3, seed=4, threads=2, verify_bound=verify_bound)
+            assert a == b
+
+    def test_verify_bound_tracks_each_path_once(self, monkeypatch):
+        # The bound integrates the trace of the path the trial tracked; the
+        # oracle tracks nothing itself.
+        calls = []
+        track = tracker.track_linear
+
+        def counting(hom, z0, opts=tracker.TrackerOptions()):
+            calls.append(opts.record_trace)
+            return track(hom, z0, opts)
+
+        monkeypatch.setattr(experiments, "track_linear", counting)
+        monkeypatch.setattr(tracker, "track_linear", counting)
+        reports = run_conjecture(2, trials=1, seed=3, verify_bound=True)
+        assert all(r.failures == 0 for r in reports)
+        assert calls == [True] * len(PAIR_KINDS)
 
     def test_verify_bound_flags_nothing(self):
         reports = run_conjecture(2, trials=1, seed=3, verify_bound=True)

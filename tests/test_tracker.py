@@ -565,11 +565,11 @@ class TestTrackLinear:
         second = make_linear_homotopy(mid, f)
         res2 = track_linear(second, res1.endpoint)
         assert res2.status is TrackStatus.SUCCESS
-        c0_total = condition_length(hom, start.roots[0])
+        direct = track_linear(hom, start.roots[0])
+        c0_total = condition_length(hom, start.roots[0], direct)
         bound = 2 + math.ceil(71.0 * 2.0**1.5 * c0_total)
         assert res1.num_steps + res2.num_steps <= bound
         # and both halves land on the same root as the unsplit path
-        direct = track_linear(hom, start.roots[0])
         assert riemann_distance(
             refine(f, res2.endpoint), refine(f, direct.endpoint)
         ) <= 1e-8
@@ -631,12 +631,12 @@ def named_path(name: str):
 
 
 @linalg.one_blas_thread
-def midpoint_rule(hom, z0) -> float:
-    # The midpoint rule M on phi over the certified steps of the path through
-    # z0, each midpoint's zero refined from the step's starting point, under
-    # one BLAS thread as condition_length runs.  With the trapezoid C on the
-    # steps' ends, (C + M) / 2 is the trapezoid with every midpoint a node.
-    result = track_linear(hom, z0)
+def midpoint_rule(hom, z0, result) -> float:
+    # The midpoint rule M on phi over the certified steps of result, the
+    # traced path through z0, each midpoint's zero refined from the step's
+    # starting point, under one BLAS thread as condition_length runs.  With
+    # the trapezoid C on the steps' ends, (C + M) / 2 is the trapezoid with
+    # every midpoint a node.
     assert result.success
     buf = tracker._StepBuffers(hom)
     ends = [0.0, *result.trace.s.tolist()]
@@ -653,7 +653,7 @@ class TestConditionLength:
         # reads 11.911410721200921, 9.6e-6 lower.
         start, f = quad_pair
         hom = make_linear_homotopy(start.g, f)
-        c = condition_length(hom, start.roots[0])
+        c = condition_length(hom, start.roots[0], track_linear(hom, start.roots[0]))
         assert c == pytest.approx(11.911525504322785, rel=1e-12)
 
     @pytest.mark.parametrize("path", ["pinned-0", "katsura4-4"])
@@ -662,16 +662,29 @@ class TestConditionLength:
         # relative; a uniform grid of 2,000 nodes reads Katsura-4 path 4
         # 5.7% low, as it misses the narrow peaks of phi.
         hom, z0 = named_path(path)
-        c = condition_length(hom, z0)
-        assert c == pytest.approx((c + midpoint_rule(hom, z0)) / 2.0, rel=2e-5)
+        result = track_linear(hom, z0)
+        c = condition_length(hom, z0, result)
+        assert c == pytest.approx((c + midpoint_rule(hom, z0, result)) / 2.0, rel=2e-5)
 
     def test_failed_path_has_no_condition_length(self, quad_pair, monkeypatch):
         start, f = quad_pair
         hom = make_linear_homotopy(start.g, f)
         monkeypatch.setattr(tracker, "MAX_STEPS", 5)
+        result = track_linear(hom, start.roots[0])
         for oracle in (condition_length, theorem_step_bound):
             with pytest.raises(ValueError, match="MaxSteps"):
-                oracle(hom, start.roots[0])
+                oracle(hom, start.roots[0], result)
+
+    def test_untraced_path_has_no_condition_length(self, quad_pair):
+        # Without its trace a Success result has the one node s = 0, which
+        # would read C = 0 and a bound of 0 steps.
+        start, f = quad_pair
+        hom = make_linear_homotopy(start.g, f)
+        result = track_linear(hom, start.roots[0], TrackerOptions(record_trace=False))
+        assert result.success and result.num_steps > 0
+        for oracle in (condition_length, theorem_step_bound):
+            with pytest.raises(ValueError, match="without its trace"):
+                oracle(hom, start.roots[0], result)
 
     @pytest.mark.parametrize("degrees", [(2, 2, 2), (1, 2, 3), (1, 2, 2, 2, 2)], ids=str)
     def test_integrand_is_mu_times_lifted_speed(self, degrees):
@@ -702,8 +715,8 @@ class TestConditionLength:
         # truncated reparametrized arc: from g to a nearby point on the circle
         near = normalize_to_sphere(hom.value_at(0.01))
         short = make_linear_homotopy(start.g, near)
-        c_short = condition_length(short, start.roots[0])
-        full = condition_length(hom, start.roots[0])
+        c_short = condition_length(short, start.roots[0], track_linear(short, start.roots[0]))
+        full = condition_length(hom, start.roots[0], track_linear(hom, start.roots[0]))
         assert c_short < 0.05 * full
 
     def test_step_bound_holds(self, quad_pair):
@@ -712,7 +725,7 @@ class TestConditionLength:
         for root in start.roots[:2]:
             result = track_linear(hom, root)
             assert result.status is TrackStatus.SUCCESS
-            assert result.num_steps <= theorem_step_bound(hom, root)
+            assert result.num_steps <= theorem_step_bound(hom, root, result)
 
     @pytest.mark.parametrize("path", ["pinned-0", "pinned-1", "katsura4-4", "katsura4-6"])
     def test_steps_over_bound_is_a_constant(self, path):
@@ -723,7 +736,8 @@ class TestConditionLength:
         of C.  A chi1 estimated within the rule's factor 2 (ROADMAP item 5,
         stage b) would move the ratio off this constant."""
         hom, z0 = named_path(path)
-        ratio = track_linear(hom, z0).num_steps / theorem_step_bound(hom, z0)
+        result = track_linear(hom, z0)
+        ratio = result.num_steps / theorem_step_bound(hom, z0, result)
         assert ratio == pytest.approx(1.0 / (71.0 * C_OVER_P_LINEAR), rel=0.01)
 
 
