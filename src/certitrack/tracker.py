@@ -39,9 +39,11 @@ h_s = cos(s) g + sin(s) p (LinearHomotopy, the path's geometry and speed)
 the blocks of h_{s_i}, hdot_{s_i} and the advanced system are real rotations
 of theirs.  One factorization and one (n+2)-column solve give chi_1 and
 chi_2, one more the Newton step.  They run on the path's step buffers
-(_StepBuffers), as do chi1, chi2, certified_step, condition_length and the
-heuristic's predictor, with the same BLAS calls on the same operands as a
-step that allocates its arrays, so the bits are those of such a step.  The
+(_StepBuffers), as do chi1, chi2, certified_step and condition_length (all
+through the loop's chi) and the heuristic's predictor.  The rotation writes
+into a work array whose strided view is the bordered matrix, so no step
+copies a Jacobian, and every BLAS and LAPACK call has the operands of a step
+that allocates its arrays, so the bits are those of such a step.  The
 trackers run on one BLAS thread (see linalg).
 """
 
@@ -198,12 +200,12 @@ def make_linear_homotopy(g: polysys.PolySystem, f: polysys.PolySystem) -> Linear
 def chi1(g: polysys.PolySystem, z) -> float:
     """Operator norm of the bordered inverse times Diag(sqrt(d_i), 1)."""
     # chi1 does not depend on the tangent; g stands in for it.
-    return _chi_at(g, g, z)[0]
+    return _chi_at(g, g, z)[1]
 
 
 def chi2(g: polysys.PolySystem, gdot: polysys.PolySystem, z) -> float:
     """Path-speed factor combining ||gdot|| with the bordered solve against gdot(z)."""
-    return _chi_at(g, gdot, z)[1]
+    return _chi_at(g, gdot, z)[2]
 
 
 def certified_step(g: polysys.PolySystem, gdot: polysys.PolySystem, z) -> tuple[float, float]:
@@ -217,24 +219,20 @@ def certified_step(g: polysys.PolySystem, gdot: polysys.PolySystem, z) -> tuple[
     MinStepReached.  Raises SingularLinearSolveError on an exact zero pivot
     of the bordered matrix; a near-singular one gives a short t.
     """
-    x1, x2 = _chi_at(g, gdot, z)
+    buf, x1, x2 = _chi_at(g, gdot, z)
     phi = x1 * x2
-    return _step_length(g.max_degree, phi), phi
+    return buf.step_length(phi), phi
 
 
-def _step_length(max_degree: int, phi: float) -> float:
-    # phi == 0 (a zero-speed homotopy) gives t = inf: no certified step.
-    c_over_p = C_OVER_P_LINEAR if max_degree >= 2 else C_OVER_P_DEGREE_ONE
-    return c_over_p / (max_degree**1.5 * phi) if phi else math.inf
-
-
-def _chi_at(g: polysys.PolySystem, gdot: polysys.PolySystem, z) -> tuple[float, float]:
+def _chi_at(g: polysys.PolySystem, gdot: polysys.PolySystem, z) -> tuple["_StepBuffers", float, float]:
+    # The loop's chi1 and chi2 at (g, z) with tangent gdot, and the buffers
+    # they were read on: at s = 0, cos(s) g + sin(s) gdot is g with tangent
+    # gdot (T is unused).
     if gdot.degrees != g.degrees:
         raise ValueError(f"tangent degrees {gdot.degrees} differ from the system's {g.degrees}")
     z = polysys._checked_point(g.n_vars, z)
-    # At s = 0, cos(s) g + sin(s) gdot is g with tangent gdot (T is unused).
-    hom = LinearHomotopy(g, 0.0, g.coeff_vector(), gdot.coeff_vector())
-    return _StepBuffers(hom).chi(0.0, z)
+    buf = _StepBuffers(LinearHomotopy(g, 0.0, g.coeff_vector(), gdot.coeff_vector()))
+    return (buf, *buf.chi(0.0, z))
 
 
 class _StepBuffers:
@@ -243,16 +241,18 @@ class _StepBuffers:
     step takes no slice either.
 
     basis: the (2n, rows) placement of the coefficient vectors g and p.
-    B: the (2n, n+2) product of basis with a point matrix (at).
-    rot: its rotation (rotate) into the (2, n, n+2) blocks [Dh(z) | h(z)]
-    and [Dhdot(z) | hdot(z)] of (h_s, hdot_s), by the real 2 x 2 mix
-    (written through its flat view mix_flat) applied to the real
-    (2, 2n(n+2)) views B_real and rot_real.
-    bordered: (Dh(z); z*), which the factorization copies: at writes its
-    row z*, and rotate its Jacobian rows again before each factorization.
-    rhs: the n+2 columns of the chi solve, Diag(sqrt(d_i), 1) for chi1 and
-    hdot(z) for chi2.  rhs1: one column (v; 0), with v = h(z) for the Newton
-    step and v = -hdot(z) for the heuristic predictor's tangent.
+    B: the (2n, n+2) product of basis with a point matrix, blocks of g then p.
+    W: the (2n+1, n+2) work array: rows [:n] hold [Dhdot(z) | hdot(z)], rows
+    [n:2n] hold [Dh(z) | h(z)], and row 2n holds z* and a fixed 0.  rotate
+    writes [hdot; h] into W[:2n] by the real 2 x 2 mix [-sin, cos; cos, sin]
+    on the real (2, 2n(n+2)) views B_real and rot_real.
+    bordered: the strided view W[n:, :n+1], (Dh(z); z*), which zgetrf's
+    wrapper copies: the rotation's output is the factorization's input.
+    newton_rhs: the view W[n:, n+1], (h(z); 0).  rhs: the n+2 columns of the
+    chi solve, Diag(sqrt(d_i), 1) for chi1 and (hdot(z); 0) for chi2.  rhs1:
+    one column (-hdot(z); 0) for the heuristic predictor's tangent.  rotate
+    and chi are closures over these arrays and the kernels a step calls,
+    bound here: a wrapper installed before the buffers are made is called.
     """
 
     def __init__(self, hom: LinearHomotopy):
@@ -262,54 +262,72 @@ class _StepBuffers:
         self.ev = ev
         self.basis = ev.place(np.stack([hom._gvec, hom._pvec]))
         self.B = np.empty((2 * n, n + 2), dtype=np.complex128)
-        self.rot = np.empty((2, n, n + 2), dtype=np.complex128)
+        self.W = np.zeros((2 * n + 1, n + 2), dtype=np.complex128)
         self.B_real = self.B.view(np.float64).reshape(2, -1)
-        self.rot_real = self.rot.view(np.float64).reshape(2, -1)
-        self.mix = np.empty((2, 2))
-        self.mix_flat = self.mix.reshape(-1)
-        self.bordered = np.empty((n + 1, n + 1), dtype=np.complex128)
+        self.rot_real = self.W[: 2 * n].view(np.float64).reshape(2, -1)
+        self.bordered, self.border = self.W[n:, : n + 1], self.W[2 * n, : n + 1]
+        self.hdot_val, self.newton_rhs = self.W[:n, n + 1], self.W[n:, n + 1]
         self.rhs = np.zeros((n + 1, n + 2), dtype=np.complex128)
         for i, d in enumerate(ev.degrees):
             self.rhs[i, i] = math.sqrt(d)
         self.rhs[n, n] = 1.0
         self.rhs1 = np.zeros(n + 1, dtype=np.complex128)
-        self.jac, self.border = self.bordered[:n], self.bordered[n]
-        self.h_jac, self.h_val = self.rot[0, :, : n + 1], self.rot[0, :, n + 1]
-        self.hdot_val = self.rot[1, :, n + 1]
-        self.rhs_hdot, self.rhs1_top = self.rhs[:n, n + 1], self.rhs1[:n]
+        self.rhs1_top = self.rhs1[:n]
+        self.c_over_p = C_OVER_P_LINEAR if ev.max_d >= 2 else C_OVER_P_DEGREE_ONE
+        self.d32 = ev.max_d**1.5
+        self.rotate, self.chi = self._step_kernels()
+
+    def _step_kernels(self):
+        # rotate and chi, with every array and kernel they read bound here.
+        # ndarray.dot is np.dot's product without its dispatch.
+        B, border, B_real, rot_real = self.B, self.border, self.B_real, self.rot_real
+        bordered, rhs, hdot_val, rhs_hdot = self.bordered, self.rhs, self.hdot_val, self.rhs[:-1, -1]
+        mix = np.empty((2, 2))
+        mix_flat, mix_dot, basis_dot = mix.reshape(-1), mix.dot, self.basis.dot
+        point_matrix, svd = self.ev.point_matrix, np.linalg.svd
+        factor, solve = linalg.lu_factor_checked, linalg.lu_solve
+        speed_squared, norm = self.hom.speed_squared, linalg.vector_norm
+        conjugate, cos, sin, sqrt = np.conjugate, math.cos, math.sin, math.sqrt
+
+        def rotate(s: float) -> tuple[float, float]:
+            """Rotate B into W at s: hdot_s = -sin(s) g + cos(s) p and
+            h_s = cos(s) g + sin(s) p, which puts Dh_s(z) in bordered.
+            Returns (cos(s), sin(s))."""
+            c, sn = cos(s), sin(s)
+            mix_flat[0] = -sn
+            mix_flat[1] = mix_flat[2] = c
+            mix_flat[3] = sn
+            mix_dot(B_real, out=rot_real)
+            return c, sn
+
+        def chi(s: float, z: np.ndarray) -> tuple[float, float]:
+            """chi1 and chi2 at (h_s, z), z of unit norm: the path placed at
+            (s, z) as at places it, one factorization of (Dh_s(z); z*) and
+            one solve against the n+2 columns of rhs, with the homotopy's
+            speed_squared.  z* stays in bordered and z's blocks in B for the
+            Newton step."""
+            basis_dot(point_matrix(z), out=B)
+            conjugate(z, out=border)
+            c, sn = rotate(s)
+            lu = factor(bordered)
+            rhs_hdot[...] = hdot_val
+            sol = solve(lu, rhs)
+            x1 = svd(sol[:, :-1], compute_uv=False).item(0)
+            return x1, sqrt(speed_squared(c, sn) + norm(sol[:, -1]) ** 2)
+
+        return rotate, chi
 
     def at(self, s: float, z: np.ndarray) -> tuple[float, float]:
         """Place the path at (s, z): B from the point matrix at z, z* in the
         bordered row, and the rotation to s.  Returns (cos(s), sin(s))."""
-        np.dot(self.basis, self.ev.point_matrix(z), out=self.B)
+        self.basis.dot(self.ev.point_matrix(z), out=self.B)
         np.conjugate(z, out=self.border)
         return self.rotate(s)
 
-    def rotate(self, s: float) -> tuple[float, float]:
-        """Rotate B into rot at s, h_s = cos(s) g + sin(s) p and
-        hdot_s = -sin(s) g + cos(s) p, and copy Dh_s(z) into the bordered
-        matrix.  Returns (cos(s), sin(s))."""
-        c, sn = math.cos(s), math.sin(s)
-        mix = self.mix_flat
-        mix[0] = mix[3] = c
-        mix[1] = sn
-        mix[2] = -sn
-        np.dot(self.mix, self.B_real, out=self.rot_real)
-        self.jac[...] = self.h_jac
-        return c, sn
-
-    def chi(self, s: float, z: np.ndarray) -> tuple[float, float]:
-        """chi1 and chi2 at (h_s, z), z of unit norm: one factorization of
-        (Dh_s(z); z*) and one solve against the n+2 columns of rhs, with the
-        homotopy's speed_squared.  z* stays in bordered and z's blocks in B
-        for the Newton step."""
-        c, sn = self.at(s, z)
-        lu = linalg.lu_factor_checked(self.bordered)
-        self.rhs_hdot[...] = self.hdot_val
-        sol = linalg.lu_solve(lu, self.rhs)
-        x1 = linalg.spectral_norm(sol[:, :-1])
-        x2 = math.sqrt(self.hom.speed_squared(c, sn) + linalg.vector_norm(sol[:, -1]) ** 2)
-        return x1, x2
+    def step_length(self, phi: float) -> float:
+        """c/P / (d^{3/2} phi), with the c/P of the largest degree d; phi == 0
+        (a zero-speed homotopy) gives t = inf: no certified step."""
+        return self.c_over_p / (self.d32 * phi) if phi else math.inf
 
 
 @linalg.one_blas_thread
@@ -325,8 +343,12 @@ def track_linear(
     """
     # (g, p) is placed once per path and multiplied by each point matrix once;
     # that product is rotated to s for the step and to s_next for the Newton
-    # step.
+    # step.  The step's buffers and kernels are bound once per path.
     buf = _StepBuffers(hom)
+    chi, rotate, step_length = buf.chi, buf.rotate, buf.step_length
+    factor, solve, norm = linalg.lu_factor_checked, linalg.lu_solve, linalg.vector_norm
+    bordered, newton_rhs = buf.bordered, buf.newton_rhs
+    record, inf = opts.record_trace, math.inf
     T = hom.T
     z = polysys.unit_point(polysys._checked_point(buf.ev.n_vars, z0))
     s = 0.0
@@ -338,12 +360,12 @@ def track_linear(
             status = TrackStatus.MAX_STEPS
             break
         try:
-            x1, x2 = buf.chi(s, z)
+            x1, x2 = chi(s, z)
             phi = x1 * x2
-            t = _step_length(buf.ev.max_d, phi)
+            t = step_length(phi)
             # The step must be finite and move s in floating point; written
             # so that t == 0 and a NaN t stop here too.
-            if not s < s + t < math.inf:
+            if not s < s + t < inf:
                 status = TrackStatus.MIN_STEP_REACHED
                 break
             if t >= T - s:
@@ -352,16 +374,15 @@ def track_linear(
                 s_next = T
             else:
                 s_next = s + t
-            buf.rotate(s_next)
-            lu = linalg.lu_factor_checked(buf.bordered)
+            rotate(s_next)
+            lu = factor(bordered)
         except SingularLinearSolveError:
             status = TrackStatus.SINGULAR
             break
-        buf.rhs1_top[...] = buf.h_val
-        z = z - linalg.lu_solve(lu, buf.rhs1)
-        z /= linalg.vector_norm(z)
+        z = z - solve(lu, newton_rhs)
+        z /= norm(z)
         steps += 1
-        if opts.record_trace:
+        if record:
             rows.append((s_next, t, phi, x1, x2, z))
         s = s_next
     return TrackResult(z, status, steps, _trace_array(rows, _COLUMNS, buf.ev.n_vars))

@@ -884,6 +884,60 @@ class TestEvaluationWork:
         assert work["point_matrix"] == sum(built) + newton_calls[0]
 
 
+class TestStepBuffers:
+    """The step's kernels and the aliasing of its work array."""
+
+    def test_kernels_are_looked_up_per_call(self, quad_pair, monkeypatch):
+        # Wrappers installed on linalg and numpy.linalg before the call, as the
+        # benchmark's tracer installs them, see every kernel call of the step:
+        # two factorizations, two solves and one SVD.
+        start, f = quad_pair
+        hom = make_linear_homotopy(start.g, f)
+        calls = {"lu_factor_checked": 0, "lu_solve": 0, "svd": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(linalg, "lu_factor_checked")
+        counted(linalg, "lu_solve")
+        counted(np.linalg, "svd")
+        result = track_linear(hom, start.roots[0])
+        assert result.success and result.num_steps > 0
+        n = result.num_steps
+        assert calls == {"lu_factor_checked": 2 * n, "lu_solve": 2 * n, "svd": n}
+
+    @pytest.mark.parametrize("degrees", [(2, 2, 2), (1, 2, 3)], ids=str)
+    def test_bordered_is_a_view_of_the_rotation(self, degrees):
+        # The factorization reads the rotation's output in place: the rows of
+        # bordered are the Jacobian rows of h_s from a fresh product rotated
+        # as [h_s; hdot_s], and its strided view factors as a contiguous copy.
+        rng = np.random.default_rng(50)
+        f = random_system_on_sphere(degrees, rng)
+        start = total_degree_start(degrees, rng)
+        hom = make_linear_homotopy(start.g, f)
+        buf = tracker._StepBuffers(hom)
+        n = len(degrees)
+        assert np.shares_memory(buf.bordered, buf.rot_real)
+        assert np.shares_memory(buf.newton_rhs, buf.rot_real)
+        for z, s in zip(start.roots[:3], [0.0, 0.4, hom.T]):
+            c, sn = buf.at(s, z)
+            product = np.dot(buf.basis, buf.ev.point_matrix(z))
+            rotated = np.dot(np.array([[c, sn], [-sn, c]]), product.view(np.float64).reshape(2, -1))
+            h_block = rotated[0].view(np.complex128).reshape(n, n + 2)
+            assert buf.bordered[:n].tobytes() == h_block[:, : n + 1].tobytes()
+            assert buf.bordered[n].tobytes() == np.conj(z).tobytes()
+            assert buf.newton_rhs.tobytes() == np.append(h_block[:, n + 1], 0.0).tobytes()
+            lu, piv = linalg.lu_factor_checked(buf.bordered)
+            lu_ref, piv_ref = linalg.lu_factor_checked(np.ascontiguousarray(buf.bordered))
+            assert lu.tobytes() == lu_ref.tobytes() and np.array_equal(piv, piv_ref)
+
+
 class TestStepEngineTables:
     """The point matrix against a plain per-variable product loop."""
 
