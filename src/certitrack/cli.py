@@ -9,10 +9,13 @@ Subcommands:
               target and draw the start through experiments.start_paths, the
               one routine that does either, so the last row of
               `track --path i` is row i of solve bit for bit
-  bench       average steps per path on random or Katsura targets
+  bench       average steps per path on random or Katsura targets, under
+              experiments.check_bench's family rules
   conjecture  compare good / total-degree / random start pairs on random
               degree-2 targets
   entropy     root-hit histogram and Shannon entropy of the random start pair
+
+--start, --tracker and --variant offer the names experiments dispatches on.
 
 CSV columns are fixed per subcommand (see the writers below); floats are
 printed with 17 significant digits so reruns with the same seed produce
@@ -29,8 +32,11 @@ import sys
 from pathlib import Path
 
 from .experiments import (
+    ENTROPY_VARIANTS,
     START_KINDS,
+    TRACKERS,
     ReferenceRootsError,
+    check_bench,
     run_bench,
     run_conjecture,
     run_entropy,
@@ -103,11 +109,11 @@ def _point_cells(z) -> list[str]:
     return [FLOAT_FMT % c.real for c in z] + [FLOAT_FMT % c.imag for c in z]
 
 
-def _solution_rows(solve_rows, n_coords: int):
+def _solution_rows(results, n_coords: int):
     failed = [""] * (2 * n_coords)
     return [
-        [r.path, r.status, r.steps, *(failed if r.endpoint is None else _point_cells(r.endpoint))]
-        for r in solve_rows
+        [i, r.status.value, r.num_steps, *(_point_cells(r.endpoint) if r.success else failed)]
+        for i, r in enumerate(results)
     ]
 
 
@@ -131,17 +137,17 @@ def write_trace_csv(result, out: str | None) -> None:
 def cmd_solve(args) -> int:
     system = _load_system(args)
     try:
-        rows = run_solve(system, args.start, args.seed)
+        results = run_solve(system, args.start, args.seed)
     except DegenerateHomotopyError as exc:  # the target is -g on the sphere
         args.error(f"no homotopy to {args.system!r} from the {args.start} start: {exc}")
     except ENDPOINT_CHECK_ERRORS as exc:
         args.error(f"endpoint check of the solve of {args.system!r} failed: {exc}")
     n_coords = system.n + 1
     header = ["path", "status", "steps"] + _point_header(n_coords)
-    _write_rows(args.out, header, _solution_rows(rows, n_coords))
-    failed = sum(1 for r in rows if r.status != "Success")
-    print(f"{len(rows) - failed}/{len(rows)} paths succeeded", file=sys.stderr)
-    return 1 if failed == len(rows) else 0
+    _write_rows(args.out, header, _solution_rows(results, n_coords))
+    failed = sum(1 for r in results if not r.success)
+    print(f"{len(results) - failed}/{len(results)} paths succeeded", file=sys.stderr)
+    return 1 if failed == len(results) else 0
 
 
 def cmd_track(args) -> int:
@@ -159,18 +165,12 @@ def cmd_track(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.family == "random" and args.degrees is None:
-        args.error("--family random needs --degrees")
-    if args.family == "katsura" and (args.n is None or args.n < 2):
-        args.error("--family katsura needs --n of at least 2")
-    # A flag the family does not read is an error, as run_bench's checks are.
-    if args.family == "random" and args.n is not None:
-        args.error("--family random takes no --n: its size is the length of --degrees")
-    if args.family == "katsura" and args.degrees is not None:
-        args.error("--family katsura takes no --degrees: --n sets them")
-    if args.family == "katsura" and args.trials not in (None, 1):
-        args.error("--family katsura takes no --trials: it has one system, tracked once")
-    trackers = ("certified", "heuristic") if args.tracker == "both" else (args.tracker,)
+    trackers = TRACKERS if args.tracker == "both" else (args.tracker,)
+    # Only the family rules' ValueError is a usage error, not one raised while tracking.
+    try:
+        check_bench(args.family, args.degrees, args.n, args.trials, trackers)
+    except ValueError as exc:
+        args.error(str(exc))
     reports = run_bench(
         family=args.family,
         degrees=args.degrees,
@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="Katsura size")
     p.add_argument("--trials", type=_positive_int, default=None,
                    help="random targets (default 10); katsura has one system")
-    p.add_argument("--tracker", choices=["certified", "heuristic", "both"], default="certified")
+    p.add_argument("--tracker", choices=[*TRACKERS, "both"], default="certified")
     p.add_argument("--threads", type=_positive_int, default=1, help="worker processes for trials")
     _add_common(p)
     p.set_defaults(func=cmd_bench, error=p.error)
@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degrees", type=_degree_list, default="2,2,2")
     p.add_argument("--epsilon", type=_finite_float, default=0.1)
     p.add_argument("--runs", type=_positive_int, default=800)
-    p.add_argument("--variant", choices=["ball", "unitary"], default="ball")
+    p.add_argument("--variant", choices=list(ENTROPY_VARIANTS), default="ball")
     p.add_argument("--threads", type=_positive_int, default=1, help="worker processes for trials")
     _add_common(p)
     p.set_defaults(func=cmd_entropy, error=p.error)

@@ -6,6 +6,10 @@ Trials are independent and draw their randomness from generators derived
 deterministically from (master seed, trial index), so results do not depend
 on the number of workers.  Means and variances are computed over successful
 paths only; failures are reported in their own column.
+
+Each named choice is defined once and checked before any path is tracked:
+start_systems.initial_pair, START_KINDS, PAIR_KINDS, check_bench, TRACKERS
+and ENTROPY_VARIANTS.
 """
 
 from __future__ import annotations
@@ -24,18 +28,16 @@ from .start_systems import (
     _NO_TRACE,
     ENDPOINT_CHECK_ERRORS,
     StartSet,
-    good_initial_pair,
     good_system_raw,
+    initial_pair,
     prepare_target,
-    random_initial_pair,
-    random_initial_pair_unitary,
     random_system_on_sphere,
     solve_all_total_degree,
-    total_degree_initial_pair,
     total_degree_start,
 )
 from .tracker import (
     TrackerOptions,
+    TrackResult,
     TrackStatus,
     make_linear_homotopy,
     theorem_step_bound,
@@ -167,6 +169,36 @@ def _step_stats(outcomes: list[tuple[str, int]]) -> tuple[float, float, int]:
     return mean, var, len(outcomes) - len(good)
 
 
+TRACKERS = ("certified", "heuristic")
+
+
+def check_bench(family: str, degrees, n, trials, trackers) -> tuple[tuple[int, ...] | None, int]:
+    """run_bench's degrees and number of trials: random takes degrees and
+    trials (None: 10), katsura an n >= 2 alone (trials None or 1).  Any
+    other parameter, family or tracker is a ValueError in the CLI's words."""
+    if family == "random":
+        if degrees is None:
+            raise ValueError("--family random needs --degrees")
+        if n is not None:
+            raise ValueError("--family random takes no --n: its size is the length of --degrees")
+        degrees = tuple(int(d) for d in degrees)
+        trials = 10 if trials is None else trials
+    elif family == "katsura":
+        if n is None or n < 2:
+            raise ValueError("--family katsura needs --n of at least 2")
+        if degrees is not None:
+            raise ValueError("--family katsura takes no --degrees: --n sets them")
+        if trials not in (None, 1):
+            raise ValueError("--family katsura takes no --trials: it has one system, tracked once")
+        trials = 1
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    for kind in trackers:
+        if kind not in TRACKERS:
+            raise ValueError(f"unknown tracker {kind!r}")
+    return degrees, trials
+
+
 def _bench_trial(args) -> list[PathStat]:
     family, degrees, n, trial, seed, trackers = args
     rows: list[PathStat] = []
@@ -178,11 +210,9 @@ def _bench_trial(args) -> list[PathStat]:
         target, start = start_paths(katsura_system(n), "total", seed)
     hom = make_linear_homotopy(start.g, target)
     for kind in trackers:
+        track = track_linear if kind == "certified" else track_heuristic
         for path_id, root in enumerate(start.roots):
-            if kind == "certified":
-                result = track_linear(hom, root, _NO_TRACE)
-            else:
-                result = track_heuristic(hom, root, _NO_TRACE)
+            result = track(hom, root, _NO_TRACE)
             rows.append(PathStat(trial, path_id, kind, result.status.value, result.num_steps))
     return rows
 
@@ -196,30 +226,10 @@ def run_bench(
     seed: int = 0,
     threads: int = 1,
 ) -> dict[str, ExperimentReport]:
-    """Average steps per total-degree path for random or Katsura targets.
-
-    The random family takes degrees and trials (None: 10 random targets),
-    the katsura family n alone, for its one deterministic system (trials
-    None or 1), whose paths are start_paths(katsura_system(n), "total",
-    seed)'s, as in run_solve.  A parameter the family does not read is a
-    ValueError."""
-    if family == "random":
-        if degrees is None:
-            raise ValueError("the random family needs --degrees")
-        if n is not None:
-            raise ValueError("the random family takes no n: its size is the length of degrees")
-        degrees = tuple(int(d) for d in degrees)
-        trials = 10 if trials is None else trials
-    elif family == "katsura":
-        if n is None:
-            raise ValueError("the katsura family needs --n")
-        if degrees is not None:
-            raise ValueError("the katsura family takes no degrees: n sets them")
-        if trials not in (None, 1):
-            raise ValueError(f"the katsura family takes no trials={trials}: it has one system")
-        trials = 1
-    else:
-        raise ValueError(f"unknown family {family!r}")
+    """Average steps per total-degree path for random or Katsura targets,
+    under check_bench's rules; the one Katsura trial's paths are
+    start_paths(katsura_system(n), "total", seed)'s, as in run_solve."""
+    degrees, trials = check_bench(family, degrees, n, trials, trackers)
     t0 = time.perf_counter()
     args = [(family, degrees, n, trial, seed, tuple(trackers)) for trial in range(trials)]
     rows_nested = _map_trials(_bench_trial, args, threads)
@@ -264,13 +274,7 @@ def _conjecture_trial(args):
     target = random_system_on_sphere(degrees, np.random.default_rng([seed, trial, 0]))
     out = []
     for j, kind in enumerate(PAIR_KINDS):
-        rng = np.random.default_rng([seed, trial, 1 + j])
-        if kind == "good":
-            pair = good_initial_pair(degrees)
-        elif kind == "total":
-            pair = total_degree_initial_pair(degrees, rng)
-        else:
-            pair = random_initial_pair(degrees, rng)
+        pair = initial_pair(kind, degrees, np.random.default_rng([seed, trial, 1 + j]))
         hom = make_linear_homotopy(pair.g, target)
         # Tracked once: the bound integrates this result's trace.
         result = track_linear(hom, pair.zeta0, TrackerOptions(record_trace=verify_bound))
@@ -330,15 +334,13 @@ def _perturbed_good_system(degrees, epsilon: float, rng: np.random.Generator) ->
     return good_system_raw(degrees) + epsilon * random_system_on_sphere(degrees, rng)
 
 
+# Entropy variant -> the start pair its runs draw.
+ENTROPY_VARIANTS = {"ball": "random", "unitary": "unitary"}
+
+
 def _entropy_run(args):
-    degrees, variant, run, seed, f, references = args
-    rng = np.random.default_rng([seed, 2, run])
-    if variant == "ball":
-        pair = random_initial_pair(degrees, rng)
-    elif variant == "unitary":
-        pair = random_initial_pair_unitary(degrees, rng)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    degrees, pair_kind, run, seed, f, references = args
+    pair = initial_pair(pair_kind, degrees, np.random.default_rng([seed, 2, run]))
     result = track_path(pair.g, f, pair.zeta0, _NO_TRACE)
     if not result.success:
         return None
@@ -357,10 +359,12 @@ def run_entropy(
     seed: int = 0,
     threads: int = 1,
 ) -> EntropyReport:
-    """Histogram of which root the random start pair discovers, with its
+    """Histogram of which root the variant's start pair discovers, with its
     Shannon entropy; maximal entropy means equidistribution.  Raises
     ReferenceRootsError when a total-degree path to the target fails or the
     solve's endpoint check rejects the endpoints."""
+    if variant not in ENTROPY_VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
     degrees = tuple(int(d) for d in degrees)
     # start_paths prepares the target once; the reference solve and the
     # histogram paths track that same system, entropy_target's bits.
@@ -373,7 +377,7 @@ def run_entropy(
     if report.num_failed:
         raise ReferenceRootsError(f"{report.num_failed} total-degree paths to the target failed")
     references = report.roots
-    args = [(degrees, variant, run, seed, f, references) for run in range(runs)]
+    args = [(degrees, ENTROPY_VARIANTS[variant], run, seed, f, references) for run in range(runs)]
     outcomes = _map_trials(_entropy_run, args, threads)
     hits = [0] * len(references)
     failures = 0
@@ -401,14 +405,6 @@ def _map_trials(fn, args_list, threads: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SolveRow:
-    path: int
-    status: str
-    steps: int
-    endpoint: np.ndarray | None
-
-
 START_KINDS = ("total", "good", "random")
 
 
@@ -420,15 +416,12 @@ def start_paths(
     default_rng([seed, 1])), the good pair, or the random pair (drawn from
     default_rng([seed, 2])).  Every solve, track and reference solve starts
     here; path i of run_solve starts at root i."""
+    if kind not in START_KINDS:
+        raise ValueError(f"unknown start kind {kind!r}")
     f = prepare_target(system)
     if kind == "total":
         return f, total_degree_start(f.degrees, np.random.default_rng([seed, 1]))
-    if kind == "good":
-        pair = good_initial_pair(f.degrees)
-    elif kind == "random":
-        pair = random_initial_pair(f.degrees, np.random.default_rng([seed, 2]))
-    else:
-        raise ValueError(f"unknown start kind {kind!r}")
+    pair = initial_pair(kind, f.degrees, np.random.default_rng([seed, 2]))
     return f, StartSet(pair.g, (pair.zeta0,))
 
 
@@ -436,18 +429,13 @@ def run_solve(
     system: PolySystem | AffineSystem,
     start_kind: str = "total",
     seed: int = 0,
-) -> list[SolveRow]:
-    """Track every path of start_paths(system, start_kind, seed): all D
-    total-degree paths through solve_all_total_degree, with its endpoint
-    check, or the one path of the good or random pair.  Row i is the path
-    from root i; its endpoint is None unless it succeeded.
+) -> tuple[TrackResult, ...]:
+    """Track every path of start_paths(system, start_kind, seed), untraced:
+    all D total-degree paths through solve_all_total_degree, with its
+    endpoint check, or the one path of the good or random pair.  Result i
+    is the path from root i.
     """
     f, start = start_paths(system, start_kind, seed)
     if start_kind == "total":
-        results = solve_all_total_degree(f, start).results
-    else:
-        results = [track_path(start.g, f, z, _NO_TRACE) for z in start.roots]
-    return [
-        SolveRow(i, r.status.value, r.num_steps, r.endpoint if r.success else None)
-        for i, r in enumerate(results)
-    ]
+        return solve_all_total_degree(f, start).results
+    return tuple(track_path(start.g, f, z, _NO_TRACE) for z in start.roots)

@@ -287,9 +287,6 @@ class PolySystem:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "PolySystem":
-        return self * (-1.0)
-
 
 @dataclass(frozen=True)
 class AffineSystem:
@@ -327,10 +324,6 @@ class AffineSystem:
             terms.append(tuple(checked))
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "terms", tuple(terms))
-
-    @property
-    def n(self) -> int:
-        return len(self.degrees)
 
 
 def unit_point(coords) -> np.ndarray:

@@ -254,6 +254,20 @@ def random_initial_pair_unitary(degrees, rng: np.random.Generator) -> InitialPai
     return InitialPair(g=g, zeta0=zeta0)
 
 
+def initial_pair(kind: str, degrees, rng: np.random.Generator) -> InitialPair:
+    """The start pair named kind (good draws nothing from rng), its
+    constructor looked up when called, so a wrapper on it is seen."""
+    if kind == "good":
+        return good_initial_pair(degrees)
+    if kind == "total":
+        return total_degree_initial_pair(degrees, rng)
+    if kind == "random":
+        return random_initial_pair(degrees, rng)
+    if kind == "unitary":
+        return random_initial_pair_unitary(degrees, rng)
+    raise ValueError(f"unknown start pair {kind!r}")
+
+
 @dataclass(frozen=True)
 class SolveAllReport:
     """Outcome of tracking every root of a start to a target: results in

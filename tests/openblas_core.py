@@ -3,19 +3,38 @@
 ddot, zgemm and zgetrs return other last bits on other OpenBLAS kernels, so a
 digest of such bits is recorded once per core: natively (SkylakeX on the host
 that recorded them) and under OPENBLAS_CORETYPE=Haswell, Sandybridge and
-Prescott, which reports its generic core, Katmai.  A core without a recorded
-digest fails, naming the core.  The core is read by certitrack.linalg's
-one scan of the loaded OpenBLAS libraries, which also finds the thread
-controls.
+Prescott, which reports its generic core, Katmai.  Every digest was read
+with the numpy and scipy versions of PINNED_VERSIONS, and their OpenBLAS
+builds.  A core without a recorded digest fails, naming the core and the
+versions of the test process, and so does any core under other versions.
+The core is read by certitrack.linalg's one scan of the loaded OpenBLAS
+libraries, which also finds the thread controls.
 """
 
 from __future__ import annotations
 
 import functools
 
+import numpy
 import pytest
+import scipy
 
 from certitrack.linalg import openblas_cores
+
+
+# numpy, its OpenBLAS, scipy and its OpenBLAS, as numpy.show_config and
+# scipy.show_config (mode="dicts") report them.
+PINNED_VERSIONS = ("2.4.6", "0.3.31.188.0", "1.17.1", "0.3.30")
+
+
+@functools.cache
+def versions() -> tuple[str, str, str, str]:
+    """The four versions of PINNED_VERSIONS in this process."""
+
+    def openblas(module) -> str:
+        return module.show_config(mode="dicts")["Build Dependencies"]["blas"]["version"]
+
+    return numpy.__version__, openblas(numpy), scipy.__version__, openblas(scipy)
 
 
 @functools.cache
@@ -31,8 +50,13 @@ def core_name() -> str:
 
 def pinned(by_core: dict[str, str]) -> str:
     """The digest recorded for this process's core; a test failure naming the
-    core when none is."""
+    core and the four versions when none is, or when the versions are not
+    PINNED_VERSIONS."""
     core = core_name()
-    if core not in by_core:
-        pytest.fail(f"no digest recorded for OpenBLAS core {core!r}")
+    if core not in by_core or versions() != PINNED_VERSIONS:
+        np_version, np_blas, sp_version, sp_blas = versions()
+        pytest.fail(
+            f"no digest recorded for OpenBLAS core {core!r} under numpy {np_version} "
+            f"(OpenBLAS {np_blas}) and scipy {sp_version} (OpenBLAS {sp_blas})"
+        )
     return by_core[core]

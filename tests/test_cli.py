@@ -252,6 +252,33 @@ class TestInputErrors:
         argv = ["conjecture", "--n", "1", "--trials", "1", "--seed", str(2**64 - 1)]
         assert main(argv + ["--out", str(tmp_path / "conjecture.csv")]) == 0
 
+    def test_value_error_while_tracking_is_no_usage_error(self, monkeypatch, tmp_path):
+        # Only bench's family rules are reported as usage errors.
+        from certitrack import experiments
+
+        def failing(hom, z0, opts):
+            raise ValueError("raised while tracking")
+
+        monkeypatch.setattr(experiments, "track_linear", failing)
+        argv = ["bench", "--family", "random", "--degrees", "1", "--trials", "1"]
+        with pytest.raises(ValueError, match="raised while tracking"):
+            main(argv + ["--out", str(tmp_path / "bench.csv")])
+
+
+def test_choices_are_the_names_the_runs_dispatch_on():
+    from certitrack.cli import build_parser
+    from certitrack.experiments import ENTROPY_VARIANTS, START_KINDS, TRACKERS
+
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command").choices
+
+    def choices(command, dest):
+        return list(next(a for a in subparsers[command]._actions if a.dest == dest).choices)
+
+    assert choices("solve", "start") == choices("track", "start") == list(START_KINDS)
+    assert choices("bench", "tracker") == [*TRACKERS, "both"]
+    assert choices("entropy", "variant") == list(ENTROPY_VARIANTS)
+
 
 class TestEntropyOutput:
     def test_one_root_prints_positive_zero_entropy(self, tmp_path, capsys):

@@ -204,7 +204,7 @@ class TestRunBench:
         bench = run_bench("katsura", n=n, seed=seed)["certified"].per_path
         solve = run_solve(katsura_system(n), "total", seed)
         assert [(p.path, p.status, p.steps) for p in bench] == [
-            (r.path, r.status, r.steps) for r in solve
+            (i, r.status.value, r.num_steps) for i, r in enumerate(solve)
         ]
 
     def test_one_homotopy_per_trial(self, monkeypatch):
@@ -228,6 +228,19 @@ class TestRunBench:
         with pytest.raises(ValueError):
             run_bench("nope", degrees=(2,))
 
+    @pytest.mark.parametrize("trackers", [("nope",), ("certified", "nope")])
+    def test_unknown_tracker_raises_before_tracking(self, monkeypatch, trackers):
+        calls = []
+
+        def counting(hom, z0, opts):
+            calls.append(1)
+
+        monkeypatch.setattr(experiments, "track_linear", counting)
+        monkeypatch.setattr(experiments, "track_heuristic", counting)
+        with pytest.raises(ValueError, match="unknown tracker 'nope'"):
+            run_bench("random", (2, 2), trials=1, trackers=trackers)
+        assert calls == []
+
     @pytest.mark.parametrize(
         "family, kwargs, name",
         [
@@ -237,7 +250,7 @@ class TestRunBench:
         ],
     )
     def test_parameter_the_family_does_not_read_is_rejected(self, family, kwargs, name):
-        with pytest.raises(ValueError, match=f"takes no {name}"):
+        with pytest.raises(ValueError, match=f"takes no --{name}"):
             run_bench(family, **kwargs)
 
     def test_default_trials(self):
@@ -356,20 +369,54 @@ class TestEntropyExperiment:
         with pytest.raises(ValueError):
             run_entropy((2, 2), runs=1, variant="nope")
 
+    def test_unknown_variant_raises_before_the_reference_solve(self, monkeypatch):
+        solves = []
+        solve = experiments.solve_all_total_degree
+
+        def counting(f, start):
+            solves.append(1)
+            return solve(f, start)
+
+        monkeypatch.setattr(experiments, "solve_all_total_degree", counting)
+        with pytest.raises(ValueError, match="unknown variant 'nope'"):
+            run_entropy((2, 2), runs=1, variant="nope")
+        assert solves == []
+
+
+def test_random_pair_is_drawn_through_start_systems(monkeypatch):
+    # Each run draws its random pair through the module attribute
+    # start_systems.random_initial_pair, so a wrapper on it sees every draw.
+    import certitrack.start_systems as start_systems
+
+    calls = []
+    draw = start_systems.random_initial_pair
+
+    def counting(degrees, rng):
+        calls.append(tuple(degrees))
+        return draw(degrees, rng)
+
+    monkeypatch.setattr(start_systems, "random_initial_pair", counting)
+    run_solve(katsura_system(2), "random", seed=0)
+    assert calls == [(1, 2)]
+    run_conjecture(1, trials=2, seed=0)
+    assert calls == [(1, 2)] + [(2,)] * 2
+    run_entropy((2, 2), epsilon=0.1, runs=3, seed=0)
+    assert calls == [(1, 2)] + [(2,)] * 2 + [(2, 2)] * 3
+
 
 class TestRunSolve:
     def test_total_start_all_paths(self):
         f = katsura_system(3)
         rows = run_solve(f, "total", seed=0)
         assert len(rows) == 4
-        assert all(r.status == "Success" for r in rows)
+        assert all(r.success for r in rows)
 
     def test_single_path_kinds(self):
         f = homogenize(katsura_system(3))
         for kind in ("good", "random"):
             rows = run_solve(f, kind, seed=0)
             assert len(rows) == 1
-            assert rows[0].status == "Success"
+            assert rows[0].success
             target = normalize_to_sphere(f)
             from certitrack.newton import refine
             from certitrack.polysys import evaluate

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import warnings
@@ -415,13 +416,24 @@ class TestOneBlasThread:
         assert self.counts(controls) == [2] * len(controls)
 
 
-def test_kernel_pins_fail_on_an_unrecorded_core():
+def test_kernel_pins_fail_on_an_unrecorded_core(monkeypatch):
     # A pin of kernel-dependent bits is read for this process's OpenBLAS
     # core; one without a recorded digest fails with the core's name, not a
     # skip.
     assert pinned({core_name(): "digest"}) == "digest"
     with pytest.raises(pytest.fail.Exception, match=f"no digest recorded for OpenBLAS core '{core_name()}'"):
         pinned({})
+    # The digests were read under openblas_core.PINNED_VERSIONS: under any
+    # other numpy, scipy or OpenBLAS version a recorded core fails too,
+    # named with the four versions of the process.
+    import openblas_core
+
+    assert openblas_core.versions() == openblas_core.PINNED_VERSIONS
+    monkeypatch.setattr(openblas_core, "versions", lambda: ("2.4.6", "0.3.31.188.0", "1.17.1", "0.3.29"))
+    want = (f"no digest recorded for OpenBLAS core '{core_name()}' under numpy 2.4.6 "
+            "(OpenBLAS 0.3.31.188.0) and scipy 1.17.1 (OpenBLAS 0.3.29)")
+    with pytest.raises(pytest.fail.Exception, match=re.escape(want)):
+        pinned({core_name(): "digest"})
 
 
 def test_openblas_scan_without_proc_maps(monkeypatch):

@@ -25,6 +25,7 @@ from certitrack.start_systems import (
     draw_restricted_system,
     good_initial_pair,
     good_system_raw,
+    initial_pair,
     random_initial_pair,
     random_initial_pair_unitary,
     random_system_on_sphere,
@@ -321,6 +322,28 @@ class TestRandomInitialPairUnitary:
         # unitary change of coordinates leaves the condition number at sqrt(n)
         pair = random_initial_pair_unitary((2, 2), np.random.default_rng(15))
         assert condition_mu(pair.g, pair.zeta0) == pytest.approx(math.sqrt(2.0), rel=1e-9)
+
+
+class TestInitialPair:
+    @pytest.mark.parametrize(
+        "kind, make",
+        [
+            ("good", lambda degrees, rng: good_initial_pair(degrees)),
+            ("total", total_degree_initial_pair),
+            ("random", random_initial_pair),
+            ("unitary", random_initial_pair_unitary),
+        ],
+    )
+    def test_name_gives_its_constructors_pair(self, kind, make):
+        # Bit for bit the constructor's pair from the same stream.
+        got = initial_pair(kind, (2, 3), np.random.default_rng(21))
+        want = make((2, 3), np.random.default_rng(21))
+        assert got.g.coeff_vector().tobytes() == want.g.coeff_vector().tobytes()
+        assert got.zeta0.tobytes() == want.zeta0.tobytes()
+
+    def test_unknown_name(self):
+        with pytest.raises(ValueError, match="unknown start pair 'nope'"):
+            initial_pair("nope", (2, 2), np.random.default_rng(0))
 
 
 class TestSolvers:

@@ -812,6 +812,59 @@ class TestNonFiniteStep:
         assert result.num_steps == 0
 
 
+class TestForcedStops:
+    """The SingularLinearSolve stops of both trackers and the heuristic's
+    MaxSteps stop, forced on a (2, 2) path."""
+
+    @pytest.fixture
+    def path(self, quad_pair):
+        start, f = quad_pair
+        return make_linear_homotopy(start.g, f), start.roots[0]
+
+    @staticmethod
+    def singular_on_call(monkeypatch, n: int) -> None:
+        # linalg.lu_factor_checked, raising on its n-th call.
+        factor, calls = linalg.lu_factor_checked, []
+
+        def forced(A):
+            calls.append(1)
+            if len(calls) == n:
+                raise SingularLinearSolveError("forced zero pivot")
+            return factor(A)
+
+        monkeypatch.setattr(linalg, "lu_factor_checked", forced)
+
+    def test_certified_singular_solve(self, path, monkeypatch):
+        # A step factors twice, for chi and for the Newton step: the 7th
+        # factorization is step 4's first, so 3 steps stand.
+        hom, z0 = path
+        unforced = track_linear(hom, z0)
+        self.singular_on_call(monkeypatch, 7)
+        result = track_linear(hom, z0)
+        assert result.status is TrackStatus.SINGULAR
+        assert result.num_steps == 3
+        assert len(result.trace) == 3
+        assert result.endpoint.tobytes() == unforced.trace.z[2].tobytes()
+
+    def test_heuristic_singular_solve(self, path, monkeypatch):
+        # The first attempt factors 4 times to predict and twice to correct;
+        # the 7th factorization is the second attempt's first.
+        hom, z0 = path
+        self.singular_on_call(monkeypatch, 7)
+        result = track_heuristic(hom, z0)
+        assert result.status is TrackStatus.SINGULAR
+        assert result.num_steps == 1
+        assert len(result.trace) == 1
+
+    def test_heuristic_max_steps(self, path, monkeypatch):
+        hom, z0 = path
+        monkeypatch.setattr(heuristic, "MAX_ATTEMPTS", 3)
+        result = track_heuristic(hom, z0)
+        assert result.status is TrackStatus.MAX_STEPS
+        assert result.num_steps == 3
+        assert len(result.trace) == 3
+
+
 class TestEvaluationWork:
     """What each step evaluates: one point matrix per certified step, four
     per RK4 prediction, one per corrector Newton step, and the homotopy's
