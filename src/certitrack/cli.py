@@ -20,7 +20,8 @@ Subcommands:
 CSV columns are fixed per subcommand (see the writers below); floats are
 printed with 17 significant digits so reruns with the same seed produce
 byte-identical files.  Every CSV goes to --out, or to standard output
-without it.  Wall-clock times go to stderr, never into the CSV.
+without it; an --out no file can be written to exits 2 before any path is
+tracked.  Wall-clock times go to stderr, never into the CSV.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -80,6 +82,14 @@ def _checked(convert, accept, expected: str):
     return parse
 
 
+def _writable(text: str) -> bool:
+    # --out's check, made when the flags are parsed, before any path is
+    # tracked: a file can be written there.  No file is created.
+    path = Path(text)
+    return path.parent.is_dir() and not path.is_dir() and os.access(
+        path if path.exists() else path.parent, os.W_OK)
+
+
 _degree_list = _checked(
     lambda text: tuple(int(d) for d in text.split(",")),
     lambda degrees: min(degrees) >= 1,
@@ -88,6 +98,7 @@ _degree_list = _checked(
 _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
 _seed = _checked(int, lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)")
 _finite_float = _checked(float, math.isfinite, "a finite number")
+_out_path = _checked(str, _writable, "a writable file in an existing directory")
 
 
 def _write_rows(out: str | None, header: list[str], rows) -> None:
@@ -234,7 +245,7 @@ def cmd_entropy(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=_seed, default=0, help="master seed (unsigned 64-bit)")
-    p.add_argument("--out", type=str, default=None, help="output CSV path (default: stdout)")
+    p.add_argument("--out", type=_out_path, default=None, help="output CSV path (default: stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:

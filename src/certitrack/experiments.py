@@ -323,17 +323,6 @@ class EntropyReport:
     entropy_bits: float
 
 
-def entropy_target(degrees, epsilon: float, rng: np.random.Generator) -> PolySystem:
-    """The target of run_entropy: the perturbed conjectured system
-    g + epsilon * h with h uniform on the sphere, through prepare_target; one
-    well-conditioned root, the rest poorly conditioned."""
-    return prepare_target(_perturbed_good_system(degrees, epsilon, rng))
-
-
-def _perturbed_good_system(degrees, epsilon: float, rng: np.random.Generator) -> PolySystem:
-    return good_system_raw(degrees) + epsilon * random_system_on_sphere(degrees, rng)
-
-
 # Entropy variant -> the start pair its runs draw.
 ENTROPY_VARIANTS = {"ball": "random", "unitary": "unitary"}
 
@@ -360,16 +349,18 @@ def run_entropy(
     threads: int = 1,
 ) -> EntropyReport:
     """Histogram of which root the variant's start pair discovers, with its
-    Shannon entropy; maximal entropy means equidistribution.  Raises
-    ReferenceRootsError when a total-degree path to the target fails or the
-    solve's endpoint check rejects the endpoints."""
+    Shannon entropy; maximal entropy means equidistribution.  The target is
+    the perturbed conjectured system g + epsilon * h, h uniform on the sphere
+    (drawn from default_rng([seed, 0])): one well-conditioned root, the rest
+    poorly conditioned.  Raises ReferenceRootsError when a total-degree path
+    to the target fails or the solve's endpoint check rejects the endpoints."""
     if variant not in ENTROPY_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     degrees = tuple(int(d) for d in degrees)
     # start_paths prepares the target once; the reference solve and the
-    # histogram paths track that same system, entropy_target's bits.
-    system = _perturbed_good_system(degrees, epsilon, np.random.default_rng([seed, 0]))
-    f, start = start_paths(system, "total", seed)
+    # histogram paths track that same system.
+    h = random_system_on_sphere(degrees, np.random.default_rng([seed, 0]))
+    f, start = start_paths(good_system_raw(degrees) + epsilon * h, "total", seed)
     try:
         report = solve_all_total_degree(f, start)
     except ENDPOINT_CHECK_ERRORS as exc:

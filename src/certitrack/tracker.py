@@ -39,12 +39,13 @@ h_s = cos(s) g + sin(s) p (LinearHomotopy, the path's geometry and speed)
 the blocks of h_{s_i}, hdot_{s_i} and the advanced system are real rotations
 of theirs.  One factorization and one (n+2)-column solve give chi_1 and
 chi_2, one more the Newton step.  They run on the path's step buffers
-(_StepBuffers), as do chi1, chi2, certified_step and condition_length (all
-through the loop's chi) and the heuristic's predictor.  The rotation writes
-into a work array whose strided view is the bordered matrix, so no step
-copies a Jacobian, and every BLAS and LAPACK call has the operands of a step
-that allocates its arrays, so the bits are those of such a step.  The
-trackers run on one BLAS thread (see linalg).
+(_StepBuffers), as do condition_length (through the loop's chi) and the
+heuristic's predictor; the step rule is read on a tracked path, whose trace
+holds each step's t, phi and both chi factors.  The rotation writes into a
+work array whose strided view is the bordered matrix, so no step copies a
+Jacobian, and every BLAS and LAPACK call has the operands of a step that
+allocates its arrays, so the bits are those of such a step.  The trackers
+run on one BLAS thread (see linalg).
 """
 
 from __future__ import annotations
@@ -197,44 +198,6 @@ def make_linear_homotopy(g: polysys.PolySystem, f: polysys.PolySystem) -> Linear
     return LinearHomotopy(g=g, T=math.acos(r), _gvec=gvec, _pvec=pvec)
 
 
-def chi1(g: polysys.PolySystem, z) -> float:
-    """Operator norm of the bordered inverse times Diag(sqrt(d_i), 1)."""
-    # chi1 does not depend on the tangent; g stands in for it.
-    return _chi_at(g, g, z)[1]
-
-
-def chi2(g: polysys.PolySystem, gdot: polysys.PolySystem, z) -> float:
-    """Path-speed factor combining ||gdot|| with the bordered solve against gdot(z)."""
-    return _chi_at(g, gdot, z)[2]
-
-
-def certified_step(g: polysys.PolySystem, gdot: polysys.PolySystem, z) -> tuple[float, float]:
-    """Certified step length and the factor phi = chi1 * chi2 it came from.
-
-    The returned t is c/P / (d^{3/2} phi), the upper end of the certified
-    interval, with the c/P of g's largest degree d: the step the tracking
-    loop takes from (g, z) when gdot is the tangent there, before the loop
-    clips it to the end of the path.  No floor applies.  A tangent with
-    phi = 0 gives t = inf, as in the loop, where it ends the path
-    MinStepReached.  Raises SingularLinearSolveError on an exact zero pivot
-    of the bordered matrix; a near-singular one gives a short t.
-    """
-    buf, x1, x2 = _chi_at(g, gdot, z)
-    phi = x1 * x2
-    return buf.step_length(phi), phi
-
-
-def _chi_at(g: polysys.PolySystem, gdot: polysys.PolySystem, z) -> tuple["_StepBuffers", float, float]:
-    # The loop's chi1 and chi2 at (g, z) with tangent gdot, and the buffers
-    # they were read on: at s = 0, cos(s) g + sin(s) gdot is g with tangent
-    # gdot (T is unused).
-    if gdot.degrees != g.degrees:
-        raise ValueError(f"tangent degrees {gdot.degrees} differ from the system's {g.degrees}")
-    z = polysys._checked_point(g.n_vars, z)
-    buf = _StepBuffers(LinearHomotopy(g, 0.0, g.coeff_vector(), gdot.coeff_vector()))
-    return (buf, *buf.chi(0.0, z))
-
-
 class _StepBuffers:
     """A path's placed (g, p), the arrays a step writes into, allocated once
     per path from its LinearHomotopy hom, and fixed views of them, so that a
@@ -249,7 +212,7 @@ class _StepBuffers:
     bordered: the strided view W[n:, :n+1], (Dh(z); z*), which zgetrf's
     wrapper copies: the rotation's output is the factorization's input.
     newton_rhs: the view W[n:, n+1], (h(z); 0).  rhs: the n+2 columns of the
-    chi solve, Diag(sqrt(d_i), 1) for chi1 and (hdot(z); 0) for chi2.  rhs1:
+    chi solve, Diag(sqrt(d_i), 1) for chi_1 and (hdot(z); 0) for chi_2.  rhs1:
     one column (-hdot(z); 0) for the heuristic predictor's tangent.  rotate
     and chi are closures over these arrays and the kernels a step calls,
     bound here: a wrapper installed before the buffers are made is called.

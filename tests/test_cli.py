@@ -265,6 +265,55 @@ class TestInputErrors:
             main(argv + ["--out", str(tmp_path / "bench.csv")])
 
 
+class TestUnwritableOut:
+    """An --out that no CSV can be written to is refused when the flags are
+    parsed: exit 2 with a message naming it, before any path is tracked, and
+    no file is made."""
+
+    COMMANDS = [
+        ["solve", "SYSTEM"],
+        ["track", "SYSTEM"],
+        ["bench", "--family", "random", "--degrees", "2,2", "--trials", "1"],
+        ["conjecture", "--n", "1", "--trials", "1"],
+        ["entropy", "--degrees", "2,2", "--runs", "1"],
+    ]
+
+    @pytest.fixture(autouse=True)
+    def untracked(self, monkeypatch):
+        from certitrack import cli
+
+        def tracking(*args, **kwargs):
+            raise AssertionError("a path was tracked")
+
+        for name in ("run_solve", "start_paths", "run_bench", "run_conjecture", "run_entropy"):
+            monkeypatch.setattr(cli, name, tracking)
+
+    @staticmethod
+    def refused(argv, quad_system, out, capsys) -> str:
+        argv = [str(quad_system) if a == "SYSTEM" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err.strip().splitlines()[-1]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_missing_directory(self, argv, quad_system, tmp_path, capsys):
+        out = tmp_path / "missing" / "rows.csv"
+        message = self.refused(argv, quad_system, out, capsys)
+        assert f"argument --out: expected a writable file in an existing directory, got {str(out)!r}" in message
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_directory(self, argv, quad_system, tmp_path, capsys):
+        out = tmp_path / "rows"
+        out.mkdir()
+        message = self.refused(argv, quad_system, out, capsys)
+        assert f"argument --out: expected a writable file in an existing directory, got {str(out)!r}" in message
+        assert list(out.iterdir()) == []
+
+
 def test_choices_are_the_names_the_runs_dispatch_on():
     from certitrack.cli import build_parser
     from certitrack.experiments import ENTROPY_VARIANTS, START_KINDS, TRACKERS

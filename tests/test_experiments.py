@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from certitrack import experiments, tracker
-from certitrack.bw import normalize_to_sphere
+from certitrack import experiments, start_systems, tracker
+from certitrack.bw import bw_norm, normalize_to_sphere
 from certitrack.experiments import (
     AmbiguousMatchError,
     PAIR_KINDS,
     conjecture_bound,
-    entropy_target,
     katsura_system,
     match_roots,
     nearest_root,
@@ -25,7 +24,13 @@ from certitrack.polysys import (
     space_dimension,
     unit_point,
 )
-from certitrack.start_systems import prepare_target, solve_all_total_degree, total_degree_start
+from certitrack.start_systems import (
+    good_system_raw,
+    prepare_target,
+    random_system_on_sphere,
+    solve_all_total_degree,
+    total_degree_start,
+)
 
 
 def solve_katsura(n: int):
@@ -319,19 +324,10 @@ class TestEntropyExperiment:
         with pytest.raises(experiments.ReferenceRootsError, match="endpoint check .* no convergence"):
             run_entropy((2, 2), epsilon=0.1, runs=1)
 
-    def test_target_construction(self):
-        f = entropy_target((2, 2, 2), 0.1, np.random.default_rng(0))
-        from certitrack.bw import bw_norm
-
-        assert bw_norm(f) == pytest.approx(1.0, abs=1e-12)
-
-    def test_reference_roots_are_of_the_tracked_target(self, monkeypatch):
-        # The total-degree reference paths and the histogram paths track one
-        # system, bit for bit: entropy_target's.  Seed 1 is one where scaling
-        # the target a second time changes its bits.
-        import certitrack.experiments as experiments
-        import certitrack.start_systems as start_systems
-
+    @pytest.fixture
+    def tracked_targets(self, monkeypatch):
+        # The coefficient bytes of every target a path tracks, through the
+        # track_path of the reference solve and of the histogram runs.
         targets = []
 
         def recording(module):
@@ -345,10 +341,28 @@ class TestEntropyExperiment:
 
         recording(experiments)
         recording(start_systems)
+        return targets
+
+    @staticmethod
+    def perturbed_good_system(degrees, epsilon, seed):
+        # The target the run's docstring names, through prepare_target.
+        h = random_system_on_sphere(degrees, np.random.default_rng([seed, 0]))
+        return prepare_target(good_system_raw(degrees) + epsilon * h)
+
+    def test_target_construction(self, tracked_targets):
+        run_entropy((1, 2, 2), epsilon=0.1, runs=1, seed=0)
+        want = self.perturbed_good_system((1, 2, 2), 0.1, 0)
+        assert set(tracked_targets) == {want.coeff_vector().tobytes()}
+        assert bw_norm(want) == pytest.approx(1.0, abs=1e-12)
+
+    def test_reference_roots_are_of_the_tracked_target(self, tracked_targets):
+        # The total-degree reference paths and the histogram paths track one
+        # system, bit for bit.  Seed 1 is one where scaling the target a
+        # second time changes its bits.
         run_entropy((2, 2), epsilon=0.1, runs=2, seed=1)
-        assert len(targets) == 4 + 2
-        want = entropy_target((2, 2), 0.1, np.random.default_rng([1, 0]))
-        assert set(targets) == {want.coeff_vector().tobytes()}
+        assert len(tracked_targets) == 4 + 2
+        want = self.perturbed_good_system((2, 2), 0.1, 1)
+        assert set(tracked_targets) == {want.coeff_vector().tobytes()}
 
     def test_small_entropy_run(self):
         rep = run_entropy((2, 2), epsilon=0.1, runs=12, variant="ball", seed=0)

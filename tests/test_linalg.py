@@ -24,7 +24,7 @@ from certitrack.linalg import (
 from certitrack.bw import normalize_to_sphere
 from certitrack.polysys import PolySystem, jacobian, unit_point
 from certitrack.start_systems import random_system_on_sphere, total_degree_start
-from certitrack.tracker import certified_step, chi1, make_linear_homotopy, track_linear
+from certitrack.tracker import _StepBuffers, make_linear_homotopy, track_linear
 from openblas_core import core_name, pinned
 
 
@@ -128,11 +128,13 @@ class TestLapackLU:
         assert np.array_equal(piv, ref_piv)
         pivots = np.abs(lu.diagonal())
         assert pivots.min() / pivots.max() == pytest.approx(1e-16, rel=1e-12)
-        # The step rule answers it: a huge chi1 and a short, finite step.
-        assert chi1(h, z) == pytest.approx(6.12e15, rel=1e-3)
+        # The step rule answers it on the path from h toward X0 X1: a huge
+        # chi1 (5e15 sqrt(2) for h on the sphere) and a short, finite step.
         tangent = normalize_to_sphere(PolySystem.from_terms((2,), [[((1, 1), 1.0)]]))
-        t, _ = certified_step(h, tangent, z)
-        assert 0.0 < t < 1e-14
+        buf = _StepBuffers(make_linear_homotopy(normalize_to_sphere(h), tangent))
+        x1, x2 = buf.chi(0.0, z)
+        assert x1 == pytest.approx(7.07e15, rel=1e-3)
+        assert 0.0 < buf.step_length(x1 * x2) < 1e-14
 
     def test_rhs_length_mismatch(self):
         lu_piv = lu_factor_checked(np.eye(3, dtype=complex))

@@ -226,3 +226,67 @@ def test_one_singularity_policy():
         for name in _singular_raises(ast.parse(path.read_text()))
     ]
     assert found == ["linalg.lu_factor_checked", "linalg.kernel_vector"]
+
+
+# Public names nothing in the package or the benchmarks reads: openblas_cores
+# is read by CI's kernel step, derivative_at by the tests' reference
+# implementations.  A new entry needs its reason given in CHANGES.md.
+UNREAD_PUBLIC = {"linalg.openblas_cores", "tracker.LinearHomotopy.derivative_at"}
+
+
+def _public_definitions(path: Path):
+    # (qualified name, node) of every public module-level function and class
+    # of path, and of every public method of those classes.
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield f"{path.stem}.{node.name}", node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{path.stem}.{node.name}.{item.name}", item
+
+
+def _names_read(path: Path) -> list[tuple[str, int]]:
+    # (name, line) of every name and attribute the file reads (Load context).
+    return [
+        (node.id if isinstance(node, ast.Name) else node.attr, node.lineno)
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def _unread_public(sources: list[Path], readers: list[Path]) -> list[str]:
+    # The public names of sources that no reader file reads, by name,
+    # outside their own definition.
+    reads = {path: _names_read(path) for path in readers}
+    unread = []
+    for path in sources:
+        for qualname, node in _public_definitions(path):
+            name = qualname.rsplit(".", 1)[-1]
+            if not any(
+                read == name and not (where == path and node.lineno <= line <= node.end_lineno)
+                for where, found in reads.items()
+                for read, line in found
+            ):
+                unread.append(qualname)
+    return unread
+
+
+def test_unread_public_finds_a_name_read_only_in_its_own_definition(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def loop(n):\n    return loop(n - 1)\n"
+        "class Box:\n    def size(self):\n        return self.size\n    def used(self):\n        pass\n"
+        "def _private():\n    pass\n"
+        "Box().used()\n"
+    )
+    assert _unread_public([probe], [probe]) == ["probe.loop", "probe.Box.size"]
+
+
+def test_every_public_name_is_read():
+    # Every public function, class and method of certitrack is read by the
+    # package or the benchmarks outside its own definition: the public API
+    # is what the program uses, not what only the tests call.
+    sources = sorted((ROOT / "src" / "certitrack").glob("*.py"))
+    readers = sources + sorted((ROOT / "benchmarks").glob("*.py"))
+    assert set(_unread_public(sources, readers)) == UNREAD_PUBLIC

@@ -37,9 +37,6 @@ from certitrack.tracker import (
     DegenerateHomotopyError,
     TrackStatus,
     TrackerOptions,
-    certified_step,
-    chi1,
-    chi2,
     condition_length,
     make_linear_homotopy,
     theorem_step_bound,
@@ -231,86 +228,139 @@ class TestTangent:
         assert abs(ip) <= 1e-10
 
 
-class TestChiFactors:
-    def test_chi1_good_system_permuted_identity(self):
-        # raw conjectured system at e0: bordered inverse times the diagonal is
-        # a permutation matrix, so the norm is exactly 1
-        from certitrack.start_systems import good_system_raw
+def reference_step(hom, s: float, z) -> tuple[float, float, float, float]:
+    """chi1, chi2, t and phi of the certified step from (h_s, z), z of unit
+    norm, from the formula on a separate route: h_s and its tangent from
+    value_at and derivative_at, the bordered matrix from jacobian and
+    make_bordered, NumPy's solve and SVD, and the tangent's BW norm."""
+    h, hdot = hom.value_at(s), hom.derivative_at(s)
+    M = make_bordered(polysys.jacobian(h, z), z)
+    scale = np.diag([*np.sqrt(h.degrees), 1.0]).astype(np.complex128)
+    x1 = float(np.linalg.svd(np.linalg.solve(M, scale), compute_uv=False)[0])
+    zetadot = np.linalg.solve(M, np.append(polysys.evaluate(hdot, z), 0.0))
+    x2 = math.sqrt(bw_norm(hdot) ** 2 + float(np.linalg.norm(zetadot)) ** 2)
+    phi = x1 * x2
+    d = h.max_degree
+    c_over_p = C_OVER_P_LINEAR if d >= 2 else C_OVER_P_DEGREE_ONE
+    return x1, x2, c_over_p / (d**1.5 * phi), phi
 
-        g = good_system_raw((2, 2, 2))
-        e0 = unit_point([1.0, 0.0, 0.0, 0.0])
-        assert chi1(g, e0) == pytest.approx(1.0, rel=1e-12)
+
+def scaled_normal(quad_pair, factor):
+    # The (2, 2) homotopy with its normal direction p scaled, and its start
+    # point: 0 stands still (phi = 0), 1e300 overflows (phi = inf).
+    start, f = quad_pair
+    hom = make_linear_homotopy(start.g, f)
+    return dataclasses.replace(hom, _pvec=factor * hom._pvec), start.roots[0]
+
+
+def singular_homotopy():
+    # From X1^2 - X0^2, whose bordered matrix at (1, 0) is exactly singular,
+    # toward X0 X1 (BW-orthogonal to it), with that point.
+    h = normalize_to_sphere(PolySystem.from_terms((2,), [[((0, 2), 1.0), ((2, 0), -1.0)]]))
+    f = normalize_to_sphere(PolySystem.from_terms((2,), [[((1, 1), 1.0)]]))
+    return make_linear_homotopy(h, f)
+
+
+class TestChiFactors:
+    """chi1 and chi2 as the loop reads them: a trace's columns, or the
+    step buffers of a real homotopy at (s, z)."""
+
+    def test_chi1_good_system_permuted_identity(self):
+        # At the good pair's e0 the bordered inverse times the diagonal is
+        # sqrt(n) times a permutation matrix (the good system has raw norm
+        # sqrt(n)), so the first step of a good-pair path reads sqrt(3).
+        pair = good_initial_pair((2, 2, 2))
+        f = random_system_on_sphere((2, 2, 2), np.random.default_rng(20))
+        first = track_linear(make_linear_homotopy(pair.g, f), pair.zeta0).trace[0]
+        assert first.chi1 == pytest.approx(math.sqrt(3.0), rel=1e-12)
 
     def test_chi1_positive(self, quad_pair):
-        start, _ = quad_pair
-        assert chi1(start.g, start.roots[0]) > 0.0
+        start, f = quad_pair
+        trace = track_linear(make_linear_homotopy(start.g, f), start.roots[0]).trace
+        assert len(trace) > 0 and np.all(trace.chi1 > 0.0)
 
     def test_chi1_singular(self):
-        h = PolySystem.from_terms((2,), [[((0, 2), 1.0), ((2, 0), -1.0)]])
+        # An exact zero pivot raises from the step's chi and ends the path
+        # SingularLinearSolve before its first step.
+        hom = singular_homotopy()
+        z = unit_point([1.0, 0.0])
         with pytest.raises(SingularLinearSolveError):
-            chi1(h, unit_point([1.0, 0.0]))
+            tracker._StepBuffers(hom).chi(0.0, z)
+        result = track_linear(hom, z)
+        assert result.status is TrackStatus.SINGULAR and result.num_steps == 0
 
     def test_chi2_zero_tangent(self, quad_pair):
-        start, _ = quad_pair
-        zero = 0.0 * start.g
-        assert chi2(start.g, zero, start.roots[0]) == 0.0
+        hom, z0 = scaled_normal(quad_pair, 0.0)
+        assert tracker._StepBuffers(hom).chi(0.0, unit_point(z0))[1] == 0.0
 
     def test_chi2_tangent_vanishing_at_point(self):
-        # unit-norm direction vanishing at e0 contributes only its norm
+        # The normal direction q, unit norm, BW-orthogonal to the good system
+        # and vanishing at e0, contributes only its norm: chi2 = 1 on the
+        # path's first step.
         pair = good_initial_pair((2, 2))
-        gdot = normalize_to_sphere(
+        q = normalize_to_sphere(
             PolySystem.from_terms((2, 2), [[((0, 2, 0), 1.0)], [((0, 0, 2), 1.0)]])
         )
-        assert chi2(pair.g, gdot, pair.zeta0) == pytest.approx(1.0, rel=1e-12)
+        hom = make_linear_homotopy(pair.g, normalize_to_sphere(pair.g + q))
+        np.testing.assert_allclose(hom._pvec, q.coeff_vector(), atol=1e-15)
+        first = track_linear(hom, pair.zeta0).trace[0]
+        assert first.chi2 == pytest.approx(1.0, rel=1e-12)
 
     def test_chi2_at_least_speed(self, quad_pair):
+        # Row k+1 holds the step from s_k; chi2 there is at least the speed
+        # ||hdot_{s_k}|| = 1.
         start, f = quad_pair
         hom = make_linear_homotopy(start.g, f)
-        gdot = hom.derivative_at(0.0)
-        assert chi2(start.g, gdot, start.roots[0]) >= bw_norm(gdot)
+        trace = track_linear(hom, start.roots[0]).trace
+        s_from = np.concatenate([[0.0], trace.s[:-1]])
+        speed = np.sqrt([hom.speed_squared(math.cos(s), math.sin(s)) for s in s_from])
+        np.testing.assert_allclose(speed, 1.0, rtol=1e-12)
+        assert np.all(trace.chi2 >= speed)
 
 
 class TestCertifiedStep:
-    def test_formula_value(self, quad_pair):
+    """The step rule on the loop's own trace, and the loop against the
+    formula computed on a separate route (reference_step)."""
+
+    @staticmethod
+    def _unclipped(quad_pair):
+        # The rows of a traced (2, 2) path whose step was not clipped to the
+        # end of the arc.
         start, f = quad_pair
-        hom = make_linear_homotopy(start.g, f)
-        gdot = hom.derivative_at(0.0)
-        z = start.roots[0]
-        t, phi = certified_step(start.g, gdot, z)
-        assert phi == pytest.approx(chi1(start.g, z) * chi2(start.g, gdot, z), rel=1e-12)
-        assert t == pytest.approx(C_OVER_P_LINEAR / (2.0**1.5 * phi), rel=1e-12)
+        trace = track_linear(make_linear_homotopy(start.g, f), start.roots[0]).trace
+        assert len(trace) > 10
+        return trace[:-1]
+
+    def test_formula_value(self, quad_pair):
+        rows = self._unclipped(quad_pair)
+        assert np.array_equal(rows.phi, rows.chi1 * rows.chi2)
+        np.testing.assert_allclose(rows.t, C_OVER_P_LINEAR / (2.0**1.5 * rows.phi), rtol=1e-12)
 
     def test_plugged_constants(self):
         # phi = 1, d = 2 gives t = 0.04804448 / 2^{3/2}
         assert C_OVER_P_LINEAR / 2.0**1.5 == pytest.approx(0.016988, abs=1e-5)
 
     def test_interval_containment(self, quad_pair):
-        start, f = quad_pair
-        hom = make_linear_homotopy(start.g, f)
-        gdot = hom.derivative_at(0.0)
-        t, phi = certified_step(start.g, gdot, start.roots[0])
-        lo = C_OVER_P_LINEAR / (2.0 * 2.0**1.5 * phi)
-        hi = C_OVER_P_LINEAR / (2.0**1.5 * phi)
-        assert lo - 1e-15 <= t <= hi + 1e-15
+        rows = self._unclipped(quad_pair)
+        lo = C_OVER_P_LINEAR / (2.0 * 2.0**1.5 * rows.phi)
+        hi = C_OVER_P_LINEAR / (2.0**1.5 * rows.phi)
+        assert np.all(lo - 1e-15 <= rows.t) and np.all(rows.t <= hi + 1e-15)
 
     @pytest.mark.parametrize("degrees", [(2, 2), (1, 2, 2)])
     def test_is_the_loops_first_step(self, degrees):
-        # One step rule: the public functions return bitwise what the
-        # tracking loop records for its first step.
+        # The loop's first record is the formula's step from (g, z0).
         rng = np.random.default_rng(21)
         f = random_system_on_sphere(degrees, rng)
         start = total_degree_start(degrees, rng)
         hom = make_linear_homotopy(start.g, f)
         first = track_linear(hom, start.roots[0]).trace[0]
-        z0 = start.roots[0] / np.linalg.norm(start.roots[0])
-        h0, hdot0 = hom.value_at(0.0), hom.derivative_at(0.0)
-        assert certified_step(h0, hdot0, z0) == (first.t, first.phi)
-        assert (chi1(h0, z0), chi2(h0, hdot0, z0)) == (first.chi1, first.chi2)
+        want = reference_step(hom, 0.0, unit_point(start.roots[0]))
+        np.testing.assert_allclose([first.chi1, first.chi2, first.t, first.phi], want, rtol=1e-12)
 
     @pytest.mark.parametrize("degrees", [(1, 2, 2), (2, 2, 2)])
     def test_matches_the_loop_mid_path(self, degrees):
         # Record k+1 holds the step taken from (h_{s_k}, z_k).  The loop
-        # combines the blocks of g and p where certified_step builds h_s and
+        # combines the blocks of g and p where the formula builds h_s and
         # hdot_s first, so the two agree to rounding, not bitwise.
         rng = np.random.default_rng(22)
         f = random_system_on_sphere(degrees, rng)
@@ -321,36 +371,81 @@ class TestCertifiedStep:
         # the last step is clipped to the end of the arc, so it is left out
         for k in np.linspace(5, len(trace) - 3, 6).astype(int):
             rec, nxt = trace[k], trace[k + 1]
-            h, hdot = hom.value_at(rec.s), hom.derivative_at(rec.s)
-            t, phi = certified_step(h, hdot, rec.z)
-            got = [chi1(h, rec.z), chi2(h, hdot, rec.z), t, phi]
-            np.testing.assert_allclose(got, [nxt.chi1, nxt.chi2, nxt.t, nxt.phi], rtol=1e-12)
+            want = reference_step(hom, rec.s, rec.z)
+            np.testing.assert_allclose([nxt.chi1, nxt.chi2, nxt.t, nxt.phi], want, rtol=1e-12)
 
     def test_vanishing_tangent_gives_infinite_step(self, quad_pair):
-        # phi = 0: the loop's rule, t = inf, which ends a path MinStepReached
-        start, _ = quad_pair
-        assert certified_step(start.g, 0.0 * start.g, start.roots[0]) == (math.inf, 0.0)
+        # phi = 0: t = inf, which ends a path MinStepReached
+        hom, z0 = scaled_normal(quad_pair, 0.0)
+        buf = tracker._StepBuffers(hom)
+        x1, x2 = buf.chi(0.0, unit_point(z0))
+        assert x1 * x2 == 0.0
+        assert buf.step_length(x1 * x2) == math.inf
 
     def test_point_of_wrong_length_rejected(self, quad_pair):
         start, f = quad_pair
-        gdot = make_linear_homotopy(start.g, f).derivative_at(0.0)
+        hom = make_linear_homotopy(start.g, f)
         z = start.roots[0]
         for bad in (z[:1], np.append(z, 1.0)):
+            for track in (track_linear, track_heuristic):
+                with pytest.raises(ValueError):
+                    track(hom, bad)
             with pytest.raises(ValueError):
-                certified_step(start.g, gdot, bad)
-            with pytest.raises(ValueError):
-                chi1(start.g, bad)
+                track_path(start.g, f, bad)
 
     def test_tangent_degrees_must_match(self):
-        # (1, 2) and (2, 1) in three variables both have 3 + 6 coefficients.
+        # (1, 2) and (2, 1) in three variables both have 3 + 6 coefficients,
+        # yet no homotopy joins them.
         rng = np.random.default_rng(5)
         g = random_system_on_sphere((1, 2), rng)
-        gdot = random_system_on_sphere((2, 1), rng)
+        f = random_system_on_sphere((2, 1), rng)
         z = unit_point([1.0, 0.5, 0.25])
-        with pytest.raises(ValueError):
-            chi2(g, gdot, z)
-        with pytest.raises(ValueError):
-            certified_step(g, gdot, z)
+        with pytest.raises(ValueError, match="degree mismatch"):
+            make_linear_homotopy(g, f)
+        with pytest.raises(ValueError, match="degree mismatch"):
+            track_path(g, f, z)
+
+
+class TestRepresentativeInvariance:
+    """A start point is a projective point: the trackers and the condition
+    length read it through its unit representative.  Scaling by 2 is exact,
+    so it gives the same bits; a phase gives the same root."""
+
+    TRACKS = {
+        "track_linear": lambda g, f, hom, z: track_linear(hom, z),
+        "track_heuristic": lambda g, f, hom, z: track_heuristic(hom, z),
+        "track_path": lambda g, f, hom, z: track_path(g, f, z),
+    }
+
+    @pytest.fixture(scope="class")
+    def path(self):
+        rng = np.random.default_rng(60)
+        f = random_system_on_sphere((2, 2, 2), rng)
+        start = total_degree_start((2, 2, 2), rng)
+        return start.g, f, make_linear_homotopy(start.g, f), start.roots[3]
+
+    @pytest.mark.parametrize("track", list(TRACKS))
+    def test_doubled_point_gives_the_same_bits(self, path, track):
+        g, f, hom, z0 = path
+        plain, doubled = (self.TRACKS[track](g, f, hom, z) for z in (z0, 2.0 * z0))
+        assert plain.success
+        assert (doubled.status, doubled.num_steps) == (plain.status, plain.num_steps)
+        assert doubled.endpoint.tobytes() == plain.endpoint.tobytes()
+        assert doubled.trace.dtype == plain.trace.dtype
+        assert doubled.trace.tobytes() == plain.trace.tobytes()
+
+    @pytest.mark.parametrize("theta", [0.7, 2.5, -1.9])
+    @pytest.mark.parametrize("track", list(TRACKS))
+    def test_phase_gives_the_same_root(self, path, track, theta):
+        g, f, hom, z0 = path
+        plain, turned = (self.TRACKS[track](g, f, hom, z) for z in (z0, np.exp(1j * theta) * z0))
+        assert plain.success and turned.status is plain.status
+        assert riemann_distance(refine(f, turned.endpoint), refine(f, plain.endpoint)) <= 1e-12
+
+    def test_condition_length_of_the_doubled_point(self, path):
+        g, f, hom, z0 = path
+        result = track_linear(hom, z0)
+        assert condition_length(hom, 2.0 * z0, result) == condition_length(hom, z0, result)
 
 
 class TestTrackLinear:
@@ -768,8 +863,8 @@ class TestStepConstant:
         assert reference - C_OVER_P_DEGREE_ONE <= 1e-8
 
     def test_linear_path_steps_within_degree_one_bound(self):
-        # every step of a (1, 1) path, certified_step's included, stays at or
-        # below c/P at H = 1
+        # every step of a (1, 1) path, the first from the start included,
+        # stays at or below c/P at H = 1
         rng = np.random.default_rng(11)
         f = random_system_on_sphere((1, 1), rng)
         start = total_degree_start((1, 1), rng)
@@ -779,24 +874,14 @@ class TestStepConstant:
         assert result.num_steps > 10
         bound = c_over_p(1.0)
         assert all(rec.t <= bound / rec.phi for rec in result.trace)
-        t, phi = certified_step(hom.value_at(0.0), hom.derivative_at(0.0), start.roots[0])
-        assert t <= bound / phi
 
 
 class TestNonFiniteStep:
     """A step length that cannot move s ends the path with a status."""
 
-    @staticmethod
-    def _scaled(quad_pair, factor):
-        # The homotopy with its normal direction p scaled: 0 stands still
-        # (phi = 0), 1e300 overflows (phi = inf).
-        start, f = quad_pair
-        hom = make_linear_homotopy(start.g, f)
-        return dataclasses.replace(hom, _pvec=factor * hom._pvec), start.roots[0]
-
     def test_overflowing_derivative(self, quad_pair, monkeypatch):
         # phi = inf gives t = 0, which must not loop until MAX_STEPS
-        hom, z0 = self._scaled(quad_pair, 1e300)
+        hom, z0 = scaled_normal(quad_pair, 1e300)
         monkeypatch.setattr(tracker, "MAX_STEPS", 50)
         with np.errstate(over="ignore"):
             result = track_linear(hom, z0)
@@ -805,7 +890,7 @@ class TestNonFiniteStep:
 
     def test_zero_derivative(self, quad_pair, monkeypatch):
         # phi = 0 gives t = inf, which must neither raise nor jump to T
-        hom, z0 = self._scaled(quad_pair, 0.0)
+        hom, z0 = scaled_normal(quad_pair, 0.0)
         monkeypatch.setattr(tracker, "MAX_STEPS", 50)
         result = track_linear(hom, z0)
         assert result.status is TrackStatus.MIN_STEP_REACHED
@@ -903,9 +988,6 @@ class TestEvaluationWork:
         assert work["point_matrix"] == result.num_steps
         assert len(work["place"]) == 1
         assert np.array_equal(work["place"][0], np.stack([hom._gvec, hom._pvec]))
-        work["point_matrix"] = 0
-        certified_step(hom.g, hom.derivative_at(0.0), z0)
-        assert work["point_matrix"] == 1
 
     @pytest.mark.parametrize("degrees", [(2, 2), (1, 2, 3)])
     def test_rk4_path_places_once_and_predicts_from_four(self, work, monkeypatch, degrees):

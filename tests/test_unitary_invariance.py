@@ -3,8 +3,9 @@ chi1, and unitary equivariance of tracked endpoints (property tests over
 random Haar unitaries, systems and points).
 
 With hU(z) = h(Uz) for a unitary U: ||hU|| = ||h||, mu(hU, U* z) = mu(h, z)
-and chi1(hU, U* z) = chi1(h, z); the path from (gU, U* r) to fU ends as the
-path from (g, r) to f does, at U* times its endpoint.
+and the step's chi1 at (hU, U* z) on the homotopy from hU to fU is its chi1
+at (h, z) on the homotopy from h to f; the path from (gU, U* r) to fU ends
+as the path from (g, r) to f does, at U* times its endpoint.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from certitrack.linalg import random_unitary
 from certitrack.newton import condition_mu, refine
 from certitrack.polysys import unit_point
 from certitrack.start_systems import random_system_on_sphere, total_degree_start
-from certitrack.tracker import TrackerOptions, chi1, track_path
+from certitrack.tracker import TrackerOptions, _StepBuffers, make_linear_homotopy, track_path
 
 # Deterministic examples and no example database, so runs repeat exactly.
 SETTINGS = settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -30,28 +31,32 @@ def _draw(degrees, seed):
     h = random_system_on_sphere(degrees, rng)
     U = random_unitary(len(degrees) + 1, rng)
     z = unit_point(rng.standard_normal(h.n_vars) + 1j * rng.standard_normal(h.n_vars))
-    return h, unitary_compose(h, U), U.conj().T @ z, z
+    return h, unitary_compose(h, U), U.conj().T @ z, z, U
 
 
 @SETTINGS
 @given(DEGREES, SEEDS)
 def test_bw_norm(degrees, seed):
-    h, hU, _, _ = _draw(degrees, seed)
+    h, hU, *_ = _draw(degrees, seed)
     assert bw_norm(hU) == pytest.approx(bw_norm(h), rel=1e-10)
 
 
 @SETTINGS
 @given(DEGREES, SEEDS)
 def test_condition_mu(degrees, seed):
-    h, hU, w, z = _draw(degrees, seed)
+    h, hU, w, z, _ = _draw(degrees, seed)
     assert condition_mu(hU, w) == pytest.approx(condition_mu(h, z), rel=1e-10)
 
 
 @SETTINGS
 @given(DEGREES, SEEDS)
 def test_chi1(degrees, seed):
-    h, hU, w, z = _draw(degrees, seed)
-    assert chi1(hU, w) == pytest.approx(chi1(h, z), rel=1e-10)
+    h, hU, w, z, U = _draw(degrees, seed)
+    f = random_system_on_sphere(degrees, np.random.default_rng([seed, 1]))
+    hom, homU = make_linear_homotopy(h, f), make_linear_homotopy(hU, unitary_compose(f, U))
+    # The step's chi1 from z at the middle of the path from h to f.
+    s = hom.T / 2
+    assert _StepBuffers(homU).chi(s, w)[0] == pytest.approx(_StepBuffers(hom).chi(s, z)[0], rel=1e-10)
 
 
 @SETTINGS
