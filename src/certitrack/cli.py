@@ -243,6 +243,9 @@ def cmd_entropy(args) -> int:
     return 0
 
 
+_THREADS_HELP = "worker processes for trials, at most the CPUs available (default 1)"
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=_seed, default=0, help="master seed (unsigned 64-bit)")
     p.add_argument("--out", type=_out_path, default=None, help="output CSV path (default: stdout)")
@@ -273,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive_int, default=None,
                    help="random targets (default 10); katsura has one system")
     p.add_argument("--tracker", choices=[*TRACKERS, "both"], default="certified")
-    p.add_argument("--threads", type=_positive_int, default=1, help="worker processes for trials")
+    p.add_argument("--threads", type=_positive_int, default=1, help=_THREADS_HELP)
     _add_common(p)
     p.set_defaults(func=cmd_bench, error=p.error)
 
@@ -281,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--trials", type=_positive_int, default=30)
     p.add_argument("--verify-bound", action="store_true", help="check the step bound per path (slow)")
-    p.add_argument("--threads", type=_positive_int, default=1, help="worker processes for trials")
+    p.add_argument("--threads", type=_positive_int, default=1, help=_THREADS_HELP)
     _add_common(p)
     p.set_defaults(func=cmd_conjecture)
 
@@ -290,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=_finite_float, default=0.1)
     p.add_argument("--runs", type=_positive_int, default=800)
     p.add_argument("--variant", choices=list(ENTROPY_VARIANTS), default="ball")
-    p.add_argument("--threads", type=_positive_int, default=1, help="worker processes for trials")
+    p.add_argument("--threads", type=_positive_int, default=1, help=_THREADS_HELP)
     _add_common(p)
     p.set_defaults(func=cmd_entropy, error=p.error)
 

@@ -15,6 +15,7 @@ and ENTROPY_VARIANTS.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -381,10 +382,20 @@ def run_entropy(
     return EntropyReport(tuple(hits), runs, failures, entropy)
 
 
+def _available_cpus() -> int:
+    # The CPUs this process may run on (os.cpu_count where the affinity
+    # mask cannot be read).
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _map_trials(fn, args_list, threads: int):
     # A process pool starts all its workers up front, so it gets no more
-    # than there are trials; one trial runs in this process.
-    workers = min(threads, len(args_list))
+    # than there are trials or CPUs available; one worker runs the trials
+    # in this process.
+    workers = min(threads, len(args_list), _available_cpus())
     if workers <= 1:
         return [fn(a) for a in args_list]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -28,9 +28,13 @@ K factors from one table [1, z, z^2, ..., z^D, 0, 1, ..., D]: the powers of
 the coordinates and the exponent multipliers, K <= min(D, n+1) non-unit
 powers padded with ones, then the entry's multiplier.  The plan of those
 indices is built with the evaluator, and so is a read-only template of the
-table, whose ones and multipliers are filled once: a point matrix is one
-copy of the template with z, z^2, ..., z^D written into it in place, one
-gather and one product along the plan.  The non-unit powers are multiplied
+table, whose ones and multipliers are filled once.  Each thread that builds
+a point matrix gets one workspace per evaluator on its first call: a
+writable copy of the template, the gather and the product.  A point matrix
+writes z, z^2, ..., z^D into that table in place, gathers along the plan and
+takes the product, all into the workspace, so a call allocates no array.  Its
+result is the workspace's product, overwritten by the thread's next call;
+every caller consumes it at once.  The non-unit powers are multiplied
 in variable order, as a left fold over all n+1 powers would, and a factor
 1 + 0j is the identity up to the sign of a zero: the values are those of
 that fold, and only a zero's sign may differ (an entry that is -0 there may
@@ -63,6 +67,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -170,17 +175,6 @@ def _layout(degrees: tuple) -> tuple[tuple[int, ...], tuple[slice, ...]]:
     n_vars = len(degrees) + 1
     ends = list(itertools.accumulate(num_homogeneous_monomials(n_vars, d) for d in degrees))
     return degrees, tuple(map(slice, [0] + ends, ends))
-
-
-def _power_table(z: np.ndarray, max_degree: int, out: np.ndarray) -> np.ndarray:
-    # Writes z ** k into row k of out, (rows, len(z)), for k = 1 ... max_degree;
-    # row 0 must hold the ones of z ** 0 already, and rows past max_degree are
-    # left as they are.  Returns out transposed: P[j, k] = z_j ** k for
-    # k <= max_degree.
-    out[1] = z
-    for k in range(2, max_degree + 1):
-        np.multiply(out[k - 1], z, out=out[k])
-    return out.T
 
 
 @dataclass(frozen=True)
@@ -339,6 +333,37 @@ def unit_point(coords) -> np.ndarray:
     return z
 
 
+class _PointMatrixWorkspace(threading.local):
+    """One thread's arrays for the point matrices of one evaluator, made on
+    the thread's first call: a writable copy of the template (its power
+    rows z ** 1 ... z ** D rewritten by each call), the (K + 1, entries)
+    gather and the entries' product.  build(z) fills them and returns the
+    product as a (rows, n_cols) view, the same array on every call."""
+
+    def __init__(self, template: np.ndarray, plan: np.ndarray, max_d: int, n_cols: int):
+        table = template.copy()
+        gather = np.empty(plan.shape, dtype=np.complex128)
+        product = np.empty(plan.shape[1], dtype=np.complex128)
+        result = product.reshape(-1, n_cols)
+        first = table[1]
+        # (z ** (k-1), z ** k) row pairs for k = 2 ... D.
+        powers = [(table[k - 1], table[k]) for k in range(2, max_d + 1)]
+        take, reduce, multiply = table.reshape(-1).take, np.multiply.reduce, np.multiply
+
+        def build(z) -> np.ndarray:
+            first[...] = z
+            for prev, row in powers:
+                multiply(prev, z, out=row)
+            # mode="clip" writes the gather into out directly (the plan's
+            # positions are in range); np.multiply.reduce is np.prod
+            # without its Python wrapper.
+            take(plan, out=gather, mode="clip")
+            reduce(gather, axis=0, out=product)
+            return result
+
+        self.build = build
+
+
 class Evaluator:
     """Values and Jacobians of every homogeneous system with one degree tuple.
 
@@ -402,19 +427,14 @@ class Evaluator:
              for i, (d, sl) in enumerate(zip(self.degrees, self.slices))]
         )
         self._block_size = self.n * n_rows
+        self._workspace = _PointMatrixWorkspace(template, self._plan, self.max_d, self.n + 2)
 
     def point_matrix(self, z) -> np.ndarray:
         """The (rows, n+2) point matrix at z: every monomial's gradient and value.
 
-        One copy of the evaluator's template, whose ones and multipliers are
-        filled once, with the powers z, z ** 2, ..., z ** D written into it
-        in place; then one gather along the plan and one product.  Each call
-        has its own table, so the returned matrix is the caller's and calls
-        from several threads do not share state."""
-        table = self._template.copy()
-        _power_table(z, self.max_d, table)
-        # np.multiply.reduce is np.prod without its Python wrapper.
-        return np.multiply.reduce(table.take(self._plan), axis=0).reshape(-1, self.n + 2)
+        Built in the calling thread's workspace (_PointMatrixWorkspace): the
+        thread's next call overwrites it, so a caller that keeps it copies it."""
+        return self._workspace.build(z)
 
     def place(self, R) -> np.ndarray:
         """The (K n, rows) matrix of the K systems whose coefficient vectors are

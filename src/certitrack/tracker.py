@@ -43,9 +43,13 @@ chi_2, one more the Newton step.  They run on the path's step buffers
 heuristic's predictor; the step rule is read on a tracked path, whose trace
 holds each step's t, phi and both chi factors.  The rotation writes into a
 work array whose strided view is the bordered matrix, so no step copies a
-Jacobian, and every BLAS and LAPACK call has the operands of a step that
-allocates its arrays, so the bits are those of such a step.  The trackers
-run on one BLAS thread (see linalg).
+Jacobian.  The point matrix is built in the calling thread's workspace
+(polysys.Evaluator.point_matrix), and the Newton update z - x is written
+into two path-owned points in turn, so a step allocates array data only
+for what LAPACK and the SVD return; a trace row keeps a copy of its point.
+Every BLAS and LAPACK call has the operands of a step that allocates its
+arrays, so the bits are those of such a step.  The trackers run on one
+BLAS thread (see linalg).
 """
 
 from __future__ import annotations
@@ -213,9 +217,10 @@ class _StepBuffers:
     wrapper copies: the rotation's output is the factorization's input.
     newton_rhs: the view W[n:, n+1], (h(z); 0).  rhs: the n+2 columns of the
     chi solve, Diag(sqrt(d_i), 1) for chi_1 and (hdot(z); 0) for chi_2.  rhs1:
-    one column (-hdot(z); 0) for the heuristic predictor's tangent.  rotate
-    and chi are closures over these arrays and the kernels a step calls,
-    bound here: a wrapper installed before the buffers are made is called.
+    one column (-hdot(z); 0) for the heuristic predictor's tangent, and
+    stage the point of its next RK4 stage.  rotate and chi are closures over
+    these arrays and the kernels a step calls, bound here: a wrapper
+    installed before the buffers are made is called.
     """
 
     def __init__(self, hom: LinearHomotopy):
@@ -236,6 +241,7 @@ class _StepBuffers:
         self.rhs[n, n] = 1.0
         self.rhs1 = np.zeros(n + 1, dtype=np.complex128)
         self.rhs1_top = self.rhs1[:n]
+        self.stage = np.empty(n + 1, dtype=np.complex128)
         self.c_over_p = C_OVER_P_LINEAR if ev.max_d >= 2 else C_OVER_P_DEGREE_ONE
         self.d32 = ev.max_d**1.5
         self.rotate, self.chi = self._step_kernels()
@@ -309,11 +315,16 @@ def track_linear(
     # step.  The step's buffers and kernels are bound once per path.
     buf = _StepBuffers(hom)
     chi, rotate, step_length = buf.chi, buf.rotate, buf.step_length
-    factor, solve, norm = linalg.lu_factor_checked, linalg.lu_solve, linalg.vector_norm
+    factor, solve, subtract, sqrt = linalg.lu_factor_checked, linalg.lu_solve, np.subtract, math.sqrt
     bordered, newton_rhs = buf.bordered, buf.newton_rhs
     record, inf = opts.record_trace, math.inf
     T = hom.T
     z = polysys.unit_point(polysys._checked_point(buf.ev.n_vars, z0))
+    # The Newton update z - x is written into the one of two path-owned
+    # points that z is not, and normalized there with linalg.vector_norm's
+    # ddots on its real and imaginary views, bound once per point.
+    nxt, other = [(w, w.real, w.real.dot, w.imag, w.imag.dot)
+                  for w in (np.empty_like(z), np.empty_like(z))]
     s = 0.0
     steps = 0
     status = TrackStatus.SUCCESS
@@ -342,11 +353,13 @@ def track_linear(
         except SingularLinearSolveError:
             status = TrackStatus.SINGULAR
             break
-        z = z - solve(lu, newton_rhs)
-        z /= norm(z)
+        w, re, re_dot, im, im_dot = nxt
+        subtract(z, solve(lu, newton_rhs), out=w)
+        w /= sqrt(re_dot(re) + im_dot(im))
+        z, nxt, other = w, other, nxt
         steps += 1
         if record:
-            rows.append((s_next, t, phi, x1, x2, z))
+            rows.append((s_next, t, phi, x1, x2, z.copy()))
         s = s_next
     return TrackResult(z, status, steps, _trace_array(rows, _COLUMNS, buf.ev.n_vars))
 

@@ -153,7 +153,8 @@ class TestRunBench:
         b = run_bench("random", degrees=(2, 2), trials=3, seed=2, threads=2)["certified"]
         assert a.per_path == b.per_path
 
-    def test_worker_count_is_capped_at_the_trials(self, monkeypatch):
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
         # A stand-in for the pool records its size and starts no process.
         sizes = []
 
@@ -171,11 +172,37 @@ class TestRunBench:
                 return map(fn, args)
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    @staticmethod
+    def _cpus(monkeypatch, count):
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+
+    def test_worker_count_is_capped_at_the_trials(self, pool_sizes, monkeypatch):
+        self._cpus(monkeypatch, 8)
+        sizes = pool_sizes
         assert experiments._map_trials(abs, [-1, -2, -3], 4) == [1, 2, 3]
         assert sizes == [3]
         rep = run_bench("katsura", n=2, seed=0, threads=2)["certified"]
         assert rep.failures == 0
         assert sizes == [3]  # the one Katsura trial ran without a pool
+
+    def test_worker_count_is_capped_at_the_cpus(self, pool_sizes, monkeypatch):
+        # As entropy --threads 800 asks: no more workers than CPUs available.
+        self._cpus(monkeypatch, 2)
+        trials = list(range(-800, 0))
+        assert experiments._map_trials(abs, trials, 800) == [abs(a) for a in trials]
+        assert pool_sizes == [2]
+        # Without an affinity mask, os.cpu_count; without that, one worker,
+        # which runs the trials in this process.
+        monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+        experiments._map_trials(abs, trials, 800)
+        assert pool_sizes == [2, 3]
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+        assert experiments._map_trials(abs, [-1, -2], 800) == [1, 2]
+        assert pool_sizes == [2, 3]
 
     def test_katsura_family(self):
         rep = run_bench("katsura", n=3, seed=0)["certified"]

@@ -88,6 +88,16 @@ class TestPredict:
         out = predict(tracker._StepBuffers(hom), 0.0, z, 0.0)
         assert np.array_equal(out, np.asarray(z))
 
+    def test_a_second_call_leaves_the_first_result(self, quad_path):
+        # The stages share one buffer of the path; each result is its own.
+        start, f, hom = quad_path
+        buf = tracker._StepBuffers(hom)
+        first = predict(buf, 0.0, start.roots[0], 0.1)
+        want = first.tobytes()
+        second = predict(buf, 0.2, start.roots[1], 0.1)
+        assert first.tobytes() == want
+        assert not np.shares_memory(first, second)
+
     def test_rk4_local_order(self, quad_path):
         # halving the step shrinks the one-step error by about 2^5
         start, f, hom = quad_path

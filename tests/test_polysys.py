@@ -4,6 +4,7 @@ import math
 import pickle
 import platform
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,7 +315,9 @@ class TestPointMatrixPlan:
 
 
 class TestPointMatrixTemplate:
-    """Each point matrix comes from its own copy of the evaluator's template."""
+    """Each thread builds its point matrices in its own workspace: a copy of
+    the evaluator's template and the gather and product arrays, reused by
+    every call of the thread."""
 
     DEGREES = [(1,), (2, 2, 2), (1, 2, 2, 2, 2), (3, 3, 3, 3), (1, 3, 2)]
 
@@ -335,6 +338,36 @@ class TestPointMatrixTemplate:
         assert ev._template.tobytes() == template.tobytes()
         assert ev.point_matrix(y).tobytes() == want_y
         assert ev.point_matrix(z).tobytes() == want_z
+
+    def test_one_thread_reuses_one_array(self):
+        ev = evaluator((1, 3, 2))
+        z, y = self._points(ev.n_vars, 2, 1)
+        assert ev.point_matrix(z) is ev.point_matrix(y)
+
+    @pytest.mark.parametrize("degrees", DEGREES)
+    def test_each_call_rewrites_every_power(self, degrees):
+        # A power row left from the previous point would show at D >= 2.
+        ev = evaluator(degrees)
+        z, y = self._points(ev.n_vars, 2, sum(degrees))
+        for point in (z, 3.0 * y, z):
+            got = ev.point_matrix(point)
+            assert got.tobytes() == gather_and_fold(degrees, point).tobytes()
+
+    def test_kept_results_hold_no_data_of_their_own(self):
+        # Once the thread's workspace is made, 100 kept results add no
+        # NumPy data block: each is the workspace's product.
+        ev = evaluator((1, 2, 2, 2, 2))
+        points = self._points(ev.n_vars, 100, 2)
+        ev.point_matrix(points[0])
+        numpy_data = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+        tracemalloc.start()
+        try:
+            kept = [ev.point_matrix(z) for z in points]
+            blocks = len(tracemalloc.take_snapshot().filter_traces(numpy_data).traces)
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == 100
+        assert blocks == 0
 
     def test_two_threads_give_the_serial_bits(self):
         # A short switch interval lets the threads interleave inside calls,

@@ -20,7 +20,6 @@ from certitrack.newton import U0, condition_mu, refine
 from certitrack.polysys import (
     Evaluator,
     PolySystem,
-    _power_table,
     homogeneous_exponents,
     homogenize,
     unit_point,
@@ -465,6 +464,28 @@ class TestTrackLinear:
         nan = PolySystem._adopt(g.degrees, np.full_like(g._vec, np.nan))
         with pytest.raises(ValueError, match="unit sphere"):
             track_path(nan, nan, start.roots[0])
+
+    def test_trace_rows_and_endpoint_own_their_points(self, quad_pair):
+        # The loop writes its points into two arrays in turn: a row that kept
+        # one of them would read a later point.
+        start, f = quad_pair
+        result = track_linear(make_linear_homotopy(start.g, f), start.roots[0])
+        z = result.trace.z
+        assert len(z) == result.num_steps >= 3
+        assert z[-1].tobytes() == result.endpoint.tobytes()
+        assert not np.shares_memory(z, result.endpoint)
+        assert not any(np.array_equal(a, b) for a, b in zip(z[:-1], z[1:]))
+        assert len({row.tobytes() for row in z}) == len(z)
+
+    def test_endpoints_of_two_calls_are_their_own(self, quad_pair):
+        start, f = quad_pair
+        hom = make_linear_homotopy(start.g, f)
+        first, second = (track_linear(hom, z0) for z0 in start.roots[:2])
+        assert not np.shares_memory(first.endpoint, second.endpoint)
+        want_first, want_second = first.endpoint.tobytes(), second.endpoint.tobytes()
+        first.endpoint[...] = np.nan
+        assert second.endpoint.tobytes() == want_second
+        assert track_linear(hom, start.roots[0]).endpoint.tobytes() == want_first
 
     def test_first_record_reads_the_homotopys_speed(self, quad_pair, monkeypatch):
         # chi2 of step 1 is sqrt(||hdot_0||^2 + ||solve||^2), ||hdot_0||^2 read
@@ -1071,6 +1092,16 @@ class TestStepBuffers:
             lu, piv = linalg.lu_factor_checked(buf.bordered)
             lu_ref, piv_ref = linalg.lu_factor_checked(np.ascontiguousarray(buf.bordered))
             assert lu.tobytes() == lu_ref.tobytes() and np.array_equal(piv, piv_ref)
+
+
+def _power_table(z: np.ndarray, max_degree: int, out: np.ndarray) -> np.ndarray:
+    # Writes z ** k into row k of out, (rows, len(z)), for k = 1 ... max_degree;
+    # row 0 must hold the ones of z ** 0 already.  Returns out transposed:
+    # P[j, k] = z_j ** k, the powers as the point matrix's workspace builds them.
+    out[1] = z
+    for k in range(2, max_degree + 1):
+        np.multiply(out[k - 1], z, out=out[k])
+    return out.T
 
 
 class TestStepEngineTables:
