@@ -128,21 +128,15 @@ def _solution_rows(results, n_coords: int):
     ]
 
 
-def _trace_rows(trace):
-    # step is the row number; the certified tracker accepts every step.
-    return [
-        [k, *(FLOAT_FMT % v for v in (s, t, phi, chi1, chi2)), 1, *_point_cells(z)]
-        for k, (s, t, phi, chi1, chi2, z) in enumerate(trace.tolist(), start=1)
-    ]
-
-
 def write_trace_csv(result, out: str | None) -> None:
     """The certified trace of result as CSV, to the file out or, for None,
-    standard output: step, s, t, phi, chi1, chi2, accepted (always 1), then
-    re0.. and im0.. of the point, floats in FLOAT_FMT."""
-    header = ["step", "s", "t", "phi", "chi1", "chi2", "accepted"]
-    header += _point_header(result.endpoint.shape[0])
-    _write_rows(out, header, _trace_rows(result.trace))
+    standard output: step, the trace's float columns (s, t, phi, chi1,
+    chi2), accepted (always 1: the certified tracker accepts every step),
+    then re0.. and im0.. of the point, floats in FLOAT_FMT."""
+    header = ["step", *result.trace.dtype.names[:-1], "accepted", *_point_header(result.endpoint.shape[0])]
+    rows = [[k, *(FLOAT_FMT % v for v in row[:-1]), 1, *_point_cells(row[-1])]
+            for k, row in enumerate(result.trace.tolist(), start=1)]
+    _write_rows(out, header, rows)
 
 
 def cmd_solve(args) -> int:

@@ -11,11 +11,12 @@ heuristic, fixed at the values the comparisons in this package use.
 
 The predictor evaluates the homotopy as the certified loop does, on the
 path's tracker._StepBuffers, set up once from the LinearHomotopy: each RK4
-stage is one point matrix, one product, one rotation to the stage's
-parameter and one bordered solve.  The stage points x + h k are formed in
-the buffers' stage array, and the update x + (dt/6) (((k1 + 2 k2) + 2 k3)
-+ k4) is summed in place into k1, in that order with those operands, so
-its bits are the expression's.  The corrector builds h_{s_next} once per
+stage is one bordered solve of the system that the buffers' velocity
+places with one point matrix, one product and one rotation to the stage's
+parameter.  The stage points x + h k are formed in the buffers' stage
+array, and the update x + (dt/6) (((k1 + 2 k2) + 2 k3) + k4) is summed in
+place into k1, in that order with those operands, so its bits are the
+expression's.  The corrector builds h_{s_next} once per
 attempt (LinearHomotopy.value_at) and runs newton.refine's Newton loop on
 it, with its own step budget and tolerance: one point matrix per Newton
 step, through polysys.evaluate/jacobian and linalg.make_bordered/
@@ -67,24 +68,18 @@ def predict(buf: tracker._StepBuffers, s: float, x, dt: float) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
     if dt == 0.0:
         return x
-    stage, multiply, add = buf.stage, np.multiply, np.add
-
-    def tangent(t, z):
-        # The path velocity at (h_t, z), from one bordered solve (a new array).
-        buf.at(t, z)
-        buf.border /= vector_norm(z)
-        np.negative(buf.hdot_val, out=buf.rhs1_top)
-        return bordered_solve(buf.bordered, buf.rhs1)
+    velocity, stage, multiply, add = buf.velocity, buf.stage, np.multiply, np.add
 
     def stage_point(h, k):
         # x + h k, in the stage buffer.
         multiply(h, k, out=stage)
         return add(x, stage, out=stage)
 
-    k1 = tangent(s, x)
-    k2 = tangent(s + dt / 2.0, stage_point(dt / 2.0, k1))
-    k3 = tangent(s + dt / 2.0, stage_point(dt / 2.0, k2))
-    k4 = tangent(s + dt, stage_point(dt, k3))
+    # Each stage's velocity is one bordered solve (a new array).
+    k1 = bordered_solve(*velocity(s, x))
+    k2 = bordered_solve(*velocity(s + dt / 2.0, stage_point(dt / 2.0, k1)))
+    k3 = bordered_solve(*velocity(s + dt / 2.0, stage_point(dt / 2.0, k2)))
+    k4 = bordered_solve(*velocity(s + dt, stage_point(dt, k3)))
     # x + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), summed into k1.
     add(k1, multiply(2.0, k2, out=k2), out=k1)
     add(k1, multiply(2.0, k3, out=k3), out=k1)

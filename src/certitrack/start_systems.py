@@ -102,10 +102,9 @@ def total_degree_start(degrees, rng: np.random.Generator) -> StartSet:
 
 
 def total_degree_initial_pair(degrees, rng: np.random.Generator) -> InitialPair:
-    """The total-degree pair with the all-ones root."""
+    """The total-degree pair with the all-ones root, the start's first."""
     start = total_degree_start(degrees, rng)
-    root = unit_point(np.ones(len(degrees) + 1))
-    return InitialPair(g=start.g, zeta0=root)
+    return InitialPair(g=start.g, zeta0=start.roots[0])
 
 
 def good_system_raw(degrees) -> PolySystem:
@@ -276,10 +275,6 @@ class SolveAllReport:
 
     results: tuple[TrackResult, ...]
     roots: tuple[np.ndarray, ...]
-
-    @property
-    def endpoints(self) -> list[np.ndarray]:
-        return [r.endpoint for r in self.results if r.success]
 
     @property
     def num_failed(self) -> int:

@@ -37,19 +37,18 @@ A step builds one point matrix at z_i (polysys.Evaluator) and takes one
 product of it with the homotopy's (g, p), placed once per path: on
 h_s = cos(s) g + sin(s) p (LinearHomotopy, the path's geometry and speed)
 the blocks of h_{s_i}, hdot_{s_i} and the advanced system are real rotations
-of theirs.  One factorization and one (n+2)-column solve give chi_1 and
-chi_2, one more the Newton step.  They run on the path's step buffers
-(_StepBuffers), as do condition_length (through the loop's chi) and the
-heuristic's predictor; the step rule is read on a tracked path, whose trace
-holds each step's t, phi and both chi factors.  The rotation writes into a
-work array whose strided view is the bordered matrix, so no step copies a
-Jacobian.  The point matrix is built in the calling thread's workspace
-(polysys.Evaluator.point_matrix), and the Newton update z - x is written
-into two path-owned points in turn, so a step allocates array data only
-for what LAPACK and the SVD return; a trace row keeps a copy of its point.
-Every BLAS and LAPACK call has the operands of a step that allocates its
-arrays, so the bits are those of such a step.  The trackers run on one
-BLAS thread (see linalg).
+of theirs.  The path's step engine (_StepBuffers) owns the work array the
+rotation writes, whose strided view is the bordered matrix, and the kernels
+that read it: chi (one factorization and one (n+2)-column solve give chi_1
+and chi_2), newton (one more, the Newton step, written into two path-owned
+points in turn) and the heuristic predictor's velocity.  condition_length
+reads the loop's chi; the step rule is read on a tracked path, whose trace
+holds each step's t, phi and both chi factors.  With the point matrix built
+in the calling thread's workspace (polysys.Evaluator.point_matrix), a step
+allocates array data only for what LAPACK and the SVD return; a trace row
+keeps a copy of its point.  Every BLAS and LAPACK call has the operands of
+a step that allocates its arrays, so the bits are those of such a step.
+The trackers run on one BLAS thread (see linalg).
 """
 
 from __future__ import annotations
@@ -203,65 +202,72 @@ def make_linear_homotopy(g: polysys.PolySystem, f: polysys.PolySystem) -> Linear
 
 
 class _StepBuffers:
-    """A path's placed (g, p), the arrays a step writes into, allocated once
-    per path from its LinearHomotopy hom, and fixed views of them, so that a
-    step takes no slice either.
+    """A path's step engine: its placed (g, p), the arrays a step writes
+    into and the kernels that read them, bound once per path from its
+    LinearHomotopy hom, so that a step allocates no work array and takes no
+    slice.
 
-    basis: the (2n, rows) placement of the coefficient vectors g and p.
-    B: the (2n, n+2) product of basis with a point matrix, blocks of g then p.
-    W: the (2n+1, n+2) work array: rows [:n] hold [Dhdot(z) | hdot(z)], rows
-    [n:2n] hold [Dh(z) | h(z)], and row 2n holds z* and a fixed 0.  rotate
-    writes [hdot; h] into W[:2n] by the real 2 x 2 mix [-sin, cos; cos, sin]
-    on the real (2, 2n(n+2)) views B_real and rot_real.
-    bordered: the strided view W[n:, :n+1], (Dh(z); z*), which zgetrf's
-    wrapper copies: the rotation's output is the factorization's input.
-    newton_rhs: the view W[n:, n+1], (h(z); 0).  rhs: the n+2 columns of the
-    chi solve, Diag(sqrt(d_i), 1) for chi_1 and (hdot(z); 0) for chi_2.  rhs1:
-    one column (-hdot(z); 0) for the heuristic predictor's tangent, and
-    stage the point of its next RK4 stage.  rotate and chi are closures over
-    these arrays and the kernels a step calls, bound here: a wrapper
-    installed before the buffers are made is called.
+    The work array W, (2n+1, n+2), holds [Dhdot(z) | hdot(z)] in rows [:n],
+    [Dh(z) | h(z)] in rows [n:2n], and z* and a fixed 0 in row 2n.  Placing
+    the path at (s, z) multiplies basis, the (2n, rows) placement of g and
+    p, by the point matrix at z, writes z* into row 2n and rotates the
+    product into W[:2n] (rot_real, its real view) by the real 2 x 2 mix
+    [-sin, cos; cos, sin].  bordered, the strided view W[n:, :n+1], is
+    (Dh(z); z*), which zgetrf's wrapper copies: the rotation's output is the
+    factorization's input.  newton_rhs, the view W[n:, n+1], is (h(z); 0).
+    stage is the point of the heuristic predictor's next RK4 stage.  The
+    kernels chi, newton, velocity and step_length are closures over these
+    arrays and the kernels a step calls, bound here: a wrapper installed
+    before the buffers are made is called.
     """
 
     def __init__(self, hom: LinearHomotopy):
         ev = polysys.evaluator(hom.g.degrees)
         n = ev.n
-        self.hom = hom
         self.ev = ev
         self.basis = ev.place(np.stack([hom._gvec, hom._pvec]))
-        self.B = np.empty((2 * n, n + 2), dtype=np.complex128)
-        self.W = np.zeros((2 * n + 1, n + 2), dtype=np.complex128)
-        self.B_real = self.B.view(np.float64).reshape(2, -1)
-        self.rot_real = self.W[: 2 * n].view(np.float64).reshape(2, -1)
-        self.bordered, self.border = self.W[n:, : n + 1], self.W[2 * n, : n + 1]
-        self.hdot_val, self.newton_rhs = self.W[:n, n + 1], self.W[n:, n + 1]
-        self.rhs = np.zeros((n + 1, n + 2), dtype=np.complex128)
-        for i, d in enumerate(ev.degrees):
-            self.rhs[i, i] = math.sqrt(d)
-        self.rhs[n, n] = 1.0
-        self.rhs1 = np.zeros(n + 1, dtype=np.complex128)
-        self.rhs1_top = self.rhs1[:n]
+        W = np.zeros((2 * n + 1, n + 2), dtype=np.complex128)
+        self.rot_real = W[: 2 * n].view(np.float64).reshape(2, -1)
+        self.bordered, self.newton_rhs = W[n:, : n + 1], W[n:, n + 1]
         self.stage = np.empty(n + 1, dtype=np.complex128)
-        self.c_over_p = C_OVER_P_LINEAR if ev.max_d >= 2 else C_OVER_P_DEGREE_ONE
-        self.d32 = ev.max_d**1.5
-        self.rotate, self.chi = self._step_kernels()
+        self.chi, self.newton, self.velocity, self.step_length = self._step_kernels(hom, W)
 
-    def _step_kernels(self):
-        # rotate and chi, with every array and kernel they read bound here.
-        # ndarray.dot is np.dot's product without its dispatch.
-        B, border, B_real, rot_real = self.B, self.border, self.B_real, self.rot_real
-        bordered, rhs, hdot_val, rhs_hdot = self.bordered, self.rhs, self.hdot_val, self.rhs[:-1, -1]
+    def _step_kernels(self, hom: LinearHomotopy, W: np.ndarray):
+        # chi, newton, velocity and step_length, with every array and kernel
+        # they read bound here.  ndarray.dot is np.dot's product without its
+        # dispatch.
+        ev, n = self.ev, self.ev.n
+        B = np.empty((2 * n, n + 2), dtype=np.complex128)
+        B_real, rot_real = B.view(np.float64).reshape(2, -1), self.rot_real
+        bordered, newton_rhs = self.bordered, self.newton_rhs
+        border, hdot_val = W[2 * n, : n + 1], W[:n, n + 1]
+        # The chi solve's n+2 columns, Diag(sqrt(d_i), 1) for chi_1 and
+        # (hdot(z); 0) for chi_2, and the velocity's one column (-hdot(z); 0).
+        rhs = np.zeros((n + 1, n + 2), dtype=np.complex128)
+        for i, d in enumerate(ev.degrees):
+            rhs[i, i] = math.sqrt(d)
+        rhs[n, n] = 1.0
+        rhs_hdot = rhs[:-1, -1]
+        rhs1 = np.zeros(n + 1, dtype=np.complex128)
+        rhs1_top = rhs1[:n]
+        # The Newton step z - x is written into the one of two path-owned
+        # points that z is not, and normalized there with linalg.vector_norm's
+        # ddots on its real and imaginary views, bound once per point.
+        first, second = np.empty(n + 1, dtype=np.complex128), np.empty(n + 1, dtype=np.complex128)
+        points = [(w, w.real, w.real.dot, w.imag, w.imag.dot) for w in (first, second)]
         mix = np.empty((2, 2))
         mix_flat, mix_dot, basis_dot = mix.reshape(-1), mix.dot, self.basis.dot
-        point_matrix, svd = self.ev.point_matrix, np.linalg.svd
+        point_matrix, svd = ev.point_matrix, np.linalg.svd
         factor, solve = linalg.lu_factor_checked, linalg.lu_solve
-        speed_squared, norm = self.hom.speed_squared, linalg.vector_norm
-        conjugate, cos, sin, sqrt = np.conjugate, math.cos, math.sin, math.sqrt
+        speed_squared, norm = hom.speed_squared, linalg.vector_norm
+        conjugate, divide, negative, subtract = np.conjugate, np.divide, np.negative, np.subtract
+        cos, sin, sqrt = math.cos, math.sin, math.sqrt
+        c_over_p = C_OVER_P_LINEAR if ev.max_d >= 2 else C_OVER_P_DEGREE_ONE
+        d32 = ev.max_d**1.5
 
         def rotate(s: float) -> tuple[float, float]:
-            """Rotate B into W at s: hdot_s = -sin(s) g + cos(s) p and
-            h_s = cos(s) g + sin(s) p, which puts Dh_s(z) in bordered.
-            Returns (cos(s), sin(s))."""
+            # B into W at s: hdot_s = -sin(s) g + cos(s) p and h_s = cos(s) g
+            # + sin(s) p, which puts Dh_s(z) in bordered.
             c, sn = cos(s), sin(s)
             mix_flat[0] = -sn
             mix_flat[1] = mix_flat[2] = c
@@ -269,34 +275,53 @@ class _StepBuffers:
             mix_dot(B_real, out=rot_real)
             return c, sn
 
-        def chi(s: float, z: np.ndarray) -> tuple[float, float]:
-            """chi1 and chi2 at (h_s, z), z of unit norm: the path placed at
-            (s, z) as at places it, one factorization of (Dh_s(z); z*) and
-            one solve against the n+2 columns of rhs, with the homotopy's
-            speed_squared.  z* stays in bordered and z's blocks in B for the
-            Newton step."""
+        def place(s: float, z: np.ndarray) -> tuple[float, float]:
+            # B from the point matrix at z, z* in the bordered row, and the
+            # rotation to s.  Returns (cos(s), sin(s)).
             basis_dot(point_matrix(z), out=B)
             conjugate(z, out=border)
-            c, sn = rotate(s)
+            return rotate(s)
+
+        def chi(s: float, z: np.ndarray) -> tuple[float, float]:
+            """chi1 and chi2 at (h_s, z), z of unit norm: one factorization
+            of (Dh_s(z); z*) and one solve against the n+2 columns of rhs,
+            with the homotopy's speed_squared.  z* stays in bordered and
+            z's blocks in B for the Newton step."""
+            c, sn = place(s, z)
             lu = factor(bordered)
             rhs_hdot[...] = hdot_val
             sol = solve(lu, rhs)
             x1 = svd(sol[:, :-1], compute_uv=False).item(0)
             return x1, sqrt(speed_squared(c, sn) + norm(sol[:, -1]) ** 2)
 
-        return rotate, chi
+        def newton(s: float, z: np.ndarray) -> np.ndarray:
+            """The projective Newton step from z, the point chi placed,
+            against h_s, normalized: z - (Dh_s(z); z*)^{-1} (h_s(z); 0) in
+            the path-owned point that z is not, which the next call but one
+            overwrites."""
+            rotate(s)
+            lu = factor(bordered)
+            w, re, re_dot, im, im_dot = points[z is first]
+            subtract(z, solve(lu, newton_rhs), out=w)
+            w /= sqrt(re_dot(re) + im_dot(im))
+            return w
 
-    def at(self, s: float, z: np.ndarray) -> tuple[float, float]:
-        """Place the path at (s, z): B from the point matrix at z, z* in the
-        bordered row, and the rotation to s.  Returns (cos(s), sin(s))."""
-        self.basis.dot(self.ev.point_matrix(z), out=self.B)
-        np.conjugate(z, out=self.border)
-        return self.rotate(s)
+        def velocity(s: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """(Dh_s(z); z*/|z|) and (-hdot_s(z); 0), z of any norm: the
+            bordered system whose solution is the path's velocity at (s, z).
+            Both arrays are the buffers', overwritten by the next placement."""
+            place(s, z)
+            divide(border, norm(z), out=border)
+            negative(hdot_val, out=rhs1_top)
+            return bordered, rhs1
 
-    def step_length(self, phi: float) -> float:
-        """c/P / (d^{3/2} phi), with the c/P of the largest degree d; phi == 0
-        (a zero-speed homotopy) gives t = inf: no certified step."""
-        return self.c_over_p / (self.d32 * phi) if phi else math.inf
+        def step_length(phi: float) -> float:
+            """c/P / (d^{3/2} phi), with the c/P of the largest degree d;
+            phi == 0 (a zero-speed homotopy) gives t = inf: no certified
+            step."""
+            return c_over_p / (d32 * phi) if phi else math.inf
+
+        return chi, newton, velocity, step_length
 
 
 @linalg.one_blas_thread
@@ -311,20 +336,12 @@ def track_linear(
     the start pair.
     """
     # (g, p) is placed once per path and multiplied by each point matrix once;
-    # that product is rotated to s for the step and to s_next for the Newton
-    # step.  The step's buffers and kernels are bound once per path.
+    # chi rotates that product to s for the step, newton to s_next.
     buf = _StepBuffers(hom)
-    chi, rotate, step_length = buf.chi, buf.rotate, buf.step_length
-    factor, solve, subtract, sqrt = linalg.lu_factor_checked, linalg.lu_solve, np.subtract, math.sqrt
-    bordered, newton_rhs = buf.bordered, buf.newton_rhs
+    chi, newton, step_length = buf.chi, buf.newton, buf.step_length
     record, inf = opts.record_trace, math.inf
     T = hom.T
     z = polysys.unit_point(polysys._checked_point(buf.ev.n_vars, z0))
-    # The Newton update z - x is written into the one of two path-owned
-    # points that z is not, and normalized there with linalg.vector_norm's
-    # ddots on its real and imaginary views, bound once per point.
-    nxt, other = [(w, w.real, w.real.dot, w.imag, w.imag.dot)
-                  for w in (np.empty_like(z), np.empty_like(z))]
     s = 0.0
     steps = 0
     status = TrackStatus.SUCCESS
@@ -348,15 +365,10 @@ def track_linear(
                 s_next = T
             else:
                 s_next = s + t
-            rotate(s_next)
-            lu = factor(bordered)
+            z = newton(s_next, z)
         except SingularLinearSolveError:
             status = TrackStatus.SINGULAR
             break
-        w, re, re_dot, im, im_dot = nxt
-        subtract(z, solve(lu, newton_rhs), out=w)
-        w /= sqrt(re_dot(re) + im_dot(im))
-        z, nxt, other = w, other, nxt
         steps += 1
         if record:
             rows.append((s_next, t, phi, x1, x2, z.copy()))

@@ -246,10 +246,11 @@ def _public_definitions(path: Path):
                         yield f"{path.stem}.{node.name}.{item.name}", item
 
 
-def _names_read(path: Path) -> list[tuple[str, int]]:
-    # (name, line) of every name and attribute the file reads (Load context).
+def _names_read(path: Path) -> list[tuple[str, int, bool]]:
+    # (name, line, read as an attribute) of every name and attribute the
+    # file reads (Load context).
     return [
-        (node.id if isinstance(node, ast.Name) else node.attr, node.lineno)
+        (node.attr, node.lineno, True) if isinstance(node, ast.Attribute) else (node.id, node.lineno, False)
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
     ]
@@ -257,16 +258,20 @@ def _names_read(path: Path) -> list[tuple[str, int]]:
 
 def _unread_public(sources: list[Path], readers: list[Path]) -> list[str]:
     # The public names of sources that no reader file reads, by name,
-    # outside their own definition.
+    # outside their own definition.  A method or property is read only
+    # through an attribute; a bare name of the same spelling is another
+    # variable.
     reads = {path: _names_read(path) for path in readers}
     unread = []
     for path in sources:
         for qualname, node in _public_definitions(path):
             name = qualname.rsplit(".", 1)[-1]
+            method = qualname.count(".") == 2
             if not any(
-                read == name and not (where == path and node.lineno <= line <= node.end_lineno)
+                read == name and (attribute or not method)
+                and not (where == path and node.lineno <= line <= node.end_lineno)
                 for where, found in reads.items()
-                for read, line in found
+                for read, line, attribute in found
             ):
                 unread.append(qualname)
     return unread
@@ -277,10 +282,12 @@ def test_unread_public_finds_a_name_read_only_in_its_own_definition(tmp_path):
     probe.write_text(
         "def loop(n):\n    return loop(n - 1)\n"
         "class Box:\n    def size(self):\n        return self.size\n    def used(self):\n        pass\n"
+        "    @property\n    def items(self):\n        return []\n"
         "def _private():\n    pass\n"
+        "def _count(items):\n    return len(items)\n"
         "Box().used()\n"
     )
-    assert _unread_public([probe], [probe]) == ["probe.loop", "probe.Box.size"]
+    assert _unread_public([probe], [probe]) == ["probe.loop", "probe.Box.size", "probe.Box.items"]
 
 
 def test_every_public_name_is_read():

@@ -351,7 +351,7 @@ class TestSolvers:
         f = random_system_on_sphere((2, 2), np.random.default_rng(17))
         report = solve_all_total_degree(f, total_degree_start(f.degrees, np.random.default_rng(18)))
         assert report.num_failed == 0
-        endpoints = report.endpoints
+        endpoints = [r.endpoint for r in report.results if r.success]
         assert len(endpoints) == 4
         refined = [refine(f, z) for z in endpoints]
         for i in range(4):
@@ -363,14 +363,14 @@ class TestSolvers:
 
         report = solve_all_total_degree(*start_paths(katsura_system(3), "total", 19))
         assert report.num_failed == 0
-        assert len(report.endpoints) == 4
+        assert len([r.endpoint for r in report.results if r.success]) == 4
 
     def test_solve_all_reports_failures(self, monkeypatch):
         f = random_system_on_sphere((2, 2), np.random.default_rng(20))
         monkeypatch.setattr(tracker, "MAX_STEPS", 1)
         report = solve_all_total_degree(f, total_degree_start(f.degrees, np.random.default_rng(21)))
         assert report.num_failed == 4
-        assert report.endpoints == []
+        assert [r.endpoint for r in report.results if r.success] == []
 
     def test_solve_all_rejects_an_unprepared_target(self):
         # The target is tracked as given: one off the sphere is an error,

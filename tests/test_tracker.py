@@ -1070,9 +1070,10 @@ class TestStepBuffers:
 
     @pytest.mark.parametrize("degrees", [(2, 2, 2), (1, 2, 3)], ids=str)
     def test_bordered_is_a_view_of_the_rotation(self, degrees):
-        # The factorization reads the rotation's output in place: the rows of
-        # bordered are the Jacobian rows of h_s from a fresh product rotated
-        # as [h_s; hdot_s], and its strided view factors as a contiguous copy.
+        # The factorization reads the rotation's output in place: after chi,
+        # the rows of bordered are the Jacobian rows of h_s from a fresh
+        # product rotated as [h_s; hdot_s], and its strided view factors as
+        # a contiguous copy.
         rng = np.random.default_rng(50)
         f = random_system_on_sphere(degrees, rng)
         start = total_degree_start(degrees, rng)
@@ -1082,7 +1083,8 @@ class TestStepBuffers:
         assert np.shares_memory(buf.bordered, buf.rot_real)
         assert np.shares_memory(buf.newton_rhs, buf.rot_real)
         for z, s in zip(start.roots[:3], [0.0, 0.4, hom.T]):
-            c, sn = buf.at(s, z)
+            buf.chi(s, z)
+            c, sn = math.cos(s), math.sin(s)
             product = np.dot(buf.basis, buf.ev.point_matrix(z))
             rotated = np.dot(np.array([[c, sn], [-sn, c]]), product.view(np.float64).reshape(2, -1))
             h_block = rotated[0].view(np.complex128).reshape(n, n + 2)
@@ -1092,6 +1094,49 @@ class TestStepBuffers:
             lu, piv = linalg.lu_factor_checked(buf.bordered)
             lu_ref, piv_ref = linalg.lu_factor_checked(np.ascontiguousarray(buf.bordered))
             assert lu.tobytes() == lu_ref.tobytes() and np.array_equal(piv, piv_ref)
+
+    @pytest.mark.parametrize("degrees", [(2, 2, 2), (1, 2, 3)], ids=str)
+    def test_velocity_is_the_bordered_tangent_system(self, degrees):
+        # velocity places a point of any norm: its bordered row is z*/|z|
+        # and its system is (Dh_s(z); z*/|z|) over (-hdot_s(z); 0), built
+        # here from the homotopy's systems.
+        rng = np.random.default_rng(51)
+        f = random_system_on_sphere(degrees, rng)
+        start = total_degree_start(degrees, rng)
+        hom = make_linear_homotopy(start.g, f)
+        buf = tracker._StepBuffers(hom)
+        n = len(degrees)
+        for z, s, scale in zip(start.roots[:3], [0.0, 0.4, hom.T], [2.5, 0.3, 7.0]):
+            z = scale * np.exp(0.7j) * np.asarray(z)
+            bordered, rhs = buf.velocity(s, z)
+            assert bordered[n].tobytes() == (np.conj(z) / np.linalg.norm(z)).tobytes()
+            want = make_bordered(polysys.jacobian(hom.value_at(s), z), z / np.linalg.norm(z))
+            want_rhs = np.append(-polysys.evaluate(hom.derivative_at(s), z), 0.0)
+            np.testing.assert_allclose(bordered, want, rtol=1e-13)
+            np.testing.assert_allclose(rhs, want_rhs, rtol=1e-13)
+
+    @pytest.mark.parametrize("degrees", [(2, 2, 2), (1, 2, 3)], ids=str)
+    def test_newton_is_the_projective_step_into_two_points(self, degrees):
+        # After chi(s, z), newton(s_next, z) is newton_projective against
+        # h_{s_next}, written into two path-owned points in turn, neither of
+        # them z's memory.
+        rng = np.random.default_rng(52)
+        f = random_system_on_sphere(degrees, rng)
+        start = total_degree_start(degrees, rng)
+        hom = make_linear_homotopy(start.g, f)
+        buf = tracker._StepBuffers(hom)
+        z = unit_point(start.roots[0])
+        s, outs = 0.0, []
+        for _ in range(4):
+            x1, x2 = buf.chi(s, z)
+            s_next = s + buf.step_length(x1 * x2)
+            want = newton.newton_projective(hom.value_at(s_next), z)
+            w = buf.newton(s_next, z)
+            np.testing.assert_allclose(w, want, rtol=1e-12)
+            assert not np.shares_memory(w, z)
+            outs.append(w)
+            z, s = w, s_next
+        assert outs[0] is outs[2] and outs[1] is outs[3] and outs[0] is not outs[1]
 
 
 def _power_table(z: np.ndarray, max_degree: int, out: np.ndarray) -> np.ndarray:
