@@ -4,7 +4,9 @@ Riemann distance on complex projective space.
 The Hermitian product weights each monomial coefficient pair by the inverse
 multinomial coefficient of its exponent tuple; it is invariant under unitary
 changes of variables, which is what makes the unit sphere of systems the
-natural arena for homotopy paths.
+natural arena for homotopy paths.  One cached table per degree tuple,
+weight_table, holds these weights and the scales sqrt(multinomial) from
+orthonormal coordinates to monomial coefficients.
 
 The homotopy needs only the product's real part, and takes it one way:
 bw_inner_re, one weighted dot of the real views of two stacked coefficient
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,69 +34,36 @@ from .polysys import PolySystem, _layout, as_tensor, collect, homogeneous_expone
 SPHERE_TOL = 1e-10
 
 
-@lru_cache(maxsize=None)
-def _multinomials(n_vars: int, degree: int) -> np.ndarray:
-    """multinomial(degree; a0, ..., a_{n_vars-1}) per monomial, exact integers as floats."""
-    exps = homogeneous_exponents(n_vars, degree)
-    fact = [math.factorial(k) for k in range(degree + 1)]
-    out = np.empty(exps.shape[0], dtype=np.float64)
-    for i, row in enumerate(exps):
-        denom = 1
-        for e in row:
-            denom *= fact[e]
-        out[i] = fact[degree] // denom
-    out.setflags(write=False)
-    return out
+class _WeightTable(NamedTuple):
+    # Per stacked coefficient, m the exact multinomial of its exponents: the
+    # weight 1/m, the scale sqrt(m) from orthonormal coordinates to monomial
+    # coefficients, and 1/m again for its real and its imaginary part.
+    weights: np.ndarray
+    scales: np.ndarray
+    re_im_weights: np.ndarray
 
 
 @lru_cache(maxsize=None)
-def _bw_weights(n_vars: int, degree: int) -> np.ndarray:
-    w = 1.0 / _multinomials(n_vars, degree)
-    w.setflags(write=False)
-    return w
-
-
-@lru_cache(maxsize=None)
-def sqrt_multinomials(n_vars: int, degree: int) -> np.ndarray:
-    """Square-root multinomials: the scaling from orthonormal coordinates back
-    to raw monomial coefficients."""
-    w = np.sqrt(_multinomials(n_vars, degree))
-    w.setflags(write=False)
-    return w
-
-
-@lru_cache(maxsize=None)
-def _weights(degrees: tuple[int, ...]) -> np.ndarray:
-    # The weights of a system's stacked coefficient vector, equation by
-    # equation.
-    w = np.concatenate([_bw_weights(len(degrees) + 1, d) for d in degrees])
-    w.setflags(write=False)
-    return w
-
-
-@lru_cache(maxsize=None)
-def stacked_sqrt_multinomials(degrees: tuple[int, ...]) -> np.ndarray:
-    """sqrt_multinomials of each equation, stacked like a system's
-    coefficient vector."""
-    w = np.concatenate([sqrt_multinomials(len(degrees) + 1, d) for d in degrees])
-    w.setflags(write=False)
-    return w
-
-
-@lru_cache(maxsize=None)
-def _stacked_weights(degrees: tuple[int, ...]) -> np.ndarray:
-    # _weights with each weight repeated for the real and the imaginary
-    # part of its coefficient.
-    w = _weights(degrees).repeat(2)
-    w.setflags(write=False)
-    return w
+def weight_table(degrees: tuple[int, ...]) -> _WeightTable:
+    """The read-only weights and scales of a validated degree tuple, built once."""
+    n_vars = len(degrees) + 1
+    fact = [math.factorial(k) for k in range(max(degrees) + 1)]
+    m = np.array([
+        fact[d] // math.prod(fact[e] for e in row)
+        for d in degrees
+        for row in homogeneous_exponents(n_vars, d)
+    ], dtype=np.float64)
+    table = _WeightTable(1.0 / m, np.sqrt(m), (1.0 / m).repeat(2))
+    for w in table:
+        w.setflags(write=False)
+    return table
 
 
 def bw_inner_re(degrees: tuple[int, ...], a: np.ndarray, b: np.ndarray) -> float:
     """Re<a, b> of two stacked coefficient vectors of one degree tuple, by
     one dot of their real views: equal inputs give equal bits wherever it is
     called."""
-    return float(np.dot(_stacked_weights(degrees) * a.view(np.float64), b.view(np.float64)))
+    return float(np.dot(weight_table(degrees).re_im_weights * a.view(np.float64), b.view(np.float64)))
 
 
 def bw_norm(h: PolySystem) -> float:
@@ -122,7 +92,7 @@ def _scaled_norm(h: PolySystem) -> float:
     e = max(math.frexp(m.max())[1], -1000)
     m *= math.ldexp(1.0, -e)
     np.square(m, out=m)
-    m *= _weights(h.degrees)
+    m *= weight_table(h.degrees).weights
     total = 0.0
     for sl in _layout(h.degrees)[1]:
         total += float(m[sl].sum())

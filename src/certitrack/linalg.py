@@ -229,7 +229,7 @@ def kernel_vector(M: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         raise SingularLinearSolveError("matrix has rank deficiency beyond corank 1")
     v = np.conj(vh[-1])
     phase = np.exp(2j * np.pi * rng.random())
-    v = phase * v / np.linalg.norm(v)
+    v = phase * v / vector_norm(v)
     v.setflags(write=False)
     return v
 
@@ -254,7 +254,7 @@ def unitary_mapping_to_e0(zeta, rng: np.random.Generator) -> np.ndarray:
     """
     zeta = np.asarray(zeta, dtype=np.complex128)
     m = zeta.shape[0]
-    if not abs(np.linalg.norm(zeta) - 1.0) <= 1e-10:
+    if not abs(vector_norm(zeta) - 1.0) <= 1e-10:
         raise ValueError("zeta must be a unit vector")
     A = np.empty((m, m), dtype=np.complex128)
     A[:, 0] = zeta

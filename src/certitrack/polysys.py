@@ -74,6 +74,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .linalg import vector_norm
+
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     # All exponent tuples with the given sum, in ascending lexicographic order.
@@ -325,7 +327,7 @@ def unit_point(coords) -> np.ndarray:
     z = np.ascontiguousarray(coords, dtype=np.complex128)
     if z.ndim != 1:
         raise ValueError("a point is a 1-d coordinate vector")
-    norm = np.linalg.norm(z)
+    norm = vector_norm(z)
     if not 0.0 < norm < math.inf:
         raise ValueError(f"a projective point needs a finite, nonzero norm, got {norm!r}")
     z = z / norm

@@ -15,19 +15,14 @@ from functools import lru_cache
 import numpy as np
 
 from . import polysys
-from .bw import (
-    normalize_to_sphere,
-    riemann_distance,
-    sqrt_multinomials,
-    stacked_sqrt_multinomials,
-    unitary_compose,
-)
+from .bw import normalize_to_sphere, riemann_distance, unitary_compose, weight_table
 from .linalg import (
     SingularLinearSolveError,
     kernel_vector,
     one_blas_thread,
     random_unitary,
     unitary_mapping_to_e0,
+    vector_norm,
 )
 from .newton import RefinementError, certified_radius, refine
 from .polysys import PolySystem, evaluate, space_dimension, unit_point
@@ -45,7 +40,7 @@ class InitialPair:
     zeta0: np.ndarray
 
     def __post_init__(self):
-        residual = float(np.linalg.norm(evaluate(self.g, self.zeta0)))
+        residual = vector_norm(evaluate(self.g, self.zeta0))
         if not residual <= 1e-12:
             raise ValueError(f"zeta0 is not a zero of g (residual {residual:.3e})")
 
@@ -143,19 +138,29 @@ def _draw_index(degrees: tuple[int, ...]) -> np.ndarray:
     return pos
 
 
+@lru_cache(maxsize=None)
+def _restricted_mask(degrees: tuple[int, ...]) -> np.ndarray:
+    # The stacked coefficients of the monomials with X0-exponent at most
+    # d_i - 2: the coordinates of the systems vanishing doubly at e0.
+    n_vars = len(degrees) + 1
+    mask = np.concatenate([polysys.homogeneous_exponents(n_vars, d)[:, 0] <= d - 2 for d in degrees])
+    mask.setflags(write=False)
+    return mask
+
+
 def random_system_on_sphere(degrees, rng: np.random.Generator) -> PolySystem:
     """Uniform sample on the unit sphere of systems.
 
-    Coefficients are standard complex Gaussians in the orthonormal basis of
-    monomials scaled by the square-root multinomials; the Gaussian direction
-    is uniform on the sphere.  One standard_normal(2N) call draws them all,
-    N the number of coefficients, read per equation as its real parts and
-    then its imaginary parts: the stream order of one pair of draws per
-    equation, so each seed gives the same system.
+    Coefficients are standard complex Gaussians in orthonormal coordinates,
+    scaled by bw.weight_table's square-root multinomials; the Gaussian
+    direction is uniform on the sphere.  One standard_normal(2N) call draws
+    them all, N the number of coefficients, read per equation as its real
+    parts and then its imaginary parts: the stream order of one pair of
+    draws per equation, so each seed gives the same system.
     """
     degrees = tuple(int(d) for d in degrees)
     pos = _draw_index(degrees)
-    scale = stacked_sqrt_multinomials(degrees)
+    scale = weight_table(degrees).scales
     re, im = rng.standard_normal(2 * scale.shape[0])[pos]
     vec = (re + 1j * im) / np.sqrt(2.0) * scale
     return normalize_to_sphere(PolySystem._adopt(degrees, vec))
@@ -168,7 +173,7 @@ def uniform_ball_point(dim: int, rng: np.random.Generator) -> np.ndarray:
     if dim == 0:
         return np.zeros(0, dtype=np.complex128)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
+    v /= vector_norm(v)
     return v * rng.random() ** (1.0 / (2.0 * dim))
 
 
@@ -186,34 +191,16 @@ def draw_ball_matrix(degrees, rng: np.random.Generator) -> np.ndarray:
     return point[: n * (n + 1)].reshape(n, n + 1)
 
 
-def restricted_monomial_mask(degrees) -> tuple[np.ndarray, ...]:
-    """Per equation, the mask of monomials with X0-exponent at most d_i - 2."""
-    degrees = tuple(int(d) for d in degrees)
-    n_vars = len(degrees) + 1
-    masks = []
-    for d in degrees:
-        exps = polysys.homogeneous_exponents(n_vars, d)
-        masks.append(exps[:, 0] <= d - 2)
-    return tuple(masks)
-
-
 def draw_restricted_system(degrees, rng: np.random.Generator) -> PolySystem:
     """Uniform draw from the unit ball of the subspace of systems vanishing to
-    second order at e0 (no X0^{d_i} or X0^{d_i - 1} monomials)."""
+    second order at e0 (no X0^{d_i} or X0^{d_i - 1} monomials): one ball
+    point in orthonormal coordinates, scaled by bw.weight_table's scales."""
     degrees = tuple(int(d) for d in degrees)
-    n_vars = len(degrees) + 1
-    masks = restricted_monomial_mask(degrees)
-    dim = int(sum(m.sum() for m in masks))
-    point = uniform_ball_point(dim, rng)
-    coeffs = []
-    offset = 0
-    for d, mask in zip(degrees, masks):
-        k = int(mask.sum())
-        vec = np.zeros(mask.shape[0], dtype=np.complex128)
-        vec[mask] = point[offset : offset + k] * sqrt_multinomials(n_vars, d)[mask]
-        offset += k
-        coeffs.append(vec)
-    return PolySystem(degrees, tuple(coeffs))
+    mask = _restricted_mask(degrees)
+    point = uniform_ball_point(int(np.count_nonzero(mask)), rng)
+    vec = np.zeros(mask.shape[0], dtype=np.complex128)
+    vec[mask] = point * weight_table(degrees).scales[mask]
+    return PolySystem._adopt(degrees, vec)
 
 
 def random_initial_pair(degrees, rng: np.random.Generator) -> InitialPair:

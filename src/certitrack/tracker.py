@@ -161,12 +161,6 @@ class LinearHomotopy:
         vec += math.sin(s) * self._pvec
         return polysys.PolySystem._adopt(self.g.degrees, vec)
 
-    def derivative_at(self, s: float) -> polysys.PolySystem:
-        """The tangent -sin(s) g + cos(s) p at h_s, built as value_at is."""
-        vec = -math.sin(s) * self._gvec
-        vec += math.cos(s) * self._pvec
-        return polysys.PolySystem._adopt(self.g.degrees, vec)
-
     @cached_property
     def _products(self) -> tuple[float, float, float]:
         # <g, g>, <p, p> and Re<g, p> (1, 1 and 0 up to rounding), on first read.

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from certitrack.bw import (
-    _bw_weights,
     bw_inner_re,
     bw_norm,
     ensure_on_sphere,
@@ -13,11 +12,13 @@ from certitrack.bw import (
     riemann_distance,
     unit_scale,
     unitary_compose,
+    weight_table,
 )
 from certitrack.linalg import one_blas_thread, random_unitary, vector_norm
 from certitrack.polysys import (
     AffineSystem,
     PolySystem,
+    _layout,
     evaluate,
     homogeneous_exponents,
     homogenize,
@@ -37,9 +38,34 @@ def random_system(degrees, seed):
     return PolySystem(tuple(degrees), tuple(coeffs))
 
 
+def equation_weights(degrees):
+    """Each equation's slice of the weight table's weights."""
+    return [weight_table(degrees).weights[sl] for sl in _layout(degrees)[1]]
+
+
 def re_inner(a, b):
     """Re<a, b> of two systems of one degree tuple."""
     return bw_inner_re(a.degrees, a.coeff_vector(), b.coeff_vector())
+
+
+@pytest.mark.parametrize(
+    "degrees", [(1,), (2, 2, 2), (1, 2, 3), (1, 2, 2, 2, 2), (3, 3, 3, 3), (6, 6, 6, 6, 6)], ids=str
+)
+def test_weight_table_holds_the_multinomials(degrees):
+    # Each equation's slice holds 1/m and sqrt(m), m = d! / prod a_j! of
+    # each exponent tuple in homogeneous_exponents order; the real-view
+    # weights repeat each weight twice.  Every vector is read-only.
+    table = weight_table(degrees)
+    for d, sl in zip(degrees, _layout(degrees)[1]):
+        m = np.array([
+            math.factorial(d) // math.prod(math.factorial(a) for a in row)
+            for row in homogeneous_exponents(len(degrees) + 1, d).tolist()
+        ], dtype=np.float64)
+        assert table.weights[sl].tobytes() == (1.0 / m).tobytes()
+        assert table.scales[sl].tobytes() == np.sqrt(m).tobytes()
+    assert table.re_im_weights.tobytes() == np.repeat(table.weights, 2).tobytes()
+    assert not any(w.flags.writeable for w in table)
+    assert weight_table(degrees) is table
 
 
 class TestInnerProduct:
@@ -143,8 +169,8 @@ class TestNormalize:
             h = random_system((2, 3), seed)
             for lam in (1.0, 1e-120, 1e120):
                 plain = math.sqrt(sum(
-                    float(np.sum(_bw_weights(h.n_vars, d) * np.abs(lam * a) ** 2))
-                    for d, a in zip(h.degrees, h.coeffs)
+                    float(np.sum(w * np.abs(lam * a) ** 2))
+                    for w, a in zip(equation_weights(h.degrees), h.coeffs)
                 ))
                 assert bw_norm(lam * h) == plain
                 assert unit_scale(lam * h) == 1.0 / plain
@@ -409,15 +435,15 @@ def _norm_by_equation(h):
     mods = [np.abs(a) for a in h.coeffs]
     e = max(math.frexp(max(m.max() for m in mods))[1], -1000)
     total = 0.0
-    for d, m in zip(h.degrees, mods):
-        total += float(np.sum((m * math.ldexp(1.0, -e)) ** 2 * _bw_weights(h.n_vars, d)))
+    for w, m in zip(equation_weights(h.degrees), mods):
+        total += float(np.sum((m * math.ldexp(1.0, -e)) ** 2 * w))
     return math.ldexp(math.sqrt(total), e)
 
 
 def _inner_by_equation(h, h2):
     total = 0.0 + 0.0j
-    for d, a, b in zip(h.degrees, h.coeffs, h2.coeffs):
-        total += np.sum(_bw_weights(h.n_vars, d) * a * np.conj(b))
+    for w, a, b in zip(equation_weights(h.degrees), h.coeffs, h2.coeffs):
+        total += np.sum(w * a * np.conj(b))
     return complex(total)
 
 

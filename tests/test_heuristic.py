@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -54,7 +55,7 @@ def _reference_predict(hom, s, x, dt):
     # RK4 on systems built at each stage's parameter, each stage evaluated
     # on its own: the formula predict computes from the placed (g, p).
     def tangent(t, z):
-        h, hdot = hom.value_at(t), hom.derivative_at(t)
+        h, hdot = hom.value_at(t), hom.value_at(t + math.pi / 2)
         B = make_bordered(polysys.jacobian(h, z), z / np.linalg.norm(z))
         return bordered_solve(B, np.concatenate([-polysys.evaluate(hdot, z), [0.0]]))
 

@@ -229,9 +229,9 @@ def test_one_singularity_policy():
 
 
 # Public names nothing in the package or the benchmarks reads: openblas_cores
-# is read by CI's kernel step, derivative_at by the tests' reference
-# implementations.  A new entry needs its reason given in CHANGES.md.
-UNREAD_PUBLIC = {"linalg.openblas_cores", "tracker.LinearHomotopy.derivative_at"}
+# is read by CI's kernel step.  A new entry needs its reason given in
+# CHANGES.md.
+UNREAD_PUBLIC = {"linalg.openblas_cores"}
 
 
 def _public_definitions(path: Path):

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from certitrack import tracker
-from certitrack.bw import bw_inner_re, bw_norm, normalize_to_sphere, riemann_distance, sqrt_multinomials
+from certitrack.bw import bw_inner_re, bw_norm, normalize_to_sphere, riemann_distance, weight_table
 from certitrack.newton import U0, certified_radius, condition_mu, refine
 from certitrack.polysys import (
     PolySystem,
+    _layout,
     evaluate,
     homogeneous_exponents,
     jacobian,
@@ -20,6 +21,7 @@ from certitrack.start_systems import (
     InitialPair,
     PathCrossingError,
     StartSet,
+    _restricted_mask,
     _total_degree_pattern,
     draw_ball_matrix,
     draw_restricted_system,
@@ -29,7 +31,6 @@ from certitrack.start_systems import (
     random_initial_pair,
     random_initial_pair_unitary,
     random_system_on_sphere,
-    restricted_monomial_mask,
     solve_all_total_degree,
     total_degree_initial_pair,
     total_degree_start,
@@ -146,8 +147,6 @@ class TestRandomSystemOnSphere:
     def test_coefficient_variance_uniform_across_monomials(self):
         # each orthonormal coordinate carries |u|^2 with mean 1/(N+1)
         rng = np.random.default_rng(2)
-        from certitrack.bw import sqrt_multinomials
-
         degrees = (2, 2)
         dim = space_dimension(degrees)
         n_draws = 1000
@@ -155,11 +154,16 @@ class TestRandomSystemOnSphere:
         for _ in range(n_draws):
             h = random_system_on_sphere(degrees, rng)
             ortho = np.concatenate(
-                [c / sqrt_multinomials(3, d) for d, c in zip(degrees, h.coeffs)]
+                [c / w for w, c in zip(equation_scales(degrees), h.coeffs)]
             )
             acc += np.abs(ortho) ** 2
         scaled = acc / n_draws * dim  # per-coordinate mean of |u|^2 * (N+1), expect 1
         assert np.all(scaled > 0.8) and np.all(scaled < 1.2)
+
+
+def equation_scales(degrees):
+    """Each equation's slice of the weight table's scales."""
+    return [weight_table(degrees).scales[sl] for sl in _layout(degrees)[1]]
 
 
 def _sphere_sample_by_equation(degrees, rng):
@@ -167,10 +171,10 @@ def _sphere_sample_by_equation(degrees, rng):
     # standard_normal(m) per equation: the reference for its single draw.
     n_vars = len(degrees) + 1
     coeffs = []
-    for d in degrees:
+    for d, w in zip(degrees, equation_scales(degrees)):
         m = num_homogeneous_monomials(n_vars, d)
         u = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2.0)
-        coeffs.append(u * sqrt_multinomials(n_vars, d))
+        coeffs.append(u * w)
     return normalize_to_sphere(PolySystem(degrees, tuple(coeffs)))
 
 
@@ -186,6 +190,38 @@ def test_one_draw_matches_a_pair_per_equation(degrees):
         want = _sphere_sample_by_equation(degrees, ref_rng)
         assert got.coeff_vector().tobytes() == want.coeff_vector().tobytes()
         # and both leave the stream at the same place
+        assert rng.random() == ref_rng.random()
+
+
+def _restricted_draw_by_equation(degrees, rng):
+    # draw_restricted_system built equation by equation, each equation's
+    # masked scales applied to its own run of the ball point: the reference
+    # for the one stacked scatter.
+    n_vars = len(degrees) + 1
+    masks = [homogeneous_exponents(n_vars, d)[:, 0] <= d - 2 for d in degrees]
+    point = uniform_ball_point(int(sum(m.sum() for m in masks)), rng)
+    coeffs = []
+    offset = 0
+    for mask, w in zip(masks, equation_scales(degrees)):
+        k = int(mask.sum())
+        vec = np.zeros(mask.shape[0], dtype=np.complex128)
+        vec[mask] = point[offset : offset + k] * w[mask]
+        offset += k
+        coeffs.append(vec)
+    return PolySystem(degrees, tuple(coeffs))
+
+
+@pytest.mark.parametrize(
+    "degrees",
+    [(1,), (1, 1), (2, 2, 2), (1, 2, 3), (1, 2, 2, 2, 2), (3, 3, 3, 3), (6, 6, 6, 6, 6)],
+    ids=str,
+)
+def test_restricted_draw_matches_equation_by_equation(degrees):
+    for seed in range(5):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = draw_restricted_system(degrees, rng)
+        want = _restricted_draw_by_equation(degrees, ref_rng)
+        assert got.coeff_vector().tobytes() == want.coeff_vector().tobytes()
         assert rng.random() == ref_rng.random()
 
 
@@ -234,9 +270,9 @@ class TestBallDraws:
 
 class TestRestrictedSystem:
     def test_mask_excludes_high_x0(self):
-        masks = restricted_monomial_mask((2, 3))
+        mask = _restricted_mask((2, 3))
         exps2 = homogeneous_exponents(3, 2)
-        for pos, keep in enumerate(masks[0]):
+        for pos, keep in enumerate(mask[_layout((2, 3))[1][0]]):
             assert keep == (exps2[pos, 0] <= 0)
 
     def test_forbidden_coefficients_zero(self):

@@ -208,7 +208,7 @@ class TestTangent:
         r = bw_inner_re(f.degrees, f._vec, start.g._vec)
         normal = (f - r * start.g) * (1.0 / math.sqrt(1.0 - r * r))
         np.testing.assert_allclose(hom._pvec, normal.coeff_vector(), atol=1e-12)
-        tan = hom.derivative_at(0.0)
+        tan = hom.value_at(math.pi / 2)
         for a, b in zip(tan.coeffs, normal.coeffs):
             np.testing.assert_allclose(a, b, atol=1e-12)
 
@@ -216,23 +216,23 @@ class TestTangent:
     def test_unit_speed(self, quad_pair, frac):
         start, f = quad_pair
         hom = make_linear_homotopy(start.g, f)
-        assert bw_norm(hom.derivative_at(frac * hom.T)) == pytest.approx(1.0, abs=1e-10)
+        assert bw_norm(hom.value_at(frac * hom.T + math.pi / 2)) == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("frac", [0.1, 0.5, 0.95])
     def test_orthogonal_to_point(self, quad_pair, frac):
         start, f = quad_pair
         hom = make_linear_homotopy(start.g, f)
         s = frac * hom.T
-        ip = bw_inner_re(f.degrees, hom.value_at(s)._vec, hom.derivative_at(s)._vec)
+        ip = bw_inner_re(f.degrees, hom.value_at(s)._vec, hom.value_at(s + math.pi / 2)._vec)
         assert abs(ip) <= 1e-10
 
 
 def reference_step(hom, s: float, z) -> tuple[float, float, float, float]:
     """chi1, chi2, t and phi of the certified step from (h_s, z), z of unit
     norm, from the formula on a separate route: h_s and its tangent from
-    value_at and derivative_at, the bordered matrix from jacobian and
+    value_at at s and s + pi/2, the bordered matrix from jacobian and
     make_bordered, NumPy's solve and SVD, and the tangent's BW norm."""
-    h, hdot = hom.value_at(s), hom.derivative_at(s)
+    h, hdot = hom.value_at(s), hom.value_at(s + math.pi / 2)
     M = make_bordered(polysys.jacobian(h, z), z)
     scale = np.diag([*np.sqrt(h.degrees), 1.0]).astype(np.complex128)
     x1 = float(np.linalg.svd(np.linalg.solve(M, scale), compute_uv=False)[0])
@@ -816,7 +816,7 @@ class TestConditionLength:
         buf = tracker._StepBuffers(hom)
         for k in np.linspace(0, len(result.trace) - 1, 8).astype(int):
             rec = result.trace[k]
-            h, hdot = hom.value_at(rec.s), hom.derivative_at(rec.s)
+            h, hdot = hom.value_at(rec.s), hom.value_at(rec.s + math.pi / 2)
             zeta = refine(h, rec.z)
             B = make_bordered(polysys.jacobian(h, zeta), zeta)
             zetadot = bordered_solve(B, np.concatenate([-polysys.evaluate(hdot, zeta), [0.0]]))
@@ -1111,7 +1111,7 @@ class TestStepBuffers:
             bordered, rhs = buf.velocity(s, z)
             assert bordered[n].tobytes() == (np.conj(z) / np.linalg.norm(z)).tobytes()
             want = make_bordered(polysys.jacobian(hom.value_at(s), z), z / np.linalg.norm(z))
-            want_rhs = np.append(-polysys.evaluate(hom.derivative_at(s), z), 0.0)
+            want_rhs = np.append(-polysys.evaluate(hom.value_at(s + math.pi / 2), z), 0.0)
             np.testing.assert_allclose(bordered, want, rtol=1e-13)
             np.testing.assert_allclose(rhs, want_rhs, rtol=1e-13)
 
