@@ -162,7 +162,7 @@ def unitary_compose(h: PolySystem, U: np.ndarray) -> PolySystem:
     n_vars = h.n_vars
     if U.shape != (n_vars, n_vars):
         raise ValueError(f"U must be {n_vars}x{n_vars}, got {U.shape}")
-    defect = np.linalg.norm(U.conj().T @ U - np.eye(n_vars))
+    defect = vector_norm((U.conj().T @ U - np.eye(n_vars)).ravel())
     if not defect <= 1e-10:
         raise ValueError(f"U is not unitary (defect {defect:.3e})")
     coeffs = []

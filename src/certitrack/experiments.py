@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bw import riemann_distance
-from .newton import refine
+from .linalg import SingularLinearSolveError
+from .newton import RefinementError, refine
 from .polysys import AffineSystem, PolySystem, space_dimension
 from .start_systems import (
     _NO_TRACE,
@@ -112,28 +113,18 @@ def katsura_system(n: int) -> AffineSystem:
     if n < 2:
         raise ValueError("the benchmark needs at least 2 variables")
 
-    def e(*pairs):
+    def e(*idx):
+        # The exponents of the product of u_j over j in idx.
         expo = [0] * n
-        for idx, power in pairs:
-            expo[idx] += power
+        for j in idx:
+            expo[j] += 1
         return tuple(expo)
 
-    equations = []
-    linear = [(e((0, 1)), 1.0 + 0.0j)]
-    linear += [(e((j, 1)), 2.0 + 0.0j) for j in range(1, n)]
-    linear.append((e(), -1.0 + 0.0j))
-    equations.append(linear)
+    # Terms as written: homogenize adds repeated monomials exactly (all coefficients are +-1 or 2).
+    equations = [[(e(0), 1.0)] + [(e(j), 2.0) for j in range(1, n)] + [(e(), -1.0)]]
     for k in range(n - 1):
-        terms: dict[tuple[int, ...], complex] = {}
-        for i in range(-(n - 1), n):
-            a, b = abs(i), abs(k - i)
-            if a >= n or b >= n:
-                continue
-            key = e((a, 1), (b, 1))
-            terms[key] = terms.get(key, 0.0) + 1.0
-        key = e((k, 1))
-        terms[key] = terms.get(key, 0.0) - 1.0
-        equations.append(sorted(terms.items()))
+        terms = [(e(abs(i), abs(k - i)), 1.0) for i in range(-(n - 1), n) if abs(k - i) < n]
+        equations.append(terms + [(e(k), -1.0)])
     degrees = [1] + [2] * (n - 1)
     return AffineSystem(degrees, equations)
 
@@ -334,8 +325,10 @@ def _entropy_run(args):
     result = track_path(pair.g, f, pair.zeta0, _NO_TRACE)
     if not result.success:
         return None
-    root = refine(f, result.endpoint)
-    idx, dist = nearest_root(root, references)
+    try:
+        idx, dist = nearest_root(refine(f, result.endpoint), references)
+    except (RefinementError, SingularLinearSolveError, AmbiguousMatchError):
+        return None
     if dist > 1e-4:
         return None
     return idx
@@ -353,8 +346,12 @@ def run_entropy(
     Shannon entropy; maximal entropy means equidistribution.  The target is
     the perturbed conjectured system g + epsilon * h, h uniform on the sphere
     (drawn from default_rng([seed, 0])): one well-conditioned root, the rest
-    poorly conditioned.  Raises ReferenceRootsError when a total-degree path
-    to the target fails or the solve's endpoint check rejects the endpoints."""
+    poorly conditioned.  A run fails when its path does not end Success,
+    or its endpoint does not refine (RefinementError or
+    SingularLinearSolveError), ties between two references
+    (AmbiguousMatchError) or lies over 1e-4 from every one.  Raises
+    ReferenceRootsError when a total-degree path to the target fails or the
+    solve's endpoint check rejects the endpoints."""
     if variant not in ENTROPY_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     degrees = tuple(int(d) for d in degrees)

@@ -1,5 +1,8 @@
-"""Small dense complex linear-algebra kernel: bordered solves, vector and
-operator norms, kernel vectors, and random unitaries.
+"""Small dense complex linear-algebra kernel, the one module that calls
+NumPy's or SciPy's, one function per job: bordered_solve for every bordered
+system (the step engine's chi and newton, the RK4 predictor, newton_projective
+and condition_mu), spectral_norm for every largest singular value and
+vector_norm for every vector or Frobenius norm; kernel vectors and unitaries.
 
 The bordered matrix stacks the n x (n+1) Jacobian Dh(z) on top of the row z*,
 giving the square system used by the projective Newton operator and every
@@ -195,7 +198,9 @@ def make_bordered(jac: np.ndarray, z) -> np.ndarray:
 
 
 def bordered_solve(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve B x = rhs (vector or matrix of columns) for a bordered matrix B."""
+    """Solve B x = rhs (vector or matrix of columns) for a bordered matrix B.
+    B and rhs are left unchanged: the step engine's newton solves again the
+    bordered view whose z* row chi wrote."""
     return lu_solve(lu_factor_checked(B), rhs)
 
 
@@ -211,9 +216,9 @@ def vector_norm(x: np.ndarray) -> float:
 
 
 def spectral_norm(A: np.ndarray) -> float:
-    """Largest singular value (exact operator norm, not a factor-2 estimate)."""
-    A = np.asarray(A, dtype=np.complex128)
-    return float(np.linalg.svd(A, compute_uv=False)[0])
+    """Largest singular value of A (exact operator norm, not a factor-2
+    estimate).  np.linalg.svd is looked up on each call."""
+    return np.linalg.svd(A, compute_uv=False).item(0)
 
 
 def kernel_vector(M: np.ndarray, rng: np.random.Generator) -> np.ndarray:

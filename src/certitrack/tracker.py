@@ -39,16 +39,17 @@ h_s = cos(s) g + sin(s) p (LinearHomotopy, the path's geometry and speed)
 the blocks of h_{s_i}, hdot_{s_i} and the advanced system are real rotations
 of theirs.  The path's step engine (_StepBuffers) owns the work array the
 rotation writes, whose strided view is the bordered matrix, and the kernels
-that read it: chi (one factorization and one (n+2)-column solve give chi_1
-and chi_2), newton (one more, the Newton step, written into two path-owned
-points in turn) and the heuristic predictor's velocity.  condition_length
-reads the loop's chi; the step rule is read on a tracked path, whose trace
-holds each step's t, phi and both chi factors.  With the point matrix built
-in the calling thread's workspace (polysys.Evaluator.point_matrix), a step
-allocates array data only for what LAPACK and the SVD return; a trace row
-keeps a copy of its point.  Every BLAS and LAPACK call has the operands of
-a step that allocates its arrays, so the bits are those of such a step.
-The trackers run on one BLAS thread (see linalg).
+that read it: chi (linalg.bordered_solve against n+2 columns, then
+linalg.spectral_norm, give chi_1 and chi_2), newton (one more bordered_solve,
+the Newton step, written into two path-owned points in turn) and the
+heuristic predictor's velocity.  condition_length reads the loop's chi; the
+step rule is read on a tracked path, whose trace holds each step's t, phi and
+both chi factors.  With the point matrix built in the calling thread's
+workspace (polysys.Evaluator.point_matrix), a step allocates array data only
+for what LAPACK and the SVD return; a trace row keeps a copy of its point.
+Every BLAS and LAPACK call has the operands of a step that allocates its
+arrays, so the bits are those of such a step; the trackers run on one BLAS
+thread (see linalg).
 """
 
 from __future__ import annotations
@@ -211,8 +212,8 @@ class _StepBuffers:
     factorization's input.  newton_rhs, the view W[n:, n+1], is (h(z); 0).
     stage is the point of the heuristic predictor's next RK4 stage.  The
     kernels chi, newton, velocity and step_length are closures over these
-    arrays and the kernels a step calls, bound here: a wrapper installed
-    before the buffers are made is called.
+    arrays and what a step calls (linalg.bordered_solve, spectral_norm),
+    bound here: a wrapper installed before the buffers are made is called.
     """
 
     def __init__(self, hom: LinearHomotopy):
@@ -251,8 +252,7 @@ class _StepBuffers:
         points = [(w, w.real, w.real.dot, w.imag, w.imag.dot) for w in (first, second)]
         mix = np.empty((2, 2))
         mix_flat, mix_dot, basis_dot = mix.reshape(-1), mix.dot, self.basis.dot
-        point_matrix, svd = ev.point_matrix, np.linalg.svd
-        factor, solve = linalg.lu_factor_checked, linalg.lu_solve
+        point_matrix, solve, sigma_max = ev.point_matrix, linalg.bordered_solve, linalg.spectral_norm
         speed_squared, norm = hom.speed_squared, linalg.vector_norm
         conjugate, divide, negative, subtract = np.conjugate, np.divide, np.negative, np.subtract
         cos, sin, sqrt = math.cos, math.sin, math.sqrt
@@ -277,16 +277,14 @@ class _StepBuffers:
             return rotate(s)
 
         def chi(s: float, z: np.ndarray) -> tuple[float, float]:
-            """chi1 and chi2 at (h_s, z), z of unit norm: one factorization
-            of (Dh_s(z); z*) and one solve against the n+2 columns of rhs,
-            with the homotopy's speed_squared.  z* stays in bordered and
-            z's blocks in B for the Newton step."""
+            """chi1 and chi2 at (h_s, z), z of unit norm: one bordered solve
+            of (Dh_s(z); z*) against the n+2 columns of rhs, the spectral
+            norm of its first n+1, and speed_squared.  z* stays in bordered
+            and z's blocks in B for the Newton step."""
             c, sn = place(s, z)
-            lu = factor(bordered)
             rhs_hdot[...] = hdot_val
-            sol = solve(lu, rhs)
-            x1 = svd(sol[:, :-1], compute_uv=False).item(0)
-            return x1, sqrt(speed_squared(c, sn) + norm(sol[:, -1]) ** 2)
+            sol = solve(bordered, rhs)
+            return sigma_max(sol[:, :-1]), sqrt(speed_squared(c, sn) + norm(sol[:, -1]) ** 2)
 
         def newton(s: float, z: np.ndarray) -> np.ndarray:
             """The projective Newton step from z, the point chi placed,
@@ -294,9 +292,8 @@ class _StepBuffers:
             the path-owned point that z is not, which the next call but one
             overwrites."""
             rotate(s)
-            lu = factor(bordered)
             w, re, re_dot, im, im_dot = points[z is first]
-            subtract(z, solve(lu, newton_rhs), out=w)
+            subtract(z, solve(bordered, newton_rhs), out=w)
             w /= sqrt(re_dot(re) + im_dot(im))
             return w
 

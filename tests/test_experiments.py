@@ -406,6 +406,22 @@ class TestEntropyExperiment:
         b = run_entropy((2, 2), runs=6, seed=1, threads=2)
         assert a == b
 
+    def test_endpoint_that_does_not_refine_is_a_failed_run(self, monkeypatch):
+        # The reference solve refines through start_systems; each run's
+        # endpoint through experiments, which here never converges.
+        from certitrack.newton import RefinementError
+
+        calls = []
+
+        def failing(f, z):
+            calls.append(1)
+            raise RefinementError("no convergence")
+
+        monkeypatch.setattr(experiments, "refine", failing)
+        rep = run_entropy((2, 2), epsilon=0.1, runs=3, seed=0)
+        assert (rep.root_hits, rep.failures, len(calls)) == ((0, 0, 0, 0), 3, 3)
+        assert math.isnan(rep.entropy_bits)
+
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             run_entropy((2, 2), runs=1, variant="nope")

@@ -182,15 +182,47 @@ def _linalg_norms(tree: ast.AST) -> list[int]:
 
 
 def test_vectors_have_one_norm():
-    # The trackers, Newton and the Riemann distance measure vectors with
-    # linalg.vector_norm: np.linalg.norm's bits without its dispatch.
+    # Every module measures vectors (and unitary_compose its Frobenius
+    # defect) with linalg.vector_norm: np.linalg.norm's bits without its
+    # dispatch.
     assert _linalg_norms(ast.parse("a = np.linalg.norm(x)\nfrom numpy.linalg import norm")) == [1, 2]
-    src = ROOT / "src" / "certitrack"
-    found = {name: _linalg_norms(ast.parse((src / name).read_text()))
-             for name in ("tracker.py", "heuristic.py", "newton.py")}
-    bw = ast.parse((src / "bw.py").read_text())
-    riemann = next(n for n in bw.body if isinstance(n, ast.FunctionDef) and n.name == "riemann_distance")
-    found["bw.riemann_distance"] = _linalg_norms(riemann)
+    found = {path.name: _linalg_norms(ast.parse(path.read_text()))
+             for path in sorted((ROOT / "src" / "certitrack").glob("*.py"))}
+    assert found == {name: [] for name in found}
+
+
+def _lapack_reaches(tree: ast.AST) -> list[int]:
+    # Lines that reach NumPy's or SciPy's linear algebra: an attribute
+    # `<x>.linalg.<name>`, or an import or from-import of numpy.linalg or
+    # of scipy.
+    def outside(module: str) -> bool:
+        parts = module.split(".")
+        return parts[0] == "scipy" or parts[:2] == ["numpy", "linalg"]
+
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "linalg"):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Import) and any(outside(a.name) for a in node.names):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                outside(node.module) or (node.module == "numpy" and any(a.name == "linalg" for a in node.names))):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_one_module_reaches_lapack():
+    # linalg is the one door to NumPy's and SciPy's linear algebra: every
+    # bordered solve is linalg.bordered_solve and every largest singular
+    # value linalg.spectral_norm, so a wrapper on either sees them all.
+    probe = ("a = np.linalg.svd(x)\nimport scipy.linalg\nfrom scipy.linalg.lapack import zgetrf\n"
+             "from numpy import linalg\nimport numpy.linalg as la\nb = scipy.linalg.lu_factor(x)\n"
+             "c = linalg.bordered_solve(B, r)\nfrom .linalg import vector_norm\nimport numpy as np\n")
+    assert _lapack_reaches(ast.parse(probe)) == [1, 2, 3, 4, 5, 6]
+    found = {path.name: _lapack_reaches(ast.parse(path.read_text()))
+             for path in sorted((ROOT / "src" / "certitrack").glob("*.py"))}
+    assert found.pop("linalg.py")
     assert found == {name: [] for name in found}
 
 

@@ -1046,10 +1046,11 @@ class TestStepBuffers:
     def test_kernels_are_looked_up_per_call(self, quad_pair, monkeypatch):
         # Wrappers installed on linalg and numpy.linalg before the call, as the
         # benchmark's tracer installs them, see every kernel call of the step:
-        # two factorizations, two solves and one SVD.
+        # two bordered solves, each one factorization and one solve, and one
+        # spectral norm, one SVD.
         start, f = quad_pair
         hom = make_linear_homotopy(start.g, f)
-        calls = {"lu_factor_checked": 0, "lu_solve": 0, "svd": 0}
+        calls = {"lu_factor_checked": 0, "lu_solve": 0, "svd": 0, "bordered_solve": 0, "spectral_norm": 0}
 
         def counted(module, name):
             original = getattr(module, name)
@@ -1063,10 +1064,13 @@ class TestStepBuffers:
         counted(linalg, "lu_factor_checked")
         counted(linalg, "lu_solve")
         counted(np.linalg, "svd")
+        counted(linalg, "bordered_solve")
+        counted(linalg, "spectral_norm")
         result = track_linear(hom, start.roots[0])
         assert result.success and result.num_steps > 0
         n = result.num_steps
-        assert calls == {"lu_factor_checked": 2 * n, "lu_solve": 2 * n, "svd": n}
+        assert calls == {"lu_factor_checked": 2 * n, "lu_solve": 2 * n, "svd": n,
+                         "bordered_solve": 2 * n, "spectral_norm": n}
 
     @pytest.mark.parametrize("degrees", [(2, 2, 2), (1, 2, 3)], ids=str)
     def test_bordered_is_a_view_of_the_rotation(self, degrees):
