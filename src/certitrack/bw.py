@@ -69,19 +69,9 @@ def bw_inner_re(degrees: tuple[int, ...], a: np.ndarray, b: np.ndarray) -> float
 def bw_norm(h: PolySystem) -> float:
     """Bombieri-Weyl norm; inf past the largest float, NaN for a NaN coefficient.
 
-    A PolySystem is immutable, so its norm is computed on the first call and
-    kept on the system; unit_scale, ensure_on_sphere and newton.condition_mu
-    read it from there.  It is computed in one pass over the stacked
-    coefficient vector, with one sum per equation (see the module notes).
+    Computed in one pass over the stacked coefficient vector, with one sum
+    per equation (see the module notes).
     """
-    norm = h._bw_norm
-    if norm is None:
-        norm = _scaled_norm(h)
-        object.__setattr__(h, "_bw_norm", norm)
-    return norm
-
-
-def _scaled_norm(h: PolySystem) -> float:
     # The moduli are scaled by the exact power of two 2^-e, e the binary
     # exponent of the largest one, before they are squared, so no square
     # overflows or goes subnormal.  The scale commutes with every rounding:

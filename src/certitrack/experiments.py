@@ -25,7 +25,7 @@ import numpy as np
 from .bw import riemann_distance
 from .linalg import SingularLinearSolveError
 from .newton import RefinementError, refine
-from .polysys import AffineSystem, PolySystem, space_dimension
+from .polysys import AffineSystem, PolySystem, degree_tuple, space_dimension
 from .start_systems import (
     _NO_TRACE,
     ENDPOINT_CHECK_ERRORS,
@@ -173,7 +173,7 @@ def check_bench(family: str, degrees, n, trials, trackers) -> tuple[tuple[int, .
             raise ValueError("--family random needs --degrees")
         if n is not None:
             raise ValueError("--family random takes no --n: its size is the length of --degrees")
-        degrees = tuple(int(d) for d in degrees)
+        degrees = degree_tuple(degrees)
         trials = 10 if trials is None else trials
     elif family == "katsura":
         if n is None or n < 2:
@@ -354,7 +354,7 @@ def run_entropy(
     solve's endpoint check rejects the endpoints."""
     if variant not in ENTROPY_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    degrees = tuple(int(d) for d in degrees)
+    degrees = degree_tuple(degrees)
     # start_paths prepares the target once; the reference solve and the
     # histogram paths track that same system.
     h = random_system_on_sphere(degrees, np.random.default_rng([seed, 0]))

@@ -18,8 +18,9 @@ Products and changes of variables are contractions of such tensors
 A PolySystem owns its coefficients: construction copies them into one
 read-only vector, concatenated equation by equation, of which `coeffs` holds
 read-only views, so later changes to the caller's arrays change nothing.
-The degree tuple is validated once per tuple (cached), which keeps
-`from_coeff_vector` cheap for the systems a homotopy builds at each step.
+Degrees and exponents pass one check, which reads 2.0 as 2 and refuses 2.5,
+inf, NaN and "2"; degree_tuple checks each degree tuple once (cached), which
+keeps `from_coeff_vector` cheap for the systems a homotopy builds per step.
 
 Homogeneous systems have one evaluator, `evaluator(degrees)`, built once per
 degree tuple.  Its point matrix at z has one row [dm/dz_0 ... dm/dz_n | m(z)]
@@ -156,24 +157,37 @@ def num_homogeneous_monomials(n_vars: int, degree: int) -> int:
 
 def space_dimension(degrees: tuple[int, ...] | list[int]) -> int:
     """Complex dimension N+1 of the space of systems with these degrees."""
-    n = len(degrees)
-    _check_degrees(degrees)
-    return sum(math.comb(n + d, d) for d in degrees)
+    return _layout(tuple(degrees))[1][-1].stop
 
 
-def _check_degrees(degrees) -> None:
-    if len(degrees) < 1:
-        raise ValueError("a system needs at least one equation")
-    if any(int(d) != d or d < 1 for d in degrees):
-        raise ValueError(f"degrees must be positive integers, got {tuple(degrees)}")
+def degree_tuple(degrees) -> tuple[int, ...]:
+    """The degrees as a tuple of ints, checked once per tuple: a ValueError
+    unless there is at least one and each is a positive integer (2 and 2.0
+    pass; 2.5, inf, NaN and "2" do not)."""
+    return _layout(tuple(degrees))[0]
+
+
+def _integers(values, equation: int | None = None) -> tuple[int, ...]:
+    # values as a tuple of ints when each equals its int, else a ValueError
+    # about the degrees or, given its equation, about exponents.
+    try:
+        values = tuple(values)
+        ints = tuple(map(int, values))
+        if ints == values:
+            return ints
+    except (TypeError, ValueError, OverflowError):
+        pass
+    what = "degrees" if equation is None else f"equation {equation}: exponents"
+    raise ValueError(f"{what} must be integers, got {values!r}")
 
 
 @lru_cache(maxsize=None)
 def _layout(degrees: tuple) -> tuple[tuple[int, ...], tuple[slice, ...]]:
     # The validated degree tuple and each equation's block of the
     # concatenated homogeneous coefficient vector.
-    _check_degrees(degrees)
-    degrees = tuple(int(d) for d in degrees)
+    degrees = _integers(degrees)
+    if not degrees or min(degrees) < 1:
+        raise ValueError(f"degrees must be one or more positive integers, got {degrees}")
     n_vars = len(degrees) + 1
     ends = list(itertools.accumulate(num_homogeneous_monomials(n_vars, d) for d in degrees))
     return degrees, tuple(map(slice, [0] + ends, ends))
@@ -185,8 +199,6 @@ class PolySystem:
 
     degrees: tuple[int, ...]
     coeffs: tuple[np.ndarray, ...]
-    # The Bombieri-Weyl norm, kept by bw.bw_norm on its first call.
-    _bw_norm = None
     # (key, block): the [Dh(z) | h(z)] block of the last point _block read,
     # keyed by that point's bytes.
     _last_block = None
@@ -251,14 +263,14 @@ class PolySystem:
     @classmethod
     def from_terms(cls, degrees, terms) -> "PolySystem":
         """Build from sparse terms: per equation, a list of (exponent tuple, coefficient)."""
-        degrees = tuple(int(d) for d in degrees)
+        degrees = degree_tuple(degrees)
         n_vars = len(degrees) + 1
         coeffs = []
         for i, (d, eq_terms) in enumerate(zip(degrees, terms)):
             vec = np.zeros(num_homogeneous_monomials(n_vars, d), dtype=np.complex128)
             index = homogeneous_index(n_vars, d)
             for exponents, c in eq_terms:
-                key = tuple(map(int, exponents))
+                key = _integers(exponents, i)
                 if len(key) != n_vars or sum(key) != d or min(key) < 0:
                     raise ValueError(
                         f"equation {i}: exponents {key} invalid for degree {d} in {n_vars} variables"
@@ -302,8 +314,7 @@ class AffineSystem:
     terms: tuple[tuple[tuple[tuple[int, ...], complex], ...], ...]
 
     def __post_init__(self):
-        _check_degrees(self.degrees)
-        degrees = tuple(int(d) for d in self.degrees)
+        degrees = degree_tuple(self.degrees)
         n = len(degrees)
         if len(self.terms) != n:
             raise ValueError("one term list per equation required")
@@ -311,7 +322,7 @@ class AffineSystem:
         for i, (d, eq) in enumerate(zip(degrees, self.terms)):
             checked = []
             for exponents, c in eq:
-                key = tuple(map(int, exponents))
+                key = _integers(exponents, i)
                 if len(key) != n or min(key) < 0 or sum(key) > d:
                     raise ValueError(
                         f"equation {i}: exponents {key} invalid for degree <= {d} in {n} variables"
@@ -513,18 +524,21 @@ def parse_system_json(text: str) -> PolySystem:
     equation of {"exponents": [...], "re": float, "im": float}.  Exponent
     lists of length n+1 describe a homogeneous system in (X0, ..., Xn).
     Lists of length n describe an affine one in (x1, ..., xn), which is
-    homogenized as it is read, X0 the first coordinate.  Absent monomials are
-    zero and repeated ones add up.  A coefficient of the resulting system
-    that is not finite (NaN, Infinity, a literal such as 1e400 that
+    homogenized as it is read, X0 the first coordinate.  The degrees and
+    every exponent are integers (2.0 is 2): a non-integral number, infinity
+    or a string is a ValueError, which names its equation for an exponent.
+    Absent monomials are zero and repeated ones add up.  A coefficient of
+    the resulting system that is not finite (NaN, Infinity, a literal such as 1e400 that
     overflows, or a sum that does) is a ValueError naming its equation.
     """
     record = json.loads(text)
     try:
-        degrees = [int(d) for d in record["degrees"]]
+        degrees = degree_tuple(record["degrees"])
         raw_terms = list(record["terms"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(
-            "system record needs a 'degrees' list of integers and a 'terms' list"
+            "system record needs a 'degrees' list of positive integers and a 'terms' list "
+            f"({type(exc).__name__}: {exc})"
         ) from exc
     n = len(degrees)
     if len(raw_terms) != n:
@@ -545,18 +559,13 @@ def parse_system_json(text: str) -> PolySystem:
     return system
 
 
-def _parse_terms(i: int, raw) -> list[tuple[list[int], complex]]:
+def _parse_terms(i: int, raw) -> list[tuple[tuple[int, ...], complex]]:
     # One equation's term list as (exponents, coefficient) pairs.
     try:
-        return [
-            (
-                [int(e) for e in t["exponents"]],
-                complex(float(t.get("re", 0.0)), float(t.get("im", 0.0))),
-            )
-            for t in raw
-        ]
+        pairs = [(t["exponents"], complex(float(t.get("re", 0.0)), float(t.get("im", 0.0)))) for t in raw]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(
             f"equation {i}: every term needs an 'exponents' list of integers "
             f"and numeric 're'/'im' ({type(exc).__name__}: {exc})"
         ) from exc
+    return [(_integers(exponents, i), c) for exponents, c in pairs]

@@ -25,7 +25,7 @@ from .linalg import (
     vector_norm,
 )
 from .newton import RefinementError, certified_radius, refine
-from .polysys import PolySystem, evaluate, space_dimension, unit_point
+from .polysys import PolySystem, degree_tuple, evaluate, space_dimension, unit_point
 from .tracker import TrackerOptions, TrackResult, track_path
 
 # The solve and the experiments read statuses, steps and endpoints, no trace.
@@ -89,7 +89,7 @@ def total_degree_start(degrees, rng: np.random.Generator) -> StartSet:
     phase, scales the cached vector into a fresh system and normalizes it,
     and its roots are the shared read-only rows of the cached root array.
     """
-    degrees = tuple(int(d) for d in degrees)
+    degrees = degree_tuple(degrees)
     vec, roots = _total_degree_pattern(degrees)
     phase = np.exp(2j * np.pi * rng.random())
     g = normalize_to_sphere(PolySystem._adopt(degrees, complex(phase) * vec))
@@ -105,7 +105,7 @@ def total_degree_initial_pair(degrees, rng: np.random.Generator) -> InitialPair:
 def good_system_raw(degrees) -> PolySystem:
     """The unnormalized conjectured start system g_i = sqrt(d_i) X_0^{d_i-1} X_i
     (norm sqrt(n); the sqrt(d_i) factors optimize its condition number)."""
-    degrees = tuple(int(d) for d in degrees)
+    degrees = degree_tuple(degrees)
     n = len(degrees)
     terms = []
     for i, d in enumerate(degrees):
@@ -117,7 +117,7 @@ def good_system_raw(degrees) -> PolySystem:
 
 def good_initial_pair(degrees) -> InitialPair:
     """The conjectured pair: the good system normalized to the sphere, zero e0."""
-    degrees = tuple(int(d) for d in degrees)
+    degrees = degree_tuple(degrees)
     g = normalize_to_sphere(good_system_raw(degrees))
     e0 = np.zeros(len(degrees) + 1, dtype=np.complex128)
     e0[0] = 1.0
@@ -158,7 +158,7 @@ def random_system_on_sphere(degrees, rng: np.random.Generator) -> PolySystem:
     parts and then its imaginary parts: the stream order of one pair of
     draws per equation, so each seed gives the same system.
     """
-    degrees = tuple(int(d) for d in degrees)
+    degrees = degree_tuple(degrees)
     pos = _draw_index(degrees)
     scale = weight_table(degrees).scales
     re, im = rng.standard_normal(2 * scale.shape[0])[pos]
@@ -184,7 +184,7 @@ def draw_ball_matrix(degrees, rng: np.random.Generator) -> np.ndarray:
     discarded.  Drawing in the full ball rather than a ball of matrices gives
     E ||M||_F^2 = (n^2 + n) / (N + 2), the distribution the construction needs.
     """
-    degrees = tuple(int(d) for d in degrees)
+    degrees = degree_tuple(degrees)
     n = len(degrees)
     dim = space_dimension(degrees)
     point = uniform_ball_point(dim, rng)
@@ -195,7 +195,7 @@ def draw_restricted_system(degrees, rng: np.random.Generator) -> PolySystem:
     """Uniform draw from the unit ball of the subspace of systems vanishing to
     second order at e0 (no X0^{d_i} or X0^{d_i - 1} monomials): one ball
     point in orthonormal coordinates, scaled by bw.weight_table's scales."""
-    degrees = tuple(int(d) for d in degrees)
+    degrees = degree_tuple(degrees)
     mask = _restricted_mask(degrees)
     point = uniform_ball_point(int(np.count_nonzero(mask)), rng)
     vec = np.zeros(mask.shape[0], dtype=np.complex128)
@@ -211,7 +211,7 @@ def random_initial_pair(degrees, rng: np.random.Generator) -> InitialPair:
     doubly at it; (3) add the diagonal first-order part built from M;
     (4) normalize.
     """
-    degrees = tuple(int(d) for d in degrees)
+    degrees = degree_tuple(degrees)
     M = draw_ball_matrix(degrees, rng)
     zeta0 = kernel_vector(M, rng)
     V = unitary_mapping_to_e0(zeta0, rng)

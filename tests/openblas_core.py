@@ -8,12 +8,17 @@ with the numpy and scipy versions of PINNED_VERSIONS, and their OpenBLAS
 builds.  A core without a recorded digest fails, naming the core and the
 versions of the test process, and so does any core under other versions.
 The core is read by certitrack.linalg's one scan of the loaded OpenBLAS
-libraries, which also finds the thread controls.
+libraries, which also finds the thread controls.  run_child runs code in a
+fresh process, for pins read under another OpenBLAS core or thread count.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy
 import pytest
@@ -60,3 +65,17 @@ def pinned(by_core: dict[str, str]) -> str:
             f"(OpenBLAS {np_blas}) and scipy {sp_version} (OpenBLAS {sp_blas})"
         )
     return by_core[core]
+
+
+def run_child(code: str, **env: str) -> str:
+    """Standard output of `code`, run in a fresh process that can import the
+    test files and starts with the environment variables `env` set; a test
+    failure showing the child's standard error when it exits nonzero."""
+    src = Path(__import__("certitrack").__file__).resolve().parents[1]
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join([str(src), str(Path(__file__).parent)])
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert child.returncode == 0, child.stderr
+    return child.stdout

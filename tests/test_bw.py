@@ -175,6 +175,10 @@ class TestNormalize:
                 assert bw_norm(lam * h) == plain
                 assert unit_scale(lam * h) == 1.0 / plain
 
+    def test_power_of_two_scales_the_norm_exactly(self):
+        h = random_system((2, 3), 81)
+        assert bw_norm(2.0 * h) == 2.0 * bw_norm(h)
+
     @pytest.mark.parametrize("lam", [2.0**-600, 1e-158, 1e-170, 1e200, 2.0**1000],
                              ids=["2^-600", "1e-158", "1e-170", "1e200", "2^1000"])
     def test_extreme_coefficients(self, lam):

@@ -238,6 +238,9 @@ class TestInputErrors:
             (["bench", "--family", "katsura", "--n", "3", "--degrees", "2,2"],
              "--family katsura takes no --degrees"),
             (["bench", "--family", "random", "--degrees", "2,2", "--n", "3"], "--family random takes no --n"),
+            # A system file whose degree 2.7 is no integer.
+            (["solve", str(Path(__file__).with_name("degree_2_7.json"))],
+             "degree_2_7.json': system record needs a 'degrees' list of positive integers"),
         ],
     )
     def test_exit_2_with_a_message(self, capsys, argv, message):

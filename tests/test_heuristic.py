@@ -1,9 +1,5 @@
 import hashlib
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +12,7 @@ from certitrack.newton import refine
 from certitrack.polysys import unit_point
 from certitrack.start_systems import random_system_on_sphere, total_degree_start
 from certitrack.tracker import TrackStatus, make_linear_homotopy, track_linear
-from openblas_core import pinned
+from openblas_core import pinned, run_child
 
 
 @pytest.fixture(scope="module")
@@ -236,14 +232,8 @@ class TestTrackHeuristic:
     def test_pinned_step_counts_with_one_blas_thread(self):
         # track_heuristic runs on one BLAS thread whatever the environment
         # says, so a process started with one has the same counts and bits.
-        src = Path(__import__("certitrack").__file__).resolve().parents[1]
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join([str(src), str(Path(__file__).parent)])
         code = (
             "from test_heuristic import TestTrackHeuristic as T; "
             "T().test_pinned_step_counts(); T().test_pinned_step_counts_mixed_degrees()"
         )
-        child = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
-        )
-        assert child.returncode == 0, child.stderr
+        run_child(code, OPENBLAS_NUM_THREADS="1")

@@ -144,20 +144,6 @@ class TestLapackLU:
             lu_solve(lu_piv, np.ones((2, 3), dtype=complex))
 
 
-class TestSolveSquare:
-    """A square solve is lu_solve of lu_factor_checked, under the same
-    singularity policy as the bordered solves."""
-
-    def test_solves(self):
-        A = np.array([[2.0, 0.0], [0.0, 4.0]], dtype=complex)
-        rhs = np.array([2.0, 4.0], dtype=complex)
-        np.testing.assert_allclose(lu_solve(lu_factor_checked(A), rhs), [1.0, 1.0])
-
-    def test_singular(self):
-        with pytest.raises(SingularLinearSolveError):
-            lu_factor_checked(np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex))
-
-
 class TestVectorNorm:
     """vector_norm gives np.linalg.norm's bits on the vectors certitrack
     measures."""

@@ -93,33 +93,6 @@ class TestConditionNumber:
         base = condition_mu(h, z)
         assert condition_mu(lam * h, z) == pytest.approx(base, rel=1e-10)
 
-    def test_norm_computed_once_per_system(self, monkeypatch):
-        # The solve's distinctness check calls condition_mu once per root on
-        # one target: the system's norm is computed on the first call only,
-        # and is the bits of a fresh computation.
-        from certitrack import bw
-        from certitrack.start_systems import random_system_on_sphere
-
-        rng = np.random.default_rng(81)
-        h = random_system_on_sphere((2, 3), rng)
-        h = PolySystem.from_coeff_vector(h.degrees, h.coeff_vector())
-        z1, z2 = (unit_point(rng.standard_normal(3) + 1j * rng.standard_normal(3)) for _ in range(2))
-        calls = []
-        scaled_norm = bw._scaled_norm
-
-        def counted(system):
-            calls.append(system)
-            return scaled_norm(system)
-
-        monkeypatch.setattr(bw, "_scaled_norm", counted)
-        first, second = condition_mu(h, z1), condition_mu(h, z2)
-        assert calls == [h]
-        assert condition_mu(h, z1) == first and math.isfinite(second)
-        fresh = PolySystem.from_coeff_vector(h.degrees, h.coeff_vector())
-        assert bw.bw_norm(fresh) == bw.bw_norm(h) and len(calls) == 2
-        # A derived system is a new system with its own norm.
-        assert bw.bw_norm(2.0 * h) == 2.0 * bw.bw_norm(h) and len(calls) == 3
-
 
 class TestCertificates:
     def test_certified_radius_formula(self):

@@ -9,12 +9,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from certitrack import experiments, start_systems
 from certitrack.polysys import (
     AffineSystem,
     Evaluator,
     PolySystem,
     as_tensor,
     collect,
+    degree_tuple,
     evaluate,
     evaluator,
     homogeneous_exponents,
@@ -28,8 +30,8 @@ from certitrack.polysys import (
 )
 from certitrack.experiments import katsura_system
 from certitrack.start_systems import good_initial_pair, total_degree_start
+from openblas_core import run_child
 from system_io import system_to_json
-from test_tracker import run_child
 
 
 def brute_evaluate(h: PolySystem, z) -> np.ndarray:
@@ -144,6 +146,70 @@ class TestSpaceDimension:
     def test_bad_degrees(self):
         with pytest.raises(ValueError):
             space_dimension((0, 2))
+
+
+def _rng():
+    return np.random.default_rng(0)
+
+
+# Every public function that takes a degree tuple, called on `degrees`.
+TAKES_DEGREES = {
+    "space_dimension": space_dimension,
+    "from_terms": lambda d: PolySystem.from_terms(d, [[], []]),
+    "AffineSystem": lambda d: AffineSystem(d, [[], []]),
+    "random_system_on_sphere": lambda d: start_systems.random_system_on_sphere(d, _rng()),
+    "total_degree_start": lambda d: start_systems.total_degree_start(d, _rng()),
+    "total_degree_initial_pair": lambda d: start_systems.total_degree_initial_pair(d, _rng()),
+    "good_system_raw": start_systems.good_system_raw,
+    "good_initial_pair": start_systems.good_initial_pair,
+    "draw_ball_matrix": lambda d: start_systems.draw_ball_matrix(d, _rng()),
+    "draw_restricted_system": lambda d: start_systems.draw_restricted_system(d, _rng()),
+    "random_initial_pair": lambda d: start_systems.random_initial_pair(d, _rng()),
+    "random_initial_pair_unitary": lambda d: start_systems.random_initial_pair_unitary(d, _rng()),
+    "initial_pair": lambda d: start_systems.initial_pair("random", d, _rng()),
+    "run_entropy": lambda d: experiments.run_entropy(d, runs=1),
+    "run_bench": lambda d: experiments.run_bench("random", d, trials=1),
+}
+
+
+class TestIntegralDegrees:
+    """Degrees and exponents pass one check: a value equal to its int passes
+    as that int, and any other value is a ValueError, never truncated."""
+
+    @pytest.mark.parametrize("degrees", [(2.5, 2), (2, math.inf), ("2", 2)],
+                             ids=["fraction", "infinity", "string"])
+    @pytest.mark.parametrize("name", sorted(TAKES_DEGREES))
+    def test_non_integral_degree_raises(self, name, degrees):
+        with pytest.raises(ValueError, match="degrees must be integers"):
+            TAKES_DEGREES[name](degrees)
+
+    def test_nan_degree_raises(self):
+        with pytest.raises(ValueError, match="degrees must be integers"):
+            degree_tuple((2, math.nan))
+
+    def test_integral_floats_give_the_bits_of_ints(self):
+        assert degree_tuple((2.0, np.float64(2.0))) == (2, 2)
+        vectors = []
+        for degrees in [(2, 2), (2.0, 2.0), (np.float64(2.0), np.int64(2))]:
+            systems = [
+                start_systems.random_system_on_sphere(degrees, _rng()),
+                start_systems.total_degree_start(degrees, _rng()).g,
+                start_systems.good_initial_pair(degrees).g,
+                start_systems.random_initial_pair(degrees, _rng()).g,
+                homogenize(AffineSystem(degrees, [[((1, 1), 1.0)], [((2.0, 0.0), 2.0)]])),
+            ]
+            assert all(h.degrees == (2, 2) and type(h.degrees[0]) is int for h in systems)
+            vectors.append([h.coeff_vector().tobytes() for h in systems])
+        assert vectors[1] == vectors[0] and vectors[2] == vectors[0]
+
+    @pytest.mark.parametrize("exponents", [(0.9, 1.1), (1, math.inf), (1, "1"), 3],
+                             ids=["fraction", "infinity", "string", "not-a-list"])
+    def test_non_integral_exponent_names_its_equation(self, exponents):
+        with pytest.raises(ValueError, match="equation 1: exponents must be integers"):
+            AffineSystem((1, 2), [[((1, 0), 1.0)], [(exponents, 1.0)]])
+        homogeneous = (0, *exponents) if isinstance(exponents, tuple) else exponents
+        with pytest.raises(ValueError, match="equation 1: exponents must be integers"):
+            PolySystem.from_terms((1, 2), [[((1, 0, 0), 1.0)], [(homogeneous, 1.0)]])
 
 
 class TestEvaluate:
@@ -708,6 +774,21 @@ class TestSystemIO:
     )
     def test_malformed_record(self, text):
         with pytest.raises(ValueError, match="system record needs"):
+            parse_system_json(text)
+
+    @pytest.mark.parametrize("degrees", ["[2.7]", "[Infinity]", '["2"]'],
+                             ids=["fraction", "infinity", "string"])
+    def test_non_integral_degree_raises(self, degrees):
+        terms = '[[{"exponents": [2, 0], "re": 1.0}, {"exponents": [0, 2], "re": -1.0}]]'
+        with pytest.raises(ValueError, match="system record needs .*degrees must be integers"):
+            parse_system_json(f'{{"degrees": {degrees}, "terms": {terms}}}')
+
+    @pytest.mark.parametrize("first, bad", [("[1, 0]", "[2.9, 0]"), ("[1, 0, 0]", "[0, 2.9, 0]")],
+                             ids=["affine", "homogeneous"])
+    def test_non_integral_exponent_names_its_equation(self, first, bad):
+        text = (f'{{"degrees": [1, 2], "terms": [[{{"exponents": {first}, "re": 1.0}}], '
+                f'[{{"exponents": {bad}, "re": 1.0}}]]}}')
+        with pytest.raises(ValueError, match=r"equation 1: exponents must be integers, got \(.*2\.9"):
             parse_system_json(text)
 
     def test_rejects_mixed_lengths(self):

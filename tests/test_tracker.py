@@ -1,11 +1,7 @@
 import dataclasses
 import hashlib
 import math
-import os
 import platform
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +38,7 @@ from certitrack.tracker import (
     track_linear,
     track_path,
 )
-from openblas_core import pinned
+from openblas_core import pinned, run_child
 
 
 def step_constants(curvature_bound: float) -> tuple[float, float]:
@@ -116,19 +112,6 @@ def pinned_step_counts() -> str:
     hom = make_linear_homotopy(start.g, f)
     results = [track(hom, z) for track in (track_linear, track_heuristic) for z in start.roots]
     return " ".join(f"{r.status.value}:{r.num_steps}" for r in results)
-
-
-def run_child(code: str, **env: str) -> str:
-    # Standard output of `code`, run in a fresh process that can import this
-    # file and starts with the environment variables `env` set.
-    src = Path(__import__("certitrack").__file__).resolve().parents[1]
-    env = dict(os.environ, **env)
-    env["PYTHONPATH"] = os.pathsep.join([str(src), str(Path(__file__).parent)])
-    child = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
-    )
-    assert child.returncode == 0, child.stderr
-    return child.stdout
 
 
 @pytest.fixture(scope="module")
@@ -588,14 +571,8 @@ class TestTrackLinear:
     def test_pinned_step_counts_with_one_blas_thread(self):
         # The BLAS thread count may change result bits (a one-column zgetrs
         # does under OpenBLAS), but it must not change a step count.
-        src = Path(__import__("certitrack").__file__).resolve().parents[1]
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join([str(src), str(Path(__file__).parent)])
         code = "from test_tracker import TestTrackLinear; TestTrackLinear().test_pinned_step_counts()"
-        child = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
-        )
-        assert child.returncode == 0, child.stderr
+        run_child(code, OPENBLAS_NUM_THREADS="1")
 
     def test_trace_bits_unchanged_with_one_blas_thread(self):
         # Writing into per-path buffers runs the same BLAS calls on the same
