@@ -66,8 +66,6 @@ def predict(buf: tracker._StepBuffers, s: float, x, dt: float) -> np.ndarray:
     The result is a new array, which a later call leaves unchanged.
     """
     x = np.asarray(x, dtype=np.complex128)
-    if dt == 0.0:
-        return x
     velocity, stage, multiply, add = buf.velocity, buf.stage, np.multiply, np.add
 
     def stage_point(h, k):

@@ -15,12 +15,13 @@ elsewhere, and collect sums any tensor's entries monomial by monomial.
 Products and changes of variables are contractions of such tensors
 (bw.unitary_compose, the random pair's first-order part), collected once.
 
-A PolySystem owns its coefficients: construction copies them into one
-read-only vector, concatenated equation by equation, of which `coeffs` holds
-read-only views, so later changes to the caller's arrays change nothing.
+A PolySystem owns one read-only coefficient vector, concatenated equation by
+equation, of which `coeffs` holds views.  The constructor and
+from_coeff_vector copy the caller's arrays into it; from_terms and the other
+builders make that vector once and the system adopts it (_adopt), uncopied.
 Degrees and exponents pass one check, which reads 2.0 as 2 and refuses 2.5,
-inf, NaN and "2"; degree_tuple checks each degree tuple once (cached), which
-keeps `from_coeff_vector` cheap for the systems a homotopy builds per step.
+inf, NaN and "2"; each degree tuple is checked once (cached), which keeps
+`_adopt` cheap for the systems a homotopy builds per step.
 
 Homogeneous systems have one evaluator, `evaluator(degrees)`, built once per
 degree tuple.  Its point matrix at z has one row [dm/dz_0 ... dm/dz_n | m(z)]
@@ -157,14 +158,14 @@ def num_homogeneous_monomials(n_vars: int, degree: int) -> int:
 
 def space_dimension(degrees: tuple[int, ...] | list[int]) -> int:
     """Complex dimension N+1 of the space of systems with these degrees."""
-    return _layout(tuple(degrees))[1][-1].stop
+    return _layout(degrees)[1][-1].stop
 
 
 def degree_tuple(degrees) -> tuple[int, ...]:
     """The degrees as a tuple of ints, checked once per tuple: a ValueError
     unless there is at least one and each is a positive integer (2 and 2.0
     pass; 2.5, inf, NaN and "2" do not)."""
-    return _layout(tuple(degrees))[0]
+    return _layout(degrees)[0]
 
 
 def _integers(values, equation: int | None = None) -> tuple[int, ...]:
@@ -181,10 +182,17 @@ def _integers(values, equation: int | None = None) -> tuple[int, ...]:
     raise ValueError(f"{what} must be integers, got {values!r}")
 
 
+def _layout(degrees) -> tuple[tuple[int, ...], tuple[slice, ...]]:
+    # The checked degree tuple and each equation's block of the coefficient
+    # vector, cached per tuple; unhashable degrees are checked uncached.
+    try:
+        return _cached_layout(tuple(degrees))
+    except TypeError:
+        return _cached_layout(_integers(degrees))
+
+
 @lru_cache(maxsize=None)
-def _layout(degrees: tuple) -> tuple[tuple[int, ...], tuple[slice, ...]]:
-    # The validated degree tuple and each equation's block of the
-    # concatenated homogeneous coefficient vector.
+def _cached_layout(degrees: tuple) -> tuple[tuple[int, ...], tuple[slice, ...]]:
     degrees = _integers(degrees)
     if not degrees or min(degrees) < 1:
         raise ValueError(f"degrees must be one or more positive integers, got {degrees}")
@@ -204,7 +212,7 @@ class PolySystem:
     _last_block = None
 
     def __post_init__(self):
-        degrees, slices = _layout(tuple(self.degrees))
+        degrees, slices = _layout(self.degrees)
         if len(self.coeffs) != len(degrees):
             raise ValueError("one coefficient vector per equation required")
         arrays = [np.asarray(c, dtype=np.complex128) for c in self.coeffs]
@@ -240,20 +248,16 @@ class PolySystem:
         # would restore writable, separate per-equation copies).
         return PolySystem.from_coeff_vector, (self.degrees, self._vec)
 
-    def coeff_vector(self) -> np.ndarray:
-        """All coefficients concatenated equation by equation (a writable copy)."""
-        return self._vec.copy()
-
     @classmethod
     def from_coeff_vector(cls, degrees: tuple[int, ...], vec: np.ndarray) -> "PolySystem":
-        """Inverse of coeff_vector; the system keeps its own copy of vec."""
+        """The system over a copy of vec, its equations' coefficients in turn."""
         return cls._adopt(degrees, np.array(vec, dtype=np.complex128))
 
     @classmethod
     def _adopt(cls, degrees, vec: np.ndarray) -> "PolySystem":
         # The system over vec itself, a fresh complex vector no one else
         # holds: it is made read-only, not copied.
-        degrees, slices = _layout(tuple(degrees))
+        degrees, slices = _layout(degrees)
         if vec.shape != (slices[-1].stop,):
             raise ValueError(f"expected {slices[-1].stop} coefficients, got shape {vec.shape}")
         h = cls.__new__(cls)
@@ -263,21 +267,21 @@ class PolySystem:
     @classmethod
     def from_terms(cls, degrees, terms) -> "PolySystem":
         """Build from sparse terms: per equation, a list of (exponent tuple, coefficient)."""
-        degrees = degree_tuple(degrees)
+        degrees, slices = _layout(degrees)
+        if len(terms) != len(degrees):
+            raise ValueError(f"expected {len(degrees)} term lists, got {len(terms)}")
         n_vars = len(degrees) + 1
-        coeffs = []
-        for i, (d, eq_terms) in enumerate(zip(degrees, terms)):
-            vec = np.zeros(num_homogeneous_monomials(n_vars, d), dtype=np.complex128)
-            index = homogeneous_index(n_vars, d)
+        vec = np.zeros(slices[-1].stop, dtype=np.complex128)
+        for i, (d, sl, eq_terms) in enumerate(zip(degrees, slices, terms)):
+            block, index = vec[sl], homogeneous_index(n_vars, d)
             for exponents, c in eq_terms:
                 key = _integers(exponents, i)
                 if len(key) != n_vars or sum(key) != d or min(key) < 0:
                     raise ValueError(
                         f"equation {i}: exponents {key} invalid for degree {d} in {n_vars} variables"
                     )
-                vec[index[key]] += c
-            coeffs.append(vec)
-        return cls(degrees, tuple(coeffs))
+                block[index[key]] += c
+        return cls._adopt(degrees, vec)
 
     def __add__(self, other: "PolySystem") -> "PolySystem":
         if not isinstance(other, PolySystem) or other.degrees != self.degrees:
@@ -388,7 +392,7 @@ class Evaluator:
     """
 
     def __init__(self, degrees):
-        self.degrees, self.slices = _layout(tuple(degrees))
+        self.degrees, self.slices = _layout(degrees)
         self.n = len(self.degrees)
         self.n_vars = self.n + 1
         self.max_d = max(self.degrees)

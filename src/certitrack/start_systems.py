@@ -226,8 +226,7 @@ def random_initial_pair(degrees, rng: np.random.Generator) -> InitialPair:
     for i, d in enumerate(degrees):
         term = functools.reduce(np.multiply.outer, [np.conj(zeta0)] * (d - 1) + [M[i]])
         coeffs.append(math.sqrt(d) * polysys.collect(term) + rest * h.coeffs[i])
-    g_hat = PolySystem(degrees, tuple(coeffs))
-    g = normalize_to_sphere(g_hat)
+    g = normalize_to_sphere(PolySystem._adopt(degrees, np.concatenate(coeffs)))
     return InitialPair(g=g, zeta0=zeta0)
 
 

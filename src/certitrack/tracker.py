@@ -146,26 +146,25 @@ class LinearHomotopy:
     """Arc-length parametrization of the great circle from g to f on the sphere.
 
     h_s = cos(s) g + sin(s) p with p (_pvec) the unit normal component of f
-    against g; h_T = f with T = arccos(Re<f, g>).  track_linear and
-    condition_length read the speed ||hdot_s|| from it (speed_squared).
+    against g, whose vector g._vec is read uncopied; h_T = f with T =
+    arccos(Re<f, g>).  track_linear and condition_length read ||hdot_s|| (speed_squared).
     """
 
     g: polysys.PolySystem
     T: float
-    _gvec: np.ndarray = field(repr=False)
     _pvec: np.ndarray = field(repr=False)
 
     def value_at(self, s: float) -> polysys.PolySystem:
         """The system h_s = cos(s) g + sin(s) p, over a vector built here and
         handed to it without a second copy."""
-        vec = math.cos(s) * self._gvec
+        vec = math.cos(s) * self.g._vec
         vec += math.sin(s) * self._pvec
         return polysys.PolySystem._adopt(self.g.degrees, vec)
 
     @cached_property
     def _products(self) -> tuple[float, float, float]:
         # <g, g>, <p, p> and Re<g, p> (1, 1 and 0 up to rounding), on first read.
-        degrees, g, p = self.g.degrees, self._gvec, self._pvec
+        degrees, g, p = self.g.degrees, self.g._vec, self._pvec
         return tuple(bw_inner_re(degrees, a, b) for a, b in ((g, g), (p, p), (g, p)))
 
     def speed_squared(self, c: float, sn: float) -> float:
@@ -191,9 +190,8 @@ def make_linear_homotopy(g: polysys.PolySystem, f: polysys.PolySystem) -> Linear
     # T = arccos(r) rather than arcsin(sqrt(1 - r^2)): the two agree for r >= 0
     # and only arccos lands h_T = f when r < 0.
     # p = (f - r g) / sqrt(1 - r^2), with PolySystem's complex scalars.
-    gvec = g.coeff_vector()
-    pvec = complex(1.0 / math.sqrt(1.0 - r * r)) * (f.coeff_vector() - complex(r) * gvec)
-    return LinearHomotopy(g=g, T=math.acos(r), _gvec=gvec, _pvec=pvec)
+    pvec = complex(1.0 / math.sqrt(1.0 - r * r)) * (f._vec - complex(r) * g._vec)
+    return LinearHomotopy(g=g, T=math.acos(r), _pvec=pvec)
 
 
 class _StepBuffers:
@@ -220,7 +218,7 @@ class _StepBuffers:
         ev = polysys.evaluator(hom.g.degrees)
         n = ev.n
         self.ev = ev
-        self.basis = ev.place(np.stack([hom._gvec, hom._pvec]))
+        self.basis = ev.place(np.stack([hom.g._vec, hom._pvec]))
         W = np.zeros((2 * n + 1, n + 2), dtype=np.complex128)
         self.rot_real = W[: 2 * n].view(np.float64).reshape(2, -1)
         self.bordered, self.newton_rhs = W[n:, : n + 1], W[n:, n + 1]
@@ -377,7 +375,7 @@ def track_path(
     length 0, and the loop ends Success at the start point without a step."""
     # Written so that a NaN coefficient compares unequal.
     same = g.degrees == f.degrees and np.max(np.abs(g._vec - f._vec)) <= 1e-13
-    hom = LinearHomotopy(g, 0.0, g._vec, g._vec) if same else make_linear_homotopy(g, f)
+    hom = LinearHomotopy(g, 0.0, g._vec) if same else make_linear_homotopy(g, f)
     return track_linear(hom, z0, opts)
 
 

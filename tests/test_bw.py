@@ -45,7 +45,7 @@ def equation_weights(degrees):
 
 def re_inner(a, b):
     """Re<a, b> of two systems of one degree tuple."""
-    return bw_inner_re(a.degrees, a.coeff_vector(), b.coeff_vector())
+    return bw_inner_re(a.degrees, a._vec, b._vec)
 
 
 @pytest.mark.parametrize(
@@ -188,7 +188,7 @@ class TestNormalize:
         assert bw_norm(lam * h) == pytest.approx(lam * bw_norm(h), rel=1e-15)
         out = normalize_to_sphere(lam * h)
         assert bw_norm(out) == pytest.approx(1.0, abs=1e-15)
-        np.testing.assert_allclose(out.coeff_vector(), normalize_to_sphere(h).coeff_vector(),
+        np.testing.assert_allclose(out._vec, normalize_to_sphere(h)._vec,
                                    rtol=1e-14, atol=0)
 
     def test_norm_past_largest_float_rejected(self):

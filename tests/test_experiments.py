@@ -361,7 +361,7 @@ class TestEntropyExperiment:
             track = module.track_path
 
             def wrapper(g, f, z0, opts):
-                targets.append(f.coeff_vector().tobytes())
+                targets.append(f._vec.tobytes())
                 return track(g, f, z0, opts)
 
             monkeypatch.setattr(module, "track_path", wrapper)
@@ -379,7 +379,7 @@ class TestEntropyExperiment:
     def test_target_construction(self, tracked_targets):
         run_entropy((1, 2, 2), epsilon=0.1, runs=1, seed=0)
         want = self.perturbed_good_system((1, 2, 2), 0.1, 0)
-        assert set(tracked_targets) == {want.coeff_vector().tobytes()}
+        assert set(tracked_targets) == {want._vec.tobytes()}
         assert bw_norm(want) == pytest.approx(1.0, abs=1e-12)
 
     def test_reference_roots_are_of_the_tracked_target(self, tracked_targets):
@@ -389,7 +389,7 @@ class TestEntropyExperiment:
         run_entropy((2, 2), epsilon=0.1, runs=2, seed=1)
         assert len(tracked_targets) == 4 + 2
         want = self.perturbed_good_system((2, 2), 0.1, 1)
-        assert set(tracked_targets) == {want.coeff_vector().tobytes()}
+        assert set(tracked_targets) == {want._vec.tobytes()}
 
     def test_small_entropy_run(self):
         rep = run_entropy((2, 2), epsilon=0.1, runs=12, variant="ball", seed=0)

@@ -79,12 +79,6 @@ class TestPredict:
                 want = _reference_predict(hom, s, z, dt)
                 assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
-    def test_zero_step_identity(self, quad_path):
-        start, f, hom = quad_path
-        z = start.roots[0]
-        out = predict(tracker._StepBuffers(hom), 0.0, z, 0.0)
-        assert np.array_equal(out, np.asarray(z))
-
     def test_a_second_call_leaves_the_first_result(self, quad_path):
         # The stages share one buffer of the path; each result is its own.
         start, f, hom = quad_path

@@ -90,14 +90,14 @@ class TestTotalDegreeCache:
         b = total_degree_start((2, 3), np.random.default_rng(1))
         assert [r.tobytes() for r in a.roots] == [r.tobytes() for r in b.roots]
         assert all(np.shares_memory(x, y) for x, y in zip(a.roots, b.roots))
-        assert a.g.coeff_vector().tobytes() != b.g.coeff_vector().tobytes()
+        assert a.g._vec.tobytes() != b.g._vec.tobytes()
 
     @pytest.mark.parametrize("degrees", [[2, 2], (np.int64(2), 2)], ids=["list", "int64"])
     def test_degree_spellings_agree(self, degrees):
         want = total_degree_start((2, 2), np.random.default_rng(3))
         got = total_degree_start(degrees, np.random.default_rng(3))
         assert got.g.degrees == (2, 2)
-        assert got.g.coeff_vector().tobytes() == want.g.coeff_vector().tobytes()
+        assert got.g._vec.tobytes() == want.g._vec.tobytes()
         assert [r.tobytes() for r in got.roots] == [r.tobytes() for r in want.roots]
 
     def test_g_owns_its_coefficients(self):
@@ -188,7 +188,7 @@ def test_one_draw_matches_a_pair_per_equation(degrees):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = random_system_on_sphere(degrees, rng)
         want = _sphere_sample_by_equation(degrees, ref_rng)
-        assert got.coeff_vector().tobytes() == want.coeff_vector().tobytes()
+        assert got._vec.tobytes() == want._vec.tobytes()
         # and both leave the stream at the same place
         assert rng.random() == ref_rng.random()
 
@@ -221,7 +221,7 @@ def test_restricted_draw_matches_equation_by_equation(degrees):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = draw_restricted_system(degrees, rng)
         want = _restricted_draw_by_equation(degrees, ref_rng)
-        assert got.coeff_vector().tobytes() == want.coeff_vector().tobytes()
+        assert got._vec.tobytes() == want._vec.tobytes()
         assert rng.random() == ref_rng.random()
 
 
@@ -374,7 +374,7 @@ class TestInitialPair:
         # Bit for bit the constructor's pair from the same stream.
         got = initial_pair(kind, (2, 3), np.random.default_rng(21))
         want = make((2, 3), np.random.default_rng(21))
-        assert got.g.coeff_vector().tobytes() == want.g.coeff_vector().tobytes()
+        assert got.g._vec.tobytes() == want.g._vec.tobytes()
         assert got.zeta0.tobytes() == want.zeta0.tobytes()
 
     def test_unknown_name(self):
@@ -429,7 +429,7 @@ class TestSolvers:
 
 # Problem set-up pins: per degree tuple, sha256 over seeds 0, 1, 2 of the
 # bytes of random_system_on_sphere, of total_degree_start's g and roots, and
-# of make_linear_homotopy's _gvec, _pvec and T between the two.  Read before
+# of make_linear_homotopy's g._vec, _pvec and T between the two.  Read before
 # problem construction moved to the stacked coefficient vector, which kept
 # every bit.  The homotopy digests were read again when Re<f, g> moved to
 # bw_inner_re, whose one dot sums in another order than the per-equation
@@ -499,7 +499,7 @@ def _setup_digests(degrees):
         for root in st.roots:
             start.update(root.tobytes())
         hom = tracker.make_linear_homotopy(st.g, f)
-        for array in (hom._gvec, hom._pvec, np.float64(hom.T)):
+        for array in (hom.g._vec, hom._pvec, np.float64(hom.T)):
             homotopy.update(array.tobytes())
     return sphere.hexdigest(), start.hexdigest(), homotopy.hexdigest()
 

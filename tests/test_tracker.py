@@ -13,13 +13,7 @@ from certitrack.experiments import katsura_system
 from certitrack.heuristic import track_heuristic
 from certitrack.linalg import SingularLinearSolveError, bordered_solve, make_bordered
 from certitrack.newton import U0, condition_mu, refine
-from certitrack.polysys import (
-    Evaluator,
-    PolySystem,
-    homogeneous_exponents,
-    homogenize,
-    unit_point,
-)
+from certitrack.polysys import PolySystem, homogenize, unit_point
 from certitrack.start_systems import (
     good_initial_pair,
     prepare_target,
@@ -190,7 +184,7 @@ class TestTangent:
         hom = make_linear_homotopy(start.g, f)
         r = bw_inner_re(f.degrees, f._vec, start.g._vec)
         normal = (f - r * start.g) * (1.0 / math.sqrt(1.0 - r * r))
-        np.testing.assert_allclose(hom._pvec, normal.coeff_vector(), atol=1e-12)
+        np.testing.assert_allclose(hom._pvec, normal._vec, atol=1e-12)
         tan = hom.value_at(math.pi / 2)
         for a, b in zip(tan.coeffs, normal.coeffs):
             np.testing.assert_allclose(a, b, atol=1e-12)
@@ -284,7 +278,7 @@ class TestChiFactors:
             PolySystem.from_terms((2, 2), [[((0, 2, 0), 1.0)], [((0, 0, 2), 1.0)]])
         )
         hom = make_linear_homotopy(pair.g, normalize_to_sphere(pair.g + q))
-        np.testing.assert_allclose(hom._pvec, q.coeff_vector(), atol=1e-15)
+        np.testing.assert_allclose(hom._pvec, q._vec, atol=1e-15)
         first = track_linear(hom, pair.zeta0).trace[0]
         assert first.chi2 == pytest.approx(1.0, rel=1e-12)
 
@@ -985,7 +979,7 @@ class TestEvaluationWork:
         assert result.success and result.num_steps > 0
         assert work["point_matrix"] == result.num_steps
         assert len(work["place"]) == 1
-        assert np.array_equal(work["place"][0], np.stack([hom._gvec, hom._pvec]))
+        assert np.array_equal(work["place"][0], np.stack([hom.g._vec, hom._pvec]))
 
     @pytest.mark.parametrize("degrees", [(2, 2), (1, 2, 3)])
     def test_rk4_path_places_once_and_predicts_from_four(self, work, monkeypatch, degrees):
@@ -1012,7 +1006,7 @@ class TestEvaluationWork:
         # Every placement is a pair: (g, p) once, then (h, 0) once per Newton
         # step, whose jacobian and evaluate share it and one point matrix.
         assert [R.shape[0] for R in work["place"]] == [2] * (1 + newton_calls[0])
-        assert np.array_equal(work["place"][0], np.stack([hom._gvec, hom._pvec]))
+        assert np.array_equal(work["place"][0], np.stack([hom.g._vec, hom._pvec]))
         assert all(not R[1].any() for R in work["place"][1:])
         assert work["point_matrix"] == sum(built) + newton_calls[0]
 
@@ -1118,54 +1112,6 @@ class TestStepBuffers:
             outs.append(w)
             z, s = w, s_next
         assert outs[0] is outs[2] and outs[1] is outs[3] and outs[0] is not outs[1]
-
-
-def _power_table(z: np.ndarray, max_degree: int, out: np.ndarray) -> np.ndarray:
-    # Writes z ** k into row k of out, (rows, len(z)), for k = 1 ... max_degree;
-    # row 0 must hold the ones of z ** 0 already.  Returns out transposed:
-    # P[j, k] = z_j ** k, the powers as the point matrix's workspace builds them.
-    out[1] = z
-    for k in range(2, max_degree + 1):
-        np.multiply(out[k - 1], z, out=out[k])
-    return out.T
-
-
-class TestStepEngineTables:
-    """The point matrix against a plain per-variable product loop."""
-
-    @staticmethod
-    def _reference(degree, P):
-        # [gradient | value] of every degree-d monomial: a left fold over the
-        # variables that multiplies arrays, as the point matrix's product does
-        # (NumPy's array and scalar complex products may round differently).
-        n_vars = P.shape[0]
-        exps = homogeneous_exponents(n_vars, degree)
-        out = np.zeros((exps.shape[0], n_vars + 1), dtype=np.complex128)
-
-        def product(e):
-            value = P[0, e[:, 0]]
-            for j in range(1, n_vars):
-                value = value * P[j, e[:, j]]
-            return value
-
-        out[:, n_vars] = product(exps)
-        for j in range(n_vars):
-            sel = exps[:, j] > 0
-            de = exps[sel].copy()
-            de[:, j] -= 1
-            out[sel, j] = exps[sel, j].astype(np.float64) * product(de)
-        return out
-
-    @pytest.mark.parametrize("degrees", [(2, 2, 2), (1, 2, 2, 2, 2), (3, 3, 3, 3), (1, 3, 2)])
-    def test_bitwise_equal_to_loop(self, degrees):
-        eng = Evaluator(degrees)
-        rng = np.random.default_rng(len(degrees))
-        for _ in range(3):
-            z = unit_point(rng.standard_normal(eng.n_vars) + 1j * rng.standard_normal(eng.n_vars))
-            P = _power_table(z, eng.max_d, np.ones((eng.max_d + 1, eng.n_vars), dtype=np.complex128))
-            # one row block per distinct degree, ascending
-            ref = np.concatenate([self._reference(d, P) for d in sorted(set(degrees))])
-            assert eng.point_matrix(z).tobytes() == ref.tobytes()
 
 
 class TestTraceCsv:
