@@ -13,7 +13,13 @@ from certitrack.experiments import katsura_system
 from certitrack.heuristic import track_heuristic
 from certitrack.linalg import SingularLinearSolveError, bordered_solve, make_bordered
 from certitrack.newton import U0, condition_mu, refine
-from certitrack.polysys import PolySystem, homogenize, unit_point
+from certitrack.polysys import (
+    Evaluator,
+    PolySystem,
+    homogeneous_exponents,
+    homogenize,
+    unit_point,
+)
 from certitrack.start_systems import (
     good_initial_pair,
     prepare_target,
@@ -1112,6 +1118,54 @@ class TestStepBuffers:
             outs.append(w)
             z, s = w, s_next
         assert outs[0] is outs[2] and outs[1] is outs[3] and outs[0] is not outs[1]
+
+
+def _power_table(z: np.ndarray, max_degree: int, out: np.ndarray) -> np.ndarray:
+    # Writes z ** k into row k of out, (rows, len(z)), for k = 1 ... max_degree;
+    # row 0 must hold the ones of z ** 0 already.  Returns out transposed:
+    # P[j, k] = z_j ** k, the powers as the point matrix's workspace builds them.
+    out[1] = z
+    for k in range(2, max_degree + 1):
+        np.multiply(out[k - 1], z, out=out[k])
+    return out.T
+
+
+class TestStepEngineTables:
+    """The point matrix against a plain per-variable product loop."""
+
+    @staticmethod
+    def _reference(degree, P):
+        # [gradient | value] of every degree-d monomial: a left fold over the
+        # variables that multiplies arrays, as the point matrix's product does
+        # (NumPy's array and scalar complex products may round differently).
+        n_vars = P.shape[0]
+        exps = homogeneous_exponents(n_vars, degree)
+        out = np.zeros((exps.shape[0], n_vars + 1), dtype=np.complex128)
+
+        def product(e):
+            value = P[0, e[:, 0]]
+            for j in range(1, n_vars):
+                value = value * P[j, e[:, j]]
+            return value
+
+        out[:, n_vars] = product(exps)
+        for j in range(n_vars):
+            sel = exps[:, j] > 0
+            de = exps[sel].copy()
+            de[:, j] -= 1
+            out[sel, j] = exps[sel, j].astype(np.float64) * product(de)
+        return out
+
+    @pytest.mark.parametrize("degrees", [(2, 2, 2), (1, 2, 2, 2, 2), (3, 3, 3, 3), (1, 3, 2)])
+    def test_bitwise_equal_to_loop(self, degrees):
+        eng = Evaluator(degrees)
+        rng = np.random.default_rng(len(degrees))
+        for _ in range(3):
+            z = unit_point(rng.standard_normal(eng.n_vars) + 1j * rng.standard_normal(eng.n_vars))
+            P = _power_table(z, eng.max_d, np.ones((eng.max_d + 1, eng.n_vars), dtype=np.complex128))
+            # one row block per distinct degree, ascending
+            ref = np.concatenate([self._reference(d, P) for d in sorted(set(degrees))])
+            assert eng.point_matrix(z).tobytes() == ref.tobytes()
 
 
 class TestTraceCsv:
