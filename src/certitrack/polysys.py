@@ -16,9 +16,9 @@ Products and changes of variables are contractions of such tensors
 (bw.unitary_compose, the random pair's first-order part), collected once.
 
 A PolySystem owns one read-only coefficient vector, concatenated equation by
-equation, of which `coeffs` holds views.  The constructor and
-from_coeff_vector copy the caller's arrays into it; from_terms and the other
-builders make that vector once and the system adopts it (_adopt), uncopied.
+equation, of which `coeffs` holds views.  from_coeff_vector copies the
+caller's vector into it; from_terms and the other builders make that vector
+once and the system adopts it (_adopt), uncopied.
 Degrees and exponents pass one check, which reads 2.0 as 2 and refuses 2.5,
 inf, NaN and "2"; each degree tuple is checked once (cached), which keeps
 `_adopt` cheap for the systems a homotopy builds per step.
@@ -201,28 +201,22 @@ def _cached_layout(degrees: tuple) -> tuple[tuple[int, ...], tuple[slice, ...]]:
     return degrees, tuple(map(slice, [0] + ends, ends))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class PolySystem:
-    """Square homogeneous system: n equations of degrees d_i in n+1 variables."""
+    """Square homogeneous system: n equations of degrees d_i in n+1 variables.
+
+    Built over one read-only coefficient vector by from_coeff_vector,
+    from_terms or _adopt; there is no per-equation constructor.  == and hash
+    are those of the object (eq=False): whether two systems are equal is a
+    question about their coefficients, with a tolerance, which callers ask
+    of `_vec` themselves.
+    """
 
     degrees: tuple[int, ...]
     coeffs: tuple[np.ndarray, ...]
     # (key, block): the [Dh(z) | h(z)] block of the last point _block read,
     # keyed by that point's bytes.
     _last_block = None
-
-    def __post_init__(self):
-        degrees, slices = _layout(self.degrees)
-        if len(self.coeffs) != len(degrees):
-            raise ValueError("one coefficient vector per equation required")
-        arrays = [np.asarray(c, dtype=np.complex128) for c in self.coeffs]
-        for i, (arr, sl) in enumerate(zip(arrays, slices)):
-            if arr.shape != (sl.stop - sl.start,):
-                raise ValueError(
-                    f"equation {i}: expected {sl.stop - sl.start} coefficients, got shape {arr.shape}"
-                )
-        # The concatenation is a copy: the system owns its coefficients.
-        self._own(degrees, slices, np.concatenate(arrays))
 
     def _own(self, degrees, slices, vec: np.ndarray) -> None:
         # vec, a fresh 1-d complex array, becomes the system's storage.
@@ -287,11 +281,6 @@ class PolySystem:
         if not isinstance(other, PolySystem) or other.degrees != self.degrees:
             return NotImplemented
         return PolySystem._adopt(self.degrees, self._vec + other._vec)
-
-    def __sub__(self, other: "PolySystem") -> "PolySystem":
-        if not isinstance(other, PolySystem) or other.degrees != self.degrees:
-            return NotImplemented
-        return PolySystem._adopt(self.degrees, self._vec - other._vec)
 
     def __mul__(self, scalar) -> "PolySystem":
         scalar = complex(scalar)
@@ -465,9 +454,14 @@ class Evaluator:
         return placed.reshape(K * self.n, -1)
 
 
+def evaluator(degrees) -> Evaluator:
+    """The Evaluator of a degree tuple, checked by degree_tuple and built on first use."""
+    return _evaluator(degree_tuple(degrees))
+
+
 @lru_cache(maxsize=None)
-def evaluator(degrees: tuple[int, ...]) -> Evaluator:
-    """The Evaluator of a degree tuple, built on first use."""
+def _evaluator(degrees: tuple[int, ...]) -> Evaluator:
+    # Cached per checked degree tuple, which a system's degrees already are.
     return Evaluator(degrees)
 
 
@@ -492,7 +486,7 @@ def _block(h: PolySystem, z) -> np.ndarray:
     memo = h._last_block
     if memo is not None and memo[0] == key:
         return memo[1]
-    ev = evaluator(h.degrees)
+    ev = _evaluator(h.degrees)
     pair = np.zeros((2, h._vec.shape[0]), dtype=np.complex128)
     pair[0] = h._vec
     block = ev.place(pair).dot(ev.point_matrix(z))[: h.n]

@@ -26,16 +26,7 @@ from certitrack.polysys import (
 )
 from certitrack.start_systems import good_system_raw, random_system_on_sphere
 from openblas_core import pinned
-
-
-def random_system(degrees, seed):
-    rng = np.random.default_rng(seed)
-    n_vars = len(degrees) + 1
-    coeffs = []
-    for d in degrees:
-        m = homogeneous_exponents(n_vars, d).shape[0]
-        coeffs.append(rng.standard_normal(m) + 1j * rng.standard_normal(m))
-    return PolySystem(tuple(degrees), tuple(coeffs))
+from sample_systems import random_system
 
 
 def equation_weights(degrees):
@@ -148,7 +139,7 @@ class TestNormalize:
         np.testing.assert_allclose(out.coeffs[0].max(), 1 / math.sqrt(2.0))
 
     def test_zero_system_rejected(self):
-        h = PolySystem((2,), (np.zeros(3, dtype=complex),))
+        h = PolySystem.from_coeff_vector((2,), np.zeros(3))
         with pytest.raises(ValueError):
             normalize_to_sphere(h)
 
@@ -168,10 +159,7 @@ class TestNormalize:
         for seed in range(20):
             h = random_system((2, 3), seed)
             for lam in (1.0, 1e-120, 1e120):
-                plain = math.sqrt(sum(
-                    float(np.sum(w * np.abs(lam * a) ** 2))
-                    for w, a in zip(equation_weights(h.degrees), h.coeffs)
-                ))
+                plain = _norm_by_equation(lam * h, scaled=False)
                 assert bw_norm(lam * h) == plain
                 assert unit_scale(lam * h) == 1.0 / plain
 
@@ -351,6 +339,17 @@ class TestUnitaryCompose:
         after = re_inner(unitary_compose(a, U), unitary_compose(b, U))
         assert abs(after - before) <= 1e-9 * bw_norm(a) * bw_norm(b)
 
+    @pytest.mark.parametrize("defect, unitary", [(0.995e-10, True), (1.005e-10, False)])
+    def test_unitarity_defect_boundary(self, defect, unitary):
+        # U* U - I is diag(defect, 0) to rounding, either side of the 1e-10
+        # that the check allows.
+        h, U = random_system((2,), 10), np.diag([math.sqrt(1.0 + defect), 1.0])
+        if unitary:
+            assert unitary_compose(h, U).degrees == (2,)
+        else:
+            with pytest.raises(ValueError, match="U is not unitary"):
+                unitary_compose(h, U)
+
     def test_rejects_non_unitary(self):
         h = random_system((2,), 10)
         with pytest.raises(ValueError):
@@ -433,11 +432,12 @@ def test_pinned_bits_of_norm_and_product(degrees):
     assert _bw_digests(degrees) == (norms, pinned(products))
 
 
-def _norm_by_equation(h):
-    # The scaled norm with its elementwise work done equation by equation:
+def _norm_by_equation(h, scaled=True):
+    # The norm with its elementwise work done equation by equation, the
+    # moduli scaled by 2^-e (e the binary exponent of the largest) or not:
     # the reference for the one pass over the stacked vector.
     mods = [np.abs(a) for a in h.coeffs]
-    e = max(math.frexp(max(m.max() for m in mods))[1], -1000)
+    e = max(math.frexp(max(m.max() for m in mods))[1], -1000) if scaled else 0
     total = 0.0
     for w, m in zip(equation_weights(h.degrees), mods):
         total += float(np.sum((m * math.ldexp(1.0, -e)) ** 2 * w))
@@ -463,7 +463,7 @@ def test_one_pass_matches_equation_by_equation(degrees):
     rng = np.random.default_rng(len(degrees))
     for seed in range(10):
         a = random_system(degrees, seed)
-        lopsided = PolySystem(degrees, (1e150 * a.coeffs[0],) + a.coeffs[1:])
+        lopsided = PolySystem.from_coeff_vector(degrees, np.concatenate([1e150 * a.coeffs[0], *a.coeffs[1:]]))
         scales = [1.0, 1e-170, 1e200, 1e-310] + list(10.0 ** rng.uniform(-300, 300, 8))
         for h in [lam * a for lam in scales] + [lopsided]:
             assert bw_norm(h) == _norm_by_equation(h)

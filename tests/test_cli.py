@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import os
 import re
@@ -9,10 +10,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from certitrack import start_systems
+from certitrack import cli, experiments, start_systems, tracker
 from certitrack.bw import riemann_distance
-from certitrack.cli import main
-from certitrack.experiments import katsura_system
+from certitrack.cli import build_parser, main
+from certitrack.experiments import (
+    ENTROPY_VARIANTS,
+    START_KINDS,
+    TRACKERS,
+    katsura_system,
+    run_bench,
+    run_conjecture,
+    run_entropy,
+    run_solve,
+)
 from certitrack.linalg import SingularLinearSolveError
 from certitrack.newton import RefinementError, certified_radius, refine
 from certitrack.polysys import homogenize, parse_system_json
@@ -28,6 +38,17 @@ def affine_json(f) -> str:
     return json.dumps({"degrees": list(f.degrees), "terms": terms})
 
 
+def usage_error(argv, capsys) -> str:
+    """The last line of standard error from main(argv), which must exit 2
+    without a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err.strip().splitlines()[-1]
+
+
 @pytest.fixture
 def quad_system(tmp_path):
     path = tmp_path / "system.json"
@@ -40,10 +61,8 @@ class TestTrackPath:
     def test_rejects_index_outside_the_start_roots(self, quad_system, tmp_path, capsys, index):
         # a (2,2) system has 4 total-degree start roots, indices 0..3
         out = tmp_path / "trace.csv"
-        with pytest.raises(SystemExit) as exc:
-            main(["track", str(quad_system), "--path", index, "--out", str(out)])
-        assert exc.value.code == 2
-        assert "--path must lie in [0, 4)" in capsys.readouterr().err
+        argv = ["track", str(quad_system), "--path", index, "--out", str(out)]
+        assert "--path must lie in [0, 4)" in usage_error(argv, capsys)
         assert not out.exists()
 
     @pytest.mark.parametrize("start", ["good", "random"])
@@ -52,10 +71,8 @@ class TestTrackPath:
         self, quad_system, tmp_path, capsys, start, index
     ):
         out = tmp_path / "trace.csv"
-        with pytest.raises(SystemExit) as exc:
-            main(["track", str(quad_system), "--start", start, "--path", index, "--out", str(out)])
-        assert exc.value.code == 2
-        assert "--path must lie in [0, 1)" in capsys.readouterr().err
+        argv = ["track", str(quad_system), "--start", start, "--path", index, "--out", str(out)]
+        assert "--path must lie in [0, 1)" in usage_error(argv, capsys)
         assert not out.exists()
 
     def test_tracks_the_last_root(self, quad_system, tmp_path):
@@ -92,10 +109,7 @@ class TestMultipleOfTheGoodSystem:
 
     @pytest.mark.parametrize("command", ["track", "solve"])
     def test_negative_multiple_is_an_input_error(self, tmp_path, capsys, command):
-        with pytest.raises(SystemExit) as exc:
-            main(self._argv(tmp_path, command, -1.0))
-        assert exc.value.code == 2
-        assert "start and target are aligned" in capsys.readouterr().err
+        assert "start and target are aligned" in usage_error(self._argv(tmp_path, command, -1.0), capsys)
         assert not (tmp_path / "out.csv").exists()
 
     def test_positive_multiple_takes_no_step(self, tmp_path, capsys):
@@ -108,6 +122,12 @@ class TestMultipleOfTheGoodSystem:
 def _rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def test_solve_exits_1_when_every_path_fails(quad_system, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(tracker, "MAX_STEPS", 1)
+    assert main(["solve", str(quad_system), "--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err.strip().splitlines()[-1] == "0/4 paths succeeded"
 
 
 @pytest.fixture(scope="module")
@@ -244,12 +264,7 @@ class TestInputErrors:
         ],
     )
     def test_exit_2_with_a_message(self, capsys, argv, message):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert message in err.strip().splitlines()[-1]
+        assert message in usage_error(argv, capsys)
 
     def test_largest_seed_accepted(self, tmp_path):
         argv = ["conjecture", "--n", "1", "--trials", "1", "--seed", str(2**64 - 1)]
@@ -257,8 +272,6 @@ class TestInputErrors:
 
     def test_value_error_while_tracking_is_no_usage_error(self, monkeypatch, tmp_path):
         # Only bench's family rules are reported as usage errors.
-        from certitrack import experiments
-
         def failing(hom, z0, opts):
             raise ValueError("raised while tracking")
 
@@ -283,8 +296,6 @@ class TestUnwritableOut:
 
     @pytest.fixture(autouse=True)
     def untracked(self, monkeypatch):
-        from certitrack import cli
-
         def tracking(*args, **kwargs):
             raise AssertionError("a path was tracked")
 
@@ -294,12 +305,7 @@ class TestUnwritableOut:
     @staticmethod
     def refused(argv, quad_system, out, capsys) -> str:
         argv = [str(quad_system) if a == "SYSTEM" else a for a in argv]
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--out", str(out)])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        return err.strip().splitlines()[-1]
+        return usage_error(argv + ["--out", str(out)], capsys)
 
     @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
     def test_missing_directory(self, argv, quad_system, tmp_path, capsys):
@@ -318,9 +324,6 @@ class TestUnwritableOut:
 
 
 def test_choices_are_the_names_the_runs_dispatch_on():
-    from certitrack.cli import build_parser
-    from certitrack.experiments import ENTROPY_VARIANTS, START_KINDS, TRACKERS
-
     parser = build_parser()
     subparsers = next(a for a in parser._actions if a.dest == "command").choices
 
@@ -330,6 +333,22 @@ def test_choices_are_the_names_the_runs_dispatch_on():
     assert choices("solve", "start") == choices("track", "start") == list(START_KINDS)
     assert choices("bench", "tracker") == [*TRACKERS, "both"]
     assert choices("entropy", "variant") == list(ENTROPY_VARIANTS)
+
+
+def test_flag_defaults_are_the_runs_defaults():
+    # A flag and the parameter of the same name of its command's run have
+    # one default, so a caller of run_bench, run_conjecture, run_entropy or
+    # run_solve gets what the command does.
+    runs = {"bench": run_bench, "conjecture": run_conjecture, "entropy": run_entropy, "solve": run_solve}
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
+    defaults = [
+        (f"{command} --{action.dest}", action.default, param.default)
+        for command, run in runs.items()
+        for action in subparsers[command]._actions
+        if (param := inspect.signature(run).parameters.get(action.dest)) and param.default is not param.empty
+    ]
+    assert len(defaults) == 15
+    assert {flag: a for flag, a, _ in defaults} == {flag: b for flag, _, b in defaults}
 
 
 class TestEntropyOutput:
@@ -402,12 +421,7 @@ class TestUnreadableSystem:
         if content is not None:
             system.write_text(content)
         out = tmp_path / "out.csv"
-        with pytest.raises(SystemExit) as exc:
-            main([command, str(system), "--out", str(out)])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        message = err.strip().splitlines()[-1]
+        message = usage_error([command, str(system), "--out", str(out)], capsys)
         assert f"error: cannot load system file {str(system)!r}" in message
         assert not out.exists()
 
@@ -453,12 +467,7 @@ class TestNearDoubleRoot:
         monkeypatch.setattr(start_systems, name, stand_in)
         system = self._system(tmp_path, 1e-2)
         out = tmp_path / "out.csv"
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", str(system), "--out", str(out)])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        last = err.strip().splitlines()[-1]
+        last = usage_error(["solve", str(system), "--out", str(out)], capsys)
         assert f"error: endpoint check of the solve of {str(system)!r} failed" in last
         assert message in last
         assert not out.exists()

@@ -18,12 +18,8 @@ from certitrack.experiments import (
     run_solve,
     shannon_entropy,
 )
-from certitrack.polysys import (
-    evaluate,
-    homogenize,
-    space_dimension,
-    unit_point,
-)
+from certitrack.newton import RefinementError, refine
+from certitrack.polysys import evaluate, homogenize, space_dimension, unit_point
 from certitrack.start_systems import (
     good_system_raw,
     prepare_target,
@@ -97,6 +93,19 @@ class TestMatchRoots:
         refs = [unit_point([1.0, 0.0]), unit_point([1.0, 1e-6])]
         with pytest.raises(ValueError):
             match_roots([refs[0]], refs)
+
+    @pytest.mark.parametrize("gap, tie", [(0.995e-12, True), (1.005e-12, False)])
+    def test_tie_tolerance_boundary(self, gap, tie):
+        # On the line through e0 and e1 the distances are theta and
+        # pi/2 - theta: their gap straddles TIE_TOL = 1e-12 by half a percent.
+        theta = (math.pi / 2 - gap) / 2
+        endpoint = np.array([math.cos(theta), math.sin(theta)], dtype=complex)
+        refs = [unit_point([1.0, 0.0]), unit_point([0.0, 1.0])]
+        if tie:
+            with pytest.raises(AmbiguousMatchError):
+                nearest_root(endpoint, refs)
+        else:
+            assert nearest_root(endpoint, refs) == (0, pytest.approx(theta, abs=1e-15))
 
     def test_nearest_root_distance(self):
         idx, dist = nearest_root(unit_point([1.0, 0.1, 0.0]), self.refs)
@@ -341,9 +350,6 @@ class TestRunConjecture:
 
 class TestEntropyExperiment:
     def test_rejected_endpoint_check_means_no_reference_roots(self, monkeypatch):
-        import certitrack.start_systems as start_systems
-        from certitrack.newton import RefinementError
-
         def failing(f, z):
             raise RefinementError("no convergence")
 
@@ -409,8 +415,6 @@ class TestEntropyExperiment:
     def test_endpoint_that_does_not_refine_is_a_failed_run(self, monkeypatch):
         # The reference solve refines through start_systems; each run's
         # endpoint through experiments, which here never converges.
-        from certitrack.newton import RefinementError
-
         calls = []
 
         def failing(f, z):
@@ -421,6 +425,21 @@ class TestEntropyExperiment:
         rep = run_entropy((2, 2), epsilon=0.1, runs=3, seed=0)
         assert (rep.root_hits, rep.failures, len(calls)) == ((0, 0, 0, 0), 3, 3)
         assert math.isnan(rep.entropy_bits)
+
+    @pytest.mark.parametrize("offset, hit", [(0.995e-4, True), (1.005e-4, False)])
+    def test_endpoint_over_1e_4_from_every_root_is_a_failed_run(self, monkeypatch, offset, hit):
+        # Each run's refined endpoint moved offset away in d_R from the root
+        # it refines to, on either side of the 1e-4 a hit may lie within.
+        refined = experiments.refine
+
+        def moved(f, z):
+            zeta = refined(f, z)
+            u = np.ones_like(zeta) - np.vdot(zeta, np.ones_like(zeta)) * zeta
+            return math.cos(offset) * zeta + math.sin(offset) * u / np.linalg.norm(u)
+
+        monkeypatch.setattr(experiments, "refine", moved)
+        rep = run_entropy((2, 2), epsilon=0.1, runs=3, seed=0)
+        assert (sum(rep.root_hits), rep.failures) == ((3, 0) if hit else (0, 3))
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
@@ -443,8 +462,6 @@ class TestEntropyExperiment:
 def test_random_pair_is_drawn_through_start_systems(monkeypatch):
     # Each run draws its random pair through the module attribute
     # start_systems.random_initial_pair, so a wrapper on it sees every draw.
-    import certitrack.start_systems as start_systems
-
     calls = []
     draw = start_systems.random_initial_pair
 
@@ -475,9 +492,6 @@ class TestRunSolve:
             assert len(rows) == 1
             assert rows[0].success
             target = normalize_to_sphere(f)
-            from certitrack.newton import refine
-            from certitrack.polysys import evaluate
-
             root = refine(target, rows[0].endpoint)
             assert np.linalg.norm(evaluate(target, root)) <= 1e-10
 

@@ -10,27 +10,29 @@ from certitrack.heuristic import HeuristicOptions, correct, predict, track_heuri
 from certitrack.linalg import bordered_solve, make_bordered
 from certitrack.newton import refine
 from certitrack.polysys import unit_point
-from certitrack.start_systems import random_system_on_sphere, total_degree_start
-from certitrack.tracker import TrackStatus, make_linear_homotopy, track_linear
+from certitrack.tracker import TrackStatus, track_linear
 from openblas_core import pinned, run_child
+from sample_systems import seeded_path
 
 
 @pytest.fixture(scope="module")
 def quad_path():
-    rng = np.random.default_rng(30)
-    f = random_system_on_sphere((2, 2), rng)
-    start = total_degree_start((2, 2), rng)
-    return start, f, make_linear_homotopy(start.g, f)
+    return seeded_path((2, 2), 30)
 
 
-def _endpoint_digest(results) -> str:
-    # SHA-256 over the endpoints' bytes, path by path: pins the heuristic's
-    # result bits, which its step counts alone do not.
-    return hashlib.sha256(b"".join(r.endpoint.tobytes() for r in results)).hexdigest()
+def _pinned_paths(degrees):
+    # (status, accepted steps) of the untraced heuristic paths from the
+    # total-degree start of one seeded target, and the SHA-256 over their
+    # endpoints' bytes, path by path: it pins the heuristic's result bits,
+    # which its step counts alone do not.
+    start, f, hom = seeded_path(degrees, 2024)
+    results = [track_heuristic(hom, z, HeuristicOptions(record_trace=False)) for z in start.roots]
+    digest = hashlib.sha256(b"".join(r.endpoint.tobytes() for r in results)).hexdigest()
+    return [(r.status.value, r.num_steps) for r in results], digest
 
 
-# Per degree tuple of test_pinned_step_counts*, the endpoint digest on each
-# OpenBLAS core.
+# Per degree tuple of test_pinned_step_counts*, the endpoint digest of
+# _pinned_paths on each OpenBLAS core.
 ENDPOINT_PINS = {
     (2, 2, 2): {
         "SkylakeX": "4b7739336a5b0a60ef147f10a098713aa653109bc2551f06453c2dfae6f48ddd",
@@ -68,10 +70,7 @@ class TestPredict:
     @pytest.mark.parametrize("degrees", [(2, 2, 2), (1, 2, 3)])
     def test_matches_the_stagewise_formula(self, degrees):
         # mixed degrees exercise the scatter of the placed (g, p)
-        rng = np.random.default_rng(31)
-        f = random_system_on_sphere(degrees, rng)
-        start = total_degree_start(degrees, rng)
-        hom = make_linear_homotopy(start.g, f)
+        start, f, hom = seeded_path(degrees, 31)
         buf = tracker._StepBuffers(hom)
         for z in start.roots:
             for s, dt in [(0.0, 0.05), (0.3, 0.2), (hom.T - 0.1, 0.1)]:
@@ -194,34 +193,22 @@ class TestTrackHeuristic:
         # (status, accepted steps) of the 8 total-degree paths of one seeded
         # (2,2,2) target: a change to evaluation or step adaptation that
         # moves them fails here, not only in the benchmark's step digest.
-        rng = np.random.default_rng(2024)
-        f = random_system_on_sphere((2, 2, 2), rng)
-        start = total_degree_start((2, 2, 2), rng)
-        hom = make_linear_homotopy(start.g, f)
-        opts = HeuristicOptions(record_trace=False)
-        results = [track_heuristic(hom, z, opts) for z in start.roots]
-        got = [(r.status.value, r.num_steps) for r in results]
-        assert got == [
+        steps, digest = _pinned_paths((2, 2, 2))
+        assert steps == [
             ("Success", 13), ("Success", 14), ("Success", 10), ("Success", 10),
             ("Success", 10), ("Success", 10), ("Success", 13), ("Success", 10),
         ]
-        assert _endpoint_digest(results) == pinned(ENDPOINT_PINS[(2, 2, 2)])
+        assert digest == pinned(ENDPOINT_PINS[(2, 2, 2)])
 
     def test_pinned_step_counts_mixed_degrees(self):
         # The 6 total-degree paths of one seeded (1,2,3) target, whose
         # equations of three degrees place their coefficients apart.
-        rng = np.random.default_rng(2024)
-        f = random_system_on_sphere((1, 2, 3), rng)
-        start = total_degree_start((1, 2, 3), rng)
-        hom = make_linear_homotopy(start.g, f)
-        opts = HeuristicOptions(record_trace=False)
-        results = [track_heuristic(hom, z, opts) for z in start.roots]
-        got = [(r.status.value, r.num_steps) for r in results]
-        assert got == [
+        steps, digest = _pinned_paths((1, 2, 3))
+        assert steps == [
             ("Success", 10), ("Success", 11), ("Success", 10),
             ("Success", 10), ("Success", 10), ("Success", 10),
         ]
-        assert _endpoint_digest(results) == pinned(ENDPOINT_PINS[(1, 2, 3)])
+        assert digest == pinned(ENDPOINT_PINS[(1, 2, 3)])
 
     def test_pinned_step_counts_with_one_blas_thread(self):
         # track_heuristic runs on one BLAS thread whatever the environment

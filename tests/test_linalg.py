@@ -1,3 +1,4 @@
+import math
 import re
 import sys
 import threading
@@ -23,9 +24,9 @@ from certitrack.linalg import (
 )
 from certitrack.bw import normalize_to_sphere
 from certitrack.polysys import PolySystem, jacobian, unit_point
-from certitrack.start_systems import random_system_on_sphere, total_degree_start
 from certitrack.tracker import _StepBuffers, make_linear_homotopy, track_linear
 from openblas_core import core_name, pinned
+from sample_systems import seeded_path
 
 
 def power_iteration_norm(A, iters=500, seed=0):
@@ -232,6 +233,17 @@ class TestKernelVector:
         with pytest.raises(SingularLinearSolveError):
             kernel_vector(M, rng)
 
+    @pytest.mark.parametrize("ratio, rank_one", [(1e-10, True), (1.005e-10, False)])
+    def test_rank_floor_boundary(self, ratio, rank_one):
+        # The SVD of this matrix is exact: s[-1] / s[0] is the ratio itself,
+        # at the floor (rank-deficient) or half a percent above it.
+        M = np.array([[1.0, 0.0, 0.0], [0.0, ratio, 0.0]], dtype=complex)
+        if rank_one:
+            with pytest.raises(SingularLinearSolveError):
+                kernel_vector(M, np.random.default_rng(0))
+        else:
+            assert abs(kernel_vector(M, np.random.default_rng(0))[2]) == 1.0
+
     def test_random_phase_varies(self):
         M = np.array([[0.0, 1.0]], dtype=complex)
         v1 = kernel_vector(M, np.random.default_rng(10))
@@ -282,6 +294,21 @@ class TestUnitaryMappingToE0:
         e0 = np.zeros(5, dtype=complex)
         e0[0] = 1.0
         assert np.linalg.norm(V.conj().T @ zeta - e0) <= 1e-10
+
+    def test_unit_check_boundary(self):
+        # | |zeta| - 1 | is a multiple of the spacing u of the floats next to
+        # 1 (2^-52 above, 2^-53 below), never 1e-10 itself, so < and <=
+        # agree: on each side the largest defect under 1e-10 passes and the
+        # next one fails.
+        for sign, u in [(1, 2**-52), (-1, 2**-53)]:
+            k = math.floor(1e-10 / u)
+            for steps, ok in [(k, True), (k + 1, False)]:
+                zeta = np.array([1.0 + sign * steps * u, 0.0, 0.0], dtype=complex)
+                if ok:
+                    assert unitary_mapping_to_e0(zeta, np.random.default_rng(0))[0, 0] == zeta[0]
+                else:
+                    with pytest.raises(ValueError, match="unit vector"):
+                        unitary_mapping_to_e0(zeta, np.random.default_rng(0))
 
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
@@ -342,10 +369,8 @@ class TestOneBlasThread:
             return lu_solve(lu_piv, rhs)
 
         monkeypatch.setattr(linalg, "lu_solve", spy)
-        rng = np.random.default_rng(5)
-        f = random_system_on_sphere((2, 2), rng)
-        start = total_degree_start((2, 2), rng)
-        assert track_linear(make_linear_homotopy(start.g, f), start.roots[0]).success
+        start, _, hom = seeded_path((2, 2), 5)
+        assert track_linear(hom, start.roots[0]).success
         assert seen == {(1,) * len(controls)}
         assert self.counts(controls) == [2] * len(controls)
 

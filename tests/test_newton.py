@@ -16,13 +16,17 @@ from certitrack.newton import (
     refine,
 )
 from certitrack.polysys import PolySystem, evaluate, unit_point
+from certitrack.experiments import start_paths
 from certitrack.start_systems import (
     good_initial_pair,
     good_system_raw,
     random_system_on_sphere,
+    solve_all_total_degree,
     total_degree_start,
 )
+from certitrack.tracker import track_path
 from openblas_core import pinned
+from sample_systems import random_points
 
 
 def diff_of_squares():
@@ -86,8 +90,6 @@ class TestConditionNumber:
     @pytest.mark.parametrize("lam", [2.0, 0.25, 3.0 - 4.0j])
     def test_scale_invariance(self, lam):
         rng = np.random.default_rng(8)
-        from certitrack.start_systems import random_system_on_sphere
-
         h = random_system_on_sphere((2, 2), rng)
         z = unit_point(rng.standard_normal(3) + 1j * rng.standard_normal(3))
         base = condition_mu(h, z)
@@ -139,9 +141,6 @@ class TestRefine:
         # (X1 - X0)(X1 - (1+eps) X0) at eps = 1e-4: mu ~ 3e4, so rounding
         # stalls the Newton steps above REFINE_TOL.  Each refined endpoint
         # is accepted within its certified radius of its exact zero.
-        from certitrack.experiments import start_paths
-        from certitrack.tracker import track_path
-
         eps = 1e-4
         system = PolySystem.from_terms((2,), [[((2, 0), 1.0 + eps), ((1, 1), -(2.0 + eps)), ((0, 2), 1.0)]])
         f, start = start_paths(system, "total", 0)
@@ -163,6 +162,13 @@ class TestRefine:
         with pytest.raises((RefinementError, SingularLinearSolveError)):
             refine(h, z)
 
+    def test_long_last_step_raises(self, monkeypatch):
+        # One Newton step from (1, 0.3) moves 0.65, past REFINE_TOL and past
+        # the certified radius of where it lands.
+        monkeypatch.setattr(newton, "REFINE_MAX_ITERS", 1)
+        with pytest.raises(RefinementError, match="no convergence within 1 Newton iterations"):
+            refine(normalize_to_sphere(diff_of_squares()), unit_point([1.0, 0.3]))
+
     @pytest.mark.parametrize("eps_exp", [-5, -4, -3])
     def test_quadratic_contraction(self, eps_exp):
         # post-step distance <= 10 * (pre-step distance)^2 near a regular zero
@@ -179,11 +185,7 @@ class TestRefine:
     def test_approximate_zero_contraction_rate(self, l):
         # iterate distance <= d0 / 2^(2^l - 1) from a certified start
         rng = np.random.default_rng(11)
-        from certitrack.start_systems import random_system_on_sphere
-
         h = random_system_on_sphere((2, 2), rng)
-        from certitrack.start_systems import solve_all_total_degree
-
         report = solve_all_total_degree(h, total_degree_start(h.degrees, rng))
         z = report.results[0].endpoint
         zeta = refine(h, z)
@@ -203,10 +205,6 @@ def _digest(arrays) -> str:
     return h.hexdigest()
 
 
-def _points(rng, n_vars, count):
-    return [rng.standard_normal(n_vars) + 1j * rng.standard_normal(n_vars) for _ in range(count)]
-
-
 def _newton_digests() -> dict:
     # sha256 of the outputs on seeded inputs.  One BLAS thread, as the
     # trackers run, so the bits do not depend on the caller's setting.
@@ -216,14 +214,14 @@ def _newton_digests() -> dict:
         for degrees in [(2, 2, 2), (1, 2, 3)]:
             f = random_system_on_sphere(degrees, rng)
             got["newton", degrees] = _digest(
-                newton_projective(f, z) for z in _points(rng, len(degrees) + 1, 8)
+                newton_projective(f, z) for z in random_points(len(degrees) + 1, 8, rng)
             )
             start = total_degree_start(degrees, rng)
             got["refine", degrees] = _digest(
                 refine(start.g, r + 1e-3 * (rng.standard_normal(r.shape) + 1j * rng.standard_normal(r.shape)))
                 for r in start.roots
             )
-    zs, ws = _points(rng, 4, 8), _points(rng, 4, 8)
+    zs, ws = random_points(4, 8, rng), random_points(4, 8, rng)
     near = [z + 1e-9 * w for z, w in zip(zs, ws)]
     got["riemann"] = _digest(
         [riemann_distance(z, w) for z, w in zip(zs, ws)]

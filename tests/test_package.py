@@ -3,6 +3,7 @@ the benchmarks read from the top-level package, what a caller can set is
 pinned, and no module imports a name it never reads."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import certitrack
+from certitrack.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ROOT / "benchmarks" / "workloads.py"
@@ -91,8 +93,6 @@ def test_settable_surface_is_pinned():
     # Every optional parameter, option field and CLI flag a caller can set.
     # A new knob needs an edit here, with its reason given in CHANGES.md; a
     # value no caller changes is a module constant.
-    import dataclasses
-
     assert _optional_parameters() == {
         "bw.ensure_on_sphere": ["what"],
         "cli.main": ["argv"],
@@ -128,8 +128,6 @@ def test_one_options_class_for_both_trackers():
 
 
 def _subparsers() -> dict:
-    from certitrack.cli import build_parser
-
     parser = build_parser()
     return next(a for a in parser._actions if a.choices and a.dest == "command").choices
 

@@ -5,6 +5,7 @@ import pickle
 import platform
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from certitrack.polysys import (
 from certitrack.experiments import katsura_system
 from certitrack.start_systems import good_initial_pair, total_degree_start
 from openblas_core import run_child
+from sample_systems import random_points, random_system
 from system_io import system_to_json
 
 
@@ -59,16 +61,6 @@ def fd_jacobian(h: PolySystem, z, eps: float = 1e-6) -> np.ndarray:
         dz[j] = eps
         J[:, j] = (brute_evaluate(h, z + dz) - brute_evaluate(h, z - dz)) / (2 * eps)
     return J
-
-
-def random_system(degrees, seed):
-    rng = np.random.default_rng(seed)
-    n_vars = len(degrees) + 1
-    coeffs = []
-    for d in degrees:
-        m = homogeneous_exponents(n_vars, d).shape[0]
-        coeffs.append(rng.standard_normal(m) + 1j * rng.standard_normal(m))
-    return PolySystem(tuple(degrees), tuple(coeffs))
 
 
 def random_affine_system(degrees, seed):
@@ -152,13 +144,15 @@ def _rng():
     return np.random.default_rng(0)
 
 
-# Every public function that takes a degree tuple, called on `degrees`.
+# Every public function that takes a degree tuple, called on `degrees`, and
+# PolySystem's _adopt, the constructor every system is built by.
 TAKES_DEGREES = {
     "space_dimension": space_dimension,
-    "PolySystem": lambda d: PolySystem(d, (np.zeros(6), np.zeros(6))),
+    "PolySystem": lambda d: PolySystem._adopt(d, np.zeros(12, dtype=complex)),
     "from_coeff_vector": lambda d: PolySystem.from_coeff_vector(d, np.zeros(12)),
     "from_terms": lambda d: PolySystem.from_terms(d, [[], []]),
     "AffineSystem": lambda d: AffineSystem(d, [[], []]),
+    "evaluator": evaluator,
     "random_system_on_sphere": lambda d: start_systems.random_system_on_sphere(d, _rng()),
     "total_degree_start": lambda d: start_systems.total_degree_start(d, _rng()),
     "total_degree_initial_pair": lambda d: start_systems.total_degree_initial_pair(d, _rng()),
@@ -317,6 +311,13 @@ class TestSingleEvaluator:
         assert evaluator(degrees) is evaluator(degrees)
         assert loop_row_mismatches(degrees) == 0
 
+    def test_degree_list_is_its_tuple(self):
+        assert evaluator([2, 2]) is evaluator((2, 2))
+
+    def test_fractional_degree_in_a_list_raises(self):
+        with pytest.raises(ValueError, match="degrees must be integers"):
+            evaluator([2.5, 2])
+
     @pytest.mark.skipif(
         platform.machine().lower() not in ("x86_64", "amd64"),
         reason="OPENBLAS_CORETYPE names x86-64 kernels",
@@ -366,7 +367,7 @@ class TestPointMatrixPlan:
     def _points(degrees):
         n_vars = len(degrees) + 1
         rng = np.random.default_rng(sum(degrees) + n_vars)
-        points = [rng.standard_normal(n_vars) + 1j * rng.standard_normal(n_vars) for _ in range(20)]
+        points = random_points(n_vars, 20, rng)
         # Exact real coordinates: start roots, e_j and the good pair's e0.
         points += total_degree_start(degrees, rng).roots
         points += list(np.eye(n_vars, dtype=np.complex128))
@@ -395,17 +396,12 @@ class TestPointMatrixTemplate:
 
     DEGREES = [(1,), (2, 2, 2), (1, 2, 2, 2, 2), (3, 3, 3, 3), (1, 3, 2)]
 
-    @staticmethod
-    def _points(n_vars, count, seed):
-        rng = np.random.default_rng(seed)
-        return [rng.standard_normal(n_vars) + 1j * rng.standard_normal(n_vars) for _ in range(count)]
-
     @pytest.mark.parametrize("degrees", DEGREES)
     def test_writing_a_result_changes_nothing(self, degrees):
         ev = evaluator(degrees)
         template = ev._template.copy()
         assert not ev._template.flags.writeable
-        z, y = self._points(ev.n_vars, 2, len(degrees))
+        z, y = random_points(ev.n_vars, 2, len(degrees))
         want_z, want_y = ev.point_matrix(z).tobytes(), ev.point_matrix(y).tobytes()
         got = ev.point_matrix(z)
         got[...] = np.nan
@@ -415,14 +411,14 @@ class TestPointMatrixTemplate:
 
     def test_one_thread_reuses_one_array(self):
         ev = evaluator((1, 3, 2))
-        z, y = self._points(ev.n_vars, 2, 1)
+        z, y = random_points(ev.n_vars, 2, 1)
         assert ev.point_matrix(z) is ev.point_matrix(y)
 
     @pytest.mark.parametrize("degrees", DEGREES)
     def test_each_call_rewrites_every_power(self, degrees):
         # A power row left from the previous point would show at D >= 2.
         ev = evaluator(degrees)
-        z, y = self._points(ev.n_vars, 2, sum(degrees))
+        z, y = random_points(ev.n_vars, 2, sum(degrees))
         for point in (z, 3.0 * y, z):
             got = ev.point_matrix(point)
             assert got.tobytes() == gather_and_fold(degrees, point).tobytes()
@@ -431,7 +427,7 @@ class TestPointMatrixTemplate:
         # Once the thread's workspace is made, 100 kept results add no
         # NumPy data block: each is the workspace's product.
         ev = evaluator((1, 2, 2, 2, 2))
-        points = self._points(ev.n_vars, 100, 2)
+        points = random_points(ev.n_vars, 100, 2)
         ev.point_matrix(points[0])
         numpy_data = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
         tracemalloc.start()
@@ -446,12 +442,10 @@ class TestPointMatrixTemplate:
     def test_two_threads_give_the_serial_bits(self):
         # A short switch interval lets the threads interleave inside calls,
         # where a table shared between calls would be overwritten.
-        from concurrent.futures import ThreadPoolExecutor
-
         work = [
             (degrees, z)
             for degrees in self.DEGREES
-            for z in self._points(len(degrees) + 1, 200, sum(degrees))
+            for z in random_points(len(degrees) + 1, 200, sum(degrees))
         ]
 
         def build(item):
@@ -535,8 +529,6 @@ class TestBlockMemo:
         assert self._read(h, z) == self._fresh(h, z)
 
     def test_two_threads_on_one_system_read_their_own_point(self):
-        from concurrent.futures import ThreadPoolExecutor
-
         h = random_system((1, 2, 2, 2, 2), 14)
         rng = np.random.default_rng(14)
         points = [rng.standard_normal(h.n_vars) + 1j * rng.standard_normal(h.n_vars) for _ in range(2)]
@@ -555,13 +547,6 @@ class TestBlockMemo:
 
 
 class TestCoefficientOwnership:
-    def test_constructor_copies(self):
-        coeffs = [np.arange(6, dtype=complex), np.ones(6, dtype=complex)]
-        h = PolySystem((2, 2), tuple(coeffs))
-        coeffs[0][0] = 99.0
-        assert h.coeffs[0][0] == 0.0
-        assert coeffs[0].flags.writeable
-
     def test_from_coeff_vector_copies(self):
         v = np.arange(12, dtype=complex)
         h = PolySystem.from_coeff_vector((2, 2), v)
@@ -580,8 +565,6 @@ class TestCoefficientOwnership:
     def test_wrong_length(self):
         with pytest.raises(ValueError):
             PolySystem.from_coeff_vector((2, 2), np.zeros(11, dtype=complex))
-        with pytest.raises(ValueError):
-            PolySystem((2, 2), (np.zeros(6), np.zeros(5)))
 
     @pytest.mark.parametrize("terms", [[[]], [[], [], []]], ids=["too-few", "too-many"])
     def test_one_term_list_per_equation(self, terms):
@@ -597,6 +580,16 @@ class TestCoefficientOwnership:
         vec[0] = 99.0
         assert again._vec[0] != 99.0
 
+    def test_equality_is_identity(self):
+        # Equal coefficients make two systems, not one: == and hash are the
+        # objects', never an elementwise comparison of arrays.
+        h = random_system((2, 2), 9)
+        twin = PolySystem.from_coeff_vector(h.degrees, h._vec)
+        assert h == h and h != twin and hash(h) == hash(h)
+        assert {h: "h", twin: "twin"}[h] == "h"
+        with pytest.raises(TypeError):
+            PolySystem(h.degrees, h.coeffs)  # no per-equation constructor
+
     def test_pickle_round_trip(self):
         h = random_system((1, 3, 2), 8)
         again = pickle.loads(pickle.dumps(h))
@@ -611,8 +604,6 @@ class TestHomogenization:
         h = homogenize(f)
         # X1^2 - X0^2: affine zero 1 lifts to (1, 1)
         assert abs(evaluate(h, unit_point([1.0, 1.0]))[0]) < 1e-15
-        eta = np.array([1.0], dtype=complex)
-        assert np.linalg.norm(evaluate(h, unit_point((1.0, *eta)))) < 1e-15
 
     def test_linear_with_constant(self):
         f = AffineSystem((1,), [[((1,), 1.0), ((0,), 2.0)]])
@@ -632,7 +623,6 @@ class TestHomogenization:
 
     def test_zero_correspondence(self):
         # zero eta of f lifts to (1, eta) for h
-        rng = np.random.default_rng(12)
         f = AffineSystem(
             (2, 1),
             [
@@ -641,10 +631,7 @@ class TestHomogenization:
             ],
         )
         eta = np.array([1.0, 1.0], dtype=complex)  # x=1, y=1
-        h = homogenize(f)
-        assert np.linalg.norm(evaluate(h, unit_point((1.0, *eta)))) < 1e-14
-        lifted = unit_point(np.concatenate([[1.0], eta]))
-        assert np.linalg.norm(evaluate(h, lifted)) < 1e-14
+        assert np.linalg.norm(evaluate(homogenize(f), unit_point((1.0, *eta)))) < 1e-14
 
 
 # SHA-256 of homogenize(katsura_system(n))._vec.tobytes(), read

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from certitrack import tracker
+from certitrack.experiments import katsura_system, start_paths
 from certitrack.bw import bw_inner_re, bw_norm, normalize_to_sphere, riemann_distance, weight_table
 from certitrack.newton import U0, certified_radius, condition_mu, refine
 from certitrack.polysys import (
@@ -175,7 +176,7 @@ def _sphere_sample_by_equation(degrees, rng):
         m = num_homogeneous_monomials(n_vars, d)
         u = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2.0)
         coeffs.append(u * w)
-    return normalize_to_sphere(PolySystem(degrees, tuple(coeffs)))
+    return normalize_to_sphere(PolySystem.from_coeff_vector(degrees, np.concatenate(coeffs)))
 
 
 @pytest.mark.parametrize(
@@ -208,7 +209,7 @@ def _restricted_draw_by_equation(degrees, rng):
         vec[mask] = point[offset : offset + k] * w[mask]
         offset += k
         coeffs.append(vec)
-    return PolySystem(degrees, tuple(coeffs))
+    return PolySystem.from_coeff_vector(degrees, np.concatenate(coeffs))
 
 
 @pytest.mark.parametrize(
@@ -286,8 +287,6 @@ class TestRestrictedSystem:
         h = draw_restricted_system((2, 2), np.random.default_rng(8))
         e0 = unit_point([1.0, 0.0, 0.0])
         assert np.linalg.norm(evaluate(h, e0)) == 0.0
-        from certitrack.polysys import jacobian
-
         assert np.linalg.norm(jacobian(h, e0)) == 0.0
 
     def test_inside_unit_ball(self):
@@ -329,6 +328,18 @@ class TestRandomInitialPair:
         three = good_initial_pair((2, 2))
         with pytest.raises(ValueError):
             InitialPair(g=three.g, zeta0=np.array([np.nan, 0.0, 0.0], dtype=complex))
+
+    def test_residual_boundary(self):
+        # c X0 + X1 at e0 has the residual |c| exactly: 1e-12 passes, the
+        # next float above it does not.
+        e0 = np.array([1.0, 0.0], dtype=complex)
+        for c, ok in [(1e-12, True), (math.nextafter(1e-12, 1.0), False)]:
+            g = PolySystem.from_terms((1,), [[((1, 0), c), ((0, 1), 1.0)]])
+            if ok:
+                assert InitialPair(g, e0).g is g
+            else:
+                with pytest.raises(ValueError, match="zeta0 is not a zero of g"):
+                    InitialPair(g, e0)
 
     @pytest.mark.parametrize("degrees,seed", [((2, 2), 0), ((1, 2, 3), 1), ((3, 3), 2)])
     def test_first_order_part(self, degrees, seed):
@@ -395,8 +406,6 @@ class TestSolvers:
                 assert riemann_distance(refined[i], refined[j]) > 1e-3
 
     def test_solve_all_affine_input(self):
-        from certitrack.experiments import katsura_system, start_paths
-
         report = solve_all_total_degree(*start_paths(katsura_system(3), "total", 19))
         assert report.num_failed == 0
         assert len([r.endpoint for r in report.results if r.success]) == 4
@@ -508,3 +517,27 @@ def _setup_digests(degrees):
 def test_pinned_setup_bits(degrees):
     sphere, start, homotopy = SETUP_PINS[degrees]
     assert _setup_digests(degrees) == (sphere, start, pinned(homotopy))
+
+
+# Per OpenBLAS core, sha256 over random_initial_pair(degrees, default_rng(s))
+# for the degree tuples of RANDOM_PAIR_DEGREES and s = 0, 1, 2: the bytes of
+# g._vec, then of zeta0.  Its QR, SVD and unitary change of variables give
+# other last bits on other kernels; the Haswell, Sandybridge and Katmai
+# digests were read under OPENBLAS_CORETYPE in a fresh process.
+RANDOM_PAIR_DEGREES = [(1,), (2, 2, 2), (1, 2, 3), (3, 3, 3, 3)]
+RANDOM_PAIR_PINS = {
+    "SkylakeX": "2f418b439da0b9b36cace0934f7b854a8fbe1224a65d4c81bfda4f3a6e8f9f92",
+    "Haswell": "43df98a2fc424e9684445f47794e1301e2f934d120ff59ebceae17732ba4c99f",
+    "Sandybridge": "2087ac8117b66e78b1df53cc9d6a6adb434573a0972ccccfc1a56bd410fc3000",
+    "Katmai": "0c4a200e6db93ffd1bf8a1f75449bf72e7e990d8cd286a50cda87d16b3bed341",
+}
+
+
+def test_pinned_random_pair_bits():
+    digest = hashlib.sha256()
+    for degrees in RANDOM_PAIR_DEGREES:
+        for s in range(3):
+            pair = random_initial_pair(degrees, np.random.default_rng(s))
+            digest.update(pair.g._vec.tobytes())
+            digest.update(pair.zeta0.tobytes())
+    assert digest.hexdigest() == pinned(RANDOM_PAIR_PINS)

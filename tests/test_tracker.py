@@ -13,13 +13,7 @@ from certitrack.experiments import katsura_system
 from certitrack.heuristic import track_heuristic
 from certitrack.linalg import SingularLinearSolveError, bordered_solve, make_bordered
 from certitrack.newton import U0, condition_mu, refine
-from certitrack.polysys import (
-    Evaluator,
-    PolySystem,
-    homogeneous_exponents,
-    homogenize,
-    unit_point,
-)
+from certitrack.polysys import Evaluator, PolySystem, homogenize, unit_point
 from certitrack.start_systems import (
     good_initial_pair,
     prepare_target,
@@ -39,6 +33,8 @@ from certitrack.tracker import (
     track_path,
 )
 from openblas_core import pinned, run_child
+from sample_systems import seeded_path
+from test_polysys import gather_and_fold
 
 
 def step_constants(curvature_bound: float) -> tuple[float, float]:
@@ -70,16 +66,19 @@ PINNED_TRACE_SHA256 = {
 }
 
 
+# Certified, then heuristic, steps of the 8 paths of the pinned target.
+PINNED_STEPS = [921, 1608, 608, 553, 483, 355, 741, 517]
+PINNED_HEURISTIC_STEPS = [13, 14, 10, 10, 10, 10, 13, 10]
+
+
 def pinned_target():
-    # The (2,2,2) target of default_rng(2024) and its total-degree start.
-    rng = np.random.default_rng(2024)
-    f = random_system_on_sphere((2, 2, 2), rng)
-    return f, total_degree_start((2, 2, 2), rng)
+    # The (2,2,2) target of default_rng(2024), its total-degree start and
+    # the homotopy between them.
+    return seeded_path((2, 2, 2), 2024)
 
 
 def pinned_trace_digest() -> str:
-    f, start = pinned_target()
-    hom = make_linear_homotopy(start.g, f)
+    start, f, hom = pinned_target()
     h = hashlib.sha256()
     for z0 in start.roots:
         for rec in track_linear(hom, z0).trace:
@@ -92,8 +91,7 @@ def thread_sensitive_bits() -> str:
     # Step counts and endpoint bytes of paths 2 and 5 of the pinned target,
     # tracked certified and heuristic; then the refined zeros and their mu
     # from four Katsura-5 points near total-degree start roots.
-    f, start = pinned_target()
-    hom = make_linear_homotopy(start.g, f)
+    start, f, hom = pinned_target()
     out = []
     for i in (2, 5):
         for r in (track_linear(hom, start.roots[i]), track_heuristic(hom, start.roots[i])):
@@ -108,18 +106,14 @@ def thread_sensitive_bits() -> str:
 def pinned_step_counts() -> str:
     # Status and steps of the 8 paths of the pinned target, certified then
     # heuristic.
-    f, start = pinned_target()
-    hom = make_linear_homotopy(start.g, f)
+    start, f, hom = pinned_target()
     results = [track(hom, z) for track in (track_linear, track_heuristic) for z in start.roots]
     return " ".join(f"{r.status.value}:{r.num_steps}" for r in results)
 
 
 @pytest.fixture(scope="module")
 def quad_pair():
-    rng = np.random.default_rng(20)
-    f = random_system_on_sphere((2, 2), rng)
-    start = total_degree_start((2, 2), rng)
-    return start, f
+    return seeded_path((2, 2), 20)
 
 
 class TestLinearHomotopy:
@@ -143,13 +137,11 @@ class TestLinearHomotopy:
             make_linear_homotopy(a, b)
 
     def test_midpoint_on_sphere(self, quad_pair):
-        start, f = quad_pair
-        hom = make_linear_homotopy(start.g, f)
+        start, f, hom = quad_pair
         assert bw_norm(hom.value_at(hom.T / 2)) == pytest.approx(1.0, abs=1e-10)
 
     def test_endpoint_hits_target(self, quad_pair):
-        start, f = quad_pair
-        hom = make_linear_homotopy(start.g, f)
+        start, f, hom = quad_pair
         end = hom.value_at(hom.T)
         for a, b in zip(end.coeffs, f.coeffs):
             np.testing.assert_allclose(a, b, atol=1e-10)
@@ -168,7 +160,7 @@ class TestLinearHomotopy:
             np.testing.assert_allclose(a, b, atol=1e-10)
 
     def test_requires_sphere(self, quad_pair):
-        start, f = quad_pair
+        start, f, _ = quad_pair
         with pytest.raises(ValueError):
             make_linear_homotopy(2.0 * start.g, f)
 
@@ -186,10 +178,9 @@ class TestLinearHomotopy:
 
 class TestTangent:
     def test_at_zero_is_normal_component(self, quad_pair):
-        start, f = quad_pair
-        hom = make_linear_homotopy(start.g, f)
+        start, f, hom = quad_pair
         r = bw_inner_re(f.degrees, f._vec, start.g._vec)
-        normal = (f - r * start.g) * (1.0 / math.sqrt(1.0 - r * r))
+        normal = (f + (-r) * start.g) * (1.0 / math.sqrt(1.0 - r * r))
         np.testing.assert_allclose(hom._pvec, normal._vec, atol=1e-12)
         tan = hom.value_at(math.pi / 2)
         for a, b in zip(tan.coeffs, normal.coeffs):
@@ -197,14 +188,12 @@ class TestTangent:
 
     @pytest.mark.parametrize("frac", [0.0, 0.3, 0.9])
     def test_unit_speed(self, quad_pair, frac):
-        start, f = quad_pair
-        hom = make_linear_homotopy(start.g, f)
+        start, f, hom = quad_pair
         assert bw_norm(hom.value_at(frac * hom.T + math.pi / 2)) == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("frac", [0.1, 0.5, 0.95])
     def test_orthogonal_to_point(self, quad_pair, frac):
-        start, f = quad_pair
-        hom = make_linear_homotopy(start.g, f)
+        start, f, hom = quad_pair
         s = frac * hom.T
         ip = bw_inner_re(f.degrees, hom.value_at(s)._vec, hom.value_at(s + math.pi / 2)._vec)
         assert abs(ip) <= 1e-10
@@ -230,8 +219,7 @@ def reference_step(hom, s: float, z) -> tuple[float, float, float, float]:
 def scaled_normal(quad_pair, factor):
     # The (2, 2) homotopy with its normal direction p scaled, and its start
     # point: 0 stands still (phi = 0), 1e300 overflows (phi = inf).
-    start, f = quad_pair
-    hom = make_linear_homotopy(start.g, f)
+    start, f, hom = quad_pair
     return dataclasses.replace(hom, _pvec=factor * hom._pvec), start.roots[0]
 
 
@@ -257,8 +245,8 @@ class TestChiFactors:
         assert first.chi1 == pytest.approx(math.sqrt(3.0), rel=1e-12)
 
     def test_chi1_positive(self, quad_pair):
-        start, f = quad_pair
-        trace = track_linear(make_linear_homotopy(start.g, f), start.roots[0]).trace
+        start, f, hom = quad_pair
+        trace = track_linear(hom, start.roots[0]).trace
         assert len(trace) > 0 and np.all(trace.chi1 > 0.0)
 
     def test_chi1_singular(self):
@@ -291,8 +279,7 @@ class TestChiFactors:
     def test_chi2_at_least_speed(self, quad_pair):
         # Row k+1 holds the step from s_k; chi2 there is at least the speed
         # ||hdot_{s_k}|| = 1.
-        start, f = quad_pair
-        hom = make_linear_homotopy(start.g, f)
+        start, f, hom = quad_pair
         trace = track_linear(hom, start.roots[0]).trace
         s_from = np.concatenate([[0.0], trace.s[:-1]])
         speed = np.sqrt([hom.speed_squared(math.cos(s), math.sin(s)) for s in s_from])
@@ -308,8 +295,8 @@ class TestCertifiedStep:
     def _unclipped(quad_pair):
         # The rows of a traced (2, 2) path whose step was not clipped to the
         # end of the arc.
-        start, f = quad_pair
-        trace = track_linear(make_linear_homotopy(start.g, f), start.roots[0]).trace
+        start, f, hom = quad_pair
+        trace = track_linear(hom, start.roots[0]).trace
         assert len(trace) > 10
         return trace[:-1]
 
@@ -331,10 +318,7 @@ class TestCertifiedStep:
     @pytest.mark.parametrize("degrees", [(2, 2), (1, 2, 2)])
     def test_is_the_loops_first_step(self, degrees):
         # The loop's first record is the formula's step from (g, z0).
-        rng = np.random.default_rng(21)
-        f = random_system_on_sphere(degrees, rng)
-        start = total_degree_start(degrees, rng)
-        hom = make_linear_homotopy(start.g, f)
+        start, f, hom = seeded_path(degrees, 21)
         first = track_linear(hom, start.roots[0]).trace[0]
         want = reference_step(hom, 0.0, unit_point(start.roots[0]))
         np.testing.assert_allclose([first.chi1, first.chi2, first.t, first.phi], want, rtol=1e-12)
@@ -344,10 +328,7 @@ class TestCertifiedStep:
         # Record k+1 holds the step taken from (h_{s_k}, z_k).  The loop
         # combines the blocks of g and p where the formula builds h_s and
         # hdot_s first, so the two agree to rounding, not bitwise.
-        rng = np.random.default_rng(22)
-        f = random_system_on_sphere(degrees, rng)
-        start = total_degree_start(degrees, rng)
-        hom = make_linear_homotopy(start.g, f)
+        start, f, hom = seeded_path(degrees, 22)
         trace = track_linear(hom, start.roots[1]).trace
         assert len(trace) > 50
         # the last step is clipped to the end of the arc, so it is left out
@@ -365,8 +346,7 @@ class TestCertifiedStep:
         assert buf.step_length(x1 * x2) == math.inf
 
     def test_point_of_wrong_length_rejected(self, quad_pair):
-        start, f = quad_pair
-        hom = make_linear_homotopy(start.g, f)
+        start, f, hom = quad_pair
         z = start.roots[0]
         for bad in (z[:1], np.append(z, 1.0)):
             for track in (track_linear, track_heuristic):
@@ -401,10 +381,8 @@ class TestRepresentativeInvariance:
 
     @pytest.fixture(scope="class")
     def path(self):
-        rng = np.random.default_rng(60)
-        f = random_system_on_sphere((2, 2, 2), rng)
-        start = total_degree_start((2, 2, 2), rng)
-        return start.g, f, make_linear_homotopy(start.g, f), start.roots[3]
+        start, f, hom = seeded_path((2, 2, 2), 60)
+        return start.g, f, hom, start.roots[3]
 
     @pytest.mark.parametrize("track", list(TRACKS))
     def test_doubled_point_gives_the_same_bits(self, path, track):
@@ -432,7 +410,7 @@ class TestRepresentativeInvariance:
 
 class TestTrackLinear:
     def test_same_system_returns_immediately(self, quad_pair):
-        start, _ = quad_pair
+        start, _, _ = quad_pair
         result = track_path(start.g, start.g, start.roots[0])
         assert result.status is TrackStatus.SUCCESS
         assert result.num_steps == 0
@@ -441,18 +419,33 @@ class TestTrackLinear:
     def test_equal_target_off_the_sphere_returns_immediately(self, quad_pair):
         # f == g takes no homotopy, so neither needs unit norm; a NaN
         # coefficient compares unequal and meets the sphere check.
-        start, _ = quad_pair
+        start, _, _ = quad_pair
         g = 2.0 * start.g
         assert track_path(g, g, start.roots[0]).num_steps == 0
         nan = PolySystem._adopt(g.degrees, np.full_like(g._vec, np.nan))
         with pytest.raises(ValueError, match="unit sphere"):
             track_path(nan, nan, start.roots[0])
 
+    def test_equal_target_boundary(self, quad_pair):
+        # A target whose coefficients are each within 1e-13 of the start's is
+        # the start; one off by the next float above takes a homotopy, and
+        # two systems that close have none.
+        start, _, _ = quad_pair
+        g = start.g
+        assert g._vec[0] == 0.0
+        for gap, equal in [(1e-13, True), (math.nextafter(1e-13, 1.0), False)]:
+            f = PolySystem.from_coeff_vector(g.degrees, np.concatenate([[gap], g._vec[1:]]))
+            if equal:
+                assert track_path(g, f, start.roots[0]).num_steps == 0
+            else:
+                with pytest.raises(DegenerateHomotopyError):
+                    track_path(g, f, start.roots[0])
+
     def test_trace_rows_and_endpoint_own_their_points(self, quad_pair):
         # The loop writes its points into two arrays in turn: a row that kept
         # one of them would read a later point.
-        start, f = quad_pair
-        result = track_linear(make_linear_homotopy(start.g, f), start.roots[0])
+        start, f, hom = quad_pair
+        result = track_linear(hom, start.roots[0])
         z = result.trace.z
         assert len(z) == result.num_steps >= 3
         assert z[-1].tobytes() == result.endpoint.tobytes()
@@ -461,8 +454,7 @@ class TestTrackLinear:
         assert len({row.tobytes() for row in z}) == len(z)
 
     def test_endpoints_of_two_calls_are_their_own(self, quad_pair):
-        start, f = quad_pair
-        hom = make_linear_homotopy(start.g, f)
+        start, f, hom = quad_pair
         first, second = (track_linear(hom, z0) for z0 in start.roots[:2])
         assert not np.shares_memory(first.endpoint, second.endpoint)
         want_first, want_second = first.endpoint.tobytes(), second.endpoint.tobytes()
@@ -474,8 +466,7 @@ class TestTrackLinear:
         # chi2 of step 1 is sqrt(||hdot_0||^2 + ||solve||^2), ||hdot_0||^2 read
         # from the homotopy at (cos 0, sin 0): adding 1 to what it reports
         # adds 1 to chi2^2.
-        start, f = quad_pair
-        hom = make_linear_homotopy(start.g, f)
+        start, f, hom = quad_pair
         assert hom.speed_squared(1.0, 0.0) == bw_inner_re(f.degrees, hom._pvec, hom._pvec)
         first = track_linear(hom, start.roots[0]).trace[0]
         speed_squared = tracker.LinearHomotopy.speed_squared
@@ -492,18 +483,14 @@ class TestTrackLinear:
         assert record.chi2**2 == pytest.approx(first.chi2**2 + 1.0, rel=1e-12)
 
     def test_success_and_endpoint_is_zero(self, quad_pair):
-        start, f = quad_pair
-        hom = make_linear_homotopy(start.g, f)
+        start, f, hom = quad_pair
         result = track_linear(hom, start.roots[0])
         assert result.status is TrackStatus.SUCCESS
         zeta = refine(f, result.endpoint)
-        assert riemann_distance(result.endpoint, zeta) <= U0 / (
-            2.0 * 2.0**1.5 * condition_mu(f, zeta)
-        )
+        assert riemann_distance(result.endpoint, zeta) <= U0 / (2.0 * 2.0**1.5 * condition_mu(f, zeta))
 
     def test_trace_bookkeeping(self, quad_pair):
-        start, f = quad_pair
-        hom = make_linear_homotopy(start.g, f)
+        start, f, hom = quad_pair
         result = track_linear(hom, start.roots[1])
         trace = result.trace
         assert len(trace) == result.num_steps
@@ -514,8 +501,7 @@ class TestTrackLinear:
             assert b.s > a.s
 
     def test_step_interval_on_every_step(self, quad_pair):
-        start, f = quad_pair
-        hom = make_linear_homotopy(start.g, f)
+        start, f, hom = quad_pair
         d32 = 2.0**1.5
         result = track_linear(hom, start.roots[2])
         for rec in result.trace[:-1]:
@@ -524,8 +510,7 @@ class TestTrackLinear:
             assert lo * (1 - 1e-12) <= rec.t <= hi * (1 + 1e-12)
 
     def test_determinism(self, quad_pair):
-        start, f = quad_pair
-        hom = make_linear_homotopy(start.g, f)
+        start, f, hom = quad_pair
         r1 = track_linear(hom, start.roots[3])
         r2 = track_linear(hom, start.roots[3])
         assert r1.num_steps == r2.num_steps
@@ -535,8 +520,7 @@ class TestTrackLinear:
             assert np.array_equal(a.z, b.z)
 
     def test_max_steps(self, quad_pair, monkeypatch):
-        start, f = quad_pair
-        hom = make_linear_homotopy(start.g, f)
+        start, f, hom = quad_pair
         monkeypatch.setattr(tracker, "MAX_STEPS", 5)
         result = track_linear(hom, start.roots[0])
         assert result.status is TrackStatus.MAX_STEPS
@@ -557,16 +541,9 @@ class TestTrackLinear:
         # (status, steps) of the 8 total-degree paths of one seeded (2,2,2)
         # target: a change to evaluation or to the step rule that moves them
         # fails here, not only in the benchmark's step digest.
-        rng = np.random.default_rng(2024)
-        f = random_system_on_sphere((2, 2, 2), rng)
-        start = total_degree_start((2, 2, 2), rng)
-        hom = make_linear_homotopy(start.g, f)
-        opts = TrackerOptions(record_trace=False)
-        results = [track_linear(hom, z, opts) for z in start.roots]
-        assert [(r.status.value, r.num_steps) for r in results] == [
-            ("Success", 921), ("Success", 1608), ("Success", 608), ("Success", 553),
-            ("Success", 483), ("Success", 355), ("Success", 741), ("Success", 517),
-        ]
+        start, f, hom = pinned_target()
+        results = [track_linear(hom, z, TrackerOptions(record_trace=False)) for z in start.roots]
+        assert [(r.status.value, r.num_steps) for r in results] == [("Success", n) for n in PINNED_STEPS]
 
     def test_pinned_step_counts_with_one_blas_thread(self):
         # The BLAS thread count may change result bits (a one-column zgetrs
@@ -596,9 +573,7 @@ class TestTrackLinear:
         # Other kernels give other last bits (so no digest is compared here),
         # but every path of the pinned target keeps its status and steps.
         code = "from test_tracker import pinned_step_counts; print(pinned_step_counts())"
-        certified_steps = [921, 1608, 608, 553, 483, 355, 741, 517]
-        heuristic_steps = [13, 14, 10, 10, 10, 10, 13, 10]
-        want = " ".join(f"Success:{n}" for n in certified_steps + heuristic_steps)
+        want = " ".join(f"Success:{n}" for n in PINNED_STEPS + PINNED_HEURISTIC_STEPS)
         assert run_child(code, OPENBLAS_CORETYPE=coretype).strip() == want
 
     @pytest.mark.parametrize(
@@ -636,8 +611,7 @@ class TestTrackLinear:
     def test_intermediate_certificates_sampled(self, quad_pair):
         # every traced point is an approximate zero of its system with the
         # halved radius (the tracking invariant)
-        start, f = quad_pair
-        hom = make_linear_homotopy(start.g, f)
+        start, f, hom = quad_pair
         result = track_linear(hom, start.roots[0])
         stride = max(1, len(result.trace) // 12)
         for rec in result.trace[::stride]:
@@ -649,8 +623,7 @@ class TestTrackLinear:
     def test_piecewise_split_step_bound(self, quad_pair):
         # splitting the arc in two adds at most the number of segments to the
         # step bound of the whole path
-        start, f = quad_pair
-        hom = make_linear_homotopy(start.g, f)
+        start, f, hom = quad_pair
         mid = normalize_to_sphere(hom.value_at(hom.T / 2.0))
         first = make_linear_homotopy(start.g, mid)
         res1 = track_linear(first, start.roots[0])
@@ -663,9 +636,7 @@ class TestTrackLinear:
         bound = 2 + math.ceil(71.0 * 2.0**1.5 * c0_total)
         assert res1.num_steps + res2.num_steps <= bound
         # and both halves land on the same root as the unsplit path
-        assert riemann_distance(
-            refine(f, res2.endpoint), refine(f, direct.endpoint)
-        ) <= 1e-8
+        assert riemann_distance(refine(f, res2.endpoint), refine(f, direct.endpoint)) <= 1e-8
 
 
 class TestTraceArray:
@@ -673,8 +644,7 @@ class TestTraceArray:
 
     @pytest.mark.parametrize("track", [track_linear, track_heuristic], ids=["certified", "heuristic"])
     def test_recording_leaves_the_path_unchanged(self, track):
-        f, start = pinned_target()
-        hom = make_linear_homotopy(start.g, f)
+        start, f, hom = pinned_target()
         for z0 in start.roots:
             traced = track(hom, z0, TrackerOptions(record_trace=True))
             bare = track(hom, z0, TrackerOptions(record_trace=False))
@@ -684,8 +654,8 @@ class TestTraceArray:
             assert len(bare.trace) == 0 and bare.trace.dtype == traced.trace.dtype
 
     def test_certified_columns(self, quad_pair):
-        start, f = quad_pair
-        result = track_linear(make_linear_homotopy(start.g, f), start.roots[0])
+        start, f, hom = quad_pair
+        result = track_linear(hom, start.roots[0])
         trace = result.trace
         assert trace.dtype.names == ("s", "t", "phi", "chi1", "chi2", "z")
         assert len(trace) == result.num_steps
@@ -694,8 +664,8 @@ class TestTraceArray:
         assert trace[-1].z.tobytes() == result.endpoint.tobytes()
 
     def test_read_only(self, quad_pair):
-        start, f = quad_pair
-        trace = track_linear(make_linear_homotopy(start.g, f), start.roots[0]).trace
+        start, f, hom = quad_pair
+        trace = track_linear(hom, start.roots[0]).trace
         assert not trace.flags.writeable
         with pytest.raises(ValueError):
             trace.s[0] = 0.0
@@ -703,11 +673,11 @@ class TestTraceArray:
             trace[0].z[0] = 0.0
 
     def test_zero_length_homotopy_has_no_rows(self, quad_pair):
-        start, f = quad_pair
+        start, f, hom = quad_pair
         result = track_path(f, f, start.roots[0])
         assert (result.status, result.num_steps) == (TrackStatus.SUCCESS, 0)
         assert len(result.trace) == 0
-        assert result.trace.dtype == track_linear(make_linear_homotopy(start.g, f), start.roots[0]).trace.dtype
+        assert result.trace.dtype == track_linear(hom, start.roots[0]).trace.dtype
 
 
 def named_path(name: str):
@@ -716,10 +686,10 @@ def named_path(name: str):
     # to Katsura-4 (paths 4 and 6 take 3,000-4,500 certified steps).
     target, i = name.split("-")
     if target == "pinned":
-        f, start = pinned_target()
-    else:
-        f = prepare_target(katsura_system(4))
-        start = total_degree_start(f.degrees, np.random.default_rng(1))
+        start, f, hom = pinned_target()
+        return hom, start.roots[int(i)]
+    f = prepare_target(katsura_system(4))
+    start = total_degree_start(f.degrees, np.random.default_rng(1))
     return make_linear_homotopy(start.g, f), start.roots[int(i)]
 
 
@@ -744,8 +714,7 @@ class TestConditionLength:
     def test_pinned_value(self, quad_pair):
         # Read on the certified trace's nodes; a 16,000-node uniform grid
         # reads 11.911410721200921, 9.6e-6 lower.
-        start, f = quad_pair
-        hom = make_linear_homotopy(start.g, f)
+        start, f, hom = quad_pair
         c = condition_length(hom, start.roots[0], track_linear(hom, start.roots[0]))
         assert c == pytest.approx(11.911525504322785, rel=1e-12)
 
@@ -760,8 +729,7 @@ class TestConditionLength:
         assert c == pytest.approx((c + midpoint_rule(hom, z0, result)) / 2.0, rel=2e-5)
 
     def test_failed_path_has_no_condition_length(self, quad_pair, monkeypatch):
-        start, f = quad_pair
-        hom = make_linear_homotopy(start.g, f)
+        start, f, hom = quad_pair
         monkeypatch.setattr(tracker, "MAX_STEPS", 5)
         result = track_linear(hom, start.roots[0])
         for oracle in (condition_length, theorem_step_bound):
@@ -771,8 +739,7 @@ class TestConditionLength:
     def test_untraced_path_has_no_condition_length(self, quad_pair):
         # Without its trace a Success result has the one node s = 0, which
         # would read C = 0 and a bound of 0 steps.
-        start, f = quad_pair
-        hom = make_linear_homotopy(start.g, f)
+        start, f, hom = quad_pair
         result = track_linear(hom, start.roots[0], TrackerOptions(record_trace=False))
         assert result.success and result.num_steps > 0
         for oracle in (condition_length, theorem_step_bound):
@@ -784,10 +751,7 @@ class TestConditionLength:
         # At refined zeros along a tracked path the loop's chi1 is mu and its
         # chi2 is ||(hdot, zetadot)||, with zetadot from a bordered solve on
         # the tangent system: the integrand condition_length sums.
-        rng = np.random.default_rng(23)
-        f = random_system_on_sphere(degrees, rng)
-        start = total_degree_start(degrees, rng)
-        hom = make_linear_homotopy(start.g, f)
+        start, f, hom = seeded_path(degrees, 23)
         result = track_linear(hom, start.roots[0])
         assert result.success
         buf = tracker._StepBuffers(hom)
@@ -803,8 +767,7 @@ class TestConditionLength:
             assert x2 == pytest.approx(speed, rel=1e-12)
 
     def test_short_arc_small_length(self, quad_pair):
-        start, f = quad_pair
-        hom = make_linear_homotopy(start.g, f)
+        start, f, hom = quad_pair
         # truncated reparametrized arc: from g to a nearby point on the circle
         near = normalize_to_sphere(hom.value_at(0.01))
         short = make_linear_homotopy(start.g, near)
@@ -813,8 +776,7 @@ class TestConditionLength:
         assert c_short < 0.05 * full
 
     def test_step_bound_holds(self, quad_pair):
-        start, f = quad_pair
-        hom = make_linear_homotopy(start.g, f)
+        start, f, hom = quad_pair
         for root in start.roots[:2]:
             result = track_linear(hom, root)
             assert result.status is TrackStatus.SUCCESS
@@ -863,10 +825,7 @@ class TestStepConstant:
     def test_linear_path_steps_within_degree_one_bound(self):
         # every step of a (1, 1) path, the first from the start included,
         # stays at or below c/P at H = 1
-        rng = np.random.default_rng(11)
-        f = random_system_on_sphere((1, 1), rng)
-        start = total_degree_start((1, 1), rng)
-        hom = make_linear_homotopy(start.g, f)
+        start, f, hom = seeded_path((1, 1), 11)
         result = track_linear(hom, start.roots[0])
         assert result.status is TrackStatus.SUCCESS
         assert result.num_steps > 10
@@ -901,8 +860,8 @@ class TestForcedStops:
 
     @pytest.fixture
     def path(self, quad_pair):
-        start, f = quad_pair
-        return make_linear_homotopy(start.g, f), start.roots[0]
+        start, f, hom = quad_pair
+        return hom, start.roots[0]
 
     @staticmethod
     def singular_on_call(monkeypatch, n: int) -> None:
@@ -973,10 +932,8 @@ class TestEvaluationWork:
 
     @staticmethod
     def _homotopy(degrees, seed):
-        rng = np.random.default_rng(seed)
-        f = random_system_on_sphere(degrees, rng)
-        start = total_degree_start(degrees, rng)
-        return make_linear_homotopy(start.g, f), start.roots[0]
+        start, _, hom = seeded_path(degrees, seed)
+        return hom, start.roots[0]
 
     @pytest.mark.parametrize("degrees", [(2, 2), (1, 2, 3)])
     def test_certified_step_builds_one_point_matrix(self, work, degrees):
@@ -1025,8 +982,7 @@ class TestStepBuffers:
         # benchmark's tracer installs them, see every kernel call of the step:
         # two bordered solves, each one factorization and one solve, and one
         # spectral norm, one SVD.
-        start, f = quad_pair
-        hom = make_linear_homotopy(start.g, f)
+        start, f, hom = quad_pair
         calls = {"lu_factor_checked": 0, "lu_solve": 0, "svd": 0, "bordered_solve": 0, "spectral_norm": 0}
 
         def counted(module, name):
@@ -1055,10 +1011,7 @@ class TestStepBuffers:
         # the rows of bordered are the Jacobian rows of h_s from a fresh
         # product rotated as [h_s; hdot_s], and its strided view factors as
         # a contiguous copy.
-        rng = np.random.default_rng(50)
-        f = random_system_on_sphere(degrees, rng)
-        start = total_degree_start(degrees, rng)
-        hom = make_linear_homotopy(start.g, f)
+        start, f, hom = seeded_path(degrees, 50)
         buf = tracker._StepBuffers(hom)
         n = len(degrees)
         assert np.shares_memory(buf.bordered, buf.rot_real)
@@ -1081,10 +1034,7 @@ class TestStepBuffers:
         # velocity places a point of any norm: its bordered row is z*/|z|
         # and its system is (Dh_s(z); z*/|z|) over (-hdot_s(z); 0), built
         # here from the homotopy's systems.
-        rng = np.random.default_rng(51)
-        f = random_system_on_sphere(degrees, rng)
-        start = total_degree_start(degrees, rng)
-        hom = make_linear_homotopy(start.g, f)
+        start, f, hom = seeded_path(degrees, 51)
         buf = tracker._StepBuffers(hom)
         n = len(degrees)
         for z, s, scale in zip(start.roots[:3], [0.0, 0.4, hom.T], [2.5, 0.3, 7.0]):
@@ -1101,10 +1051,7 @@ class TestStepBuffers:
         # After chi(s, z), newton(s_next, z) is newton_projective against
         # h_{s_next}, written into two path-owned points in turn, neither of
         # them z's memory.
-        rng = np.random.default_rng(52)
-        f = random_system_on_sphere(degrees, rng)
-        start = total_degree_start(degrees, rng)
-        hom = make_linear_homotopy(start.g, f)
+        start, f, hom = seeded_path(degrees, 52)
         buf = tracker._StepBuffers(hom)
         z = unit_point(start.roots[0])
         s, outs = 0.0, []
@@ -1120,41 +1067,9 @@ class TestStepBuffers:
         assert outs[0] is outs[2] and outs[1] is outs[3] and outs[0] is not outs[1]
 
 
-def _power_table(z: np.ndarray, max_degree: int, out: np.ndarray) -> np.ndarray:
-    # Writes z ** k into row k of out, (rows, len(z)), for k = 1 ... max_degree;
-    # row 0 must hold the ones of z ** 0 already.  Returns out transposed:
-    # P[j, k] = z_j ** k, the powers as the point matrix's workspace builds them.
-    out[1] = z
-    for k in range(2, max_degree + 1):
-        np.multiply(out[k - 1], z, out=out[k])
-    return out.T
-
-
 class TestStepEngineTables:
-    """The point matrix against a plain per-variable product loop."""
-
-    @staticmethod
-    def _reference(degree, P):
-        # [gradient | value] of every degree-d monomial: a left fold over the
-        # variables that multiplies arrays, as the point matrix's product does
-        # (NumPy's array and scalar complex products may round differently).
-        n_vars = P.shape[0]
-        exps = homogeneous_exponents(n_vars, degree)
-        out = np.zeros((exps.shape[0], n_vars + 1), dtype=np.complex128)
-
-        def product(e):
-            value = P[0, e[:, 0]]
-            for j in range(1, n_vars):
-                value = value * P[j, e[:, j]]
-            return value
-
-        out[:, n_vars] = product(exps)
-        for j in range(n_vars):
-            sel = exps[:, j] > 0
-            de = exps[sel].copy()
-            de[:, j] -= 1
-            out[sel, j] = exps[sel, j].astype(np.float64) * product(de)
-        return out
+    """A fresh Evaluator's point matrix at unit points, bit for bit the left
+    fold of test_polysys.gather_and_fold."""
 
     @pytest.mark.parametrize("degrees", [(2, 2, 2), (1, 2, 2, 2, 2), (3, 3, 3, 3), (1, 3, 2)])
     def test_bitwise_equal_to_loop(self, degrees):
@@ -1162,16 +1077,12 @@ class TestStepEngineTables:
         rng = np.random.default_rng(len(degrees))
         for _ in range(3):
             z = unit_point(rng.standard_normal(eng.n_vars) + 1j * rng.standard_normal(eng.n_vars))
-            P = _power_table(z, eng.max_d, np.ones((eng.max_d + 1, eng.n_vars), dtype=np.complex128))
-            # one row block per distinct degree, ascending
-            ref = np.concatenate([self._reference(d, P) for d in sorted(set(degrees))])
-            assert eng.point_matrix(z).tobytes() == ref.tobytes()
+            assert eng.point_matrix(z).tobytes() == gather_and_fold(degrees, z).tobytes()
 
 
 class TestTraceCsv:
     def test_columns_and_rows(self, quad_pair, tmp_path):
-        start, f = quad_pair
-        hom = make_linear_homotopy(start.g, f)
+        start, f, hom = quad_pair
         result = track_linear(hom, start.roots[0])
         out = tmp_path / "trace.csv"
         write_trace_csv(result, out)
@@ -1181,8 +1092,7 @@ class TestTraceCsv:
         assert len(lines) == 1 + result.num_steps
 
     def test_reproducible_bytes(self, quad_pair, tmp_path):
-        start, f = quad_pair
-        hom = make_linear_homotopy(start.g, f)
+        start, f, hom = quad_pair
         result = track_linear(hom, start.roots[0])
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_trace_csv(result, p1)
