@@ -115,7 +115,8 @@ def draw(root: Path) -> list[dict]:
     table = site_table(root)
     keys = list(PINNED)
     missing = [k for k in keys if k not in table]
-    assert not missing, f"pinned mutants not found: {missing}"
+    if missing:
+        sys.exit(f"pinned mutants not found: {missing}")
     keys += random.Random(SEED).sample(sorted(set(table) - set(keys)), SAMPLE)
     fields = ("module", "scope", "edit", "text", "nth")
     return [{"id": f"m{i:02d}", **dict(zip(fields, key)), "line": table[key][3]} for i, key in enumerate(keys)]
@@ -160,9 +161,11 @@ def main(argv: list[str]) -> int:
         where = subprocess.run([sys.executable, "-c", "import certitrack; print(certitrack.__file__)"],
                                cwd=copy, env=dict(os.environ, PYTHONPATH=str(copy / "src")),
                                capture_output=True, text=True).stdout
-        assert where.startswith(str(copy)), f"the copy imports certitrack from {where!r}"
+        if not where.startswith(str(copy)):
+            sys.exit(f"the copy imports certitrack from {where!r}")
         killer, base = tier1(copy, 3600)
-        assert killer is None, f"Tier-1 fails unmutated: {killer}"
+        if killer is not None:
+            sys.exit(f"Tier-1 fails unmutated: {killer}")
         results = {}
         for m in record["mutants"]:
             change = table.get((m["module"], m["scope"], m["edit"], m["text"], m["nth"]))
