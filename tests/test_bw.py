@@ -463,7 +463,8 @@ def test_one_pass_matches_equation_by_equation(degrees):
     rng = np.random.default_rng(len(degrees))
     for seed in range(10):
         a = random_system(degrees, seed)
-        lopsided = PolySystem.from_coeff_vector(degrees, np.concatenate([1e150 * a.coeffs[0], *a.coeffs[1:]]))
+        lopsided_vec = np.concatenate([1e150 * a.coeffs[0], *a.coeffs[1:]])
+        lopsided = PolySystem.from_coeff_vector(degrees, lopsided_vec)
         scales = [1.0, 1e-170, 1e200, 1e-310] + list(10.0 ** rng.uniform(-300, 300, 8))
         for h in [lam * a for lam in scales] + [lopsided]:
             assert bw_norm(h) == _norm_by_equation(h)

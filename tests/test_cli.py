@@ -345,7 +345,8 @@ def test_flag_defaults_are_the_runs_defaults():
         (f"{command} --{action.dest}", action.default, param.default)
         for command, run in runs.items()
         for action in subparsers[command]._actions
-        if (param := inspect.signature(run).parameters.get(action.dest)) and param.default is not param.empty
+        if (param := inspect.signature(run).parameters.get(action.dest)) is not None
+        and param.default is not param.empty
     ]
     assert len(defaults) == 15
     assert {flag: a for flag, a, _ in defaults} == {flag: b for flag, _, b in defaults}

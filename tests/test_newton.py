@@ -6,6 +6,7 @@ import pytest
 
 from certitrack import newton
 from certitrack.bw import normalize_to_sphere, riemann_distance
+from certitrack.experiments import start_paths
 from certitrack.linalg import SingularLinearSolveError, one_blas_thread
 from certitrack.newton import (
     U0,
@@ -16,7 +17,6 @@ from certitrack.newton import (
     refine,
 )
 from certitrack.polysys import PolySystem, evaluate, unit_point
-from certitrack.experiments import start_paths
 from certitrack.start_systems import (
     good_initial_pair,
     good_system_raw,

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from certitrack import tracker
-from certitrack.experiments import katsura_system, start_paths
 from certitrack.bw import bw_inner_re, bw_norm, normalize_to_sphere, riemann_distance, weight_table
+from certitrack.experiments import katsura_system, start_paths
 from certitrack.newton import U0, certified_radius, condition_mu, refine
 from certitrack.polysys import (
     PolySystem,
