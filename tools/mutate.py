@@ -35,7 +35,8 @@ from xml.etree import ElementTree
 ROOT = Path(__file__).resolve().parents[1]
 RECORD = ROOT / "tools" / "mutants.json"
 SEED, SAMPLE = 41, 60
-# The survivors of an earlier draw of 57, run in every set: (module, scope, edit, text, nth).
+# The 7 survivors of an earlier draw of 57 mutants (ROADMAP item 23), put in
+# every set: (module, scope, edit, text, nth).
 PINNED = [
     ("linalg.py", "kernel_vector", "*1.01", "1e-10 * s[0]", 0),
     ("linalg.py", "unitary_mapping_to_e0", "<= to <", "abs(vector_norm(zeta) - 1.0) <= 1e-10", 0),
