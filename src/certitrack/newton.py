@@ -54,16 +54,16 @@ def newton_projective(h: polysys.PolySystem, z) -> np.ndarray:
 
 @one_blas_thread
 def condition_mu(h: polysys.PolySystem, z) -> float:
-    """Condition number mu(h, z): +inf at an exact zero pivot, large near one."""
-    z = np.asarray(z, dtype=np.complex128)
+    """Condition number mu(h, z): +inf at an exact zero pivot, large near one.
+
+    Read at z's unit representative (polysys.unit_point, whose ValueError
+    names a zero or non-finite norm), as the trackers read a start point."""
+    z = polysys.unit_point(z)
     n = h.n
-    nz = vector_norm(z)
-    if nz == 0.0:
-        raise ValueError("zero vector does not represent a projective point")
-    B = make_bordered(polysys.jacobian(h, z), z / nz)
+    B = make_bordered(polysys.jacobian(h, z), z)
     rhs = np.zeros((n + 1, n), dtype=np.complex128)
     for i, d in enumerate(h.degrees):
-        rhs[i, i] = math.sqrt(d) * nz ** (d - 1)
+        rhs[i, i] = math.sqrt(d)
     try:
         W = bordered_solve(B, rhs)
     except SingularLinearSolveError:

@@ -9,7 +9,8 @@ builds.  A core without a recorded digest fails, naming the core and the
 versions of the test process, and so does any core under other versions.
 The core is read by certitrack.linalg's one scan of the loaded OpenBLAS
 libraries, which also finds the thread controls.  run_child runs code in a
-fresh process, for pins read under another OpenBLAS core or thread count.
+fresh process, for pins read under another OpenBLAS core or thread count,
+and child_lines shares one such process between the tests of a setting.
 """
 
 from __future__ import annotations
@@ -79,3 +80,19 @@ def run_child(code: str, **env: str) -> str:
     )
     assert child.returncode == 0, child.stderr
     return child.stdout
+
+
+# Pinned work printed a line at a time by a fresh process: under one BLAS
+# thread (the thread count's tests), and under another kernel.
+ONE_THREAD = ("import test_heuristic as h, test_tracker as t; print(t.thread_sensitive_bits(), "
+              "t.pinned_step_counts(), t.pinned_trace_digest(), h._pinned_paths((2, 2, 2)), "
+              "h._pinned_paths((1, 2, 3)), sep='\\n')")
+OTHER_KERNEL = ("import test_polysys as p, test_tracker as t; print(t.pinned_step_counts(), "
+                "[p.loop_row_mismatches(d) for d in p.LOOP_ROW_DEGREES], sep='\\n')")
+
+
+@functools.cache
+def child_lines(code: str, **env: str) -> tuple[str, ...]:
+    """run_child's output lines, read once per code and environment: the
+    tests that read one OpenBLAS setting share its process."""
+    return tuple(run_child(code, **env).splitlines())

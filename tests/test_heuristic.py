@@ -1,17 +1,17 @@
+import ast
 import hashlib
-import math
 
 import numpy as np
 import pytest
 
-from certitrack import heuristic, polysys, tracker
+from certitrack import heuristic, tracker
 from certitrack.bw import riemann_distance
 from certitrack.heuristic import HeuristicOptions, correct, predict, track_heuristic
-from certitrack.linalg import bordered_solve, make_bordered
 from certitrack.newton import refine
 from certitrack.polysys import unit_point
 from certitrack.tracker import TrackStatus, track_linear
-from openblas_core import pinned, run_child
+from openblas_core import ONE_THREAD, child_lines, pinned
+import reference
 from sample_systems import seeded_path
 
 
@@ -31,8 +31,9 @@ def _pinned_paths(degrees):
     return [(r.status.value, r.num_steps) for r in results], digest
 
 
-# Per degree tuple of test_pinned_step_counts*, the endpoint digest of
-# _pinned_paths on each OpenBLAS core.
+# Per degree tuple of test_pinned_step_counts*, the accepted steps of each
+# path of _pinned_paths, and its endpoint digest on each OpenBLAS core.
+PINNED_STEPS = {(2, 2, 2): [13, 14, 10, 10, 10, 10, 13, 10], (1, 2, 3): [10, 11, 10, 10, 10, 10]}
 ENDPOINT_PINS = {
     (2, 2, 2): {
         "SkylakeX": "4b7739336a5b0a60ef147f10a098713aa653109bc2551f06453c2dfae6f48ddd",
@@ -49,33 +50,25 @@ ENDPOINT_PINS = {
 }
 
 
-def _reference_predict(hom, s, x, dt):
-    # RK4 on systems built at each stage's parameter, each stage evaluated
-    # on its own: the formula predict computes from the placed (g, p).
-    def tangent(t, z):
-        h, hdot = hom.value_at(t), hom.value_at(t + math.pi / 2)
-        B = make_bordered(polysys.jacobian(h, z), z / np.linalg.norm(z))
-        return bordered_solve(B, np.concatenate([-polysys.evaluate(hdot, z), [0.0]]))
-
-    x = np.asarray(x, dtype=np.complex128)
-    k1 = tangent(s, x)
-    k2 = tangent(s + dt / 2.0, x + (dt / 2.0) * k1)
-    k3 = tangent(s + dt / 2.0, x + (dt / 2.0) * k2)
-    k4 = tangent(s + dt, x + dt * k3)
-    out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return out / np.linalg.norm(out)
+def assert_pinned(degrees, paths):
+    # paths, _pinned_paths(degrees) read in this process or another, holds
+    # the pinned steps and this core's endpoint digest.
+    steps, digest = paths
+    assert steps == [("Success", n) for n in PINNED_STEPS[degrees]]
+    assert digest == pinned(ENDPOINT_PINS[degrees])
 
 
 class TestPredict:
     @pytest.mark.parametrize("degrees", [(2, 2, 2), (1, 2, 3)])
     def test_matches_the_stagewise_formula(self, degrees):
-        # mixed degrees exercise the scatter of the placed (g, p)
+        # RK4 on the reference's velocity; mixed degrees exercise the
+        # scatter of the placed (g, p)
         start, f, hom = seeded_path(degrees, 31)
         buf = tracker._StepBuffers(hom)
         for z in start.roots:
             for s, dt in [(0.0, 0.05), (0.3, 0.2), (hom.T - 0.1, 0.1)]:
                 got = predict(buf, s, z, dt)
-                want = _reference_predict(hom, s, z, dt)
+                want = np.array(reference.rk4(hom, s, z, dt), dtype=complex)
                 assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_a_second_call_leaves_the_first_result(self, quad_path):
@@ -97,8 +90,8 @@ class TestPredict:
 
         def one_step_error(dt):
             predicted = predict(buf, s0, z, dt)
-            truth = refine(hom.value_at(s0 + dt), predicted)
-            return riemann_distance(predicted, truth)
+            truth = reference.newton(reference.homotopy(hom, s0 + dt)[0], predicted, steps=8)
+            return riemann_distance(predicted, np.array(truth, dtype=complex))
 
         e1 = one_step_error(0.2)
         e2 = one_step_error(0.1)
@@ -193,28 +186,15 @@ class TestTrackHeuristic:
         # (status, accepted steps) of the 8 total-degree paths of one seeded
         # (2,2,2) target: a change to evaluation or step adaptation that
         # moves them fails here, not only in the benchmark's step digest.
-        steps, digest = _pinned_paths((2, 2, 2))
-        assert steps == [
-            ("Success", 13), ("Success", 14), ("Success", 10), ("Success", 10),
-            ("Success", 10), ("Success", 10), ("Success", 13), ("Success", 10),
-        ]
-        assert digest == pinned(ENDPOINT_PINS[(2, 2, 2)])
+        assert_pinned((2, 2, 2), _pinned_paths((2, 2, 2)))
 
     def test_pinned_step_counts_mixed_degrees(self):
         # The 6 total-degree paths of one seeded (1,2,3) target, whose
         # equations of three degrees place their coefficients apart.
-        steps, digest = _pinned_paths((1, 2, 3))
-        assert steps == [
-            ("Success", 10), ("Success", 11), ("Success", 10),
-            ("Success", 10), ("Success", 10), ("Success", 10),
-        ]
-        assert digest == pinned(ENDPOINT_PINS[(1, 2, 3)])
+        assert_pinned((1, 2, 3), _pinned_paths((1, 2, 3)))
 
     def test_pinned_step_counts_with_one_blas_thread(self):
         # track_heuristic runs on one BLAS thread whatever the environment
         # says, so a process started with one has the same counts and bits.
-        code = (
-            "from test_heuristic import TestTrackHeuristic as T; "
-            "T().test_pinned_step_counts(); T().test_pinned_step_counts_mixed_degrees()"
-        )
-        run_child(code, OPENBLAS_NUM_THREADS="1")
+        for degrees, line in zip(PINNED_STEPS, child_lines(ONE_THREAD, OPENBLAS_NUM_THREADS="1")[3:]):
+            assert_pinned(degrees, ast.literal_eval(line))

@@ -95,6 +95,15 @@ class TestConditionNumber:
         base = condition_mu(h, z)
         assert condition_mu(lam * h, z) == pytest.approx(base, rel=1e-10)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_point_beyond_float_scale_raises(self, scale):
+        # mu reads z's unit representative through unit_point, so a point
+        # whose norm overflows (with NumPy's warning) or underflows raises
+        # the error naming it.
+        pair = good_initial_pair((2, 2))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite, nonzero norm"):
+            condition_mu(pair.g, scale * pair.zeta0)
+
 
 class TestCertificates:
     def test_certified_radius_formula(self):

@@ -224,6 +224,17 @@ def test_one_module_reaches_lapack():
     assert found == {name: [] for name in found}
 
 
+def test_the_reference_reads_only_the_layout():
+    # tests/reference.py shares no code path with the engine: of certitrack
+    # it imports the coefficient layout alone, and its algebra is mpmath's.
+    tree = ast.parse((ROOT / "tests" / "reference.py").read_text())
+    imported = {(getattr(node, "module", None), a.name) for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+    assert {(m, a) for m, a in imported if "certitrack" in f"{m}.{a}"} == {
+        ("certitrack.polysys", "_layout"), ("certitrack.polysys", "homogeneous_exponents")}
+    assert _lapack_reaches(tree) == []
+
+
 def _singular_raises(tree: ast.AST) -> list[str]:
     # Names of the functions that raise SingularLinearSolveError (by name or
     # as an attribute, called or not), in source order.

@@ -31,36 +31,10 @@ from certitrack.polysys import (
 )
 from certitrack.experiments import katsura_system
 from certitrack.start_systems import good_initial_pair, total_degree_start
-from openblas_core import run_child
+from openblas_core import OTHER_KERNEL, child_lines
+import reference
 from sample_systems import random_points, random_system
 from system_io import system_to_json
-
-
-def brute_evaluate(h: PolySystem, z) -> np.ndarray:
-    """Independent oracle: direct sum over exponent tuples with Python pow."""
-    z = np.asarray(z, dtype=np.complex128)
-    out = []
-    for d, coeff in zip(h.degrees, h.coeffs):
-        exps = homogeneous_exponents(h.n_vars, d)
-        total = 0.0 + 0.0j
-        for pos, row in enumerate(exps):
-            term = complex(coeff[pos])
-            for j, e in enumerate(row):
-                term *= complex(z[j]) ** int(e)
-            total += term
-        out.append(total)
-    return np.array(out)
-
-
-def fd_jacobian(h: PolySystem, z, eps: float = 1e-6) -> np.ndarray:
-    """Central finite differences along each coordinate (holomorphic systems)."""
-    z = np.asarray(z, dtype=np.complex128)
-    J = np.zeros((h.n, h.n_vars), dtype=np.complex128)
-    for j in range(h.n_vars):
-        dz = np.zeros_like(z)
-        dz[j] = eps
-        J[:, j] = (brute_evaluate(h, z + dz) - brute_evaluate(h, z - dz)) / (2 * eps)
-    return J
 
 
 def random_affine_system(degrees, seed):
@@ -227,12 +201,12 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("degrees,seed", [((2, 2), 0), ((3, 1, 2), 1), ((4,), 2)])
     def test_against_brute_force(self, degrees, seed):
+        # The reference's value is the brute-force sum over exponent tuples.
         h = random_system(degrees, seed)
         rng = np.random.default_rng(seed + 100)
         z = rng.standard_normal(h.n_vars) + 1j * rng.standard_normal(h.n_vars)
-        got = evaluate(h, z)
-        want = brute_evaluate(h, z)
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+        want = reference.evaluate((h.degrees, h._vec), z)[0]
+        np.testing.assert_allclose(evaluate(h, z), np.array(want, dtype=complex), rtol=1e-13)
 
     def test_homogeneity_scaling(self):
         h = random_system((2, 3), 5)
@@ -263,12 +237,13 @@ class TestJacobian:
         np.testing.assert_allclose(J[0], [0.0, 1.0], atol=1e-15)
 
     @pytest.mark.parametrize("degrees,seed", [((2, 2), 3), ((3, 2, 2), 4), ((1, 2, 2, 2, 2), 5)])
-    def test_against_finite_differences(self, degrees, seed):
+    def test_against_the_reference(self, degrees, seed):
         h = random_system(degrees, seed)
         rng = np.random.default_rng(seed + 50)
         z = rng.standard_normal(h.n_vars) + 1j * rng.standard_normal(h.n_vars)
         z /= np.linalg.norm(z)
-        np.testing.assert_allclose(jacobian(h, z), fd_jacobian(h, z), rtol=1e-6, atol=1e-8)
+        want = reference.evaluate((h.degrees, h._vec), z)[1]
+        np.testing.assert_allclose(jacobian(h, z), np.array(want, dtype=complex), rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_euler_identity(self, seed):
@@ -327,9 +302,7 @@ class TestSingleEvaluator:
         # evaluate and jacobian multiply the pair [h; 0] in the loop's
         # (2n, rows) shape; an (n, rows) product of h alone differed from
         # the loop's rows in the last place on these two kernels.
-        code = ("from test_polysys import LOOP_ROW_DEGREES, loop_row_mismatches; "
-                "print([loop_row_mismatches(d) for d in LOOP_ROW_DEGREES])")
-        assert run_child(code, OPENBLAS_CORETYPE=coretype).strip() == "[0, 0, 0, 0]"
+        assert child_lines(OTHER_KERNEL, OPENBLAS_CORETYPE=coretype)[1] == "[0, 0, 0, 0]"
 
 
 def gather_and_fold(degrees, z) -> np.ndarray:
@@ -712,22 +685,14 @@ class TestAffineInput:
 
 
 class TestAffineJacobian:
-    def test_against_finite_differences(self):
+    def test_against_the_reference(self):
         # Df(x) is the Jacobian of the homogenization at (1, x) without its
-        # X0 column; f(x) its value there.
+        # X0 column.
         rng = np.random.default_rng(13)
-        f = random_affine_system((2, 2), 13)
-        x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        eps = 1e-6
-        h = homogenize(f)
-        J = jacobian(h, np.concatenate([[1.0], x]))[:, 1:]
-        for j in range(2):
-            dx = np.zeros(2, dtype=complex)
-            dx[j] = eps
-            plus = evaluate(h, np.concatenate([[1.0], x + dx]))
-            minus = evaluate(h, np.concatenate([[1.0], x - dx]))
-            col = (plus - minus) / (2 * eps)
-            np.testing.assert_allclose(J[:, j], col, rtol=1e-6, atol=1e-8)
+        h = homogenize(random_affine_system((2, 2), 13))
+        z = np.concatenate([[1.0], rng.standard_normal(2) + 1j * rng.standard_normal(2)])
+        want = np.array(reference.evaluate((h.degrees, h._vec), z)[1], dtype=complex)
+        np.testing.assert_allclose(jacobian(h, z)[:, 1:], want[:, 1:], rtol=1e-12, atol=1e-15)
 
 
 class TestUnitPoint:

@@ -11,7 +11,7 @@ from certitrack.bw import bw_inner_re, bw_norm, normalize_to_sphere, riemann_dis
 from certitrack.cli import write_trace_csv
 from certitrack.experiments import katsura_system
 from certitrack.heuristic import track_heuristic
-from certitrack.linalg import SingularLinearSolveError, bordered_solve, make_bordered
+from certitrack.linalg import SingularLinearSolveError
 from certitrack.newton import U0, condition_mu, refine
 from certitrack.polysys import Evaluator, PolySystem, homogenize, unit_point
 from certitrack.start_systems import (
@@ -32,7 +32,9 @@ from certitrack.tracker import (
     track_linear,
     track_path,
 )
-from openblas_core import pinned, run_child
+from openblas_core import ONE_THREAD, OTHER_KERNEL, child_lines, pinned, run_child
+import reference
+from reference import mp
 from sample_systems import seeded_path
 from test_polysys import gather_and_fold
 
@@ -104,10 +106,11 @@ def thread_sensitive_bits() -> str:
 
 
 def pinned_step_counts() -> str:
-    # Status and steps of the 8 paths of the pinned target, certified then
-    # heuristic.
+    # Status and steps of the 8 untraced paths of the pinned target,
+    # certified then heuristic.
     start, f, hom = pinned_target()
-    results = [track(hom, z) for track in (track_linear, track_heuristic) for z in start.roots]
+    untraced = TrackerOptions(record_trace=False)
+    results = [track(hom, z, untraced) for track in (track_linear, track_heuristic) for z in start.roots]
     return " ".join(f"{r.status.value}:{r.num_steps}" for r in results)
 
 
@@ -177,43 +180,35 @@ class TestLinearHomotopy:
 
 
 class TestTangent:
+    """hdot_s = -sin(s) g + cos(s) p in the reference, from the homotopy's p."""
+
     def test_at_zero_is_normal_component(self, quad_pair):
         start, f, hom = quad_pair
-        r = bw_inner_re(f.degrees, f._vec, start.g._vec)
-        normal = (f + (-r) * start.g) * (1.0 / math.sqrt(1.0 - r * r))
-        np.testing.assert_allclose(hom._pvec, normal._vec, atol=1e-12)
-        tan = hom.value_at(math.pi / 2)
-        for a, b in zip(tan.coeffs, normal.coeffs):
-            np.testing.assert_allclose(a, b, atol=1e-12)
+        r = mp.re(reference.bw_inner(f.degrees, f._vec, start.g._vec))
+        normal = np.array([(mp.mpc(a) - r * b) / mp.sqrt(1 - r * r) for a, b in zip(f._vec, start.g._vec)],
+                          dtype=complex)
+        np.testing.assert_allclose(hom._pvec, normal, atol=1e-15)
+        tan = reference.homotopy(hom, 0.0)[1][1]
+        np.testing.assert_allclose(np.array(tan, dtype=complex), normal, atol=1e-15)
 
     @pytest.mark.parametrize("frac", [0.0, 0.3, 0.9])
     def test_unit_speed(self, quad_pair, frac):
         start, f, hom = quad_pair
-        assert bw_norm(hom.value_at(frac * hom.T + math.pi / 2)) == pytest.approx(1.0, abs=1e-10)
+        hdot = reference.homotopy(hom, frac * hom.T)[1]
+        assert float(reference.bw_norm(*hdot)) == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("frac", [0.1, 0.5, 0.95])
     def test_orthogonal_to_point(self, quad_pair, frac):
         start, f, hom = quad_pair
-        s = frac * hom.T
-        ip = bw_inner_re(f.degrees, hom.value_at(s)._vec, hom.value_at(s + math.pi / 2)._vec)
-        assert abs(ip) <= 1e-10
+        h, hdot = reference.homotopy(hom, frac * hom.T)
+        assert abs(mp.re(reference.bw_inner(f.degrees, h[1], hdot[1]))) <= 1e-14
 
 
-def reference_step(hom, s: float, z) -> tuple[float, float, float, float]:
-    """chi1, chi2, t and phi of the certified step from (h_s, z), z of unit
-    norm, from the formula on a separate route: h_s and its tangent from
-    value_at at s and s + pi/2, the bordered matrix from jacobian and
-    make_bordered, NumPy's solve and SVD, and the tangent's BW norm."""
-    h, hdot = hom.value_at(s), hom.value_at(s + math.pi / 2)
-    M = make_bordered(polysys.jacobian(h, z), z)
-    scale = np.diag([*np.sqrt(h.degrees), 1.0]).astype(np.complex128)
-    x1 = float(np.linalg.svd(np.linalg.solve(M, scale), compute_uv=False)[0])
-    zetadot = np.linalg.solve(M, np.append(polysys.evaluate(hdot, z), 0.0))
-    x2 = math.sqrt(bw_norm(hdot) ** 2 + float(np.linalg.norm(zetadot)) ** 2)
-    phi = x1 * x2
-    d = h.max_degree
-    c_over_p = C_OVER_P_LINEAR if d >= 2 else C_OVER_P_DEGREE_ONE
-    return x1, x2, c_over_p / (d**1.5 * phi), phi
+def reference_record(hom, s: float, z) -> list[float]:
+    """chi1, chi2, t and phi of the certified step from (h_s, z) in the
+    reference, for largest degree 2."""
+    x1, x2, phi = reference.chi(hom, s, z)
+    return [float(x) for x in (x1, x2, C_OVER_P_LINEAR / (2**1.5 * phi), phi)]
 
 
 def scaled_normal(quad_pair, factor):
@@ -289,7 +284,7 @@ class TestChiFactors:
 
 class TestCertifiedStep:
     """The step rule on the loop's own trace, and the loop against the
-    formula computed on a separate route (reference_step)."""
+    formula in the reference (reference_record)."""
 
     @staticmethod
     def _unclipped(quad_pair):
@@ -320,22 +315,20 @@ class TestCertifiedStep:
         # The loop's first record is the formula's step from (g, z0).
         start, f, hom = seeded_path(degrees, 21)
         first = track_linear(hom, start.roots[0]).trace[0]
-        want = reference_step(hom, 0.0, unit_point(start.roots[0]))
-        np.testing.assert_allclose([first.chi1, first.chi2, first.t, first.phi], want, rtol=1e-12)
+        want = reference_record(hom, 0.0, unit_point(start.roots[0]))
+        np.testing.assert_allclose([first.chi1, first.chi2, first.t, first.phi], want, rtol=1e-13)
 
     @pytest.mark.parametrize("degrees", [(1, 2, 2), (2, 2, 2)])
     def test_matches_the_loop_mid_path(self, degrees):
-        # Record k+1 holds the step taken from (h_{s_k}, z_k).  The loop
-        # combines the blocks of g and p where the formula builds h_s and
-        # hdot_s first, so the two agree to rounding, not bitwise.
+        # Record k+1 holds the step taken from (h_{s_k}, z_k).
         start, f, hom = seeded_path(degrees, 22)
         trace = track_linear(hom, start.roots[1]).trace
         assert len(trace) > 50
         # the last step is clipped to the end of the arc, so it is left out
         for k in np.linspace(5, len(trace) - 3, 6).astype(int):
             rec, nxt = trace[k], trace[k + 1]
-            want = reference_step(hom, rec.s, rec.z)
-            np.testing.assert_allclose([nxt.chi1, nxt.chi2, nxt.t, nxt.phi], want, rtol=1e-12)
+            want = reference_record(hom, rec.s, rec.z)
+            np.testing.assert_allclose([nxt.chi1, nxt.chi2, nxt.t, nxt.phi], want, rtol=1e-13)
 
     def test_vanishing_tangent_gives_infinite_step(self, quad_pair):
         # phi = 0: t = inf, which ends a path MinStepReached
@@ -548,21 +541,21 @@ class TestTrackLinear:
     def test_pinned_step_counts_with_one_blas_thread(self):
         # The BLAS thread count may change result bits (a one-column zgetrs
         # does under OpenBLAS), but it must not change a step count.
-        code = "from test_tracker import TestTrackLinear; TestTrackLinear().test_pinned_step_counts()"
-        run_child(code, OPENBLAS_NUM_THREADS="1")
+        steps = child_lines(ONE_THREAD, OPENBLAS_NUM_THREADS="1")[1]
+        assert steps == " ".join(f"Success:{n}" for n in PINNED_STEPS + PINNED_HEURISTIC_STEPS)
 
     def test_trace_bits_unchanged_with_one_blas_thread(self):
         # Writing into per-path buffers runs the same BLAS calls on the same
         # operands, so every record of the pinned target keeps its bits.
-        code = "from test_tracker import pinned_trace_digest; print(pinned_trace_digest())"
-        assert run_child(code, OPENBLAS_NUM_THREADS="1").strip() == pinned(PINNED_TRACE_SHA256)
+        assert child_lines(ONE_THREAD, OPENBLAS_NUM_THREADS="1")[2] == pinned(PINNED_TRACE_SHA256)
 
     def test_bits_do_not_depend_on_blas_threads(self):
         # The trackers, refine and condition_mu run on one BLAS thread
         # whatever the process started with, so their results are the same
         # bits under both.
-        code = "from test_tracker import thread_sensitive_bits; print(thread_sensitive_bits())"
-        assert run_child(code, OPENBLAS_NUM_THREADS="1") == run_child(code, OPENBLAS_NUM_THREADS="2")
+        code = "import test_tracker as t; print(t.thread_sensitive_bits())"
+        two = run_child(code, OPENBLAS_NUM_THREADS="2").strip()
+        assert child_lines(ONE_THREAD, OPENBLAS_NUM_THREADS="1")[0] == two
 
     @pytest.mark.skipif(
         platform.machine().lower() not in ("x86_64", "amd64"),
@@ -572,9 +565,8 @@ class TestTrackLinear:
     def test_step_counts_do_not_depend_on_the_blas_kernel(self, coretype):
         # Other kernels give other last bits (so no digest is compared here),
         # but every path of the pinned target keeps its status and steps.
-        code = "from test_tracker import pinned_step_counts; print(pinned_step_counts())"
         want = " ".join(f"Success:{n}" for n in PINNED_STEPS + PINNED_HEURISTIC_STEPS)
-        assert run_child(code, OPENBLAS_CORETYPE=coretype).strip() == want
+        assert child_lines(OTHER_KERNEL, OPENBLAS_CORETYPE=coretype)[0] == want
 
     @pytest.mark.parametrize(
         "track,bad",
@@ -615,10 +607,10 @@ class TestTrackLinear:
         result = track_linear(hom, start.roots[0])
         stride = max(1, len(result.trace) // 12)
         for rec in result.trace[::stride]:
-            h_s = hom.value_at(rec.s)
-            zeta = refine(h_s, rec.z)
-            mu = condition_mu(h_s, zeta)
-            assert riemann_distance(rec.z, zeta) <= U0 / (2.0 * 2.0**1.5 * mu)
+            h_s = reference.homotopy(hom, rec.s)[0]
+            zeta = reference.newton(h_s, rec.z, steps=8)
+            mu = float(reference.mu(h_s, zeta))
+            assert riemann_distance(rec.z, np.array(zeta, dtype=complex)) <= U0 / (2.0 * 2.0**1.5 * mu)
 
     def test_piecewise_split_step_bound(self, quad_pair):
         # splitting the arc in two adds at most the number of segments to the
@@ -748,23 +740,22 @@ class TestConditionLength:
 
     @pytest.mark.parametrize("degrees", [(2, 2, 2), (1, 2, 3), (1, 2, 2, 2, 2)], ids=str)
     def test_integrand_is_mu_times_lifted_speed(self, degrees):
-        # At refined zeros along a tracked path the loop's chi1 is mu and its
-        # chi2 is ||(hdot, zetadot)||, with zetadot from a bordered solve on
-        # the tangent system: the integrand condition_length sums.
+        # At zeros along a tracked path the loop's chi1 is mu and its chi2 is
+        # ||(hdot, zetadot)||, zetadot the path's velocity: the integrand
+        # condition_length sums.
         start, f, hom = seeded_path(degrees, 23)
         result = track_linear(hom, start.roots[0])
         assert result.success
         buf = tracker._StepBuffers(hom)
         for k in np.linspace(0, len(result.trace) - 1, 8).astype(int):
             rec = result.trace[k]
-            h, hdot = hom.value_at(rec.s), hom.value_at(rec.s + math.pi / 2)
-            zeta = refine(h, rec.z)
-            B = make_bordered(polysys.jacobian(h, zeta), zeta)
-            zetadot = bordered_solve(B, np.concatenate([-polysys.evaluate(hdot, zeta), [0.0]]))
-            speed = math.sqrt(bw_norm(hdot) ** 2 + np.linalg.norm(zetadot) ** 2)
+            h, hdot = reference.homotopy(hom, rec.s)
+            zeta = np.array(reference.newton(h, rec.z, steps=8), dtype=complex)
+            zetadot = reference.velocity(hom, rec.s, zeta)
+            speed = mp.sqrt(reference.bw_norm(*hdot) ** 2 + mp.norm(zetadot) ** 2)
             x1, x2 = buf.chi(rec.s, zeta)
-            assert x1 == pytest.approx(condition_mu(h, zeta), rel=1e-12)
-            assert x2 == pytest.approx(speed, rel=1e-12)
+            assert x1 == pytest.approx(float(reference.mu(h, zeta)), rel=1e-13)
+            assert x2 == pytest.approx(float(speed), rel=1e-13)
 
     def test_short_arc_small_length(self, quad_pair):
         start, f, hom = quad_pair
@@ -1032,8 +1023,8 @@ class TestStepBuffers:
     @pytest.mark.parametrize("degrees", [(2, 2, 2), (1, 2, 3)], ids=str)
     def test_velocity_is_the_bordered_tangent_system(self, degrees):
         # velocity places a point of any norm: its bordered row is z*/|z|
-        # and its system is (Dh_s(z); z*/|z|) over (-hdot_s(z); 0), built
-        # here from the homotopy's systems.
+        # and its system is (Dh_s(z); z*/|z|) over (-hdot_s(z); 0), as the
+        # reference builds them.
         start, f, hom = seeded_path(degrees, 51)
         buf = tracker._StepBuffers(hom)
         n = len(degrees)
@@ -1041,16 +1032,16 @@ class TestStepBuffers:
             z = scale * np.exp(0.7j) * np.asarray(z)
             bordered, rhs = buf.velocity(s, z)
             assert bordered[n].tobytes() == (np.conj(z) / np.linalg.norm(z)).tobytes()
-            want = make_bordered(polysys.jacobian(hom.value_at(s), z), z / np.linalg.norm(z))
-            want_rhs = np.append(-polysys.evaluate(hom.value_at(s + math.pi / 2), z), 0.0)
-            np.testing.assert_allclose(bordered, want, rtol=1e-13)
-            np.testing.assert_allclose(rhs, want_rhs, rtol=1e-13)
+            h, hdot = reference.homotopy(hom, s)
+            want, want_rhs = reference.bordered(h, z)[0], reference.bordered(hdot, z)[1]
+            np.testing.assert_allclose(bordered, np.array(want.tolist(), dtype=complex), rtol=1e-13)
+            np.testing.assert_allclose(rhs, -np.array(list(want_rhs), dtype=complex), rtol=1e-13)
 
     @pytest.mark.parametrize("degrees", [(2, 2, 2), (1, 2, 3)], ids=str)
     def test_newton_is_the_projective_step_into_two_points(self, degrees):
-        # After chi(s, z), newton(s_next, z) is newton_projective against
-        # h_{s_next}, written into two path-owned points in turn, neither of
-        # them z's memory.
+        # After chi(s, z), newton(s_next, z) is the projective Newton step
+        # against h_{s_next}, written into two path-owned points in turn,
+        # neither of them z's memory.
         start, f, hom = seeded_path(degrees, 52)
         buf = tracker._StepBuffers(hom)
         z = unit_point(start.roots[0])
@@ -1058,9 +1049,9 @@ class TestStepBuffers:
         for _ in range(4):
             x1, x2 = buf.chi(s, z)
             s_next = s + buf.step_length(x1 * x2)
-            want = newton.newton_projective(hom.value_at(s_next), z)
+            want = reference.newton(reference.homotopy(hom, s_next)[0], z)
             w = buf.newton(s_next, z)
-            np.testing.assert_allclose(w, want, rtol=1e-12)
+            np.testing.assert_allclose(w, np.array(want, dtype=complex), rtol=1e-13)
             assert not np.shares_memory(w, z)
             outs.append(w)
             z, s = w, s_next
