@@ -110,7 +110,7 @@ def normalize_to_sphere(h: PolySystem) -> PolySystem:
     return h * unit_scale(h)
 
 
-def ensure_on_sphere(h: PolySystem, what: str = "system") -> PolySystem:
+def ensure_on_sphere(h: PolySystem, what: str) -> PolySystem:
     """Check unit-norm membership, | ||h|| - 1 | <= SPHERE_TOL; raises
     ValueError naming `what` when violated (a NaN norm included)."""
     norm = bw_norm(h)
@@ -124,13 +124,15 @@ def riemann_distance(z, w) -> float:
 
     Mathematically arccos(|<z, w>| / (|z| |w|)); computed through the norm of
     the orthogonal component so that tiny distances are not lost to rounding.
+    A point whose norm is 0 or inf, as squares that underflow or overflow
+    make it, raises unit_point's ValueError; NaN coordinates give NaN.
     """
     z = np.asarray(z, dtype=np.complex128)
     w = np.asarray(w, dtype=np.complex128)
     nz = vector_norm(z)
     nw = vector_norm(w)
-    if nz == 0.0 or nw == 0.0:
-        raise ValueError("zero vector does not represent a projective point")
+    if nz in (0.0, math.inf) or nw in (0.0, math.inf):
+        raise ValueError(f"a projective point needs a finite, nonzero norm, got {nz!r} and {nw!r}")
     z = z / nz
     w = w / nw
     ip = np.vdot(w, z)

@@ -36,9 +36,8 @@ bits under two threads than under one, so endpoints would depend on the
 caller's thread setting.  Pinned, every entry point computes the same bits
 on one OpenBLAS kernel whatever thread count the process was started or
 left with.  One scan of /proc/self/maps finds the loaded OpenBLAS libraries
-for the pin and for openblas_cores, which names the kernel each picked.
-Other kernels (OPENBLAS_CORETYPE) may give ddot, zgemm and
-zgetrs other last bits, but the same step counts: that half is measured
+for the thread pin.  Other kernels (OPENBLAS_CORETYPE) may give ddot, zgemm
+and zgetrs other last bits, but the same step counts: that half is measured
 (the benchmark's step digests under four kernels), not proved.  Within a
 kernel, the two routes to a system's values and Jacobian (the trackers'
 placed path and polysys.evaluate/jacobian) give the same bits, as both
@@ -59,13 +58,12 @@ from scipy.linalg.lapack import zgetrf as _zgetrf
 from scipy.linalg.lapack import zgetrs as _zgetrs
 
 
-# Thread-count getter and setter, and core-name getter, of SciPy's (LP64)
-# and NumPy's (ILP64, with the 64_ suffix) OpenBLAS builds.
+# Thread-count getter and setter of SciPy's (LP64) and NumPy's (ILP64, with
+# the 64_ suffix) OpenBLAS builds.
 _OPENBLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
 )
-_OPENBLAS_CORENAME_SYMBOLS = ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename")
 
 
 class SingularLinearSolveError(Exception):
@@ -117,22 +115,6 @@ def _openblas_libraries() -> tuple[tuple[str, ctypes.CDLL], ...]:
     except OSError:
         return ()
     return tuple((path, ctypes.CDLL(path)) for path in paths)
-
-
-def openblas_cores() -> tuple[tuple[str, str, str], ...]:
-    """(symbol, core, path) of each core-name getter in the loaded OpenBLAS
-    libraries: the kernel set each picked, which OPENBLAS_CORETYPE
-    overrides.  NumPy's build answers to scipy_openblas_get_corename64_,
-    SciPy's to scipy_openblas_get_corename; empty where /proc/self/maps is
-    missing."""
-    cores = []
-    for path, lib in _openblas_libraries():
-        for name in _OPENBLAS_CORENAME_SYMBOLS:
-            if hasattr(lib, name):
-                get = getattr(lib, name)
-                get.argtypes, get.restype = [], ctypes.c_char_p
-                cores.append((name, get().decode(), path))
-    return tuple(cores)
 
 
 @functools.cache

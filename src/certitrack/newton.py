@@ -83,8 +83,7 @@ def _newton_steps(h: polysys.PolySystem, z, max_steps: int, tol: float) -> tuple
     # At most max_steps projective Newton steps from the unit representative
     # of z, stopping after the first step shorter than tol in d_R.  Returns
     # the last iterate and that last step's length (inf for no step).
-    z = np.asarray(z, dtype=np.complex128)
-    z = z / vector_norm(z)
+    z = polysys.unit_point(z)
     step = math.inf
     for _ in range(max_steps):
         nxt = newton_projective(h, z)

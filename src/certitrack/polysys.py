@@ -327,11 +327,15 @@ class AffineSystem:
 
 
 def unit_point(coords) -> np.ndarray:
-    """Unit-norm representative of a projective point (read-only array)."""
+    """Unit-norm representative of a projective point (read-only array).
+
+    A norm whose squares overflow raises the ValueError alone, without
+    NumPy's overflow warning ahead of it."""
     z = np.ascontiguousarray(coords, dtype=np.complex128)
     if z.ndim != 1:
         raise ValueError("a point is a 1-d coordinate vector")
-    norm = vector_norm(z)
+    with np.errstate(over="ignore"):
+        norm = vector_norm(z)
     if not 0.0 < norm < math.inf:
         raise ValueError(f"a projective point needs a finite, nonzero norm, got {norm!r}")
     z = z / norm

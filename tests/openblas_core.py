@@ -7,14 +7,16 @@ Prescott, which reports its generic core, Katmai.  Every digest was read
 with the numpy and scipy versions of PINNED_VERSIONS, and their OpenBLAS
 builds.  A core without a recorded digest fails, naming the core and the
 versions of the test process, and so does any core under other versions.
-The core is read by certitrack.linalg's one scan of the loaded OpenBLAS
-libraries, which also finds the thread controls.  run_child runs code in a
-fresh process, for pins read under another OpenBLAS core or thread count,
-and child_lines shares one such process between the tests of a setting.
+openblas_cores reads each core through certitrack.linalg's one scan of the
+loaded OpenBLAS libraries, which also finds the thread controls.  run_child
+runs code in a fresh process, for pins read under another OpenBLAS core or
+thread count, and child_lines shares one such process between the tests of
+a setting.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import os
 import subprocess
@@ -25,12 +27,28 @@ import numpy
 import pytest
 import scipy
 
-from certitrack.linalg import openblas_cores
+from certitrack import linalg
 
 
 # numpy, its OpenBLAS, scipy and its OpenBLAS, as numpy.show_config and
 # scipy.show_config (mode="dicts") report them.
 PINNED_VERSIONS = ("2.4.6", "0.3.31.188.0", "1.17.1", "0.3.30")
+
+
+def openblas_cores() -> tuple[tuple[str, str, str], ...]:
+    """(symbol, core, path) of each core-name getter in the loaded OpenBLAS
+    libraries: the kernel set each picked, which OPENBLAS_CORETYPE
+    overrides.  NumPy's build answers to scipy_openblas_get_corename64_,
+    SciPy's to scipy_openblas_get_corename; empty where /proc/self/maps is
+    missing."""
+    cores = []
+    for path, lib in linalg._openblas_libraries():
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
+            if hasattr(lib, name):
+                get = getattr(lib, name)
+                get.argtypes, get.restype = [], ctypes.c_char_p
+                cores.append((name, get().decode(), path))
+    return tuple(cores)
 
 
 @functools.cache
@@ -46,7 +64,7 @@ def versions() -> tuple[str, str, str, str]:
 @functools.cache
 def core_name() -> str:
     """The core of NumPy's OpenBLAS (ILP64, symbols with the 64_ suffix) in
-    linalg.openblas_cores; "unknown" where there is no /proc/self/maps or no
+    openblas_cores; "unknown" where there is no /proc/self/maps or no
     such library."""
     return next(
         (core for name, core, _ in openblas_cores() if name == "scipy_openblas_get_corename64_"),

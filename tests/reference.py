@@ -65,11 +65,16 @@ def bordered(h, z) -> tuple:
     return mp.matrix(jac + [[mp.conj(x) / norm for x in z]]), mp.matrix(value + [0])
 
 
+def sigma_max(A):
+    """The largest singular value of A, a matrix or a list of rows (mp.svd_c)."""
+    return max(mp.svd_c(mp.matrix(A), compute_uv=False))
+
+
 def _scaled_inverse_norm(h, z, columns: int):
     # The largest singular value of (Dh(z); z*/|z|)^{-1} times the first
     # columns of Diag(sqrt(d_1), ..., sqrt(d_n), 1).
     A = mp.inverse(bordered(h, z)[0]) * mp.diag([mp.sqrt(d) for d in h[0]] + [1])[:, :columns]
-    return max(mp.svd_c(A, compute_uv=False))
+    return sigma_max(A)
 
 
 def velocity(hom, s: float, z) -> list:

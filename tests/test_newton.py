@@ -98,10 +98,10 @@ class TestConditionNumber:
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_point_beyond_float_scale_raises(self, scale):
         # mu reads z's unit representative through unit_point, so a point
-        # whose norm overflows (with NumPy's warning) or underflows raises
-        # the error naming it.
+        # whose norm overflows or underflows raises the error naming it, and
+        # no warning ahead of it.
         pair = good_initial_pair((2, 2))
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite, nonzero norm"):
+        with pytest.raises(ValueError, match="finite, nonzero norm"):
             condition_mu(pair.g, scale * pair.zeta0)
 
 
@@ -126,6 +126,15 @@ class TestCertificates:
 
 
 class TestRefine:
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_point_beyond_float_scale_raises(self, scale):
+        # Read through unit_point, as condition_mu reads it: a representative
+        # whose norm overflows or underflows is refused, not iterated into a
+        # singular solve or a NaN step.
+        pair = good_initial_pair((2, 2))
+        with pytest.raises(ValueError, match="finite, nonzero norm"):
+            refine(pair.g, scale * pair.zeta0)
+
     def test_within_radius_converges_fast(self, monkeypatch):
         h = normalize_to_sphere(diff_of_squares())
         root = unit_point([1.0, 1.0])

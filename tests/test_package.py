@@ -94,7 +94,6 @@ def test_settable_surface_is_pinned():
     # A new knob needs an edit here, with its reason given in CHANGES.md; a
     # value no caller changes is a module constant.
     assert _optional_parameters() == {
-        "bw.ensure_on_sphere": ["what"],
         "cli.main": ["argv"],
         "experiments.run_bench": ["degrees", "n", "trials", "trackers", "seed", "threads"],
         "experiments.run_conjecture": ["trials", "seed", "threads", "verify_bound"],
@@ -269,12 +268,6 @@ def test_one_singularity_policy():
     assert found == ["linalg.lu_factor_checked", "linalg.kernel_vector"]
 
 
-# Public names nothing in the package or the benchmarks reads: openblas_cores
-# is read by CI's kernel step.  A new entry needs its reason given in
-# CHANGES.md.
-UNREAD_PUBLIC = {"linalg.openblas_cores"}
-
-
 def _public_definitions(path: Path):
     # (qualified name, node) of every public module-level function and class
     # of path, and of every public method of those classes.
@@ -337,4 +330,4 @@ def test_every_public_name_is_read():
     # is what the program uses, not what only the tests call.
     sources = sorted((ROOT / "src" / "certitrack").glob("*.py"))
     readers = sources + sorted((ROOT / "benchmarks").glob("*.py"))
-    assert set(_unread_public(sources, readers)) == UNREAD_PUBLIC
+    assert _unread_public(sources, readers) == []

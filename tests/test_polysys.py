@@ -173,15 +173,6 @@ class TestIntegralDegrees:
             vectors.append([h._vec.tobytes() for h in systems])
         assert vectors[1] == vectors[0] and vectors[2] == vectors[0]
 
-    @pytest.mark.parametrize("exponents", [(0.9, 1.1), (1, math.inf), (1, "1"), 3],
-                             ids=["fraction", "infinity", "string", "not-a-list"])
-    def test_non_integral_exponent_names_its_equation(self, exponents):
-        with pytest.raises(ValueError, match="equation 1: exponents must be integers"):
-            AffineSystem((1, 2), [[((1, 0), 1.0)], [(exponents, 1.0)]])
-        homogeneous = (0, *exponents) if isinstance(exponents, tuple) else exponents
-        with pytest.raises(ValueError, match="equation 1: exponents must be integers"):
-            PolySystem.from_terms((1, 2), [[((1, 0, 0), 1.0)], [(homogeneous, 1.0)]])
-
 
 class TestEvaluate:
     def test_difference_of_squares_at_its_zero(self):
@@ -334,7 +325,8 @@ def gather_and_fold(degrees, z) -> np.ndarray:
 
 class TestPointMatrixPlan:
     """The product plan gives the bits of the full gather-and-fold, but for
-    the sign of a zero at the all -0 point."""
+    the sign of a zero at the all -0 point, on the cached evaluator and on
+    a fresh Evaluator, whose first call makes its workspace."""
 
     @staticmethod
     def _points(degrees):
@@ -345,21 +337,22 @@ class TestPointMatrixPlan:
         points += total_degree_start(degrees, rng).roots
         points += list(np.eye(n_vars, dtype=np.complex128))
         points.append(good_initial_pair(degrees).zeta0)
-        return points
+        # Unit points, as the step engine places them.
+        return points + [unit_point(z) for z in random_points(n_vars, 3, len(degrees))]
 
-    # (1, 2, 3) stands for every order of its degrees: the point matrix
-    # depends only on the set of degrees.
-    @pytest.mark.parametrize("degrees", [(1,), (2, 2, 2), (1, 2, 2, 2, 2), (3, 3, 3, 3), (1, 2, 3)])
+    # (1, 2, 3) and (1, 3, 2) are two orders of one set of degrees, which
+    # gives one point matrix.
+    @pytest.mark.parametrize("degrees", [(1,), (2, 2, 2), (1, 2, 2, 2, 2), (3, 3, 3, 3), (1, 2, 3), (1, 3, 2)])
     def test_equal_to_gather_and_fold(self, degrees):
-        ev = evaluator(degrees)
-        for z in self._points(degrees):
-            assert ev.point_matrix(z).tobytes() == gather_and_fold(degrees, z).tobytes()
-        z = np.full(len(degrees) + 1, -0.0 - 0.0j)
-        got, want = ev.point_matrix(z), gather_and_fold(degrees, z)
-        assert np.array_equal(got, want)
-        got, want = got.view(np.float64), want.view(np.float64)
-        differ = got.view(np.uint64) != want.view(np.uint64)
-        assert not (got[differ] != 0.0).any()
+        for ev in (evaluator(degrees), Evaluator(degrees)):
+            for z in self._points(degrees):
+                assert ev.point_matrix(z).tobytes() == gather_and_fold(degrees, z).tobytes()
+            z = np.full(len(degrees) + 1, -0.0 - 0.0j)
+            got, want = ev.point_matrix(z), gather_and_fold(degrees, z)
+            assert np.array_equal(got, want)
+            got, want = got.view(np.float64), want.view(np.float64)
+            differ = got.view(np.uint64) != want.view(np.uint64)
+            assert not (got[differ] != 0.0).any()
 
 
 class TestPointMatrixTemplate:
@@ -637,6 +630,9 @@ AFFINE_RECORD_BYTES = bytes.fromhex(
 )
 
 
+NON_INTEGRAL = " must be integers"
+
+
 class TestAffineInput:
     @pytest.mark.parametrize("n", sorted(KATSURA_HOMOGENIZED_SHA256))
     def test_katsura_homogenized_bits_pinned(self, n):
@@ -657,20 +653,29 @@ class TestAffineInput:
         with pytest.raises(ValueError, match="equation 1: coefficients must be finite"):
             parse_system_json(text)
 
-    @pytest.mark.parametrize("exponents", [[2, 1], [-1, 1]], ids=["sum-above-degree", "negative"])
-    def test_bad_exponents_name_their_equation(self, exponents):
-        bad = '{"exponents": %s, "re": 1.0}' % exponents
-        text = f'{{"degrees": [1, 2], "terms": [[{{"exponents": [1, 0]}}], [{bad}]]}}'
-        with pytest.raises(ValueError, match="equation 1: exponents"):
-            parse_system_json(text)
-
-    @pytest.mark.parametrize(
-        "exponents", [(2, 1), (-1, 1), (1,), (1, 0, 0)],
-        ids=["sum-above-degree", "negative", "short", "long"],
-    )
-    def test_constructor_names_the_equation(self, exponents):
-        with pytest.raises(ValueError, match="equation 1: exponents"):
-            AffineSystem((1, 2), [[((1, 0), 1.0)], [((0, 0), 1.0), (exponents, 1.0)]])
+    # A system of degrees (1, 2) whose equation 1 has a term with bad
+    # exponents, read by AffineSystem (the ids without a prefix),
+    # PolySystem.from_terms and parse_system_json (affine or homogeneous as
+    # the exponents' length says); the error names the equation.
+    @pytest.mark.parametrize("read, exponents, match", [
+        *[("affine", e, "") for e in [(2, 1), (-1, 1), (1,), (1, 0, 0)]],
+        *[("affine", e, NON_INTEGRAL) for e in [(0.9, 1.1), (1, math.inf), (1, "1"), 3]],
+        *[("terms", e, NON_INTEGRAL) for e in [(0, 0.9, 1.1), (0, 1, math.inf), (0, 1, "1"), 3]],
+        *[("json", e, "") for e in [[2, 1], [-1, 1]]],
+        *[("json", e, NON_INTEGRAL + r", got \(.*2\.9") for e in [[2.9, 0], [0, 2.9, 0]]],
+    ], ids=["sum-above-degree", "negative", "short", "long", "fraction", "infinity", "string", "not-a-list",
+            "terms-fraction", "terms-infinity", "terms-string", "terms-not-a-list",
+            "json-sum-above-degree", "json-negative", "json-affine-fraction", "json-homogeneous-fraction"])
+    def test_constructor_names_the_equation(self, read, exponents, match):
+        with pytest.raises(ValueError, match="equation 1: exponents" + match):
+            if read == "affine":
+                AffineSystem((1, 2), [[((1, 0), 1.0)], [((0, 0), 1.0), (exponents, 1.0)]])
+            elif read == "terms":
+                PolySystem.from_terms((1, 2), [[((1, 0, 0), 1.0)], [(exponents, 1.0)]])
+            else:
+                first = [1, 0, 0][: len(exponents)]
+                parse_system_json(f'{{"degrees": [1, 2], "terms": [[{{"exponents": {first}, "re": 1.0}}], '
+                                  f'[{{"exponents": {exponents}, "re": 1.0}}]]}}')
 
     def test_one_term_list_per_equation(self):
         with pytest.raises(ValueError, match="one term list per equation"):
@@ -747,14 +752,6 @@ class TestSystemIO:
         terms = '[[{"exponents": [2, 0], "re": 1.0}, {"exponents": [0, 2], "re": -1.0}]]'
         with pytest.raises(ValueError, match="system record needs .*degrees must be integers"):
             parse_system_json(f'{{"degrees": {degrees}, "terms": {terms}}}')
-
-    @pytest.mark.parametrize("first, bad", [("[1, 0]", "[2.9, 0]"), ("[1, 0, 0]", "[0, 2.9, 0]")],
-                             ids=["affine", "homogeneous"])
-    def test_non_integral_exponent_names_its_equation(self, first, bad):
-        text = (f'{{"degrees": [1, 2], "terms": [[{{"exponents": {first}, "re": 1.0}}], '
-                f'[{{"exponents": {bad}, "re": 1.0}}]]}}')
-        with pytest.raises(ValueError, match=r"equation 1: exponents must be integers, got \(.*2\.9"):
-            parse_system_json(text)
 
     def test_rejects_mixed_lengths(self):
         text = (

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from certitrack import tracker
-from certitrack.bw import bw_inner_re, bw_norm, normalize_to_sphere, riemann_distance, weight_table
+from certitrack.bw import bw_inner_re, bw_norm, riemann_distance, weight_table
 from certitrack.experiments import katsura_system, start_paths
 from certitrack.newton import U0, certified_radius, condition_mu, refine
 from certitrack.polysys import (
@@ -14,7 +14,6 @@ from certitrack.polysys import (
     evaluate,
     homogeneous_exponents,
     jacobian,
-    num_homogeneous_monomials,
     space_dimension,
     unit_point,
 )
@@ -154,76 +153,70 @@ class TestRandomSystemOnSphere:
         acc = np.zeros(dim)
         for _ in range(n_draws):
             h = random_system_on_sphere(degrees, rng)
-            ortho = np.concatenate(
-                [c / w for w, c in zip(equation_scales(degrees), h.coeffs)]
-            )
-            acc += np.abs(ortho) ** 2
+            acc += np.abs(h._vec / weight_table(degrees).scales) ** 2
         scaled = acc / n_draws * dim  # per-coordinate mean of |u|^2 * (N+1), expect 1
         assert np.all(scaled > 0.8) and np.all(scaled < 1.2)
 
 
-def equation_scales(degrees):
-    """Each equation's slice of the weight table's scales."""
-    return [weight_table(degrees).scales[sl] for sl in _layout(degrees)[1]]
+# Per degree tuple, sha256 over seeds 0-9 of random_system_on_sphere(degrees,
+# default_rng(seed)) and of the generator's next random() after it: the
+# bits of one real and one imaginary standard_normal(m) per equation, the
+# same on every OpenBLAS core.
+SPHERE_DRAW_PINS = {
+    (1,): "75f0775affd93985a4313916f5a577d56bd66884eeaeac8a03f7309bc81be5af",
+    (2,): "45e4c5c4d29702acd1b8d775c0ad9c6e813d6300f33cb3cd42bc1ecf9f24ff50",
+    (2, 2): "e7731134b8ce7e6f841ba1e11e0e81d1d2a387aa9b3d0e63e7fb4d36e290b93f",
+    (2, 2, 2): "14fbe1f7a81687e49458f171039d3b57f4efc0bf6a6f22e9585d7f5110eb95e4",
+    (1, 2, 3): "20a54c967801ee3d6ad086fe053f7c6137b8467b9a70062abf8bdd4cb5a667ff",
+    (3, 2, 4): "fdfc9d6448f23928df7019b84e52e3e246fbf66c652ac2b3d43ba405666968f7",
+    (1, 2, 2, 2, 2): "323b4c758411f62f7a6dfe9e50d5b8f0fefe48760815604f9435da7754b29081",
+    (3, 3, 3, 3): "f043134edbffa6c2982a5f023140668d98cf4f32f62835f26c38b70ff5b5e441",
+}
 
 
-def _sphere_sample_by_equation(degrees, rng):
-    # random_system_on_sphere drawn as one real and one imaginary
-    # standard_normal(m) per equation: the reference for its single draw.
-    n_vars = len(degrees) + 1
-    coeffs = []
-    for d, w in zip(degrees, equation_scales(degrees)):
-        m = num_homogeneous_monomials(n_vars, d)
-        u = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2.0)
-        coeffs.append(u * w)
-    return normalize_to_sphere(PolySystem.from_coeff_vector(degrees, np.concatenate(coeffs)))
+def _draw_digest(draw, degrees, seeds) -> str:
+    # sha256 of each seed's draw and of its generator's next random().
+    digest = hashlib.sha256()
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        digest.update(draw(degrees, rng)._vec.tobytes())
+        digest.update(np.float64(rng.random()).tobytes())
+    return digest.hexdigest()
 
 
-@pytest.mark.parametrize(
-    "degrees",
-    [(1,), (2,), (2, 2), (2, 2, 2), (1, 2, 3), (3, 2, 4), (1, 2, 2, 2, 2), (3, 3, 3, 3)],
-    ids=str,
-)
+@pytest.mark.parametrize("degrees", list(SPHERE_DRAW_PINS), ids=str)
 def test_one_draw_matches_a_pair_per_equation(degrees):
-    for seed in range(10):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = random_system_on_sphere(degrees, rng)
-        want = _sphere_sample_by_equation(degrees, ref_rng)
-        assert got._vec.tobytes() == want._vec.tobytes()
-        # and both leave the stream at the same place
-        assert rng.random() == ref_rng.random()
+    assert _draw_digest(random_system_on_sphere, degrees, range(10)) == SPHERE_DRAW_PINS[degrees]
 
 
-def _restricted_draw_by_equation(degrees, rng):
-    # draw_restricted_system built equation by equation, each equation's
-    # masked scales applied to its own run of the ball point: the reference
-    # for the one stacked scatter.
-    n_vars = len(degrees) + 1
-    masks = [homogeneous_exponents(n_vars, d)[:, 0] <= d - 2 for d in degrees]
-    point = uniform_ball_point(int(sum(m.sum() for m in masks)), rng)
-    coeffs = []
-    offset = 0
-    for mask, w in zip(masks, equation_scales(degrees)):
-        k = int(mask.sum())
-        vec = np.zeros(mask.shape[0], dtype=np.complex128)
-        vec[mask] = point[offset : offset + k] * w[mask]
-        offset += k
-        coeffs.append(vec)
-    return PolySystem.from_coeff_vector(degrees, np.concatenate(coeffs))
+# Per degree tuple, sha256 over seeds 0-4 of draw_restricted_system(degrees,
+# default_rng(seed)) and of the generator's next random() after it: the
+# bits of each equation's masked scales applied to its own run of the ball
+# point.  The ball point's norm is a ddot, so the digest is recorded for the
+# SkylakeX, Haswell and Sandybridge kernels, then for Katmai's generic ones.
+RESTRICTED_DRAW_PINS = {
+    (1,): ("2e610edd81621e93aa7ae99d8c80afe2570b77f08727520b7163e0e1ad583b0b",
+           "2e610edd81621e93aa7ae99d8c80afe2570b77f08727520b7163e0e1ad583b0b"),
+    (1, 1): ("b9801a90e516065e9ace3d8db388335ad8b53cb05a9d6473ee9bf6c2eae89e3f",
+             "b9801a90e516065e9ace3d8db388335ad8b53cb05a9d6473ee9bf6c2eae89e3f"),
+    (2, 2, 2): ("d606883736a7574fd270cdf267bb1c3a8e014e3765665e309ebc8425c67a5a5d",
+                "4a69b137ab7c52d6f6b90ba3a3b7c458965e9cdf4a94f5eb4c040408a6cd8c02"),
+    (1, 2, 3): ("d97d87e07768b8cfaa11df0c422d75d0e1dce52943e855a4e0a7c6b228c8249b",
+                "54804d499cc3805115d17fc75af8adbe9b2df3c2c09a8f5d6d14c9c60b3e6c2d"),
+    (1, 2, 2, 2, 2): ("1c0c8dc5cda841e6477e5fee0b78d6998ad850d7bdc8ef82111aeb48d73bb4ac",
+                      "0c1991999b6e85e7129ea5399d9c02a81960445bcc740cf6a280fb2001a42f88"),
+    (3, 3, 3, 3): ("0af16ce1b1ad6591e005d36da8357fcb831598ad8defb2f76d959fbe13498faf",
+                   "0af16ce1b1ad6591e005d36da8357fcb831598ad8defb2f76d959fbe13498faf"),
+    (6, 6, 6, 6, 6): ("2a9c4942dbd6c3ce8ff30653063207e62e6b0795cdcca2a983676453d25d8485",
+                      "3a15eb1f325ffba36a579f549d0d5868161c8b203a68f895ac91a7f67e02ba3d"),
+}
 
 
-@pytest.mark.parametrize(
-    "degrees",
-    [(1,), (1, 1), (2, 2, 2), (1, 2, 3), (1, 2, 2, 2, 2), (3, 3, 3, 3), (6, 6, 6, 6, 6)],
-    ids=str,
-)
+@pytest.mark.parametrize("degrees", list(RESTRICTED_DRAW_PINS), ids=str)
 def test_restricted_draw_matches_equation_by_equation(degrees):
-    for seed in range(5):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = draw_restricted_system(degrees, rng)
-        want = _restricted_draw_by_equation(degrees, ref_rng)
-        assert got._vec.tobytes() == want._vec.tobytes()
-        assert rng.random() == ref_rng.random()
+    avx, generic = RESTRICTED_DRAW_PINS[degrees]
+    want = pinned({"SkylakeX": avx, "Haswell": avx, "Sandybridge": avx, "Katmai": generic})
+    assert _draw_digest(draw_restricted_system, degrees, range(5)) == want
 
 
 class TestBallDraws:
@@ -437,16 +430,16 @@ class TestSolvers:
 
 
 # Problem set-up pins: per degree tuple, sha256 over seeds 0, 1, 2 of the
-# bytes of random_system_on_sphere, of total_degree_start's g and roots, and
-# of make_linear_homotopy's g._vec, _pvec and T between the two.  Read before
-# problem construction moved to the stacked coefficient vector, which kept
-# every bit.  The homotopy digests were read again when Re<f, g> moved to
-# bw_inner_re, whose one dot sums in another order than the per-equation
-# sums before it.  The sphere and start digests hold on every OpenBLAS core;
-# the homotopy digests, one per core, follow that dot's last bits.
+# bytes of total_degree_start's g and roots, and of make_linear_homotopy's
+# g._vec, _pvec and T from it to random_system_on_sphere (whose bits
+# SPHERE_DRAW_PINS pins).  Read before problem construction moved to the
+# stacked coefficient vector, which kept every bit.  The homotopy digests
+# were read again when Re<f, g> moved to bw_inner_re, whose one dot sums in
+# another order than the per-equation sums before it.  The start digests
+# hold on every OpenBLAS core; the homotopy digests, one per core, follow
+# that dot's last bits.
 SETUP_PINS = {
     (1,): (
-        "28b43e8749daaff792aad66e9c42d831d8a360fc8f27dbd72c4d95fcb8f28a6c",
         "66c7708164edf5c7aa9605a9b70aab0df3dd281852da5ba3d0e47484568fa387",
         {
             "SkylakeX": "d7124e9b07c739cfec169beaedd8b97eac42767085c202abfd62ec901af3ae77",
@@ -456,7 +449,6 @@ SETUP_PINS = {
         },
     ),
     (2, 2, 2): (
-        "5e7472a766f09ed15c5d789036c0053c7ef0779acb1fa38b4a1c35d60d60c027",
         "c237abed7e4f03feb25e8f622af574edf503ee89930ba646e11223002e94a099",
         {
             "SkylakeX": "df8d8423ced66755e0bcb89eef6fa3b9ec0eacdc7eefb03a94622ac1bfee4066",
@@ -466,7 +458,6 @@ SETUP_PINS = {
         },
     ),
     (1, 2, 3): (
-        "8cd2e28797bce6e716cb8534a6ae53cf339508e803728865af74db782334b385",
         "ccab4efb36633810f594b23e0016042d6c1fac8af44f4976dd55979cb3ce2a8e",
         {
             "SkylakeX": "f4861f07e9dad75f18acb0a2dd4e64362436ee0f3caaf32f5f57732bc3bea33a",
@@ -476,7 +467,6 @@ SETUP_PINS = {
         },
     ),
     (1, 2, 2, 2, 2): (
-        "2872c1d213893244e3ff74b9be056ef0d91bf13877aaf24e3bdb41787b2eae83",
         "bcae4f49ab099aec9cbd0a3ebcf3aceeb07995d458af5d94ede7c48682ef5e5c",
         {
             "SkylakeX": "17ba4c3d150f9c9f9f5dfdc96951fcca4928fc227f79f2600907773bd4b1e035",
@@ -486,7 +476,6 @@ SETUP_PINS = {
         },
     ),
     (3, 3, 3, 3): (
-        "ea1dc77b3b4a38e65b1524dd6ac561038afa3ac324ce1e93298ca1639dd3b932",
         "83dd0aafb010781239245e7d8ff1dd1e0c3e9fd65e18029405a870aeb8b17ce6",
         {
             "SkylakeX": "35b3098288ebaa7440e0e3538918f2e6d26643eebc279983430187627eb254fb",
@@ -499,10 +488,9 @@ SETUP_PINS = {
 
 
 def _setup_digests(degrees):
-    sphere, start, homotopy = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    start, homotopy = hashlib.sha256(), hashlib.sha256()
     for s in range(3):
         f = random_system_on_sphere(degrees, np.random.default_rng(s))
-        sphere.update(f._vec.tobytes())
         st = total_degree_start(degrees, np.random.default_rng(s))
         start.update(st.g._vec.tobytes())
         for root in st.roots:
@@ -510,13 +498,13 @@ def _setup_digests(degrees):
         hom = tracker.make_linear_homotopy(st.g, f)
         for array in (hom.g._vec, hom._pvec, np.float64(hom.T)):
             homotopy.update(array.tobytes())
-    return sphere.hexdigest(), start.hexdigest(), homotopy.hexdigest()
+    return start.hexdigest(), homotopy.hexdigest()
 
 
 @pytest.mark.parametrize("degrees", list(SETUP_PINS), ids=str)
 def test_pinned_setup_bits(degrees):
-    sphere, start, homotopy = SETUP_PINS[degrees]
-    assert _setup_digests(degrees) == (sphere, start, pinned(homotopy))
+    start, homotopy = SETUP_PINS[degrees]
+    assert _setup_digests(degrees) == (start, pinned(homotopy))
 
 
 # Per OpenBLAS core, sha256 over random_initial_pair(degrees, default_rng(s))

@@ -13,7 +13,7 @@ from certitrack.experiments import katsura_system
 from certitrack.heuristic import track_heuristic
 from certitrack.linalg import SingularLinearSolveError
 from certitrack.newton import U0, condition_mu, refine
-from certitrack.polysys import Evaluator, PolySystem, homogenize, unit_point
+from certitrack.polysys import PolySystem, homogenize, unit_point
 from certitrack.start_systems import (
     good_initial_pair,
     prepare_target,
@@ -36,7 +36,6 @@ from openblas_core import ONE_THREAD, OTHER_KERNEL, child_lines, pinned, run_chi
 import reference
 from reference import mp
 from sample_systems import seeded_path
-from test_polysys import gather_and_fold
 
 
 def step_constants(curvature_bound: float) -> tuple[float, float]:
@@ -1056,19 +1055,6 @@ class TestStepBuffers:
             outs.append(w)
             z, s = w, s_next
         assert outs[0] is outs[2] and outs[1] is outs[3] and outs[0] is not outs[1]
-
-
-class TestStepEngineTables:
-    """A fresh Evaluator's point matrix at unit points, bit for bit the left
-    fold of test_polysys.gather_and_fold."""
-
-    @pytest.mark.parametrize("degrees", [(2, 2, 2), (1, 2, 2, 2, 2), (3, 3, 3, 3), (1, 3, 2)])
-    def test_bitwise_equal_to_loop(self, degrees):
-        eng = Evaluator(degrees)
-        rng = np.random.default_rng(len(degrees))
-        for _ in range(3):
-            z = unit_point(rng.standard_normal(eng.n_vars) + 1j * rng.standard_normal(eng.n_vars))
-            assert eng.point_matrix(z).tobytes() == gather_and_fold(degrees, z).tobytes()
 
 
 class TestTraceCsv:

@@ -1,7 +1,6 @@
 """Mutation check of Tier-1: which test fails on each of a fixed set of mutants.
 
-    python tools/mutate.py           # run the set, record the run in tools/mutants.json
-    python tools/mutate.py --check   # run it, exit 1 if a kill of the last run survives
+    python tools/mutate.py   # run the set, check it against the last run, record it
 
 A mutant is one small edit of src/certitrack/*.py: + and - swapped, * and /
 swapped, < and <= (or > and >=) swapped, a `not` dropped, or a number moved
@@ -14,8 +13,10 @@ before it there, so it survives edits elsewhere; a site that is gone runs as
 (the working tree is never edited), and the first failing test is its
 killer.  A run appends {"tree", "killed", "results"} to "runs" (replacing a
 run of the same tree, named by git describe), so the first run is of the
-tree the set was drawn on.  A survivor that no input tells from the source
-carries its reason as "equivalent", which runs keep.
+tree the set was drawn on, and exits 1 naming each mutant that the last
+recorded run of another tree killed and this one does not.  A survivor
+that no input tells from the source carries its reason as "equivalent",
+which runs keep.
 """
 
 import ast
@@ -148,8 +149,7 @@ def tier1(copy: Path, timeout: float) -> tuple[str | None, float]:
 
 
 def main(argv: list[str]) -> int:
-    check = argv == ["--check"]
-    if argv and not check:
+    if argv:
         sys.exit(__doc__)
     record = json.loads(RECORD.read_text()) if RECORD.exists() else {"seed": SEED, "mutants": draw(ROOT), "runs": []}
     label = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT, capture_output=True,
@@ -185,15 +185,15 @@ def main(argv: list[str]) -> int:
                   f"{results[m['id']] or 'SURVIVED'} ({took:.0f} s)", flush=True)
     killed = sum(r not in (None, "gone") for r in results.values())
     print(f"{label}: {killed} of {len(results)} killed")
-    if check:
-        last = record["runs"][-1]["results"]
+    earlier = [r for r in record["runs"] if r["tree"] != label]
+    lost = []
+    if earlier:
+        last = earlier[-1]["results"]
         lost = [i for i, r in results.items() if r is None and last.get(i) not in (None, "gone")]
-        print("recorded kills that survive:", lost or "none")
-        return 1 if lost else 0
-    record["runs"] = [r for r in record["runs"] if r["tree"] != label] + [
-        {"tree": label, "killed": killed, "results": results}]
+        print(f"kills recorded for {earlier[-1]['tree']} that survive:", lost or "none")
+    record["runs"] = earlier + [{"tree": label, "killed": killed, "results": results}]
     RECORD.write_text(json.dumps(record, indent=1) + "\n")
-    return 0
+    return 1 if lost else 0
 
 
 if __name__ == "__main__":
