@@ -325,8 +325,7 @@ def gather_and_fold(degrees, z) -> np.ndarray:
 
 class TestPointMatrixPlan:
     """The product plan gives the bits of the full gather-and-fold, but for
-    the sign of a zero at the all -0 point, on the cached evaluator and on
-    a fresh Evaluator, whose first call makes its workspace."""
+    the sign of a zero at the all -0 point."""
 
     @staticmethod
     def _points(degrees):
@@ -337,22 +336,30 @@ class TestPointMatrixPlan:
         points += total_degree_start(degrees, rng).roots
         points += list(np.eye(n_vars, dtype=np.complex128))
         points.append(good_initial_pair(degrees).zeta0)
-        # Unit points, as the step engine places them.
-        return points + [unit_point(z) for z in random_points(n_vars, 3, len(degrees))]
+        return points
 
-    # (1, 2, 3) and (1, 3, 2) are two orders of one set of degrees, which
-    # gives one point matrix.
-    @pytest.mark.parametrize("degrees", [(1,), (2, 2, 2), (1, 2, 2, 2, 2), (3, 3, 3, 3), (1, 2, 3), (1, 3, 2)])
+    # (1, 2, 3) stands for every order of its degrees: the point matrix
+    # depends only on the set of degrees.
+    @pytest.mark.parametrize("degrees", [(1,), (2, 2, 2), (1, 2, 2, 2, 2), (3, 3, 3, 3), (1, 2, 3)])
     def test_equal_to_gather_and_fold(self, degrees):
-        for ev in (evaluator(degrees), Evaluator(degrees)):
-            for z in self._points(degrees):
-                assert ev.point_matrix(z).tobytes() == gather_and_fold(degrees, z).tobytes()
-            z = np.full(len(degrees) + 1, -0.0 - 0.0j)
-            got, want = ev.point_matrix(z), gather_and_fold(degrees, z)
-            assert np.array_equal(got, want)
-            got, want = got.view(np.float64), want.view(np.float64)
-            differ = got.view(np.uint64) != want.view(np.uint64)
-            assert not (got[differ] != 0.0).any()
+        ev = evaluator(degrees)
+        for z in self._points(degrees):
+            assert ev.point_matrix(z).tobytes() == gather_and_fold(degrees, z).tobytes()
+        z = np.full(len(degrees) + 1, -0.0 - 0.0j)
+        got, want = ev.point_matrix(z), gather_and_fold(degrees, z)
+        assert np.array_equal(got, want)
+        got, want = got.view(np.float64), want.view(np.float64)
+        differ = got.view(np.uint64) != want.view(np.uint64)
+        assert not (got[differ] != 0.0).any()
+
+    # The step engine's case: unit points, on a fresh Evaluator, whose first
+    # call makes its workspace; (1, 3, 2) is another order of (1, 2, 3).
+    @pytest.mark.parametrize("degrees", [(2, 2, 2), (1, 2, 2, 2, 2), (3, 3, 3, 3), (1, 3, 2)])
+    def test_fresh_evaluator_at_unit_points(self, degrees):
+        ev = Evaluator(degrees)
+        for z in random_points(ev.n_vars, 3, len(degrees)):
+            z = unit_point(z)
+            assert ev.point_matrix(z).tobytes() == gather_and_fold(degrees, z).tobytes()
 
 
 class TestPointMatrixTemplate:
