@@ -20,8 +20,8 @@ equation, of which `coeffs` holds views.  from_coeff_vector copies the
 caller's vector into it; from_terms and the other builders make that vector
 once and the system adopts it (_adopt), uncopied.
 Degrees and exponents pass one check, which reads 2.0 as 2 and refuses 2.5,
-inf, NaN and "2"; each degree tuple is checked once (cached), which keeps
-`_adopt` cheap for the systems a homotopy builds per step.
+inf, NaN, "2" and booleans; each degree tuple is checked once (cached), which
+keeps `_adopt` cheap for the systems a homotopy builds per step.
 
 Homogeneous systems have one evaluator, `evaluator(degrees)`, built once per
 degree tuple.  Its point matrix at z has one row [dm/dz_0 ... dm/dz_n | m(z)]
@@ -57,11 +57,11 @@ of that shared block and therefore read-only.  The memo is one (key, block)
 tuple replaced whole, so threads that share a system each read a block
 that belongs to the key they compared.
 
-Affine input has no basis of its own.  An AffineSystem is a validated term
-list, n equations of degrees <= d_i in n variables, and homogenize lifts each
-term x^a to X0^(d-|a|) x^a in the homogeneous basis above, X0 first.
-parse_system_json homogenizes an affine record as it reads it, so every
-system it returns, and every system that is evaluated, is a PolySystem.
+Affine input has no basis of its own.  PolySystem.from_terms is the one
+reader and check of terms, and lifts an affine term x^a to X0^(d-|a|) x^a in
+the basis above, X0 first.  homogenize hands it an AffineSystem's terms and
+parse_system_json either kind of record, so every system that is evaluated is
+a PolySystem.
 """
 
 from __future__ import annotations
@@ -168,13 +168,18 @@ def degree_tuple(degrees) -> tuple[int, ...]:
     return _layout(degrees)[0]
 
 
+# True equals 1 and hashes like it: _integers refuses booleans by type.
+_BOOLEANS = frozenset({bool, np.bool_})
+
+
 def _integers(values, equation: int | None = None) -> tuple[int, ...]:
-    # values as a tuple of ints when each equals its int, else a ValueError
-    # about the degrees or, given its equation, about exponents.
+    # values as a tuple of ints when each equals its int and none is a
+    # boolean, else a ValueError about the degrees or, given its equation,
+    # about exponents.
     try:
         values = tuple(values)
         ints = tuple(map(int, values))
-        if ints == values:
+        if ints == values and _BOOLEANS.isdisjoint(map(type, values)):
             return ints
     except (TypeError, ValueError, OverflowError):
         pass
@@ -184,11 +189,16 @@ def _integers(values, equation: int | None = None) -> tuple[int, ...]:
 
 def _layout(degrees) -> tuple[tuple[int, ...], tuple[slice, ...]]:
     # The checked degree tuple and each equation's block of the coefficient
-    # vector, cached per tuple; unhashable degrees are checked uncached.
+    # vector, cached per tuple; unhashable degrees are checked uncached, and
+    # any but a checked tuple for booleans, which the cache takes for ints.
     try:
-        return _cached_layout(tuple(degrees))
+        degrees = tuple(degrees)
+        layout = _cached_layout(degrees)
     except TypeError:
         return _cached_layout(_integers(degrees))
+    if layout[0] is not degrees and not _BOOLEANS.isdisjoint(map(type, degrees)):
+        _integers(degrees)
+    return layout
 
 
 @lru_cache(maxsize=None)
@@ -260,21 +270,31 @@ class PolySystem:
 
     @classmethod
     def from_terms(cls, degrees, terms) -> "PolySystem":
-        """Build from sparse terms: per equation, a list of (exponent tuple, coefficient)."""
+        """Build from sparse terms: per equation, a list of (exponents, coefficient).
+
+        The one reader and check of a term; its exponents pass _integers once.
+        In an equation of degree d, n+1 exponents are a monomial X^a of sum
+        d, and n exponents the affine x^a, |a| <= d, read as X0^(d-|a|) x^a.
+        A monomial's coefficients add up in the order given.  A bad tuple is
+        a ValueError naming its equation and the tuple as given.
+        """
         degrees, slices = _layout(degrees)
-        if len(terms) != len(degrees):
-            raise ValueError(f"expected {len(degrees)} term lists, got {len(terms)}")
-        n_vars = len(degrees) + 1
+        n = len(degrees)
+        if len(terms) != n:
+            raise ValueError(f"expected {n} term lists, got {len(terms)}")
         vec = np.zeros(slices[-1].stop, dtype=np.complex128)
         for i, (d, sl, eq_terms) in enumerate(zip(degrees, slices, terms)):
-            block, index = vec[sl], homogeneous_index(n_vars, d)
+            block, index = vec[sl], homogeneous_index(n + 1, d)
             for exponents, c in eq_terms:
-                key = _integers(exponents, i)
-                if len(key) != n_vars or sum(key) != d or min(key) < 0:
+                a = _integers(exponents, i)
+                # The index holds exactly the valid homogeneous tuples.
+                pos = index.get((d - sum(a),) + a if len(a) == n else a)
+                if pos is None:
                     raise ValueError(
-                        f"equation {i}: exponents {key} invalid for degree {d} in {n_vars} variables"
+                        f"equation {i}: exponents {a} invalid for degree {d}: need {n + 1} "
+                        f"non-negative integers of sum {d}, or {n} of sum at most {d}"
                     )
-                block[index[key]] += c
+                block[pos] += c
         return cls._adopt(degrees, vec)
 
     def __add__(self, other: "PolySystem") -> "PolySystem":
@@ -294,36 +314,18 @@ class AffineSystem:
     """Square affine system: n equations of degrees <= d_i in n variables,
     as sparse terms.
 
-    terms holds one list per equation of (exponent tuple, coefficient)
-    pairs; absent monomials are zero and repeated ones add up.  The
-    constructor checks the degrees and every exponent tuple (n non-negative
-    integers of sum <= d_i; a bad one is a ValueError naming its equation)
-    and keeps them as tuples of ints with complex coefficients.  An affine
-    system is input only: homogenize turns it into the PolySystem that is
+    terms holds one list per equation of (exponents, coefficient) pairs,
+    kept as given: the constructor checks the degrees (degree_tuple) and
+    nothing else.  An affine system is input only: homogenize reads and
+    checks its terms (PolySystem.from_terms) into the PolySystem that is
     evaluated and tracked.
     """
 
     degrees: tuple[int, ...]
-    terms: tuple[tuple[tuple[tuple[int, ...], complex], ...], ...]
+    terms: list
 
     def __post_init__(self):
-        degrees = degree_tuple(self.degrees)
-        n = len(degrees)
-        if len(self.terms) != n:
-            raise ValueError("one term list per equation required")
-        terms = []
-        for i, (d, eq) in enumerate(zip(degrees, self.terms)):
-            checked = []
-            for exponents, c in eq:
-                key = _integers(exponents, i)
-                if len(key) != n or min(key) < 0 or sum(key) > d:
-                    raise ValueError(
-                        f"equation {i}: exponents {key} invalid for degree <= {d} in {n} variables"
-                    )
-                checked.append((key, complex(c)))
-            terms.append(tuple(checked))
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "terms", tuple(terms))
+        object.__setattr__(self, "degrees", degree_tuple(self.degrees))
 
 
 def unit_point(coords) -> np.ndarray:
@@ -510,13 +512,10 @@ def jacobian(h: PolySystem, z) -> np.ndarray:
 
 
 def homogenize(f: AffineSystem) -> PolySystem:
-    """The homogeneous system of f in the variables (X0, x): each term x^a of
-    an equation of degree d becomes X0^(d-|a|) x^a, and PolySystem.from_terms
-    adds up the terms that share a monomial."""
-    return PolySystem.from_terms(
-        f.degrees,
-        [[((d - sum(a),) + a, c) for a, c in eq] for d, eq in zip(f.degrees, f.terms)],
-    )
+    """The homogeneous system of f in the variables (X0, x), read and checked
+    by PolySystem.from_terms: each term x^a of an equation of degree d
+    becomes X0^(d-|a|) x^a, and the terms that share a monomial add up."""
+    return PolySystem.from_terms(f.degrees, f.terms)
 
 
 def parse_system_json(text: str) -> PolySystem:
@@ -524,14 +523,12 @@ def parse_system_json(text: str) -> PolySystem:
 
     The record carries "degrees": [d_1, ..., d_n] and "terms": one list per
     equation of {"exponents": [...], "re": float, "im": float}.  Exponent
-    lists of length n+1 describe a homogeneous system in (X0, ..., Xn).
-    Lists of length n describe an affine one in (x1, ..., xn), which is
-    homogenized as it is read, X0 the first coordinate.  The degrees and
-    every exponent are integers (2.0 is 2): a non-integral number, infinity
-    or a string is a ValueError, which names its equation for an exponent.
-    Absent monomials are zero and repeated ones add up.  A coefficient of
-    the resulting system that is not finite (NaN, Infinity, a literal such as 1e400 that
-    overflows, or a sum that does) is a ValueError naming its equation.
+    lists of length n+1 describe a homogeneous system in (X0, ..., Xn), and
+    lists of length n an affine one in (x1, ..., xn); a record that mixes
+    them is a ValueError.  PolySystem.from_terms reads and checks the terms
+    of either kind.  A coefficient of the resulting system that is not
+    finite (NaN, Infinity, a literal such as 1e400 that overflows, or a sum
+    that does) is a ValueError naming its equation.
     """
     record = json.loads(text)
     try:
@@ -542,32 +539,27 @@ def parse_system_json(text: str) -> PolySystem:
             "system record needs a 'degrees' list of positive integers and a 'terms' list "
             f"({type(exc).__name__}: {exc})"
         ) from exc
-    n = len(degrees)
-    if len(raw_terms) != n:
-        raise ValueError(f"expected {n} term lists, got {len(raw_terms)}")
     terms = [_parse_terms(i, eq) for i, eq in enumerate(raw_terms)]
-    lengths = {len(exponents) for eq in terms for exponents, _ in eq}
     # A sum that overflows is reported below as a ValueError, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
-        if not lengths or lengths == {n + 1}:
-            system = PolySystem.from_terms(degrees, terms)
-        elif lengths == {n}:
-            system = homogenize(AffineSystem(degrees, terms))
-        else:
-            raise ValueError(f"inconsistent exponent lengths {sorted(lengths)} for n={n}")
+        system = PolySystem.from_terms(degrees, terms)
+    # Every exponent list passed from_terms, so each has a length.
+    lengths = {len(exponents) for eq in terms for exponents, _ in eq}
+    if len(lengths) > 1:
+        raise ValueError(f"inconsistent exponent lengths {sorted(lengths)} for n={system.n}")
     for i, vec in enumerate(system.coeffs):
         if not np.isfinite(vec).all():
             raise ValueError(f"equation {i}: coefficients must be finite numbers")
     return system
 
 
-def _parse_terms(i: int, raw) -> list[tuple[tuple[int, ...], complex]]:
-    # One equation's term list as (exponents, coefficient) pairs.
+def _parse_terms(i: int, raw) -> list[tuple[object, complex]]:
+    # One equation's term list as (exponents, coefficient) pairs: the JSON
+    # shape alone, the exponents as given for from_terms to read.
     try:
-        pairs = [(t["exponents"], complex(float(t.get("re", 0.0)), float(t.get("im", 0.0)))) for t in raw]
+        return [(t["exponents"], complex(float(t.get("re", 0.0)), float(t.get("im", 0.0)))) for t in raw]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(
             f"equation {i}: every term needs an 'exponents' list of integers "
             f"and numeric 're'/'im' ({type(exc).__name__}: {exc})"
         ) from exc
-    return [(_integers(exponents, i), c) for exponents, c in pairs]

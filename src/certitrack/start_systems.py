@@ -279,10 +279,10 @@ ENDPOINT_CHECK_ERRORS = (RefinementError, SingularLinearSolveError, PathCrossing
 
 def prepare_target(system: PolySystem | polysys.AffineSystem) -> PolySystem:
     """The system a path is tracked to, scaled onto the unit sphere.  An
-    AffineSystem (katsura_system's; parse_system_json has already
-    homogenized what it read) is homogenized first.  Scaling changes the
-    last bits of a system already on the sphere, so each target goes
-    through here exactly once."""
+    AffineSystem (katsura_system's) is homogenized first, which reads and
+    checks its terms; parse_system_json returns a PolySystem.  Scaling
+    changes the last bits of a system already on the sphere, so each target
+    goes through here exactly once."""
     if isinstance(system, polysys.AffineSystem):
         system = polysys.homogenize(system)
     return normalize_to_sphere(system)

@@ -25,3 +25,11 @@ def system_to_json(system) -> str:
             )
         terms.append(eq)
     return json.dumps({"degrees": list(system.degrees), "terms": terms})
+
+
+def affine_json(f) -> str:
+    """The affine record of an AffineSystem: exponent lists of length n."""
+    terms = [
+        [{"exponents": list(a), "re": c.real, "im": c.imag} for a, c in eq] for eq in f.terms
+    ]
+    return json.dumps({"degrees": list(f.degrees), "terms": terms})

@@ -18,9 +18,7 @@ from certitrack.linalg import one_blas_thread, random_unitary, vector_norm
 from certitrack.polysys import (
     AffineSystem,
     PolySystem,
-    _layout,
     evaluate,
-    homogeneous_exponents,
     homogenize,
     unit_point,
 )
@@ -36,22 +34,27 @@ def re_inner(a, b):
     return bw_inner_re(a.degrees, a._vec, b._vec)
 
 
-@pytest.mark.parametrize(
-    "degrees", [(1,), (2, 2, 2), (1, 2, 3), (1, 2, 2, 2, 2), (3, 3, 3, 3), (6, 6, 6, 6, 6)], ids=str
-)
+# SHA-256 of the bytes of weight_table(degrees)'s weights, scales and
+# re_im_weights, in turn: 1/m, sqrt(m) and each 1/m twice, m = d! / prod a_j!
+# per exponent tuple.  Correctly rounded division and square root give
+# these bits on every OpenBLAS kernel.
+WEIGHT_TABLE_SHA256 = {
+    (1,): "fe5b7d5309402fa73f02fe2905b3d9eeb69d9c468cf3a1b6cfc35f01f27b43ab",
+    (2, 2, 2): "a99dbee8729187851cb1f919bc7767fa61b1537ca4c3f0e3d628988b0f3cbffa",
+    (1, 2, 3): "ce43c1b0e4615fda50d169d402b1f163fa4ae8a7385d134716f097964dda04c5",
+    (1, 2, 2, 2, 2): "4721ec1add08f8a4aaa51c7cfd672b8aadb2b18c603ad780195f052aec8394d6",
+    (3, 3, 3, 3): "a6f86f92f3abcdb0ee5c512ccbbeb19b6312976c983cdbfe7701b18c6b056305",
+    (6, 6, 6, 6, 6): "d69fb2a1a31fc4aa6deac9e1a6f34660763747d5e7c19ea6e486f351a1e3f31b",
+}
+
+
+@pytest.mark.parametrize("degrees", list(WEIGHT_TABLE_SHA256), ids=str)
 def test_weight_table_holds_the_multinomials(degrees):
-    # Each equation's slice holds 1/m and sqrt(m), m = d! / prod a_j! of
-    # each exponent tuple in homogeneous_exponents order; the real-view
-    # weights repeat each weight twice.  Every vector is read-only.
+    # The table's bits against the pin; every vector is read-only, and the
+    # table is built once.
     table = weight_table(degrees)
-    for d, sl in zip(degrees, _layout(degrees)[1]):
-        m = np.array([
-            math.factorial(d) // math.prod(math.factorial(a) for a in row)
-            for row in homogeneous_exponents(len(degrees) + 1, d).tolist()
-        ], dtype=np.float64)
-        assert table.weights[sl].tobytes() == (1.0 / m).tobytes()
-        assert table.scales[sl].tobytes() == np.sqrt(m).tobytes()
-    assert table.re_im_weights.tobytes() == np.repeat(table.weights, 2).tobytes()
+    digest = hashlib.sha256(b"".join(w.tobytes() for w in table)).hexdigest()
+    assert digest == WEIGHT_TABLE_SHA256[degrees]
     assert not any(w.flags.writeable for w in table)
     assert weight_table(degrees) is table
 

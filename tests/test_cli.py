@@ -27,15 +27,7 @@ from certitrack.linalg import SingularLinearSolveError
 from certitrack.newton import RefinementError, certified_radius, refine
 from certitrack.polysys import homogenize, parse_system_json
 from certitrack.start_systems import good_system_raw, prepare_target, random_system_on_sphere
-from system_io import system_to_json
-
-
-def affine_json(f) -> str:
-    """The affine record of an AffineSystem: exponent lists of length n."""
-    terms = [
-        [{"exponents": list(a), "re": c.real, "im": c.imag} for a, c in eq] for eq in f.terms
-    ]
-    return json.dumps({"degrees": list(f.degrees), "terms": terms})
+from system_io import affine_json, system_to_json
 
 
 def usage_error(argv, capsys) -> str:

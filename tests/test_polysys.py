@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 import pickle
 import platform
@@ -34,7 +35,7 @@ from certitrack.start_systems import good_initial_pair, total_degree_start
 from openblas_core import OTHER_KERNEL, child_lines
 import reference
 from sample_systems import random_points, random_system
-from system_io import system_to_json
+from system_io import affine_json, system_to_json
 
 
 def random_affine_system(degrees, seed):
@@ -145,10 +146,11 @@ TAKES_DEGREES = {
 class TestIntegralDegrees:
     """Degrees and exponents pass one check: a value equal to its int passes
     as that int, and any other value is a ValueError, never truncated (a
-    list, which the layout cache cannot hash, included)."""
+    list, which the layout cache cannot hash, and a boolean, which it takes
+    for its int, included)."""
 
-    @pytest.mark.parametrize("degrees", [(2.5, 2), (2, math.inf), ("2", 2), ([2], 2)],
-                             ids=["fraction", "infinity", "string", "list"])
+    @pytest.mark.parametrize("degrees", [(2.5, 2), (2, math.inf), ("2", 2), ([2], 2), (True, 2), (2, np.True_)],
+                             ids=["fraction", "infinity", "string", "list", "boolean", "numpy-boolean"])
     @pytest.mark.parametrize("name", sorted(TAKES_DEGREES))
     def test_non_integral_degree_raises(self, name, degrees):
         with pytest.raises(ValueError, match="degrees must be integers"):
@@ -661,39 +663,78 @@ class TestAffineInput:
             parse_system_json(text)
 
     # A system of degrees (1, 2) whose equation 1 has a term with bad
-    # exponents, read by AffineSystem (the ids without a prefix),
-    # PolySystem.from_terms and parse_system_json (affine or homogeneous as
-    # the exponents' length says); the error names the equation.
+    # exponents, read by homogenize(AffineSystem(...)) (the ids without a
+    # prefix), PolySystem.from_terms and parse_system_json (affine or
+    # homogeneous as the exponents' length says); the error names the
+    # equation.  AffineSystem keeps its terms unread, so from_terms checks
+    # them all.
     @pytest.mark.parametrize("read, exponents, match", [
         *[("affine", e, "") for e in [(2, 1), (-1, 1), (1,), (1, 0, 0)]],
-        *[("affine", e, NON_INTEGRAL) for e in [(0.9, 1.1), (1, math.inf), (1, "1"), 3]],
-        *[("terms", e, NON_INTEGRAL) for e in [(0, 0.9, 1.1), (0, 1, math.inf), (0, 1, "1"), 3]],
+        *[("affine", e, NON_INTEGRAL) for e in [(0.9, 1.1), (1, math.inf), (1, "1"), 3, (True, 0), (0, np.True_)]],
+        *[("terms", e, NON_INTEGRAL) for e in [(0, 0.9, 1.1), (0, 1, math.inf), (0, 1, "1"), 3, (0, True, True)]],
         *[("json", e, "") for e in [[2, 1], [-1, 1]]],
         *[("json", e, NON_INTEGRAL + r", got \(.*2\.9") for e in [[2.9, 0], [0, 2.9, 0]]],
+        ("json", [False, True, True], NON_INTEGRAL),
     ], ids=["sum-above-degree", "negative", "short", "long", "fraction", "infinity", "string", "not-a-list",
-            "terms-fraction", "terms-infinity", "terms-string", "terms-not-a-list",
-            "json-sum-above-degree", "json-negative", "json-affine-fraction", "json-homogeneous-fraction"])
+            "boolean", "numpy-boolean",
+            "terms-fraction", "terms-infinity", "terms-string", "terms-not-a-list", "terms-boolean",
+            "json-sum-above-degree", "json-negative", "json-affine-fraction", "json-homogeneous-fraction",
+            "json-boolean"])
     def test_constructor_names_the_equation(self, read, exponents, match):
         with pytest.raises(ValueError, match="equation 1: exponents" + match):
             if read == "affine":
-                AffineSystem((1, 2), [[((1, 0), 1.0)], [((0, 0), 1.0), (exponents, 1.0)]])
+                homogenize(AffineSystem((1, 2), [[((1, 0), 1.0)], [((0, 0), 1.0), (exponents, 1.0)]]))
             elif read == "terms":
                 PolySystem.from_terms((1, 2), [[((1, 0, 0), 1.0)], [(exponents, 1.0)]])
             else:
                 first = [1, 0, 0][: len(exponents)]
                 parse_system_json(f'{{"degrees": [1, 2], "terms": [[{{"exponents": {first}, "re": 1.0}}], '
-                                  f'[{{"exponents": {exponents}, "re": 1.0}}]]}}')
+                                  f'[{{"exponents": {json.dumps(exponents)}, "re": 1.0}}]]}}')
 
     def test_one_term_list_per_equation(self):
-        with pytest.raises(ValueError, match="one term list per equation"):
-            AffineSystem((1, 2), [[((1, 0), 1.0)]])
+        with pytest.raises(ValueError, match="expected 2 term lists, got 1"):
+            homogenize(AffineSystem((1, 2), [[((1, 0), 1.0)]]))
 
-    def test_terms_kept_as_ints_and_complex(self):
-        f = AffineSystem([2], [[(np.array([2]), np.float64(1.5)), ([0], -1)]])
-        assert f.degrees == (2,)
-        assert f.terms == ((((2,), 1.5 + 0j), ((0,), -1 + 0j)),)
-        assert all(type(e) is int for eq in f.terms for a, _ in eq for e in a)
-        assert all(type(c) is complex for eq in f.terms for _, c in eq)
+    @pytest.mark.parametrize("n", sorted(KATSURA_HOMOGENIZED_SHA256))
+    def test_katsura_record_bits_pinned(self, n):
+        # The affine record of Katsura-n reads to the bits of its
+        # homogenization: the two ways in for affine input agree.
+        vec = parse_system_json(affine_json(katsura_system(n)))._vec
+        assert hashlib.sha256(vec.tobytes()).hexdigest() == KATSURA_HOMOGENIZED_SHA256[n]
+
+    @pytest.mark.parametrize("f", [
+        AffineSystem((2, 1), [
+            [((1, 1), 0.5 - 1.25j), ((0, 0), 3.0), ((1, 1), 0.25 + 2j), ((2, 0), -0.0), ((0, 0), -3.0)],
+            [((1, 0), 1.0), ((0, 1), -0.0 + 1.5j), ((0, 0), 0.0), ((1, 0), 1e-300j)],
+        ]),
+        AffineSystem((1,), [[((1,), 2.0), ((0,), -1.0), ((1,), -2.0)]]),
+        katsura_system(4),
+        random_affine_system((2, 3), 11),
+    ], ids=["repeated-and-signed-zeros", "cancelling", "katsura-4", "random-2-3"])
+    def test_affine_and_homogeneous_spellings_agree(self, f):
+        # from_terms reads the affine x^a as X0^(d-|a|) x^a, adding the
+        # coefficients in the order given.
+        lifted = [[((d - sum(a),) + tuple(a), c) for a, c in eq] for d, eq in zip(f.degrees, f.terms)]
+        want = PolySystem.from_terms(f.degrees, lifted)._vec.tobytes()
+        assert PolySystem.from_terms(f.degrees, f.terms)._vec.tobytes() == want
+        assert homogenize(f)._vec.tobytes() == want
+
+    @pytest.mark.parametrize("read", ["affine", "homogeneous"])
+    def test_numpy_terms_give_the_bits_of_plain_ones(self, read):
+        # Exponents as NumPy integer and integral float arrays, coefficients
+        # as NumPy complexes, floats and integers: the bits of the same terms
+        # as tuples of Python ints with Python complexes.
+        f = random_affine_system((2, 3), 5)
+        lift = (lambda d, a: a) if read == "affine" else (lambda d, a: (d - sum(a),) + tuple(a))
+        kinds = [np.complex128, lambda c: np.float64(c.real), lambda c: np.int64(round(c.real))]
+        numpy_terms, plain_terms = [], []
+        for d, eq in zip(f.degrees, f.terms):
+            numpy_terms.append([(np.array(lift(d, a), dtype=np.int64 if k % 2 else np.float64), kinds[k % 3](c))
+                                for k, (a, c) in enumerate(eq)])
+            plain_terms.append([(tuple(int(e) for e in lift(d, a)), complex(kinds[k % 3](c)))
+                                for k, (a, c) in enumerate(eq)])
+        got = PolySystem.from_terms(f.degrees, numpy_terms)._vec
+        assert got.tobytes() == PolySystem.from_terms(f.degrees, plain_terms)._vec.tobytes()
 
 
 class TestAffineJacobian:
@@ -753,8 +794,8 @@ class TestSystemIO:
         with pytest.raises(ValueError, match="system record needs"):
             parse_system_json(text)
 
-    @pytest.mark.parametrize("degrees", ["[2.7]", "[Infinity]", '["2"]'],
-                             ids=["fraction", "infinity", "string"])
+    @pytest.mark.parametrize("degrees", ["[2.7]", "[Infinity]", '["2"]', "[true]"],
+                             ids=["fraction", "infinity", "string", "boolean"])
     def test_non_integral_degree_raises(self, degrees):
         terms = '[[{"exponents": [2, 0], "re": 1.0}, {"exponents": [0, 2], "re": -1.0}]]'
         with pytest.raises(ValueError, match="system record needs .*degrees must be integers"):
