@@ -90,11 +90,14 @@ def nearest_root(endpoint, references) -> tuple[int, float]:
 def match_roots(endpoints, references) -> list[int]:
     """Nearest-neighbor assignment of endpoints to reference roots.
 
-    References must be pairwise separated (> 1e-4 in d_R).  Certified
+    References must be pairwise separated (> 1e-4 in d_R), and there must be
+    at least one: an empty or unseparated list raises ValueError.  Certified
     endpoints of distinct paths land on distinct roots, so the assignment is
     injective for them; ties within TIE_TOL raise AmbiguousMatchError.
     """
     refs = list(references)
+    if not refs:
+        raise ValueError("the reference root list is empty")
     for i in range(len(refs)):
         for j in range(i + 1, len(refs)):
             if riemann_distance(refs[i], refs[j]) <= 1e-4:

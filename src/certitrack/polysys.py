@@ -522,7 +522,8 @@ def parse_system_json(text: str) -> PolySystem:
     """Parse the text input format for systems into a PolySystem.
 
     The record carries "degrees": [d_1, ..., d_n] and "terms": one list per
-    equation of {"exponents": [...], "re": float, "im": float}.  Exponent
+    equation of {"exponents": [...], "re": x, "im": y}, x and y JSON numbers
+    (a boolean or a string is a ValueError naming its equation).  Exponent
     lists of length n+1 describe a homogeneous system in (X0, ..., Xn), and
     lists of length n an affine one in (x1, ..., xn); a record that mixes
     them is a ValueError.  PolySystem.from_terms reads and checks the terms
@@ -553,11 +554,20 @@ def parse_system_json(text: str) -> PolySystem:
     return system
 
 
+def _json_number(value) -> float:
+    # A JSON number, int or float: never a boolean, which Python counts as
+    # an int, nor a string that float() would read.
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _parse_terms(i: int, raw) -> list[tuple[object, complex]]:
     # One equation's term list as (exponents, coefficient) pairs: the JSON
     # shape alone, the exponents as given for from_terms to read.
     try:
-        return [(t["exponents"], complex(float(t.get("re", 0.0)), float(t.get("im", 0.0)))) for t in raw]
+        return [(t["exponents"], complex(_json_number(t.get("re", 0.0)), _json_number(t.get("im", 0.0))))
+                for t in raw]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(
             f"equation {i}: every term needs an 'exponents' list of integers "

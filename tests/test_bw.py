@@ -26,7 +26,7 @@ from certitrack.start_systems import good_system_raw, random_system_on_sphere
 from openblas_core import pinned
 import reference
 from reference import mp
-from sample_systems import random_system
+from sample_systems import random_points, random_system
 
 
 def re_inner(a, b):
@@ -91,8 +91,9 @@ class TestNorm:
     def test_two_pure_powers(self):
         h = PolySystem.from_terms((2,), [[((2, 0), 1.0), ((0, 2), 1.0)]])
         assert bw_norm(h) == pytest.approx(math.sqrt(2.0))
+        assert bw_norm(1.5e308 * h) == math.inf  # past the largest float
 
-    @pytest.mark.parametrize("degrees", [(2,), (2, 2), (3, 2, 4), (2, 2, 2, 2)])
+    @pytest.mark.parametrize("degrees", [(2,), (2, 2), (3, 2, 4), (2, 2, 2, 2), (2, 2, 2)])
     def test_good_system_norm_sqrt_n(self, degrees):
         assert bw_norm(good_system_raw(degrees)) == pytest.approx(math.sqrt(len(degrees)))
 
@@ -134,18 +135,17 @@ class TestNormalize:
         assert bw_norm(out) == pytest.approx(1.0)
         np.testing.assert_allclose(out.coeffs[0].max(), 1 / math.sqrt(2.0))
 
-    def test_zero_system_rejected(self):
-        h = PolySystem.from_coeff_vector((2,), np.zeros(3))
-        with pytest.raises(ValueError):
-            normalize_to_sphere(h)
-
-    @pytest.mark.parametrize("coeff", [math.inf, math.nan], ids=["inf", "nan"])
-    def test_non_finite_norm_rejected(self, coeff):
-        h = PolySystem.from_terms((2,), [[((2, 0), 1.0), ((0, 2), coeff)]])
-        with pytest.raises(ValueError, match="cannot normalize"):
-            normalize_to_sphere(h)
+    @pytest.mark.parametrize("h", [
+        PolySystem.from_coeff_vector((2,), np.zeros(3)),
+        *(PolySystem.from_terms((2,), [[((2, 0), 1.0), ((0, 2), c)]]) for c in (math.inf, math.nan)),
         # in a later equation than a finite largest modulus
-        h = PolySystem.from_terms((1, 1), [[((1, 0, 0), 1.0)], [((1, 0, 0), coeff)]])
+        *(PolySystem.from_terms((1, 1), [[((1, 0, 0), 1.0)], [((1, 0, 0), c)]]) for c in (math.inf, math.nan)),
+        1.5e308 * PolySystem.from_terms((2,), [[((2, 0), 1.0), ((0, 2), 1.0)]]),
+        # 1 / ||h|| exceeds the largest float
+        1e-320 * PolySystem.from_terms((2,), [[((2, 0), 1.0), ((0, 2), 1.0)]]),
+    ], ids=["zero", "inf", "nan", "inf-in-a-later-equation", "nan-in-a-later-equation", "norm-past-largest-float",
+            "subnormal"])
+    def test_cannot_normalize(self, h):
         with pytest.raises(ValueError, match="cannot normalize"):
             normalize_to_sphere(h)
 
@@ -178,18 +178,6 @@ class TestNormalize:
         np.testing.assert_allclose(out._vec, normalize_to_sphere(h)._vec,
                                    rtol=1e-14, atol=0)
 
-    def test_norm_past_largest_float_rejected(self):
-        h = 1.5e308 * PolySystem.from_terms((2,), [[((2, 0), 1.0), ((0, 2), 1.0)]])
-        assert bw_norm(h) == math.inf
-        with pytest.raises(ValueError, match="cannot normalize"):
-            normalize_to_sphere(h)
-
-    def test_subnormal_system_rejected(self):
-        # 1 / ||h|| exceeds the largest float
-        h = 1e-320 * PolySystem.from_terms((2,), [[((2, 0), 1.0), ((0, 2), 1.0)]])
-        with pytest.raises(ValueError, match="cannot normalize"):
-            normalize_to_sphere(h)
-
 
 class TestEnsureOnSphere:
     def test_nan_system_rejected(self):
@@ -211,16 +199,12 @@ class TestRiemannDistance:
         assert riemann_distance([1, 0], [1, 1]) == pytest.approx(math.pi / 4)
 
     def test_phase_invariance(self):
-        rng = np.random.default_rng(4)
-        z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        z, w = random_points(4, 2, 4)
         lam = np.exp(1.7j)
         assert riemann_distance(lam * z, w) == pytest.approx(riemann_distance(z, w), abs=1e-12)
 
     def test_symmetry(self):
-        rng = np.random.default_rng(5)
-        z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        z, w = random_points(3, 2, 5)
         assert riemann_distance(z, w) == pytest.approx(riemann_distance(w, z), abs=1e-12)
 
     def test_small_distance_not_lost(self):
@@ -242,16 +226,12 @@ class TestRiemannDistance:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_triangle_inequality(self, seed):
-        rng = np.random.default_rng(seed)
-        pts = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(3)]
-        a, b, c = pts
+        a, b, c = random_points(3, 3, seed)
         assert riemann_distance(a, c) <= riemann_distance(a, b) + riemann_distance(b, c) + 1e-10
 
     def test_range(self):
-        rng = np.random.default_rng(6)
-        for _ in range(50):
-            z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        points = random_points(3, 100, 6)
+        for z, w in zip(points[::2], points[1::2]):
             d = riemann_distance(z, w)
             assert 0.0 <= d <= math.pi / 2 + 1e-15
 
@@ -331,9 +311,7 @@ class TestUnitaryCompose:
             h = random_system(degrees, seed)
             U = random_unitary(n_vars, np.random.default_rng(seed + 70))
             hU = unitary_compose(h, U)
-            rng = np.random.default_rng(seed + 80)
-            for _ in range(3):
-                z = rng.standard_normal(n_vars) + 1j * rng.standard_normal(n_vars)
+            for z in random_points(n_vars, 3, seed + 80):
                 np.testing.assert_allclose(evaluate(hU, z), evaluate(h, U @ z), rtol=1e-10)
 
     def test_norm_preserved(self):

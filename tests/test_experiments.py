@@ -36,22 +36,19 @@ def solve_katsura(n: int):
 
 
 class TestShannonEntropy:
-    def test_uniform_eight(self):
-        assert shannon_entropy([100] * 8) == pytest.approx(3.0)
-
-    def test_single_bucket(self):
-        assert shannon_entropy([42]) == 0.0
-
-    def test_single_bucket_is_positive_zero(self):
-        # -0.0 == 0.0, so only the sign shows a -0.0 (printed "-0.000000").
-        assert math.copysign(1.0, shannon_entropy([42])) == 1.0
-        assert math.copysign(1.0, shannon_entropy([0, 7, 0])) == 1.0
-
-    def test_three_quarters_split(self):
-        assert shannon_entropy([75, 25]) == pytest.approx(0.811278, abs=1e-6)
-
-    def test_zero_buckets_ignored(self):
-        assert shannon_entropy([50, 0, 50]) == pytest.approx(1.0)
+    @pytest.mark.parametrize("hits, want", [
+        ([100] * 8, pytest.approx(3.0)),
+        ([42], 0.0),
+        ([0, 7, 0], 0.0),
+        ([75, 25], pytest.approx(0.811278, abs=1e-6)),
+        ([50, 0, 50], pytest.approx(1.0)),
+    ], ids=["uniform-eight", "single-bucket", "single-bucket-among-zeros", "three-quarters-split",
+            "zero-buckets-ignored"])
+    def test_value(self, hits, want):
+        # Never -0.0: -0.0 == 0.0, so only the sign shows one (printed "-0.000000").
+        entropy = shannon_entropy(hits)
+        assert entropy == want
+        assert math.copysign(1.0, entropy) == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -89,10 +86,13 @@ class TestMatchRoots:
         with pytest.raises(AmbiguousMatchError):
             match_roots([midpoint], self.refs)
 
-    def test_unseparated_references_rejected(self):
-        refs = [unit_point([1.0, 0.0]), unit_point([1.0, 1e-6])]
-        with pytest.raises(ValueError):
-            match_roots([refs[0]], refs)
+    @pytest.mark.parametrize("refs, message", [
+        ([unit_point([1.0, 0.0]), unit_point([1.0, 1e-6])], "not separated"),
+        ([], "reference root list is empty"),
+    ], ids=["unseparated", "empty"])
+    def test_references_rejected(self, refs, message):
+        with pytest.raises(ValueError, match=message):
+            match_roots([unit_point([1.0, 0.0])], refs)
 
     @pytest.mark.parametrize("gap, tie", [(0.995e-12, True), (1.005e-12, False)])
     def test_tie_tolerance_boundary(self, gap, tie):
@@ -157,11 +157,6 @@ class TestRunBench:
         )
         assert reports["heuristic"].mean_steps < reports["certified"].mean_steps
 
-    def test_thread_determinism(self):
-        a = run_bench("random", degrees=(2, 2), trials=3, seed=2, threads=1)["certified"]
-        b = run_bench("random", degrees=(2, 2), trials=3, seed=2, threads=2)["certified"]
-        assert a.per_path == b.per_path
-
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
         # A stand-in for the pool records its size and starts no process.
@@ -213,11 +208,6 @@ class TestRunBench:
         assert experiments._map_trials(abs, [-1, -2], 800) == [1, 2]
         assert pool_sizes == [2, 3]
 
-    def test_katsura_family(self):
-        rep = run_bench("katsura", n=3, seed=0)["certified"]
-        assert len(rep.per_path) == 4
-        assert rep.failures == 0
-
     def test_pinned_step_counts(self):
         # Read before the certified tracker shared the trial's homotopy;
         # sharing it must not move a step.
@@ -233,8 +223,9 @@ class TestRunBench:
             assert {p.status for p in report.per_path} == {"Success"}
             assert [p.steps for p in report.per_path] == steps[kind]
         # The Katsura paths are run_solve(katsura_system(3), "total", 0)'s.
-        katsura = run_bench("katsura", n=3)["certified"].per_path
-        assert [(p.status, p.steps) for p in katsura] == [
+        katsura = run_bench("katsura", n=3)["certified"]
+        assert katsura.failures == 0
+        assert [(p.status, p.steps) for p in katsura.per_path] == [
             ("Success", s) for s in (1270, 841, 1056, 980)
         ]
 
@@ -248,18 +239,10 @@ class TestRunBench:
             (i, r.status.value, r.num_steps) for i, r in enumerate(solve)
         ]
 
-    def test_one_homotopy_per_trial(self, monkeypatch):
+    def test_one_homotopy_per_trial(self, spy):
         # Both trackers of a trial share one homotopy; track_path would
         # build one per certified path.
-        built = []
-        make = experiments.make_linear_homotopy
-
-        def counting(g, f):
-            built.append(1)
-            return make(g, f)
-
-        monkeypatch.setattr(experiments, "make_linear_homotopy", counting)
-        monkeypatch.setattr(tracker, "make_linear_homotopy", counting)
+        built = spy(experiments, "make_linear_homotopy", tracker)
         run_bench("random", (2, 2), trials=2, seed=0, trackers=("certified", "heuristic"))
         assert len(built) == 2
 
@@ -270,17 +253,11 @@ class TestRunBench:
             run_bench("nope", degrees=(2,))
 
     @pytest.mark.parametrize("trackers", [("nope",), ("certified", "nope")])
-    def test_unknown_tracker_raises_before_tracking(self, monkeypatch, trackers):
-        calls = []
-
-        def counting(hom, z0, opts):
-            calls.append(1)
-
-        monkeypatch.setattr(experiments, "track_linear", counting)
-        monkeypatch.setattr(experiments, "track_heuristic", counting)
+    def test_unknown_tracker_raises_before_tracking(self, spy, trackers):
+        tracked = [spy(experiments, name) for name in ("track_linear", "track_heuristic")]
         with pytest.raises(ValueError, match="unknown tracker 'nope'"):
             run_bench("random", (2, 2), trials=1, trackers=trackers)
-        assert calls == []
+        assert tracked == [[], []]
 
     @pytest.mark.parametrize(
         "family, kwargs, name",
@@ -321,31 +298,13 @@ class TestRunConjecture:
             assert r.mean_steps > 0
             assert r.mean_steps < r.bound
 
-    def test_thread_determinism(self):
-        for verify_bound in (False, True):
-            a = run_conjecture(2, trials=3, seed=4, threads=1, verify_bound=verify_bound)
-            b = run_conjecture(2, trials=3, seed=4, threads=2, verify_bound=verify_bound)
-            assert a == b
-
-    def test_verify_bound_tracks_each_path_once(self, monkeypatch):
+    def test_verify_bound_tracks_each_path_once(self, spy):
         # The bound integrates the trace of the path the trial tracked; the
         # oracle tracks nothing itself.
-        calls = []
-        track = tracker.track_linear
-
-        def counting(hom, z0, opts=tracker.TrackerOptions()):
-            calls.append(opts.record_trace)
-            return track(hom, z0, opts)
-
-        monkeypatch.setattr(experiments, "track_linear", counting)
-        monkeypatch.setattr(tracker, "track_linear", counting)
+        calls = spy(experiments, "track_linear", tracker)
         reports = run_conjecture(2, trials=1, seed=3, verify_bound=True)
-        assert all(r.failures == 0 for r in reports)
-        assert calls == [True] * len(PAIR_KINDS)
-
-    def test_verify_bound_flags_nothing(self):
-        reports = run_conjecture(2, trials=1, seed=3, verify_bound=True)
-        assert all(r.bound_violations == 0 for r in reports)
+        assert all(r.failures == 0 and r.bound_violations == 0 for r in reports)
+        assert [opts.record_trace for _, _, opts in calls] == [True] * len(PAIR_KINDS)
 
 
 class TestEntropyExperiment:
@@ -358,23 +317,11 @@ class TestEntropyExperiment:
             run_entropy((2, 2), epsilon=0.1, runs=1)
 
     @pytest.fixture
-    def tracked_targets(self, monkeypatch):
+    def tracked_targets(self, spy):
         # The coefficient bytes of every target a path tracks, through the
         # track_path of the reference solve and of the histogram runs.
-        targets = []
-
-        def recording(module):
-            track = module.track_path
-
-            def wrapper(g, f, z0, opts):
-                targets.append(f._vec.tobytes())
-                return track(g, f, z0, opts)
-
-            monkeypatch.setattr(module, "track_path", wrapper)
-
-        recording(experiments)
-        recording(start_systems)
-        return targets
+        calls = spy(experiments, "track_path", start_systems)
+        return lambda: [f._vec.tobytes() for _, f, *_ in calls]
 
     @staticmethod
     def perturbed_good_system(degrees, epsilon, seed):
@@ -385,7 +332,7 @@ class TestEntropyExperiment:
     def test_target_construction(self, tracked_targets):
         run_entropy((1, 2, 2), epsilon=0.1, runs=1, seed=0)
         want = self.perturbed_good_system((1, 2, 2), 0.1, 0)
-        assert set(tracked_targets) == {want._vec.tobytes()}
+        assert set(tracked_targets()) == {want._vec.tobytes()}
         assert bw_norm(want) == pytest.approx(1.0, abs=1e-12)
 
     def test_reference_roots_are_of_the_tracked_target(self, tracked_targets):
@@ -393,9 +340,9 @@ class TestEntropyExperiment:
         # system, bit for bit.  Seed 1 is one where scaling the target a
         # second time changes its bits.
         run_entropy((2, 2), epsilon=0.1, runs=2, seed=1)
-        assert len(tracked_targets) == 4 + 2
+        assert len(tracked_targets()) == 4 + 2
         want = self.perturbed_good_system((2, 2), 0.1, 1)
-        assert set(tracked_targets) == {want._vec.tobytes()}
+        assert set(tracked_targets()) == {want._vec.tobytes()}
 
     def test_small_entropy_run(self):
         rep = run_entropy((2, 2), epsilon=0.1, runs=12, variant="ball", seed=0)
@@ -406,11 +353,6 @@ class TestEntropyExperiment:
     def test_unitary_variant(self):
         rep = run_entropy((2, 2), epsilon=0.1, runs=12, variant="unitary", seed=1)
         assert sum(rep.root_hits) + rep.failures == 12
-
-    def test_thread_determinism(self):
-        a = run_entropy((2, 2), runs=6, seed=1, threads=1)
-        b = run_entropy((2, 2), runs=6, seed=1, threads=2)
-        assert a == b
 
     def test_endpoint_that_does_not_refine_is_a_failed_run(self, monkeypatch):
         # The reference solve refines through start_systems; each run's
@@ -441,41 +383,37 @@ class TestEntropyExperiment:
         rep = run_entropy((2, 2), epsilon=0.1, runs=3, seed=0)
         assert (sum(rep.root_hits), rep.failures) == ((3, 0) if hit else (0, 3))
 
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            run_entropy((2, 2), runs=1, variant="nope")
-
-    def test_unknown_variant_raises_before_the_reference_solve(self, monkeypatch):
-        solves = []
-        solve = experiments.solve_all_total_degree
-
-        def counting(f, start):
-            solves.append(1)
-            return solve(f, start)
-
-        monkeypatch.setattr(experiments, "solve_all_total_degree", counting)
+    def test_unknown_variant_raises_before_the_reference_solve(self, spy):
+        solves = spy(experiments, "solve_all_total_degree")
         with pytest.raises(ValueError, match="unknown variant 'nope'"):
             run_entropy((2, 2), runs=1, variant="nope")
         assert solves == []
 
 
-def test_random_pair_is_drawn_through_start_systems(monkeypatch):
+@pytest.mark.parametrize("run", [
+    lambda threads: run_bench("random", degrees=(2, 2), trials=3, seed=2, threads=threads)["certified"].per_path,
+    lambda threads: [run_conjecture(2, trials=3, seed=4, threads=threads, verify_bound=verify_bound)
+                     for verify_bound in (False, True)],
+    lambda threads: run_entropy((2, 2), runs=6, seed=1, threads=threads),
+], ids=["bench", "conjecture", "entropy"])
+def test_thread_determinism(run):
+    assert run(1) == run(2)
+
+
+def test_random_pair_is_drawn_through_start_systems(spy):
     # Each run draws its random pair through the module attribute
     # start_systems.random_initial_pair, so a wrapper on it sees every draw.
-    calls = []
-    draw = start_systems.random_initial_pair
+    calls = spy(start_systems, "random_initial_pair")
 
-    def counting(degrees, rng):
-        calls.append(tuple(degrees))
-        return draw(degrees, rng)
+    def drawn():
+        return [tuple(degrees) for degrees, _ in calls]
 
-    monkeypatch.setattr(start_systems, "random_initial_pair", counting)
     run_solve(katsura_system(2), "random", seed=0)
-    assert calls == [(1, 2)]
+    assert drawn() == [(1, 2)]
     run_conjecture(1, trials=2, seed=0)
-    assert calls == [(1, 2)] + [(2,)] * 2
+    assert drawn() == [(1, 2)] + [(2,)] * 2
     run_entropy((2, 2), epsilon=0.1, runs=3, seed=0)
-    assert calls == [(1, 2)] + [(2,)] * 2 + [(2, 2)] * 3
+    assert drawn() == [(1, 2)] + [(2,)] * 2 + [(2, 2)] * 3
 
 
 class TestRunSolve:

@@ -1,6 +1,5 @@
 import math
 import re
-import sys
 import threading
 import warnings
 
@@ -175,10 +174,8 @@ class TestVectorNorm:
 
 class TestSpectralNorm:
     def test_diagonal(self):
-        assert spectral_norm(np.diag([3.0, 1.0])) == pytest.approx(3.0)
-
-    def test_identity(self):
-        assert spectral_norm(np.eye(5)) == pytest.approx(1.0)
+        for A, want in [(np.diag([3.0, 1.0]), 3.0), (np.eye(5), 1.0)]:
+            assert spectral_norm(A) == pytest.approx(want)
 
     def test_rank_one(self):
         rng = np.random.default_rng(4)
@@ -195,17 +192,12 @@ class TestSpectralNorm:
 
 
 class TestKernelVector:
-    def test_one_by_two(self):
-        rng = np.random.default_rng(0)
-        v = kernel_vector(np.array([[0.0, 1.0]], dtype=complex), rng)
+    @pytest.mark.parametrize("n, seed", [(1, 0), (2, 1)], ids=["one-by-two", "two-by-three"])
+    def test_kernel_of_e1_to_en_rows_is_e0(self, n, seed):
+        # The rows e_1 .. e_n of n + 1 coordinates: e0 times a phase.
+        v = kernel_vector(np.eye(n + 1, dtype=complex)[1:], np.random.default_rng(seed))
         assert abs(abs(v[0]) - 1.0) < 1e-12
-        assert abs(v[1]) < 1e-12
-
-    def test_two_by_three(self):
-        rng = np.random.default_rng(1)
-        M = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
-        v = kernel_vector(M, rng)
-        assert abs(abs(v[0]) - 1.0) < 1e-12
+        assert np.all(np.abs(v[1:]) < 1e-12)
 
     @pytest.mark.parametrize("n,seed", [(2, 0), (4, 1), (7, 2)])
     def test_residual(self, n, seed):
@@ -246,12 +238,10 @@ class TestRandomUnitary:
         assert abs(abs(U[0, 0]) - 1.0) < 1e-12
 
     def test_unitary_contract(self):
-        U = random_unitary(8, np.random.default_rng(1))
-        np.testing.assert_allclose(U.conj().T @ U, np.eye(8), atol=1e-10)
-
-    def test_column_norms(self):
-        U = random_unitary(6, np.random.default_rng(2))
-        np.testing.assert_allclose(np.linalg.norm(U, axis=0), np.ones(6), atol=1e-10)
+        # U* U = I, whose diagonal holds the squared column norms.
+        for size, seed in [(8, 1), (6, 2)]:
+            U = random_unitary(size, np.random.default_rng(seed))
+            np.testing.assert_allclose(U.conj().T @ U, np.eye(size), atol=1e-10)
 
     def test_haar_first_entry_moment(self):
         # |U_00|^2 ~ Beta(1, 3) at size 4: mean 1/4, var 3/80
@@ -391,7 +381,7 @@ class TestOneBlasThread:
         assert seen == [[1] * len(controls)]
         assert self.counts(controls) == [2] * len(controls)
 
-    def test_many_threads_keep_the_pin(self, controls):
+    def test_many_threads_keep_the_pin(self, controls, fast_thread_switching):
         # More threads than cores entering and leaving at once: none sees a
         # restored count while another is inside, and the setting survives.
         start = threading.Barrier(4)
@@ -403,16 +393,11 @@ class TestOneBlasThread:
                 with one_blas_thread:
                     seen.add(tuple(self.counts(controls)))
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work) for _ in range(4)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
         assert not any(th.is_alive() for th in threads)
         assert seen == {(1,) * len(controls)}
         assert self.counts(controls) == [2] * len(controls)

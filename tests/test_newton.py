@@ -68,7 +68,7 @@ class TestNewtonProjective:
 
 
 class TestConditionNumber:
-    @pytest.mark.parametrize("degrees", [(2,), (2, 2), (2, 2, 2), (3, 2)])
+    @pytest.mark.parametrize("degrees", [(2,), (2, 2), (2, 2, 2), (3, 2), (2, 2, 2, 2)])
     def test_good_pair_mu_sqrt_n(self, degrees):
         # both the raw system and its normalization: mu is scale invariant
         pair = good_initial_pair(degrees)

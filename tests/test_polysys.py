@@ -4,7 +4,6 @@ import json
 import math
 import pickle
 import platform
-import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -101,14 +100,10 @@ class TestMonomialTensor:
 
 
 class TestSpaceDimension:
-    def test_two_quadrics(self):
-        assert space_dimension((2, 2)) == 12
-
-    def test_single_linear(self):
-        assert space_dimension((1,)) == 2
-
-    def test_three_quadrics(self):
-        assert space_dimension((2, 2, 2)) == 30
+    @pytest.mark.parametrize("degrees, dimension", [((2, 2), 12), ((1,), 2), ((2, 2, 2), 30)],
+                             ids=["two-quadrics", "single-linear", "three-quadrics"])
+    def test_value(self, degrees, dimension):
+        assert space_dimension(degrees) == dimension
 
     def test_bad_degrees(self):
         with pytest.raises(ValueError):
@@ -122,6 +117,7 @@ def _rng():
 # Every public function that takes a degree tuple, called on `degrees`, and
 # PolySystem's _adopt, the constructor every system is built by.
 TAKES_DEGREES = {
+    "degree_tuple": degree_tuple,
     "space_dimension": space_dimension,
     "PolySystem": lambda d: PolySystem._adopt(d, np.zeros(12, dtype=complex)),
     "from_coeff_vector": lambda d: PolySystem.from_coeff_vector(d, np.zeros(12)),
@@ -149,16 +145,14 @@ class TestIntegralDegrees:
     list, which the layout cache cannot hash, and a boolean, which it takes
     for its int, included)."""
 
-    @pytest.mark.parametrize("degrees", [(2.5, 2), (2, math.inf), ("2", 2), ([2], 2), (True, 2), (2, np.True_)],
-                             ids=["fraction", "infinity", "string", "list", "boolean", "numpy-boolean"])
+    @pytest.mark.parametrize("degrees", [(2.5, 2), (2, math.inf), (2, math.nan), ("2", 2), ([2], 2), (True, 2),
+                                         (2, np.True_), [2.5, 2]],
+                             ids=["fraction", "infinity", "nan", "string", "list", "boolean", "numpy-boolean",
+                                  "fraction-in-a-list"])
     @pytest.mark.parametrize("name", sorted(TAKES_DEGREES))
     def test_non_integral_degree_raises(self, name, degrees):
         with pytest.raises(ValueError, match="degrees must be integers"):
             TAKES_DEGREES[name](degrees)
-
-    def test_nan_degree_raises(self):
-        with pytest.raises(ValueError, match="degrees must be integers"):
-            degree_tuple((2, math.nan))
 
     def test_integral_floats_give_the_bits_of_ints(self):
         assert degree_tuple((2.0, np.float64(2.0))) == (2, 2)
@@ -196,15 +190,13 @@ class TestEvaluate:
     def test_against_brute_force(self, degrees, seed):
         # The reference's value is the brute-force sum over exponent tuples.
         h = random_system(degrees, seed)
-        rng = np.random.default_rng(seed + 100)
-        z = rng.standard_normal(h.n_vars) + 1j * rng.standard_normal(h.n_vars)
+        (z,) = random_points(h.n_vars, 1, seed + 100)
         want = reference.evaluate((h.degrees, h._vec), z)[0]
         np.testing.assert_allclose(evaluate(h, z), np.array(want, dtype=complex), rtol=1e-13)
 
     def test_homogeneity_scaling(self):
         h = random_system((2, 3), 5)
-        rng = np.random.default_rng(6)
-        z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        (z,) = random_points(3, 1, 6)
         lam = 0.7 - 1.3j
         scaled = evaluate(h, lam * z)
         base = evaluate(h, z)
@@ -232,8 +224,7 @@ class TestJacobian:
     @pytest.mark.parametrize("degrees,seed", [((2, 2), 3), ((3, 2, 2), 4), ((1, 2, 2, 2, 2), 5)])
     def test_against_the_reference(self, degrees, seed):
         h = random_system(degrees, seed)
-        rng = np.random.default_rng(seed + 50)
-        z = rng.standard_normal(h.n_vars) + 1j * rng.standard_normal(h.n_vars)
+        (z,) = random_points(h.n_vars, 1, seed + 50)
         z /= np.linalg.norm(z)
         want = reference.evaluate((h.degrees, h._vec), z)[1]
         np.testing.assert_allclose(jacobian(h, z), np.array(want, dtype=complex), rtol=1e-12, atol=1e-15)
@@ -242,8 +233,7 @@ class TestJacobian:
     def test_euler_identity(self, seed):
         # Dh(z) z = Diag(d_i) h(z) for homogeneous systems
         h = random_system((2, 3), seed)
-        rng = np.random.default_rng(seed + 10)
-        z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        (z,) = random_points(3, 1, seed + 10)
         z /= np.linalg.norm(z)
         lhs = jacobian(h, z) @ z
         rhs = np.array(h.degrees) * evaluate(h, z)
@@ -281,10 +271,6 @@ class TestSingleEvaluator:
 
     def test_degree_list_is_its_tuple(self):
         assert evaluator([2, 2]) is evaluator((2, 2))
-
-    def test_fractional_degree_in_a_list_raises(self):
-        with pytest.raises(ValueError, match="degrees must be integers"):
-            evaluator([2.5, 2])
 
     @pytest.mark.skipif(
         platform.machine().lower() not in ("x86_64", "amd64"),
@@ -414,7 +400,7 @@ class TestPointMatrixTemplate:
         assert len(kept) == 100
         assert blocks == 0
 
-    def test_two_threads_give_the_serial_bits(self):
+    def test_two_threads_give_the_serial_bits(self, fast_thread_switching):
         # A short switch interval lets the threads interleave inside calls,
         # where a table shared between calls would be overwritten.
         work = [
@@ -428,14 +414,9 @@ class TestPointMatrixTemplate:
             return evaluator(degrees).point_matrix(z).tobytes()
 
         serial = [build(item) for item in work]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                for _ in range(3):
-                    assert list(pool.map(build, work, timeout=60)) == serial
-        finally:
-            sys.setswitchinterval(interval)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for _ in range(3):
+                assert list(pool.map(build, work, timeout=60)) == serial
 
 
 class TestBlockMemo:
@@ -458,27 +439,19 @@ class TestBlockMemo:
         return jacobian(h, z).tobytes(), evaluate(h, z).tobytes()
 
     @pytest.mark.parametrize("degrees", DEGREES)
-    def test_jacobian_then_evaluate_builds_one_point_matrix(self, degrees, monkeypatch):
-        built = [0]
-        point_matrix = Evaluator.point_matrix
-
-        def counted_point_matrix(ev, z):
-            built[0] += 1
-            return point_matrix(ev, z)
-
-        monkeypatch.setattr(Evaluator, "point_matrix", counted_point_matrix)
+    def test_jacobian_then_evaluate_builds_one_point_matrix(self, degrees, spy):
+        built = spy(Evaluator, "point_matrix")
         h = random_system(degrees, 11)
         z = unit_point(np.arange(1, len(degrees) + 2) + 0.5j)
         want = self._fresh(h, z)
-        built[0] = 0
+        built.clear()
         assert self._read(h, z) == want
-        assert built[0] == 1
+        assert len(built) == 1
 
     @pytest.mark.parametrize("degrees", DEGREES)
     def test_a_point_mutated_in_place_and_alternating_points(self, degrees):
         h = random_system(degrees, 12)
-        rng = np.random.default_rng(12)
-        z = rng.standard_normal(h.n_vars) + 1j * rng.standard_normal(h.n_vars)
+        (z,) = random_points(h.n_vars, 1, 12)
         first = self._fresh(h, z)
         assert self._read(h, z) == first
         y = z.copy()
@@ -503,22 +476,16 @@ class TestBlockMemo:
                 result[0] = 1.0
         assert self._read(h, z) == self._fresh(h, z)
 
-    def test_two_threads_on_one_system_read_their_own_point(self):
+    def test_two_threads_on_one_system_read_their_own_point(self, fast_thread_switching):
         h = random_system((1, 2, 2, 2, 2), 14)
-        rng = np.random.default_rng(14)
-        points = [rng.standard_normal(h.n_vars) + 1j * rng.standard_normal(h.n_vars) for _ in range(2)]
+        points = random_points(h.n_vars, 2, 14)
         want = [self._fresh(h, z) for z in points]
 
         def hammer(k):
             return all(self._read(h, points[k]) == want[k] for _ in range(2000))
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                assert list(pool.map(hammer, [0, 1], timeout=60)) == [True, True]
-        finally:
-            sys.setswitchinterval(interval)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            assert list(pool.map(hammer, [0, 1], timeout=60)) == [True, True]
 
 
 class TestCoefficientOwnership:
@@ -574,18 +541,17 @@ class TestCoefficientOwnership:
 
 
 class TestHomogenization:
-    def test_square_minus_one(self):
-        f = AffineSystem((2,), [[((2,), 1.0), ((0,), -1.0)]])
-        h = homogenize(f)
-        # X1^2 - X0^2: affine zero 1 lifts to (1, 1)
-        assert abs(evaluate(h, unit_point([1.0, 1.0]))[0]) < 1e-15
-
-    def test_linear_with_constant(self):
-        f = AffineSystem((1,), [[((1,), 1.0), ((0,), 2.0)]])
-        h = homogenize(f)
-        # x + 2 -> X1 + 2 X0
-        val = evaluate(h, np.array([1.0, -2.0], dtype=complex) / math.sqrt(5))
-        assert abs(val[0]) < 1e-15
+    @pytest.mark.parametrize("f, zero, tol", [
+        (AffineSystem((2,), [[((2,), 1.0), ((0,), -1.0)]]), [1.0], 1e-15),  # x^2 - 1 -> X1^2 - X0^2
+        (AffineSystem((1,), [[((1,), 1.0), ((0,), 2.0)]]), [-2.0], 1e-15),  # x + 2 -> X1 + 2 X0
+        (AffineSystem((2, 1), [
+            [((2, 0), 1.0), ((0, 1), -1.0)],  # x^2 - y
+            [((1, 0), 1.0), ((0, 1), 1.0), ((0, 0), -2.0)],  # x + y - 2
+        ]), [1.0, 1.0], 1e-14),
+    ], ids=["square-minus-one", "linear-with-constant", "two-equations"])
+    def test_affine_zero_lifts_to_a_zero(self, f, zero, tol):
+        # A zero x of f lifts to the zero (1, x) of its homogenization.
+        assert np.linalg.norm(evaluate(homogenize(f), unit_point((1.0, *zero)))) < tol
 
     def test_round_trip(self):
         f = random_affine_system((2, 3), 11)
@@ -595,18 +561,6 @@ class TestHomogenization:
             index = homogeneous_index(3, d)
             for a, c in terms:
                 assert hom[index[(d - sum(a),) + a]] == c
-
-    def test_zero_correspondence(self):
-        # zero eta of f lifts to (1, eta) for h
-        f = AffineSystem(
-            (2, 1),
-            [
-                [((2, 0), 1.0), ((0, 1), -1.0)],  # x^2 - y
-                [((1, 0), 1.0), ((0, 1), 1.0), ((0, 0), -2.0)],  # x + y - 2
-            ],
-        )
-        eta = np.array([1.0, 1.0], dtype=complex)  # x=1, y=1
-        assert np.linalg.norm(evaluate(homogenize(f), unit_point((1.0, *eta)))) < 1e-14
 
 
 # SHA-256 of homogenize(katsura_system(n))._vec.tobytes(), read
@@ -672,14 +626,14 @@ class TestAffineInput:
         *[("affine", e, "") for e in [(2, 1), (-1, 1), (1,), (1, 0, 0)]],
         *[("affine", e, NON_INTEGRAL) for e in [(0.9, 1.1), (1, math.inf), (1, "1"), 3, (True, 0), (0, np.True_)]],
         *[("terms", e, NON_INTEGRAL) for e in [(0, 0.9, 1.1), (0, 1, math.inf), (0, 1, "1"), 3, (0, True, True)]],
-        *[("json", e, "") for e in [[2, 1], [-1, 1]]],
+        *[("json", e, "") for e in [[2, 1], [-1, 1], [1, 0, 0]]],
         *[("json", e, NON_INTEGRAL + r", got \(.*2\.9") for e in [[2.9, 0], [0, 2.9, 0]]],
         ("json", [False, True, True], NON_INTEGRAL),
     ], ids=["sum-above-degree", "negative", "short", "long", "fraction", "infinity", "string", "not-a-list",
             "boolean", "numpy-boolean",
             "terms-fraction", "terms-infinity", "terms-string", "terms-not-a-list", "terms-boolean",
-            "json-sum-above-degree", "json-negative", "json-affine-fraction", "json-homogeneous-fraction",
-            "json-boolean"])
+            "json-sum-above-degree", "json-negative", "json-homogeneous-sum-below-degree", "json-affine-fraction",
+            "json-homogeneous-fraction", "json-boolean"])
     def test_constructor_names_the_equation(self, read, exponents, match):
         with pytest.raises(ValueError, match="equation 1: exponents" + match):
             if read == "affine":
@@ -741,9 +695,8 @@ class TestAffineJacobian:
     def test_against_the_reference(self):
         # Df(x) is the Jacobian of the homogenization at (1, x) without its
         # X0 column.
-        rng = np.random.default_rng(13)
         h = homogenize(random_affine_system((2, 2), 13))
-        z = np.concatenate([[1.0], rng.standard_normal(2) + 1j * rng.standard_normal(2)])
+        z = np.concatenate([[1.0], *random_points(2, 1, 13)])
         want = np.array(reference.evaluate((h.degrees, h._vec), z)[1], dtype=complex)
         np.testing.assert_allclose(jacobian(h, z)[:, 1:], want[:, 1:], rtol=1e-12, atol=1e-15)
 
@@ -821,16 +774,16 @@ class TestSystemIO:
             '{"exponents": [1, 0, 0], "re": NaN}',
             '{"exponents": [1, 0, 0], "im": -Infinity}',
             '{"exponents": [1, 0, 0], "re": 1e400}',
+            '{"exponents": [1, 0], "re": null}',
+            '{"exponents": [1, 0], "re": true}',
+            '{"exponents": [1, 0], "im": false}',
+            '{"exponents": [1, 0], "re": "1.5"}',
         ],
         ids=["no-exponents", "exponents-not-a-list", "exponent-not-an-integer", "re-not-a-number",
-             "re-overflows", "term-not-an-object", "re-nan", "im-infinite", "re-1e400-is-inf"],
+             "re-overflows", "term-not-an-object", "re-nan", "im-infinite", "re-1e400-is-inf", "re-null",
+             "re-boolean", "im-boolean", "re-string"],
     )
     def test_malformed_term_names_its_equation(self, term):
         text = f'{{"degrees": [1, 1], "terms": [[{{"exponents": [0, 1, 0]}}], [{term}]]}}'
         with pytest.raises(ValueError, match="equation 1"):
-            parse_system_json(text)
-
-    def test_rejects_wrong_degree(self):
-        text = '{"degrees": [2], "terms": [[{"exponents": [1, 0], "re": 1.0}]]}'
-        with pytest.raises(ValueError):
             parse_system_json(text)

@@ -26,7 +26,6 @@ from certitrack.start_systems import (
     draw_ball_matrix,
     draw_restricted_system,
     good_initial_pair,
-    good_system_raw,
     initial_pair,
     random_initial_pair,
     random_initial_pair_unitary,
@@ -108,17 +107,9 @@ class TestTotalDegreeCache:
 
 
 class TestGoodPair:
-    def test_raw_norm(self):
-        assert bw_norm(good_system_raw((2, 2, 2))) == pytest.approx(math.sqrt(3.0))
-
     def test_zero_at_e0(self):
         pair = good_initial_pair((3, 2))
         assert np.linalg.norm(evaluate(pair.g, pair.zeta0)) == 0.0
-
-    def test_mu_sqrt_n(self):
-        # scale invariance carries the raw computation to the normalized system
-        pair = good_initial_pair((2, 2, 2, 2))
-        assert condition_mu(pair.g, pair.zeta0) == pytest.approx(2.0, rel=1e-12)
 
     def test_start_radius(self):
         # u0 / (d^{3/2} mu) with mu = sqrt(2) for the (2, 2) pair
@@ -289,9 +280,13 @@ class TestRestrictedSystem:
 
 
 class TestRandomInitialPair:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_zero_contract(self, seed):
-        pair = random_initial_pair((2, 2), np.random.default_rng(seed))
+    @pytest.mark.parametrize(
+        "degrees, seed",
+        [*(((2, 2), seed) for seed in range(6)), ((1, 2, 3), 12), ((1,), 0), ((1, 1), 0), ((1, 1, 1), 0)],
+        ids=[*map(str, range(6)), "mixed-degrees", "all-degree-one-1", "all-degree-one-2", "all-degree-one-3"],
+    )
+    def test_zero_contract(self, degrees, seed):
+        pair = random_initial_pair(degrees, np.random.default_rng(seed))
         assert np.linalg.norm(evaluate(pair.g, pair.zeta0)) <= 1e-10
 
     def test_on_sphere(self):
@@ -304,15 +299,6 @@ class TestRandomInitialPair:
         assert np.array_equal(a.zeta0, b.zeta0)
         for x, y in zip(a.g.coeffs, b.g.coeffs):
             assert np.array_equal(x, y)
-
-    def test_mixed_degrees(self):
-        pair = random_initial_pair((1, 2, 3), np.random.default_rng(12))
-        assert np.linalg.norm(evaluate(pair.g, pair.zeta0)) <= 1e-10
-
-    @pytest.mark.parametrize("degrees", [(1,), (1, 1), (1, 1, 1)])
-    def test_all_degree_one(self, degrees):
-        pair = random_initial_pair(degrees, np.random.default_rng(0))
-        assert np.linalg.norm(evaluate(pair.g, pair.zeta0)) <= 1e-10
 
     def test_validation_rejects_non_zero(self):
         pair = good_initial_pair((2,))

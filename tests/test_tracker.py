@@ -253,10 +253,6 @@ class TestChiFactors:
         result = track_linear(hom, z)
         assert result.status is TrackStatus.SINGULAR and result.num_steps == 0
 
-    def test_chi2_zero_tangent(self, quad_pair):
-        hom, z0 = scaled_normal(quad_pair, 0.0)
-        assert tracker._StepBuffers(hom).chi(0.0, unit_point(z0))[1] == 0.0
-
     def test_chi2_tangent_vanishing_at_point(self):
         # The normal direction q, unit norm, BW-orthogonal to the good system
         # and vanishing at e0, contributes only its norm: chi2 = 1 on the
@@ -286,11 +282,11 @@ class TestCertifiedStep:
     formula in the reference (reference_record)."""
 
     @staticmethod
-    def _unclipped(quad_pair):
+    def _unclipped(quad_pair, root=0):
         # The rows of a traced (2, 2) path whose step was not clipped to the
         # end of the arc.
         start, f, hom = quad_pair
-        trace = track_linear(hom, start.roots[0]).trace
+        trace = track_linear(hom, start.roots[root]).trace
         assert len(trace) > 10
         return trace[:-1]
 
@@ -304,10 +300,11 @@ class TestCertifiedStep:
         assert C_OVER_P_LINEAR / 2.0**1.5 == pytest.approx(0.016988, abs=1e-5)
 
     def test_interval_containment(self, quad_pair):
-        rows = self._unclipped(quad_pair)
-        lo = C_OVER_P_LINEAR / (2.0 * 2.0**1.5 * rows.phi)
-        hi = C_OVER_P_LINEAR / (2.0**1.5 * rows.phi)
-        assert np.all(lo - 1e-15 <= rows.t) and np.all(rows.t <= hi + 1e-15)
+        for root in (0, 2):
+            rows = self._unclipped(quad_pair, root)
+            lo = C_OVER_P_LINEAR / (2.0 * 2.0**1.5 * rows.phi)
+            hi = C_OVER_P_LINEAR / (2.0**1.5 * rows.phi)
+            assert np.all(lo - 1e-15 <= rows.t) and np.all(rows.t <= hi + 1e-15)
 
     @pytest.mark.parametrize("degrees", [(2, 2), (1, 2, 2)])
     def test_is_the_loops_first_step(self, degrees):
@@ -330,11 +327,11 @@ class TestCertifiedStep:
             np.testing.assert_allclose([nxt.chi1, nxt.chi2, nxt.t, nxt.phi], want, rtol=1e-13)
 
     def test_vanishing_tangent_gives_infinite_step(self, quad_pair):
-        # phi = 0: t = inf, which ends a path MinStepReached
+        # chi2 = 0, so phi = 0: t = inf, which ends a path MinStepReached
         hom, z0 = scaled_normal(quad_pair, 0.0)
         buf = tracker._StepBuffers(hom)
         x1, x2 = buf.chi(0.0, unit_point(z0))
-        assert x1 * x2 == 0.0
+        assert x2 == 0.0 and x1 * x2 == 0.0
         assert buf.step_length(x1 * x2) == math.inf
 
     def test_point_of_wrong_length_rejected(self, quad_pair):
@@ -491,25 +488,6 @@ class TestTrackLinear:
         for a, b in zip(trace, trace[1:]):
             assert b.s == a.s + b.t  # exact accumulation
             assert b.s > a.s
-
-    def test_step_interval_on_every_step(self, quad_pair):
-        start, f, hom = quad_pair
-        d32 = 2.0**1.5
-        result = track_linear(hom, start.roots[2])
-        for rec in result.trace[:-1]:
-            lo = C_OVER_P_LINEAR / (2.0 * d32 * rec.phi)
-            hi = C_OVER_P_LINEAR / (d32 * rec.phi)
-            assert lo * (1 - 1e-12) <= rec.t <= hi * (1 + 1e-12)
-
-    def test_determinism(self, quad_pair):
-        start, f, hom = quad_pair
-        r1 = track_linear(hom, start.roots[3])
-        r2 = track_linear(hom, start.roots[3])
-        assert r1.num_steps == r2.num_steps
-        assert np.array_equal(r1.endpoint, r2.endpoint)
-        for a, b in zip(r1.trace, r2.trace):
-            assert (a.s, a.t, a.phi, a.chi1, a.chi2) == (b.s, b.t, b.phi, b.chi1, b.chi2)
-            assert np.array_equal(a.z, b.z)
 
     def test_max_steps(self, quad_pair, monkeypatch):
         start, f, hom = quad_pair
@@ -903,22 +881,10 @@ class TestEvaluationWork:
     (g, p) placed once per path."""
 
     @pytest.fixture
-    def work(self, monkeypatch):
-        # Point matrices built, and the coefficient rows of every placement.
-        log = {"point_matrix": 0, "place": []}
-        point_matrix, place = polysys.Evaluator.point_matrix, polysys.Evaluator.place
-
-        def counted_point_matrix(ev, z):
-            log["point_matrix"] += 1
-            return point_matrix(ev, z)
-
-        def counted_place(ev, R):
-            log["place"].append(np.array(R))
-            return place(ev, R)
-
-        monkeypatch.setattr(polysys.Evaluator, "point_matrix", counted_point_matrix)
-        monkeypatch.setattr(polysys.Evaluator, "place", counted_place)
-        return log
+    def work(self, spy):
+        # The (evaluator, point) of every point matrix built, and the
+        # (evaluator, coefficient rows) of every placement.
+        return spy(polysys.Evaluator, "point_matrix"), spy(polysys.Evaluator, "place")
 
     @staticmethod
     def _homotopy(degrees, seed):
@@ -928,72 +894,57 @@ class TestEvaluationWork:
     @pytest.mark.parametrize("degrees", [(2, 2), (1, 2, 3)])
     def test_certified_step_builds_one_point_matrix(self, work, degrees):
         hom, z0 = self._homotopy(degrees, 40)
+        built, placed = work
         result = track_linear(hom, z0)
         assert result.success and result.num_steps > 0
-        assert work["point_matrix"] == result.num_steps
-        assert len(work["place"]) == 1
-        assert np.array_equal(work["place"][0], np.stack([hom.g._vec, hom._pvec]))
+        assert len(built) == result.num_steps
+        assert len(placed) == 1
+        assert np.array_equal(placed[0][1], np.stack([hom.g._vec, hom._pvec]))
 
     @pytest.mark.parametrize("degrees", [(2, 2), (1, 2, 3)])
-    def test_rk4_path_places_once_and_predicts_from_four(self, work, monkeypatch, degrees):
+    def test_rk4_path_places_once_and_predicts_from_four(self, work, spy, monkeypatch, degrees):
         hom, z0 = self._homotopy(degrees, 41)
-        built = []  # point matrices built by each predict call
-        newton_calls = [0]
-        predict, newton_projective = heuristic.predict, newton.newton_projective
+        built, placed = work
+        per_predict = []  # point matrices built by each predict call
+        predict = heuristic.predict
 
         def counted_predict(*args):
-            before = work["point_matrix"]
+            before = len(built)
             out = predict(*args)
-            built.append(work["point_matrix"] - before)
+            per_predict.append(len(built) - before)
             return out
 
-        def counted_newton(h, z):
-            newton_calls[0] += 1
-            return newton_projective(h, z)
-
         monkeypatch.setattr(heuristic, "predict", counted_predict)
-        monkeypatch.setattr(newton, "newton_projective", counted_newton)
+        newton_calls = spy(newton, "newton_projective")
         result = track_heuristic(hom, z0)
         assert result.success
-        assert len(built) == len(result.trace) and set(built) == {4}
+        assert len(per_predict) == len(result.trace) and set(per_predict) == {4}
         # Every placement is a pair: (g, p) once, then (h, 0) once per Newton
         # step, whose jacobian and evaluate share it and one point matrix.
-        assert [R.shape[0] for R in work["place"]] == [2] * (1 + newton_calls[0])
-        assert np.array_equal(work["place"][0], np.stack([hom.g._vec, hom._pvec]))
-        assert all(not R[1].any() for R in work["place"][1:])
-        assert work["point_matrix"] == sum(built) + newton_calls[0]
+        rows = [R for _, R in placed]
+        assert [R.shape[0] for R in rows] == [2] * (1 + len(newton_calls))
+        assert np.array_equal(rows[0], np.stack([hom.g._vec, hom._pvec]))
+        assert all(not R[1].any() for R in rows[1:])
+        assert len(built) == sum(per_predict) + len(newton_calls)
 
 
 class TestStepBuffers:
     """The step's kernels and the aliasing of its work array."""
 
-    def test_kernels_are_looked_up_per_call(self, quad_pair, monkeypatch):
+    def test_kernels_are_looked_up_per_call(self, quad_pair, spy):
         # Wrappers installed on linalg and numpy.linalg before the call, as the
         # benchmark's tracer installs them, see every kernel call of the step:
         # two bordered solves, each one factorization and one solve, and one
         # spectral norm, one SVD.
         start, f, hom = quad_pair
-        calls = {"lu_factor_checked": 0, "lu_solve": 0, "svd": 0, "bordered_solve": 0, "spectral_norm": 0}
-
-        def counted(module, name):
-            original = getattr(module, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        counted(linalg, "lu_factor_checked")
-        counted(linalg, "lu_solve")
-        counted(np.linalg, "svd")
-        counted(linalg, "bordered_solve")
-        counted(linalg, "spectral_norm")
+        calls = {name: spy(module, name) for module, name in [
+            (linalg, "lu_factor_checked"), (linalg, "lu_solve"), (np.linalg, "svd"),
+            (linalg, "bordered_solve"), (linalg, "spectral_norm")]}
         result = track_linear(hom, start.roots[0])
         assert result.success and result.num_steps > 0
         n = result.num_steps
-        assert calls == {"lu_factor_checked": 2 * n, "lu_solve": 2 * n, "svd": n,
-                         "bordered_solve": 2 * n, "spectral_norm": n}
+        assert {name: len(args) for name, args in calls.items()} == {
+            "lu_factor_checked": 2 * n, "lu_solve": 2 * n, "svd": n, "bordered_solve": 2 * n, "spectral_norm": n}
 
     @pytest.mark.parametrize("degrees", [(2, 2, 2), (1, 2, 3)], ids=str)
     def test_bordered_is_a_view_of_the_rotation(self, degrees):
@@ -1069,9 +1020,11 @@ class TestTraceCsv:
         assert len(lines) == 1 + result.num_steps
 
     def test_reproducible_bytes(self, quad_pair, tmp_path):
+        # Two tracks of one path write the same bytes: every step's floats,
+        # to the last bit ("%.17g"), and as many rows.
         start, f, hom = quad_pair
-        result = track_linear(hom, start.roots[0])
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_trace_csv(result, p1)
-        write_trace_csv(track_linear(hom, start.roots[0]), p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        for root in (0, 3):
+            write_trace_csv(track_linear(hom, start.roots[root]), p1)
+            write_trace_csv(track_linear(hom, start.roots[root]), p2)
+            assert p1.read_bytes() == p2.read_bytes()
