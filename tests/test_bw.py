@@ -60,19 +60,12 @@ def test_weight_table_holds_the_multinomials(degrees):
 
 
 class TestInnerProduct:
-    def test_pure_power_normalized(self):
-        h = PolySystem.from_terms((2,), [[((2, 0), 1.0)]])
-        assert re_inner(h, h) == pytest.approx(1.0)
-
-    def test_mixed_monomial_weight(self):
-        # X0*X1 at degree 2 carries weight 1/multinomial(2;1,1) = 1/2
-        h = PolySystem.from_terms((2,), [[((1, 1), 1.0)]])
-        assert re_inner(h, h) == pytest.approx(0.5)
-
-    def test_disjoint_monomials_orthogonal(self):
-        a = PolySystem.from_terms((2,), [[((2, 0), 1.0)]])
-        b = PolySystem.from_terms((2,), [[((0, 2), 1.0)]])
-        assert re_inner(a, b) == 0.0
+    # X0*X1 at degree 2 carries weight 1/multinomial(2;1,1) = 1/2
+    @pytest.mark.parametrize("a, b, want", [
+        ((2, 0), (2, 0), pytest.approx(1.0)), ((1, 1), (1, 1), pytest.approx(0.5)), ((2, 0), (0, 2), 0.0),
+    ], ids=["pure-power-normalized", "mixed-monomial-weight", "disjoint-monomials-orthogonal"])
+    def test_monomials(self, a, b, want):
+        assert re_inner(*(PolySystem.from_terms((2,), [[(e, 1.0)]]) for e in (a, b))) == want
 
     def test_real_part_of_stacked_vectors(self):
         a = random_system((1, 3, 2), 3)
@@ -119,21 +112,20 @@ class TestNorm:
 
 class TestNormalize:
     def test_scales_down(self):
-        h = PolySystem.from_terms((2,), [[((2, 0), 2.0)]])
-        out = normalize_to_sphere(h)
-        assert out.coeffs[0][np.nonzero(out.coeffs[0])[0][0]] == pytest.approx(1.0)
+        # One equation, then two of mixed degrees.
+        for degrees, terms, largest in [
+            ((2,), [[((2, 0), 2.0)]], 1.0),
+            ((2, 3), [[((2, 0, 0), 1.0)], [((0, 0, 3), 1.0)]], 1 / math.sqrt(2.0)),
+        ]:
+            out = normalize_to_sphere(PolySystem.from_terms(degrees, terms))
+            assert bw_norm(out) == pytest.approx(1.0)
+            np.testing.assert_allclose(out.coeffs[0].max(), largest)
 
     def test_idempotent(self):
         h = normalize_to_sphere(random_system((2, 2), 9))
         again = normalize_to_sphere(h)
         for a, b in zip(h.coeffs, again.coeffs):
             np.testing.assert_allclose(a, b, atol=1e-12)
-
-    def test_mixed_degrees(self):
-        h = PolySystem.from_terms((2, 3), [[((2, 0, 0), 1.0)], [((0, 0, 3), 1.0)]])
-        out = normalize_to_sphere(h)
-        assert bw_norm(out) == pytest.approx(1.0)
-        np.testing.assert_allclose(out.coeffs[0].max(), 1 / math.sqrt(2.0))
 
     @pytest.mark.parametrize("h", [
         PolySystem.from_coeff_vector((2,), np.zeros(3)),
@@ -188,15 +180,14 @@ class TestEnsureOnSphere:
 
 
 class TestRiemannDistance:
-    def test_self_distance(self):
-        z = unit_point([1.0, 2.0, 3.0])
-        assert riemann_distance(z, z) == pytest.approx(0.0, abs=1e-12)
-
-    def test_orthogonal(self):
-        assert riemann_distance([1, 0], [0, 1]) == pytest.approx(math.pi / 2)
-
-    def test_diagonal(self):
-        assert riemann_distance([1, 0], [1, 1]) == pytest.approx(math.pi / 4)
+    @pytest.mark.parametrize("z, w, want", [
+        (unit_point([1.0, 2.0, 3.0]), unit_point([1.0, 2.0, 3.0]), pytest.approx(0.0, abs=1e-12)),
+        ([1, 0], [0, 1], pytest.approx(math.pi / 2)),
+        ([1, 0], [1, 1], pytest.approx(math.pi / 4)),
+        (unit_point([1.0, 0.0]), unit_point([1.0, 1e-12]), pytest.approx(1e-12, rel=1e-3)),
+    ], ids=["self-distance", "orthogonal", "diagonal", "small-distance-not-lost"])
+    def test_value(self, z, w, want):
+        assert riemann_distance(z, w) == want
 
     def test_phase_invariance(self):
         z, w = random_points(4, 2, 4)
@@ -206,11 +197,6 @@ class TestRiemannDistance:
     def test_symmetry(self):
         z, w = random_points(3, 2, 5)
         assert riemann_distance(z, w) == pytest.approx(riemann_distance(w, z), abs=1e-12)
-
-    def test_small_distance_not_lost(self):
-        z = unit_point([1.0, 0.0])
-        w = unit_point([1.0, 1e-12])
-        assert riemann_distance(z, w) == pytest.approx(1e-12, rel=1e-3)
 
     @pytest.mark.parametrize("scale", [1e160, 1e-200])
     def test_point_beyond_float_scale_raises(self, scale):
@@ -328,23 +314,19 @@ class TestUnitaryCompose:
         after = re_inner(unitary_compose(a, U), unitary_compose(b, U))
         assert abs(after - before) <= 1e-9 * bw_norm(a) * bw_norm(b)
 
-    @pytest.mark.parametrize("defect, unitary", [(0.995e-10, True), (1.005e-10, False)])
-    def test_unitarity_defect_boundary(self, defect, unitary):
-        # U* U - I is diag(defect, 0) to rounding, either side of the 1e-10
-        # that the check allows.
-        h, U = random_system((2,), 10), np.diag([math.sqrt(1.0 + defect), 1.0])
+    # U* U - I is diag(defect, 0) to rounding, either side of the 1e-10 that
+    # the check allows; then a defect of 3 and a NaN one.
+    @pytest.mark.parametrize("diagonal, unitary", [
+        ([math.sqrt(1.0 + 0.995e-10), 1.0], True), ([math.sqrt(1.0 + 1.005e-10), 1.0], False),
+        ([1.0, 2.0], False), ([1.0, np.nan], False),
+    ], ids=["9.95e-11-True", "1.005e-10-False", "two", "nan"])
+    def test_unitarity_defect_boundary(self, diagonal, unitary):
+        h, U = random_system((2,), 10), np.diag(diagonal)
         if unitary:
             assert unitary_compose(h, U).degrees == (2,)
         else:
             with pytest.raises(ValueError, match="U is not unitary"):
                 unitary_compose(h, U)
-
-    def test_rejects_non_unitary(self):
-        h = random_system((2,), 10)
-        with pytest.raises(ValueError):
-            unitary_compose(h, np.array([[1.0, 0.0], [0.0, 2.0]]))
-        with pytest.raises(ValueError):
-            unitary_compose(h, np.array([[1.0, 0.0], [0.0, np.nan]]))
 
 
 # Per degree tuple, sha256 over the targets random_system_on_sphere(degrees,

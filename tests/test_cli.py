@@ -49,22 +49,17 @@ def quad_system(tmp_path):
 
 
 class TestTrackPath:
-    @pytest.mark.parametrize("index", ["-1", "4"])
-    def test_rejects_index_outside_the_start_roots(self, quad_system, tmp_path, capsys, index):
-        # a (2,2) system has 4 total-degree start roots, indices 0..3
+    # A (2,2) system has 4 total-degree start roots (the default start),
+    # indices 0..3; the good and the random start have the one root 0.
+    @pytest.mark.parametrize("start, index", [
+        *((None, index) for index in ["-1", "4"]),
+        *((start, index) for index in ["-1", "1", "5"] for start in ["good", "random"]),
+    ], ids=["-1", "4", *(f"{index}-{start}" for index in ["-1", "1", "5"] for start in ["good", "random"])])
+    def test_rejects_index_outside_the_start_roots(self, quad_system, tmp_path, capsys, start, index):
         out = tmp_path / "trace.csv"
-        argv = ["track", str(quad_system), "--path", index, "--out", str(out)]
-        assert "--path must lie in [0, 4)" in usage_error(argv, capsys)
-        assert not out.exists()
-
-    @pytest.mark.parametrize("start", ["good", "random"])
-    @pytest.mark.parametrize("index", ["-1", "1", "5"])
-    def test_single_root_starts_reject_any_index_but_0(
-        self, quad_system, tmp_path, capsys, start, index
-    ):
-        out = tmp_path / "trace.csv"
-        argv = ["track", str(quad_system), "--start", start, "--path", index, "--out", str(out)]
-        assert "--path must lie in [0, 1)" in usage_error(argv, capsys)
+        flags = ["--start", start] if start else []
+        argv = ["track", str(quad_system), *flags, "--path", index, "--out", str(out)]
+        assert f"--path must lie in [0, {1 if start else 4})" in usage_error(argv, capsys)
         assert not out.exists()
 
     def test_tracks_the_last_root(self, quad_system, tmp_path):

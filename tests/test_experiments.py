@@ -125,14 +125,15 @@ class TestKatsura:
         x[0] = 1.0
         assert np.linalg.norm(evaluate(homogenize(f), unit_point((1.0, *x)))) <= 1e-14
 
-    @pytest.mark.parametrize("n,count", [(3, 4), (4, 8)])
+    @pytest.mark.parametrize("n,count", [(3, 4)])  # Katsura-4's 8: test_pinned_step_counts
     def test_solution_count(self, n, count):
         report = solve_katsura(n)
         assert report.num_failed == 0
         assert len([r.endpoint for r in report.results if r.success]) == count
 
     def test_pinned_step_counts(self):
-        # (status, steps) of the Katsura-4 solve of test_solution_count[4-8]
+        # (status, steps) of the 8 paths of the Katsura-4 solve, every one a
+        # solution
         report = solve_katsura(4)
         assert [(r.status.value, r.num_steps) for r in report.results] == [
             ("Success", 2485), ("Success", 2360), ("Success", 3360), ("Success", 3374),
@@ -246,18 +247,18 @@ class TestRunBench:
         run_bench("random", (2, 2), trials=2, seed=0, trackers=("certified", "heuristic"))
         assert len(built) == 2
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            run_bench("random", degrees=None)
-        with pytest.raises(ValueError):
-            run_bench("nope", degrees=(2,))
-
     @pytest.mark.parametrize("trackers", [("nope",), ("certified", "nope")])
     def test_unknown_tracker_raises_before_tracking(self, spy, trackers):
         tracked = [spy(experiments, name) for name in ("track_linear", "track_heuristic")]
         with pytest.raises(ValueError, match="unknown tracker 'nope'"):
             run_bench("random", (2, 2), trials=1, trackers=trackers)
         assert tracked == [[], []]
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            run_bench("random", degrees=None)
+        with pytest.raises(ValueError):
+            run_bench("nope", degrees=(2,))
 
     @pytest.mark.parametrize(
         "family, kwargs, name",
@@ -345,14 +346,11 @@ class TestEntropyExperiment:
         assert set(tracked_targets()) == {want._vec.tobytes()}
 
     def test_small_entropy_run(self):
-        rep = run_entropy((2, 2), epsilon=0.1, runs=12, variant="ball", seed=0)
-        assert len(rep.root_hits) == 4
-        assert sum(rep.root_hits) + rep.failures == 12
-        assert 0.0 <= rep.entropy_bits <= 2.0
-
-    def test_unitary_variant(self):
-        rep = run_entropy((2, 2), epsilon=0.1, runs=12, variant="unitary", seed=1)
-        assert sum(rep.root_hits) + rep.failures == 12
+        for variant, seed in [("ball", 0), ("unitary", 1)]:
+            rep = run_entropy((2, 2), epsilon=0.1, runs=12, variant=variant, seed=seed)
+            assert len(rep.root_hits) == 4
+            assert sum(rep.root_hits) + rep.failures == 12
+            assert 0.0 <= rep.entropy_bits <= 2.0
 
     def test_endpoint_that_does_not_refine_is_a_failed_run(self, monkeypatch):
         # The reference solve refines through start_systems; each run's

@@ -123,31 +123,33 @@ class TestCorrect:
 
 class TestTrackHeuristic:
     def test_success_and_agreement_with_certified(self, quad_path):
+        # The certified tracker's roots, in orders of magnitude fewer
+        # accepted steps.
         start, f, hom = quad_path
+        heuristic_steps = []
+        certified_steps = []
         for root in start.roots:
             res_h = track_heuristic(hom, root)
             assert res_h.status is TrackStatus.SUCCESS
             res_c = track_linear(hom, root)
             d = riemann_distance(refine(f, res_h.endpoint), refine(f, res_c.endpoint))
             assert d < 1e-6
-
-    def test_step_count_regime(self, quad_path):
-        # orders of magnitude fewer accepted steps than the certified tracker
-        start, f, hom = quad_path
-        heuristic_steps = []
-        certified_steps = []
-        for root in start.roots:
-            heuristic_steps.append(track_heuristic(hom, root).num_steps)
-            certified_steps.append(track_linear(hom, root).num_steps)
+            heuristic_steps.append(res_h.num_steps)
+            certified_steps.append(res_c.num_steps)
         assert 10 <= np.mean(heuristic_steps) <= 100
         assert np.mean(heuristic_steps) < np.mean(certified_steps)
 
-    def test_counts_only_accepted(self, quad_path):
+    def test_counts_only_accepted(self, quad_path, monkeypatch):
+        # With the default corrector, then with a tighter tolerance and a
+        # long first step.
         start, f, hom = quad_path
-        res = track_heuristic(hom, start.roots[0])
-        accepted = sum(1 for rec in res.trace if rec.accepted)
-        assert res.num_steps == accepted
-        assert len(res.trace) >= accepted
+        for tol, step in [(heuristic.CORRECTOR_TOL, heuristic.STEP_INIT), (1e-9, 0.4)]:
+            monkeypatch.setattr(heuristic, "CORRECTOR_TOL", tol)
+            monkeypatch.setattr(heuristic, "STEP_INIT", step)
+            res = track_heuristic(hom, start.roots[0])
+            accepted = sum(1 for rec in res.trace if rec.accepted)
+            assert res.num_steps == accepted
+            assert len(res.trace) >= accepted
 
     def test_min_step_failure(self, quad_path, monkeypatch):
         start, f, hom = quad_path
@@ -156,14 +158,6 @@ class TestTrackHeuristic:
         monkeypatch.setattr(heuristic, "STEP_INIT", 0.01)
         res = track_heuristic(hom, start.roots[0])
         assert res.status is TrackStatus.MIN_STEP_REACHED
-
-    def test_trace_flags_rejections(self, quad_path, monkeypatch):
-        start, f, hom = quad_path
-        monkeypatch.setattr(heuristic, "CORRECTOR_TOL", 1e-9)
-        monkeypatch.setattr(heuristic, "STEP_INIT", 0.4)
-        res = track_heuristic(hom, start.roots[0])
-        if res.status is TrackStatus.SUCCESS:
-            assert any(not rec.accepted for rec in res.trace) or res.num_steps == len(res.trace)
 
     def test_trace_columns(self, quad_path, monkeypatch):
         # A tighter tolerance and a long first step make path 1 reject
@@ -184,14 +178,12 @@ class TestTrackHeuristic:
 
     def test_pinned_step_counts(self):
         # (status, accepted steps) of the 8 total-degree paths of one seeded
-        # (2,2,2) target: a change to evaluation or step adaptation that
-        # moves them fails here, not only in the benchmark's step digest.
-        assert_pinned((2, 2, 2), _pinned_paths((2, 2, 2)))
-
-    def test_pinned_step_counts_mixed_degrees(self):
-        # The 6 total-degree paths of one seeded (1,2,3) target, whose
-        # equations of three degrees place their coefficients apart.
-        assert_pinned((1, 2, 3), _pinned_paths((1, 2, 3)))
+        # (2,2,2) target, and of the 6 of a (1,2,3) target, whose equations
+        # of three degrees place their coefficients apart: a change to
+        # evaluation or step adaptation that moves them fails here, not only
+        # in the benchmark's step digest.
+        for degrees in PINNED_STEPS:
+            assert_pinned(degrees, _pinned_paths(degrees))
 
     def test_pinned_step_counts_with_one_blas_thread(self):
         # track_heuristic runs on one BLAS thread whatever the environment

@@ -207,23 +207,18 @@ class TestKernelVector:
         assert np.linalg.norm(M @ v) <= 1e-10
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
-    def test_rank_deficient_rejected(self):
-        rng = np.random.default_rng(3)
-        M = np.zeros((2, 3), dtype=complex)
-        M[0, 0] = 1.0  # rank 1: kernel has dimension 2
-        with pytest.raises(SingularLinearSolveError):
-            kernel_vector(M, rng)
-
-    @pytest.mark.parametrize("ratio, rank_one", [(1e-10, True), (1.005e-10, False)])
-    def test_rank_floor_boundary(self, ratio, rank_one):
+    @pytest.mark.parametrize("ratio, rank_one, seed", [(0.0, True, 3), (1e-10, True, 0), (1.005e-10, False, 0)],
+                             ids=["0-True", "1e-10-True", "1.005e-10-False"])
+    def test_rank_floor_boundary(self, ratio, rank_one, seed):
         # The SVD of this matrix is exact: s[-1] / s[0] is the ratio itself,
-        # at the floor (rank-deficient) or half a percent above it.
+        # 0 (rank 1: the kernel has dimension 2), at the floor
+        # (rank-deficient) or half a percent above it.
         M = np.array([[1.0, 0.0, 0.0], [0.0, ratio, 0.0]], dtype=complex)
         if rank_one:
             with pytest.raises(SingularLinearSolveError):
-                kernel_vector(M, np.random.default_rng(0))
+                kernel_vector(M, np.random.default_rng(seed))
         else:
-            assert abs(kernel_vector(M, np.random.default_rng(0))[2]) == 1.0
+            assert abs(kernel_vector(M, np.random.default_rng(seed))[2]) == 1.0
 
     def test_random_phase_varies(self):
         M = np.array([[0.0, 1.0]], dtype=complex)
@@ -278,7 +273,10 @@ class TestUnitaryMappingToE0:
         # | |zeta| - 1 | is a multiple of the spacing u of the floats next to
         # 1 (2^-52 above, 2^-53 below), never 1e-10 itself, so < and <=
         # agree: on each side the largest defect under 1e-10 passes and the
-        # next one fails.
+        # next one fails.  A norm of 2 and a NaN one fail too.
+        for zeta in ([2.0, 0.0], [np.nan, 0.0]):
+            with pytest.raises(ValueError, match="unit vector"):
+                unitary_mapping_to_e0(np.array(zeta, dtype=complex), np.random.default_rng(0))
         for sign, u in [(1, 2**-52), (-1, 2**-53)]:
             k = math.floor(1e-10 / u)
             for steps, ok in [(k, True), (k + 1, False)]:
@@ -288,12 +286,6 @@ class TestUnitaryMappingToE0:
                 else:
                     with pytest.raises(ValueError, match="unit vector"):
                         unitary_mapping_to_e0(zeta, np.random.default_rng(0))
-
-    def test_rejects_non_unit(self):
-        with pytest.raises(ValueError):
-            unitary_mapping_to_e0(np.array([2.0, 0.0], dtype=complex), np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            unitary_mapping_to_e0(np.array([np.nan, 0.0], dtype=complex), np.random.default_rng(0))
 
 
 class TestOneBlasThread:
@@ -315,11 +307,6 @@ class TestOneBlasThread:
     def counts(controls):
         return [get() for get, _ in controls]
 
-    def test_one_thread_inside_caller_setting_after(self, controls):
-        with one_blas_thread:
-            assert self.counts(controls) == [1] * len(controls)
-        assert self.counts(controls) == [2] * len(controls)
-
     def test_restored_after_an_exception(self, controls):
         with pytest.raises(RuntimeError):
             with one_blas_thread:
@@ -328,6 +315,8 @@ class TestOneBlasThread:
         assert self.counts(controls) == [2] * len(controls)
 
     def test_nested_and_as_decorator(self, controls):
+        # One thread inside a block, alone, nested or as a decorator, and the
+        # caller's setting after it.
         seen = []
 
         @one_blas_thread
@@ -336,8 +325,11 @@ class TestOneBlasThread:
                 seen.append(self.counts(controls))
             seen.append(self.counts(controls))
 
+        with one_blas_thread:
+            seen.append(self.counts(controls))
+        assert self.counts(controls) == [2] * len(controls)
         outer()
-        assert seen == [[1] * len(controls)] * 2
+        assert seen == [[1] * len(controls)] * 3
         assert self.counts(controls) == [2] * len(controls)
 
     def test_tracker_solves_on_one_thread_and_leaves_setting(self, controls, monkeypatch):

@@ -83,9 +83,11 @@ class TestConditionNumber:
         assert condition_mu(h, z) == pytest.approx(1.0, rel=1e-12)
 
     def test_singular_is_infinite(self):
+        # and the certified radius there is 0
         h = diff_of_squares()
         z = unit_point([1.0, 0.0])  # Dh restricted to z-perp vanishes
         assert condition_mu(h, z) == math.inf
+        assert certified_radius(h, z) == 0.0
 
     @pytest.mark.parametrize("lam", [2.0, 0.25, 3.0 - 4.0j])
     def test_scale_invariance(self, lam):
@@ -97,12 +99,14 @@ class TestConditionNumber:
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_point_beyond_float_scale_raises(self, scale):
-        # mu reads z's unit representative through unit_point, so a point
-        # whose norm overflows or underflows raises the error naming it, and
-        # no warning ahead of it.
+        # mu and refine read z's unit representative through unit_point, so
+        # a point whose norm overflows or underflows raises the error naming
+        # it: no warning ahead of it, no iteration into a singular solve or a
+        # NaN step.
         pair = good_initial_pair((2, 2))
-        with pytest.raises(ValueError, match="finite, nonzero norm"):
-            condition_mu(pair.g, scale * pair.zeta0)
+        for read in (condition_mu, refine):
+            with pytest.raises(ValueError, match="finite, nonzero norm"):
+                read(pair.g, scale * pair.zeta0)
 
 
 class TestCertificates:
@@ -111,11 +115,7 @@ class TestCertificates:
         mu = condition_mu(pair.g, pair.zeta0)
         r = certified_radius(pair.g, pair.zeta0)
         assert r == pytest.approx(U0 / (2.0**1.5 * mu), rel=1e-12)
-
-    def test_radius_zero_at_singular_zero(self):
-        h = diff_of_squares()
-        z = unit_point([1.0, 0.0])
-        assert certified_radius(h, z) == 0.0
+        assert r == pytest.approx(U0 / (2.0**1.5 * math.sqrt(2.0)))  # mu = sqrt(2) for the (2, 2) pair
 
     def test_total_degree_roots_have_finite_mu(self):
         start = total_degree_start((2, 2), np.random.default_rng(5))
@@ -126,15 +126,6 @@ class TestCertificates:
 
 
 class TestRefine:
-    @pytest.mark.parametrize("scale", [1e200, 1e-200])
-    def test_point_beyond_float_scale_raises(self, scale):
-        # Read through unit_point, as condition_mu reads it: a representative
-        # whose norm overflows or underflows is refused, not iterated into a
-        # singular solve or a NaN step.
-        pair = good_initial_pair((2, 2))
-        with pytest.raises(ValueError, match="finite, nonzero norm"):
-            refine(pair.g, scale * pair.zeta0)
-
     def test_within_radius_converges_fast(self, monkeypatch):
         h = normalize_to_sphere(diff_of_squares())
         root = unit_point([1.0, 1.0])

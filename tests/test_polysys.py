@@ -53,19 +53,15 @@ def random_affine_system(degrees, seed):
 class TestMonomialBasis:
     @pytest.mark.parametrize("n_vars,degree", [(n, d) for n in range(2, 7) for d in range(1, 7)])
     def test_index_roundtrip(self, n_vars, degree):
+        # The exponent tuples in ascending lex order, each at its index.
         exps = homogeneous_exponents(n_vars, degree)
         index = homogeneous_index(n_vars, degree)
         assert exps.shape[0] == math.comb(n_vars - 1 + degree, degree)
-        for pos, row in enumerate(exps):
-            key = tuple(int(e) for e in row)
+        as_tuples = [tuple(int(e) for e in row) for row in exps]
+        assert as_tuples == sorted(as_tuples)
+        for pos, key in enumerate(as_tuples):
             assert sum(key) == degree
             assert index[key] == pos
-
-    def test_ascending_lex_order(self):
-        for degree in (1, 2):
-            exps = homogeneous_exponents(3, degree)
-            as_tuples = [tuple(int(e) for e in row) for row in exps]
-            assert as_tuples == sorted(as_tuples)
 
 
 class TestMonomialTensor:
@@ -171,20 +167,15 @@ class TestIntegralDegrees:
 
 
 class TestEvaluate:
-    def test_difference_of_squares_at_its_zero(self):
-        h = PolySystem.from_terms((2,), [[((0, 2), 1.0), ((2, 0), -1.0)]])
-        z = unit_point([1.0, 1.0])
-        assert abs(evaluate(h, z)[0]) < 1e-15
-
-    def test_monomial_vanishes(self):
-        h = PolySystem.from_terms((2,), [[((2, 0), 1.0)]])
-        assert evaluate(h, np.array([0.0, 1.0], dtype=complex))[0] == 0.0
-
     def test_hand_expansion(self):
-        # X0*X1 + X1^2 at (1, 2)/sqrt(5): 2/5 + 4/5 = 6/5
-        h = PolySystem.from_terms((2,), [[((1, 1), 1.0), ((0, 2), 1.0)]])
-        z = unit_point([1.0, 2.0])
-        assert evaluate(h, z)[0] == pytest.approx(1.2, abs=1e-14)
+        # X1^2 - X0^2 at its zero, X0^2 at a point where it vanishes, and
+        # X0*X1 + X1^2 at (1, 2)/sqrt(5): 2/5 + 4/5 = 6/5.
+        for terms, z, want in [
+            ([((0, 2), 1.0), ((2, 0), -1.0)], unit_point([1.0, 1.0]), pytest.approx(0.0, abs=1e-15)),
+            ([((2, 0), 1.0)], np.array([0.0, 1.0], dtype=complex), 0.0),
+            ([((1, 1), 1.0), ((0, 2), 1.0)], unit_point([1.0, 2.0]), pytest.approx(1.2, abs=1e-14)),
+        ]:
+            assert evaluate(PolySystem.from_terms((2,), [terms]), z)[0] == want
 
     @pytest.mark.parametrize("degrees,seed", [((2, 2), 0), ((3, 1, 2), 1), ((4,), 2)])
     def test_against_brute_force(self, degrees, seed):
@@ -489,15 +480,6 @@ class TestBlockMemo:
 
 
 class TestCoefficientOwnership:
-    def test_from_coeff_vector_copies(self):
-        v = np.arange(12, dtype=complex)
-        h = PolySystem.from_coeff_vector((2, 2), v)
-        z = unit_point([1.0, 2.0, 3.0])
-        before = evaluate(h, z)
-        v[0] = 99.0
-        assert h.coeffs[0][0] == 0.0
-        assert evaluate(h, z).tobytes() == before.tobytes()
-
     def test_coefficients_read_only(self):
         h = PolySystem.from_coeff_vector((2, 2), np.arange(12, dtype=complex))
         for c in h.coeffs:
@@ -514,13 +496,18 @@ class TestCoefficientOwnership:
             PolySystem.from_terms((2, 2), terms)
 
     def test_coeff_vector_round_trip(self):
-        h = random_system((1, 3, 2), 7)
-        vec = h._vec.copy()
-        assert np.concatenate(h.coeffs).tobytes() == vec.tobytes()
-        again = PolySystem.from_coeff_vector(h.degrees, vec)
-        assert again._vec.tobytes() == vec.tobytes()
-        vec[0] = 99.0
-        assert again._vec[0] != 99.0
+        # from_coeff_vector copies: a later write to its input changes
+        # neither the system's coefficients nor its values.
+        for h in (random_system((1, 3, 2), 7), PolySystem._adopt((2, 2), np.arange(12, dtype=complex))):
+            vec = h._vec.copy()
+            assert np.concatenate(h.coeffs).tobytes() == vec.tobytes()
+            again = PolySystem.from_coeff_vector(h.degrees, vec)
+            assert again._vec.tobytes() == vec.tobytes()
+            z = unit_point(np.arange(1.0, h.n_vars + 1))
+            before = evaluate(again, z).tobytes()
+            vec[0] = 99.0
+            assert again._vec[0] == h._vec[0] != 99.0
+            assert evaluate(again, z).tobytes() == before
 
     def test_equality_is_identity(self):
         # Equal coefficients make two systems, not one: == and hash are the
@@ -550,8 +537,11 @@ class TestHomogenization:
         ]), [1.0, 1.0], 1e-14),
     ], ids=["square-minus-one", "linear-with-constant", "two-equations"])
     def test_affine_zero_lifts_to_a_zero(self, f, zero, tol):
-        # A zero x of f lifts to the zero (1, x) of its homogenization.
-        assert np.linalg.norm(evaluate(homogenize(f), unit_point((1.0, *zero)))) < tol
+        # A zero x of f lifts to the zero (1, x) of its homogenization, and of
+        # the system its JSON record reads to.
+        for h in (homogenize(f), parse_system_json(affine_json(f))):
+            assert isinstance(h, PolySystem)
+            assert np.linalg.norm(evaluate(h, unit_point((1.0, *zero)))) < tol
 
     def test_round_trip(self):
         f = random_affine_system((2, 3), 11)
@@ -726,12 +716,6 @@ class TestSystemIO:
         assert isinstance(h, PolySystem)
         z = unit_point([1.0, 2.0])
         assert evaluate(h, z)[0] == pytest.approx((2 - 4j) / 5)
-
-    def test_parse_affine(self):
-        text = '{"degrees": [2], "terms": [[{"exponents": [2], "re": 1.0}, {"exponents": [0], "re": -1.0}]]}'
-        h = parse_system_json(text)
-        assert isinstance(h, PolySystem)
-        assert np.linalg.norm(evaluate(h, unit_point((1.0, 1.0)))) < 1e-15
 
     def test_round_trip(self):
         h = random_system((2, 2), 21)

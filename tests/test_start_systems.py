@@ -7,7 +7,7 @@ import pytest
 from certitrack import tracker
 from certitrack.bw import bw_inner_re, bw_norm, riemann_distance, weight_table
 from certitrack.experiments import katsura_system, start_paths
-from certitrack.newton import U0, certified_radius, condition_mu, refine
+from certitrack.newton import condition_mu, refine
 from certitrack.polysys import (
     PolySystem,
     _layout,
@@ -56,10 +56,6 @@ class TestTotalDegreeStart:
         assert len(start.roots) == math.prod(degrees)
         for root in start.roots:
             assert np.linalg.norm(evaluate(start.g, root)) <= 1e-14
-
-    def test_on_sphere(self):
-        start = total_degree_start((3, 2), np.random.default_rng(3))
-        assert bw_norm(start.g) == pytest.approx(1.0, abs=1e-12)
 
     def test_roots_distinct(self):
         start = total_degree_start((3, 3), np.random.default_rng(4))
@@ -111,17 +107,19 @@ class TestGoodPair:
         pair = good_initial_pair((3, 2))
         assert np.linalg.norm(evaluate(pair.g, pair.zeta0)) == 0.0
 
-    def test_start_radius(self):
-        # u0 / (d^{3/2} mu) with mu = sqrt(2) for the (2, 2) pair
-        pair = good_initial_pair((2, 2))
-        assert certified_radius(pair.g, pair.zeta0) == pytest.approx(U0 / (2.0**1.5 * math.sqrt(2.0)))
+
+
+@pytest.mark.parametrize("draw, degrees, seed, tol", [
+    (lambda degrees, rng: total_degree_start(degrees, rng).g, (3, 2), 3, 1e-12),
+    (random_system_on_sphere, (2, 3), 0, 1e-12),
+    (lambda degrees, rng: random_initial_pair(degrees, rng).g, (2, 2, 2), 10, 1e-12),
+    (lambda degrees, rng: random_initial_pair_unitary(degrees, rng).g, (2, 2), 14, 1e-10),
+], ids=["total-degree-start", "random-system", "random-pair", "unitary-pair"])
+def test_drawn_system_on_sphere(draw, degrees, seed, tol):
+    assert bw_norm(draw(degrees, np.random.default_rng(seed))) == pytest.approx(1.0, abs=tol)
 
 
 class TestRandomSystemOnSphere:
-    def test_unit_norm(self):
-        h = random_system_on_sphere((2, 3), np.random.default_rng(0))
-        assert bw_norm(h) == pytest.approx(1.0, abs=1e-12)
-
     def test_mean_overlap_near_zero(self):
         # Re<h, h'> has mean 0 and variance 1/(2(N+1)) for independent pairs
         rng = np.random.default_rng(1)
@@ -281,17 +279,16 @@ class TestRestrictedSystem:
 
 class TestRandomInitialPair:
     @pytest.mark.parametrize(
-        "degrees, seed",
-        [*(((2, 2), seed) for seed in range(6)), ((1, 2, 3), 12), ((1,), 0), ((1, 1), 0), ((1, 1, 1), 0)],
-        ids=[*map(str, range(6)), "mixed-degrees", "all-degree-one-1", "all-degree-one-2", "all-degree-one-3"],
+        "draw, degrees, seed",
+        [*((random_initial_pair, (2, 2), seed) for seed in range(6)), (random_initial_pair, (1, 2, 3), 12),
+         *((random_initial_pair, degrees, 0) for degrees in [(1,), (1, 1), (1, 1, 1)]),
+         (random_initial_pair_unitary, (2, 2, 2), 13)],
+        ids=[*map(str, range(6)), "mixed-degrees", "all-degree-one-1", "all-degree-one-2", "all-degree-one-3",
+             "unitary"],
     )
-    def test_zero_contract(self, degrees, seed):
-        pair = random_initial_pair(degrees, np.random.default_rng(seed))
+    def test_zero_contract(self, draw, degrees, seed):
+        pair = draw(degrees, np.random.default_rng(seed))
         assert np.linalg.norm(evaluate(pair.g, pair.zeta0)) <= 1e-10
-
-    def test_on_sphere(self):
-        pair = random_initial_pair((2, 2, 2), np.random.default_rng(10))
-        assert bw_norm(pair.g) == pytest.approx(1.0, abs=1e-12)
 
     def test_determinism(self):
         a = random_initial_pair((2, 2), np.random.default_rng(11))
@@ -336,14 +333,6 @@ class TestRandomInitialPair:
 
 
 class TestRandomInitialPairUnitary:
-    def test_zero_contract(self):
-        pair = random_initial_pair_unitary((2, 2, 2), np.random.default_rng(13))
-        assert np.linalg.norm(evaluate(pair.g, pair.zeta0)) <= 1e-10
-
-    def test_on_sphere(self):
-        pair = random_initial_pair_unitary((2, 2), np.random.default_rng(14))
-        assert bw_norm(pair.g) == pytest.approx(1.0, abs=1e-10)
-
     def test_mu_preserved(self):
         # unitary change of coordinates leaves the condition number at sqrt(n)
         pair = random_initial_pair_unitary((2, 2), np.random.default_rng(15))

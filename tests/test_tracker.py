@@ -143,23 +143,17 @@ class TestLinearHomotopy:
         assert bw_norm(hom.value_at(hom.T / 2)) == pytest.approx(1.0, abs=1e-10)
 
     def test_endpoint_hits_target(self, quad_pair):
-        start, f, hom = quad_pair
-        end = hom.value_at(hom.T)
-        for a, b in zip(end.coeffs, f.coeffs):
-            np.testing.assert_allclose(a, b, atol=1e-10)
-
-    def test_endpoint_hits_target_negative_overlap(self):
-        # arccos handles Re<f, g> < 0, where the arcsin formula breaks
+        # Also where Re<f, g> < 0: arccos handles it, the arcsin formula breaks.
         rng = np.random.default_rng(21)
         g = random_system_on_sphere((2,), rng)
         f = normalize_to_sphere(-1.0 * g + 0.8 * random_system_on_sphere((2,), rng))
-        r = bw_inner_re(g.degrees, f._vec, g._vec)
-        assert r < 0
-        hom = make_linear_homotopy(g, f)
-        assert hom.T > math.pi / 2
-        end = hom.value_at(hom.T)
-        for a, b in zip(end.coeffs, f.coeffs):
-            np.testing.assert_allclose(a, b, atol=1e-10)
+        assert bw_inner_re(g.degrees, f._vec, g._vec) < 0
+        negative = make_linear_homotopy(g, f)
+        assert negative.T > math.pi / 2
+        for hom, target in [(quad_pair[2], quad_pair[1]), (negative, f)]:
+            end = hom.value_at(hom.T)
+            for a, b in zip(end.coeffs, target.coeffs):
+                np.testing.assert_allclose(a, b, atol=1e-10)
 
     def test_requires_sphere(self, quad_pair):
         start, f, _ = quad_pair
@@ -238,11 +232,6 @@ class TestChiFactors:
         first = track_linear(make_linear_homotopy(pair.g, f), pair.zeta0).trace[0]
         assert first.chi1 == pytest.approx(math.sqrt(3.0), rel=1e-12)
 
-    def test_chi1_positive(self, quad_pair):
-        start, f, hom = quad_pair
-        trace = track_linear(hom, start.roots[0]).trace
-        assert len(trace) > 0 and np.all(trace.chi1 > 0.0)
-
     def test_chi1_singular(self):
         # An exact zero pivot raises from the step's chi and ends the path
         # SingularLinearSolve before its first step.
@@ -267,10 +256,11 @@ class TestChiFactors:
         assert first.chi2 == pytest.approx(1.0, rel=1e-12)
 
     def test_chi2_at_least_speed(self, quad_pair):
-        # Row k+1 holds the step from s_k; chi2 there is at least the speed
-        # ||hdot_{s_k}|| = 1.
+        # chi1 > 0 on every row.  Row k+1 holds the step from s_k; chi2 there
+        # is at least the speed ||hdot_{s_k}|| = 1.
         start, f, hom = quad_pair
         trace = track_linear(hom, start.roots[0]).trace
+        assert len(trace) > 0 and np.all(trace.chi1 > 0.0)
         s_from = np.concatenate([[0.0], trace.s[:-1]])
         speed = np.sqrt([hom.speed_squared(math.cos(s), math.sin(s)) for s in s_from])
         np.testing.assert_allclose(speed, 1.0, rtol=1e-12)
@@ -399,11 +389,14 @@ class TestRepresentativeInvariance:
 
 class TestTrackLinear:
     def test_same_system_returns_immediately(self, quad_pair):
-        start, _, _ = quad_pair
-        result = track_path(start.g, start.g, start.roots[0])
-        assert result.status is TrackStatus.SUCCESS
-        assert result.num_steps == 0
-        assert riemann_distance(result.endpoint, start.roots[0]) <= 1e-12
+        # A zero-length homotopy, with no trace rows.
+        start, f, hom = quad_pair
+        for h in (start.g, f):
+            result = track_path(h, h, start.roots[0])
+            assert (result.status, result.num_steps) == (TrackStatus.SUCCESS, 0)
+            assert riemann_distance(result.endpoint, start.roots[0]) <= 1e-12
+            assert len(result.trace) == 0
+            assert result.trace.dtype == track_linear(hom, start.roots[0]).trace.dtype
 
     def test_equal_target_off_the_sphere_returns_immediately(self, quad_pair):
         # f == g takes no homotopy, so neither needs unit norm; a NaN
@@ -429,18 +422,6 @@ class TestTrackLinear:
             else:
                 with pytest.raises(DegenerateHomotopyError):
                     track_path(g, f, start.roots[0])
-
-    def test_trace_rows_and_endpoint_own_their_points(self, quad_pair):
-        # The loop writes its points into two arrays in turn: a row that kept
-        # one of them would read a later point.
-        start, f, hom = quad_pair
-        result = track_linear(hom, start.roots[0])
-        z = result.trace.z
-        assert len(z) == result.num_steps >= 3
-        assert z[-1].tobytes() == result.endpoint.tobytes()
-        assert not np.shares_memory(z, result.endpoint)
-        assert not any(np.array_equal(a, b) for a, b in zip(z[:-1], z[1:]))
-        assert len({row.tobytes() for row in z}) == len(z)
 
     def test_endpoints_of_two_calls_are_their_own(self, quad_pair):
         start, f, hom = quad_pair
@@ -470,13 +451,6 @@ class TestTrackLinear:
         (record,) = track_linear(hom, start.roots[0]).trace
         assert calls == [(1.0, 0.0)]
         assert record.chi2**2 == pytest.approx(first.chi2**2 + 1.0, rel=1e-12)
-
-    def test_success_and_endpoint_is_zero(self, quad_pair):
-        start, f, hom = quad_pair
-        result = track_linear(hom, start.roots[0])
-        assert result.status is TrackStatus.SUCCESS
-        zeta = refine(f, result.endpoint)
-        assert riemann_distance(result.endpoint, zeta) <= U0 / (2.0 * 2.0**1.5 * condition_mu(f, zeta))
 
     def test_trace_bookkeeping(self, quad_pair):
         start, f, hom = quad_pair
@@ -517,14 +491,12 @@ class TestTrackLinear:
 
     def test_pinned_step_counts_with_one_blas_thread(self):
         # The BLAS thread count may change result bits (a one-column zgetrs
-        # does under OpenBLAS), but it must not change a step count.
-        steps = child_lines(ONE_THREAD, OPENBLAS_NUM_THREADS="1")[1]
-        assert steps == " ".join(f"Success:{n}" for n in PINNED_STEPS + PINNED_HEURISTIC_STEPS)
-
-    def test_trace_bits_unchanged_with_one_blas_thread(self):
-        # Writing into per-path buffers runs the same BLAS calls on the same
+        # does under OpenBLAS), but it must not change a step count.  Writing
+        # into per-path buffers runs the same BLAS calls on the same
         # operands, so every record of the pinned target keeps its bits.
-        assert child_lines(ONE_THREAD, OPENBLAS_NUM_THREADS="1")[2] == pinned(PINNED_TRACE_SHA256)
+        _, steps, trace = child_lines(ONE_THREAD, OPENBLAS_NUM_THREADS="1")[:3]
+        assert steps == " ".join(f"Success:{n}" for n in PINNED_STEPS + PINNED_HEURISTIC_STEPS)
+        assert trace == pinned(PINNED_TRACE_SHA256)
 
     def test_bits_do_not_depend_on_blas_threads(self):
         # The trackers, refine and condition_mu run on one BLAS thread
@@ -578,12 +550,13 @@ class TestTrackLinear:
         assert riemann_distance(result.endpoint, unit_point([1.0, 1.0])) < 1e-12
 
     def test_intermediate_certificates_sampled(self, quad_pair):
-        # every traced point is an approximate zero of its system with the
-        # halved radius (the tracking invariant)
+        # every traced point, the endpoint included, is an approximate zero of
+        # its system with the halved radius (the tracking invariant)
         start, f, hom = quad_pair
         result = track_linear(hom, start.roots[0])
+        assert result.status is TrackStatus.SUCCESS
         stride = max(1, len(result.trace) // 12)
-        for rec in result.trace[::stride]:
+        for rec in [*result.trace[::stride], result.trace[-1]]:
             h_s = reference.homotopy(hom, rec.s)[0]
             zeta = reference.newton(h_s, rec.z, steps=8)
             mu = float(reference.mu(h_s, zeta))
@@ -623,14 +596,18 @@ class TestTraceArray:
             assert len(bare.trace) == 0 and bare.trace.dtype == traced.trace.dtype
 
     def test_certified_columns(self, quad_pair):
+        # The loop writes its points into two arrays in turn: a row that kept
+        # one of them would read a later point.
         start, f, hom = quad_pair
         result = track_linear(hom, start.roots[0])
-        trace = result.trace
+        trace, z = result.trace, result.trace.z
         assert trace.dtype.names == ("s", "t", "phi", "chi1", "chi2", "z")
-        assert len(trace) == result.num_steps
-        assert trace.z.shape == (result.num_steps, 3)
+        assert z.shape == (result.num_steps, 3) and result.num_steps >= 3
         assert np.array_equal(trace.phi, trace.chi1 * trace.chi2)
-        assert trace[-1].z.tobytes() == result.endpoint.tobytes()
+        assert z[-1].tobytes() == result.endpoint.tobytes()
+        assert not np.shares_memory(z, result.endpoint)
+        assert not any(np.array_equal(a, b) for a, b in zip(z[:-1], z[1:]))
+        assert len({row.tobytes() for row in z}) == len(z)
 
     def test_read_only(self, quad_pair):
         start, f, hom = quad_pair
@@ -641,21 +618,15 @@ class TestTraceArray:
         with pytest.raises(ValueError):
             trace[0].z[0] = 0.0
 
-    def test_zero_length_homotopy_has_no_rows(self, quad_pair):
-        start, f, hom = quad_pair
-        result = track_path(f, f, start.roots[0])
-        assert (result.status, result.num_steps) == (TrackStatus.SUCCESS, 0)
-        assert len(result.trace) == 0
-        assert result.trace.dtype == track_linear(hom, start.roots[0]).trace.dtype
-
 
 def named_path(name: str):
-    # The homotopy and start root of "pinned-i", path i of the pinned target,
-    # or "katsura4-i", path i from the total-degree start of default_rng(1)
-    # to Katsura-4 (paths 4 and 6 take 3,000-4,500 certified steps).
+    # The homotopy and start root of "quad-i" or "pinned-i", path i of the
+    # quad_pair or the pinned target, or "katsura4-i", path i from the
+    # total-degree start of default_rng(1) to Katsura-4 (paths 4 and 6 take
+    # 3,000-4,500 certified steps).
     target, i = name.split("-")
-    if target == "pinned":
-        start, f, hom = pinned_target()
+    if target in ("quad", "pinned"):
+        start, f, hom = seeded_path((2, 2), 20) if target == "quad" else pinned_target()
         return hom, start.roots[int(i)]
     f = prepare_target(katsura_system(4))
     start = total_degree_start(f.degrees, np.random.default_rng(1))
@@ -697,22 +668,18 @@ class TestConditionLength:
         c = condition_length(hom, z0, result)
         assert c == pytest.approx((c + midpoint_rule(hom, z0, result)) / 2.0, rel=2e-5)
 
-    def test_failed_path_has_no_condition_length(self, quad_pair, monkeypatch):
+    @pytest.mark.parametrize("traced, message", [(True, "MaxSteps"), (False, "without its trace")],
+                             ids=["failed", "untraced"])
+    def test_path_without_condition_length(self, quad_pair, monkeypatch, traced, message):
+        # A failed path has none.  Without its trace a Success result has the
+        # one node s = 0, which would read C = 0 and a bound of 0 steps.
         start, f, hom = quad_pair
-        monkeypatch.setattr(tracker, "MAX_STEPS", 5)
-        result = track_linear(hom, start.roots[0])
+        if traced:
+            monkeypatch.setattr(tracker, "MAX_STEPS", 5)
+        result = track_linear(hom, start.roots[0], TrackerOptions(record_trace=traced))
+        assert result.success is not traced and result.num_steps > 0
         for oracle in (condition_length, theorem_step_bound):
-            with pytest.raises(ValueError, match="MaxSteps"):
-                oracle(hom, start.roots[0], result)
-
-    def test_untraced_path_has_no_condition_length(self, quad_pair):
-        # Without its trace a Success result has the one node s = 0, which
-        # would read C = 0 and a bound of 0 steps.
-        start, f, hom = quad_pair
-        result = track_linear(hom, start.roots[0], TrackerOptions(record_trace=False))
-        assert result.success and result.num_steps > 0
-        for oracle in (condition_length, theorem_step_bound):
-            with pytest.raises(ValueError, match="without its trace"):
+            with pytest.raises(ValueError, match=message):
                 oracle(hom, start.roots[0], result)
 
     @pytest.mark.parametrize("degrees", [(2, 2, 2), (1, 2, 3), (1, 2, 2, 2, 2)], ids=str)
@@ -743,14 +710,7 @@ class TestConditionLength:
         full = condition_length(hom, start.roots[0], track_linear(hom, start.roots[0]))
         assert c_short < 0.05 * full
 
-    def test_step_bound_holds(self, quad_pair):
-        start, f, hom = quad_pair
-        for root in start.roots[:2]:
-            result = track_linear(hom, root)
-            assert result.status is TrackStatus.SUCCESS
-            assert result.num_steps <= theorem_step_bound(hom, root, result)
-
-    @pytest.mark.parametrize("path", ["pinned-0", "pinned-1", "katsura4-4", "katsura4-6"])
+    @pytest.mark.parametrize("path", ["quad-0", "quad-1", "pinned-0", "pinned-1", "katsura4-4", "katsura4-6"])
     def test_steps_over_bound_is_a_constant(self, path):
         """num_steps / theorem_step_bound sits within 1% of
         1 / (71 C_OVER_P_LINEAR) = 0.29316: the loop takes exact norms and the
@@ -760,6 +720,7 @@ class TestConditionLength:
         stage b) would move the ratio off this constant."""
         hom, z0 = named_path(path)
         result = track_linear(hom, z0)
+        assert result.status is TrackStatus.SUCCESS
         ratio = result.num_steps / theorem_step_bound(hom, z0, result)
         assert ratio == pytest.approx(1.0 / (71.0 * C_OVER_P_LINEAR), rel=0.01)
 
@@ -774,21 +735,19 @@ class TestStepConstant:
         assert 0.0 < c / P < 1.0
 
     def test_ratio_decreasing_in_curvature(self):
-        # a larger curvature bound than a path needs is still certified
+        # a larger curvature bound than a path needs is still certified;
+        # d = 1 needs H = 1, a smaller c/P than the degree-two constant
         ratios = [c_over_p(H) for H in np.linspace(0.0, 10.0, 21)]
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
+        assert c_over_p(1.0) < C_OVER_P_LINEAR
 
-    def test_linear_constant_is_the_degree_two_value(self):
-        # d >= 2 needs H = d^{-3/2} <= 2^{-3/2}; the constant rounds down
-        reference = c_over_p(2.0**-1.5)
-        assert C_OVER_P_LINEAR <= reference
-        assert reference - C_OVER_P_LINEAR <= 1e-8
-
-    def test_degree_one_constant(self):
-        # d = 1 needs H = 1, a smaller c/P than the degree-two value
-        reference = c_over_p(1.0)
-        assert C_OVER_P_DEGREE_ONE <= reference < C_OVER_P_LINEAR
-        assert reference - C_OVER_P_DEGREE_ONE <= 1e-8
+    @pytest.mark.parametrize("constant, curvature_bound", [(C_OVER_P_LINEAR, 2.0**-1.5), (C_OVER_P_DEGREE_ONE, 1.0)],
+                             ids=["degree-two", "degree-one"])
+    def test_constant_rounds_the_reference_down(self, constant, curvature_bound):
+        # d >= 2 needs H = d^{-3/2} <= 2^{-3/2}, d = 1 needs H = 1
+        reference = c_over_p(curvature_bound)
+        assert constant <= reference
+        assert reference - constant <= 1e-8
 
     def test_linear_path_steps_within_degree_one_bound(self):
         # every step of a (1, 1) path, the first from the start included,
@@ -802,24 +761,17 @@ class TestStepConstant:
 
 
 class TestNonFiniteStep:
-    """A step length that cannot move s ends the path with a status."""
+    """A step length that cannot move s ends the path with a status: phi =
+    inf gives t = 0, which must not loop until MAX_STEPS, and phi = 0 gives
+    t = inf, which must neither raise nor jump to T."""
 
-    def test_overflowing_derivative(self, quad_pair, monkeypatch):
-        # phi = inf gives t = 0, which must not loop until MAX_STEPS
-        hom, z0 = scaled_normal(quad_pair, 1e300)
+    @pytest.mark.parametrize("factor", [1e300, 0.0], ids=["overflowing-derivative", "zero-derivative"])
+    def test_ends_min_step_reached(self, quad_pair, monkeypatch, factor):
+        hom, z0 = scaled_normal(quad_pair, factor)
         monkeypatch.setattr(tracker, "MAX_STEPS", 50)
         with np.errstate(over="ignore"):
             result = track_linear(hom, z0)
-        assert result.status is TrackStatus.MIN_STEP_REACHED
-        assert result.num_steps == 0
-
-    def test_zero_derivative(self, quad_pair, monkeypatch):
-        # phi = 0 gives t = inf, which must neither raise nor jump to T
-        hom, z0 = scaled_normal(quad_pair, 0.0)
-        monkeypatch.setattr(tracker, "MAX_STEPS", 50)
-        result = track_linear(hom, z0)
-        assert result.status is TrackStatus.MIN_STEP_REACHED
-        assert result.num_steps == 0
+        assert (result.status, result.num_steps) == (TrackStatus.MIN_STEP_REACHED, 0)
 
 
 class TestForcedStops:
