@@ -13,15 +13,18 @@ bw_inner_re, one weighted dot of the real views of two stacked coefficient
 vectors.
 
 The norm does its elementwise work in one pass over a system's stacked
-coefficient vector and then takes one sum per equation slice, added in
-equation order.  Each slice's sum is NumPy's pairwise sum of that equation,
-so the bits are those of an equation-by-equation loop.  np.add.reduceat,
-one call for all slices, groups each slice's terms otherwise and changes the
-last bits of most norms.
+coefficient vector and then takes one sum per equation, added in equation
+order.  Each run of consecutive equations of one degree is one
+(equations, terms) block of that vector, reduced row by row in one
+np.add.reduce call: each row's sum is NumPy's pairwise sum of that
+equation, so the bits are those of an equation-by-equation loop.
+np.add.reduceat, one call for all slices, groups each slice's terms
+otherwise and changes the last bits of most norms.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 from typing import NamedTuple
@@ -59,6 +62,18 @@ def weight_table(degrees: tuple[int, ...]) -> _WeightTable:
     return table
 
 
+@lru_cache(maxsize=None)
+def _degree_runs(degrees: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    # (start, stop, rows) per run of consecutive equations of one degree:
+    # the run's rows equal blocks of the stacked vector from start to stop.
+    slices = iter(_layout(degrees)[1])
+    runs = []
+    for _, run in itertools.groupby(degrees):
+        block = [next(slices) for _ in run]
+        runs.append((block[0].start, block[-1].stop, len(block)))
+    return tuple(runs)
+
+
 def bw_inner_re(degrees: tuple[int, ...], a: np.ndarray, b: np.ndarray) -> float:
     """Re<a, b> of two stacked coefficient vectors of one degree tuple, by
     one dot of their real views: equal inputs give equal bits wherever it is
@@ -70,7 +85,7 @@ def bw_norm(h: PolySystem) -> float:
     """Bombieri-Weyl norm; inf past the largest float, NaN for a NaN coefficient.
 
     Computed in one pass over the stacked coefficient vector, with one sum
-    per equation (see the module notes).
+    per equation taken run by run (see the module notes).
     """
     # The moduli are scaled by the exact power of two 2^-e, e the binary
     # exponent of the largest one, before they are squared, so no square
@@ -79,13 +94,14 @@ def bw_norm(h: PolySystem) -> float:
     m = np.abs(h._vec)
     # e >= -1000 keeps 2^-e a float; the largest scaled modulus of a
     # subnormal system is then still above 2^-75.
-    e = max(math.frexp(m.max())[1], -1000)
-    m *= math.ldexp(1.0, -e)
+    e = max(math.frexp(np.maximum.reduce(m))[1], -1000)
+    np.multiply(m, math.ldexp(1.0, -e), out=m)
     np.square(m, out=m)
-    m *= weight_table(h.degrees).weights
+    np.multiply(m, weight_table(h.degrees).weights, out=m)
     total = 0.0
-    for sl in _layout(h.degrees)[1]:
-        total += float(m[sl].sum())
+    for start, stop, rows in _degree_runs(h.degrees):
+        for s in np.add.reduce(m[start:stop].reshape(rows, -1), axis=1).tolist():
+            total += s
     try:
         return math.ldexp(math.sqrt(total), e)
     except OverflowError:

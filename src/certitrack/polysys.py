@@ -16,9 +16,10 @@ Products and changes of variables are contractions of such tensors
 (bw.unitary_compose, the random pair's first-order part), collected once.
 
 A PolySystem owns one read-only coefficient vector, concatenated equation by
-equation, of which `coeffs` holds views.  from_coeff_vector copies the
-caller's vector into it; from_terms and the other builders make that vector
-once and the system adopts it (_adopt), uncopied.
+equation; `coeffs` makes its per-equation views when it is read, so
+building a system makes none.  from_coeff_vector copies the caller's vector
+into it; from_terms and the other builders make that vector once and the
+system adopts it (_adopt), uncopied.
 Degrees and exponents pass one check, which reads 2.0 as 2 and refuses 2.5,
 inf, NaN, "2" and booleans; each degree tuple is checked once (cached), which
 keeps `_adopt` cheap for the systems a homotopy builds per step.
@@ -216,24 +217,22 @@ class PolySystem:
     """Square homogeneous system: n equations of degrees d_i in n+1 variables.
 
     Built over one read-only coefficient vector by from_coeff_vector,
-    from_terms or _adopt; there is no per-equation constructor.  == and hash
+    from_terms or _adopt; there is no per-equation constructor.  `coeffs`
+    is computed on read: each equation's view of that vector.  == and hash
     are those of the object (eq=False): whether two systems are equal is a
     question about their coefficients, with a tolerance, which callers ask
     of `_vec` themselves.
     """
 
     degrees: tuple[int, ...]
-    coeffs: tuple[np.ndarray, ...]
     # (key, block): the [Dh(z) | h(z)] block of the last point _block read,
     # keyed by that point's bytes.
     _last_block = None
 
-    def _own(self, degrees, slices, vec: np.ndarray) -> None:
-        # vec, a fresh 1-d complex array, becomes the system's storage.
-        vec.setflags(write=False)
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "_vec", vec)
-        object.__setattr__(self, "coeffs", tuple(vec[sl] for sl in slices))
+    @property
+    def coeffs(self) -> tuple[np.ndarray, ...]:
+        """Each equation's coefficients, a read-only view of the stacked vector."""
+        return tuple(self._vec[sl] for sl in _layout(self.degrees)[1])
 
     @property
     def n(self) -> int:
@@ -264,8 +263,10 @@ class PolySystem:
         degrees, slices = _layout(degrees)
         if vec.shape != (slices[-1].stop,):
             raise ValueError(f"expected {slices[-1].stop} coefficients, got shape {vec.shape}")
+        vec.setflags(write=False)
         h = cls.__new__(cls)
-        h._own(degrees, slices, vec)
+        object.__setattr__(h, "degrees", degrees)
+        object.__setattr__(h, "_vec", vec)
         return h
 
     @classmethod
@@ -275,18 +276,28 @@ class PolySystem:
         The one reader and check of a term; its exponents pass _integers once.
         In an equation of degree d, n+1 exponents are a monomial X^a of sum
         d, and n exponents the affine x^a, |a| <= d, read as X0^(d-|a|) x^a.
-        A monomial's coefficients add up in the order given.  A bad tuple is
-        a ValueError naming its equation and the tuple as given.
+        A system's terms are all of one kind, its first term's: a term of the
+        other kind is refused before it is added.  A monomial's coefficients add up
+        in the order given.  A bad tuple is a ValueError naming its equation
+        and the tuple as given.
         """
         degrees, slices = _layout(degrees)
         n = len(degrees)
         if len(terms) != n:
             raise ValueError(f"expected {n} term lists, got {len(terms)}")
         vec = np.zeros(slices[-1].stop, dtype=np.complex128)
+        width = None  # n or n + 1, the exponent count of the first such term
         for i, (d, sl, eq_terms) in enumerate(zip(degrees, slices, terms)):
             block, index = vec[sl], homogeneous_index(n + 1, d)
             for exponents, c in eq_terms:
                 a = _integers(exponents, i)
+                if len(a) in (n, n + 1):
+                    width = width or len(a)
+                    if len(a) != width:
+                        raise ValueError(
+                            f"equation {i}: exponents {a} mix affine and homogeneous terms: "
+                            f"the system's first term has {width} exponents, this one {len(a)}"
+                        )
                 # The index holds exactly the valid homogeneous tuples.
                 pos = index.get((d - sum(a),) + a if len(a) == n else a)
                 if pos is None:
@@ -525,11 +536,11 @@ def parse_system_json(text: str) -> PolySystem:
     equation of {"exponents": [...], "re": x, "im": y}, x and y JSON numbers
     (a boolean or a string is a ValueError naming its equation).  Exponent
     lists of length n+1 describe a homogeneous system in (X0, ..., Xn), and
-    lists of length n an affine one in (x1, ..., xn); a record that mixes
-    them is a ValueError.  PolySystem.from_terms reads and checks the terms
-    of either kind.  A coefficient of the resulting system that is not
-    finite (NaN, Infinity, a literal such as 1e400 that overflows, or a sum
-    that does) is a ValueError naming its equation.
+    lists of length n an affine one in (x1, ..., xn).  PolySystem.from_terms
+    reads and checks the terms of either kind, and refuses a record that
+    mixes them.  A coefficient of the resulting system that is not finite
+    (NaN, Infinity, a literal such as 1e400 that overflows, or a sum that
+    does) is a ValueError naming its equation.
     """
     record = json.loads(text)
     try:
@@ -544,10 +555,6 @@ def parse_system_json(text: str) -> PolySystem:
     # A sum that overflows is reported below as a ValueError, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
         system = PolySystem.from_terms(degrees, terms)
-    # Every exponent list passed from_terms, so each has a length.
-    lengths = {len(exponents) for eq in terms for exponents, _ in eq}
-    if len(lengths) > 1:
-        raise ValueError(f"inconsistent exponent lengths {sorted(lengths)} for n={system.n}")
     for i, vec in enumerate(system.coeffs):
         if not np.isfinite(vec).all():
             raise ValueError(f"equation {i}: coefficients must be finite numbers")

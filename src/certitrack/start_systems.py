@@ -223,9 +223,9 @@ def random_initial_pair(degrees, rng: np.random.Generator) -> InitialPair:
     frob2 = float(np.sum(np.abs(M) ** 2))
     rest = math.sqrt(max(0.0, 1.0 - frob2))
     coeffs = []
-    for i, d in enumerate(degrees):
+    for i, (d, h_i) in enumerate(zip(degrees, h.coeffs)):
         term = functools.reduce(np.multiply.outer, [np.conj(zeta0)] * (d - 1) + [M[i]])
-        coeffs.append(math.sqrt(d) * polysys.collect(term) + rest * h.coeffs[i])
+        coeffs.append(math.sqrt(d) * polysys.collect(term) + rest * h_i)
     g = normalize_to_sphere(PolySystem._adopt(degrees, np.concatenate(coeffs)))
     return InitialPair(g=g, zeta0=zeta0)
 

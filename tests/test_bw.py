@@ -127,19 +127,22 @@ class TestNormalize:
         for a, b in zip(h.coeffs, again.coeffs):
             np.testing.assert_allclose(a, b, atol=1e-12)
 
-    @pytest.mark.parametrize("h", [
-        PolySystem.from_coeff_vector((2,), np.zeros(3)),
-        *(PolySystem.from_terms((2,), [[((2, 0), 1.0), ((0, 2), c)]]) for c in (math.inf, math.nan)),
+    # (degrees, terms, scale): the system from_terms reads, times scale
+    # where one is given.
+    @pytest.mark.parametrize("degrees, terms, scale", [
+        ((2,), [[]], None),
+        *(((2,), [[((2, 0), 1.0), ((0, 2), c)]], None) for c in (math.inf, math.nan)),
         # in a later equation than a finite largest modulus
-        *(PolySystem.from_terms((1, 1), [[((1, 0, 0), 1.0)], [((1, 0, 0), c)]]) for c in (math.inf, math.nan)),
-        1.5e308 * PolySystem.from_terms((2,), [[((2, 0), 1.0), ((0, 2), 1.0)]]),
+        *(((1, 1), [[((1, 0, 0), 1.0)], [((1, 0, 0), c)]], None) for c in (math.inf, math.nan)),
+        ((2,), [[((2, 0), 1.0), ((0, 2), 1.0)]], 1.5e308),
         # 1 / ||h|| exceeds the largest float
-        1e-320 * PolySystem.from_terms((2,), [[((2, 0), 1.0), ((0, 2), 1.0)]]),
+        ((2,), [[((2, 0), 1.0), ((0, 2), 1.0)]], 1e-320),
     ], ids=["zero", "inf", "nan", "inf-in-a-later-equation", "nan-in-a-later-equation", "norm-past-largest-float",
             "subnormal"])
-    def test_cannot_normalize(self, h):
+    def test_cannot_normalize(self, degrees, terms, scale):
+        h = PolySystem.from_terms(degrees, terms)
         with pytest.raises(ValueError, match="cannot normalize"):
-            normalize_to_sphere(h)
+            normalize_to_sphere(h if scale is None else scale * h)
 
     def test_scaled_norm_keeps_plain_bits(self):
         # Scaling the moduli by a power of two before squaring changes no bit
@@ -413,6 +416,8 @@ ONE_PASS_PINS = {
     (2, 2): "eb4bac4719dbff8a60f504ab1fd91979a7dd1cf5c9430618e248a205b90b8e12",
     (2, 2, 2): "62a7250029693e8aa46e3d5b76b69ee53c9cf87436302f3e13f207bc4527dd48",
     (1, 2, 3): "006456648500f0c483a919b61ec5161be9bdbdbb7d62dffe801d9588d338c0db",
+    # Equal degrees apart: no run of one degree may join them.
+    (2, 1, 2): "7eb481fddce675e0b947bdd895d2ed9b5aa5ac27d90839248b2ce1aecb9d6160",
     (3, 2, 4): "587de894b15aca7ef69a497a8d7224c8bb78aa9e30cfc8ce7fe5d6714a799322",
     (1, 2, 2, 2, 2): "90bfaeca5ea7875027c7dc1575e82511bbb5e928ea625c365bfb7f60886a5b58",
     (3, 3, 3, 3): "fa6f2588d28f4e4f42cfe29d6c467f86aa920ceca7443777d3c596d1942f11d9",
