@@ -95,9 +95,9 @@ def bw_norm(h: PolySystem) -> float:
     # e >= -1000 keeps 2^-e a float; the largest scaled modulus of a
     # subnormal system is then still above 2^-75.
     e = max(math.frexp(np.maximum.reduce(m))[1], -1000)
-    np.multiply(m, math.ldexp(1.0, -e), out=m)
+    m *= math.ldexp(1.0, -e)
     np.square(m, out=m)
-    np.multiply(m, weight_table(h.degrees).weights, out=m)
+    m *= weight_table(h.degrees).weights
     total = 0.0
     for start, stop, rows in _degree_runs(h.degrees):
         for s in np.add.reduce(m[start:stop].reshape(rows, -1), axis=1).tolist():

@@ -585,6 +585,8 @@ AFFINE_RECORD_BYTES = bytes.fromhex(
 
 
 NON_INTEGRAL = " must be integers"
+# A valid tuple of the other kind than the system's first term.
+MIXED = " {} mix affine and homogeneous"
 
 
 class TestAffineInput:
@@ -612,7 +614,8 @@ class TestAffineInput:
     # prefix), PolySystem.from_terms and parse_system_json (affine or
     # homogeneous as the exponents' length says); the error names the
     # equation.  AffineSystem keeps its terms unread, so from_terms checks
-    # them all.
+    # them all, and refuses the valid homogeneous (0, 1, 1) after affine
+    # terms and the valid affine (1, 1) after a homogeneous one.
     @pytest.mark.parametrize("read, exponents, match", [
         *[("affine", e, "") for e in [(2, 1), (-1, 1), (1,), (1, 0, 0)]],
         *[("affine", e, NON_INTEGRAL) for e in [(0.9, 1.1), (1, math.inf), (1, "1"), 3, (True, 0), (0, np.True_)]],
@@ -620,11 +623,13 @@ class TestAffineInput:
         *[("json", e, "") for e in [[2, 1], [-1, 1], [1, 0, 0]]],
         *[("json", e, NON_INTEGRAL + r", got \(.*2\.9") for e in [[2.9, 0], [0, 2.9, 0]]],
         ("json", [False, True, True], NON_INTEGRAL),
+        ("affine", (0, 1, 1), MIXED.format(r"\(0, 1, 1\)")),
+        ("terms", (1, 1), MIXED.format(r"\(1, 1\)")),
     ], ids=["sum-above-degree", "negative", "short", "long", "fraction", "infinity", "string", "not-a-list",
             "boolean", "numpy-boolean",
             "terms-fraction", "terms-infinity", "terms-string", "terms-not-a-list", "terms-boolean",
             "json-sum-above-degree", "json-negative", "json-homogeneous-sum-below-degree", "json-affine-fraction",
-            "json-homogeneous-fraction", "json-boolean"])
+            "json-homogeneous-fraction", "json-boolean", "homogeneous-after-affine", "terms-affine-after-homogeneous"])
     def test_constructor_names_the_equation(self, read, exponents, match):
         with pytest.raises(ValueError, match="equation 1: exponents" + match):
             if read == "affine":
@@ -741,6 +746,15 @@ class TestSystemIO:
         with pytest.raises(ValueError, match="system record needs .*degrees must be integers"):
             parse_system_json(f'{{"degrees": {degrees}, "terms": {terms}}}')
 
+    def test_rejects_mixed_lengths(self):
+        # Either kind may come first; the first term of the other kind is
+        # refused, named with its equation and its exponents.
+        affine, homogeneous = '{"exponents": [1, 0], "re": 1.0}', '{"exponents": [0, 1, 0], "re": 1.0}'
+        for first, second, shown in [(affine, homogeneous, r"\(0, 1, 0\)"), (homogeneous, affine, r"\(1, 0\)")]:
+            text = f'{{"degrees": [1, 1], "terms": [[{first}], [{second}]]}}'
+            with pytest.raises(ValueError, match=rf"equation 1: exponents {shown} mix affine and homogeneous"):
+                parse_system_json(text)
+
     @pytest.mark.parametrize(
         "term",
         [
@@ -757,11 +771,10 @@ class TestSystemIO:
             '{"exponents": [1, 0], "re": true}',
             '{"exponents": [1, 0], "im": false}',
             '{"exponents": [1, 0], "re": "1.5"}',
-            '{"exponents": [1, 0], "re": 1.0}',
         ],
         ids=["no-exponents", "exponents-not-a-list", "exponent-not-an-integer", "re-not-a-number",
              "re-overflows", "term-not-an-object", "re-nan", "im-infinite", "re-1e400-is-inf", "re-null",
-             "re-boolean", "im-boolean", "re-string", "affine-after-homogeneous"],
+             "re-boolean", "im-boolean", "re-string"],
     )
     def test_malformed_term_names_its_equation(self, term):
         text = f'{{"degrees": [1, 1], "terms": [[{{"exponents": [0, 1, 0]}}], [{term}]]}}'
