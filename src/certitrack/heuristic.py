@@ -83,8 +83,8 @@ def predict(buf: tracker._StepBuffers, s: float, x, dt: float) -> np.ndarray:
     add(k1, multiply(2.0, k3, out=k3), out=k1)
     add(k1, k4, out=k1)
     out = add(x, multiply(dt / 6.0, k1, out=k1), out=k1)
-    out /= vector_norm(out)
-    return out
+    buf.divisor[()] = vector_norm(out)
+    return np.divide(out, buf.divisor, out=out)
 
 
 def correct(h: polysys.PolySystem, x):

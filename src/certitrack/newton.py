@@ -3,9 +3,9 @@ and the approximate-zero radius built on them.
 
 Every point within Riemann distance u0 / (d^(3/2) mu(h, zeta)) of a zero
 zeta, with u0 = 0.17586, is an approximate zero with associated zero zeta
-(certified_radius).  The solve checks that its refined endpoints lie
-farther apart than twice that radius, a check that trusts the float zero
-refine returns.  The restriction of the Jacobian to the
+(certified_radius).  identify_roots decides which root an endpoint is by
+these balls, for the solve's check and entropy's hits; it trusts the float
+zero refine returns.  The restriction of the Jacobian to the
 orthogonal complement of z is realized through the bordered matrix:
 solutions of (Dh(z); z*) w = (rhs; 0) lie in that complement automatically,
 so no explicit orthonormal basis is ever formed.
@@ -13,6 +13,7 @@ so no explicit orthonormal basis is ever formed.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -35,6 +36,11 @@ REFINE_TOL = 1e-14
 
 class RefinementError(Exception):
     """Newton refinement failed to converge within the iteration budget."""
+
+
+class PathCrossingError(RuntimeError):
+    """Two roots identify_roots refined lie within twice the largest
+    certified radius of each other: two paths went to one root."""
 
 
 def newton_projective(h: polysys.PolySystem, z) -> np.ndarray:
@@ -72,7 +78,8 @@ def condition_mu(h: polysys.PolySystem, z) -> float:
 
 
 def certified_radius(h: polysys.PolySystem, zeta) -> float:
-    """Approximate-zero radius U0 / (d^(3/2) condition_mu(h, zeta)); 0.0 at infinite mu."""
+    """Approximate-zero radius U0 / (d^(3/2) condition_mu(h, zeta)), that of
+    identify_roots' balls; 0.0 at infinite mu."""
     mu = condition_mu(h, zeta)
     if not math.isfinite(mu):
         return 0.0
@@ -112,3 +119,19 @@ def refine(h: polysys.PolySystem, z) -> np.ndarray:
             f"no convergence within {REFINE_MAX_ITERS} Newton iterations (last step {step:.3e})"
         )
     return zeta
+
+
+def identify_roots(h: polysys.PolySystem, endpoints) -> tuple[tuple[np.ndarray, ...], tuple[float, ...]]:
+    """The zero each endpoint refines to (refine) and its certified_radius,
+    in endpoint order: the one root identifier.  Raises PathCrossingError
+    when two zeros lie within twice the largest radius, so the open balls
+    of those radii, each of approximate zeros of its zero, are disjoint;
+    an endpoint that does not refine raises refine's error."""
+    roots = tuple(refine(h, z) for z in endpoints)
+    radii = tuple(certified_radius(h, zeta) for zeta in roots)
+    worst = 2.0 * max(radii)
+    for (i, a), (j, b) in itertools.combinations(enumerate(roots), 2):
+        if (dist := riemann_distance(a, b)) <= worst:
+            raise PathCrossingError(f"endpoints {i} and {j} cluster within {dist:.3e} <= {worst:.3e}: "
+                                    "suspected path crossing")
+    return roots, radii

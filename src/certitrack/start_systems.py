@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import polysys
-from .bw import normalize_to_sphere, riemann_distance, unitary_compose, weight_table
+from .bw import normalize_to_sphere, unitary_compose, weight_table
 from .linalg import (
     SingularLinearSolveError,
     kernel_vector,
@@ -24,7 +24,7 @@ from .linalg import (
     unitary_mapping_to_e0,
     vector_norm,
 )
-from .newton import RefinementError, certified_radius, refine
+from .newton import PathCrossingError, RefinementError, identify_roots
 from .polysys import PolySystem, degree_tuple, evaluate, space_dimension, unit_point
 from .tracker import TrackerOptions, TrackResult, track_path
 
@@ -256,24 +256,20 @@ def initial_pair(kind: str, degrees, rng: np.random.Generator) -> InitialPair:
 @dataclass(frozen=True)
 class SolveAllReport:
     """Outcome of tracking every root of a start to a target: results in
-    root order; roots are the endpoints refined by Newton's method, in path
-    order, when every path succeeded, else empty."""
+    root order; newton.identify_roots' refined endpoints (roots) and their
+    certified radii (radii), in path order, empty unless every path succeeded."""
 
     results: tuple[TrackResult, ...]
     roots: tuple[np.ndarray, ...]
+    radii: tuple[float, ...]
 
     @property
     def num_failed(self) -> int:
         return sum(0 if r.success else 1 for r in self.results)
 
 
-class PathCrossingError(RuntimeError):
-    """Two refined endpoints of an all-roots solve lie within twice the
-    largest certified radius of each other: two paths went to one root."""
-
-
-# What solve_all_total_degree's endpoint check raises when it rejects the
-# endpoints of a solve whose paths all succeeded.
+# What solve_all_total_degree's endpoint check (newton.identify_roots)
+# raises when it rejects the endpoints of a solve whose paths all succeeded.
 ENDPOINT_CHECK_ERRORS = (RefinementError, SingularLinearSolveError, PathCrossingError)
 
 
@@ -294,29 +290,12 @@ def solve_all_total_degree(f: PolySystem, start: StartSet) -> SolveAllReport:
     target f (experiments.start_paths gives both; a target off the unit
     sphere fails the tracker's ensure_on_sphere).
 
-    When every path succeeds, the refined endpoints are verified pairwise
-    farther apart than twice the largest certified radius (a cluster would
-    mean crossed paths, which the certified tracker excludes) and kept as
-    the report's roots.  A rejected check raises one of
-    ENDPOINT_CHECK_ERRORS: refine's RefinementError or
-    SingularLinearSolveError, or PathCrossingError.
+    When every path succeeds, newton.identify_roots checks the endpoints
+    (their certified balls must be disjoint: crossed paths, which the
+    certified tracker excludes, would overlap them) and the report keeps
+    its roots and radii.  A rejected check raises one of ENDPOINT_CHECK_ERRORS.
     """
     results = tuple(track_path(start.g, f, root, _NO_TRACE) for root in start.roots)
-    success = all(r.success for r in results)
-    roots = _distinct_roots(f, [r.endpoint for r in results]) if success else ()
-    return SolveAllReport(results, roots)
-
-
-def _distinct_roots(f: PolySystem, endpoints) -> tuple[np.ndarray, ...]:
-    refined = tuple(refine(f, z) for z in endpoints)
-    radii = [certified_radius(f, zeta) for zeta in refined]
-    worst = 2.0 * max(radii)
-    for i in range(len(refined)):
-        for j in range(i + 1, len(refined)):
-            dist = riemann_distance(refined[i], refined[j])
-            if dist <= worst:
-                raise PathCrossingError(
-                    f"endpoints {i} and {j} cluster within {dist:.3e} <= {worst:.3e}: "
-                    "suspected path crossing"
-                )
-    return refined
+    if not all(r.success for r in results):
+        return SolveAllReport(results, (), ())
+    return SolveAllReport(results, *identify_roots(f, [r.endpoint for r in results]))

@@ -223,6 +223,8 @@ class _StepBuffers:
         self.rot_real = W[: 2 * n].view(np.float64).reshape(2, -1)
         self.bordered, self.newton_rhs = W[n:, : n + 1], W[n:, n + 1]
         self.stage = np.empty(n + 1, dtype=np.complex128)
+        # A divisor held as complex128: np.divide then skips the conversion of a Python float.
+        self.divisor = np.empty((), dtype=np.complex128)
         self.chi, self.newton, self.velocity, self.step_length = self._step_kernels(hom, W)
 
     def _step_kernels(self, hom: LinearHomotopy, W: np.ndarray):
@@ -232,7 +234,7 @@ class _StepBuffers:
         ev, n = self.ev, self.ev.n
         B = np.empty((2 * n, n + 2), dtype=np.complex128)
         B_real, rot_real = B.view(np.float64).reshape(2, -1), self.rot_real
-        bordered, newton_rhs = self.bordered, self.newton_rhs
+        bordered, newton_rhs, divisor = self.bordered, self.newton_rhs, self.divisor
         border, hdot_val = W[2 * n, : n + 1], W[:n, n + 1]
         # The chi solve's n+2 columns, Diag(sqrt(d_i), 1) for chi_1 and
         # (hdot(z); 0) for chi_2, and the velocity's one column (-hdot(z); 0).
@@ -292,15 +294,16 @@ class _StepBuffers:
             rotate(s)
             w, re, re_dot, im, im_dot = points[z is first]
             subtract(z, solve(bordered, newton_rhs), out=w)
-            w /= sqrt(re_dot(re) + im_dot(im))
-            return w
+            divisor[()] = sqrt(re_dot(re) + im_dot(im))
+            return divide(w, divisor, out=w)
 
         def velocity(s: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             """(Dh_s(z); z*/|z|) and (-hdot_s(z); 0), z of any norm: the
             bordered system whose solution is the path's velocity at (s, z).
             Both arrays are the buffers', overwritten by the next placement."""
             place(s, z)
-            divide(border, norm(z), out=border)
+            divisor[()] = norm(z)
+            divide(border, divisor, out=border)
             negative(hdot_val, out=rhs1_top)
             return bordered, rhs1
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from certitrack import cli, experiments, start_systems, tracker
+from certitrack import cli, experiments, newton, tracker
 from certitrack.bw import riemann_distance
 from certitrack.cli import build_parser, main
 from certitrack.experiments import (
@@ -452,7 +452,7 @@ class TestNearDoubleRoot:
     def test_rejected_endpoint_check_is_an_input_error(
         self, tmp_path, capsys, monkeypatch, name, stand_in, message
     ):
-        monkeypatch.setattr(start_systems, name, stand_in)
+        monkeypatch.setattr(newton, name, stand_in)
         system = self._system(tmp_path, 1e-2)
         out = tmp_path / "out.csv"
         last = usage_error(["solve", str(system), "--out", str(out)], capsys)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from certitrack import experiments, start_systems, tracker
+from certitrack import experiments, newton, start_systems, tracker
 from certitrack.bw import bw_norm, normalize_to_sphere
 from certitrack.experiments import (
     AmbiguousMatchError,
@@ -11,14 +11,13 @@ from certitrack.experiments import (
     conjecture_bound,
     katsura_system,
     match_roots,
-    nearest_root,
     run_bench,
     run_conjecture,
     run_entropy,
     run_solve,
     shannon_entropy,
 )
-from certitrack.newton import RefinementError, refine
+from certitrack.newton import RefinementError, certified_radius, refine
 from certitrack.polysys import evaluate, homogenize, space_dimension, unit_point
 from certitrack.start_systems import (
     good_system_raw,
@@ -103,14 +102,13 @@ class TestMatchRoots:
         refs = [unit_point([1.0, 0.0]), unit_point([0.0, 1.0])]
         if tie:
             with pytest.raises(AmbiguousMatchError):
-                nearest_root(endpoint, refs)
+                match_roots([endpoint], refs)
         else:
-            assert nearest_root(endpoint, refs) == (0, pytest.approx(theta, abs=1e-15))
+            assert match_roots([endpoint], refs) == [0]
 
     def test_nearest_root_distance(self):
-        idx, dist = nearest_root(unit_point([1.0, 0.1, 0.0]), self.refs)
-        assert idx == 0
-        assert dist == pytest.approx(math.atan(0.1), abs=1e-12)
+        # At d_R = atan(0.1) from e0 and pi/2 from e1 and e2.
+        assert match_roots([unit_point([1.0, 0.1, 0.0])], self.refs) == [0]
 
 
 class TestKatsura:
@@ -313,7 +311,7 @@ class TestEntropyExperiment:
         def failing(f, z):
             raise RefinementError("no convergence")
 
-        monkeypatch.setattr(start_systems, "refine", failing)
+        monkeypatch.setattr(newton, "refine", failing)
         with pytest.raises(experiments.ReferenceRootsError, match="endpoint check .* no convergence"):
             run_entropy((2, 2), epsilon=0.1, runs=1)
 
@@ -352,34 +350,62 @@ class TestEntropyExperiment:
             assert sum(rep.root_hits) + rep.failures == 12
             assert 0.0 <= rep.entropy_bits <= 2.0
 
+    @staticmethod
+    def refine_after_the_reference_solve(monkeypatch, stand_in):
+        # newton.refine, where identify_roots and each run look it up,
+        # becomes stand_in(refine, f, z) once the reference solve returns:
+        # the references stay those of the unpatched solve.
+        solve, refine = experiments.solve_all_total_degree, newton.refine
+
+        def solve_then_patch(f, start):
+            report = solve(f, start)
+            monkeypatch.setattr(newton, "refine", lambda f, z: stand_in(refine, f, z))
+            return report
+
+        monkeypatch.setattr(experiments, "solve_all_total_degree", solve_then_patch)
+
     def test_endpoint_that_does_not_refine_is_a_failed_run(self, monkeypatch):
-        # The reference solve refines through start_systems; each run's
-        # endpoint through experiments, which here never converges.
         calls = []
 
-        def failing(f, z):
+        def failing(refine, f, z):
             calls.append(1)
             raise RefinementError("no convergence")
 
-        monkeypatch.setattr(experiments, "refine", failing)
+        self.refine_after_the_reference_solve(monkeypatch, failing)
         rep = run_entropy((2, 2), epsilon=0.1, runs=3, seed=0)
         assert (rep.root_hits, rep.failures, len(calls)) == ((0, 0, 0, 0), 3, 3)
         assert math.isnan(rep.entropy_bits)
 
-    @pytest.mark.parametrize("offset, hit", [(0.995e-4, True), (1.005e-4, False)])
-    def test_endpoint_over_1e_4_from_every_root_is_a_failed_run(self, monkeypatch, offset, hit):
-        # Each run's refined endpoint moved offset away in d_R from the root
-        # it refines to, on either side of the 1e-4 a hit may lie within.
-        refined = experiments.refine
-
-        def moved(f, z):
-            zeta = refined(f, z)
+    @pytest.mark.parametrize("fraction, hit", [(0.995, True), (1.005, False)])
+    def test_endpoint_outside_its_root_ball_is_a_failed_run(self, monkeypatch, fraction, hit):
+        # Each run's refined endpoint moved in d_R from the root it refines
+        # to by a fraction of that root's certified radius, just inside and
+        # just outside the ball a hit lies in.
+        def moved(refine, f, z):
+            zeta = refine(f, z)
+            offset = fraction * certified_radius(f, zeta)
             u = np.ones_like(zeta) - np.vdot(zeta, np.ones_like(zeta)) * zeta
             return math.cos(offset) * zeta + math.sin(offset) * u / np.linalg.norm(u)
 
-        monkeypatch.setattr(experiments, "refine", moved)
+        self.refine_after_the_reference_solve(monkeypatch, moved)
         rep = run_entropy((2, 2), epsilon=0.1, runs=3, seed=0)
         assert (sum(rep.root_hits), rep.failures) == ((3, 0) if hit else (0, 3))
+
+    def test_reference_of_radius_0_takes_no_hit(self, monkeypatch):
+        # Infinite mu at the reference root most runs hit gives it a ball of
+        # radius 0: those runs fail, and the other references keep theirs.
+        want = run_entropy((2, 2), epsilon=0.1, runs=12, seed=0)
+        k = int(np.argmax(want.root_hits))
+        assert want.root_hits[k] > 0
+        f, start = experiments.start_paths(self.perturbed_good_system((2, 2), 0.1, 0), "total", 0)
+        root = solve_all_total_degree(f, start).roots[k]
+        condition_mu = newton.condition_mu
+        monkeypatch.setattr(newton, "condition_mu",
+                            lambda h, z: math.inf if np.array_equal(z, root) else condition_mu(h, z))
+        rep = run_entropy((2, 2), epsilon=0.1, runs=12, seed=0)
+        hits = list(want.root_hits)
+        hits[k] = 0
+        assert (list(rep.root_hits), rep.failures) == (hits, want.failures + want.root_hits[k])
 
     def test_unknown_variant_raises_before_the_reference_solve(self, spy):
         solves = spy(experiments, "solve_all_total_degree")

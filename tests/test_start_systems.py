@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from certitrack import tracker
+from certitrack import newton, tracker
 from certitrack.bw import bw_inner_re, bw_norm, riemann_distance, weight_table
 from certitrack.experiments import katsura_system, start_paths
-from certitrack.newton import condition_mu, refine
+from certitrack.newton import condition_mu
 from certitrack.polysys import (
     PolySystem,
     _layout,
@@ -366,12 +366,13 @@ class TestSolvers:
         f = random_system_on_sphere((2, 2), np.random.default_rng(17))
         report = solve_all_total_degree(f, total_degree_start(f.degrees, np.random.default_rng(18)))
         assert report.num_failed == 0
-        endpoints = [r.endpoint for r in report.results if r.success]
-        assert len(endpoints) == 4
-        refined = [refine(f, z) for z in endpoints]
+        # Each endpoint lies in its refined root's certified ball.
+        assert len(report.roots) == len(report.radii) == 4
+        for r, root, radius in zip(report.results, report.roots, report.radii):
+            assert riemann_distance(r.endpoint, root) < radius
         for i in range(4):
             for j in range(i + 1, 4):
-                assert riemann_distance(refined[i], refined[j]) > 1e-3
+                assert riemann_distance(report.roots[i], report.roots[j]) > 1e-3
 
     def test_solve_all_affine_input(self):
         report = solve_all_total_degree(*start_paths(katsura_system(3), "total", 19))
@@ -402,6 +403,7 @@ class TestSolvers:
         with pytest.raises(PathCrossingError, match="suspected path crossing"):
             solve_all_total_degree(f, twice)
         assert issubclass(PathCrossingError, RuntimeError)
+        assert PathCrossingError is newton.PathCrossingError
 
 
 # Problem set-up pins: per degree tuple, sha256 over seeds 0, 1, 2 of the

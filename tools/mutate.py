@@ -1,6 +1,7 @@
 """Mutation check of Tier-1: which test fails on each of a fixed set of mutants.
 
-    python tools/mutate.py   # run the set, check it against the last run, record it
+    python tools/mutate.py           # run the set, check it against the last run, record it
+    python tools/mutate.py --check   # rerun the last run's kills, killer first; record nothing
 
 A mutant is one small edit of src/certitrack/*.py: + and - swapped, * and /
 swapped, < and <= (or > and >=) swapped, a `not` dropped, or a number moved
@@ -17,6 +18,13 @@ tree the set was drawn on, and exits 1 naming each mutant that the last
 recorded run of another tree killed and this one does not.  A survivor
 that no input tells from the source carries its reason as "equivalent",
 which runs keep.
+
+--check reruns only the kills of the last recorded run: each mutant runs
+its recorded killer test alone (for a collection kill, the killing module),
+and the full Tier-1 with -x only when that test passes.  The killers must
+pass on the unmutated copy first.  It skips survivors, equivalents and
+mutants whose site is gone, records nothing, and exits 1 naming each kill
+that no test makes any more.
 """
 
 import ast
@@ -124,12 +132,14 @@ def draw(root: Path) -> list[dict]:
     return [{"id": f"m{i:02d}", **dict(zip(fields, key)), "line": table[key][3]} for i, key in enumerate(keys)]
 
 
-def tier1(copy: Path, timeout: float) -> tuple[str | None, float]:
+def tier1(copy: Path, timeout: float, tests=()) -> tuple[str | None, float]:
     """The first test that fails in the copy, as "module.Class::test" (None
-    when all pass, "timeout" past timeout s), and the seconds taken."""
+    when all pass, "timeout" past timeout s, "exit N" when pytest exits N
+    with no test failed), and the seconds taken: Tier-1, or the given
+    pytest node ids alone."""
     report = copy / "tier1.xml"
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-            "--continue-on-collection-errors", f"--junitxml={report}"]
+            "--continue-on-collection-errors", f"--junitxml={report}", *tests]
     began = time.monotonic()
     child = subprocess.Popen(argv, cwd=copy, env=dict(os.environ, PYTHONPATH=str(copy / "src")),
                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True)
@@ -148,13 +158,27 @@ def tier1(copy: Path, timeout: float) -> tuple[str | None, float]:
     return (failed[0] if failed else f"exit {code}"), took
 
 
-def main(argv: list[str]) -> int:
-    if argv:
-        sys.exit(__doc__)
-    record = json.loads(RECORD.read_text()) if RECORD.exists() else {"seed": SEED, "mutants": draw(ROOT), "runs": []}
-    label = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT, capture_output=True,
-                           text=True).stdout.strip() or "unknown"
-    table = site_table(ROOT)
+def node_id(copy: Path, killer: str, collected: set[str]) -> str | None:
+    """The pytest node id of a recorded killer "module.Class::test" among
+    the copy's collected ids or, for a collection kill "::module", of its
+    module file; None for a timeout, an exit code or a test that is gone."""
+    classname, sep, name = killer.partition("::")
+    if not sep:
+        return None
+    if not classname:
+        classname, name = name, None
+    parts = classname.split(".")
+    for k in range(len(parts), 0, -1):
+        path = "/".join(parts[:k]) + ".py"
+        if (copy / path).is_file():
+            test = "::".join([path, *parts[k:], *([name] if name else [])])
+            return test if name is None or test in collected else None
+    return None
+
+
+@contextlib.contextmanager
+def checkout_copy():
+    # A temporary copy of the checkout that imports its own certitrack.
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
@@ -164,6 +188,69 @@ def main(argv: list[str]) -> int:
                                capture_output=True, text=True).stdout
         if not where.startswith(str(copy)):
             sys.exit(f"the copy imports certitrack from {where!r}")
+        yield copy
+
+
+@contextlib.contextmanager
+def mutated(copy: Path, m: dict, change):
+    # The copy with mutant m's edit applied, restored on exit.
+    path = copy / "src" / "certitrack" / m["module"]
+    original = path.read_bytes()
+    start, end, new, _ = change
+    path.write_bytes(original[:start] + new + original[end:])
+    try:
+        yield
+    finally:
+        path.write_bytes(original)
+
+
+def check(record: dict, table: dict) -> int:
+    last = record["runs"][-1]
+    kills = {m["id"]: m for m in record["mutants"] if last["results"].get(m["id"]) not in (None, "gone")}
+    began = time.monotonic()
+    with checkout_copy() as copy:
+        listing = subprocess.run([sys.executable, "-m", "pytest", "--collect-only", "-q", "-p",
+                                  "no:cacheprovider"], cwd=copy, capture_output=True, text=True,
+                                 env=dict(os.environ, PYTHONPATH=str(copy / "src"))).stdout
+        collected = set(listing.splitlines())
+        killers = {i: node_id(copy, last["results"][i], collected) for i in kills}
+        named = sorted({t for t in killers.values() if t})
+        failed, base = tier1(copy, 3600, named)
+        if failed is not None:
+            sys.exit(f"a recorded killer fails unmutated: {failed}")
+        lost, gone = [], []
+        for i, m in kills.items():
+            change = table.get((m["module"], m["scope"], m["edit"], m["text"], m["nth"]))
+            if change is None:
+                gone.append(i)
+                continue
+            with mutated(copy, m, change):
+                killer, took = tier1(copy, max(300.0, 5 * base), [killers[i]]) if killers[i] else (None, 0.0)
+                if killer is None or killer.startswith("exit"):
+                    killer, more = tier1(copy, max(300.0, 5 * base))
+                    took += more
+            if killer is None:
+                lost.append(i)
+            print(f"{i} {m['module']}:{m['scope']} {m['edit']} {m['text'][:40]!r}: "
+                  f"{killer or 'SURVIVED'} ({took:.0f} s)", flush=True)
+    print(f"{len(kills) - len(lost) - len(gone)} of the {len(kills)} kills recorded for {last['tree']} "
+          f"still killed in {time.monotonic() - began:.0f} s; site gone: {gone or 'none'}")
+    print("kills lost:", lost or "none")
+    return 1 if lost else 0
+
+
+def main(argv: list[str]) -> int:
+    if argv not in ([], ["--check"]):
+        sys.exit(__doc__)
+    record = json.loads(RECORD.read_text()) if RECORD.exists() else {"seed": SEED, "mutants": draw(ROOT), "runs": []}
+    table = site_table(ROOT)
+    if argv:
+        if not record["runs"]:
+            sys.exit("no recorded run to check")
+        return check(record, table)
+    label = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT, capture_output=True,
+                           text=True).stdout.strip() or "unknown"
+    with checkout_copy() as copy:
         killer, base = tier1(copy, 3600)
         if killer is not None:
             sys.exit(f"Tier-1 fails unmutated: {killer}")
@@ -173,14 +260,8 @@ def main(argv: list[str]) -> int:
             if change is None:
                 results[m["id"]] = "gone"
                 continue
-            path = copy / "src" / "certitrack" / m["module"]
-            original = path.read_bytes()
-            start, end, new, _ = change
-            path.write_bytes(original[:start] + new + original[end:])
-            try:
+            with mutated(copy, m, change):
                 results[m["id"]], took = tier1(copy, max(300.0, 5 * base))
-            finally:
-                path.write_bytes(original)
             print(f"{m['id']} {m['module']}:{m['scope']} {m['edit']} {m['text'][:40]!r}: "
                   f"{results[m['id']] or 'SURVIVED'} ({took:.0f} s)", flush=True)
     killed = sum(r not in (None, "gone") for r in results.values())
