@@ -1,21 +1,19 @@
 """Certified homotopy continuation for square complex polynomial systems.
 
-The package re-exports what the command line and the benchmarks use; the
-rest of the API lives in its modules (polysys, bw, linalg, newton, tracker,
-start_systems, heuristic, experiments).
+The package re-exports what the benchmarks read from it; the command line
+and the rest of the API live in its modules (polysys, bw, linalg, newton,
+tracker, start_systems, heuristic, experiments, cli).
 """
 
 from . import experiments, heuristic, newton, start_systems, tracker
 from .bw import normalize_to_sphere, riemann_distance
-from .experiments import (
-    katsura_system, match_roots, run_bench, run_conjecture, run_entropy, run_solve,
-)
+from .experiments import katsura_system, match_roots
 from .heuristic import HeuristicOptions
 from .linalg import SingularLinearSolveError
 from .newton import certified_radius, refine
-from .polysys import homogenize, parse_system_json
+from .polysys import homogenize
 from .start_systems import random_system_on_sphere, total_degree_start
-from .tracker import TrackerOptions, track_path
+from .tracker import TrackerOptions
 
 __all__ = [
     "HeuristicOptions",
@@ -29,17 +27,11 @@ __all__ = [
     "match_roots",
     "newton",
     "normalize_to_sphere",
-    "parse_system_json",
     "random_system_on_sphere",
     "refine",
     "riemann_distance",
-    "run_bench",
-    "run_conjecture",
-    "run_entropy",
-    "run_solve",
     "start_systems",
     "total_degree_start",
-    "track_path",
     "tracker",
 ]
 __version__ = "0.1.0"

@@ -3,8 +3,8 @@
 Subcommands:
   solve       track a target system from a chosen start (all paths for the
               total-degree start, one path otherwise); writes a solutions CSV.
-              The total-degree solve checks its endpoints; a rejected check
-              exits 2 with a message
+              Every solve checks its endpoints; a rejected check exits 2
+              with a message
   track       one path of solve, with its per-step trace CSV: both prepare the
               target and draw the start through experiments.start_paths, the
               one routine that does either, so the last row of

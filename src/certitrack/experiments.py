@@ -430,12 +430,9 @@ def run_solve(
     start_kind: str = "total",
     seed: int = 0,
 ) -> tuple[TrackResult, ...]:
-    """Track every path of start_paths(system, start_kind, seed), untraced:
-    all D total-degree paths through solve_all_total_degree, with its
-    endpoint check, or the one path of the good or random pair.  Result i
-    is the path from root i.
+    """Track every path of start_paths(system, start_kind, seed) through
+    solve_all_total_degree, untraced and with its endpoint check: the D
+    total-degree paths, or the one path of the good or random pair.
+    Result i is the path from root i.
     """
-    f, start = start_paths(system, start_kind, seed)
-    if start_kind == "total":
-        return solve_all_total_degree(f, start).results
-    return tuple(track_path(start.g, f, z, _NO_TRACE) for z in start.roots)
+    return solve_all_total_degree(*start_paths(system, start_kind, seed)).results

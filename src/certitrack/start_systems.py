@@ -288,7 +288,8 @@ def prepare_target(system: PolySystem | polysys.AffineSystem) -> PolySystem:
 def solve_all_total_degree(f: PolySystem, start: StartSet) -> SolveAllReport:
     """Track every root of start, without a per-step trace, to the prepared
     target f (experiments.start_paths gives both; a target off the unit
-    sphere fails the tracker's ensure_on_sphere).
+    sphere fails the tracker's ensure_on_sphere).  It serves any start: the
+    total-degree start's D roots, or the one root of an initial pair.
 
     When every path succeeds, newton.identify_roots checks the endpoints
     (their certified balls must be disjoint: crossed paths, which the

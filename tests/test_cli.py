@@ -425,10 +425,13 @@ class TestNearDoubleRoot:
     """(X1 - X0)(X1 - (1+eps) X0): two roots eps apart, of condition ~1/eps."""
 
     @staticmethod
-    def _system(tmp_path, eps):
+    def _system(tmp_path, eps, part="re"):
+        # part="im" writes i times the system: the same roots.  The good
+        # start's path to the real system stays real and ends at
+        # MinStepReached; its path to i times it is not real.
         system = tmp_path / "system.json"
-        terms = [[{"exponents": [2, 0], "re": 1.0 + eps}, {"exponents": [1, 1], "re": -(2.0 + eps)},
-                  {"exponents": [0, 2], "re": 1.0}]]
+        terms = [[{"exponents": [2, 0], part: 1.0 + eps}, {"exponents": [1, 1], part: -(2.0 + eps)},
+                  {"exponents": [0, 2], part: 1.0}]]
         system.write_text(json.dumps({"degrees": [2], "terms": terms}))
         return system
 
@@ -452,13 +455,16 @@ class TestNearDoubleRoot:
     def test_rejected_endpoint_check_is_an_input_error(
         self, tmp_path, capsys, monkeypatch, name, stand_in, message
     ):
+        # Every start's solve is checked; a one-root solve cannot cross.
         monkeypatch.setattr(newton, name, stand_in)
-        system = self._system(tmp_path, 1e-2)
         out = tmp_path / "out.csv"
-        last = usage_error(["solve", str(system), "--out", str(out)], capsys)
-        assert f"error: endpoint check of the solve of {str(system)!r} failed" in last
-        assert message in last
-        assert not out.exists()
+        starts = [("total", "re"), ("good", "im"), ("random", "re")]
+        for start, part in starts[:1] if name == "certified_radius" else starts:
+            system = self._system(tmp_path, 1e-2, part)
+            last = usage_error(["solve", str(system), "--start", start, "--out", str(out)], capsys)
+            assert f"error: endpoint check of the solve of {str(system)!r} failed" in last, start
+            assert message in last, start
+            assert not out.exists(), start
 
     def test_closer_roots_end_without_a_traceback(self, tmp_path, capsys):
         # At eps = 1e-8 the last Newton step of a refined endpoint stays

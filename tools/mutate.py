@@ -1,7 +1,7 @@
 """Mutation check of Tier-1: which test fails on each of a fixed set of mutants.
 
-    python tools/mutate.py           # run the set, check it against the last run, record it
-    python tools/mutate.py --check   # rerun the last run's kills, killer first; record nothing
+    python tools/mutate.py           # run every mutant, check the run against the last one, record it
+    python tools/mutate.py --check   # run the last run's kills the same way; record nothing
 
 A mutant is one small edit of src/certitrack/*.py: + and - swapped, * and /
 swapped, < and <= (or > and >=) swapped, a `not` dropped, or a number moved
@@ -10,21 +10,24 @@ such site of the tree it is drawn on, plus PINNED; tools/mutants.json keeps
 it, so later trees run the same mutants.  A mutant names its site by module,
 enclosing definition, edit and source text, and the count of like sites
 before it there, so it survives edits elsewhere; a site that is gone runs as
-"gone".  Each mutant runs Tier-1 with -x in a temporary copy of the checkout
-(the working tree is never edited), and the first failing test is its
-killer.  A run appends {"tree", "killed", "results"} to "runs" (replacing a
-run of the same tree, named by git describe), so the first run is of the
-tree the set was drawn on, and exits 1 naming each mutant that the last
-recorded run of another tree killed and this one does not.  A survivor
-that no input tells from the source carries its reason as "equivalent",
-which runs keep.
+"gone".
 
---check reruns only the kills of the last recorded run: each mutant runs
-its recorded killer test alone (for a collection kill, the killing module),
-and the full Tier-1 with -x only when that test passes.  The killers must
-pass on the unmutated copy first.  It skips survivors, equivalents and
-mutants whose site is gone, records nothing, and exits 1 naming each kill
-that no test makes any more.
+Both modes work in a temporary copy of the checkout (the working tree is
+never edited), and first require the full Tier-1 to pass there unmutated.
+The last run is the last recorded run of another tree (named by git
+describe).  run_mutant runs each mutant: the killer the last run recorded
+for it alone (for a collection kill, the killing module), and the full
+Tier-1 with -x only when that test passes or no killer is recorded.  A
+mutant is killed exactly when some test fails, so the verdict is the one a
+full pass gives; its entry is the recorded killer while that still fails,
+else the first test to fail.  Both modes exit 1 naming each kill of the
+last run that this run does not make.
+
+The recording runs every mutant and appends {"tree", "killed", "results"}
+to "runs" (replacing a run of the same tree), so the first run is of the
+tree the set was drawn on.  --check runs only the kills of the last run and
+records nothing.  A survivor that no input tells from the source carries
+its reason as "equivalent", which runs keep.
 """
 
 import ast
@@ -158,11 +161,20 @@ def tier1(copy: Path, timeout: float, tests=()) -> tuple[str | None, float]:
     return (failed[0] if failed else f"exit {code}"), took
 
 
-def node_id(copy: Path, killer: str, collected: set[str]) -> str | None:
+def collect(copy: Path) -> set[str]:
+    # The node ids of the tests pytest collects in the copy.
+    listing = subprocess.run([sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider"],
+                             cwd=copy, env=dict(os.environ, PYTHONPATH=str(copy / "src")),
+                             capture_output=True, text=True).stdout
+    return set(listing.splitlines())
+
+
+def node_id(copy: Path, killer: str | None, collected: set[str]) -> str | None:
     """The pytest node id of a recorded killer "module.Class::test" among
     the copy's collected ids or, for a collection kill "::module", of its
-    module file; None for a timeout, an exit code or a test that is gone."""
-    classname, sep, name = killer.partition("::")
+    module file; None for no killer, a timeout, an exit code or a test that
+    is gone."""
+    classname, sep, name = (killer or "").partition("::")
     if not sep:
         return None
     if not classname:
@@ -191,89 +203,61 @@ def checkout_copy():
         yield copy
 
 
-@contextlib.contextmanager
-def mutated(copy: Path, m: dict, change):
-    # The copy with mutant m's edit applied, restored on exit.
+def run_mutant(copy: Path, m: dict, change, killer: str | None, timeout: float) -> tuple[str | None, float]:
+    """Mutant m's entry, as tier1 names a test ("gone" when its site,
+    change, is None), and the seconds taken: with m's edit applied to the
+    copy, the killer's node id alone first, and the full Tier-1 only when
+    that passes or there is no killer."""
+    if change is None:
+        return "gone", 0.0
     path = copy / "src" / "certitrack" / m["module"]
     original = path.read_bytes()
     start, end, new, _ = change
     path.write_bytes(original[:start] + new + original[end:])
     try:
-        yield
+        failed, took = tier1(copy, timeout, [killer]) if killer else (None, 0.0)
+        if failed is None or failed.startswith("exit"):
+            failed, more = tier1(copy, timeout)
+            took += more
     finally:
         path.write_bytes(original)
-
-
-def check(record: dict, table: dict) -> int:
-    last = record["runs"][-1]
-    kills = {m["id"]: m for m in record["mutants"] if last["results"].get(m["id"]) not in (None, "gone")}
-    began = time.monotonic()
-    with checkout_copy() as copy:
-        listing = subprocess.run([sys.executable, "-m", "pytest", "--collect-only", "-q", "-p",
-                                  "no:cacheprovider"], cwd=copy, capture_output=True, text=True,
-                                 env=dict(os.environ, PYTHONPATH=str(copy / "src"))).stdout
-        collected = set(listing.splitlines())
-        killers = {i: node_id(copy, last["results"][i], collected) for i in kills}
-        named = sorted({t for t in killers.values() if t})
-        failed, base = tier1(copy, 3600, named)
-        if failed is not None:
-            sys.exit(f"a recorded killer fails unmutated: {failed}")
-        lost, gone = [], []
-        for i, m in kills.items():
-            change = table.get((m["module"], m["scope"], m["edit"], m["text"], m["nth"]))
-            if change is None:
-                gone.append(i)
-                continue
-            with mutated(copy, m, change):
-                killer, took = tier1(copy, max(300.0, 5 * base), [killers[i]]) if killers[i] else (None, 0.0)
-                if killer is None or killer.startswith("exit"):
-                    killer, more = tier1(copy, max(300.0, 5 * base))
-                    took += more
-            if killer is None:
-                lost.append(i)
-            print(f"{i} {m['module']}:{m['scope']} {m['edit']} {m['text'][:40]!r}: "
-                  f"{killer or 'SURVIVED'} ({took:.0f} s)", flush=True)
-    print(f"{len(kills) - len(lost) - len(gone)} of the {len(kills)} kills recorded for {last['tree']} "
-          f"still killed in {time.monotonic() - began:.0f} s; site gone: {gone or 'none'}")
-    print("kills lost:", lost or "none")
-    return 1 if lost else 0
+    return failed, took
 
 
 def main(argv: list[str]) -> int:
     if argv not in ([], ["--check"]):
         sys.exit(__doc__)
     record = json.loads(RECORD.read_text()) if RECORD.exists() else {"seed": SEED, "mutants": draw(ROOT), "runs": []}
-    table = site_table(ROOT)
-    if argv:
-        if not record["runs"]:
-            sys.exit("no recorded run to check")
-        return check(record, table)
     label = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT, capture_output=True,
                            text=True).stdout.strip() or "unknown"
+    earlier = [r for r in record["runs"] if r["tree"] != label]
+    if argv and not earlier:
+        sys.exit("no recorded run to check")
+    last = earlier[-1] if earlier else {"tree": "no tree", "results": {}}
+    kills = {i for i, r in last["results"].items() if r not in (None, "gone")}
+    table = site_table(ROOT)
+    began = time.monotonic()
     with checkout_copy() as copy:
-        killer, base = tier1(copy, 3600)
-        if killer is not None:
-            sys.exit(f"Tier-1 fails unmutated: {killer}")
+        failed, base = tier1(copy, 3600)
+        if failed is not None:
+            sys.exit(f"Tier-1 fails unmutated: {failed}")
+        tests = collect(copy)
         results = {}
         for m in record["mutants"]:
-            change = table.get((m["module"], m["scope"], m["edit"], m["text"], m["nth"]))
-            if change is None:
-                results[m["id"]] = "gone"
+            if argv and m["id"] not in kills:
                 continue
-            with mutated(copy, m, change):
-                results[m["id"]], took = tier1(copy, max(300.0, 5 * base))
+            change = table.get((m["module"], m["scope"], m["edit"], m["text"], m["nth"]))
+            killer = node_id(copy, last["results"].get(m["id"]), tests)
+            results[m["id"]], took = run_mutant(copy, m, change, killer, max(300.0, 5 * base))
             print(f"{m['id']} {m['module']}:{m['scope']} {m['edit']} {m['text'][:40]!r}: "
                   f"{results[m['id']] or 'SURVIVED'} ({took:.0f} s)", flush=True)
     killed = sum(r not in (None, "gone") for r in results.values())
-    print(f"{label}: {killed} of {len(results)} killed")
-    earlier = [r for r in record["runs"] if r["tree"] != label]
-    lost = []
-    if earlier:
-        last = earlier[-1]["results"]
-        lost = [i for i, r in results.items() if r is None and last.get(i) not in (None, "gone")]
-        print(f"kills recorded for {earlier[-1]['tree']} that survive:", lost or "none")
-    record["runs"] = earlier + [{"tree": label, "killed": killed, "results": results}]
-    RECORD.write_text(json.dumps(record, indent=1) + "\n")
+    lost = [i for i, r in results.items() if r is None and i in kills]
+    print(f"{label}: {killed} of {len(results)} killed in {time.monotonic() - began:.0f} s")
+    print(f"kills recorded for {last['tree']} that survive:", lost or "none")
+    if not argv:
+        record["runs"] = earlier + [{"tree": label, "killed": killed, "results": results}]
+        RECORD.write_text(json.dumps(record, indent=1) + "\n")
     return 1 if lost else 0
 
 
